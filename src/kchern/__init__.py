@@ -6,22 +6,18 @@ All arithmetic is exact rational; every identity check is an equality of
 canonical normal forms, never a numerical tolerance.
 """
 
-from .exactmath import (Poly1, Poly2, Q0, Q1, Rational, RatMatrix, rat,
-                        rat_from_str, rat_to_str, kernel_basis,
-                        quotient_basis, solve_membership)
+from .exactmath import Poly1, Poly2, Q0, Q1, rat_from_str, rat_to_str
 from .algebra import (AlgElement, Algebra, AlgebraError, AlgebraHom,
-                      algebra_from_json, algebra_to_json, apply_hom,
-                      make_group_algebra, make_matrix_algebra, make_product,
-                      make_truncated_poly, mul)
+                      algebra_from_json, algebra_to_json, make_group_algebra,
+                      make_matrix_algebra, make_product, make_truncated_poly)
 from .uforms import (AbClass, AbProjection, DegreeCapError, FormError, UForm,
                      ab_d, abelianization, de_rham_homology, differential,
                      dimension, enumerate_words, extend_hom, is_exact_in_ab,
                      multiply, project_ab, word_degree)
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, apply_operator, chern, compose_iso,
-                          curvature, direct_sum, extend_idempotent,
-                          extend_scalars, grassmann, pullback,
-                          random_automorphism, random_connection,
+                          curvature, direct_sum, extend_scalars, grassmann,
+                          pullback, random_automorphism, random_connection,
                           random_idempotent, random_iso, sum_iso, swap_iso,
                           trace_ab)
 from .transgression import (BiForm, Bigon, EPSILON_K, PolyPath, TForm,
@@ -31,10 +27,10 @@ from .transgression import (BiForm, Bigon, EPSILON_K, PolyPath, TForm,
                             reverse_path, secondary_transgression,
                             straight_line, three_point_path, tilde_curvature)
 from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
-                   hexagon_suite, in_MK, incl, map_I, map_R, map_a, map_beta,
+                   hexagon_suite, incl, map_I, map_R, map_a, map_beta,
                    odd_chern, verify_kcs_equivalence, zero_generator)
-from .fixtures import FIXTURE_NAMES, all_fixtures, make_fixture
+from .fixtures import FIXTURE_NAMES, make_fixture
 from .suites import (run_chern_suite, run_dga_suite, run_hexagon_suite,
                      run_suite, run_transgression_suite)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -83,18 +83,7 @@ class Algebra:
 
     def elem_mul(self, a, b):
         """Bilinear extension of the structure constants to vectors."""
-        m = self.dim
-        out = [Q0] * m
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        c = ca * cb
-                        row = self.mul[i][j]
-                        for k in range(m):
-                            if row[k]:
-                                out[k] += c * row[k]
-        return tuple(out)
+        return (AlgElement(self, a) * AlgElement(self, b)).vec
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -149,13 +138,14 @@ class AlgElement:
         if isinstance(other, AlgElement):
             self._check(other)
             m = self.algebra.dim
+            table = self.algebra.mul
             out = [Q0] * m
             for i, ca in enumerate(self.vec):
                 if ca:
                     for j, cb in enumerate(other.vec):
                         if cb:
                             c = ca * cb
-                            row = self.algebra.mul[i][j]
+                            row = table[i][j]
                             for k in range(m):
                                 if row[k]:
                                     out[k] = out[k] + c * row[k]
@@ -198,7 +188,7 @@ class AlgElement:
 
 def _express_in_basis(basis_vecs, dim):
     """Return a function expressing dense vectors in the given basis."""
-    ech = TrackedEchelon()
+    ech = TrackedEchelon(dim)
     for tag, v in enumerate(basis_vecs):
         dep = ech.add({i: c for i, c in enumerate(v) if c}, tag)
         if dep is not None:
@@ -397,14 +387,6 @@ class AlgebraHom:
     def identity(a: Algebra) -> "AlgebraHom":
         return AlgebraHom(a, a, [[Q1 if i == j else Q0 for j in range(a.dim)]
                                  for i in range(a.dim)])
-
-
-def apply_hom(psi: AlgebraHom, a: AlgElement) -> AlgElement:
-    return psi(a)
-
-
-def mul(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
 
 
 # ---------------------------------------------------------------------------

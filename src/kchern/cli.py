@@ -11,18 +11,18 @@ import argparse
 import json
 import sys
 
-from .algebra import Algebra, AlgebraError, algebra_from_json
-from .connections import (Connection, ConnectionError_, chern, curvature,
-                          grassmann, random_connection, random_idempotent)
+from .algebra import AlgebraError, algebra_from_json
+from .connections import (Connection, ConnectionError_, chern,
+                          random_connection, random_idempotent)
 from .exactmath import Q0, Q1, rat_from_str
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .serialize import (abclass_to_json, connection_from_json, form_to_json,
                         path_from_json)
 from .suites import SUITES, run_suite
 from .transgression import kcs as kcs_forms
-from .transgression import kcs_between, reverse_path, straight_line
+from .transgression import reverse_path, straight_line
 from .uforms import (AbClass, DegreeCapError, FormError, ab_d, abelianization,
-                     de_rham_homology, dimension, project_ab)
+                     de_rham_homology, dimension)
 
 EXIT_OK = 0
 EXIT_PARSE = 2

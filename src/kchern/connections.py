@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import Q0, Q1
+from .exactmath import Q0
 from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab)
 
 
@@ -166,13 +166,18 @@ def apply_operator(c: Connection, x: Mat) -> Mat:
     return pf * x.map(lambda u: u.d()) + c.theta * x
 
 
+def curvature_formula(pf: Mat, theta: Mat) -> Mat:
+    """p(dp)(dp)p + p(dtheta)p + theta*theta for form matrices p and theta
+    over any scalars (rationals, or polynomials in path parameters)."""
+    dp = pf.map(lambda u: u.d())
+    dtheta = theta.map(lambda u: u.d())
+    return pf * dp * dp * pf + pf * dtheta * pf + theta * theta
+
+
 def curvature(c: Connection) -> Mat:
     """R = p(dp)(dp)p + p(dtheta)p + theta*theta (degree 2); the theta terms
     are certified by the operator oracle R*p == D(D(p)) columnwise."""
-    pf = c.p.to_form()
-    dp = pf.map(lambda u: u.d())
-    dtheta = c.theta.map(lambda u: u.d())
-    return pf * dp * dp * pf + pf * dtheta * pf + c.theta * c.theta
+    return curvature_formula(c.p.to_form(), c.theta)
 
 
 def trace_ab(m: Mat) -> AbClass:
@@ -180,19 +185,26 @@ def trace_ab(m: Mat) -> AbClass:
     return project_ab(m.trace())
 
 
-def chern(c: Connection, k_max: int):
-    """[ch_0, ..., ch_kmax] with ch_k = trace_ab(R^k)/k!; ch_0 = trace_ab(p)."""
-    out = [trace_ab(c.p.to_form())]
+def chern_series(pf: Mat, curv, k_max: int, trace):
+    """[trace(p), trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's
+    ch_k = tr(R^k)/k! for matrices over any ring of forms.  `curv()` gives
+    the curvature R and is called only when k_max >= 1."""
+    out = [trace(pf)]
     if k_max >= 1:
-        r = curvature(c)
+        r = curv()
         power = r
         fact = 1
         for k in range(1, k_max + 1):
             fact *= k
-            out.append(trace_ab(power).scale(Fraction(1, fact)))
+            out.append(Fraction(1, fact) * trace(power))
             if k < k_max:
                 power = power * r
     return out
+
+
+def chern(c: Connection, k_max: int):
+    """[ch_0, ..., ch_kmax] with ch_k = trace_ab(R^k)/k!; ch_0 = trace_ab(p)."""
+    return chern_series(c.p.to_form(), lambda: curvature(c), k_max, trace_ab)
 
 
 def direct_sum(c1: Connection, c2: Connection) -> Connection:
@@ -258,10 +270,6 @@ def extend_scalars(c: Connection, psi: AlgebraHom) -> Connection:
     return Connection(p, theta)
 
 
-def extend_idempotent(p: Idempotent, psi: AlgebraHom) -> Idempotent:
-    return Idempotent(psi.target, p.mat.map(psi))
-
-
 # ---------------------------------------------------------------------------
 # Seeded random generators
 # ---------------------------------------------------------------------------
@@ -276,26 +284,28 @@ def _random_element(alg: Algebra, rng: random.Random) -> AlgElement:
     return AlgElement(alg, vec)
 
 
+def _random_unipotent(alg: Algebra, n: int, rng: random.Random):
+    """(1, g, g^-1) for g = 1 + N with N strictly upper random; N is
+    nilpotent, so g^-1 = 1 - N + N^2 - ... is a finite series."""
+    z, one = alg.zero(), alg.unit()
+    nmat = Mat([[_random_element(alg, rng) if j > i else z
+                 for j in range(n)] for i in range(n)])
+    ident = Mat([[one if i == j else z for j in range(n)] for i in range(n)])
+    ginv = power = ident
+    for _ in range(n - 1):
+        power = -(power * nmat)
+        ginv = ginv + power
+    return ident, ident + nmat, ginv
+
+
 def random_idempotent(alg: Algebra, n: int, seed) -> Idempotent:
-    """p = u E u^-1 with E a 0/1 diagonal and u = 1 + strictly upper random;
-    the strict part is nilpotent so u^-1 is a finite geometric series."""
+    """p = u E u^-1 with E a 0/1 diagonal and u random unipotent."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     z, one = alg.zero(), alg.unit()
     e = Mat([[one if (i == j and rng.random() < 0.6) else z
               for j in range(n)] for i in range(n)])
-    nmat = Mat([[_random_element(alg, rng) if j > i else z
-                 for j in range(n)] for i in range(n)])
-    ident = Mat([[one if i == j else z for j in range(n)] for i in range(n)])
-    u = ident + nmat
-    uinv = ident
-    power = nmat
-    sign = -1
-    for _ in range(n - 1):
-        uinv = uinv + (power if sign > 0 else -power)
-        power = power * nmat
-        sign = -sign
-    p = u * e * uinv
-    return Idempotent(alg, p)
+    _, u, uinv = _random_unipotent(alg, n, rng)
+    return Idempotent(alg, u * e * uinv)
 
 
 def _random_degree1(alg: Algebra, rng: random.Random) -> UForm:
@@ -326,19 +336,7 @@ def random_iso(p0: Idempotent, seed):
     with g = 1 + strictly upper random."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     alg = p0.algebra
-    n = p0.size
-    z, one = alg.zero(), alg.unit()
-    nmat = Mat([[_random_element(alg, rng) if j > i else z
-                 for j in range(n)] for i in range(n)])
-    ident = Mat([[one if i == j else z for j in range(n)] for i in range(n)])
-    g = ident + nmat
-    ginv = ident
-    power = nmat
-    sign = -1
-    for _ in range(n - 1):
-        ginv = ginv + (power if sign > 0 else -power)
-        power = power * nmat
-        sign = -sign
+    _, g, ginv = _random_unipotent(alg, p0.size, rng)
     p1 = Idempotent(alg, g * p0.mat * ginv)
     u = p1.mat * g * p0.mat
     v = p0.mat * ginv * p1.mat
@@ -371,19 +369,7 @@ def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     alg = p.algebra
-    n = p.size
-    z, one = alg.zero(), alg.unit()
-    nmat = Mat([[_random_element(alg, rng) if j > i else z
-                 for j in range(n)] for i in range(n)])
-    ident = Mat([[one if i == j else z for j in range(n)] for i in range(n)])
-    g = ident + nmat
-    ginv = ident
-    power = nmat
-    sign = -1
-    for _ in range(n - 1):
-        ginv = ginv + (power if sign > 0 else -power)
-        power = power * nmat
-        sign = -sign
+    ident, g, ginv = _random_unipotent(alg, p.size, rng)
     alpha = Fraction(rng.choice([1, 2, -2, 3]))
     c = ident + p.mat.map(lambda e: e.scale(alpha))
     cinv = ident + p.mat.map(lambda e: e.scale(-alpha / (1 + alpha)))

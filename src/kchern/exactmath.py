@@ -1,5 +1,5 @@
 """Exact arithmetic over Q: rationals, polynomials in one and two variables,
-and sparse exact linear algebra (kernel, membership, quotient bases).
+and sparse exact echelon forms (canonical residuals and tracked solves).
 
 Everything here is pure and immutable-after-construction.  Rationals are
 ``fractions.Fraction`` (canonical reduced form, arbitrary precision); they
@@ -11,15 +11,8 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-Rational = Fraction
-
 Q0 = Fraction(0)
 Q1 = Fraction(1)
-
-
-def rat(x) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact rational."""
-    return Fraction(x)
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -189,10 +182,6 @@ class Poly2:
     def from_t(p: Poly1) -> "Poly2":
         return Poly2({(0, j): c for j, c in enumerate(p.coeffs)})
 
-    @staticmethod
-    def from_s(p: Poly1) -> "Poly2":
-        return Poly2({(j, 0): c for j, c in enumerate(p.coeffs)})
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -324,43 +313,6 @@ class Poly2:
 # Sparse exact linear algebra
 # ---------------------------------------------------------------------------
 
-class RatMatrix:
-    """Sparse rational matrix; entries stored as (row, col) -> Fraction."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), v in (entries.items() if isinstance(entries, dict)
-                              else entries):
-                v = Fraction(v)
-                if v:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise ValueError("entry out of range")
-                    self.entries[(r, c)] = v
-
-    def column(self, c: int) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
-    def columns(self) -> list:
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def apply(self, x: list) -> list:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = [Q0] * self.rows
-        for (r, c), v in self.entries.items():
-            if x[c]:
-                out[r] += v * x[c]
-        return out
-
-
 class Echelon:
     """Forward-only sparse echelon form with min-index pivots.
 
@@ -415,50 +367,36 @@ class Echelon:
         r = self.reduce(vec)
         if not r:
             return False
+        self._store(r)
+        return True
+
+    def _store(self, r: dict):
+        """Store a nonzero residual, normalized, as the row of its pivot."""
         i = min(r)
         inv = Q1 / r[i]
         self.pivots[i] = {j: v * inv for j, v in r.items()}
-        return True
 
 
-class TrackedEchelon:
-    """Echelon over a list of columns, tracking combinations for solves."""
+class TrackedEchelon(Echelon):
+    """Echelon over a list of columns in Q^dim, tracking combinations for
+    solves.
 
-    __slots__ = ("ech_rows", "count")
+    The k-th independent column is stored augmented by a unit tag
+    coordinate dim + k, which sorts after every data index: pivots fall on
+    data indices only, and the tag part of a residual records the columns
+    subtracted while reducing it.
+    """
 
-    def __init__(self):
-        self.ech_rows = {}   # pivot index -> (row dict, comb dict)
-        self.count = 0
+    __slots__ = ("dim", "tags")
 
-    def reduce(self, vec: dict):
-        work = dict(vec)
-        comb = {}
-        out = {}
-        heap = list(work)
-        heapq.heapify(heap)
-        while heap:
-            i = heapq.heappop(heap)
-            c = work.get(i)
-            if c is None or not c:
-                work.pop(i, None)
-                continue
-            del work[i]
-            pair = self.ech_rows.get(i)
-            if pair is None:
-                out[i] = c
-                continue
-            row, rcomb = pair
-            for j, v in row.items():
-                if j == i:
-                    continue
-                if j in work:
-                    work[j] = work[j] - c * v
-                else:
-                    work[j] = -(c * v)
-                    heapq.heappush(heap, j)
-            for j, v in rcomb.items():
-                comb[j] = comb.get(j, Q0) - c * v
-        return out, comb
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+        self.tags = []
+
+    def _combination(self, r: dict) -> dict:
+        """{tag: coeff} read off a residual with no data part."""
+        return {self.tags[i - self.dim]: -c for i, c in r.items()}
 
     def add(self, vec: dict, tag):
         """Insert column `vec` labeled `tag`.
@@ -466,79 +404,22 @@ class TrackedEchelon:
         Returns None if independent of the current columns, else the
         dependency combination {tag: coeff} with vec = sum coeff * column.
         """
-        r, comb = self.reduce(vec)
-        self.count += 1
-        if not r:
-            return {k: -v for k, v in comb.items()}
-        i = min(r)
-        inv = Q1 / r[i]
-        row = {j: v * inv for j, v in r.items()}
-        rc = {j: v * inv for j, v in comb.items()}
-        rc[tag] = rc.get(tag, Q0) + inv
-        self.ech_rows[i] = (row, rc)
-        return None
+        new = self.dim + len(self.tags)
+        aug = dict(vec)
+        aug[new] = Q1
+        r = self.reduce(aug)
+        if min(r) < self.dim:
+            self.tags.append(tag)
+            self._store(r)
+            return None
+        del r[new]
+        return self._combination(r)
 
     def solve(self, b: dict):
         """Solve sum x_tag * column_tag = b; None if b is outside the span."""
-        r, comb = self.reduce(b)
-        if r:
+        r = self.reduce(b)
+        if r and min(r) < self.dim:
             return None
-        return {k: -v for k, v in comb.items() if v}
+        return self._combination(r)
 
 
-def kernel_basis(m: RatMatrix) -> list:
-    """Q-basis of the kernel of m, as dense coefficient vectors.
-
-    Deterministic: columns are inserted in index order and each dependent
-    column contributes one basis vector.
-    """
-    ech = TrackedEchelon()
-    basis = []
-    for c, col in enumerate(m.columns()):
-        dep = ech.add(col, c)
-        if dep is not None:
-            vec = [Q0] * m.cols
-            vec[c] = Q1
-            for j, v in dep.items():
-                vec[j] -= v
-            basis.append(vec)
-    return basis
-
-
-def solve_membership(m: RatMatrix, b: list):
-    """Some x with m*x = b, or None; deterministic (first-pivot solution)."""
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    ech = TrackedEchelon()
-    for c, col in enumerate(m.columns()):
-        ech.add(col, c)
-    bb = {i: Fraction(v) for i, v in enumerate(b) if v}
-    sol = ech.solve(bb)
-    if sol is None:
-        return None
-    x = [Q0] * m.cols
-    for c, v in sol.items():
-        x[c] = v
-    return x
-
-
-def quotient_basis(ambient_dim: int, subspace: list):
-    """Quotient of Q^ambient_dim by span(subspace).
-
-    Returns (selected coordinate indices, projection RatMatrix) where the
-    projection maps ambient coordinates onto quotient coordinates (indexed by
-    the selected, non-pivot, ambient coordinates) and kills the subspace.
-    """
-    ech = Echelon()
-    for v in subspace:
-        if len(v) != ambient_dim:
-            raise ValueError("vector length mismatch")
-        ech.add({i: Fraction(c) for i, c in enumerate(v) if c})
-    selected = [i for i in range(ambient_dim) if i not in ech.pivots]
-    pos = {i: k for k, i in enumerate(selected)}
-    entries = {}
-    for i in range(ambient_dim):
-        res = ech.reduce({i: Q1})
-        for j, v in res.items():
-            entries[(pos[j], i)] = v
-    return selected, RatMatrix(len(selected), ambient_dim, entries)

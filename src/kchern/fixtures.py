@@ -27,7 +27,3 @@ def make_fixture(name: str, degree_cap: int = 8) -> Algebra:
                                   degree_cap=degree_cap)
     raise ValueError("unknown fixture %r (choose from %s)"
                      % (name, ", ".join(FIXTURE_NAMES)))
-
-
-def all_fixtures(degree_cap: int = 8) -> dict:
-    return {name: make_fixture(name, degree_cap) for name in FIXTURE_NAMES}

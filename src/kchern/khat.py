@@ -14,10 +14,10 @@ from .algebra import Algebra
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, chern, direct_sum, grassmann, pullback,
                           random_automorphism, random_connection,
-                          random_idempotent, random_iso, swap_iso)
-from .exactmath import Q0, Q1
+                          random_idempotent, swap_iso)
+from .exactmath import Q0
 from .uforms import (AbClass, UForm, ab_d, enumerate_words, is_exact_in_ab,
-                     project_ab, word_degree)
+                     project_ab)
 from .transgression import (kcs, kcs_between, straight_line)
 
 
@@ -193,11 +193,6 @@ def odd_chern(k1: K1Pair, k_max: int):
     d = grassmann(k1.p)
     dphi = pullback(d, k1.aut)
     return kcs(straight_line(d, dphi), k_max)
-
-
-def in_MK(g0: KHatGen, g1: KHatGen, k_max: int) -> bool:
-    """Whether the formal difference [g0] - [g1] lies in ker(R)."""
-    return map_R(g0, k_max) == map_R(g1, k_max)
 
 
 # ---------------------------------------------------------------------------

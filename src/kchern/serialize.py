@@ -7,8 +7,6 @@ object reloads to an equal in-memory value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgElement, Algebra, algebra_from_json, algebra_to_json
 from .connections import Connection, Idempotent, Mat
 from .exactmath import Poly1, Q0, rat_from_str, rat_to_str

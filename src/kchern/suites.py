@@ -12,24 +12,22 @@ import time
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom
-from .connections import (Connection, apply_operator, chern, curvature,
-                          direct_sum, grassmann, pullback,
-                          random_automorphism, random_connection,
-                          random_idempotent, random_iso, trace_ab, Mat)
+from .connections import (apply_operator, chern, curvature, direct_sum,
+                          grassmann, pullback, random_automorphism,
+                          random_connection, random_idempotent, random_iso,
+                          trace_ab, Mat)
 from .exactmath import Poly1, Poly2, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
-from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses, hexagon_suite,
-                   in_MK, map_a, map_I, map_R, odd_chern, verify_kcs_equivalence,
-                   zero_generator)
+from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
+                   verify_kcs_equivalence)
 from .transgression import (BiForm, TForm, bigon_straight, chern_tform,
                             constant_path, direct_sum_paths, ev, homotopy_K,
                             induced_path, kcs, kcs_between, kcs_closed_form,
                             pullback_path, reverse_path, secondary_transgression,
                             straight_line, three_point_path, tilde_curvature,
                             tform_operator, to_poly1)
-from .uforms import (AbClass, UForm, ab_d, de_rham_homology, dimension,
-                     enumerate_words, extend_hom, is_exact_in_ab, project_ab,
-                     word_degree)
+from .uforms import (AbClass, UForm, ab_d, dimension, enumerate_words,
+                     extend_hom, is_exact_in_ab, project_ab)
 
 
 def _random_form(alg: Algebra, rng: random.Random, max_degree: int,
@@ -88,7 +86,8 @@ def _random_biform(alg: Algebra, rng: random.Random,
 
 
 class _Check:
-    """Collects named pass/fail results with timings."""
+    """Collects named results with timings: "pass", "fail" (a check's
+    assertion failed) or "error" (a check raised anything else)."""
 
     def __init__(self):
         self.items = []
@@ -101,6 +100,9 @@ class _Check:
         except AssertionError as exc:
             detail = {"error": str(exc)}
             status = "fail"
+        except Exception as exc:
+            detail = {"error": "%s: %s" % (type(exc).__name__, exc)}
+            status = "error"
         ms = int((time.perf_counter() - t0) * 1000)
         entry = {"name": name, "fixture": fixture, "status": status,
                  "time_ms": ms}

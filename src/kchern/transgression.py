@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
-                          ModuleIso, block_diag, curvature, pullback,
-                          zero_form_mat)
+                          ModuleIso, block_diag, chern_series,
+                          curvature_formula)
 from .exactmath import Poly1, Poly2, Q0, Q1
-from .uforms import (AbClass, FormError, UForm, project_ab, word_degree)
+from .uforms import FormError, UForm, project_ab, word_degree
 
 
 def sigma(u: UForm) -> UForm:
@@ -51,7 +51,7 @@ def to_poly2(u: UForm) -> UForm:
 # ---------------------------------------------------------------------------
 
 class TForm:
-    """Element of the one-parameter cylinder DGA over A.
+    r"""Element of the one-parameter cylinder DGA over A.
 
     base and dt_part are UForms with Poly1 scalars; the value represented is
     base(t) + dt /\ dt_part(t) with dt leftmost.
@@ -124,7 +124,7 @@ def ev(w: TForm, t) -> UForm:
 # ---------------------------------------------------------------------------
 
 class BiForm:
-    """Element of the two-parameter cylinder DGA over A.
+    r"""Element of the two-parameter cylinder DGA over A.
 
     Components are UForms with Poly2 scalars in the fixed prefix order
     (1, ds, dt, ds/\dt); ds and dt are kept leftmost in the order (ds, dt).
@@ -376,12 +376,10 @@ def induced_path(path: PolyPath, psi: AlgebraHom) -> PolyPath:
 # ---------------------------------------------------------------------------
 
 def tilde_curvature(path: PolyPath):
-    """(R(t), S(t)) with the cylinder curvature R-tilde = R(t) + dt /\ S(t);
+    r"""(R(t), S(t)) with the cylinder curvature R-tilde = R(t) + dt /\ S(t);
     R(t) = p dp dp p + p dtheta p + theta^2 and S(t) = p (del_t theta) p."""
     pf = path.p.to_form().map(to_poly1)
-    dp = pf.map(lambda u: u.d())
-    dtheta = path.theta.map(lambda u: u.d())
-    r = pf * dp * dp * pf + pf * dtheta * pf + path.theta * path.theta
+    r = curvature_formula(pf, path.theta)
     s = pf * path.theta.map(
         lambda u: u.map_scalars(lambda q: q.diff())) * pf
     return r, s
@@ -397,29 +395,13 @@ def tform_operator(path: PolyPath, x: Mat) -> Mat:
 
 def chern_tform(path: PolyPath, k_max: int):
     """[ch_0, ..., ch_kmax] of the cylinder connection, as TForms."""
-    pf = path.p.to_form().map(lambda u: TForm(to_poly1(u)))
-    out = [pf.trace()]
-    if k_max >= 1:
+    def curv():
         r, s = tilde_curvature(path)
         n = path.p.size
-        rt = Mat([[TForm(r.entries[i][j], s.entries[i][j])
-                   for j in range(n)] for i in range(n)])
-        power = rt
-        fact = 1
-        for k in range(1, k_max + 1):
-            fact *= k
-            out.append(power.trace() * Fraction(1, fact))
-            if k < k_max:
-                power = power * rt
-    return out
-
-
-def project_ab_tform(w: TForm):
-    """project_ab on both components, keeping Poly1 coefficients.
-
-    Returns a pair (base class, dt class) of AbClass with Poly1 scalars.
-    """
-    return project_ab(w.base), project_ab(w.dt)
+        return Mat([[TForm(r.entries[i][j], s.entries[i][j])
+                     for j in range(n)] for i in range(n)])
+    pf = path.p.to_form().map(lambda u: TForm(to_poly1(u)))
+    return chern_series(pf, curv, k_max, Mat.trace)
 
 
 def kcs(path: PolyPath, k_max: int):
@@ -479,13 +461,11 @@ def bigon_straight(path1: PolyPath, path2: PolyPath) -> Bigon:
 
 
 def bigon_curvature(b: Bigon) -> Mat:
-    """Curvature of the bigon connection as a BiForm matrix:
+    r"""Curvature of the bigon connection as a BiForm matrix:
     c00 = p dp dp p + p dtheta p + theta^2, ds part p (del_s theta) p,
     dt part p (del_t theta) p; the ds/\dt component emerges from products."""
     pf = b.p.to_form().map(to_poly2)
-    dp = pf.map(lambda u: u.d())
-    dtheta = b.theta.map(lambda u: u.d())
-    r00 = pf * dp * dp * pf + pf * dtheta * pf + b.theta * b.theta
+    r00 = curvature_formula(pf, b.theta)
     rs = pf * b.theta.map(
         lambda u: u.map_scalars(lambda q: q.diff_s())) * pf
     rt = pf * b.theta.map(
@@ -499,17 +479,7 @@ def bigon_curvature(b: Bigon) -> Mat:
 def chern_biform(b: Bigon, k_max: int):
     """[ch_0, ..., ch_kmax] of the bigon connection, as BiForms."""
     pf = b.p.to_form().map(lambda u: BiForm(to_poly2(u)))
-    out = [pf.trace()]
-    if k_max >= 1:
-        r = bigon_curvature(b)
-        power = r
-        fact = 1
-        for k in range(1, k_max + 1):
-            fact *= k
-            out.append(power.trace() * Fraction(1, fact))
-            if k < k_max:
-                power = power * r
-    return out
+    return chern_series(pf, lambda: bigon_curvature(b), k_max, Mat.trace)
 
 
 def secondary_transgression(b: Bigon, k_max: int):

@@ -17,7 +17,6 @@ DGA maps, and exactness certificates live here as well.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Echelon, Q0, Q1, TrackedEchelon
@@ -180,10 +179,6 @@ class UForm:
         return UForm(self.algebra, {w: c for w, c in self.terms.items()
                                     if word_degree(w) == n})
 
-    def is_homogeneous(self):
-        ds = self.degrees()
-        return len(ds) <= 1
-
     def map_scalars(self, f) -> "UForm":
         return UForm(self.algebra, {w: f(c) for w, c in self.terms.items()})
 
@@ -329,10 +324,6 @@ class AbProjection:
         self.quotient_index = {w: k for k, w in
                                enumerate(self.quotient_words)}
 
-    @property
-    def quotient_dim(self):
-        return len(self.quotient_words)
-
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar."""
         if not terms:
@@ -447,6 +438,8 @@ class AbClass:
         return AbClass(self.algebra,
                        {w: c * scalar for w, c in self.terms.items()})
 
+    __rmul__ = scale
+
     def map_scalars(self, f) -> "AbClass":
         return AbClass(self.algebra,
                        {w: f(c) for w, c in self.terms.items()})
@@ -506,7 +499,7 @@ def is_exact_in_ab(w, n: int):
     proj_n = abelianization(alg, n)
     if solver is None:
         proj_prev = abelianization(alg, n - 1)
-        solver = TrackedEchelon()
+        solver = TrackedEchelon(len(proj_n.quotient_words))
         for q in proj_prev.quotient_words:
             dv = project_ab(UForm.word(alg, q).d())
             col = {proj_n.quotient_index[ww]: c
@@ -529,21 +522,14 @@ def de_rham_homology(algebra: Algebra, n: int):
     proj_up = abelianization(algebra, n + 1)
     qn = proj_n.quotient_words
     # kernel of dbar_n
-    ech_d = TrackedEchelon()
+    ech_d = TrackedEchelon(len(proj_up.quotient_words))
     kernel = []
     for k, q in enumerate(qn):
         dv = project_ab(UForm.word(algebra, q).d())
         col = {proj_up.quotient_index[w]: c for w, c in dv.terms.items()}
         dep = ech_d.add(col, k)
         if dep is not None:
-            vec = {k: Q1}
-            for j, v in dep.items():
-                val = vec.get(j, Q0) - v
-                if val:
-                    vec[j] = val
-                elif j in vec:
-                    del vec[j]
-            kernel.append(vec)
+            kernel.append({k: Q1, **{j: -v for j, v in dep.items()}})
     # image of dbar_{n-1}
     ech = Echelon()
     if n > 0:

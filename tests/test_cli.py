@@ -163,6 +163,19 @@ class TestVerify:
             reports.append(json.dumps(rep, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_check_error_is_reported(self, capsys):
+        # a check that raises something other than AssertionError is an
+        # "error" entry; the report is still printed and the suite fails
+        assert run(["verify", "--suite", "chern", "--fixture", "QxQ",
+                    "--degree-cap", "3"]) == 4
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["status"] == "fail"
+        assert [c["name"] for c in rep["checks"]] == \
+            ["trace cyclicity", "chern identities"]
+        for c in rep["checks"]:
+            assert c["status"] == "error"
+            assert c["detail"]["error"].startswith("DegreeCapError: ")
+
     def test_unknown_suite_is_parse_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "nonsense"])

@@ -8,11 +8,10 @@ import pytest
 from kchern.algebra import AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
-                                curvature, direct_sum, extend_idempotent,
-                                extend_scalars, grassmann, pullback,
-                                random_automorphism, random_connection,
-                                random_idempotent, random_iso, sum_iso,
-                                swap_iso, trace_ab)
+                                curvature, direct_sum, extend_scalars,
+                                grassmann, pullback, random_automorphism,
+                                random_connection, random_idempotent,
+                                random_iso, sum_iso, swap_iso, trace_ab)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.uforms import UForm, ab_d, is_exact_in_ab, project_ab
@@ -199,7 +198,7 @@ class TestExtendScalars:
         from kchern.uforms import extend_hom
         f = extend_hom(psi)
         pushed = extend_scalars(c, psi)
-        assert extend_idempotent(p, psi) == pushed.p
+        assert Idempotent(psi.target, p.mat.map(psi)) == pushed.p
         lhs = chern(pushed, 2)
         rhs = [project_ab(f(cls.lift())) for cls in chern(c, 2)]
         assert lhs == rhs

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kchern.exactmath import (Poly1, Poly2, Q0, Q1, RatMatrix, kernel_basis,
-                              quotient_basis, rat_from_str, rat_to_str,
-                              solve_membership)
+from kchern.exactmath import (Echelon, Poly1, Poly2, Q0, Q1, TrackedEchelon,
+                              rat_from_str, rat_to_str)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -82,53 +81,64 @@ class TestPoly2:
         assert q.eval(Fraction(2)) == Fraction(3)
 
 
-def _dense(rows, ncols):
-    return RatMatrix(len(rows), ncols,
-                     {(i, j): Fraction(v) for i, row in enumerate(rows)
-                      for j, v in enumerate(row) if v})
+def _columns(rows, ncols):
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+            for j in range(ncols)]
+
+
+def _tracked(rows, ncols):
+    """A TrackedEchelon holding the columns of a dense matrix, plus the
+    kernel basis read off the dependencies it reports."""
+    ech = TrackedEchelon(len(rows))
+    kernel = []
+    for j, col in enumerate(_columns(rows, ncols)):
+        dep = ech.add(col, j)
+        if dep is not None:
+            vec = [Q0] * ncols
+            vec[j] = Q1
+            for k, v in dep.items():
+                vec[k] -= v
+            kernel.append(vec)
+    return ech, kernel
 
 
 class TestLinearAlgebra:
     def test_kernel_of_known_matrix(self):
-        m = _dense([[1, 2, 3], [2, 4, 6]], 3)
-        basis = kernel_basis(m)
+        rows = [[1, 2, 3], [2, 4, 6]]
+        _, basis = _tracked(rows, 3)
         assert len(basis) == 2
         for v in basis:
-            img = [sum(m.entries.get((i, j), Q0) * v[j] for j in range(3))
-                   for i in range(2)]
+            img = [sum(Fraction(row[j]) * v[j] for j in range(3))
+                   for row in rows]
             assert all(c == 0 for c in img)
 
     def test_membership(self):
-        m = _dense([[1, 0], [1, 1]], 2)
-        sol = solve_membership(m, [Fraction(2), Fraction(5)])
-        assert sol == [Fraction(2), Fraction(3)]
-        m2 = _dense([[1, 2], [2, 4], [0, 0]], 2)
-        assert solve_membership(m2, [Q0, Q0, Q1]) is None
+        ech, _ = _tracked([[1, 0], [1, 1]], 2)
+        assert ech.solve({0: Fraction(2), 1: Fraction(5)}) == \
+            {0: Fraction(2), 1: Fraction(3)}
+        ech2, _ = _tracked([[1, 2], [2, 4], [0, 0]], 2)
+        assert ech2.solve({2: Q1}) is None
 
     def test_quotient_projection(self):
         # quotient Q^3 by span{(1,1,0)}
-        selected, proj = quotient_basis(3, [[Q1, Q1, Q0]])
+        ech = Echelon()
+        ech.add({0: Q1, 1: Q1})
+        selected = [i for i in range(3) if i not in ech.pivots]
         assert len(selected) == 2
-        # the subspace projects to zero
-        assert not any(proj.apply([Q1, Q1, Q0]))
-        # projection is the identity on the selected coordinates
-        for k, idx in enumerate(selected):
-            e = [Q0, Q0, Q0]
-            e[idx] = Q1
-            assert proj.apply(e)[k] == Q1
+        # the subspace reduces to zero
+        assert ech.reduce({0: Q1, 1: Q1}) == {}
+        # reduction is the identity on the selected coordinates
+        for idx in selected:
+            assert ech.reduce({idx: Q1}) == {idx: Q1}
 
     @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
                     min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, rows):
-        m = _dense(rows, 4)
-        basis = kernel_basis(m)
-        cols = [{i: row[j] for i, row in enumerate(rows) if row[j]}
-                for j in range(4)]
+        _, basis = _tracked(rows, 4)
         rank = 0
-        from kchern.exactmath import Echelon
         ech = Echelon()
-        for c in cols:
-            if ech.add(dict(c)):
+        for c in _columns(rows, 4):
+            if ech.add(c):
                 rank += 1
         assert rank + len(basis) == 4

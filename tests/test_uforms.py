@@ -1,5 +1,7 @@
 """Universal differential forms, abelianization, and de Rham homology."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kchern.algebra import AlgebraHom
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
+from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, DegreeCapError, UForm, ab_d,
                            abelianization, de_rham_homology, differential,
                            dimension, enumerate_words, extend_hom,
@@ -26,6 +29,27 @@ def rand_homogeneous(alg, rng, degree, terms=2):
         if c:
             out[w] = out.get(w, Q0) + c
     return UForm(alg, out)
+
+
+def canonical_forms_digest():
+    """sha256 of the serialized homology representatives (n = 0..3) and of
+    seeded exactness primitives on every fixture."""
+    payload = {}
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        reps = [[form_to_json(r) for r in de_rham_homology(alg, n)[1]]
+                for n in range(4)]
+        rng = random.Random("golden-" + name)
+        prims = []
+        for n in (1, 2, 3):
+            for _ in range(3):
+                w = rand_homogeneous(alg, rng, n - 1, terms=3)
+                ok, prim = is_exact_in_ab(w.d(), n)
+                assert ok
+                prims.append(form_to_json(prim))
+        payload[name] = {"homology": reps, "primitives": prims}
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestWordModel:
@@ -192,6 +216,12 @@ class TestHomology:
                 _, reps = de_rham_homology(alg, n)
                 for r in reps:
                     assert ab_d(project_ab(r)).is_zero()
+
+    def test_canonical_forms_golden(self):
+        # canonical representatives and primitives are unique, so any
+        # rewrite of the echelon code must reproduce them byte for byte
+        assert canonical_forms_digest() == (
+            "adb651ee519dd95bd98ef5ab5a282e1eb0212305dcd5e9975483865f6b0eea9f")
 
     def test_exactness_certificates(self):
         rng = random.Random(12)
