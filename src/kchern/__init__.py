@@ -27,7 +27,7 @@ from .transgression import (BiForm, Bigon, EPSILON_K, PolyPath, TForm,
                             reverse_path, secondary_transgression,
                             straight_line, three_point_path, tilde_curvature)
 from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
-                   hexagon_suite, incl, map_I, map_R, map_a, map_beta,
+                   hexagon_suite, incl, map_I, map_R, map_a,
                    odd_chern, verify_kcs_equivalence, zero_generator)
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .suites import (run_chern_suite, run_dga_suite, run_hexagon_suite,

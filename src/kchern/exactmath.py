@@ -1,9 +1,9 @@
 """Exact arithmetic over Q: rationals, polynomials in one and two variables,
 and sparse exact echelon forms (canonical residuals and tracked solves).
 
-Everything here is pure and immutable-after-construction.  Rationals are
-``fractions.Fraction`` (canonical reduced form, arbitrary precision); they
-serialize as "num/den" strings with the denominator omitted when it is 1.
+Rationals are ``fractions.Fraction`` (canonical reduced form, arbitrary
+precision); they serialize as "num/den" strings with the denominator
+omitted when it is 1.
 """
 
 from __future__ import annotations

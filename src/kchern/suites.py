@@ -12,10 +12,10 @@ import time
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom
-from .connections import (apply_operator, chern, curvature, direct_sum,
-                          grassmann, pullback, random_automorphism,
-                          random_connection, random_idempotent, random_iso,
-                          trace_ab, Mat)
+from .connections import (Mat, ModuleIso, apply_operator, chern,
+                          compose_iso, curvature, direct_sum, grassmann,
+                          pullback, random_automorphism, random_connection,
+                          random_idempotent, random_iso, sum_iso, trace_ab)
 from .exactmath import Poly1, Poly2, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
@@ -85,9 +85,19 @@ def _random_biform(alg: Algebra, rng: random.Random,
     return BiForm(part(), part(), part(), part())
 
 
+class PropertyFailure(AssertionError):
+    """An identity check found a counterexample."""
+
+
+def require(cond, msg):
+    """Fail the running check unless `cond` holds, also under `-O`."""
+    if not cond:
+        raise PropertyFailure(msg)
+
+
 class _Check:
     """Collects named results with timings: "pass", "fail" (a check's
-    assertion failed) or "error" (a check raised anything else)."""
+    `require` failed) or "error" (a check raised anything else)."""
 
     def __init__(self):
         self.items = []
@@ -135,7 +145,7 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
         def check_dd(alg=alg, rng=rng):
             for _ in range(n_forms):
                 u = _random_form(alg, rng, max_degree)
-                assert u.d().d().is_zero(), "d(d(u)) != 0"
+                require(u.d().d().is_zero(), "d(d(u)) != 0")
             return {"count": n_forms}
 
         def check_leibniz(alg=alg, rng=rng):
@@ -149,7 +159,7 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 sign = -Q1 if du % 2 else Q1
                 lhs = (u * v).d()
                 rhs = u.d() * v + (u * v.d()).scale(sign)
-                assert lhs == rhs, "Leibniz fails"
+                require(lhs == rhs, "Leibniz fails")
                 count += 1
             return {"count": count}
 
@@ -160,15 +170,15 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 while sum(degs) > max_degree:
                     degs[rng.randrange(3)] = 0
                 u, v, w = (_random_homogeneous(alg, rng, d) for d in degs)
-                assert (u * v) * w == u * (v * w), "associativity fails"
+                require((u * v) * w == u * (v * w), "associativity fails")
                 count += 1
             return {"count": count}
 
         def check_dims(alg=alg):
             m = alg.dim
             for n in range(0, 7):
-                assert dimension(alg, n) == m * (m - 1) ** n
-                assert len(enumerate_words(alg, n)) == m * (m - 1) ** n
+                require(dimension(alg, n) == m * (m - 1) ** n ==
+                        len(enumerate_words(alg, n)), "dimension law fails")
             return {"degrees": 7}
 
         checks.run("d o d = 0", name, check_dd)
@@ -197,8 +207,8 @@ def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 b = Mat([[_random_homogeneous(alg, rng, db)
                           for _ in range(2)] for _ in range(2)])
                 sign = -Q1 if (da * db) % 2 else Q1
-                assert trace_ab(a * b) == trace_ab(b * a).scale(sign), \
-                    "trace cyclicity fails"
+                require(trace_ab(a * b) == trace_ab(b * a).scale(sign),
+                        "trace cyclicity fails")
             return {"count": 10}
 
         def check_connections(alg=alg, rng=rng):
@@ -209,28 +219,28 @@ def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 # operator oracle for the curvature formula
                 r = curvature(c)
                 pf = p.to_form()
-                assert (r * pf).entries == \
-                    apply_operator(c, apply_operator(c, pf)).entries, \
-                    "curvature operator oracle fails"
+                require((r * pf).entries ==
+                        apply_operator(c, apply_operator(c, pf)).entries,
+                        "curvature operator oracle fails")
                 chs = chern(c, k_max)
                 # ch0 of the Grassmann connection is the class of sum p_ii
-                assert chern(grassmann(p), k_max)[0] == \
-                    trace_ab(p.to_form()), "ch0 mismatch"
+                require(chern(grassmann(p), k_max)[0] ==
+                        trace_ab(p.to_form()), "ch0 mismatch")
                 # closedness in the abelianization
                 for k, cls in enumerate(chs):
-                    assert ab_d(cls).is_zero(), "d(ch_%d) != 0 in ab" % k
+                    require(ab_d(cls).is_zero(), "d(ch_%d) != 0 in ab" % k)
                 # additivity under direct sum
                 c2 = random_connection(p, rng)
                 both = direct_sum(c, c2)
                 chs2 = chern(c2, k_max)
                 chsb = chern(both, k_max)
                 for k in range(k_max + 1):
-                    assert chsb[k] == chs[k] + chs2[k], "ch not additive"
+                    require(chsb[k] == chs[k] + chs2[k], "ch not additive")
                 # connection independence in homology
                 for k in range(1, k_max + 1):
                     diff = chs[k] - chs2[k]
                     ok, _prim = is_exact_in_ab(diff, 2 * k)
-                    assert ok, "ch difference not exact"
+                    require(ok, "ch difference not exact")
                 ops += 1
             return {"count": ops}
 
@@ -281,7 +291,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 w = _random_tform(alg, rng)
                 lhs = homotopy_K(w.d()) + homotopy_K(w).d()
                 rhs = ev(w, 1) - ev(w, 0)
-                assert lhs == rhs, "homotopy formula fails"
+                require(lhs == rhs, "homotopy formula fails")
             return {"count": 20}
 
         def check_tform_ring(alg=alg, rng=rng):
@@ -289,7 +299,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 a = _random_tform(alg, rng, 2)
                 b = _random_tform(alg, rng, 2)
                 c = _random_tform(alg, rng, 1)
-                assert (a * b) * c == a * (b * c), "TForm assoc fails"
+                require((a * b) * c == a * (b * c), "TForm assoc fails")
             return {"count": 10}
 
         def check_paths(alg=alg, rng=rng):
@@ -304,30 +314,31 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 rt = Mat([[TForm(r.entries[i][j], s.entries[i][j])
                            for j in range(n)] for i in range(n)])
                 pf = p.to_form().map(lambda u: TForm(to_poly1(u)))
-                assert (rt * pf).entries == tform_operator(
-                    path, tform_operator(path, pf)).entries, \
-                    "cylinder curvature oracle fails"
+                require((rt * pf).entries == tform_operator(
+                    path, tform_operator(path, pf)).entries,
+                    "cylinder curvature oracle fails")
                 # transgression: d KCS = ch(c1) - ch(c0), exactly in ab
                 kcs_list = kcs(path, k_max)
                 ch0 = chern(c0, k_max)
                 ch1 = chern(c1, k_max)
                 for k in range(1, k_max + 1):
-                    assert ab_d(kcs_list[k - 1]) == ch1[k] - ch0[k], \
-                        "d KCS != delta ch"
+                    require(ab_d(kcs_list[k - 1]) == ch1[k] - ch0[k],
+                            "d KCS != delta ch")
                 # reversal is an exact sign flip
                 rev = kcs(reverse_path(path), k_max)
                 for k in range(k_max):
-                    assert rev[k] == -kcs_list[k], "reversal sign fails"
+                    require(rev[k] == -kcs_list[k], "reversal sign fails")
                 # ev-compatibility of ch along the path
                 chs_t = chern_tform(path, k_max)
                 for tval in (0, Fraction(1, 2), 1):
                     cht = chern(path.ev(tval), k_max)
                     for k in range(k_max + 1):
-                        assert project_ab(ev(chs_t[k], tval)) == cht[k], \
-                            "ev compatibility fails"
+                        require(project_ab(ev(chs_t[k], tval)) == cht[k],
+                                "ev compatibility fails")
                 # constant path vanishes
                 const = kcs(constant_path(c0), k_max)
-                assert all(x.is_zero() for x in const), "constant KCS != 0"
+                require(all(x.is_zero() for x in const),
+                        "constant KCS != 0")
                 # direct sum additivity
                 p2 = random_idempotent(alg, 1, rng)
                 d0 = random_connection(p2, rng)
@@ -336,15 +347,15 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 kcs2 = kcs(path2, k_max)
                 kcsb = kcs(direct_sum_paths(path, path2), k_max)
                 for k in range(k_max):
-                    assert kcsb[k] == kcs_list[k] + kcs2[k], \
-                        "KCS not additive"
+                    require(kcsb[k] == kcs_list[k] + kcs2[k],
+                            "KCS not additive")
                 # pullback invariance along a module isomorphism
                 p1, iso = random_iso(p, rng)
                 c1a = random_connection(p1, rng)
                 c1b = random_connection(p1, rng)
                 other = straight_line(c1a, c1b)
-                assert kcs(pullback_path(other, iso), k_max) == \
-                    kcs(other, k_max), "KCS not pullback invariant"
+                require(kcs(pullback_path(other, iso), k_max) ==
+                        kcs(other, k_max), "KCS not pullback invariant")
             return {"count": n_paths}
 
         def check_secondary(alg=alg, rng=rng):
@@ -360,15 +371,15 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 k1 = kcs(path1, k_max)
                 k2 = kcs(path2, k_max)
                 for k in range(1, k_max + 1):
-                    assert ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1], \
-                        "secondary transgression fails"
+                    require(ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1],
+                            "secondary transgression fails")
             return {"count": n_pairs}
 
         def check_kk(alg=alg, rng=rng):
             for _ in range(50):
                 b = _random_biform(alg, rng)
-                assert homotopy_K(b.K1()) == homotopy_K(b.K2()), \
-                    "K K1 != K K2"
+                require(homotopy_K(b.K1()) == homotopy_K(b.K2()),
+                        "K K1 != K K2")
             return {"count": 50}
 
         def check_triangle(alg=alg, rng=rng):
@@ -384,17 +395,19 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 for k in range(1, k_max + 1):
                     resid = k13[k - 1] - k12[k - 1] - k23[k - 1]
                     ok, prim = is_exact_in_ab(resid, 2 * k - 1)
-                    assert ok, "triangle residual not exact"
+                    require(ok, "triangle residual not exact")
                     # the emitted primitive certifies exactness
-                    assert project_ab(prim.d()) == resid.component(2 * k - 1)
+                    require(project_ab(prim.d()) ==
+                            resid.component(2 * k - 1),
+                            "triangle primitive does not certify")
                 count += 1
             return {"count": count}
 
         def check_closed_form(alg=alg, rng=rng):
             for i in range(n_closed):
                 path = _random_path(alg, rng, quadratic=(i % 3 == 0))
-                assert kcs_closed_form(path, k_max) == kcs(path, k_max), \
-                    "closed form disagrees"
+                require(kcs_closed_form(path, k_max) == kcs(path, k_max),
+                        "closed form disagrees")
             return {"count": n_closed}
 
         checks.run("homotopy formula", name, check_homotopy)
@@ -416,7 +429,8 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 ind = induced_path(path, psi)
                 lhs = kcs(ind, 2)
                 rhs = [project_ab(f(cls.lift())) for cls in kcs(path, 2)]
-                assert lhs == rhs, "KCS naturality fails for %s" % hom_name
+                require(lhs == rhs,
+                        "KCS naturality fails for %s" % hom_name)
         return {"homs": 3}
 
     checks.run("hom naturality", "cross-fixture", check_naturality)
@@ -435,7 +449,7 @@ def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_core(alg=alg):
             rep = hexagon_suite(alg, seed, k_max)
-            assert rep["status"] == "pass", "hexagon identities fail"
+            require(rep["status"] == "pass", "hexagon identities fail")
             return {"identities": [e["name"] for e in rep["identities"]]}
 
         def check_witnesses(alg=alg, rng=rng):
@@ -445,10 +459,10 @@ def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
             # reflexivity with a trivial stabilizer
             stab_p = random_idempotent(alg, 1, rng)
             stab = grassmann(stab_p)
-            from .connections import ModuleIso
             sum_p = direct_sum(d, stab).p
             wit = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
-            assert verify_kcs_equivalence(g0, g0, wit, k_max)["accepted"]
+            require(verify_kcs_equivalence(g0, g0, wit, k_max)["accepted"],
+                    "reflexive witness rejected")
             # constructed omega
             d2 = random_connection(p, rng)
             omega1 = AbClass(alg)
@@ -456,16 +470,17 @@ def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 omega1 = omega1 + cls
             g1 = KHatGen(p, d2, (-omega1).lift())
             wit2 = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
-            assert verify_kcs_equivalence(g0, g1, wit2, k_max)["accepted"]
+            require(verify_kcs_equivalence(g0, g1, wit2, k_max)["accepted"],
+                    "constructed omega rejected")
             # symmetry with the inverse iso
-            assert verify_kcs_equivalence(g1, g0, wit2, k_max)["accepted"]
+            require(verify_kcs_equivalence(g1, g0, wit2, k_max)["accepted"],
+                    "symmetric witness rejected")
             return {"count": 3}
 
         def check_odd_chern(alg=alg, rng=rng):
             p = random_idempotent(alg, 2, rng)
             u1 = random_automorphism(p, rng)
             u2 = random_automorphism(p, rng)
-            from .connections import compose_iso
             comp = compose_iso(u2, u1)
             ch_comp = odd_chern(K1Pair(p, comp), k_max)
             ch1 = odd_chern(K1Pair(p, u1), k_max)
@@ -473,11 +488,10 @@ def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
             for k in range(1, k_max + 1):
                 diff = ch_comp[k - 1] - ch1[k - 1] - ch2[k - 1]
                 ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                assert ok, "odd chern composition law fails"
+                require(ok, "odd chern composition law fails")
             # block sum law
             p2 = random_idempotent(alg, 2, rng)
             v = random_automorphism(p2, rng)
-            from .connections import sum_iso
             chb = odd_chern(K1Pair(direct_sum(grassmann(p),
                                               grassmann(p2)).p,
                                    sum_iso(u1, v)), k_max)
@@ -485,14 +499,14 @@ def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
             for k in range(1, k_max + 1):
                 diff = chb[k - 1] - ch1[k - 1] - chv[k - 1]
                 ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                assert ok, "odd chern block-sum law fails"
+                require(ok, "odd chern block-sum law fails")
             # connection independence mod Im(d)
             dth = random_connection(p, rng)
             alt = kcs(straight_line(dth, pullback(dth, u1)), k_max)
             for k in range(1, k_max + 1):
                 diff = alt[k - 1] - ch1[k - 1]
                 ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                assert ok, "odd chern depends on connection"
+                require(ok, "odd chern depends on connection")
             return {"count": 3}
 
         checks.run("hexagon identities", name, check_core)

@@ -336,7 +336,18 @@ class AbProjection:
 
 
 def abelianization(algebra: Algebra, n: int) -> AbProjection:
-    """Quotient projection of degree n by graded commutators (memoized)."""
+    """Quotient projection of degree n by graded commutators (memoized).
+
+    Rather than every word-pair commutator, the echelon is fed a spanning
+    set of [Omega, Omega]_n = [A, Omega_n] + d([Omega, Omega]_{n-1}).  The
+    right side lies in the left, as d[x, y] = [dx, y] + (-1)^|x| [x, dy].
+    Conversely, [xy, z] = [x, yz] + (-1)^{|x|(|y|+|z|)} [y, zx] reduces
+    every commutator to commutators [g, w] with a generator g = a or da,
+    and [da, w] = d[a, w] - [a, dw].  The d-part is spanned by d of the
+    pivot rows at degree n - 1, the other by the [e_i, w] with i >= 1 (e_0
+    is the unit) and w a degree-n word.  Pivots and residuals depend only on
+    the row space, so the projection equals that of the all-pairs span.
+    """
     if n < 0:
         raise FormError("negative degree")
     if n > algebra.degree_cap:
@@ -347,36 +358,25 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
         return hit
     words = enumerate_words(algebra, n)
     index = {w: i for i, w in enumerate(words)}
-    ambient = len(words)
+
+    def spanning_vectors():
+        if n > 0:
+            prev = abelianization(algebra, n - 1)
+            for row in prev.echelon.pivots.values():
+                yield {index[(0,) + prev.words[j]]: c
+                       for j, c in row.items() if prev.words[j][0]}
+        for i in range(1, algebra.dim):
+            for w in words:
+                vec = {index[ww]: c
+                       for ww, c in _word_mul(algebra, (i,), w).items()}
+                for ww, c in _word_mul(algebra, w, (i,)).items():
+                    vec[index[ww]] = vec.get(index[ww], Q0) - c
+                yield vec
+
     ech = Echelon()
-    done = False
-    for d1 in range(n // 2 + 1):
-        d2 = n - d1
-        sign = -Q1 if (d1 * d2) % 2 else Q1
-        words1 = enumerate_words(algebra, d1)
-        words2 = enumerate_words(algebra, d2) if d2 != d1 else words1
-        for a, w1 in enumerate(words1):
-            for b, w2 in enumerate(words2):
-                if d1 == d2 and b < a:
-                    continue
-                vec = {}
-                for w, c in _word_mul(algebra, w1, w2).items():
-                    vec[index[w]] = vec.get(index[w], Q0) + c
-                for w, c in _word_mul(algebra, w2, w1).items():
-                    i = index[w]
-                    v = vec.get(i, Q0) - sign * c
-                    if v:
-                        vec[i] = v
-                    elif i in vec:
-                        del vec[i]
-                if vec:
-                    ech.add(vec)
-                    if ech.rank == ambient:
-                        done = True
-                        break
-            if done:
-                break
-        if done:
+    for vec in spanning_vectors():
+        ech.add(vec)
+        if ech.rank == len(words):
             break
     proj = AbProjection(algebra, n, words, index, ech)
     algebra._ab[n] = proj
@@ -536,9 +536,8 @@ def de_rham_homology(algebra: Algebra, n: int):
         proj_prev = abelianization(algebra, n - 1)
         for q in proj_prev.quotient_words:
             dv = project_ab(UForm.word(algebra, q).d())
-            vec = {proj_n.quotient_index[w]: c for w, c in dv.terms.items()}
-            if vec:
-                ech.add(vec)
+            ech.add({proj_n.quotient_index[w]: c
+                     for w, c in dv.terms.items()})
     reps = []
     for vec in kernel:
         if ech.add(vec):

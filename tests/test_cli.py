@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +80,14 @@ class TestHomology:
 
     def test_cap_exceeded(self):
         assert run(["homology", "--fixture", "Q", "--degree", "9"]) == 3
+
+    def test_degree_at_cap_needs_one_more(self, capsys):
+        # H_n reads the complex in degree n + 1, so n = cap is refused up
+        # front with that reason
+        assert run(["homology", "--fixture", "Q", "--degree", "8"]) == 3
+        err = capsys.readouterr().err
+        assert "H_8 needs degree 9, which exceeds cap 8" in err
+        assert run(["homology", "--fixture", "Q", "--degree", "7"]) == 0
 
 
 class TestChern:
@@ -175,6 +186,18 @@ class TestVerify:
         for c in rep["checks"]:
             assert c["status"] == "error"
             assert c["detail"]["error"].startswith("DegreeCapError: ")
+
+    def test_planted_failure_fails_under_optimize(self):
+        # checks must not be asserts that `python -O` strips: a planted
+        # wrong dimension law must still fail the suite there
+        script = ("import kchern.suites as s\n"
+                  "s.dimension = lambda alg, n: -1\n"
+                  "print(s.run_suite('dga', 7, ['Q'])['status'])\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "fail"
 
     def test_unknown_suite_is_parse_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,13 +8,14 @@ from kchern.connections import (ConnectionError_, Idempotent, Mat, ModuleIso,
                                 compose_iso, direct_sum, grassmann, pullback,
                                 random_automorphism, random_connection,
                                 random_idempotent, random_iso, sum_iso)
+from kchern import khat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
                          hexagon_suite, incl, map_I, map_R, map_a,
-                         map_beta, odd_chern, verify_kcs_equivalence,
-                         zero_generator)
+                         odd_chern, verify_kcs_equivalence, zero_generator)
 from kchern.transgression import kcs, kcs_between, straight_line
-from kchern.uforms import AbClass, UForm, ab_d, is_exact_in_ab, project_ab
+from kchern.uforms import (AbClass, UForm, ab_d, abelianization,
+                           is_exact_in_ab, project_ab)
 from tests.test_uforms import rand_homogeneous
 
 
@@ -53,7 +54,6 @@ class TestMaps:
         from kchern.connections import chern
         assert map_R(g, 2) == sum_classes(chern(grassmann(p), 2), alg)
         assert map_I(g) == p
-        assert map_beta(g) == p
 
     def test_R_of_a_is_d(self):
         for name in FIXTURE_NAMES:
@@ -225,5 +225,22 @@ class TestHexagon:
         alg = make_fixture("Q")
         rep = hexagon_suite(alg, 7, 2)
         names = [e["name"] for e in rep["identities"]]
-        assert names == ["R o a = d", "Pr o R = ch o I",
-                         "a o r = incl o alpha", "beta = I o incl"]
+        assert names == ["R o a = d", "Pr o R = ch o I", "R o a o ch1 = 0"]
+
+    def test_planted_non_closed_term_fails(self, monkeypatch):
+        # R o a o ch1 = 0 holds because odd Chern classes are closed: a
+        # degree-1 class with dbar != 0 added to them must break it
+        alg = make_fixture("M2")
+        planted = next(cls for cls in
+                       (project_ab(UForm.word(alg, w))
+                        for w in abelianization(alg, 1).quotient_words)
+                       if not ab_d(cls).is_zero())
+        real = khat.odd_chern
+        monkeypatch.setattr(
+            khat, "odd_chern",
+            lambda k1, k_max: [c + planted if i == 0 else c
+                               for i, c in enumerate(real(k1, k_max))])
+        rep = hexagon_suite(alg, 7, 2)
+        status = {e["name"]: e["status"] for e in rep["identities"]}
+        assert status["R o a o ch1 = 0"] == "fail"
+        assert rep["status"] == "fail"

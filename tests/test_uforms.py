@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kchern.algebra import AlgebraHom
-from kchern.exactmath import Q0, Q1
+from kchern.algebra import Algebra, AlgebraHom
+from kchern.exactmath import Echelon, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
-from kchern.uforms import (AbClass, DegreeCapError, UForm, ab_d,
-                           abelianization, de_rham_homology, differential,
-                           dimension, enumerate_words, extend_hom,
-                           is_exact_in_ab, multiply, project_ab, word_degree)
+from kchern.uforms import (AbClass, AbProjection, DegreeCapError, UForm,
+                           ab_d, abelianization, de_rham_homology,
+                           differential, dimension, enumerate_words,
+                           extend_hom, is_exact_in_ab, multiply, project_ab,
+                           word_degree, _word_mul)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -50,6 +51,60 @@ def canonical_forms_digest():
         payload[name] = {"homology": reps, "primitives": prims}
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _all_pairs_span(alg, n):
+    """The degree-n commutator projection from its definition: every graded
+    commutator [w1, w2] of basis words with |w1| + |w2| = n, echelonized."""
+    words = enumerate_words(alg, n)
+    index = {w: i for i, w in enumerate(words)}
+    ech = Echelon()
+    for d1 in range(n // 2 + 1):
+        d2 = n - d1
+        sign = -Q1 if (d1 * d2) % 2 else Q1
+        words1 = enumerate_words(alg, d1)
+        words2 = enumerate_words(alg, d2)
+        for a, w1 in enumerate(words1):
+            for b, w2 in enumerate(words2):
+                if d1 == d2 and b < a:
+                    continue
+                vec = {}
+                for w, c in _word_mul(alg, w1, w2).items():
+                    vec[index[w]] = vec.get(index[w], Q0) + c
+                for w, c in _word_mul(alg, w2, w1).items():
+                    vec[index[w]] = vec.get(index[w], Q0) - sign * c
+                ech.add(vec)
+    return AbProjection(alg, n, words, index, ech)
+
+
+def dense_copy(alg, signs):
+    """`alg` in the unit-fixing basis f_0 = e_0, f_i = e_i + sum_{j<i} s_ij
+    e_j with the signs s_ij in {-1, 1} read from `signs`: unitriangular, so
+    invertible, and dense below the diagonal."""
+    m = alg.dim
+    it = iter(signs)
+    basis = [[Fraction(next(it)) if j < i else Fraction(int(i == j))
+              for j in range(m)] for i in range(m)]
+
+    def coords(x):
+        # solve x = c * basis by back substitution
+        c = [Q0] * m
+        for k in reversed(range(m)):
+            c[k] = x[k] - sum((c[i] * basis[i][k] for i in range(k + 1, m)),
+                              Q0)
+        return c
+
+    table = [[coords(alg.elem_mul(tuple(basis[i]), tuple(basis[j])))
+              for j in range(m)] for i in range(m)]
+    return Algebra(table, names=list(alg.names))
+
+
+def dense_copies(name, count, seed):
+    alg = make_fixture(name)
+    rng = random.Random(seed)
+    width = alg.dim * (alg.dim - 1) // 2
+    return [dense_copy(alg, [rng.choice((-1, 1)) for _ in range(width)])
+            for _ in range(count)]
 
 
 class TestWordModel:
@@ -178,6 +233,32 @@ class TestAbelianization:
             comm = u * v - (v * u).scale(sign)
             assert project_ab(comm).is_zero()
             assert project_ab(comm.d()).is_zero()
+
+
+class TestSpanningSet:
+    """`abelianization` echelonizes [A, Omega_n] + d([Omega, Omega]_{n-1});
+    the all-pairs span must give the same canonical projection."""
+
+    def assert_same_projection(self, alg, n):
+        fast = abelianization(alg, n)
+        oracle = _all_pairs_span(alg, n)
+        assert set(fast.echelon.pivots) == set(oracle.echelon.pivots)
+        assert fast.quotient_words == oracle.quotient_words
+        for w in fast.words:
+            assert fast.reduce_terms({w: Q1}) == oracle.reduce_terms({w: Q1})
+
+    def test_fixtures(self):
+        tops = {"M2": 4, "x3": 5}
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            for n in range(tops.get(name, 6) + 1):
+                self.assert_same_projection(alg, n)
+
+    def test_dense_copies(self):
+        for name in ("x3", "M2"):
+            for alg in dense_copies(name, 2, "span-" + name):
+                for n in range(3):
+                    self.assert_same_projection(alg, n)
 
 
 class TestHomology:
