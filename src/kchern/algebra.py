@@ -110,7 +110,7 @@ class Algebra:
 
 class AlgElement:
     """Element of an Algebra: a coefficient vector over a scalar ring
-    (Fraction, Poly1, or Poly2)."""
+    (Fraction, or a Poly in the parameters of a family)."""
 
     __slots__ = ("algebra", "vec")
 

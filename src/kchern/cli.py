@@ -211,8 +211,8 @@ def cmd_kcs(args):
         ],
     }
     if two_mode:
-        c_start = path.ev(0)
-        c_end = path.ev(1)
+        c_start = path.restrict(0, 0)
+        c_end = path.restrict(0, 1)
         ch0 = chern(c_start, args.kmax)
         ch1 = chern(c_end, args.kmax)
         residuals = []

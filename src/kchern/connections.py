@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Q0
-from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab)
+from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab,
+                     to_poly)
 
 
 class ConnectionError_(ValueError):
@@ -135,13 +136,17 @@ def zero_form_mat(algebra: Algebra, n: int) -> Mat:
 
 class Connection:
     """Pair (p, theta): idempotent plus degree-1 potential with
-    p*theta*p = theta; encodes the operator D(s) = p*ds + theta*s."""
+    p*theta*p = theta; encodes the operator D(s) = p*ds + theta*s.
+
+    R counts the parameters of a polynomial family of connections: theta
+    has Poly scalars in R variables (coerced here), and R = 0 is a single
+    connection with Fraction scalars.
+    """
 
     __slots__ = ("p", "theta", "algebra")
+    R = 0
 
     def __init__(self, p: Idempotent, theta: Mat):
-        self.p = p
-        self.theta = theta
         self.algebra = p.algebra
         if theta.size != p.size:
             raise ConnectionError_("theta size mismatch")
@@ -151,9 +156,13 @@ class Connection:
                     raise ConnectionError_("theta entries must be forms")
                 if e and e.degrees() != [1]:
                     raise ConnectionError_("theta must be of degree 1")
+        if self.R:
+            theta = theta.map(lambda u: to_poly(u, self.R))
         pf = p.to_form()
         if (pf * theta * pf).entries != theta.entries:
             raise ConnectionError_("theta is not compressed: p*theta*p != theta")
+        self.p = p
+        self.theta = theta
 
 
 def grassmann(p: Idempotent) -> Connection:
@@ -208,12 +217,16 @@ def chern(c: Connection, k_max: int):
 
 
 def direct_sum(c1: Connection, c2: Connection) -> Connection:
+    """Block sum of two connections, or of two families with the same
+    parameters (pointwise)."""
     if c1.algebra != c2.algebra:
         raise ConnectionError_("algebra mismatch")
+    if type(c1) is not type(c2):
+        raise ConnectionError_("families with different parameters")
     alg = c1.algebra
     p = Idempotent(alg, block_diag(c1.p.mat, c2.p.mat, alg.zero()))
     theta = block_diag(c1.theta, c2.theta, UForm.zero(alg))
-    return Connection(p, theta)
+    return type(c1)(p, theta)
 
 
 class ModuleIso:
@@ -247,7 +260,9 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
     """phi*D on Im(p0), where c lives on Im(p1) = Im(phi.p1).
 
     theta' = p0 * v * (p1*du + theta*u) * p0, so that the operator identity
-    phi*D = (v (x) id) o D o u holds on Im(p0).
+    phi*D = (v (x) id) o D o u holds on Im(p0).  Of a family, phi* is taken
+    pointwise in the parameters; theta enters linearly, so the result is a
+    family of the same kind.
     """
     if phi.p1 != c.p:
         raise ConnectionError_("iso target does not match the connection")
@@ -257,17 +272,18 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
     vf = phi.v.map(UForm.from_element)
     du = uf.map(lambda w: w.d())
     theta = p0f * (vf * (p1f * du + c.theta * uf)) * p0f
-    return Connection(phi.p0, theta)
+    return type(c)(phi.p0, theta)
 
 
 def extend_scalars(c: Connection, psi: AlgebraHom) -> Connection:
-    """Entrywise (psi(p), psi^u(theta)) over the target algebra."""
+    """Entrywise (psi(p), psi^u(theta)) over the target algebra; a family
+    stays a family of the same kind."""
     if c.algebra != psi.source:
         raise ConnectionError_("connection does not live over the source")
     f = extend_hom(psi)
     p = Idempotent(psi.target, c.p.mat.map(psi))
     theta = c.theta.map(f)
-    return Connection(p, theta)
+    return type(c)(p, theta)
 
 
 # ---------------------------------------------------------------------------

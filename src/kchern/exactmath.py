@@ -1,5 +1,6 @@
-"""Exact arithmetic over Q: rationals, polynomials in one and two variables,
-and sparse exact echelon forms (canonical residuals and tracked solves).
+"""Exact arithmetic over Q: rationals, polynomials in the parameters of a
+family, and sparse exact echelon forms (canonical residuals and tracked
+solves).
 
 Rationals are ``fractions.Fraction`` (canonical reduced form, arbitrary
 precision); they serialize as "num/den" strings with the denominator
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import comb
+from operator import add
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -33,280 +36,187 @@ def rat_from_str(s: str) -> Fraction:
 # Polynomials
 # ---------------------------------------------------------------------------
 
-class Poly1:
-    """Polynomial in one variable t over Q; coefficients indexed by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(q) -> "Poly1":
-        return Poly1((Fraction(q),))
-
-    @staticmethod
-    def t() -> "Poly1":
-        return Poly1((Q0, Q1))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly1):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly1.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, Poly1):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly1.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Q0] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] += c
-        return Poly1(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly1()
-        out = [Q0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly1(out)
-
-    __rmul__ = __mul__
-
-    def diff(self) -> "Poly1":
-        return Poly1(tuple(Fraction(i + 1) * c
-                           for i, c in enumerate(self.coeffs[1:])))
-
-    def integrate01(self) -> Fraction:
-        """Definite integral over [0, 1], exact."""
-        return sum((c / (i + 1) for i, c in enumerate(self.coeffs)), Q0)
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Q0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def subs(self, other: "Poly1") -> "Poly1":
-        """Substitute another polynomial for the variable (Horner)."""
-        acc = Poly1()
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly1.const(c)
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(rat_to_str(c) if i == 0
-                             else ("%s*t^%d" % (rat_to_str(c), i)))
-        return " + ".join(parts)
+def _sparse(pairs) -> dict:
+    """{key: sum of its values} over (key, value) pairs, zero sums dropped."""
+    out = {}
+    for k, v in pairs:
+        v = out.get(k, Q0) + v
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
 
 
-class Poly2:
-    """Polynomial in two commuting variables s, t over Q.
+class Poly:
+    """Polynomial over Q in NVARS commuting variables (the parameters of a
+    family), as a sparse map exponent tuple -> nonzero Fraction.
 
-    Coefficients are a sparse map (deg_s, deg_t) -> Fraction with no stored
-    zeros.
+    Values are immutable.  Arithmetic accepts int, Fraction and polynomials
+    of the same type only, so mixing arities raises TypeError; `lift` moves
+    a polynomial to more variables.  Removing the last variable (`subs`,
+    `integrate01` at NVARS = 1) gives a Fraction.
     """
 
     __slots__ = ("coeffs",)
+    NVARS = 0
+    TYPES = {}          # NVARS -> subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        Poly.TYPES[cls.NVARS] = cls
 
     def __init__(self, coeffs=None):
-        cs = {}
-        if coeffs:
-            for (i, j), c in (coeffs.items() if isinstance(coeffs, dict)
-                              else coeffs):
-                c = Fraction(c)
-                if c:
-                    cs[(i, j)] = cs.get((i, j), Q0) + c
-            for k in [k for k, v in cs.items() if v == 0]:
-                del cs[k]
-        self.coeffs = cs
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        self.coeffs = _sparse((e, Fraction(c)) for e, c in items)
 
-    @staticmethod
-    def const(q) -> "Poly2":
-        return Poly2({(0, 0): Fraction(q)})
+    @classmethod
+    def _new(cls, cs: dict) -> "Poly":
+        """Wrap a dict of nonzero Fractions without copying or coercing."""
+        r = object.__new__(cls)
+        r.coeffs = cs
+        return r
 
-    @staticmethod
-    def s() -> "Poly2":
-        return Poly2({(1, 0): Q1})
+    @classmethod
+    def const(cls, q) -> "Poly":
+        q = Fraction(q)
+        return cls._new({(0,) * cls.NVARS: q} if q else {})
 
-    @staticmethod
-    def t() -> "Poly2":
-        return Poly2({(0, 1): Q1})
+    @classmethod
+    def coerce(cls, c) -> "Poly":
+        """A Fraction, int or polynomial in at most NVARS variables as a
+        polynomial of this type."""
+        if type(c) is cls:
+            return c
+        if isinstance(c, Poly):
+            return c.lift(cls)
+        return cls.const(c)
 
-    @staticmethod
-    def from_t(p: Poly1) -> "Poly2":
-        return Poly2({(0, j): c for j, c in enumerate(p.coeffs)})
+    def _drop(self, cs: dict):
+        """Result with one variable fewer, from a dict of nonzero values."""
+        if self.NVARS == 1:
+            return cs.get((), Q0)
+        return Poly.TYPES[self.NVARS - 1]._new(cs)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, Poly2):
+        if type(other) is type(self):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly2.const(other)
+            return self.coeffs == self.const(other).coeffs
         return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def _coerce(self, other):
-        if isinstance(other, Poly2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly2.const(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self
+            other = self.const(other)
         out = dict(self.coeffs)
-        for k, c in o.coeffs.items():
-            v = out.get(k, Q0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        r = Poly2()
-        r.coeffs = out
-        return r
+        for e, c in other.coeffs.items():
+            v = out.get(e)
+            if v is None:
+                out[e] = c
+            else:
+                v += c
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = Poly2()
-        r.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return r
+        return self._new({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is not type(self) and not isinstance(
+                other, (int, Fraction)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return self._new({})
+            return self._new({e: c * other for e, c in self.coeffs.items()})
         out = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in o.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                v = out.get(k, Q0) + a * b
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-        r = Poly2()
-        r.coeffs = out
-        return r
+        for e1, a in self.coeffs.items():
+            for e2, b in other.coeffs.items():
+                e = tuple(map(add, e1, e2))
+                v = out.get(e)
+                if v is None:
+                    out[e] = a * b
+                else:
+                    v += a * b
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
+        return self._new(out)
 
     __rmul__ = __mul__
 
-    def diff_s(self) -> "Poly2":
-        return Poly2({(i - 1, j): Fraction(i) * c
-                      for (i, j), c in self.coeffs.items() if i > 0})
+    def diff(self, i: int) -> "Poly":
+        """Partial derivative in variable i."""
+        return self._new({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                          for e, c in self.coeffs.items() if e[i]})
 
-    def diff_t(self) -> "Poly2":
-        return Poly2({(i, j - 1): Fraction(j) * c
-                      for (i, j), c in self.coeffs.items() if j > 0})
+    def _collapse(self, i: int, weight):
+        """Drop variable i, summing the terms weight(exponent) * c."""
+        return self._drop(_sparse((e[:i] + e[i + 1:], c * weight(e[i]))
+                                  for e, c in self.coeffs.items()))
 
-    def integrate_s01(self) -> Poly1:
-        """Integrate s over [0, 1]; the result is a Poly1 in t."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[j] = out.get(j, Q0) + c / (i + 1)
-        n = 1 + max(out) if out else 0
-        return Poly1([out.get(j, Q0) for j in range(n)])
+    def integrate01(self, i: int):
+        """Definite integral of variable i over [0, 1], exact."""
+        return self._collapse(i, lambda k: Fraction(1, k + 1))
 
-    def integrate_t01(self) -> Poly1:
-        """Integrate t over [0, 1]; the result is a Poly1 in s."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, Q0) + c / (j + 1)
-        n = 1 + max(out) if out else 0
-        return Poly1([out.get(i, Q0) for i in range(n)])
-
-    def subs_s(self, x) -> Poly1:
-        """Evaluate s = x; the result is a Poly1 in t."""
+    def subs(self, i: int, x):
+        """Evaluate variable i at the rational x."""
         x = Fraction(x)
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[j] = out.get(j, Q0) + c * x ** i
-        n = 1 + max(out) if out else 0
-        return Poly1([out.get(j, Q0) for j in range(n)])
+        return self._collapse(i, lambda k: x ** k)
 
-    def subs_t(self, x) -> Poly1:
-        """Evaluate t = x; the result is a Poly1 in s."""
-        x = Fraction(x)
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, Q0) + c * x ** j
-        n = 1 + max(out) if out else 0
-        return Poly1([out.get(i, Q0) for i in range(n)])
+    def reflect(self, i: int) -> "Poly":
+        """Substitute 1 - x_i for x_i: (1 - x)^k = sum_j C(k, j) (-x)^j."""
+        return self._new(_sparse(
+            (e[:i] + (j,) + e[i + 1:], c * ((-1) ** j * comb(e[i], j)))
+            for e, c in self.coeffs.items() for j in range(e[i] + 1)))
 
-    def eval(self, s, t) -> Fraction:
-        return self.subs_s(s).eval(t)
+    def lift(self, cls) -> "Poly":
+        """The same polynomial in cls.NVARS >= NVARS variables; the new
+        variables come first."""
+        if cls.NVARS < self.NVARS:
+            raise TypeError("a lift cannot drop variables")
+        pad = (0,) * (cls.NVARS - self.NVARS)
+        return cls._new({pad + e: c for e, c in self.coeffs.items()})
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            mono = "".join((["s^%d" % i] if i else []) +
-                           (["t^%d" % j] if j else []))
-            parts.append(rat_to_str(c) + ("*" + mono if mono else ""))
-        return " + ".join(parts)
+        return "%s(%r)" % (type(self).__name__, {
+            e: rat_to_str(c) for e, c in sorted(self.coeffs.items())})
+
+
+class Poly1(Poly):
+    """Polynomial in one path parameter t."""
+    __slots__ = ()
+    NVARS = 1
+
+
+class Poly2(Poly):
+    """Polynomial in two bigon parameters (s, t)."""
+    __slots__ = ()
+    NVARS = 2
 
 
 # ---------------------------------------------------------------------------

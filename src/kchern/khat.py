@@ -1,6 +1,6 @@
 """Differential K-theory layer: generators (p, D, omega), witness-checked
 KCS-equivalence, the maps R, I, a, odd Chern character on automorphism
-pairs, flat-subgroup membership, and the hexagon identity suite.
+pairs, and the hexagon identity suite.
 
 Everything here is a verifier: witnesses are supplied, never searched for.
 """
@@ -101,12 +101,6 @@ def map_a(omega: UForm):
     """a([omega]) = [(O, 0, omega)] - [(O, 0, 0)], as a generator pair."""
     alg = omega.algebra
     return zero_generator(alg, omega), zero_generator(alg)
-
-
-def incl(p: Idempotent, conn: Connection = None) -> KHatGen:
-    """Inclusion of a K0 representative with flat decoration omega = 0."""
-    return KHatGen(p, conn if conn is not None else grassmann(p),
-                   UForm.zero(p.algebra))
 
 
 def verify_kcs_equivalence(g0: KHatGen, g1: KHatGen, w: KCSWitness,
@@ -246,7 +240,7 @@ def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
         p = random_idempotent(alg, 2, rng)
         conn = random_connection(p, rng)
         g = KHatGen(p, conn, _random_odd_form(alg, rng, 2 * k_max - 1))
-        diff = map_R(g, k_max) - sum(chern(grassmann(p), k_max),
+        diff = map_R(g, k_max) - sum(chern(grassmann(map_I(g)), k_max),
                                      AbClass(alg))
         for n in degs:
             ok, _ = is_exact_in_ab(diff.component(n), n)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .algebra import AlgElement, Algebra, algebra_from_json, algebra_to_json
 from .connections import Connection, Idempotent, Mat
-from .exactmath import Poly1, Q0, rat_from_str, rat_to_str
-from .transgression import PolyPath, to_poly1
+from .exactmath import Poly1, rat_from_str, rat_to_str
+from .transgression import PolyPath
 from .uforms import AbClass, FormError, UForm, word_degree
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
 
 def coeff_to_json(c):
     if isinstance(c, Poly1):
-        return {"t^%d" % k: rat_to_str(v) for k, v in enumerate(c.coeffs)
-                if v}
+        return {"t^%d" % k: rat_to_str(c.coeffs[(k,)])
+                for (k,) in sorted(c.coeffs)}
     return rat_to_str(c)
 
 
@@ -37,11 +37,11 @@ def coeff_from_json(data):
     if isinstance(data, dict):
         coeffs = {}
         for key, val in data.items():
-            if not key.startswith("t^"):
+            k = int(key[2:]) if key.startswith("t^") else -1
+            if k < 0:
                 raise FormError("polynomial keys must look like 't^k'")
-            coeffs[int(key[2:])] = rat_from_str(val)
-        n = 1 + max(coeffs) if coeffs else 0
-        return Poly1([coeffs.get(k, Q0) for k in range(n)])
+            coeffs[(k,)] = rat_from_str(val)
+        return Poly1(coeffs)
     raise FormError("bad coefficient payload %r" % (data,))
 
 
@@ -123,4 +123,4 @@ def path_to_json(path: PolyPath) -> dict:
 
 def path_from_json(alg: Algebra, data: dict) -> PolyPath:
     p = idempotent_from_json(alg, data["idempotent"])
-    return PolyPath(p, _theta_from_json(alg, data["theta"]).map(to_poly1))
+    return PolyPath(p, _theta_from_json(alg, data["theta"]))

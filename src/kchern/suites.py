@@ -7,25 +7,26 @@ tests drive the same code.  All comparisons are exact rational equalities.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom
 from .connections import (Mat, ModuleIso, apply_operator, chern,
-                          compose_iso, curvature, direct_sum, grassmann,
-                          pullback, random_automorphism, random_connection,
-                          random_idempotent, random_iso, sum_iso, trace_ab)
-from .exactmath import Poly1, Poly2, Q0, Q1
+                          compose_iso, curvature, direct_sum, extend_scalars,
+                          grassmann, pullback, random_automorphism,
+                          random_connection, random_idempotent, random_iso,
+                          sum_iso, trace_ab)
+from .exactmath import Poly, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
                    verify_kcs_equivalence)
 from .transgression import (BiForm, TForm, bigon_straight, chern_tform,
-                            constant_path, direct_sum_paths, ev, homotopy_K,
-                            induced_path, kcs, kcs_between, kcs_closed_form,
-                            pullback_path, reverse_path, secondary_transgression,
-                            straight_line, three_point_path, tilde_curvature,
-                            tform_operator, to_poly1)
+                            constant_path, homotopy_K, kcs, kcs_between,
+                            kcs_closed_form, reverse_path,
+                            secondary_transgression, straight_line,
+                            three_point_path, tilde_curvature, tform_operator)
 from .uforms import (AbClass, UForm, ab_d, dimension, enumerate_words,
                      extend_hom, is_exact_in_ab, project_ab)
 
@@ -59,30 +60,18 @@ def _random_homogeneous(alg: Algebra, rng: random.Random, degree: int,
     return UForm(alg, out)
 
 
-def _random_poly1(rng: random.Random, deg: int = 2) -> Poly1:
-    return Poly1([Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)])
+def _random_cylform(cls, alg: Algebra, rng: random.Random, max_degree: int,
+                    poly_degree: int):
+    """A random cls form: each part a random form whose coefficients are
+    multiplied by random polynomials of degree poly_degree in each
+    parameter."""
+    exps = list(itertools.product(range(poly_degree + 1), repeat=cls.R))
 
-
-def _random_poly2(rng: random.Random, deg: int = 1) -> Poly2:
-    return Poly2({(i, j): Fraction(rng.randint(-2, 2))
-                  for i in range(deg + 1) for j in range(deg + 1)})
-
-
-def _random_tform(alg: Algebra, rng: random.Random,
-                  max_degree: int = 3) -> TForm:
-    base = _random_form(alg, rng, max_degree).map_scalars(
-        lambda c: Poly1.const(c) * _random_poly1(rng))
-    dt = _random_form(alg, rng, max_degree).map_scalars(
-        lambda c: Poly1.const(c) * _random_poly1(rng))
-    return TForm(base, dt)
-
-
-def _random_biform(alg: Algebra, rng: random.Random,
-                   max_degree: int = 2) -> BiForm:
     def part():
         return _random_form(alg, rng, max_degree).map_scalars(
-            lambda c: Poly2.const(c) * _random_poly2(rng))
-    return BiForm(part(), part(), part(), part())
+            lambda c: c * Poly.TYPES[cls.R]({e: rng.randint(-2, 2)
+                                             for e in exps}))
+    return cls(*(part() for _ in range(1 << cls.R)))
 
 
 class PropertyFailure(AssertionError):
@@ -288,17 +277,17 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_homotopy(alg=alg, rng=rng):
             for _ in range(20):
-                w = _random_tform(alg, rng)
+                w = _random_cylform(TForm, alg, rng, 3, 2)
                 lhs = homotopy_K(w.d()) + homotopy_K(w).d()
-                rhs = ev(w, 1) - ev(w, 0)
+                rhs = w.restrict(0, 1) - w.restrict(0, 0)
                 require(lhs == rhs, "homotopy formula fails")
             return {"count": 20}
 
         def check_tform_ring(alg=alg, rng=rng):
             for _ in range(10):
-                a = _random_tform(alg, rng, 2)
-                b = _random_tform(alg, rng, 2)
-                c = _random_tform(alg, rng, 1)
+                a = _random_cylform(TForm, alg, rng, 2, 2)
+                b = _random_cylform(TForm, alg, rng, 2, 2)
+                c = _random_cylform(TForm, alg, rng, 1, 2)
                 require((a * b) * c == a * (b * c), "TForm assoc fails")
             return {"count": 10}
 
@@ -313,7 +302,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 n = p.size
                 rt = Mat([[TForm(r.entries[i][j], s.entries[i][j])
                            for j in range(n)] for i in range(n)])
-                pf = p.to_form().map(lambda u: TForm(to_poly1(u)))
+                pf = p.to_form().map(TForm)
                 require((rt * pf).entries == tform_operator(
                     path, tform_operator(path, pf)).entries,
                     "cylinder curvature oracle fails")
@@ -331,9 +320,10 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 # ev-compatibility of ch along the path
                 chs_t = chern_tform(path, k_max)
                 for tval in (0, Fraction(1, 2), 1):
-                    cht = chern(path.ev(tval), k_max)
+                    cht = chern(path.restrict(0, tval), k_max)
                     for k in range(k_max + 1):
-                        require(project_ab(ev(chs_t[k], tval)) == cht[k],
+                        require(project_ab(chs_t[k].restrict(0, tval))
+                                == cht[k],
                                 "ev compatibility fails")
                 # constant path vanishes
                 const = kcs(constant_path(c0), k_max)
@@ -345,7 +335,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 d1 = random_connection(p2, rng)
                 path2 = straight_line(d0, d1)
                 kcs2 = kcs(path2, k_max)
-                kcsb = kcs(direct_sum_paths(path, path2), k_max)
+                kcsb = kcs(direct_sum(path, path2), k_max)
                 for k in range(k_max):
                     require(kcsb[k] == kcs_list[k] + kcs2[k],
                             "KCS not additive")
@@ -354,7 +344,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 c1a = random_connection(p1, rng)
                 c1b = random_connection(p1, rng)
                 other = straight_line(c1a, c1b)
-                require(kcs(pullback_path(other, iso), k_max) ==
+                require(kcs(pullback(other, iso), k_max) ==
                         kcs(other, k_max), "KCS not pullback invariant")
             return {"count": n_paths}
 
@@ -377,8 +367,9 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_kk(alg=alg, rng=rng):
             for _ in range(50):
-                b = _random_biform(alg, rng)
-                require(homotopy_K(b.K1()) == homotopy_K(b.K2()),
+                b = _random_cylform(BiForm, alg, rng, 2, 1)
+                require(homotopy_K(b.integrate(0)) ==
+                        homotopy_K(b.integrate(1)),
                         "K K1 != K K2")
             return {"count": 50}
 
@@ -426,7 +417,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
             f = extend_hom(psi)
             for _ in range(3):
                 path = _random_path(psi.source, rng)
-                ind = induced_path(path, psi)
+                ind = extend_scalars(path, psi)
                 lhs = kcs(ind, 2)
                 rhs = [project_ab(f(cls.lift())) for cls in kcs(path, 2)]
                 require(lhs == rhs,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import Echelon, Q0, Q1, TrackedEchelon
+from .exactmath import Echelon, Poly, Q0, Q1, TrackedEchelon
 
 
 class DegreeCapError(ValueError):
@@ -117,8 +117,8 @@ def _word_mul(alg: Algebra, w1, w2):
 class UForm:
     """Sparse element of Omega^u_*(A); may mix degrees.
 
-    Scalars are Fraction, Poly1, or Poly2 (duck-typed; all three support
-    ring arithmetic and are falsy exactly at zero).
+    Scalars are Fraction or Poly (duck-typed; both support ring arithmetic
+    and are falsy exactly at zero).
     """
 
     __slots__ = ("algebra", "terms")
@@ -247,6 +247,12 @@ class UForm:
             body = names[w[0]] + "".join(" d" + names[i] for i in w[1:])
             parts.append("(%s)*%s" % (c, body))
         return " + ".join(parts)
+
+
+def to_poly(u: UForm, r: int) -> UForm:
+    """u with every scalar as a polynomial in r >= 1 parameters (see
+    Poly.coerce)."""
+    return u.map_scalars(Poly.TYPES[r].coerce)
 
 
 def differential(w: UForm) -> UForm:

@@ -153,6 +153,17 @@ class TestKcs:
             fb = form_from_json(alg, cb["class"])
             assert fa == -fb
 
+    def test_path_potential_of_degree_two_is_rejected(self, tmp_path,
+                                                       capsys):
+        # theta(t) = t * e1 de1 de1 is not a connection potential at any t
+        payload = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                   "theta": [[[{"degree": 2, "word": [1, 1, 1],
+                                "coeff": {"t^1": "1"}}]]]}
+        f = tmp_path / "path.json"
+        f.write_text(json.dumps(payload))
+        assert run(["kcs", "--fixture", "dual", "--path", str(f)]) == 3
+        assert "theta must be of degree 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_suite_pass(self, tmp_path):

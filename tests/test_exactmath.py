@@ -28,57 +28,90 @@ class TestRationalStrings:
 
 
 class TestPoly1:
+    t = Poly1({(1,): Q1})
+
     def test_arithmetic(self):
-        t = Poly1.t()
-        p = (t + Poly1.const(Q1)) * (t - Poly1.const(Q1))
-        assert p == t * t - Poly1.const(Q1)
+        t = self.t
+        p = (t + 1) * (t - 1)
+        assert p == t * t - 1
 
     def test_diff(self):
-        t = Poly1.t()
-        p = t * t * t
-        assert p.diff() == Poly1.const(Fraction(3)) * t * t
+        t = self.t
+        assert (t * t * t).diff(0) == 3 * t * t
 
     def test_integrate01_monomials(self):
         # definite integral of t^n over [0,1] is 1/(n+1)
         for n in range(6):
-            p = Poly1([Q0] * n + [Q1])
-            assert p.integrate01() == Fraction(1, n + 1)
+            p = Poly1({(n,): Q1})
+            assert p.integrate01(0) == Fraction(1, n + 1)
 
     def test_eval_matches_subs(self):
-        p = Poly1([Fraction(1), Fraction(-2), Fraction(3)])
+        p = Poly1({(0,): 1, (1,): -2, (2,): 3})
         for v in (Q0, Q1, Fraction(1, 2), Fraction(-3, 7)):
-            assert p.eval(v) == 1 - 2 * v + 3 * v * v
+            assert p.subs(0, v) == 1 - 2 * v + 3 * v * v
 
     def test_fundamental_theorem(self):
-        p = Poly1([Fraction(2), Fraction(0), Fraction(-5), Fraction(4)])
-        assert p.diff().integrate01() == p.eval(Q1) - p.eval(Q0)
+        p = Poly1({(0,): 2, (2,): -5, (3,): 4})
+        assert p.diff(0).integrate01(0) == p.subs(0, Q1) - p.subs(0, Q0)
+
+    def test_reflect(self):
+        p = Poly1({(0,): 2, (1,): -1, (3,): 4})
+        for v in (Q0, Fraction(1, 3), Q1):
+            assert p.reflect(0).subs(0, v) == p.subs(0, 1 - v)
+        assert p.reflect(0).reflect(0) == p
+
+    def test_zero_is_dropped(self):
+        t = self.t
+        assert not (t - t)
+        assert (t - t) == 0
+        assert Poly1({(1,): 0}).coeffs == {}
 
 
 class TestPoly2:
+    s = Poly2({(1, 0): Q1})
+    t = Poly2({(0, 1): Q1})
+
     def test_product_and_eval(self):
-        s, t = Poly2.s(), Poly2.t()
+        s, t = self.s, self.t
         p = (s + t) * (s + t)
         half = Fraction(1, 2)
-        assert p.eval(half, half) == 1
+        assert p.subs(0, half).subs(0, half) == 1
 
     def test_fubini(self):
-        s, t = Poly2.s(), Poly2.t()
-        p = s * s * t + Poly2.const(Fraction(3)) * s * t * t
+        s, t = self.s, self.t
+        p = s * s * t + 3 * s * t * t
         # integrate s then t equals integrate t then s
-        lhs = p.integrate_s01().integrate01()
-        rhs = p.integrate_t01().integrate01()
+        lhs = p.integrate01(0).integrate01(0)
+        rhs = p.integrate01(1).integrate01(0)
         assert lhs == rhs
 
     def test_partials_commute(self):
-        s, t = Poly2.s(), Poly2.t()
+        s, t = self.s, self.t
         p = s * s * t * t + s * t
-        assert p.diff_s().diff_t() == p.diff_t().diff_s()
+        assert p.diff(0).diff(1) == p.diff(1).diff(0)
 
     def test_substitution(self):
-        s, t = Poly2.s(), Poly2.t()
+        s, t = self.s, self.t
         p = s * t + t
-        q = p.subs_s(Fraction(1, 2))
-        assert q.eval(Fraction(2)) == Fraction(3)
+        q = p.subs(0, Fraction(1, 2))
+        assert isinstance(q, Poly1)
+        assert q.subs(0, Fraction(2)) == Fraction(3)
+
+    def test_lift_puts_new_variables_first(self):
+        q = Poly1({(0,): 1, (2,): 5})
+        lifted = q.lift(Poly2)
+        assert lifted == Poly2({(0, 0): 1, (0, 2): 5})
+        assert lifted.subs(0, Fraction(7)) == q
+        assert Poly2.coerce(q) == lifted
+        assert Poly2.coerce(Fraction(3)) == 3
+
+    def test_mixing_arities_raises(self):
+        with pytest.raises(TypeError):
+            Poly1({(1,): 1}) * self.s
+        with pytest.raises(TypeError):
+            self.t + Poly1({(1,): 1})
+        with pytest.raises(TypeError):
+            Poly1.coerce(self.s)
 
 
 def _columns(rows, ncols):

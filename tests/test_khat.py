@@ -11,7 +11,7 @@ from kchern.connections import (ConnectionError_, Idempotent, Mat, ModuleIso,
 from kchern import khat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
-                         hexagon_suite, incl, map_I, map_R, map_a,
+                         hexagon_suite, map_I, map_R, map_a,
                          odd_chern, verify_kcs_equivalence, zero_generator)
 from kchern.transgression import kcs, kcs_between, straight_line
 from kchern.uforms import (AbClass, UForm, ab_d, abelianization,
@@ -50,7 +50,7 @@ class TestMaps:
         alg = make_fixture("QxQ")
         rng = random.Random(40)
         p = random_idempotent(alg, 2, rng)
-        g = incl(p)
+        g = KHatGen(p, grassmann(p), UForm.zero(alg))
         from kchern.connections import chern
         assert map_R(g, 2) == sum_classes(chern(grassmann(p), 2), alg)
         assert map_I(g) == p

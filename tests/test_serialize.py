@@ -29,7 +29,7 @@ class TestCoefficients:
             assert coeff_from_json(through_json(coeff_to_json(q))) == q
 
     def test_poly1(self):
-        p = Poly1([Fraction(1, 2), Fraction(0), Fraction(-3)])
+        p = Poly1({(0,): Fraction(1, 2), (2,): Fraction(-3)})
         assert coeff_from_json(through_json(coeff_to_json(p))) == p
 
 

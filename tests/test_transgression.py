@@ -5,22 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from kchern import transgression
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
-                                chern, direct_sum, grassmann,
-                                random_connection, random_idempotent,
+                                chern, direct_sum, extend_scalars, grassmann,
+                                pullback, random_connection, random_idempotent,
                                 random_iso)
-from kchern.exactmath import Poly1, Q0, Q1
+from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.suites import _random_biform, _random_tform
-from kchern.transgression import (BiForm, EPSILON_K, TForm, bigon_straight,
-                                  chern_tform, constant_path,
-                                  direct_sum_paths, ev, homotopy_K,
-                                  induced_path, kcs, kcs_between,
-                                  kcs_closed_form, pullback_path,
-                                  reverse_path, secondary_transgression,
-                                  straight_line, three_point_path,
-                                  tilde_curvature, tform_operator, to_poly1)
-from kchern.uforms import UForm, ab_d, project_ab
+from kchern.suites import _random_cylform, run_transgression_suite
+from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
+                                  bigon_straight, chern_tform, constant_path,
+                                  homotopy_K, kcs, kcs_between,
+                                  kcs_closed_form, reverse_path,
+                                  secondary_transgression, straight_line,
+                                  three_point_path, tilde_curvature,
+                                  tform_operator)
+from kchern.uforms import UForm, ab_d, project_ab, word_degree
 
 
 def unit_line_path(alg, theta1_form):
@@ -37,25 +37,27 @@ class TestHomotopyOperator:
             alg = make_fixture(name)
             rng = random.Random(20)
             for _ in range(20):
-                w = _random_tform(alg, rng)
+                w = _random_cylform(TForm, alg, rng, 3, 2)
                 lhs = homotopy_K(w.d()) + homotopy_K(w).d()
-                assert lhs == ev(w, 1) - ev(w, 0)
+                assert lhs == w.restrict(0, 1) - w.restrict(0, 0)
 
     def test_ev_is_a_ring_map(self):
         alg = make_fixture("C2")
         rng = random.Random(21)
         for _ in range(10):
-            a = _random_tform(alg, rng, 2)
-            b = _random_tform(alg, rng, 2)
+            a = _random_cylform(TForm, alg, rng, 2, 2)
+            b = _random_cylform(TForm, alg, rng, 2, 2)
             for t in (Q0, Fraction(1, 2), Q1):
-                assert ev(a * b, t) == ev(a, t) * ev(b, t)
-                assert ev(a.d(), t) == ev(a, t).d()
+                assert (a * b).restrict(0, t) == (a.restrict(0, t)
+                                                  * b.restrict(0, t))
+                assert a.d().restrict(0, t) == a.restrict(0, t).d()
 
     def test_tform_associativity(self):
         alg = make_fixture("x3")
         rng = random.Random(22)
         for _ in range(10):
-            a, b, c = (_random_tform(alg, rng, 2) for _ in range(3))
+            a, b, c = (_random_cylform(TForm, alg, rng, 2, 2)
+                       for _ in range(3))
             assert (a * b) * c == a * (b * c)
 
 
@@ -67,8 +69,8 @@ class TestPaths:
         c0 = random_connection(p, rng)
         c1 = random_connection(p, rng)
         path = straight_line(c0, c1)
-        assert path.ev(0).theta.entries == c0.theta.entries
-        assert path.ev(1).theta.entries == c1.theta.entries
+        assert path.restrict(0, 0).theta.entries == c0.theta.entries
+        assert path.restrict(0, 1).theta.entries == c1.theta.entries
 
     def test_three_point_interpolation(self):
         alg = make_fixture("dual")
@@ -76,9 +78,10 @@ class TestPaths:
         p = random_idempotent(alg, 2, rng)
         c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
         path = three_point_path(c0, cm, c1)
-        assert path.ev(0).theta.entries == c0.theta.entries
-        assert path.ev(Fraction(1, 2)).theta.entries == cm.theta.entries
-        assert path.ev(1).theta.entries == c1.theta.entries
+        assert path.restrict(0, 0).theta.entries == c0.theta.entries
+        assert (path.restrict(0, Fraction(1, 2)).theta.entries
+                == cm.theta.entries)
+        assert path.restrict(0, 1).theta.entries == c1.theta.entries
 
     def test_endpoint_mismatch_rejected(self):
         alg = make_fixture("QxQ")
@@ -99,7 +102,7 @@ class TestPaths:
             n = p.size
             rt = Mat([[TForm(r.entries[i][j], s.entries[i][j])
                        for j in range(n)] for i in range(n)])
-            pf = p.to_form().map(lambda u: TForm(to_poly1(u)))
+            pf = p.to_form().map(TForm)
             assert (rt * pf).entries == tform_operator(
                 path, tform_operator(path, pf)).entries
 
@@ -154,7 +157,7 @@ class TestKCS:
                               random_connection(p, rng))
         path2 = straight_line(random_connection(q, rng),
                               random_connection(q, rng))
-        total = kcs(direct_sum_paths(path1, path2), 2)
+        total = kcs(direct_sum(path1, path2), 2)
         k1, k2 = kcs(path1, 2), kcs(path2, 2)
         assert total == [k1[i] + k2[i] for i in range(2)]
 
@@ -165,7 +168,7 @@ class TestKCS:
         p1, iso = random_iso(p0, rng)
         path = straight_line(random_connection(p1, rng),
                              random_connection(p1, rng))
-        assert kcs(pullback_path(path, iso), 2) == kcs(path, 2)
+        assert kcs(pullback(path, iso), 2) == kcs(path, 2)
 
     def test_hom_naturality(self):
         from kchern.algebra import AlgebraHom
@@ -178,7 +181,7 @@ class TestKCS:
         p = random_idempotent(x3, 2, rng)
         path = straight_line(random_connection(p, rng),
                              random_connection(p, rng))
-        lhs = kcs(induced_path(path, psi), 2)
+        lhs = kcs(extend_scalars(path, psi), 2)
         rhs = [project_ab(f(cls.lift())) for cls in kcs(path, 2)]
         assert lhs == rhs
 
@@ -190,9 +193,9 @@ class TestKCS:
                              random_connection(p, rng))
         chs_t = chern_tform(path, 2)
         for t in (Q0, Fraction(1, 2), Q1):
-            cht = chern(path.ev(t), 2)
+            cht = chern(path.restrict(0, t), 2)
             for k in range(3):
-                assert project_ab(ev(chs_t[k], t)) == cht[k]
+                assert project_ab(chs_t[k].restrict(0, t)) == cht[k]
 
     def test_closed_form_agreement_random(self):
         for name in ("dual", "QxQ", "C2"):
@@ -216,21 +219,23 @@ class TestBigons:
             alg = make_fixture(name)
             rng = random.Random(34)
             for _ in range(20):
-                b = _random_biform(alg, rng)
-                assert homotopy_K(b.K1()) == homotopy_K(b.K2())
+                b = _random_cylform(BiForm, alg, rng, 2, 1)
+                assert (homotopy_K(b.integrate(0))
+                        == homotopy_K(b.integrate(1)))
 
     def test_biform_associativity(self):
         alg = make_fixture("dual")
         rng = random.Random(35)
         for _ in range(10):
-            a, b, c = (_random_biform(alg, rng, 1) for _ in range(3))
+            a, b, c = (_random_cylform(BiForm, alg, rng, 1, 1)
+                       for _ in range(3))
             assert (a * b) * c == a * (b * c)
 
     def test_biform_dd_zero(self):
         alg = make_fixture("QxQ")
         rng = random.Random(36)
         for _ in range(20):
-            b = _random_biform(alg, rng)
+            b = _random_cylform(BiForm, alg, rng, 2, 1)
             assert b.d().d() == BiForm.zero(alg)
 
     def test_secondary_transgression(self):
@@ -260,7 +265,160 @@ class TestBigons:
         path2 = three_point_path(c0, cm, c1)
         bigon = bigon_straight(path1, path2)
         for t in (Q0, Q1):
-            e0 = bigon.ev_s(0).ev(t).theta.entries
-            assert e0 == path1.ev(t).theta.entries
-            e1 = bigon.ev_s(1).ev(t).theta.entries
-            assert e1 == path2.ev(t).theta.entries
+            e0 = bigon.restrict(0, 0).restrict(0, t).theta.entries
+            assert e0 == path1.restrict(0, t).theta.entries
+            e1 = bigon.restrict(0, 1).restrict(0, t).theta.entries
+            assert e1 == path2.restrict(0, t).theta.entries
+
+
+# ---------------------------------------------------------------------------
+# Reference cylinder calculus: the one- and two-parameter rules expanded by
+# hand over the parts (1, dt) and (1, ds, dt, ds dt), with their own sigma.
+# ---------------------------------------------------------------------------
+
+def ref_sigma(u):
+    return UForm(u.algebra, {w: (-c if word_degree(w) % 2 else c)
+                             for w, c in u.terms.items()})
+
+
+def _scalars(u, f):
+    return u.map_scalars(f)
+
+
+def ref_tform_mul(x, y):
+    # (a + dt b)(c + dt e) = ac + dt (bc + sigma(a) e)
+    a, b = x.parts
+    c, e = y.parts
+    return TForm(a * c, b * c + ref_sigma(a) * e)
+
+
+def ref_tform_d(x):
+    # d(a + dt b) = da + dt (del_t a - db)
+    a, b = x.parts
+    return TForm(a.d(), _scalars(a, lambda q: q.diff(0)) - b.d())
+
+
+def ref_biform_mul(x, y):
+    a, b, c, e = x.parts
+    a2, b2, c2, e2 = y.parts
+    sa, sb, sc = ref_sigma(a), ref_sigma(b), ref_sigma(c)
+    return BiForm(a * a2, sa * b2 + b * a2, sa * c2 + c * a2,
+                  a * e2 + e * a2 + sb * c2 - sc * b2)
+
+
+def ref_biform_d(x):
+    a, b, c, e = x.parts
+
+    def ds(u):
+        return _scalars(u, lambda q: q.diff(0))
+
+    def dt(u):
+        return _scalars(u, lambda q: q.diff(1))
+
+    return BiForm(a.d(), ds(a) - b.d(), dt(a) - c.d(),
+                  ds(c) - dt(b) + e.d())
+
+
+def ref_K1(x):
+    # integrate s on the ds parts: a TForm in t
+    _, b, _, e = x.parts
+    return TForm(_scalars(b, lambda q: q.integrate01(0)),
+                 _scalars(e, lambda q: q.integrate01(0)))
+
+
+def ref_K2(x):
+    # integrate t on the dt parts, ds dt e -> ds int e: a TForm in s
+    _, _, c, e = x.parts
+    return TForm(_scalars(c, lambda q: q.integrate01(1)),
+                 _scalars(e, lambda q: q.integrate01(1)))
+
+
+def ref_ev_s(x, s):
+    a, _, c, _ = x.parts
+    return TForm(_scalars(a, lambda q: q.subs(0, s)),
+                 _scalars(c, lambda q: q.subs(0, s)))
+
+
+def ref_ev_t(x, t):
+    a, b, _, _ = x.parts
+    return TForm(_scalars(a, lambda q: q.subs(1, t)),
+                 _scalars(b, lambda q: q.subs(1, t)))
+
+
+def _disagreements(seed=50, count=8):
+    """Names of the reference rules that CylForm disagrees with on random
+    forms over dual, x3 and M2."""
+    bad = set()
+    for name in ("dual", "x3", "M2"):
+        alg = make_fixture(name)
+        rng = random.Random((seed, name).__repr__())
+        for _ in range(count):
+            x, y = (_random_cylform(TForm, alg, rng, 2, 2) for _ in "xy")
+            if x * y != ref_tform_mul(x, y):
+                bad.add("TForm product")
+            if x.d() != ref_tform_d(x):
+                bad.add("TForm d")
+            u, v = (_random_cylform(BiForm, alg, rng, 1, 1) for _ in "uv")
+            if u * v != ref_biform_mul(u, v):
+                bad.add("BiForm product")
+            if u.d() != ref_biform_d(u):
+                bad.add("BiForm d")
+            if (u.integrate(0), u.integrate(1)) != (ref_K1(u), ref_K2(u)):
+                bad.add("K")
+            half = Fraction(1, 2)
+            if ((u.restrict(0, half), u.restrict(1, half))
+                    != (ref_ev_s(u, half), ref_ev_t(u, half))):
+                bad.add("ev")
+    return bad
+
+
+def _flip_shuffle(monkeypatch):
+    for key, sign in list(SHUFFLE.items()):
+        if key[0] and key[1]:
+            monkeypatch.setitem(SHUFFLE, key, -sign)
+
+
+def _drop_sigma(monkeypatch):
+    monkeypatch.setattr(transgression, "sigma", lambda u: u)
+
+
+def _drop_d_sign(monkeypatch):
+    for key in list(KOSZUL):
+        monkeypatch.setitem(KOSZUL, key, 1)
+
+
+def _flip_epsilon(monkeypatch):
+    monkeypatch.setattr(transgression, "EPSILON_K", -EPSILON_K)
+
+
+class TestReferenceCalculus:
+    def test_cylform_matches_reference(self):
+        assert _disagreements() == set()
+
+    @pytest.mark.parametrize("flip, caught", [
+        (_flip_shuffle, {"BiForm product", "BiForm d"}),
+        (_drop_sigma, {"TForm product", "BiForm product"}),
+        (_drop_d_sign, {"TForm d", "BiForm d"}),
+    ])
+    def test_reference_catches_planted_sign(self, monkeypatch, flip, caught):
+        flip(monkeypatch)
+        assert _disagreements(count=4) == caught
+
+
+class TestSignMutations:
+    """Each sign site of the calculus, flipped alone, makes the
+    transgression suite on x3 fail."""
+
+    @pytest.mark.parametrize("flip, caught", [
+        (_drop_sigma, "secondary transgression"),
+        (_flip_shuffle, "secondary transgression"),
+        (_drop_d_sign, "homotopy formula"),
+        (_flip_epsilon, "closed-form agreement"),
+    ])
+    def test_flip_fails_the_suite(self, monkeypatch, flip, caught):
+        flip(monkeypatch)
+        rep = run_transgression_suite(3, fixtures=["x3"], n_paths=1,
+                                      n_pairs=2, n_triples=1, n_closed=2)
+        failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
+        assert rep["status"] == "fail"
+        assert caught in failed
