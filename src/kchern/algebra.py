@@ -20,8 +20,9 @@ class Algebra:
     mul[i][j] is the length-m coefficient vector of e_i * e_j.  Basis element
     0 is the unit; unitality and associativity are checked exhaustively at
     construction.  Instances are immutable; the caches hanging off an instance
-    are read-mostly memoization (abelianization projections and word products)
-    and do not affect value semantics.
+    are memoization that does not affect value semantics: `_wordmul` holds
+    read-only word products, and `_ab` the abelianization projection of each
+    degree, which keeps its dbar once built.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -52,11 +53,9 @@ class Algebra:
         # memoization caches (read-mostly, value-semantics preserving)
         self._wordmul = {}
         self._ab = {}
-        self._exact = {}
 
     def _validate(self):
         m = self.dim
-        unit = tuple(Q1 if k == 0 else Q0 for k in range(m))
         for i in range(m):
             ei = tuple(Q1 if k == i else Q0 for k in range(m))
             if self.mul[0][i] != ei:
@@ -67,7 +66,6 @@ class Algebra:
                 raise AlgebraError(
                     "unit is not basis element 0: %s*e0 != %s"
                     % (self.names[i], self.names[i]))
-        del unit
         for i in range(m):
             for j in range(m):
                 for k in range(m):

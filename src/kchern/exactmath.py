@@ -109,6 +109,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its Fraction (see __eq__), so it hashes as one
+        zero = (0,) * self.NVARS
+        if self.coeffs.keys() <= {zero}:
+            return hash(self.coeffs.get(zero, Q0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
@@ -324,6 +328,14 @@ class TrackedEchelon(Echelon):
             return None
         del r[new]
         return self._combination(r)
+
+    def copy(self) -> "TrackedEchelon":
+        """An independent echelon with the same columns and tags (stored
+        rows are never mutated, so they are shared)."""
+        r = TrackedEchelon(self.dim)
+        r.pivots = dict(self.pivots)
+        r.tags = list(self.tags)
+        return r
 
     def solve(self, b: dict):
         """Solve sum x_tag * column_tag = b; None if b is outside the span."""

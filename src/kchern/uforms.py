@@ -11,12 +11,15 @@ The product is computed by the boundary rewriting rule
 da*b = d(ab) - a*db (a degree-0 move, no Koszul signs), the differential by
 a0 da1...dan -> d(a0bar) da1...dan.  The abelianization quotient by graded
 commutators, noncommutative de Rham homology, extension of algebra homs to
-DGA maps, and exactness certificates live here as well.
+DGA maps, and exactness certificates live here as well.  Each degree's
+abelianization projection memoizes the descended differential dbar into
+it; exactness solves and homology both read that one copy.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Echelon, Poly, Q0, Q1, TrackedEchelon
@@ -56,7 +59,7 @@ def enumerate_words(algebra: Algebra, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _word_times_elem(alg: Algebra, w, j):
-    """The product (basis word w) * e_j as a dict word -> Fraction.
+    """The product (basis word w) * e_j as a read-only map word -> Fraction.
 
     Uses d e_i * e_j = d(e_i e_j) - e_i * d e_j recursively; the recursion
     strictly shortens w, and only degree-0 elements ever cross a d.
@@ -89,12 +92,12 @@ def _word_times_elem(alg: Algebra, w, j):
                     out[wk] = v
                 elif wk in out:
                     del out[wk]
-    cache[key] = out
+    out = cache[key] = MappingProxyType(out)
     return out
 
 
 def _word_mul(alg: Algebra, w1, w2):
-    """Product of two basis words as a dict word -> Fraction."""
+    """Product of two basis words as a read-only map word -> Fraction."""
     key = (w1, w2)
     cache = alg._wordmul
     hit = cache.get(key)
@@ -103,7 +106,7 @@ def _word_mul(alg: Algebra, w1, w2):
     left = _word_times_elem(alg, w1, w2[0])
     tail = w2[1:]
     if tail:
-        out = {w + tail: c for w, c in left.items()}
+        out = MappingProxyType({w + tail: c for w, c in left.items()})
     else:
         out = left
     cache[key] = out
@@ -114,14 +117,87 @@ def _word_mul(alg: Algebra, w1, w2):
 # Forms
 # ---------------------------------------------------------------------------
 
-class UForm:
+class _Terms:
+    """Sparse map from basis words to nonzero scalars over an algebra: the
+    linear arithmetic shared by forms and abelianization classes.
+
+    Results keep the operand's type; combining values of different types or
+    over different algebras raises FormError.
+    """
+
+    __slots__ = ("algebra", "terms")
+
+    def _like(self, terms: dict):
+        """A value of this type over the same algebra wrapping `terms` (a
+        dict of nonzero scalars), without copying or checking it."""
+        r = object.__new__(type(self))
+        r.algebra = self.algebra
+        r.terms = terms
+        return r
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def degrees(self):
+        return sorted({word_degree(w) for w in self.terms})
+
+    def component(self, n: int):
+        return self._like({w: c for w, c in self.terms.items()
+                           if word_degree(w) == n})
+
+    def map_scalars(self, f):
+        return type(self)(self.algebra,
+                          {w: f(c) for w, c in self.terms.items()})
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._like({})
+        return self._like({w: c * scalar for w, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other.algebra != self.algebra:
+            raise FormError("operand type or algebra mismatch")
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            if w in out:
+                v = out[w] + c
+                if v:
+                    out[w] = v
+                else:
+                    del out[w]
+            else:
+                out[w] = c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.algebra == other.algebra
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.algebra,
+                     frozenset((w, c) for w, c in self.terms.items())))
+
+
+class UForm(_Terms):
     """Sparse element of Omega^u_*(A); may mix degrees.
 
     Scalars are Fraction or Poly (duck-typed; both support ring arithmetic
     and are falsy exactly at zero).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
@@ -138,12 +214,10 @@ class UForm:
                     else:
                         t[w] = c
         self.terms = t
-        if __debug__:
-            m = algebra.dim
-            for w in self.terms:
-                if not (0 <= w[0] < m) or any(not (1 <= i < m)
-                                              for i in w[1:]):
-                    raise FormError("word index out of range: %r" % (w,))
+        m = algebra.dim
+        for w in t:
+            if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
+                raise FormError("word index out of range: %r" % (w,))
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -163,79 +237,16 @@ class UForm:
         return UForm(a.algebra, {(i,): c for i, c in enumerate(a.vec) if c})
 
     # structure ------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degrees(self):
-        return sorted({word_degree(w) for w in self.terms})
-
     def max_degree(self) -> int:
         return max((word_degree(w) for w in self.terms), default=0)
-
-    def component(self, n: int) -> "UForm":
-        return UForm(self.algebra, {w: c for w, c in self.terms.items()
-                                    if word_degree(w) == n})
-
-    def map_scalars(self, f) -> "UForm":
-        return UForm(self.algebra, {w: f(c) for w, c in self.terms.items()})
-
-    # arithmetic -----------------------------------------------------------
-    def _check(self, other):
-        if not isinstance(other, UForm) or other.algebra != self.algebra:
-            raise FormError("form algebra mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                v = out[w] + c
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
-            else:
-                out[w] = c
-        r = UForm(self.algebra)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = UForm(self.algebra)
-        r.terms = {w: -c for w, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, UForm):
             return multiply(self, other)
         return self.scale(other)
 
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "UForm":
-        if not scalar:
-            return UForm(self.algebra)
-        r = UForm(self.algebra)
-        r.terms = {w: c * scalar for w, c in self.terms.items()}
-        return r
-
     def d(self) -> "UForm":
         return differential(self)
-
-    def __eq__(self, other):
-        return (isinstance(other, UForm) and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra,
-                     frozenset((w, c) for w, c in self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -256,23 +267,9 @@ def to_poly(u: UForm, r: int) -> UForm:
 
 
 def differential(w: UForm) -> UForm:
-    """a0 da1...dan -> d(a0bar) da1...dan; the unit component of a0 dies."""
-    out = {}
-    for word, c in w.terms.items():
-        if word[0] == 0:
-            continue
-        nw = (0,) + word
-        if nw in out:
-            v = out[nw] + c
-            if v:
-                out[nw] = v
-            else:
-                del out[nw]
-        else:
-            out[nw] = c
-    r = UForm(w.algebra)
-    r.terms = out
-    return r
+    """a0 da1...dan -> d(a0bar) da1...dan; the unit component of a0 dies.
+    Distinct words have distinct images (0,) + word, so nothing cancels."""
+    return w._like({(0,) + word: c for word, c in w.terms.items() if word[0]})
 
 
 def multiply(u: UForm, v: UForm) -> UForm:
@@ -300,9 +297,7 @@ def multiply(u: UForm, v: UForm) -> UForm:
                         del out[w]
                 else:
                     out[w] = val
-    r = UForm(alg)
-    r.terms = out
-    return r
+    return u._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +309,12 @@ class AbProjection:
 
     Holds the echelonized graded-commutator span at degree n; residuals are
     canonical representatives supported on the non-pivot ("quotient") words.
+    The differential dbar: Omega_ab,n-1 -> Omega_ab,n is built on first use
+    of `dbar` and kept here.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
-                 "quotient_words", "quotient_index")
+                 "quotient_words", "quotient_index", "_dbar")
 
     def __init__(self, algebra, degree, words, index, echelon):
         self.algebra = algebra
@@ -329,6 +326,7 @@ class AbProjection:
                                if i not in echelon.pivots]
         self.quotient_index = {w: k for k, w in
                                enumerate(self.quotient_words)}
+        self._dbar = None
 
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar."""
@@ -339,6 +337,31 @@ class AbProjection:
         vec = {self.index[w]: c for w, c in terms.items()}
         res = self.echelon.reduce(vec)
         return {self.words[i]: c for i, c in res.items()}
+
+    def dbar(self):
+        """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel),
+        built once.
+
+        `solver` is a TrackedEchelon over the degree-n quotient coordinates
+        whose columns are the images of the degree n-1 quotient words,
+        tagged by the word.  `kernel` lists the dependencies met while
+        adding them, as dicts quotient word -> scalar; they are a basis of
+        ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+        """
+        if self._dbar is None:
+            alg = self.algebra
+            prev = (abelianization(alg, self.degree - 1).quotient_words
+                    if self.degree else ())
+            solver = TrackedEchelon(len(self.quotient_words))
+            kernel = []
+            for q in prev:
+                dv = project_ab(UForm.word(alg, q).d())
+                dep = solver.add({self.quotient_index[w]: c
+                                  for w, c in dv.terms.items()}, q)
+                if dep is not None:
+                    kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+            self._dbar = (solver, kernel)
+        return self._dbar
 
 
 def abelianization(algebra: Algebra, n: int) -> AbProjection:
@@ -389,76 +412,19 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     return proj
 
 
-class AbClass:
+class AbClass(_Terms):
     """A (possibly mixed-degree) element of Omega_ab in canonical quotient
     coordinates: a dict from quotient words to scalars."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
         self.terms = {w: c for w, c in (terms or {}).items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degrees(self):
-        return sorted({word_degree(w) for w in self.terms})
-
-    def component(self, n: int) -> "AbClass":
-        return AbClass(self.algebra, {w: c for w, c in self.terms.items()
-                                      if word_degree(w) == n})
-
     def lift(self) -> UForm:
         """The canonical representative as a form (sum of quotient words)."""
         return UForm(self.algebra, dict(self.terms))
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        if not isinstance(other, AbClass) or other.algebra != self.algebra:
-            raise FormError("class algebra mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, 0) + c if w in out else c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return AbClass(self.algebra, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AbClass(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar) -> "AbClass":
-        if not scalar:
-            return AbClass(self.algebra)
-        return AbClass(self.algebra,
-                       {w: c * scalar for w, c in self.terms.items()})
-
-    __rmul__ = scale
-
-    def map_scalars(self, f) -> "AbClass":
-        return AbClass(self.algebra,
-                       {w: f(c) for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if other == 0:
-            return not self.terms
-        return (isinstance(other, AbClass) and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra,
-                     frozenset((w, c) for w, c in self.terms.items())))
 
     def __repr__(self):
         return "AbClass(%r)" % (self.lift(),)
@@ -487,67 +453,35 @@ def is_exact_in_ab(w, n: int):
     (True, primitive UForm) or (False, None); the primitive v satisfies
     project_ab(d(v)) = project_ab(w).
     """
-    if isinstance(w, AbClass):
-        target = w.component(n)
-        alg = w.algebra
-        if set(w.terms) - set(target.terms):
-            raise FormError("class is not homogeneous of degree %d" % n)
-    else:
-        alg = w.algebra
-        if any(word_degree(ww) != n for ww in w.terms):
-            raise FormError("form is not homogeneous of degree %d" % n)
-        target = project_ab(w)
-    if n == 0:
-        if target.is_zero():
-            return True, UForm.zero(alg)
-        return False, None
-    solver = alg._exact.get(n)
-    proj_n = abelianization(alg, n)
-    if solver is None:
-        proj_prev = abelianization(alg, n - 1)
-        solver = TrackedEchelon(len(proj_n.quotient_words))
-        for q in proj_prev.quotient_words:
-            dv = project_ab(UForm.word(alg, q).d())
-            col = {proj_n.quotient_index[ww]: c
-                   for ww, c in dv.terms.items()}
-            solver.add(col, q)
-        alg._exact[n] = solver
-    vec = {proj_n.quotient_index[ww]: c for ww, c in target.terms.items()}
-    sol = solver.solve(vec)
+    if any(word_degree(ww) != n for ww in w.terms):
+        raise FormError("%s is not homogeneous of degree %d"
+                        % (type(w).__name__, n))
+    target = w if isinstance(w, AbClass) else project_ab(w)
+    proj = abelianization(w.algebra, n)
+    solver, _ = proj.dbar()
+    sol = solver.solve({proj.quotient_index[ww]: c
+                        for ww, c in target.terms.items()})
     if sol is None:
         return False, None
-    return True, UForm(alg, {q: c for q, c in sol.items()})
+    return True, UForm(w.algebra, sol)
 
 
 def de_rham_homology(algebra: Algebra, n: int):
     """Noncommutative de Rham homology H_n of (Omega_ab, dbar).
 
-    Returns (dimension, list of representative UForms).
+    Returns (dimension, list of representative UForms): the kernel vectors
+    of dbar on degree n that are independent modulo the image of dbar on
+    degree n - 1.
     """
-    proj_n = abelianization(algebra, n)
-    proj_up = abelianization(algebra, n + 1)
-    qn = proj_n.quotient_words
-    # kernel of dbar_n
-    ech_d = TrackedEchelon(len(proj_up.quotient_words))
-    kernel = []
-    for k, q in enumerate(qn):
-        dv = project_ab(UForm.word(algebra, q).d())
-        col = {proj_up.quotient_index[w]: c for w, c in dv.terms.items()}
-        dep = ech_d.add(col, k)
-        if dep is not None:
-            kernel.append({k: Q1, **{j: -v for j, v in dep.items()}})
-    # image of dbar_{n-1}
-    ech = Echelon()
-    if n > 0:
-        proj_prev = abelianization(algebra, n - 1)
-        for q in proj_prev.quotient_words:
-            dv = project_ab(UForm.word(algebra, q).d())
-            ech.add({proj_n.quotient_index[w]: c
-                     for w, c in dv.terms.items()})
+    proj = abelianization(algebra, n)
+    _, kernel = abelianization(algebra, n + 1).dbar()
+    # a copy, so the memoized solver of dbar never learns the kernel
+    image = proj.dbar()[0].copy()
     reps = []
     for vec in kernel:
-        if ech.add(vec):
-            reps.append(UForm(algebra, {qn[i]: c for i, c in vec.items()}))
+        if image.add({proj.quotient_index[q]: c for q, c in vec.items()},
+                     None) is None:
+            reps.append(UForm(algebra, vec))
     return len(reps), reps
 
 
@@ -559,48 +493,23 @@ def extend_hom(psi: AlgebraHom):
     """The unique DGA map psi^u with psi^u(a0 da1...dan) =
     psi(a0) d psi(a1) ... d psi(an); returns a function on UForms."""
     src, tgt = psi.source, psi.target
+    gens = [UForm.from_element(psi(src.basis(i))) for i in range(src.dim)]
+    dgens = [g.d() for g in gens]
+    images = {}
 
-    def apply_word(word):
-        cols = []
-        a0col = [(l, psi.matrix[l][word[0]]) for l in range(tgt.dim)
-                 if psi.matrix[l][word[0]]]
-        for ij in word[1:]:
-            col = [(k, psi.matrix[k][ij]) for k in range(1, tgt.dim)
-                   if psi.matrix[k][ij]]
-            cols.append(col)
-        out = {}
-        for l, c0 in a0col:
-            for choice in itertools.product(*cols):
-                coeff = c0
-                for _, ck in choice:
-                    coeff = coeff * ck
-                w = (l,) + tuple(k for k, _ in choice)
-                v = out.get(w, Q0) + coeff
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
-        return out
-
-    cache = {}
+    def image(word):
+        img = images.get(word)
+        if img is None:
+            img = gens[word[0]]
+            for i in word[1:]:
+                img = img * dgens[i]
+            images[word] = img
+        return img
 
     def apply_form(u: UForm) -> UForm:
         if u.algebra != src:
             raise FormError("form does not live over the source algebra")
-        acc = {}
-        for word, c in u.terms.items():
-            img = cache.get(word)
-            if img is None:
-                img = apply_word(word)
-                cache[word] = img
-            for w, s in img.items():
-                v = acc.get(w, 0) + c * s if w in acc else c * s
-                if v:
-                    acc[w] = v
-                elif w in acc:
-                    del acc[w]
-        r = UForm(tgt)
-        r.terms = acc
-        return r
+        return UForm(tgt, ((w, c * s) for word, c in u.terms.items()
+                           for w, s in image(word).terms.items()))
 
     return apply_form

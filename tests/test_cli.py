@@ -104,6 +104,22 @@ class TestChern:
         rep = json.loads(out.read_text())
         assert [c["degree"] for c in rep["classes"]] == [0, 2, 4]
 
+    def test_word_out_of_range_under_optimize(self, tmp_path):
+        # the word-range check must not hang on __debug__: under
+        # `python -O` a theta word outside the algebra still exits 3
+        conn = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                "theta": [[[{"degree": 1, "word": [0, 5], "coeff": "1"}]]]}
+        f = tmp_path / "conn.json"
+        f.write_text(json.dumps(conn))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-m", "kchern.cli",
+                              "chern", "--fixture", "dual",
+                              "--connection", str(f)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 3, out.stderr
+        assert "word index out of range" in out.stderr
+
     def test_random_seeded(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -67,6 +67,13 @@ class TestPoly1:
         assert Poly1({(1,): 0}).coeffs == {}
 
 
+def test_constant_hashes_as_its_fraction():
+    # a constant polynomial equals its Fraction, so the hashes must agree
+    for q in (Q0, Fraction(3, 2)):
+        assert Poly1.const(q) == q and hash(Poly1.const(q)) == hash(q)
+        assert Poly2.const(q) == q and hash(Poly2.const(q)) == hash(q)
+
+
 class TestPoly2:
     s = Poly2({(1, 0): Q1})
     t = Poly2({(0, 1): Q1})

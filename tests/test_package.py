@@ -1,5 +1,6 @@
 """Package hygiene: clean compilation and a consistent version string."""
 
+import ast
 import pathlib
 import re
 import warnings
@@ -16,6 +17,18 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_no_optimize_dependent_code():
+    # `python -O` strips assert statements and makes __debug__ False, so
+    # no check in the library may be written with either
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Assert)
+                    or isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
 
 
 def test_version_matches_pyproject():

@@ -12,11 +12,11 @@ from kchern.algebra import Algebra, AlgebraHom
 from kchern.exactmath import Echelon, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
-from kchern.uforms import (AbClass, AbProjection, DegreeCapError, UForm,
-                           ab_d, abelianization, de_rham_homology,
+from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
+                           UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           word_degree, _word_mul)
+                           to_poly, word_degree, _word_mul)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -133,6 +133,30 @@ class TestWordModel:
         w = eps.d() * eps.d()
         with pytest.raises(DegreeCapError):
             w * eps.d()
+
+    def test_word_products_are_read_only(self):
+        # the memoized products are shared by every caller
+        alg = make_fixture("x3")
+        for w1, w2 in (((1,), (1,)), ((1, 2), (2,)), ((2, 1), (1, 2))):
+            prod = _word_mul(alg, w1, w2)
+            with pytest.raises(TypeError):
+                prod[(0,)] = Q1
+            assert _word_mul(alg, w1, w2) is prod
+
+    def test_poly_scalars_hash_like_fractions(self):
+        # equal forms hash equally whatever the scalar type
+        dual = make_fixture("dual")
+        u = UForm(dual, {(1,): 3})
+        assert len({u, to_poly(u, 1)}) == 1
+
+    def test_forms_and_classes_do_not_mix(self):
+        dual = make_fixture("dual")
+        u = UForm.word(dual, (1, 1, 1))
+        cls = project_ab(u)
+        with pytest.raises(FormError):
+            u + cls
+        with pytest.raises(FormError):
+            cls + u
 
     def test_bimodule_law_degree_one(self):
         # a db . c = a d(bc) - ab dc: the kernel-of-multiplication model
@@ -304,6 +328,23 @@ class TestHomology:
         assert canonical_forms_digest() == (
             "adb651ee519dd95bd98ef5ab5a282e1eb0212305dcd5e9975483865f6b0eea9f")
 
+    def test_homology_then_exactness(self):
+        # homology and exactness solves share the memoized dbar: computing
+        # homology first must not change what is_exact_in_ab decides
+        rng = random.Random(14)
+        for name, top in (("M2", 2), ("QxQ", 3)):
+            alg = make_fixture(name)
+            for n in range(top + 1):
+                _, reps = de_rham_homology(alg, n)
+                for rep in reps:
+                    assert is_exact_in_ab(rep, n) == (False, None)
+                if n:
+                    target = project_ab(rand_homogeneous(alg, rng, n - 1,
+                                                         terms=3).d())
+                    ok, prim = is_exact_in_ab(target, n)
+                    assert ok
+                    assert project_ab(prim.d()) == target
+
     def test_exactness_certificates(self):
         rng = random.Random(12)
         for name in ("dual", "x3", "C2"):
@@ -325,6 +366,14 @@ class TestExtendHom:
         qq = make_fixture("QxQ")
         yield AlgebraHom(x3, dual, [[Q1, Q0, Q0], [Q0, Q1, Q0]])
         yield AlgebraHom(qq, q, [[Q1, Q1]])
+        yield AlgebraHom(q, qq, [[Q1], [Q0]])
+        yield self._x3_shear()
+
+    @staticmethod
+    def _x3_shear():
+        """The automorphism x -> x + x^2 of Q[x]/(x^3)."""
+        x3 = make_fixture("x3")
+        return AlgebraHom(x3, x3, [[Q1, Q0, Q0], [Q0, Q1, Q0], [Q0, Q1, Q1]])
 
     def test_chain_map_and_multiplicative(self):
         rng = random.Random(13)
@@ -340,3 +389,8 @@ class TestExtendHom:
         for psi in self._homs():
             f = extend_hom(psi)
             assert f(UForm.unit(psi.source)) == UForm.unit(psi.target)
+        # x dx -> (x + x^2) d(x + x^2) = x dx + x dx^2 + x^2 dx + x^2 dx^2
+        shear = self._x3_shear()
+        image = extend_hom(shear)(UForm.word(shear.source, (1, 1)))
+        assert image.terms == {(1, 1): Q1, (1, 2): Q1, (2, 1): Q1,
+                               (2, 2): Q1}
