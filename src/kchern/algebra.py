@@ -5,9 +5,7 @@ and validated algebra homomorphisms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactmath import Q0, Q1, TrackedEchelon, rat_from_str, rat_to_str
+from .exactmath import Q0, Q1, TrackedEchelon, rat, rat_from_str, rat_to_str
 
 
 class AlgebraError(ValueError):
@@ -37,7 +35,7 @@ class Algebra:
                 raise AlgebraError("mul table is not square")
             row = []
             for j in range(m):
-                vec = [Fraction(c) for c in mul[i][j]]
+                vec = [rat(c) for c in mul[i][j]]
                 if len(vec) != m:
                     raise AlgebraError("mul table entry has wrong length")
                 row.append(tuple(vec))
@@ -108,7 +106,8 @@ class Algebra:
 
 class AlgElement:
     """Element of an Algebra: a coefficient vector over a scalar ring
-    (Fraction, or a Poly in the parameters of a family)."""
+    (rationals, or a Poly in the parameters of a family); the structure
+    constants are stored as `rat` gives, so integral products stay int."""
 
     __slots__ = ("algebra", "vec")
 
@@ -193,7 +192,7 @@ def _express_in_basis(basis_vecs, dim):
             raise AlgebraError("proposed basis is dependent")
 
     def express(vec):
-        sol = ech.solve({i: Fraction(c) for i, c in enumerate(vec) if c})
+        sol = ech.solve({i: rat(c) for i, c in enumerate(vec) if c})
         if sol is None:
             raise AlgebraError("vector outside basis span")
         return tuple(sol.get(i, Q0) for i in range(len(basis_vecs)))
@@ -342,7 +341,7 @@ class AlgebraHom:
         self.target = target
         rows = []
         for r in matrix:
-            row = tuple(Fraction(c) for c in r)
+            row = tuple(rat(c) for c in r)
             if len(row) != source.dim:
                 raise AlgebraError("hom matrix has wrong shape")
             rows.append(row)

@@ -140,7 +140,7 @@ class Connection:
 
     R counts the parameters of a polynomial family of connections: theta
     has Poly scalars in R variables (coerced here), and R = 0 is a single
-    connection with Fraction scalars.
+    connection with rational scalars.
     """
 
     __slots__ = ("p", "theta", "algebra")
@@ -296,7 +296,7 @@ def _random_element(alg: Algebra, rng: random.Random) -> AlgElement:
         if rng.random() < 0.5:
             vec.append(Q0)
         else:
-            vec.append(Fraction(rng.randint(-2, 2)))
+            vec.append(rng.randint(-2, 2))
     return AlgElement(alg, vec)
 
 
@@ -331,7 +331,7 @@ def _random_degree1(alg: Algebra, rng: random.Random) -> UForm:
         return UForm.zero(alg)
     for _ in range(rng.randint(1, 2)):
         w = words[rng.randrange(len(words))]
-        c = Fraction(rng.randint(-2, 2))
+        c = rng.randint(-2, 2)
         if c:
             terms[w] = terms.get(w, Q0) + c
     return UForm(alg, terms)
@@ -386,9 +386,9 @@ def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     alg = p.algebra
     ident, g, ginv = _random_unipotent(alg, p.size, rng)
-    alpha = Fraction(rng.choice([1, 2, -2, 3]))
+    alpha = rng.choice([1, 2, -2, 3])
     c = ident + p.mat.map(lambda e: e.scale(alpha))
-    cinv = ident + p.mat.map(lambda e: e.scale(-alpha / (1 + alpha)))
+    cinv = ident + p.mat.map(lambda e: e.scale(Fraction(-alpha, 1 + alpha)))
     h = g * c
     hinv = cinv * ginv
     p1 = Idempotent(alg, g * p.mat * ginv)

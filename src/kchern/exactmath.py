@@ -2,9 +2,11 @@
 family, and sparse exact echelon forms (canonical residuals and tracked
 solves).
 
-Rationals are ``fractions.Fraction`` (canonical reduced form, arbitrary
-precision); they serialize as "num/den" strings with the denominator
-omitted when it is 1.
+Rationals are stored as `rat` gives them: an ``int`` when the denominator
+is 1, else a reduced ``fractions.Fraction``, so integral arithmetic stays on
+the fast ``int`` path.  Equal values of the two types compare and hash equal
+and serialize alike, as "num/den" strings with the denominator omitted when
+it is 1.  Only this module divides, because int / int gives a float.
 """
 
 from __future__ import annotations
@@ -14,20 +16,35 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Q0 = 0
+Q1 = 1
 
 
-def rat_to_str(q: Fraction) -> str:
+def rat(x):
+    """The stored form of the rational x (an int or a Fraction): an int
+    when its denominator is 1, else the Fraction.  Anything else, floats
+    and bools included, raises TypeError.  Arithmetic can still produce an
+    integral Fraction (1/2 + 1/2); where it is stored, rat makes it an int."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError("not an exact rational: %r" % (x,))
+
+
+def rat_to_str(q) -> str:
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def rat_from_str(s: str) -> Fraction:
+def rat_from_str(s: str):
+    """Parse a "num/den" (or integer) string into its stored form."""
+    if not isinstance(s, str):
+        raise TypeError("rationals are \"num/den\" strings, not %r" % (s,))
     try:
-        return Fraction(s)
+        return rat(Fraction(s))
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,))
 
@@ -50,12 +67,12 @@ def _sparse(pairs) -> dict:
 
 class Poly:
     """Polynomial over Q in NVARS commuting variables (the parameters of a
-    family), as a sparse map exponent tuple -> nonzero Fraction.
+    family), as a sparse map exponent tuple -> nonzero rational (see `rat`).
 
     Values are immutable.  Arithmetic accepts int, Fraction and polynomials
     of the same type only, so mixing arities raises TypeError; `lift` moves
     a polynomial to more variables.  Removing the last variable (`subs`,
-    `integrate01` at NVARS = 1) gives a Fraction.
+    `integrate01` at NVARS = 1) gives a rational.
     """
 
     __slots__ = ("coeffs",)
@@ -68,18 +85,18 @@ class Poly:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        self.coeffs = _sparse((e, Fraction(c)) for e, c in items)
+        self.coeffs = _sparse((e, rat(c)) for e, c in items)
 
     @classmethod
     def _new(cls, cs: dict) -> "Poly":
-        """Wrap a dict of nonzero Fractions without copying or coercing."""
+        """Wrap a dict of nonzero rationals without copying or coercing."""
         r = object.__new__(cls)
         r.coeffs = cs
         return r
 
     @classmethod
     def const(cls, q) -> "Poly":
-        q = Fraction(q)
+        q = rat(q)
         return cls._new({(0,) * cls.NVARS: q} if q else {})
 
     @classmethod
@@ -155,6 +172,7 @@ class Poly:
                 return NotImplemented
             if not other:
                 return self._new({})
+            other = rat(other)
             return self._new({e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, a in self.coeffs.items():
@@ -185,11 +203,11 @@ class Poly:
 
     def integrate01(self, i: int):
         """Definite integral of variable i over [0, 1], exact."""
-        return self._collapse(i, lambda k: Fraction(1, k + 1))
+        return self._collapse(i, lambda k: rat(Fraction(1, k + 1)))
 
     def subs(self, i: int, x):
         """Evaluate variable i at the rational x."""
-        x = Fraction(x)
+        x = rat(x)
         return self._collapse(i, lambda k: x ** k)
 
     def reflect(self, i: int) -> "Poly":
@@ -248,8 +266,8 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """Canonical residual of vec modulo the current row space.
 
-        Values may live in any commutative ring containing Q (Fraction, Poly1,
-        Poly2); pivot rows always have Fraction entries.
+        Values may live in any commutative ring containing Q (rationals,
+        Poly1, Poly2); pivot rows always hold rationals as `rat` gives them.
         """
         work = dict(vec)
         out = {}
@@ -287,8 +305,8 @@ class Echelon:
     def _store(self, r: dict):
         """Store a nonzero residual, normalized, as the row of its pivot."""
         i = min(r)
-        inv = Q1 / r[i]
-        self.pivots[i] = {j: v * inv for j, v in r.items()}
+        inv = Fraction(1) / r[i]
+        self.pivots[i] = {j: rat(v * inv) for j, v in r.items()}
 
 
 class TrackedEchelon(Echelon):

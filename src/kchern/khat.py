@@ -8,7 +8,6 @@ Everything here is a verifier: witnesses are supplied, never searched for.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import Algebra
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
@@ -197,7 +196,7 @@ def _random_odd_form(alg: Algebra, rng: random.Random,
             continue
         for _ in range(rng.randint(0, 2)):
             w = words[rng.randrange(len(words))]
-            c = Fraction(rng.randint(-2, 2))
+            c = rng.randint(-2, 2)
             if c:
                 terms[w] = terms.get(w, Q0) + c
     return UForm(alg, terms)

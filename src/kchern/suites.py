@@ -40,7 +40,7 @@ def _random_form(alg: Algebra, rng: random.Random, max_degree: int,
         if not words:
             continue
         w = words[rng.randrange(len(words))]
-        c = Fraction(rng.randint(-3, 3))
+        c = rng.randint(-3, 3)
         if c:
             out[w] = out.get(w, Q0) + c
     return UForm(alg, out)
@@ -54,7 +54,7 @@ def _random_homogeneous(alg: Algebra, rng: random.Random, degree: int,
         return UForm(alg)
     for _ in range(terms):
         w = words[rng.randrange(len(words))]
-        c = Fraction(rng.randint(-3, 3))
+        c = rng.randint(-3, 3)
         if c:
             out[w] = out.get(w, Q0) + c
     return UForm(alg, out)

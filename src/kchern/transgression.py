@@ -178,7 +178,6 @@ class CylForm:
 
     def restrict(self, i: int, x):
         """ev: set parameter i to the rational x; parts with dx_i die."""
-        x = Fraction(x)
         return self._drop(i, False, lambda q: q.subs(i, x))
 
     def __eq__(self, other):
@@ -225,7 +224,6 @@ class PolyPath(Connection):
     def restrict(self, i: int, x) -> Connection:
         """Set parameter i to the rational x: a family of the base class (a
         Connection for a path, a path for a bigon)."""
-        x = Fraction(x)
         theta = self.theta.map(
             lambda u: u.map_scalars(lambda q: q.subs(i, x)))
         return type(self).__base__(self.p, theta)

@@ -22,7 +22,7 @@ import itertools
 from types import MappingProxyType
 
 from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import Echelon, Poly, Q0, Q1, TrackedEchelon
+from .exactmath import Echelon, Poly, Q0, Q1, TrackedEchelon, rat
 
 
 class DegreeCapError(ValueError):
@@ -59,7 +59,7 @@ def enumerate_words(algebra: Algebra, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _word_times_elem(alg: Algebra, w, j):
-    """The product (basis word w) * e_j as a read-only map word -> Fraction.
+    """The product (basis word w) * e_j as a read-only map word -> rational.
 
     Uses d e_i * e_j = d(e_i e_j) - e_i * d e_j recursively; the recursion
     strictly shortens w, and only degree-0 elements ever cross a d.
@@ -92,12 +92,12 @@ def _word_times_elem(alg: Algebra, w, j):
                     out[wk] = v
                 elif wk in out:
                     del out[wk]
-    out = cache[key] = MappingProxyType(out)
+    out = cache[key] = MappingProxyType({w: rat(c) for w, c in out.items()})
     return out
 
 
 def _word_mul(alg: Algebra, w1, w2):
-    """Product of two basis words as a read-only map word -> Fraction."""
+    """Product of two basis words as a read-only map word -> rational."""
     key = (w1, w2)
     cache = alg._wordmul
     hit = cache.get(key)
@@ -116,6 +116,16 @@ def _word_mul(alg: Algebra, w1, w2):
 # ---------------------------------------------------------------------------
 # Forms
 # ---------------------------------------------------------------------------
+
+def _scalar(c):
+    """A form scalar as stored: a Poly as it is, a rational as `rat` gives."""
+    if isinstance(c, Poly):
+        return c
+    try:
+        return rat(c)
+    except TypeError as exc:
+        raise FormError(str(exc)) from None
+
 
 class _Terms:
     """Sparse map from basis words to nonzero scalars over an algebra: the
@@ -153,6 +163,7 @@ class _Terms:
                           {w: f(c) for w, c in self.terms.items()})
 
     def scale(self, scalar):
+        scalar = _scalar(scalar)
         if not scalar:
             return self._like({})
         return self._like({w: c * scalar for w, c in self.terms.items()})
@@ -193,8 +204,9 @@ class _Terms:
 class UForm(_Terms):
     """Sparse element of Omega^u_*(A); may mix degrees.
 
-    Scalars are Fraction or Poly (duck-typed; both support ring arithmetic
-    and are falsy exactly at zero).
+    Scalars are rationals, stored as `rat` gives them, or Poly; both support
+    ring arithmetic and are falsy exactly at zero.  The constructor and
+    `scale` refuse anything else with FormError.
     """
 
     __slots__ = ()
@@ -204,6 +216,7 @@ class UForm(_Terms):
         t = {}
         if terms:
             for w, c in (terms.items() if isinstance(terms, dict) else terms):
+                c = _scalar(c)
                 if c:
                     if w in t:
                         v = t[w] + c

@@ -5,6 +5,7 @@ success; any assertion failure is a criterion failure.  Time bounds are
 asserted with wall-clock measurements.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -215,6 +216,13 @@ def _strip_timing(obj):
     return obj
 
 
+# sha256 of the timing-stripped `verify --suite all --seed 7` report: a
+# change of scalar representation or of an algorithm must leave every
+# reported value as it is
+VERIFY_ALL_SEED7_SHA256 = (
+    "a36238b19b63b92114b1e1885da0a7ad2d1a97d7684f9a9d14c6beb4ed23fbe1")
+
+
 def test_criterion_9_cli_reproducibility(tmp_path):
     t0 = time.perf_counter()
     outputs = []
@@ -230,7 +238,9 @@ def test_criterion_9_cli_reproducibility(tmp_path):
         outputs.append(json.dumps(_strip_timing(rep), sort_keys=True))
     elapsed = time.perf_counter() - t0
     assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == \
+        VERIFY_ALL_SEED7_SHA256
     assert elapsed < 600
     announce(9, "verify --suite all --seed 7 deterministic (two runs, "
-                "timing-stripped reports identical) in %.1fs total"
+                "timing-stripped reports identical and pinned) in %.1fs total"
              % elapsed)

@@ -70,6 +70,16 @@ class TestAlgebraCheck:
         assert run(["algebra-check", "/nonexistent/nowhere.json"]) == 2
 
 
+def _numeric_table(tmp_path):
+    # M2 with its structure constants as JSON numbers, not "num/den"
+    data = algebra_to_json(make_fixture("M2"))
+    data["mul"] = [[[float(c) for c in entry] for entry in row]
+                   for row in data["mul"]]
+    f = tmp_path / "numeric.json"
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
 class TestHomology:
     def test_golden(self, tmp_path):
         out = tmp_path / "h.json"
@@ -80,6 +90,11 @@ class TestHomology:
 
     def test_cap_exceeded(self):
         assert run(["homology", "--fixture", "Q", "--degree", "9"]) == 3
+
+    def test_numeric_rationals_are_parse_errors(self, tmp_path):
+        f = _numeric_table(tmp_path)
+        assert run(["homology", "--algebra", f, "--degree", "1"]) == 2
+        assert run(["algebra-check", f]) == 2
 
     def test_degree_at_cap_needs_one_more(self, capsys):
         # H_n reads the complex in degree n + 1, so n = cap is refused up

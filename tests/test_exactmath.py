@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kchern.exactmath import (Echelon, Poly1, Poly2, Q0, Q1, TrackedEchelon,
-                              rat_from_str, rat_to_str)
+                              rat, rat_from_str, rat_to_str)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -25,6 +25,40 @@ class TestRationalStrings:
             rat_from_str("1/0")
         with pytest.raises((ValueError, TypeError)):
             rat_from_str("x")
+
+    def test_only_strings_parse(self):
+        # JSON numbers are not "num/den" strings: 1.0 or 0.1 would pass
+        # through Fraction as a binary float
+        for bad in (1, 1.0, 0.1, None, [1]):
+            with pytest.raises(TypeError):
+                rat_from_str(bad)
+        assert type(rat_from_str("6/3")) is int
+        assert rat_from_str("-6/4") == Fraction(-3, 2)
+
+
+class TestStoredForm:
+    def test_integral_values_are_ints(self):
+        assert rat(Fraction(6, 3)) == 2 and type(rat(Fraction(6, 3))) is int
+        assert type(rat(-4)) is int
+        assert type(rat(Fraction(1, 2))) is Fraction
+        for bad in (0.5, 1.0, True, "1", None):
+            with pytest.raises(TypeError):
+                rat(bad)
+
+    def test_polynomials_refuse_floats(self):
+        with pytest.raises(TypeError):
+            Poly1({(1,): 0.1})
+        with pytest.raises(TypeError):
+            Poly2.const(0.5)
+        assert type(Poly1({(1,): Fraction(4, 2)}).coeffs[(1,)]) is int
+
+    def test_echelon_rows_are_stored_forms(self):
+        # the pivot is normalized by an exact inverse, never by 1 / int
+        ech = Echelon()
+        ech.add({0: 2, 1: 1})
+        row = ech.pivots[0]
+        assert row == {0: 1, 1: Fraction(1, 2)}
+        assert type(row[0]) is int and type(row[1]) is Fraction
 
 
 class TestPoly1:

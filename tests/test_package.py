@@ -31,6 +31,20 @@ def test_no_optimize_dependent_code():
     assert not found
 
 
+def test_true_division_only_in_exactmath():
+    # int / int is a float; exact division lives in exactmath, which
+    # divides Fractions only
+    found = []
+    for path in SOURCES:
+        if path.name == "exactmath.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
 def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -157,6 +157,41 @@ class TestWordModel:
             u + cls
         with pytest.raises(FormError):
             cls + u
+        # nor is a class a scalar of a form, on either side
+        with pytest.raises(FormError):
+            u * cls
+        with pytest.raises(FormError):
+            cls * u
+
+    def test_scalars_are_exact(self):
+        dual = make_fixture("dual")
+        with pytest.raises(FormError):
+            UForm(dual, {(1, 1, 1): 0.5})
+        u = UForm.word(dual, (1, 1, 1))
+        for bad in (0.25, "2"):
+            with pytest.raises(FormError):
+                u * bad
+            with pytest.raises(FormError):
+                bad * u
+        v = UForm(dual, {(1,): Fraction(3)})
+        assert type(v.terms[(1,)]) is int
+        assert type((u * Fraction(4, 2)).terms[(1, 1, 1)]) is int
+
+    def test_stored_scalars_keep_one_representation(self):
+        # integral rationals are stored as int, everything else as a
+        # Fraction with denominator > 1
+        def canonical(c):
+            return type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1)
+
+        alg = make_fixture("M2")
+        abelianization(alg, 4)
+        for n in range(5):
+            for row in abelianization(alg, n).echelon.pivots.values():
+                assert all(canonical(c) for c in row.values())
+        assert alg._wordmul
+        for prod in alg._wordmul.values():
+            assert all(canonical(c) for c in prod.values())
 
     def test_bimodule_law_degree_one(self):
         # a db . c = a d(bc) - ab dc: the kernel-of-multiplication model
