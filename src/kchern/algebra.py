@@ -105,58 +105,59 @@ class Algebra:
 
 
 class AlgElement:
-    """Element of an Algebra: a coefficient vector over a scalar ring
-    (rationals, or a Poly in the parameters of a family); the structure
-    constants are stored as `rat` gives, so integral products stay int."""
+    """Element of an Algebra: a vector of rational coefficients.  The
+    constructor stores each as `rat` gives (an int when integral), so a
+    float or a Poly raises TypeError.  Arithmetic results skip that pass
+    (see `_like`): arithmetic on rationals stays exact."""
 
     __slots__ = ("algebra", "vec")
 
     def __init__(self, algebra: Algebra, vec):
-        vec = tuple(vec)
+        vec = tuple(map(rat, vec))
         if len(vec) != algebra.dim:
             raise AlgebraError("coefficient vector length mismatch")
         self.algebra = algebra
         self.vec = vec
 
+    def _like(self, vec: tuple) -> "AlgElement":
+        """An element of the same algebra wrapping `vec`, unchecked; an
+        integral entry may stay a Fraction.  `rat` on every product and sum
+        cost the K-hat layer a fifth of its throughput."""
+        r = object.__new__(AlgElement)
+        r.algebra = self.algebra
+        r.vec = vec
+        return r
+
     def __add__(self, other):
         self._check(other)
-        return AlgElement(self.algebra,
-                          tuple(a + b for a, b in zip(self.vec, other.vec)))
+        return self._like(tuple(a + b for a, b in zip(self.vec, other.vec)))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElement(self.algebra,
-                          tuple(a - b for a, b in zip(self.vec, other.vec)))
+        return self._like(tuple(a - b for a, b in zip(self.vec, other.vec)))
 
     def __neg__(self):
-        return AlgElement(self.algebra, tuple(-a for a in self.vec))
+        return self._like(tuple(-a for a in self.vec))
 
     def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            self._check(other)
-            m = self.algebra.dim
-            table = self.algebra.mul
-            out = [Q0] * m
-            for i, ca in enumerate(self.vec):
-                if ca:
-                    for j, cb in enumerate(other.vec):
-                        if cb:
-                            c = ca * cb
-                            row = table[i][j]
-                            for k in range(m):
-                                if row[k]:
-                                    out[k] = out[k] + c * row[k]
-            return AlgElement(self.algebra, out)
-        return AlgElement(self.algebra, tuple(c * other for c in self.vec))
-
-    def __rmul__(self, scalar):
-        return AlgElement(self.algebra, tuple(scalar * c for c in self.vec))
+        self._check(other)
+        m = self.algebra.dim
+        table = self.algebra.mul
+        out = [Q0] * m
+        for i, ca in enumerate(self.vec):
+            if ca:
+                for j, cb in enumerate(other.vec):
+                    if cb:
+                        c = ca * cb
+                        row = table[i][j]
+                        for k in range(m):
+                            if row[k]:
+                                out[k] = out[k] + c * row[k]
+        return self._like(tuple(out))
 
     def scale(self, scalar):
-        return AlgElement(self.algebra, tuple(c * scalar for c in self.vec))
-
-    def is_zero(self):
-        return not any(self.vec)
+        scalar = rat(scalar)
+        return self._like(tuple(c * scalar for c in self.vec))
 
     def __bool__(self):
         return any(bool(c) for c in self.vec)
@@ -399,13 +400,41 @@ def algebra_to_json(a: Algebra) -> dict:
     }
 
 
-def algebra_from_json(data: dict, degree_cap: int = 8) -> Algebra:
+def table_from_json(data):
+    """The (mul, names) of an algebra payload {"dim", "mul", "names"?}, with
+    each rational parsed once.  A payload of the wrong shape raises
+    AlgebraError; a rational that is not a "num/den" string raises TypeError
+    or ValueError.  Unit, associativity and names are left to Algebra."""
     if not isinstance(data, dict) or "dim" not in data or "mul" not in data:
         raise AlgebraError("algebra JSON must have 'dim' and 'mul'")
     dim = data["dim"]
     mul = data["mul"]
-    if len(mul) != dim:
-        raise AlgebraError("mul table size does not match dim")
-    table = [[[rat_from_str(c) for c in mul[i][j]] for j in range(dim)]
-             for i in range(dim)]
-    return Algebra(table, names=data.get("names"), degree_cap=degree_cap)
+    if type(dim) is not int or dim < 1:
+        raise AlgebraError("'dim' must be a positive integer")
+    if not isinstance(mul, list) or len(mul) != dim:
+        raise AlgebraError("'mul' must be a dim x dim table")
+    table = []
+    for row in mul:
+        if not isinstance(row, list) or len(row) != dim:
+            raise AlgebraError("'mul' must be a dim x dim table")
+        for entry in row:
+            if not isinstance(entry, list) or len(entry) != dim:
+                raise AlgebraError("each product must be a length-dim vector")
+        table.append([[rat_from_str(c) for c in entry] for entry in row])
+    return table, data.get("names")
+
+
+def unit_index(mul):
+    """The basis index of a two-sided unit of a parsed table, or None."""
+    dim = len(mul)
+    basis = [[Q1 if k == j else Q0 for k in range(dim)] for j in range(dim)]
+    for u in range(dim):
+        if all(mul[u][j] == e and mul[j][u] == e
+               for j, e in enumerate(basis)):
+            return u
+    return None
+
+
+def algebra_from_json(data: dict, degree_cap: int = 8) -> Algebra:
+    mul, names = table_from_json(data)
+    return Algebra(mul, names=names, degree_cap=degree_cap)

@@ -11,17 +11,16 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, algebra_from_json
-from .connections import (Connection, ConnectionError_, chern,
-                          random_connection, random_idempotent)
-from .exactmath import Q0, Q1, rat_from_str
+from .algebra import Algebra, AlgebraError, table_from_json, unit_index
+from .connections import (ConnectionError_, chern, random_connection,
+                          random_idempotent)
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .serialize import (abclass_to_json, connection_from_json, form_to_json,
-                        path_from_json)
+                        is_connection_pair, path_from_json)
 from .suites import SUITES, run_suite
 from .transgression import kcs as kcs_forms
-from .transgression import reverse_path, straight_line
-from .uforms import (AbClass, DegreeCapError, FormError, ab_d, abelianization,
+from .transgression import reverse_path
+from .uforms import (DegreeCapError, FormError, ab_d, abelianization,
                      de_rham_homology, dimension)
 
 EXIT_OK = 0
@@ -55,56 +54,22 @@ def _emit(report, out_path):
         print(text)
 
 
-def _check_algebra_payload(data):
-    """Structural (parse-level) checks before semantic validation."""
-    if not isinstance(data, dict) or "dim" not in data or "mul" not in data:
-        raise CliError("algebra JSON must be an object with 'dim' and 'mul'",
-                       EXIT_PARSE)
-    dim = data["dim"]
-    mul = data["mul"]
-    if not isinstance(dim, int) or dim < 1:
-        raise CliError("'dim' must be a positive integer", EXIT_PARSE)
-    if not isinstance(mul, list) or len(mul) != dim:
-        raise CliError("'mul' must be a dim x dim table", EXIT_PARSE)
-    for row in mul:
-        if not isinstance(row, list) or len(row) != dim:
-            raise CliError("'mul' must be a dim x dim table", EXIT_PARSE)
-        for entry in row:
-            if not isinstance(entry, list) or len(entry) != dim:
-                raise CliError("each product must be a length-dim vector",
-                               EXIT_PARSE)
-            for c in entry:
-                try:
-                    rat_from_str(c)
-                except (ValueError, TypeError) as exc:
-                    raise CliError("bad rational %r: %s" % (c, exc),
-                                   EXIT_PARSE)
-
-
-def _find_unit_index(data):
-    """Look for a basis index acting as a two-sided unit in a raw table."""
-    dim = data["dim"]
-    mul = [[[rat_from_str(c) for c in entry] for entry in row]
-           for row in data["mul"]]
-    for u in range(dim):
-        ok = True
-        for j in range(dim):
-            ej = [Q1 if k == j else Q0 for k in range(dim)]
-            if mul[u][j] != ej or mul[j][u] != ej:
-                ok = False
-                break
-        if ok:
-            return u
-    return None
+def _load_table(path):
+    """The parsed (mul, names) of an algebra file.  Any fault so far is a
+    parse error; Algebra(mul, ...) then validates what parsed."""
+    data = _load_json(path)
+    try:
+        return table_from_json(data)
+    except (ValueError, TypeError) as exc:
+        raise CliError(exc, EXIT_PARSE)
 
 
 def _resolve_algebra(args):
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return make_fixture(args.fixture, args.degree_cap)
-    if getattr(args, "algebra", None):
-        data = _load_json(args.algebra)
-        _check_algebra_payload(data)
-        return algebra_from_json(data, degree_cap=args.degree_cap)
+    if args.algebra:
+        mul, names = _load_table(args.algebra)
+        return Algebra(mul, names=names, degree_cap=args.degree_cap)
     raise CliError("provide --fixture or --algebra", EXIT_PARSE)
 
 
@@ -113,26 +78,20 @@ def _legend(alg, n):
     return [list(w) for w in ab.quotient_words]
 
 
-def _class_json(cls: AbClass):
-    return abclass_to_json(cls)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_algebra_check(args):
-    data = _load_json(args.file)
-    _check_algebra_payload(data)
+    mul, names = _load_table(args.file)
     try:
-        alg = algebra_from_json(data, degree_cap=args.degree_cap)
+        alg = Algebra(mul, names=names, degree_cap=args.degree_cap)
     except AlgebraError as exc:
         report = {"status": "fail", "message": str(exc)}
-        if "unit is not basis element 0" in str(exc):
-            u = _find_unit_index(data)
-            if u is not None:
-                report["hint"] = ("a two-sided unit exists at basis index %d;"
-                                  " reorder the basis so it is element 0" % u)
+        u = unit_index(mul)
+        if u:
+            report["hint"] = ("a two-sided unit exists at basis index %d;"
+                              " reorder the basis so it is element 0" % u)
         _emit(report, args.out)
         return EXIT_VALIDATION
     report = {
@@ -178,7 +137,7 @@ def cmd_chern(args):
     report = {
         "k_max": args.kmax,
         "classes": [
-            {"k": k, "degree": 2 * k, "class": _class_json(cls),
+            {"k": k, "degree": 2 * k, "class": abclass_to_json(cls),
              "legend": _legend(alg, 2 * k)}
             for k, cls in enumerate(classes)
         ],
@@ -190,31 +149,20 @@ def cmd_chern(args):
 def cmd_kcs(args):
     alg = _resolve_algebra(args)
     data = _load_json(args.path)
-    two_mode = "theta0" in data and "theta1" in data
-    if two_mode:
-        from .serialize import _theta_from_json, idempotent_from_json
-        p = idempotent_from_json(alg, data["idempotent"])
-        c0 = Connection(p, _theta_from_json(alg, data["theta0"]))
-        c1 = Connection(p, _theta_from_json(alg, data["theta1"]))
-        path = straight_line(c0, c1)
-    else:
-        path = path_from_json(alg, data)
+    path = path_from_json(alg, data)
     if args.reverse:
         path = reverse_path(path)
     classes = kcs_forms(path, args.kmax)
     report = {
         "k_max": args.kmax,
         "kcs": [
-            {"k": k + 1, "degree": 2 * k + 1, "class": _class_json(cls),
+            {"k": k + 1, "degree": 2 * k + 1, "class": abclass_to_json(cls),
              "legend": _legend(alg, 2 * k + 1)}
             for k, cls in enumerate(classes)
         ],
     }
-    if two_mode:
-        c_start = path.restrict(0, 0)
-        c_end = path.restrict(0, 1)
-        ch0 = chern(c_start, args.kmax)
-        ch1 = chern(c_end, args.kmax)
+    if is_connection_pair(data):
+        ch0, ch1 = (chern(path.restrict(0, t), args.kmax) for t in (0, 1))
         residuals = []
         for k in range(1, args.kmax + 1):
             resid = ab_d(classes[k - 1]) - (ch1[k] - ch0[k])
@@ -239,12 +187,12 @@ def cmd_verify(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, fixture=True):
+def _add_common(p, kmax=True, algebra=True):
     p.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
+    if kmax:
+        p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--out", default=None)
-    if fixture:
+    if algebra:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--fixture", choices=FIXTURE_NAMES)
         group.add_argument("--algebra", help="algebra JSON file")
@@ -260,18 +208,20 @@ def build_parser():
     p = sub.add_parser("algebra-check",
                        help="validate a structure-constant table")
     p.add_argument("file")
-    _add_common(p, fixture=False)
+    _add_common(p, kmax=False, algebra=False)
     p.set_defaults(fn=cmd_algebra_check)
 
     p = sub.add_parser("homology", help="de Rham homology of the "
                                         "abelianized form complex")
     p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
+    _add_common(p, kmax=False)
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("chern", help="Chern character classes of a "
                                      "connection")
     p.add_argument("--connection", help="connection JSON file")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a random connection")
     p.add_argument("--size", type=int, default=2,
                    help="matrix size for --seed random connections")
     _add_common(p)
@@ -292,10 +242,8 @@ def build_parser():
                    choices=SUITES + ("all",))
     p.add_argument("--fixture", action="append", choices=FIXTURE_NAMES,
                    help="restrict to a fixture (repeatable)")
-    p.add_argument("--degree-cap", type=int, default=8, dest="degree_cap")
-    p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_common(p, algebra=False)
     p.set_defaults(fn=cmd_verify)
     return parser
 
@@ -308,10 +256,7 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except DegreeCapError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except (AlgebraError, ConnectionError_, FormError) as exc:
+    except (AlgebraError, ConnectionError_, DegreeCapError, FormError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except (KeyError, ValueError, TypeError) as exc:

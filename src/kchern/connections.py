@@ -98,6 +98,8 @@ class Idempotent:
     __slots__ = ("algebra", "mat", "size")
 
     def __init__(self, algebra: Algebra, mat: Mat):
+        if not mat.size:
+            raise ConnectionError_("idempotent matrix is empty")
         self.algebra = algebra
         self.mat = mat
         self.size = mat.size
@@ -194,10 +196,18 @@ def trace_ab(m: Mat) -> AbClass:
     return project_ab(m.trace())
 
 
+def check_k_max(k_max: int, least: int = 1):
+    """Refuse a k_max below `least` with ValueError: a shorter series would
+    leave the degrees it skips unchecked."""
+    if k_max < least:
+        raise ValueError("k_max must be at least %d, not %d" % (least, k_max))
+
+
 def chern_series(pf: Mat, curv, k_max: int, trace):
     """[trace(p), trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's
     ch_k = tr(R^k)/k! for matrices over any ring of forms.  `curv()` gives
     the curvature R and is called only when k_max >= 1."""
+    check_k_max(k_max, 0)
     out = [trace(pf)]
     if k_max >= 1:
         r = curv()

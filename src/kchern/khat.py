@@ -11,8 +11,8 @@ import random
 
 from .algebra import Algebra
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
-                          ModuleIso, chern, compose_iso, direct_sum,
-                          grassmann, pullback, random_automorphism,
+                          ModuleIso, check_k_max, chern, compose_iso,
+                          direct_sum, grassmann, pullback, random_automorphism,
                           random_connection, random_idempotent, sum_iso,
                           swap_iso)
 from .exactmath import Q0
@@ -207,8 +207,10 @@ def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
 
     Identities: R o a = d (exact equality); Pr o R = ch o I (difference
     exact per degree); R o a o ch1 = 0 on the lifted odd Chern classes of a
-    random automorphism (exact equality).  Returns a JSON-ready report.
+    random automorphism (exact equality).  Returns a JSON-ready report;
+    k_max >= 1.
     """
+    check_k_max(k_max)
     rng = random.Random(seed)
     report = {"algebra": list(alg.names), "seed": seed, "k_max": k_max,
               "identities": []}

@@ -1,4 +1,5 @@
-"""JSON formats for forms, idempotents, connections, and paths.
+"""JSON formats for forms, idempotents, connections, and paths (a path is
+written as the connection it is, by connection_to_json).
 
 Rationals serialize as "num/den" strings (denominator omitted when 1);
 Poly1 coefficients serialize as {"t^k": "num/den"} maps.  Every emitted
@@ -10,7 +11,7 @@ from __future__ import annotations
 from .algebra import AlgElement, Algebra, algebra_from_json, algebra_to_json
 from .connections import Connection, Idempotent, Mat
 from .exactmath import Poly1, rat_from_str, rat_to_str
-from .transgression import PolyPath
+from .transgression import PolyPath, straight_line
 from .uforms import AbClass, FormError, UForm, word_degree
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
     "abclass_to_json",
     "idempotent_to_json", "idempotent_from_json",
     "connection_to_json", "connection_from_json",
-    "path_to_json", "path_from_json",
+    "is_connection_pair", "path_from_json",
 ]
 
 
@@ -32,17 +33,19 @@ def coeff_to_json(c):
 
 
 def coeff_from_json(data):
+    """A "num/den" string or a {"t^k": "num/den"} map; anything else raises
+    TypeError or ValueError."""
     if isinstance(data, str):
         return rat_from_str(data)
     if isinstance(data, dict):
         coeffs = {}
         for key, val in data.items():
-            k = int(key[2:]) if key.startswith("t^") else -1
-            if k < 0:
-                raise FormError("polynomial keys must look like 't^k'")
-            coeffs[(k,)] = rat_from_str(val)
+            if not (key.startswith("t^") and key[2:].isdecimal()):
+                raise ValueError("polynomial keys must look like 't^k', "
+                                 "not %r" % (key,))
+            coeffs[(int(key[2:]),)] = rat_from_str(val)
         return Poly1(coeffs)
-    raise FormError("bad coefficient payload %r" % (data,))
+    raise TypeError("bad coefficient payload %r" % (data,))
 
 
 def form_to_json(u: UForm) -> list:
@@ -114,13 +117,18 @@ def connection_from_json(alg: Algebra, data: dict) -> Connection:
     return Connection(p, _theta_from_json(alg, data["theta"]))
 
 
-def path_to_json(path: PolyPath) -> dict:
-    return {
-        "idempotent": idempotent_to_json(path.p),
-        "theta": _theta_to_json(path.theta),
-    }
+def is_connection_pair(data) -> bool:
+    """Whether a path payload is a two-connection one."""
+    return "theta0" in data and "theta1" in data
 
 
 def path_from_json(alg: Algebra, data: dict) -> PolyPath:
+    """A polynomial path {"idempotent", "theta"} (written by
+    connection_to_json), or the straight line of a two-connection payload
+    {"idempotent", "theta0", "theta1"}."""
     p = idempotent_from_json(alg, data["idempotent"])
+    if is_connection_pair(data):
+        c0, c1 = (Connection(p, _theta_from_json(alg, data[key]))
+                  for key in ("theta0", "theta1"))
+        return straight_line(c0, c1)
     return PolyPath(p, _theta_from_json(alg, data["theta"]))

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom
-from .connections import (Mat, ModuleIso, apply_operator, chern,
+from .connections import (Mat, ModuleIso, apply_operator, check_k_max, chern,
                           compose_iso, curvature, direct_sum, extend_scalars,
                           grassmann, pullback, random_automorphism,
                           random_connection, random_idempotent, random_iso,
@@ -183,6 +183,7 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
 def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
                     n_conn: int = 25, k_max: int = 2) -> dict:
+    check_k_max(k_max)
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
         rng = random.Random((seed, "chern", name).__repr__())
@@ -271,6 +272,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                             k_max: int = 2, n_paths: int = 5,
                             n_pairs: int = 10, n_triples: int = 10,
                             n_closed: int = 25) -> dict:
+    check_k_max(k_max)
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
         rng = random.Random((seed, "transgression", name).__repr__())
@@ -434,6 +436,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
 def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
                       k_max: int = 2) -> dict:
+    check_k_max(k_max)
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
         rng = random.Random((seed, "hexagon", name).__repr__())

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connections import (Connection, ConnectionError_, Mat, chern_series,
-                          curvature_formula)
+from .connections import (Connection, ConnectionError_, Mat, check_k_max,
+                          chern_series, curvature_formula)
 from .exactmath import Poly1, Poly2
 from .uforms import FormError, UForm, project_ab, to_poly, word_degree
 
@@ -332,7 +332,8 @@ def chern_tform(path: PolyPath, k_max: int):
 
 def kcs(path: PolyPath, k_max: int):
     """[KCS_1, ..., KCS_kmax]: K applied to the cylinder Chern forms;
-    KCS_k is a degree 2k-1 class in the abelianization."""
+    KCS_k is a degree 2k-1 class in the abelianization; k_max >= 1."""
+    check_k_max(k_max)
     chs = chern_tform(path, k_max)
     return [project_ab(homotopy_K(chs[k])) for k in range(1, k_max + 1)]
 

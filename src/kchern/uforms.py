@@ -433,7 +433,8 @@ class AbClass(_Terms):
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        terms = ((w, _scalar(c)) for w, c in (terms or {}).items())
+        self.terms = {w: c for w, c in terms if c}
 
     def lift(self) -> UForm:
         """The canonical representative as a form (sum of quotient words)."""

@@ -7,7 +7,7 @@ import pytest
 from kchern.algebra import (AlgebraError, AlgebraHom, algebra_from_json,
                             algebra_to_json, make_group_algebra,
                             make_matrix_algebra, make_product,
-                            make_truncated_poly)
+                            make_truncated_poly, table_from_json, unit_index)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 
@@ -78,6 +78,28 @@ class TestConstructors:
             Algebra(mul_table)
 
 
+class TestElements:
+    def test_coefficients_are_exact(self):
+        dual = make_fixture("dual")
+        for bad in ([0.5, 1], [True, 1]):
+            with pytest.raises(TypeError):
+                dual.element(bad)
+        e = dual.element([Fraction(2), Fraction(1, 2)])
+        assert [type(c) for c in e.vec] == [int, Fraction]
+        assert type((e * e).vec[0]) is int
+
+    def test_scale_is_the_one_scalar_product(self):
+        dual = make_fixture("dual")
+        eps = dual.basis(1)
+        with pytest.raises(TypeError):
+            eps.scale(0.25)
+        assert eps.scale(Fraction(1, 2)).vec == (0, Fraction(1, 2))
+        with pytest.raises(AlgebraError):
+            eps * 2
+        with pytest.raises(TypeError):
+            2 * eps
+
+
 class TestHoms:
     def test_truncation_hom(self):
         x3 = make_fixture("x3")
@@ -116,3 +138,24 @@ class TestJson:
     def test_rejects_malformed(self):
         with pytest.raises(AlgebraError):
             algebra_from_json({"dim": 2})
+
+    def test_table_shape(self):
+        one = [[["1"]]]
+        for bad in ([], {"mul": one}, {"dim": True, "mul": one},
+                    {"dim": "1", "mul": one}, {"dim": 0, "mul": []},
+                    {"dim": 2, "mul": one}, {"dim": 1, "mul": [["1"]]},
+                    {"dim": 1, "mul": [[["1", "0"]]]}):
+            with pytest.raises(AlgebraError):
+                table_from_json(bad)
+        for bad in (1, 1.0, "1/0", "x", None):
+            with pytest.raises((TypeError, ValueError)):
+                table_from_json({"dim": 1, "mul": [[[bad]]]})
+        assert table_from_json({"dim": 1, "mul": one}) == ([[[1]]], None)
+
+    def test_unit_index(self):
+        z, o = Q0, Q1
+        rebased = [[[z, z], [o, z]], [[o, z], [z, o]]]
+        assert unit_index(rebased) == 1
+        assert unit_index([[[z, z], [z, z]], [[z, z], [z, z]]]) is None
+        data = algebra_to_json(make_fixture("M2"))
+        assert unit_index(table_from_json(data)[0]) == 0

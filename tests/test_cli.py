@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from kchern.algebra import algebra_to_json
-from kchern.cli import main
+from kchern.cli import build_parser, main
 from kchern.connections import random_connection, random_idempotent
 from kchern.fixtures import make_fixture
 from kchern.serialize import (connection_to_json, idempotent_to_json,
@@ -68,6 +68,12 @@ class TestAlgebraCheck:
 
     def test_missing_file(self):
         assert run(["algebra-check", "/nonexistent/nowhere.json"]) == 2
+
+    def test_boolean_dim_is_a_parse_error(self, tmp_path, capsys):
+        f = tmp_path / "bool.json"
+        f.write_text(json.dumps({"dim": True, "mul": [[["1"]]]}))
+        assert run(["algebra-check", str(f)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def _numeric_table(tmp_path):
@@ -144,22 +150,23 @@ class TestChern:
         assert a.read_text() == b.read_text()
 
 
-class TestKcs:
-    def _pair_file(self, tmp_path):
-        alg = make_fixture("QxQ")
-        rng = random.Random(71)
-        p = random_idempotent(alg, 2, rng)
-        c0 = random_connection(p, rng)
-        c1 = random_connection(p, rng)
-        payload = {"idempotent": idempotent_to_json(p),
-                   "theta0": _theta_to_json(c0.theta),
-                   "theta1": _theta_to_json(c1.theta)}
-        f = tmp_path / "pair.json"
-        f.write_text(json.dumps(payload))
-        return str(f)
+def _pair_file(tmp_path):
+    alg = make_fixture("QxQ")
+    rng = random.Random(71)
+    p = random_idempotent(alg, 2, rng)
+    c0 = random_connection(p, rng)
+    c1 = random_connection(p, rng)
+    payload = {"idempotent": idempotent_to_json(p),
+               "theta0": _theta_to_json(c0.theta),
+               "theta1": _theta_to_json(c1.theta)}
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(payload))
+    return str(f)
 
+
+class TestKcs:
     def test_two_connection_mode(self, tmp_path):
-        f = self._pair_file(tmp_path)
+        f = _pair_file(tmp_path)
         out = tmp_path / "kcs.json"
         assert run(["kcs", "--fixture", "QxQ", "--path", f,
                     "--out", str(out)]) == 0
@@ -168,7 +175,7 @@ class TestKcs:
         assert all(r["zero"] for r in rep["transgression_residuals"])
 
     def test_reverse_negates(self, tmp_path):
-        f = self._pair_file(tmp_path)
+        f = _pair_file(tmp_path)
         fwd = tmp_path / "f.json"
         rev = tmp_path / "r.json"
         assert run(["kcs", "--fixture", "QxQ", "--path", f,
@@ -194,6 +201,99 @@ class TestKcs:
         f.write_text(json.dumps(payload))
         assert run(["kcs", "--fixture", "dual", "--path", str(f)]) == 3
         assert "theta must be of degree 1" in capsys.readouterr().err
+
+
+def _write(tmp_path, name, payload):
+    f = tmp_path / name
+    f.write_text(json.dumps(payload))
+    return str(f)
+
+
+class TestMalformedInput:
+    def test_kmax_below_one_refused_by_suites(self, capsys):
+        for suite, kmax in (("transgression", "0"), ("transgression", "-3"),
+                            ("hexagon", "-1"), ("chern", "-1")):
+            assert run(["verify", "--suite", suite, "--fixture", "dual",
+                        "--kmax", kmax]) == 2, (suite, kmax)
+            assert capsys.readouterr().out == ""
+
+    def test_kmax_below_one_refused_by_kcs(self, tmp_path, capsys):
+        f = _pair_file(tmp_path)
+        assert run(["kcs", "--fixture", "QxQ", "--path", f,
+                    "--kmax", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_chern_kmax_range(self, capsys):
+        assert run(["chern", "--fixture", "dual", "--seed", "1",
+                    "--kmax", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run(["chern", "--fixture", "dual", "--seed", "1",
+                    "--kmax", "0"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert [c["degree"] for c in rep["classes"]] == [0]
+
+    def test_empty_idempotent_is_a_validation_error(self, tmp_path, capsys):
+        for size in ("0", "-2"):
+            assert run(["chern", "--fixture", "dual", "--seed", "1",
+                        "--size", size]) == 3
+            assert "idempotent matrix is empty" in capsys.readouterr().err
+        f = _write(tmp_path, "empty.json",
+                   {"idempotent": {"size": 0, "entries": []}, "theta": []})
+        assert run(["chern", "--fixture", "dual", "--connection", f]) == 3
+
+    def test_every_malformed_coefficient_is_a_parse_error(self, tmp_path):
+        for i, coeff in enumerate((1, 0.5, None, ["1"], {"x^1": "1"},
+                                   {"t^-1": "1"}, {"t^x": "1"}, {"t^": "1"},
+                                   {"t^1": 1})):
+            path = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                    "theta": [[[{"degree": 1, "word": [0, 1],
+                                 "coeff": coeff}]]]}
+            f = _write(tmp_path, "c%d.json" % i, path)
+            assert run(["kcs", "--fixture", "dual", "--path", f]) == 2, coeff
+
+
+class _Reads:
+    """An argparse namespace that records which of its values are read."""
+
+    def __init__(self, namespace):
+        self._values = vars(namespace)
+        self.read = set()
+
+    def __getattr__(self, name):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self._values[name]
+
+
+def test_every_option_is_read(m2_file, tmp_path):
+    # an option its command never reads is a setting that silently does
+    # nothing; run each command on valid input and record what it reads
+    conn = _write(tmp_path, "conn.json",
+                  {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                   "theta": [[[]]]})
+    pair = _pair_file(tmp_path)
+    qxq = _write(tmp_path, "qxq.json", algebra_to_json(make_fixture("QxQ")))
+    argvs = {
+        "algebra-check": [[m2_file]],
+        "homology": [["--fixture", "Q", "--degree", "0"],
+                     ["--algebra", m2_file, "--degree", "0"]],
+        "chern": [["--fixture", "dual", "--seed", "1"],
+                  ["--algebra", qxq, "--connection", conn]],
+        "kcs": [["--fixture", "QxQ", "--path", pair],
+                ["--algebra", qxq, "--path", pair, "--reverse"]],
+        "verify": [["--suite", "dga", "--fixture", "Q"]],
+    }
+    out = str(tmp_path / "out.json")
+    for command, variants in argvs.items():
+        dests, read = set(), set()
+        for argv in variants:
+            ns = build_parser().parse_args([command] + argv + ["--out", out])
+            dests |= set(vars(ns)) - {"command", "fn"}
+            args = _Reads(ns)
+            assert ns.fn(args) == 0, (command, argv)
+            read |= args.read
+        assert dests - read == set(), command
 
 
 class TestVerify:

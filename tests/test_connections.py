@@ -38,6 +38,13 @@ class TestIdempotents:
         assert Idempotent.identity(alg, 2).size == 2
         assert Idempotent.zero(alg, 1).size == 1
 
+    def test_rejects_empty_matrix(self):
+        alg = make_fixture("dual")
+        with pytest.raises(ConnectionError_, match="empty"):
+            Idempotent(alg, Mat([]))
+        with pytest.raises(ConnectionError_, match="empty"):
+            random_idempotent(alg, 0, 1)
+
 
 class TestConnections:
     def test_grassmann_theta_zero(self):
@@ -83,6 +90,13 @@ class TestConnections:
 
 
 class TestChern:
+    def test_kmax_range(self):
+        c = random_connection(random_idempotent(make_fixture("dual"), 2, 1),
+                              2)
+        assert len(chern(c, 0)) == 1
+        with pytest.raises(ValueError):
+            chern(c, -1)
+
     def test_full_unit_idempotent(self):
         # p = 1 (rank 1 free module), Grassmann connection: ch0 = [1], rest 0
         for name in FIXTURE_NAMES:

@@ -45,6 +45,24 @@ def test_true_division_only_in_exactmath():
     assert not found
 
 
+def test_imports_are_public_and_at_module_level():
+    # a module reaches another only through its public names, and every
+    # dependency shows in the import block at the top
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += ["%s:%d" % (path.name, sub.lineno)
+                          for sub in ast.walk(node)
+                          if isinstance(sub, (ast.Import, ast.ImportFrom))]
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.startswith("kchern"))
+                    and any(a.name.startswith("_") for a in node.names)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found
+
+
 def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -12,8 +12,7 @@ from kchern.serialize import (abclass_to_json, algebra_from_json,
                               coeff_to_json, connection_from_json,
                               connection_to_json, form_from_json,
                               form_to_json, idempotent_from_json,
-                              idempotent_to_json, path_from_json,
-                              path_to_json)
+                              idempotent_to_json, path_from_json)
 from kchern.transgression import straight_line
 from kchern.uforms import project_ab
 from tests.test_uforms import rand_homogeneous
@@ -71,6 +70,6 @@ class TestAlgebraObjects:
             c2 = connection_from_json(alg, cdata)
             assert c2.theta.entries == c.theta.entries
             path = straight_line(c, random_connection(p, rng))
-            pdata = through_json(path_to_json(path))
+            pdata = through_json(connection_to_json(path))
             path2 = path_from_json(alg, pdata)
             assert path2.theta.entries == path.theta.entries

@@ -167,6 +167,9 @@ class TestWordModel:
         dual = make_fixture("dual")
         with pytest.raises(FormError):
             UForm(dual, {(1, 1, 1): 0.5})
+        with pytest.raises(FormError):
+            AbClass(dual, {(1, 1, 1): 0.5})
+        assert type(AbClass(dual, {(1,): Fraction(2)}).terms[(1,)]) is int
         u = UForm.word(dual, (1, 1, 1))
         for bad in (0.25, "2"):
             with pytest.raises(FormError):
