@@ -21,6 +21,11 @@ class Algebra:
     are memoization that does not affect value semantics: `_wordmul` holds
     read-only word products, and `_ab` the abelianization projection of each
     degree, which keeps its dbar once built.
+
+    Products go through one sparse kernel built from `mul` at construction:
+    sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
+    `AlgElement.__mul__` and `mat_mul`, the product of square matrices of
+    elements, are its two callers; both skip zero coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -42,6 +47,9 @@ class Algebra:
             table.append(tuple(row))
         self.dim = m
         self.mul = tuple(table)
+        self.sparse_mul = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+            for row in table)
         self.names = tuple(names) if names else tuple(
             "e%d" % i for i in range(m))
         if len(self.names) != m:
@@ -64,11 +72,13 @@ class Algebra:
                 raise AlgebraError(
                     "unit is not basis element 0: %s*e0 != %s"
                     % (self.names[i], self.names[i]))
+        sparse = self.sparse_mul
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    left = self.elem_mul(self.mul[i][j], self._basis_vec(k))
-                    right = self.elem_mul(self._basis_vec(i), self.mul[j][k])
+                    left, right = [Q0] * m, [Q0] * m
+                    self._add_product(left, sparse[i][j], ((k, Q1),))
+                    self._add_product(right, ((i, Q1),), sparse[j][k])
                     if left != right:
                         raise AlgebraError(
                             "associativity fails on triple (%s, %s, %s)"
@@ -80,6 +90,61 @@ class Algebra:
     def elem_mul(self, a, b):
         """Bilinear extension of the structure constants to vectors."""
         return (AlgElement(self, a) * AlgElement(self, b)).vec
+
+    def _check(self, e):
+        if not isinstance(e, AlgElement) or (e.algebra is not self
+                                             and e.algebra != self):
+            raise AlgebraError("algebra mismatch")
+
+    def _terms(self, e):
+        """The nonzero (index, coefficient) pairs of an element of this
+        algebra; anything else raises AlgebraError."""
+        self._check(e)
+        return [(i, c) for i, c in enumerate(e.vec) if c]
+
+    def _add_product(self, acc, a, b):
+        """acc += a * b, for a and b given by their nonzero terms."""
+        sparse = self.sparse_mul
+        for i, ca in a:
+            row = sparse[i]
+            for j, cb in b:
+                c = ca * cb
+                for k, s in row[j]:
+                    acc[k] += c * s
+
+    def _element(self, acc) -> "AlgElement":
+        """The element with the rational entries `acc`, stored through `rat`
+        without a length check."""
+        r = object.__new__(AlgElement)
+        r.algebra = self
+        r.vec = tuple(map(rat, acc))
+        return r
+
+    def mat_mul(self, left, right):
+        """Rows of the product of the square matrices `left` and `right`
+        (lists of rows of elements of this algebra).  Each operand entry is
+        checked and listed by its nonzero terms once, and pairs with a zero
+        entry are skipped; each output entry is summed in one coefficient
+        list, and entries with no terms share one zero element."""
+        m = self.dim
+        zero = self.zero()
+        lt = [[self._terms(e) for e in row] for row in left]
+        rt = [[self._terms(e) for e in row] for row in right]
+        out = []
+        for lrow in lt:
+            row = []
+            for j in range(len(lt)):
+                acc = None
+                for k, a in enumerate(lrow):
+                    if a:
+                        b = rt[k][j]
+                        if b:
+                            if acc is None:
+                                acc = [Q0] * m
+                            self._add_product(acc, a, b)
+                row.append(zero if acc is None else self._element(acc))
+            out.append(row)
+        return out
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -94,8 +159,9 @@ class Algebra:
         return AlgElement(self, (Q0,) * self.dim)
 
     def __eq__(self, other):
-        return (isinstance(other, Algebra) and self.dim == other.dim
-                and self.mul == other.mul)
+        return self is other or (isinstance(other, Algebra)
+                                 and self.dim == other.dim
+                                 and self.mul == other.mul)
 
     def __hash__(self):
         return hash((self.dim, self.mul))
@@ -105,10 +171,9 @@ class Algebra:
 
 
 class AlgElement:
-    """Element of an Algebra: a vector of rational coefficients.  The
-    constructor stores each as `rat` gives (an int when integral), so a
-    float or a Poly raises TypeError.  Arithmetic results skip that pass
-    (see `_like`): arithmetic on rationals stays exact."""
+    """Element of an Algebra: a vector of rational coefficients, each stored
+    as `rat` gives it (an int when integral), so a float or a Poly raises
+    TypeError and an integral result of arithmetic is an int."""
 
     __slots__ = ("algebra", "vec")
 
@@ -119,45 +184,28 @@ class AlgElement:
         self.algebra = algebra
         self.vec = vec
 
-    def _like(self, vec: tuple) -> "AlgElement":
-        """An element of the same algebra wrapping `vec`, unchecked; an
-        integral entry may stay a Fraction.  `rat` on every product and sum
-        cost the K-hat layer a fifth of its throughput."""
-        r = object.__new__(AlgElement)
-        r.algebra = self.algebra
-        r.vec = vec
-        return r
-
     def __add__(self, other):
-        self._check(other)
-        return self._like(tuple(a + b for a, b in zip(self.vec, other.vec)))
+        self.algebra._check(other)
+        return self.algebra._element(
+            a + b for a, b in zip(self.vec, other.vec))
 
     def __sub__(self, other):
-        self._check(other)
-        return self._like(tuple(a - b for a, b in zip(self.vec, other.vec)))
+        self.algebra._check(other)
+        return self.algebra._element(
+            a - b for a, b in zip(self.vec, other.vec))
 
     def __neg__(self):
-        return self._like(tuple(-a for a in self.vec))
+        return self.algebra._element(-a for a in self.vec)
 
     def __mul__(self, other):
-        self._check(other)
-        m = self.algebra.dim
-        table = self.algebra.mul
-        out = [Q0] * m
-        for i, ca in enumerate(self.vec):
-            if ca:
-                for j, cb in enumerate(other.vec):
-                    if cb:
-                        c = ca * cb
-                        row = table[i][j]
-                        for k in range(m):
-                            if row[k]:
-                                out[k] = out[k] + c * row[k]
-        return self._like(tuple(out))
+        alg = self.algebra
+        acc = [Q0] * alg.dim
+        alg._add_product(acc, alg._terms(self), alg._terms(other))
+        return alg._element(acc)
 
     def scale(self, scalar):
         scalar = rat(scalar)
-        return self._like(tuple(c * scalar for c in self.vec))
+        return self.algebra._element(c * scalar for c in self.vec)
 
     def __bool__(self):
         return any(bool(c) for c in self.vec)
@@ -168,10 +216,6 @@ class AlgElement:
 
     def __hash__(self):
         return hash((self.algebra, self.vec))
-
-    def _check(self, other):
-        if not isinstance(other, AlgElement) or other.algebra != self.algebra:
-            raise AlgebraError("algebra mismatch")
 
     def __repr__(self):
         names = self.algebra.names

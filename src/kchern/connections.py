@@ -21,7 +21,10 @@ class ConnectionError_(ValueError):
 
 class Mat:
     """Square matrix over a ring with + and * (AlgElement, UForm, TForm,
-    BiForm); minimal and generic."""
+    BiForm); minimal and generic.  A product whose left factor has
+    AlgElement entries goes through the algebra's sparse kernel
+    (`Algebra.mat_mul`), which skips zero entries and makes each output
+    entry once; matrices of forms multiply entry by entry."""
 
     __slots__ = ("entries", "size")
 
@@ -47,6 +50,9 @@ class Mat:
 
     def __mul__(self, other):
         n = self.size
+        if n and isinstance(self.entries[0][0], AlgElement):
+            return Mat(self.entries[0][0].algebra.mat_mul(self.entries,
+                                                          other.entries))
         out = []
         for i in range(n):
             row = []

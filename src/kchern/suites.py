@@ -518,6 +518,7 @@ SUITES = ("dga", "chern", "transgression", "hexagon")
 
 def run_suite(suite: str, seed: int, fixtures=None, degree_cap: int = 8,
               k_max: int = 2) -> dict:
+    check_k_max(k_max)
     if suite == "dga":
         return run_dga_suite(seed, fixtures, degree_cap)
     if suite == "chern":

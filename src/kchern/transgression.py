@@ -349,7 +349,9 @@ EPSILON_K = 1
 
 
 def kcs_closed_form(path: PolyPath, k_max: int):
-    """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt."""
+    """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
+    k_max >= 1."""
+    check_k_max(k_max)
     r, s = tilde_curvature(path)
     out = []
     power = None
@@ -396,7 +398,8 @@ def chern_biform(b: Bigon, k_max: int):
 def secondary_transgression(b: Bigon, k_max: int):
     """[K K_s ch_1, ..., K K_s ch_kmax]: even potentials (degree 2k-2) whose
     dbar is the KCS of the s = 0 edge minus that of the s = 1 edge, per
-    degree in the abelianization."""
+    degree in the abelianization; k_max >= 1."""
+    check_k_max(k_max)
     chs = chern_biform(b, k_max)
     return [project_ab(homotopy_K(chs[k].integrate(0)))
             for k in range(1, k_max + 1)]

@@ -88,6 +88,15 @@ class TestElements:
         assert [type(c) for c in e.vec] == [int, Fraction]
         assert type((e * e).vec[0]) is int
 
+    def test_integral_results_are_int(self):
+        dual = make_fixture("dual")
+        half = dual.element([Fraction(1, 2), 0])
+        eps = dual.basis(1)
+        for e in (half + half, (half + half) - eps, -(half + half),
+                  half.scale(2), half * dual.element([2, 0])):
+            assert all(type(c) is int for c in e.vec), e.vec
+        assert (half + half).vec == (1, 0)
+
     def test_scale_is_the_one_scalar_product(self):
         dual = make_fixture("dual")
         eps = dual.basis(1)

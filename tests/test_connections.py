@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kchern.algebra import AlgebraHom
+from kchern.algebra import AlgebraError, AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
                                 curvature, direct_sum, extend_scalars,
@@ -199,6 +199,98 @@ class TestIsos:
         _, b = random_iso(q, rng)
         s = sum_iso(a, b)
         assert s.p0.size == 3
+
+
+def _random_kernel_mat(alg, n, rng):
+    """n x n, with non-integral coefficients, zero entries and, half the
+    time, a zero off-diagonal block."""
+    coeffs = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+    rows = [[alg.element([rng.choice(coeffs) for _ in range(alg.dim)])
+             if rng.random() < 0.7 else alg.zero() for _ in range(n)]
+            for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        cut = rng.randint(1, n - 1)
+        for i in range(cut):
+            for j in range(cut, n):
+                rows[i][j] = alg.zero()
+    return Mat(rows)
+
+
+def _entrywise_product(alg, x, y):
+    """x*y summed entry by entry from the dense structure table `mul`."""
+    n = x.size
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = [Q0] * alg.dim
+            for l in range(n):
+                for a, ca in enumerate(x.entries[i][l].vec):
+                    for b, cb in enumerate(y.entries[l][j].vec):
+                        for k, s in enumerate(alg.mul[a][b]):
+                            vec[k] += ca * cb * s
+            row.append(alg.element(vec))
+        out.append(row)
+    return out
+
+
+def _kernel_agrees(alg, seed, trials=8):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randint(1, 4)
+        x = _random_kernel_mat(alg, n, rng)
+        y = _random_kernel_mat(alg, n, rng)
+        entries = (x * y).entries
+        if entries != _entrywise_product(alg, x, y):
+            return False
+        # integral results are stored as int
+        if any(type(c) is Fraction and c.denominator == 1
+               for row in entries for e in row for c in e.vec):
+            return False
+    return True
+
+
+class TestProductKernel:
+    def test_matches_entrywise_products(self):
+        for name in FIXTURE_NAMES:
+            assert _kernel_agrees(make_fixture(name), 40), name
+
+    def test_planted_structure_constant_fails(self):
+        # one wrong constant in the sparse table, for every pair (i, j)
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            table = [list(row) for row in alg.sparse_mul]
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    terms = list(table[i][j]) or [(0, 0)]
+                    k, c = terms[0]
+                    terms[0] = (k, c + 1)
+                    bad = make_fixture(name)
+                    bad.sparse_mul = tuple(
+                        tuple(tuple(terms) if (a, b) == (i, j) else t
+                              for b, t in enumerate(row))
+                        for a, row in enumerate(table))
+                    assert not _kernel_agrees(bad, 41, trials=30), (name, i, j)
+
+    def test_mixed_entries_raise(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        a = Mat([[dual.unit(), dual.zero()], [dual.zero(), dual.unit()]])
+        b = Mat([[x3.unit(), x3.zero()], [x3.zero(), x3.unit()]])
+        with pytest.raises(AlgebraError):
+            a * b
+        with pytest.raises(AlgebraError):
+            a * a.map(UForm.from_element)
+        mixed = Mat([[dual.unit(), x3.zero()], [dual.zero(), dual.unit()]])
+        with pytest.raises(AlgebraError):
+            a * mixed
+        # an equal algebra built twice is the same algebra
+        again = make_fixture("dual")
+        assert a * a.map(lambda e: again.element(e.vec)) == a
+
+    def test_empty_matrix(self):
+        assert (Mat([]) * Mat([])).size == 0
+        with pytest.raises(ConnectionError_, match="empty"):
+            Idempotent(make_fixture("M2"), Mat([]))
 
 
 class TestExtendScalars:

@@ -125,6 +125,14 @@ class TestKCS:
         _, _, path = unit_line_path(dual, eps.d())
         assert kcs_closed_form(path, 1) == kcs(path, 1)
 
+    def test_closed_form_refuses_kmax_below_one(self):
+        dual = make_fixture("dual")
+        eps = UForm.from_element(dual.basis(1))
+        _, _, path = unit_line_path(dual, eps.d())
+        for k_max in (0, -1):
+            with pytest.raises(ValueError, match="k_max"):
+                kcs_closed_form(path, k_max)
+
     def test_transgression_identity(self):
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)
@@ -253,6 +261,15 @@ class TestBigons:
             k2 = kcs(path2, 2)
             for k in (1, 2):
                 assert ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1]
+
+    def test_secondary_refuses_kmax_below_one(self):
+        dual = make_fixture("dual")
+        eps = UForm.from_element(dual.basis(1))
+        _, _, path = unit_line_path(dual, eps.d())
+        bigon = bigon_straight(path, path)
+        for k_max in (0, -1):
+            with pytest.raises(ValueError, match="k_max"):
+                secondary_transgression(bigon, k_max)
 
     def test_bigon_edges_evaluate_to_paths(self):
         alg = make_fixture("dual")
