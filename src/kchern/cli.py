@@ -48,8 +48,12 @@ def _load_json(path):
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (out_path, exc),
+                           EXIT_PARSE)
     else:
         print(text)
 

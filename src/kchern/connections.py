@@ -35,12 +35,19 @@ class Mat:
             if len(row) != self.size:
                 raise ConnectionError_("matrix is not square")
 
+    def _check_size(self, other):
+        if other.size != self.size:
+            raise ConnectionError_("matrix sizes differ: %d and %d"
+                                   % (self.size, other.size))
+
     def __add__(self, other):
+        self._check_size(other)
         n = self.size
         return Mat([[self.entries[i][j] + other.entries[i][j]
                      for j in range(n)] for i in range(n)])
 
     def __sub__(self, other):
+        self._check_size(other)
         n = self.size
         return Mat([[self.entries[i][j] - other.entries[i][j]
                      for j in range(n)] for i in range(n)])
@@ -49,6 +56,7 @@ class Mat:
         return Mat([[-e for e in row] for row in self.entries])
 
     def __mul__(self, other):
+        self._check_size(other)
         n = self.size
         if n and isinstance(self.entries[0][0], AlgElement):
             return Mat(self.entries[0][0].algebra.mat_mul(self.entries,
@@ -306,6 +314,11 @@ def extend_scalars(c: Connection, psi: AlgebraHom) -> Connection:
 # Seeded random generators
 # ---------------------------------------------------------------------------
 
+def _rng(seed) -> random.Random:
+    """`seed` itself if it is a random.Random, else a new one seeded by it."""
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
 def _random_element(alg: Algebra, rng: random.Random) -> AlgElement:
     vec = []
     for _ in range(alg.dim):
@@ -332,7 +345,7 @@ def _random_unipotent(alg: Algebra, n: int, rng: random.Random):
 
 def random_idempotent(alg: Algebra, n: int, seed) -> Idempotent:
     """p = u E u^-1 with E a 0/1 diagonal and u random unipotent."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     z, one = alg.zero(), alg.unit()
     e = Mat([[one if (i == j and rng.random() < 0.6) else z
               for j in range(n)] for i in range(n)])
@@ -340,25 +353,31 @@ def random_idempotent(alg: Algebra, n: int, seed) -> Idempotent:
     return Idempotent(alg, u * e * uinv)
 
 
-def _random_degree1(alg: Algebra, rng: random.Random) -> UForm:
-    words = enumerate_words(alg, 1)
-    terms = {}
-    if not words:
-        return UForm.zero(alg)
-    for _ in range(rng.randint(1, 2)):
-        w = words[rng.randrange(len(words))]
-        c = rng.randint(-2, 2)
-        if c:
-            terms[w] = terms.get(w, Q0) + c
-    return UForm(alg, terms)
+def random_form(alg: Algebra, rng: random.Random, degrees, count,
+                bound: int) -> UForm:
+    """The sum of `count` seeded terms c*w per degree of `degrees`, with w a
+    word of that degree and c an integer in [-bound, bound].  `degrees` is
+    read lazily and `count` may be a (lo, hi) range, drawn for each degree
+    that has words; so the draws come in the order degree, count, then word
+    and coefficient per term."""
+    pairs = []
+    for n in degrees:
+        words = enumerate_words(alg, n)
+        if not words:
+            continue
+        draws = count if isinstance(count, int) else rng.randint(*count)
+        for _ in range(draws):
+            pairs.append((words[rng.randrange(len(words))],
+                          rng.randint(-bound, bound)))
+    return UForm(alg, pairs)
 
 
 def random_connection(p: Idempotent, seed) -> Connection:
     """Random theta = p * Theta * p with random degree-1 entries."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     alg = p.algebra
-    big = Mat([[_random_degree1(alg, rng) for _ in range(p.size)]
-               for _ in range(p.size)])
+    big = Mat([[random_form(alg, rng, (1,), (1, 2), 2)
+                for _ in range(p.size)] for _ in range(p.size)])
     pf = p.to_form()
     return Connection(p, pf * big * pf)
 
@@ -366,13 +385,17 @@ def random_connection(p: Idempotent, seed) -> Connection:
 def random_iso(p0: Idempotent, seed):
     """A random (p1, iso: Im(p0) -> Im(p1)) via conjugation p1 = g p0 g^-1
     with g = 1 + strictly upper random."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     alg = p0.algebra
     _, g, ginv = _random_unipotent(alg, p0.size, rng)
     p1 = Idempotent(alg, g * p0.mat * ginv)
-    u = p1.mat * g * p0.mat
-    v = p0.mat * ginv * p1.mat
-    return p1, ModuleIso(p0, p1, u, v)
+    return p1, _conjugation_iso(p0, p1, g, ginv)
+
+
+def _conjugation_iso(p0: Idempotent, p1: Idempotent, g: Mat,
+                     ginv: Mat) -> ModuleIso:
+    """Im(p0) -> Im(p1) by u = p1*g*p0, with inverse v = p0*g^-1*p1."""
+    return ModuleIso(p0, p1, p1.mat * g * p0.mat, p0.mat * ginv * p1.mat)
 
 
 def compose_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
@@ -399,7 +422,7 @@ def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     (the correction commutes with p, so both conjugations land on the same
     idempotent); alpha is a random rational != -1.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = _rng(seed)
     alg = p.algebra
     ident, g, ginv = _random_unipotent(alg, p.size, rng)
     alpha = rng.choice([1, 2, -2, 3])
@@ -408,8 +431,8 @@ def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     h = g * c
     hinv = cinv * ginv
     p1 = Idempotent(alg, g * p.mat * ginv)
-    iso_g = ModuleIso(p, p1, p1.mat * g * p.mat, p.mat * ginv * p1.mat)
-    iso_h = ModuleIso(p, p1, p1.mat * h * p.mat, p.mat * hinv * p1.mat)
+    iso_g = _conjugation_iso(p, p1, g, ginv)
+    iso_h = _conjugation_iso(p, p1, h, hinv)
     return compose_iso(iso_g, iso_h.inverse())
 
 

@@ -13,11 +13,9 @@ from .algebra import Algebra
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, check_k_max, chern, compose_iso,
                           direct_sum, grassmann, pullback, random_automorphism,
-                          random_connection, random_idempotent, sum_iso,
-                          swap_iso)
-from .exactmath import Q0
-from .uforms import (AbClass, UForm, ab_d, enumerate_words, is_exact_in_ab,
-                     project_ab)
+                          random_connection, random_form, random_idempotent,
+                          sum_iso, swap_iso)
+from .uforms import AbClass, UForm, ab_d, is_exact_in_ab, project_ab
 from .transgression import (kcs, kcs_between, straight_line)
 
 
@@ -187,21 +185,6 @@ def odd_chern(k1: K1Pair, k_max: int):
 # Hexagon suite
 # ---------------------------------------------------------------------------
 
-def _random_odd_form(alg: Algebra, rng: random.Random,
-                     max_degree: int) -> UForm:
-    terms = {}
-    for n in range(1, max_degree + 1, 2):
-        words = enumerate_words(alg, n)
-        if not words:
-            continue
-        for _ in range(rng.randint(0, 2)):
-            w = words[rng.randrange(len(words))]
-            c = rng.randint(-2, 2)
-            if c:
-                terms[w] = terms.get(w, Q0) + c
-    return UForm(alg, terms)
-
-
 def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
     """Check the hexagon-diagram identities on random data.
 
@@ -212,6 +195,7 @@ def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
     """
     check_k_max(k_max)
     rng = random.Random(seed)
+    odd = range(1, 2 * k_max, 2)
     report = {"algebra": list(alg.names), "seed": seed, "k_max": k_max,
               "identities": []}
 
@@ -225,7 +209,7 @@ def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
     # R o a = d, exactly
     ok_all = True
     for _ in range(3):
-        omega = _random_odd_form(alg, rng, 2 * k_max - 1)
+        omega = random_form(alg, rng, odd, (0, 2), 2)
         gplus, gminus = map_a(omega)
         lhs = map_R(gplus, k_max) - map_R(gminus, k_max)
         rhs = ab_d(project_ab(omega))
@@ -240,7 +224,7 @@ def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
     for i in range(2):
         p = random_idempotent(alg, 2, rng)
         conn = random_connection(p, rng)
-        g = KHatGen(p, conn, _random_odd_form(alg, rng, 2 * k_max - 1))
+        g = KHatGen(p, conn, random_form(alg, rng, odd, (0, 2), 2))
         diff = map_R(g, k_max) - sum(chern(grassmann(map_I(g)), k_max),
                                      AbClass(alg))
         for n in degs:

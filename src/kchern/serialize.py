@@ -60,15 +60,14 @@ def form_to_json(u: UForm) -> list:
 
 
 def form_from_json(alg: Algebra, data: list) -> UForm:
-    terms = {}
+    """The form of a term list; UForm sums repeated words."""
+    pairs = []
     for item in data:
         w = tuple(item["word"])
         if "degree" in item and item["degree"] != word_degree(w):
             raise FormError("degree does not match word length")
-        c = coeff_from_json(item["coeff"])
-        if c:
-            terms[w] = terms.get(w, 0) + c if w in terms else c
-    return UForm(alg, terms)
+        pairs.append((w, coeff_from_json(item["coeff"])))
+    return UForm(alg, pairs)
 
 
 def abclass_to_json(c: AbClass) -> list:

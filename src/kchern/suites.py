@@ -16,8 +16,8 @@ from .algebra import Algebra, AlgebraHom
 from .connections import (Mat, ModuleIso, apply_operator, check_k_max, chern,
                           compose_iso, curvature, direct_sum, extend_scalars,
                           grassmann, pullback, random_automorphism,
-                          random_connection, random_idempotent, random_iso,
-                          sum_iso, trace_ab)
+                          random_connection, random_form, random_idempotent,
+                          random_iso, sum_iso, trace_ab)
 from .exactmath import Poly, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
@@ -31,33 +31,16 @@ from .uforms import (AbClass, UForm, ab_d, dimension, enumerate_words,
                      extend_hom, is_exact_in_ab, project_ab)
 
 
-def _random_form(alg: Algebra, rng: random.Random, max_degree: int,
-                 terms: int = 3) -> UForm:
-    out = {}
-    for _ in range(terms):
-        n = rng.randint(0, max_degree)
-        words = enumerate_words(alg, n)
-        if not words:
-            continue
-        w = words[rng.randrange(len(words))]
-        c = rng.randint(-3, 3)
-        if c:
-            out[w] = out.get(w, Q0) + c
-    return UForm(alg, out)
-
-
-def _random_homogeneous(alg: Algebra, rng: random.Random, degree: int,
-                        terms: int = 2) -> UForm:
-    words = enumerate_words(alg, degree)
-    out = {}
-    if not words:
-        return UForm(alg)
-    for _ in range(terms):
-        w = words[rng.randrange(len(words))]
-        c = rng.randint(-3, 3)
-        if c:
-            out[w] = out.get(w, Q0) + c
-    return UForm(alg, out)
+# Sample sizes per fixture: random forms per DGA check and their top
+# degree, connections per Chern check, and paths, bigons, triangles and
+# closed-form paths per transgression check.
+N_FORMS = 200
+MAX_DEGREE = 5
+N_CONN = 25
+N_PATHS = 5
+N_PAIRS = 10
+N_TRIPLES = 10
+N_CLOSED = 25
 
 
 def _random_cylform(cls, alg: Algebra, rng: random.Random, max_degree: int,
@@ -68,7 +51,8 @@ def _random_cylform(cls, alg: Algebra, rng: random.Random, max_degree: int,
     exps = list(itertools.product(range(poly_degree + 1), repeat=cls.R))
 
     def part():
-        return _random_form(alg, rng, max_degree).map_scalars(
+        degs = (rng.randint(0, max_degree) for _ in range(3))
+        return random_form(alg, rng, degs, 1, 3).map_scalars(
             lambda c: c * Poly.TYPES[cls.R]({e: rng.randint(-2, 2)
                                              for e in exps}))
     return cls(*(part() for _ in range(1 << cls.R)))
@@ -125,26 +109,26 @@ def _fixture_algebras(fixtures, degree_cap):
 # DGA suite
 # ---------------------------------------------------------------------------
 
-def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                  n_forms: int = 200, max_degree: int = 5) -> dict:
+def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8) -> dict:
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
         rng = random.Random((seed, "dga", name).__repr__())
 
         def check_dd(alg=alg, rng=rng):
-            for _ in range(n_forms):
-                u = _random_form(alg, rng, max_degree)
+            for _ in range(N_FORMS):
+                degs = (rng.randint(0, MAX_DEGREE) for _ in range(3))
+                u = random_form(alg, rng, degs, 1, 3)
                 require(u.d().d().is_zero(), "d(d(u)) != 0")
-            return {"count": n_forms}
+            return {"count": N_FORMS}
 
         def check_leibniz(alg=alg, rng=rng):
             count = 0
-            for _ in range(n_forms):
-                du = rng.randint(0, max_degree - 1)
-                dv = rng.randint(0, max_degree - 1 - du) \
-                    if du < max_degree - 1 else 0
-                u = _random_homogeneous(alg, rng, du)
-                v = _random_homogeneous(alg, rng, dv)
+            for _ in range(N_FORMS):
+                du = rng.randint(0, MAX_DEGREE - 1)
+                dv = rng.randint(0, MAX_DEGREE - 1 - du) \
+                    if du < MAX_DEGREE - 1 else 0
+                u = random_form(alg, rng, (du,), 2, 3)
+                v = random_form(alg, rng, (dv,), 2, 3)
                 sign = -Q1 if du % 2 else Q1
                 lhs = (u * v).d()
                 rhs = u.d() * v + (u * v.d()).scale(sign)
@@ -154,11 +138,11 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_assoc(alg=alg, rng=rng):
             count = 0
-            for _ in range(n_forms):
+            for _ in range(N_FORMS):
                 degs = [rng.randint(0, 2) for _ in range(3)]
-                while sum(degs) > max_degree:
+                while sum(degs) > MAX_DEGREE:
                     degs[rng.randrange(3)] = 0
-                u, v, w = (_random_homogeneous(alg, rng, d) for d in degs)
+                u, v, w = (random_form(alg, rng, (d,), 2, 3) for d in degs)
                 require((u * v) * w == u * (v * w), "associativity fails")
                 count += 1
             return {"count": count}
@@ -182,7 +166,7 @@ def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8,
 # ---------------------------------------------------------------------------
 
 def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                    n_conn: int = 25, k_max: int = 2) -> dict:
+                    k_max: int = 2) -> dict:
     check_k_max(k_max)
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
@@ -192,9 +176,9 @@ def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
             for _ in range(10):
                 da = rng.randint(0, 2)
                 db = rng.randint(0, 2)
-                a = Mat([[_random_homogeneous(alg, rng, da)
+                a = Mat([[random_form(alg, rng, (da,), 2, 3)
                           for _ in range(2)] for _ in range(2)])
-                b = Mat([[_random_homogeneous(alg, rng, db)
+                b = Mat([[random_form(alg, rng, (db,), 2, 3)
                           for _ in range(2)] for _ in range(2)])
                 sign = -Q1 if (da * db) % 2 else Q1
                 require(trace_ab(a * b) == trace_ab(b * a).scale(sign),
@@ -203,7 +187,7 @@ def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_connections(alg=alg, rng=rng):
             ops = 0
-            for i in range(n_conn):
+            for _ in range(N_CONN):
                 p = random_idempotent(alg, 2, rng)
                 c = random_connection(p, rng)
                 # operator oracle for the curvature formula
@@ -258,8 +242,8 @@ def _naturality_homs(degree_cap):
     return [("x3->dual", trunc), ("Q->QxQ", diag), ("QxQ->Q", proj)]
 
 
-def _random_path(alg, rng, size=2, quadratic=False):
-    p = random_idempotent(alg, size, rng)
+def _random_path(alg, rng, quadratic=False):
+    p = random_idempotent(alg, 2, rng)
     c0 = random_connection(p, rng)
     c1 = random_connection(p, rng)
     if quadratic:
@@ -269,9 +253,7 @@ def _random_path(alg, rng, size=2, quadratic=False):
 
 
 def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                            k_max: int = 2, n_paths: int = 5,
-                            n_pairs: int = 10, n_triples: int = 10,
-                            n_closed: int = 25) -> dict:
+                            k_max: int = 2) -> dict:
     check_k_max(k_max)
     checks = _Check()
     for name, alg in _fixture_algebras(fixtures, degree_cap):
@@ -294,7 +276,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
             return {"count": 10}
 
         def check_paths(alg=alg, rng=rng):
-            for _ in range(n_paths):
+            for _ in range(N_PATHS):
                 p = random_idempotent(alg, 2, rng)
                 c0 = random_connection(p, rng)
                 c1 = random_connection(p, rng)
@@ -348,10 +330,10 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 other = straight_line(c1a, c1b)
                 require(kcs(pullback(other, iso), k_max) ==
                         kcs(other, k_max), "KCS not pullback invariant")
-            return {"count": n_paths}
+            return {"count": N_PATHS}
 
         def check_secondary(alg=alg, rng=rng):
-            for _ in range(n_pairs):
+            for _ in range(N_PAIRS):
                 p = random_idempotent(alg, 2, rng)
                 c0 = random_connection(p, rng)
                 c1 = random_connection(p, rng)
@@ -365,7 +347,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 for k in range(1, k_max + 1):
                     require(ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1],
                             "secondary transgression fails")
-            return {"count": n_pairs}
+            return {"count": N_PAIRS}
 
         def check_kk(alg=alg, rng=rng):
             for _ in range(50):
@@ -377,7 +359,7 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
 
         def check_triangle(alg=alg, rng=rng):
             count = 0
-            for _ in range(n_triples):
+            for _ in range(N_TRIPLES):
                 p = random_idempotent(alg, 2, rng)
                 c1 = random_connection(p, rng)
                 c2 = random_connection(p, rng)
@@ -397,11 +379,11 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
             return {"count": count}
 
         def check_closed_form(alg=alg, rng=rng):
-            for i in range(n_closed):
+            for i in range(N_CLOSED):
                 path = _random_path(alg, rng, quadratic=(i % 3 == 0))
                 require(kcs_closed_form(path, k_max) == kcs(path, k_max),
                         "closed form disagrees")
-            return {"count": n_closed}
+            return {"count": N_CLOSED}
 
         checks.run("homotopy formula", name, check_homotopy)
         checks.run("TForm associativity", name, check_tform_ring)

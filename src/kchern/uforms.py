@@ -219,7 +219,7 @@ class UForm(_Terms):
                 c = _scalar(c)
                 if c:
                     if w in t:
-                        v = t[w] + c
+                        v = _scalar(t[w] + c)
                         if v:
                             t[w] = v
                         else:
@@ -250,9 +250,6 @@ class UForm(_Terms):
         return UForm(a.algebra, {(i,): c for i, c in enumerate(a.vec) if c})
 
     # structure ------------------------------------------------------------
-    def max_degree(self) -> int:
-        return max((word_degree(w) for w in self.terms), default=0)
-
     def __mul__(self, other):
         if isinstance(other, UForm):
             return multiply(self, other)

@@ -35,9 +35,7 @@ def transgression_report():
     """Criteria 4, 5, 6 and 8 share one suite run (degree cap 6)."""
     if "transgression" not in _cache:
         t0 = time.perf_counter()
-        rep = run_transgression_suite(SEED, degree_cap=6, k_max=2,
-                                      n_paths=5, n_pairs=10, n_triples=10,
-                                      n_closed=25)
+        rep = run_transgression_suite(SEED, degree_cap=6, k_max=2)
         _cache["transgression"] = (rep, time.perf_counter() - t0)
     return _cache["transgression"]
 
@@ -54,7 +52,7 @@ def announce(num, detail):
 
 def test_criterion_1_dga_suite():
     t0 = time.perf_counter()
-    rep = run_dga_suite(SEED, n_forms=200, max_degree=5)
+    rep = run_dga_suite(SEED)
     elapsed = time.perf_counter() - t0
     assert rep["status"] == "pass"
     for name in ("d o d = 0", "graded Leibniz", "associativity"):
@@ -85,7 +83,7 @@ def test_criterion_2_dimension_law():
 
 def test_criterion_3_chern_suite():
     t0 = time.perf_counter()
-    rep = run_chern_suite(SEED, n_conn=25, k_max=2)
+    rep = run_chern_suite(SEED, k_max=2)
     elapsed = time.perf_counter() - t0
     assert rep["status"] == "pass"
     for c in checks_by_name(rep, "chern identities"):

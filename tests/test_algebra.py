@@ -49,6 +49,14 @@ class TestConstructors:
         with pytest.raises(AlgebraError):
             make_group_algebra([[1, 0], [0, 1]])
 
+    def test_group_algebra_rejects_nonassociative_loop(self):
+        # a Latin square with identity first: every element has an inverse,
+        # but (g1 g2) g2 != g1 (g2 g2), so the table is a loop, not a group
+        rows = ("01234", "10342", "24013", "32401", "43120")
+        with pytest.raises(AlgebraError,
+                           match="associativity fails on triple"):
+            make_group_algebra([[int(c) for c in row] for row in rows])
+
     def test_all_fixtures_validate(self):
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)

@@ -253,6 +253,12 @@ class TestMalformedInput:
                    {"idempotent": {"size": 0, "entries": []}, "theta": []})
         assert run(["chern", "--fixture", "dual", "--connection", f]) == 3
 
+    def test_unwritable_out_is_a_parse_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        assert run(["homology", "--fixture", "Q", "--degree", "1",
+                    "--out", out]) == 2
+        assert "cannot write %s" % out in capsys.readouterr().err
+
     def test_every_malformed_coefficient_is_a_parse_error(self, tmp_path):
         for i, coeff in enumerate((1, 0.5, None, ["1"], {"x^1": "1"},
                                    {"t^-1": "1"}, {"t^x": "1"}, {"t^": "1"},

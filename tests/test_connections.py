@@ -1,5 +1,6 @@
 """Idempotents, connections, curvature, trace, and Chern classes."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
                                 curvature, direct_sum, extend_scalars,
                                 grassmann, pullback, random_automorphism,
-                                random_connection, random_idempotent,
-                                random_iso, sum_iso, swap_iso, trace_ab)
+                                random_connection, random_form,
+                                random_idempotent, random_iso, sum_iso,
+                                swap_iso, trace_ab)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.uforms import UForm, ab_d, is_exact_in_ab, project_ab
+from kchern.uforms import (UForm, ab_d, enumerate_words, is_exact_in_ab,
+                           project_ab)
 from tests.test_uforms import rand_homogeneous
 
 
@@ -291,6 +294,53 @@ class TestProductKernel:
         assert (Mat([]) * Mat([])).size == 0
         with pytest.raises(ConnectionError_, match="empty"):
             Idempotent(make_fixture("M2"), Mat([]))
+
+
+class TestMatSizes:
+    @pytest.mark.parametrize("entry", [lambda e: e, UForm.from_element],
+                             ids=["AlgElement", "UForm"])
+    def test_size_mismatch_refused(self, entry):
+        dual = make_fixture("dual")
+        one, zero = entry(dual.unit()), entry(dual.zero())
+        x = Mat([[one]])
+        y = Mat([[one, zero], [zero, one]])
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ConnectionError_, match="sizes differ"):
+                    op(a, b)
+        assert (y * y).entries == y.entries
+
+
+class TestRandomForm:
+    def test_degrees_and_coefficient_bound(self):
+        rng = random.Random(5)
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            for _ in range(20):
+                u = random_form(alg, rng, range(1, 4, 2), (0, 2), 2)
+                assert set(u.degrees()) <= {1, 3}
+                assert all(abs(c) <= 4 for c in u.terms.values())
+
+    def test_degree_without_words_draws_nothing(self):
+        q = make_fixture("Q")
+        rng = random.Random(6)
+        state = rng.getstate()
+        assert random_form(q, rng, (1, 2), (1, 2), 2).is_zero()
+        assert rng.getstate() == state
+
+    def test_draw_order(self):
+        # degrees are read lazily: each degree is drawn after the terms of
+        # the one before, and each term draws its word, then its coefficient
+        alg = make_fixture("M2")
+        rng, ref = random.Random(7), random.Random(7)
+        u = random_form(alg, rng, (rng.randint(0, 3) for _ in range(3)), 1, 3)
+        pairs = []
+        for _ in range(3):
+            words = enumerate_words(alg, ref.randint(0, 3))
+            pairs.append((words[ref.randrange(len(words))],
+                          ref.randint(-3, 3)))
+        assert u == UForm(alg, pairs)
+        assert rng.getstate() == ref.getstate()
 
 
 class TestExtendScalars:

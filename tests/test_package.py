@@ -3,6 +3,8 @@
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import kchern
@@ -89,3 +91,13 @@ def test_benchmark_trace_targets_resolve():
             assert attr in vars(getattr(mod, cls_name)), (module, qual)
         else:
             assert callable(getattr(mod, qual, None)), (module, qual)
+
+
+def test_benchmark_self_test():
+    # the benchmark's self-test imports kchern from src, checks its oracles
+    # against planted wrong results and pins its seeded input digests, so a
+    # change in src that breaks the benchmark fails here too
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "test_perfbench.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

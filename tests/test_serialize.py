@@ -42,6 +42,21 @@ class TestForms:
                 data = through_json(form_to_json(w))
                 assert form_from_json(alg, data) == w
 
+    def test_repeated_words_are_summed(self):
+        alg = make_fixture("dual")
+
+        def term(word, coeff):
+            return {"degree": len(word) - 1, "word": word, "coeff": coeff}
+
+        u = form_from_json(alg, [term([0, 1], "1/2"), term([1], "1"),
+                                 term([0, 1], "3/2"),
+                                 term([1], {"t^1": "2"})])
+        assert u.terms == {(0, 1): 2, (1,): Poly1({(0,): 1, (1,): 2})}
+        assert type(u.terms[(0, 1)]) is int
+        v = form_from_json(alg, [term([0, 1], "1/2"), term([1], "1"),
+                                 term([0, 1], "-1/2")])
+        assert v.terms == {(1,): 1}
+
     def test_abclass_serializes_lift(self):
         alg = make_fixture("QxQ")
         from kchern.uforms import UForm

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kchern import transgression
+from kchern import suites, transgression
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 chern, direct_sum, extend_scalars, grassmann,
                                 pullback, random_connection, random_idempotent,
@@ -434,8 +434,10 @@ class TestSignMutations:
     ])
     def test_flip_fails_the_suite(self, monkeypatch, flip, caught):
         flip(monkeypatch)
-        rep = run_transgression_suite(3, fixtures=["x3"], n_paths=1,
-                                      n_pairs=2, n_triples=1, n_closed=2)
+        for name, count in (("N_PATHS", 1), ("N_PAIRS", 2), ("N_TRIPLES", 1),
+                            ("N_CLOSED", 2)):
+            monkeypatch.setattr(suites, name, count)
+        rep = run_transgression_suite(3, fixtures=["x3"])
         failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
         assert rep["status"] == "fail"
         assert caught in failed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kchern.algebra import Algebra, AlgebraHom
+from kchern.connections import random_form
 from kchern.exactmath import Echelon, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
@@ -20,16 +21,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
-    words = enumerate_words(alg, degree)
-    out = {}
-    if not words:
-        return UForm(alg)
-    for _ in range(terms):
-        w = words[rng.randrange(len(words))]
-        c = Fraction(rng.randint(-3, 3))
-        if c:
-            out[w] = out.get(w, Q0) + c
-    return UForm(alg, out)
+    return random_form(alg, rng, (degree,), terms, 3)
 
 
 def canonical_forms_digest():
