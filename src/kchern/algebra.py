@@ -24,8 +24,9 @@ class Algebra:
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
-    `AlgElement.__mul__` and `mat_mul`, the product of square matrices of
-    elements, are its two callers; both skip zero coefficients.
+    `AlgElement.__mul__`, `mat_mul` (the product of square matrices of
+    elements) and the word products of `uforms` read it; all skip zero
+    coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -50,7 +51,7 @@ class Algebra:
         self.sparse_mul = tuple(
             tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
             for row in table)
-        self.names = tuple(names) if names else tuple(
+        self.names = tuple(names) if names is not None else tuple(
             "e%d" % i for i in range(m))
         if len(self.names) != m:
             raise AlgebraError("wrong number of basis names")
@@ -436,9 +437,10 @@ def algebra_to_json(a: Algebra) -> dict:
 
 def table_from_json(data):
     """The (mul, names) of an algebra payload {"dim", "mul", "names"?}, with
-    each rational parsed once.  A payload of the wrong shape raises
-    AlgebraError; a rational that is not a "num/den" string raises TypeError
-    or ValueError.  Unit, associativity and names are left to Algebra."""
+    each rational parsed once.  A payload of the wrong shape, `names` not a
+    list of strings included, raises AlgebraError; a rational that is not a
+    "num/den" string raises TypeError or ValueError.  Unit, associativity
+    and the number of names are left to Algebra."""
     if not isinstance(data, dict) or "dim" not in data or "mul" not in data:
         raise AlgebraError("algebra JSON must have 'dim' and 'mul'")
     dim = data["dim"]
@@ -455,7 +457,11 @@ def table_from_json(data):
             if not isinstance(entry, list) or len(entry) != dim:
                 raise AlgebraError("each product must be a length-dim vector")
         table.append([[rat_from_str(c) for c in entry] for entry in row])
-    return table, data.get("names")
+    names = data.get("names")
+    if "names" in data and not (isinstance(names, list) and all(
+            isinstance(n, str) for n in names)):
+        raise AlgebraError("'names' must be a list of strings")
+    return table, names
 
 
 def unit_index(mul):

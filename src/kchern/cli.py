@@ -256,6 +256,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.degree_cap < 1:
+            raise CliError("--degree-cap must be at least 1", EXIT_PARSE)
         return args.fn(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

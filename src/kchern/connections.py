@@ -447,15 +447,7 @@ def swap_iso(p: Idempotent, q: Idempotent) -> ModuleIso:
         sigma[m + i][i] = one
     for j in range(m):
         sigma[j][n + j] = one
-    sig = Mat(sigma)
     p0 = Idempotent(alg, block_diag(p.mat, q.mat, z))
     p1 = Idempotent(alg, block_diag(q.mat, p.mat, z))
-    u = sig * p0.mat
-    # inverse permutation
-    sigma_inv = [[z for _ in range(tot)] for _ in range(tot)]
-    for i in range(n):
-        sigma_inv[i][m + i] = one
-    for j in range(m):
-        sigma_inv[n + j][j] = one
-    v = Mat(sigma_inv) * p1.mat
-    return ModuleIso(p0, p1, u, v)
+    # sigma is a permutation matrix, so its inverse is its transpose
+    return ModuleIso(p0, p1, Mat(sigma) * p0.mat, Mat(zip(*sigma)) * p1.mat)

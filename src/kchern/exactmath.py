@@ -53,15 +53,22 @@ def rat_from_str(s: str):
 # Polynomials
 # ---------------------------------------------------------------------------
 
-def _sparse(pairs) -> dict:
-    """{key: sum of its values} over (key, value) pairs, zero sums dropped."""
-    out = {}
+def accumulate(pairs, out=None) -> dict:
+    """Add each (key, value) of `pairs` into the dict `out` (a fresh one by
+    default) and return it; a key whose sum is zero is dropped, a zero
+    first value included."""
+    if out is None:
+        out = {}
+    # a new key is stored as it is: 0 + v would be a slow Fraction sum
     for k, v in pairs:
-        v = out.get(k, Q0) + v
-        if v:
+        if k in out:
+            v = out[k] + v
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        elif v:
             out[k] = v
-        else:
-            out.pop(k, None)
     return out
 
 
@@ -85,7 +92,7 @@ class Poly:
 
     def __init__(self, coeffs=None):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
-        self.coeffs = _sparse((e, rat(c)) for e, c in items)
+        self.coeffs = accumulate((e, rat(c)) for e, c in items)
 
     @classmethod
     def _new(cls, cs: dict) -> "Poly":
@@ -139,18 +146,8 @@ class Poly:
             if not other:
                 return self
             other = self.const(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v += c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return self._new(out)
+        return self._new(accumulate(other.coeffs.items(),
+                                    dict(self.coeffs)))
 
     __radd__ = __add__
 
@@ -174,6 +171,7 @@ class Poly:
                 return self._new({})
             other = rat(other)
             return self._new({e: c * other for e, c in self.coeffs.items()})
+        # inline: via accumulate, transgression p50 went 1.28 -> 1.40 ms
         out = {}
         for e1, a in self.coeffs.items():
             for e2, b in other.coeffs.items():
@@ -198,8 +196,8 @@ class Poly:
 
     def _collapse(self, i: int, weight):
         """Drop variable i, summing the terms weight(exponent) * c."""
-        return self._drop(_sparse((e[:i] + e[i + 1:], c * weight(e[i]))
-                                  for e, c in self.coeffs.items()))
+        return self._drop(accumulate((e[:i] + e[i + 1:], c * weight(e[i]))
+                                     for e, c in self.coeffs.items()))
 
     def integrate01(self, i: int):
         """Definite integral of variable i over [0, 1], exact."""
@@ -212,7 +210,7 @@ class Poly:
 
     def reflect(self, i: int) -> "Poly":
         """Substitute 1 - x_i for x_i: (1 - x)^k = sum_j C(k, j) (-x)^j."""
-        return self._new(_sparse(
+        return self._new(accumulate(
             (e[:i] + (j,) + e[i + 1:], c * ((-1) ** j * comb(e[i], j)))
             for e, c in self.coeffs.items() for j in range(e[i] + 1)))
 

@@ -12,11 +12,9 @@ import subprocess
 import sys
 import time
 
-import pytest
-
-from kchern.connections import (ModuleIso, chern, direct_sum, grassmann,
-                                pullback, random_automorphism,
-                                random_connection, random_idempotent)
+from kchern.connections import (ModuleIso, direct_sum, pullback,
+                                random_automorphism, random_connection,
+                                random_idempotent)
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (KCSWitness, KHatGen, chain_witnesses, hexagon_suite,
                          verify_kcs_equivalence)

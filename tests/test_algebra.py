@@ -6,8 +6,8 @@ import pytest
 
 from kchern.algebra import (AlgebraError, AlgebraHom, algebra_from_json,
                             algebra_to_json, make_group_algebra,
-                            make_matrix_algebra, make_product,
-                            make_truncated_poly, table_from_json, unit_index)
+                            make_matrix_algebra, make_truncated_poly,
+                            table_from_json, unit_index)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 

@@ -75,6 +75,19 @@ class TestAlgebraCheck:
         assert run(["algebra-check", str(f)]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_names_must_be_a_list_of_strings(self, tmp_path, capsys):
+        data = algebra_to_json(make_fixture("dual"))
+        for i, names in enumerate(("1x", ["1", 3], None, {"1": "x"})):
+            f = _write(tmp_path, "n%d.json" % i, dict(data, names=names))
+            assert run(["algebra-check", f]) == 2, names
+            captured = capsys.readouterr()
+            assert captured.out == "" and "names" in captured.err
+        # a list of strings of the wrong length is a validation failure
+        for i, names in enumerate((["1"], [])):
+            f = _write(tmp_path, "w%d.json" % i, dict(data, names=names))
+            assert run(["algebra-check", f]) == 3, names
+            assert "wrong number of basis names" in capsys.readouterr().out
+
 
 def _numeric_table(tmp_path):
     # M2 with its structure constants as JSON numbers, not "num/den"
@@ -234,6 +247,20 @@ class TestMalformedInput:
         assert run(["kcs", "--fixture", "QxQ", "--path", f,
                     "--kmax", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_degree_cap_below_one_refused_before_any_file(self, m2_file,
+                                                          capsys):
+        missing = "/nonexistent/nowhere.json"
+        for argv in (["algebra-check", m2_file],
+                     ["algebra-check", missing],
+                     ["homology", "--fixture", "Q", "--degree", "0"],
+                     ["homology", "--algebra", missing, "--degree", "0"],
+                     ["verify", "--suite", "dga", "--fixture", "Q"]):
+            for cap in ("0", "-1"):
+                assert run(argv + ["--degree-cap", cap]) == 2, (argv, cap)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: --degree-cap")
 
     def test_chern_kmax_range(self, capsys):
         assert run(["chern", "--fixture", "dual", "--seed", "1",

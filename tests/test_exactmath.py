@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kchern.exactmath import (Echelon, Poly1, Poly2, Q0, Q1, TrackedEchelon,
-                              rat, rat_from_str, rat_to_str)
+                              accumulate, rat, rat_from_str, rat_to_str)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -99,6 +99,15 @@ class TestPoly1:
         assert not (t - t)
         assert (t - t) == 0
         assert Poly1({(1,): 0}).coeffs == {}
+
+
+def test_accumulate_adds_into_out_and_drops_zero_sums():
+    assert accumulate([("a", 0), ("b", Fraction(1, 2))]) == {
+        "b": Fraction(1, 2)}
+    out = {"a": 1, "b": 2}
+    pairs = [("a", -1), ("c", 3), ("c", -3), ("b", Fraction(1, 2))]
+    assert accumulate(pairs, out) is out
+    assert out == {"b": Fraction(5, 2)}
 
 
 def test_constant_hashes_as_its_fraction():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from kchern.connections import (ConnectionError_, Idempotent, Mat, ModuleIso,
+from kchern.connections import (ConnectionError_, ModuleIso, chern,
                                 compose_iso, direct_sum, grassmann, pullback,
                                 random_automorphism, random_connection,
-                                random_idempotent, random_iso, sum_iso)
+                                random_idempotent, sum_iso)
 from kchern import khat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
@@ -243,6 +243,16 @@ class TestHexagon:
         rep = hexagon_suite(alg, 7, 2)
         names = [e["name"] for e in rep["identities"]]
         assert names == ["R o a = d", "Pr o R = ch o I", "R o a o ch1 = 0"]
+
+    def test_planted_r_without_dbar_omega_fails(self, monkeypatch):
+        # R o a = d holds because R adds dbar(omega) to ch(D): an R that
+        # drops that term must break it
+        monkeypatch.setattr(
+            khat, "map_R",
+            lambda g, k_max: sum_classes(chern(g.conn, k_max), g.algebra))
+        rep = hexagon_suite(make_fixture("M2"), 7, 2)
+        status = {e["name"]: e["status"] for e in rep["identities"]}
+        assert status["R o a = d"] == "fail"
 
     def test_planted_non_closed_term_fails(self, monkeypatch):
         # R o a o ch1 = 0 holds because odd Chern classes are closed: a

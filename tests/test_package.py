@@ -65,6 +65,35 @@ def test_imports_are_public_and_at_module_level():
     assert not found
 
 
+def test_no_unused_imports():
+    # every imported name is referenced in its module or listed in its
+    # __all__; package __init__ files import to re-export, so they are left
+    # out
+    found = []
+    paths = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in imported.items() if name not in used]
+    assert not found
+
+
 def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

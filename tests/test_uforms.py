@@ -17,7 +17,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           to_poly, word_degree, _word_mul)
+                           to_poly, _word_mul)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
