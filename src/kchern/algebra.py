@@ -24,9 +24,9 @@ class Algebra:
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
-    `AlgElement.__mul__`, `mat_mul` (the product of square matrices of
-    elements) and the word products of `uforms` read it; all skip zero
-    coefficients.
+    `_add_product` (the one product step, used by `AlgElement.__mul__` and,
+    through `sparse_ring`, by the sparse product loop of `connections.Mat`)
+    and the word products of `uforms` read it; all skip zero coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -101,7 +101,7 @@ class Algebra:
         """The nonzero (index, coefficient) pairs of an element of this
         algebra; anything else raises AlgebraError."""
         self._check(e)
-        return [(i, c) for i, c in enumerate(e.vec) if c]
+        return e.terms
 
     def _add_product(self, acc, a, b):
         """acc += a * b, for a and b given by their nonzero terms."""
@@ -117,35 +117,17 @@ class Algebra:
         """The element with the rational entries `acc`, stored through `rat`
         without a length check."""
         r = object.__new__(AlgElement)
-        r.algebra = self
-        r.vec = tuple(map(rat, acc))
+        r._store(self, tuple(map(rat, acc)))
         return r
 
-    def mat_mul(self, left, right):
-        """Rows of the product of the square matrices `left` and `right`
-        (lists of rows of elements of this algebra).  Each operand entry is
-        checked and listed by its nonzero terms once, and pairs with a zero
-        entry are skipped; each output entry is summed in one coefficient
-        list, and entries with no terms share one zero element."""
+    def sparse_ring(self):
+        """The hooks (terms, new, add, wrap) of the sparse matrix product
+        over this algebra (see `connections.Mat`): the checked nonzero terms
+        of an element, a fresh coefficient list, the product step adding
+        a*b into it, and the element of a coefficient list."""
         m = self.dim
-        zero = self.zero()
-        lt = [[self._terms(e) for e in row] for row in left]
-        rt = [[self._terms(e) for e in row] for row in right]
-        out = []
-        for lrow in lt:
-            row = []
-            for j in range(len(lt)):
-                acc = None
-                for k, a in enumerate(lrow):
-                    if a:
-                        b = rt[k][j]
-                        if b:
-                            if acc is None:
-                                acc = [Q0] * m
-                            self._add_product(acc, a, b)
-                row.append(zero if acc is None else self._element(acc))
-            out.append(row)
-        return out
+        return self._terms, lambda: [Q0] * m, self._add_product, \
+            self._element
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -174,16 +156,24 @@ class Algebra:
 class AlgElement:
     """Element of an Algebra: a vector of rational coefficients, each stored
     as `rat` gives it (an int when integral), so a float or a Poly raises
-    TypeError and an integral result of arithmetic is an int."""
+    TypeError and an integral result of arithmetic is an int.
 
-    __slots__ = ("algebra", "vec")
+    `terms` lists the nonzero (index, coefficient) pairs of `vec`, computed
+    once at construction; elements are immutable, so it cannot go stale.
+    """
+
+    __slots__ = ("algebra", "vec", "terms")
 
     def __init__(self, algebra: Algebra, vec):
         vec = tuple(map(rat, vec))
         if len(vec) != algebra.dim:
             raise AlgebraError("coefficient vector length mismatch")
+        self._store(algebra, vec)
+
+    def _store(self, algebra: Algebra, vec: tuple):
         self.algebra = algebra
         self.vec = vec
+        self.terms = tuple((i, c) for i, c in enumerate(vec) if c)
 
     def __add__(self, other):
         self.algebra._check(other)
@@ -209,7 +199,7 @@ class AlgElement:
         return self.algebra._element(c * scalar for c in self.vec)
 
     def __bool__(self):
-        return any(bool(c) for c in self.vec)
+        return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, AlgElement)
@@ -220,8 +210,7 @@ class AlgElement:
 
     def __repr__(self):
         names = self.algebra.names
-        parts = [("%s*%s" % (c, names[i])) for i, c in enumerate(self.vec)
-                 if c]
+        parts = [("%s*%s" % (c, names[i])) for i, c in self.terms]
         return " + ".join(parts) if parts else "0"
 
 

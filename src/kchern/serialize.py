@@ -60,10 +60,15 @@ def form_to_json(u: UForm) -> list:
 
 
 def form_from_json(alg: Algebra, data: list) -> UForm:
-    """The form of a term list; UForm sums repeated words."""
+    """The form of a term list; UForm sums repeated words.  A word that is
+    not a non-empty list of integers (bools excluded) raises ValueError."""
     pairs = []
     for item in data:
-        w = tuple(item["word"])
+        w = item["word"]
+        if not (isinstance(w, list) and w and all(type(i) is int for i in w)):
+            raise ValueError("a word is a non-empty list of integers, not %r"
+                             % (w,))
+        w = tuple(w)
         if "degree" in item and item["degree"] != word_degree(w):
             raise FormError("degree does not match word length")
         pairs.append((w, coeff_from_json(item["coeff"])))

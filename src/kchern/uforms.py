@@ -207,6 +207,8 @@ class UForm(_Terms):
         self.terms = t
         m = algebra.dim
         for w in t:
+            if not w:
+                raise FormError("empty word")
             if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
                 raise FormError("word index out of range: %r" % (w,))
 
@@ -225,7 +227,15 @@ class UForm(_Terms):
 
     @staticmethod
     def from_element(a: AlgElement) -> "UForm":
-        return UForm(a.algebra, {(i,): c for i, c in enumerate(a.vec) if c})
+        return UForm(a.algebra, {(i,): c for i, c in a.terms})
+
+    @staticmethod
+    def sparse_ring(algebra: Algebra):
+        """The hooks (terms, new, add, wrap) of the sparse matrix product
+        over Omega(A) (see `connections.Mat`): a form stands for its terms
+        (falsy when zero), a dict accumulates, `add_product` is the step and
+        the dict is wrapped without a copy."""
+        return (lambda u: u), dict, add_product, UForm(algebra)._like
 
     # structure ------------------------------------------------------------
     def __mul__(self, other):
@@ -260,14 +270,14 @@ def differential(w: UForm) -> UForm:
     return w._like({(0,) + word: c for word, c in w.terms.items() if word[0]})
 
 
-def multiply(u: UForm, v: UForm) -> UForm:
-    """Associative graded product by boundary rewriting."""
-    if u.algebra != v.algebra:
-        raise FormError("form algebra mismatch")
+def add_product(out: dict, u: UForm, v: UForm):
+    """out += u*v, for forms over one algebra (not checked here) and `out` a
+    dict of nonzero scalars by word: the one product step.  `multiply` runs
+    it once, and the product of form matrices (`connections.Mat`) once per
+    pair of nonzero entries, so each output entry is summed in one dict."""
     alg = u.algebra
     cap = alg.degree_cap
     # inline: via accumulate, transgression and khat ran 5-10% slower
-    out = {}
     for w1, c1 in u.terms.items():
         d1 = word_degree(w1)
         for w2, c2 in v.terms.items():
@@ -286,6 +296,14 @@ def multiply(u: UForm, v: UForm) -> UForm:
                         del out[w]
                 else:
                     out[w] = val
+
+
+def multiply(u: UForm, v: UForm) -> UForm:
+    """Associative graded product by boundary rewriting."""
+    if u.algebra != v.algebra:
+        raise FormError("form algebra mismatch")
+    out = {}
+    add_product(out, u, v)
     return u._like(out)
 
 

@@ -286,6 +286,19 @@ class TestMalformedInput:
                     "--out", out]) == 2
         assert "cannot write %s" % out in capsys.readouterr().err
 
+    def test_malformed_word_is_a_parse_error(self, tmp_path, capsys):
+        # an empty word (with no degree key to catch it) and a bool inside a
+        # word (which would pass for the integer 1) are refused
+        for i, word in enumerate(([], [1, True], [0, 1.0], "01", None)):
+            conn = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                    "theta": [[[{"word": word, "coeff": "1"}]]]}
+            f = _write(tmp_path, "w%d.json" % i, conn)
+            assert run(["chern", "--fixture", "dual", "--connection", f]) \
+                == 2, word
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "non-empty list of integers" in captured.err
+
     def test_every_malformed_coefficient_is_a_parse_error(self, tmp_path):
         for i, coeff in enumerate((1, 0.5, None, ["1"], {"x^1": "1"},
                                    {"t^-1": "1"}, {"t^x": "1"}, {"t^": "1"},

@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from kchern.algebra import AlgebraError, AlgebraHom
+from kchern.algebra import AlgElement, AlgebraError, AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
                                 curvature, direct_sum, extend_scalars,
                                 grassmann, pullback, random_automorphism,
                                 random_connection, random_form,
                                 random_idempotent, random_iso, sum_iso,
-                                swap_iso, trace_ab)
-from kchern.exactmath import Q0, Q1
+                                swap_iso, trace_ab, zero_form_mat)
+from kchern.exactmath import Poly, Q0, Q1, accumulate
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.uforms import (UForm, ab_d, enumerate_words, is_exact_in_ab,
-                           project_ab)
+from kchern.transgression import TForm
+from kchern.uforms import (DegreeCapError, FormError, UForm, ab_d,
+                           enumerate_words, is_exact_in_ab, multiply,
+                           project_ab, _word_mul)
 from tests.test_uforms import rand_homogeneous
 
 
@@ -182,6 +184,9 @@ class TestIsos:
         p = random_idempotent(alg, 2, rng)
         aut = random_automorphism(p, rng)
         assert aut.p0 == p and aut.p1 == p
+        # and it is a scalar multiple p/(1 + alpha) of p
+        assert any(aut.u == p.mat.map(lambda e: e.scale(Fraction(1, 1 + a)))
+                   for a in (1, 2, -2, 3))
 
     def test_swap_iso_roundtrip(self):
         alg = make_fixture("QxQ")
@@ -204,19 +209,27 @@ class TestIsos:
         assert s.p0.size == 3
 
 
-def _random_kernel_mat(alg, n, rng):
-    """n x n, with non-integral coefficients, zero entries and, half the
-    time, a zero off-diagonal block."""
-    coeffs = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
-    rows = [[alg.element([rng.choice(coeffs) for _ in range(alg.dim)])
-             if rng.random() < 0.7 else alg.zero() for _ in range(n)]
+def _random_mat(n, rng, entry, zero):
+    """n x n: entry() 70% of the time, else `zero`, and, half the time, a
+    zero off-diagonal block."""
+    rows = [[entry() if rng.random() < 0.7 else zero for _ in range(n)]
             for _ in range(n)]
     if n > 1 and rng.random() < 0.5:
         cut = rng.randint(1, n - 1)
         for i in range(cut):
             for j in range(cut, n):
-                rows[i][j] = alg.zero()
+                rows[i][j] = zero
     return Mat(rows)
+
+
+_COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+def _random_kernel_mat(alg, n, rng):
+    """n x n, with non-integral coefficients, zero entries and, half the
+    time, a zero off-diagonal block."""
+    return _random_mat(n, rng, lambda: alg.element(
+        [rng.choice(_COEFFS) for _ in range(alg.dim)]), alg.zero())
 
 
 def _entrywise_product(alg, x, y):
@@ -290,10 +303,146 @@ class TestProductKernel:
         again = make_fixture("dual")
         assert a * a.map(lambda e: again.element(e.vec)) == a
 
+    def test_cached_terms_match_vec(self):
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random(42)
+            x = _random_kernel_mat(alg, 3, rng)
+            y = _random_kernel_mat(alg, 3, rng)
+            a = alg.element([rng.choice(_COEFFS) for _ in range(alg.dim)])
+            b = x.entries[0][0]
+            made = [a, alg.zero(), a + b, a - b, -a, a * b, b * a,
+                    a.scale(Fraction(-3, 2)), a.scale(0), a - a]
+            made += [alg.basis(i) for i in range(alg.dim)]
+            made += [e for row in (x * y).entries for e in row]
+            for e in made:
+                assert e.terms == tuple((i, c) for i, c in enumerate(e.vec)
+                                        if c), (name, e)
+
+    def test_planted_stale_terms_fail(self, monkeypatch):
+        # every element forgets its first nonzero coefficient
+        algebras = [make_fixture(name) for name in FIXTURE_NAMES]
+        store = AlgElement._store
+
+        def stale(self, algebra, vec):
+            store(self, algebra, vec)
+            self.terms = self.terms[1:]
+
+        monkeypatch.setattr(AlgElement, "_store", stale)
+        for alg in algebras:
+            assert not _kernel_agrees(alg, 40), alg
+
     def test_empty_matrix(self):
         assert (Mat([]) * Mat([])).size == 0
         with pytest.raises(ConnectionError_, match="empty"):
             Idempotent(make_fixture("M2"), Mat([]))
+
+
+def _random_form_mat(alg, n, rng, r):
+    """n x n forms of degrees 0 to 2 with rational scalars (r = 0) or
+    polynomial ones in r variables, as `_random_mat` places them."""
+    def scalar():
+        c = rng.choice(_COEFFS[2:])
+        if not r:
+            return c
+        return Poly.TYPES[r]({(0,) * r: c, tuple(rng.randint(0, 1)
+                                                  for _ in range(r)): 1})
+
+    return _random_mat(n, rng, lambda: random_form(
+        alg, rng, (0, 1, 2), (0, 2), 2).map_scalars(
+            lambda c: c * scalar()), UForm.zero(alg))
+
+
+def _entrywise_form_product(alg, x, y):
+    """x*y over `alg` (an algebra equal to that of x and y, with its own
+    word products), each entry summed term by term with `multiply`."""
+    n = x.size
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = UForm.zero(alg)
+            for k in range(n):
+                acc = acc + multiply(UForm(alg, x.entries[i][k].terms),
+                                     UForm(alg, y.entries[k][j].terms))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _form_kernel_agrees(alg, ref, seed, trials=6):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n, r = rng.randint(1, 4), rng.randint(0, 2)
+        x = _random_form_mat(alg, n, rng, r)
+        y = _random_form_mat(alg, n, rng, r)
+        if (x * y).entries != _entrywise_form_product(ref, x, y):
+            return False
+    return True
+
+
+def _raised(f):
+    try:
+        f()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestFormProductKernel:
+    def test_matches_entrywise_products(self):
+        for name in FIXTURE_NAMES:
+            assert _form_kernel_agrees(make_fixture(name), make_fixture(name),
+                                       50), name
+        assert (zero_form_mat(make_fixture("x3"), 0) * Mat([])).size == 0
+
+    def test_planted_word_product_fails(self):
+        # one wrong coefficient in one memoized word product that the
+        # product reads
+        for name in FIXTURE_NAMES:
+            bad = make_fixture(name)
+            rng = random.Random(51)
+            x = _random_form_mat(bad, 3, rng, 0)
+            y = _random_form_mat(bad, 3, rng, 0)
+            w1, w2 = next((min(a.terms), min(b.terms))
+                          for row in x.entries for k, a in enumerate(row)
+                          for b in y.entries[k] if a and b)
+            bad._wordmul[w1, w2] = accumulate(
+                [(w1 + w2[1:], 1)], dict(_word_mul(bad, w1, w2)))
+            assert (x * y).entries != _entrywise_form_product(
+                make_fixture(name), x, y), name
+
+    def test_mismatches_raise_as_entrywise(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        eps = UForm.from_element(dual.basis(1))
+
+        def mat(one, zero):
+            return Mat([[one, zero], [zero, one]])
+
+        forms = mat(eps, UForm.zero(dual))
+        others = (mat(UForm.unit(x3), UForm.zero(x3)),
+                  mat(eps, UForm.zero(x3)),
+                  mat(dual.unit(), dual.zero()),
+                  mat(eps, dual.zero()),
+                  mat(TForm(eps), TForm.zero(dual)))
+        for other in others:
+            for x, y in ((forms, other), (other, forms)):
+                raised = _raised(lambda: x * y)
+                assert raised in (FormError, AlgebraError)
+                assert raised is _raised(lambda: [
+                    [x.entries[i][0] * y.entries[0][j]
+                     + x.entries[i][1] * y.entries[1][j] for j in range(2)]
+                    for i in range(2)])
+
+    def test_degree_cap(self):
+        dual = make_fixture("dual", degree_cap=2)
+        deps = UForm.from_element(dual.basis(1)).d()
+        zero = UForm.zero(dual)
+        x = Mat([[deps * deps, zero], [zero, zero]])
+        y = Mat([[zero, deps], [zero, zero]])
+        with pytest.raises(DegreeCapError):
+            x * y
+        assert (y * x).entries == zero_form_mat(dual, 2).entries
 
 
 class TestMatSizes:

@@ -119,6 +119,14 @@ class TestWordModel:
             alg = make_fixture(name)
             assert UForm.unit(alg).d().is_zero()
 
+    def test_words_are_checked(self):
+        dual = make_fixture("dual")
+        with pytest.raises(FormError, match="empty word"):
+            UForm(dual, {(): 1})
+        for word in ((2,), (0, 0), (-1, 1)):
+            with pytest.raises(FormError, match="out of range"):
+                UForm(dual, {word: 1})
+
     def test_degree_cap_enforced(self):
         alg = make_fixture("dual", degree_cap=2)
         eps = UForm.from_element(alg.basis(1))
