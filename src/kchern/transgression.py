@@ -17,15 +17,20 @@ gives the whole calculus:
 Every sign is read from `sigma` and the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
 use BiForm.
+
+KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
+of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
+power is built.  The k = 1 potential vanishes: R~ has no ds /\ dt part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula)
-from .exactmath import Poly1, Poly2
+from .exactmath import Poly1, Poly2, accumulate
 from .uforms import FormError, UForm, project_ab, to_poly, word_degree
 
 
@@ -63,6 +68,7 @@ class CylForm:
         n = 1 << cls.R
         cls._PAIRS = tuple((a, b, a | b, bin(b).count("1") % 2)
                            for a in range(n) for b in range(n) if not a & b)
+        cls._TOP_PAIRS = tuple(x for x in cls._PAIRS if x[2] == n - 1)
         for a, b, _, _ in cls._PAIRS:
             KOSZUL[a] = -1 if bin(a).count("1") % 2 else 1
             # the sign counts the pairs i in I, j in J with i > j
@@ -113,14 +119,13 @@ class CylForm:
     def __neg__(self):
         return self._make(tuple(-x for x in self.parts))
 
-    def __mul__(self, other):
-        """(dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v."""
-        if type(other) is not type(self):
-            return NotImplemented
+    def _factors(self, other, pairs):
+        """The triples (ab, u, v) whose products u*v sum to the parts ab of
+        self*other, over `pairs` (a sub-tuple of _PAIRS), by the one rule
+        (dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v."""
         us, vs = self.parts, other.parts
-        out = [None] * len(us)
         flipped = {}
-        for a, b, ab, odd in self._PAIRS:
+        for a, b, ab, odd in pairs:
             u, v = us[a], vs[b]
             if not u or not v:
                 continue
@@ -128,12 +133,16 @@ class CylForm:
                 if a not in flipped:
                     flipped[a] = sigma(u)
                 u = flipped[a]
-            term = u * v
-            if SHUFFLE[a, b] < 0:
-                term = -term
-            out[ab] = term if out[ab] is None else out[ab] + term
-        return self._make(tuple(UForm(self.algebra) if x is None else x
-                                for x in out))
+            yield ab, (-u if SHUFFLE[a, b] < 0 else u), v
+
+    def __mul__(self, other):
+        """Every part of the product, over all of _PAIRS."""
+        if type(other) is not type(self):
+            return NotImplemented
+        out = [{} for _ in self.parts]
+        for ab, u, v in self._factors(other, self._PAIRS):
+            accumulate((u * v).terms.items(), out[ab])
+        return self._make(tuple(UForm(self.algebra)._like(x) for x in out))
 
     def __rmul__(self, scalar):
         return self._make(tuple(x.scale(scalar) for x in self.parts))
@@ -323,19 +332,44 @@ def tform_operator(path: PolyPath, x: Mat) -> Mat:
 
 
 def chern_tform(path: PolyPath, k_max: int):
-    """[ch_0, ..., ch_kmax] of the cylinder connection, as TForms."""
-    def curv():
-        r, s = tilde_curvature(path)
-        return _cyl_mat(TForm, {0: r, 1: s})
-    return chern_series(path.p.to_form().map(TForm), curv, k_max, Mat.trace)
+    """[ch_0, ..., ch_kmax] as whole TForms, for the suites' ev check."""
+    return chern_series(path.p.to_form().map(TForm),
+                        lambda: _cyl_mat(TForm, _curvature_parts(path)),
+                        k_max, Mat.trace)
+
+
+def _fibre_chern(family, k_max: int):
+    r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
+    the family's ch_k, integrated over every parameter, 1/k! applied last.
+    Lower powers of R~ are full products; the top one builds only the dx_top
+    part of the diagonal of R~^(k-1) R~, by CylForm's own product rule."""
+    check_k_max(k_max)
+    r = _cyl_mat(CylForm.TYPES[family.R], _curvature_parts(family))
+    out = []
+    power = r                       # R~^(k-1) from k = 2 on
+    for k in range(1, k_max + 1):
+        if k == 1:
+            part = r.trace().parts[-1]          # the dx_top part
+        else:
+            acc = {}
+            for i, row in enumerate(power.entries):
+                for x, r_row in zip(row, r.entries):
+                    for _, u, v in x._factors(r_row[i], x._TOP_PAIRS):
+                        accumulate((u * v).terms.items(), acc)
+            part = UForm(family.algebra, acc)
+            if k < k_max:
+                power = power * r
+        for _ in range(family.R):
+            part = part.map_scalars(lambda q: q.integrate01(0))
+        out.append(part.scale(Fraction(1, factorial(k))))
+    return out
 
 
 def kcs(path: PolyPath, k_max: int):
-    """[KCS_1, ..., KCS_kmax]: K applied to the cylinder Chern forms;
-    KCS_k is a degree 2k-1 class in the abelianization; k_max >= 1."""
-    check_k_max(k_max)
-    chs = chern_tform(path, k_max)
-    return [project_ab(homotopy_K(chs[k])) for k in range(1, k_max + 1)]
+    r"""[KCS_1, ..., KCS_kmax] with KCS_k = K ch_k, the fibre integral over t
+    of the dt part of the cylinder Chern form; a degree 2k-1 class in the
+    abelianization; k_max >= 1."""
+    return [project_ab(u) for u in _fibre_chern(path, k_max)]
 
 
 def kcs_between(c0: Connection, c1: Connection, k_max: int):
@@ -390,16 +424,16 @@ def bigon_curvature(b: Bigon) -> Mat:
 
 
 def chern_biform(b: Bigon, k_max: int):
-    """[ch_0, ..., ch_kmax] of the bigon connection, as BiForms."""
+    """[ch_0, ..., ch_kmax] as whole BiForms; only tests call it, as the
+    oracle of secondary_transgression."""
     return chern_series(b.p.to_form().map(BiForm), lambda: bigon_curvature(b),
                         k_max, Mat.trace)
 
 
 def secondary_transgression(b: Bigon, k_max: int):
-    """[K K_s ch_1, ..., K K_s ch_kmax]: even potentials (degree 2k-2) whose
-    dbar is the KCS of the s = 0 edge minus that of the s = 1 edge, per
-    degree in the abelianization; k_max >= 1."""
-    check_k_max(k_max)
-    chs = chern_biform(b, k_max)
-    return [project_ab(homotopy_K(chs[k].integrate(0)))
-            for k in range(1, k_max + 1)]
+    r"""[K K_s ch_1, ..., K K_s ch_kmax]: the fibre integrals over (s, t) of
+    the ds /\ dt part of the bigon's Chern forms, even potentials (degree
+    2k-2) whose dbar is the KCS of the s = 0 edge minus that of the s = 1
+    edge, per degree in the abelianization.  The k = 1 potential vanishes,
+    since the curvature has no ds /\ dt part; k_max >= 1."""
+    return [project_ab(u) for u in _fibre_chern(b, k_max)]

@@ -113,6 +113,16 @@ def _scalar(c):
         raise FormError(str(exc)) from None
 
 
+def _check_words(algebra: Algebra, words):
+    """FormError on an empty word or an index out of range."""
+    m = algebra.dim
+    for w in words:
+        if not w:
+            raise FormError("empty word")
+        if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
+            raise FormError("word index out of range: %r" % (w,))
+
+
 class _Terms:
     """Sparse map from basis words to nonzero scalars over an algebra: the
     linear arithmetic shared by forms and abelianization classes.
@@ -205,12 +215,7 @@ class UForm(_Terms):
                     else:
                         t[w] = c
         self.terms = t
-        m = algebra.dim
-        for w in t:
-            if not w:
-                raise FormError("empty word")
-            if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
-                raise FormError("word index out of range: %r" % (w,))
+        _check_words(algebra, t)
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -429,6 +434,7 @@ class AbClass(_Terms):
         self.algebra = algebra
         terms = ((w, _scalar(c)) for w, c in (terms or {}).items())
         self.terms = {w: c for w, c in terms if c}
+        _check_words(algebra, self.terms)
 
     def lift(self) -> UForm:
         """The canonical representative as a form (sum of quotient words)."""

@@ -1,5 +1,6 @@
 """Transgression: cylinder forms, homotopy operator, KCS, bigons."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform, run_transgression_suite
 from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
-                                  bigon_straight, chern_tform, constant_path,
-                                  homotopy_K, kcs, kcs_between,
+                                  bigon_straight, chern_biform, chern_tform,
+                                  constant_path, homotopy_K, kcs, kcs_between,
                                   kcs_closed_form, reverse_path,
                                   secondary_transgression, straight_line,
                                   three_point_path, tilde_curvature,
@@ -286,6 +287,75 @@ class TestBigons:
             assert e0 == path1.restrict(0, t).theta.entries
             e1 = bigon.restrict(0, 1).restrict(0, t).theta.entries
             assert e1 == path2.restrict(0, t).theta.entries
+
+
+# ---------------------------------------------------------------------------
+# The fibre integrals against the full cylinder Chern forms
+# ---------------------------------------------------------------------------
+
+def _fibre_disagreements():
+    """(fixtures where kcs or secondary_transgression differs from K, or
+    K K_s, of the full chern_tform or chern_biform forms, count of nonzero
+    values), over seeded straight and three-point paths and their bigons."""
+    bad, nonzero = set(), 0
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random("fibre/" + name)
+        for p in (random_idempotent(alg, 2, rng), Idempotent.identity(alg, 1)):
+            c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+            lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
+            bigon = bigon_straight(lin, quad)
+            for k_max in range(1, 3 if name == "M2" else 4):
+                sides = [(kcs(path, k_max),
+                          [project_ab(homotopy_K(ch))
+                           for ch in chern_tform(path, k_max)[1:]])
+                         for path in (lin, quad)]
+                sides.append((secondary_transgression(bigon, k_max),
+                              [project_ab(homotopy_K(ch.integrate(0)))
+                               for ch in chern_biform(bigon, k_max)[1:]]))
+                for new, old in sides:
+                    if new != old:
+                        bad.add(name)
+                    nonzero += sum(1 for cls in new if cls)
+    return bad, nonzero
+
+
+def _keep_base_pair(monkeypatch):
+    # the pair (0, 0) has a | b != top but is summed into the top part
+    for cls in (TForm, BiForm):
+        monkeypatch.setattr(cls, "_TOP_PAIRS",
+                            cls._TOP_PAIRS + ((0, 0, 0, 0),))
+
+
+def _drop_top_pair(monkeypatch):
+    # the pair (top, 0) is the one with b = 0
+    for cls in (TForm, BiForm):
+        monkeypatch.setattr(cls, "_TOP_PAIRS",
+                            tuple(x for x in cls._TOP_PAIRS if x[1]))
+
+
+class TestFibreIntegral:
+    def test_matches_full_chern_forms(self):
+        bad, nonzero = _fibre_disagreements()
+        assert bad == set()
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("plant", [_keep_base_pair, _drop_top_pair])
+    def test_planted_top_pair_fails(self, monkeypatch, plant):
+        plant(monkeypatch)
+        bad, _ = _fibre_disagreements()
+        assert {"x3", "M2"} <= bad
+
+    def test_planted_factorial_fails_the_suite(self, monkeypatch):
+        # 1/k! applied as 1/(k-1)!
+        monkeypatch.setattr(transgression, "factorial",
+                            lambda k: math.factorial(k - 1))
+        for name, count in (("N_PATHS", 1), ("N_PAIRS", 2), ("N_TRIPLES", 1),
+                            ("N_CLOSED", 2)):
+            monkeypatch.setattr(suites, name, count)
+        rep = run_transgression_suite(3, fixtures=["x3"])
+        failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
+        assert "closed-form agreement" in failed
 
 
 # ---------------------------------------------------------------------------

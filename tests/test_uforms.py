@@ -120,12 +120,15 @@ class TestWordModel:
             assert UForm.unit(alg).d().is_zero()
 
     def test_words_are_checked(self):
+        # forms and abelianization classes refuse the same words
         dual = make_fixture("dual")
-        with pytest.raises(FormError, match="empty word"):
-            UForm(dual, {(): 1})
-        for word in ((2,), (0, 0), (-1, 1)):
-            with pytest.raises(FormError, match="out of range"):
-                UForm(dual, {word: 1})
+        for cls in (UForm, AbClass):
+            with pytest.raises(FormError, match="empty word"):
+                cls(dual, {(): 1})
+            for word in ((2,), (0, 0), (-1, 1), (7, 7)):
+                with pytest.raises(FormError, match="out of range"):
+                    cls(dual, {word: 1})
+            assert cls(dual, {(): 0, (1, 1): 2}).terms == {(1, 1): 2}
 
     def test_degree_cap_enforced(self):
         alg = make_fixture("dual", degree_cap=2)
