@@ -89,7 +89,7 @@ class Algebra:
         return tuple(Q1 if k == i else Q0 for k in range(self.dim))
 
     def elem_mul(self, a, b):
-        """Bilinear extension of the structure constants to vectors."""
+        """Vectors a*b; only `perfbench/workloads.py` still calls it."""
         return (AlgElement(self, a) * AlgElement(self, b)).vec
 
     def _check(self, e):
@@ -197,6 +197,10 @@ class AlgElement:
     def scale(self, scalar):
         scalar = rat(scalar)
         return self.algebra._element(c * scalar for c in self.vec)
+
+    def sparse_ring(self):
+        """The `sparse_ring` hooks of this element's algebra."""
+        return self.algebra.sparse_ring()
 
     def __bool__(self):
         return bool(self.terms)
@@ -316,9 +320,8 @@ def make_product(a: Algebra, b: Algebra, degree_cap: int = 8) -> Algebra:
     express = _express_in_basis(basis, dim)
 
     def mul_pair(u, v):
-        av = a.elem_mul(u[:da], v[:da])
-        bv = b.elem_mul(u[da:], v[da:])
-        return pair(av, bv)
+        return pair((a.element(u[:da]) * a.element(v[:da])).vec,
+                    (b.element(u[da:]) * b.element(v[da:])).vec)
 
     mul = [[express(mul_pair(basis[i], basis[j]))
             for j in range(len(basis))] for i in range(len(basis))]
@@ -381,34 +384,22 @@ class AlgebraHom:
         self._validate()
 
     def _validate(self):
-        if self.apply_vec(self.source._basis_vec(0)) != \
-                self.target._basis_vec(0):
+        src = self.source
+        images = [self(src.basis(i)) for i in range(src.dim)]
+        if images[0] != self.target.unit():
             raise AlgebraError("hom does not preserve the unit")
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.apply_vec(self.source.mul[i][j])
-                rhs = self.target.elem_mul(
-                    self.apply_vec(self.source._basis_vec(i)),
-                    self.apply_vec(self.source._basis_vec(j)))
-                if lhs != rhs:
-                    raise AlgebraError(
-                        "hom is not multiplicative on (%s, %s)"
-                        % (self.source.names[i], self.source.names[j]))
-
-    def apply_vec(self, vec):
-        out = [Q0] * self.target.dim
-        for j, c in enumerate(vec):
-            if c:
-                col = [self.matrix[i][j] for i in range(self.target.dim)]
-                for i, v in enumerate(col):
-                    if v:
-                        out[i] = out[i] + v * c
-        return tuple(out)
+        for i, fi in enumerate(images):
+            for j, fj in enumerate(images):
+                if self(src.basis(i) * src.basis(j)) != fi * fj:
+                    raise AlgebraError("hom is not multiplicative on (%s, %s)"
+                                       % (src.names[i], src.names[j]))
 
     def __call__(self, a: AlgElement) -> AlgElement:
         if a.algebra != self.source:
             raise AlgebraError("element does not belong to the source algebra")
-        return AlgElement(self.target, self.apply_vec(a.vec))
+        return AlgElement(self.target, (sum(
+            (m * c for m, c in zip(row, a.vec) if c), Q0)
+            for row in self.matrix))
 
 
 # ---------------------------------------------------------------------------

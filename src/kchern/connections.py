@@ -23,11 +23,11 @@ class Mat:
     """Square matrix over a ring with + and * (AlgElement, UForm, TForm,
     BiForm); minimal and generic.
 
-    Products over A and over Omega(A) run one sparse loop on the ring's
-    `sparse_ring` hooks: pairs with a zero entry are skipped, and each
-    output entry is summed in one accumulator and wrapped once.  Cylinder
-    forms, and form matrices with other entries mixed in, multiply entry by
-    entry, so mixed entries raise as their own products do.
+    Every product runs one sparse loop on the `sparse_ring()` hooks
+    (terms, new, add, wrap) of its first entry: pairs with a zero entry
+    are skipped, and each output entry is summed in one accumulator by the
+    ring's product step and wrapped once.  An entry the ring cannot take
+    raises as it would in an entrywise product.
     """
 
     __slots__ = ("entries", "size")
@@ -59,45 +59,23 @@ class Mat:
     def __neg__(self):
         return Mat([[-e for e in row] for row in self.entries])
 
-    def _ring(self, other):
-        """The `sparse_ring` hooks of the product self*other, or None for
-        the entrywise one."""
-        if not self.size:
-            return None
-        first = self.entries[0][0]
-        if isinstance(first, AlgElement):
-            return first.algebra.sparse_ring()
-        if type(first) is UForm:
-            alg = first.algebra
-            if all(type(e) is UForm and e.algebra == alg
-                   for x in (self, other) for row in x.entries for e in row):
-                return UForm.sparse_ring(alg)
-        return None
-
     def __mul__(self, other):
         self._check_size(other)
-        n = self.size
-        ring = self._ring(other)
-        if ring is None:
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = None
-                    for k in range(n):
-                        term = self.entries[i][k] * other.entries[k][j]
-                        acc = term if acc is None else acc + term
-                    row.append(acc)
-                out.append(row)
-            return Mat(out)
-        terms, new, add, wrap = ring
-        lt = [[terms(e) for e in row] for row in self.entries]
+        if not self.size:
+            return Mat([])
+        first = self.entries[0][0]
+        terms, new, add, wrap = first.sparse_ring()
+        # a left entry of another kind refuses `first` through its own
+        # ring, so errors follow the left factor as they do in a * b
+        lt = [[terms(e) if type(e) is type(first)
+               else e.sparse_ring()[0](first) for e in row]
+              for row in self.entries]
         rt = [[terms(e) for e in row] for row in other.entries]
         zero = wrap(new())
         out = []
         for lrow in lt:
             row = []
-            for j in range(n):
+            for j in range(self.size):
                 acc = None
                 for k, a in enumerate(lrow):
                     if a:

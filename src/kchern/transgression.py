@@ -16,11 +16,15 @@ gives the whole calculus:
 
 Every sign is read from `sigma` and the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
-use BiForm.
+use BiForm.  `CylForm._add_product` is the one product step: it adds each
+part product into a dict by `uforms.add_product`, for products of forms,
+of form matrices (`connections.Mat`) and of the fibre integral's top power.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
 power is built.  The k = 1 potential vanishes: R~ has no ds /\ dt part.
+`kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
+`secondary_transgression` a bigon; another family raises ConnectionError_.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from math import factorial
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula)
-from .exactmath import Poly1, Poly2, accumulate
-from .uforms import FormError, UForm, project_ab, to_poly, word_degree
+from .exactmath import Poly1, Poly2
+from .uforms import (FormError, UForm, add_product, checked, project_ab,
+                     to_poly, word_degree)
 
 
 def sigma(u: UForm) -> UForm:
@@ -55,7 +60,9 @@ class CylForm:
 
     parts[m] is the coefficient form of dx_I, I the set bits of m, with
     Poly scalars in R variables.  Restricting or integrating one parameter
-    gives a CylForm in R - 1 parameters, and a UForm at R = 1.
+    gives a CylForm in R - 1 parameters, and a UForm at R = 1.  Sums and
+    products refuse another type or algebra with FormError; a product runs
+    `_add_product`, alone or through `sparse_ring` in a matrix product.
     """
 
     __slots__ = ("parts",)
@@ -109,20 +116,24 @@ class CylForm:
         return cls(UForm.zero(alg))
 
     def __add__(self, other):
-        return self._make(tuple(x + y for x, y in zip(self.parts,
-                                                      other.parts)))
+        return self._make(tuple(x + y for x, y in zip(
+            self.parts, checked(self, other).parts)))
 
     def __sub__(self, other):
-        return self._make(tuple(x - y for x, y in zip(self.parts,
-                                                      other.parts)))
+        return self._make(tuple(x - y for x, y in zip(
+            self.parts, checked(self, other).parts)))
 
     def __neg__(self):
         return self._make(tuple(-x for x in self.parts))
 
-    def _factors(self, other, pairs):
-        """The triples (ab, u, v) whose products u*v sum to the parts ab of
-        self*other, over `pairs` (a sub-tuple of _PAIRS), by the one rule
-        (dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v."""
+    def __bool__(self):
+        return any(self.parts)
+
+    def _add_product(self, out, other, pairs):
+        """out[ab] += the part products of self*other over `pairs` (a
+        sub-tuple of _PAIRS), for `out` a list of dicts by mask, by the rule
+        (dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v: the one
+        product step.  The algebras are not checked here."""
         us, vs = self.parts, other.parts
         flipped = {}
         for a, b, ab, odd in pairs:
@@ -133,16 +144,23 @@ class CylForm:
                 if a not in flipped:
                     flipped[a] = sigma(u)
                 u = flipped[a]
-            yield ab, (-u if SHUFFLE[a, b] < 0 else u), v
+            add_product(out[ab], -u if SHUFFLE[a, b] < 0 else u, v)
+
+    def sparse_ring(self):
+        """The hooks (terms, new, add, wrap) of the sparse matrix product
+        (see `connections.Mat`): a form of this type and algebra stands for
+        itself (falsy when zero), a list of dicts by mask accumulates, the
+        step runs over _PAIRS, and the dicts are wrapped uncopied."""
+        n, like = len(self.parts), self.parts[0]._like
+        return ((lambda x: checked(self, x)), lambda: [{} for _ in range(n)],
+                lambda out, x, y: x._add_product(out, y, x._PAIRS),
+                lambda out: self._make(tuple(map(like, out))))
 
     def __mul__(self, other):
-        """Every part of the product, over all of _PAIRS."""
-        if type(other) is not type(self):
-            return NotImplemented
-        out = [{} for _ in self.parts]
-        for ab, u, v in self._factors(other, self._PAIRS):
-            accumulate((u * v).terms.items(), out[ab])
-        return self._make(tuple(UForm(self.algebra)._like(x) for x in out))
+        terms, new, add, wrap = self.sparse_ring()
+        out = new()
+        add(out, self, terms(other))
+        return wrap(out)
 
     def __rmul__(self, scalar):
         return self._make(tuple(x.scale(scalar) for x in self.parts))
@@ -316,9 +334,16 @@ def _cyl_mat(cls, parts: dict) -> Mat:
                  for j in range(n)] for i in range(n)])
 
 
+def _require(family, kind):
+    if type(family) is not kind:        # a path or a bigon
+        raise ConnectionError_("expected a %s, not a %s"
+                               % (kind.__name__, type(family).__name__))
+
+
 def tilde_curvature(path: PolyPath):
     r"""(R(t), S(t)) with the cylinder curvature R-tilde = R(t) + dt /\ S(t);
     R(t) = p dp dp p + p dtheta p + theta^2 and S(t) = p (del_t theta) p."""
+    _require(path, PolyPath)
     parts = _curvature_parts(path)
     return parts[0], parts[1]
 
@@ -338,11 +363,13 @@ def chern_tform(path: PolyPath, k_max: int):
                         k_max, Mat.trace)
 
 
-def _fibre_chern(family, k_max: int):
+def _fibre_chern(family, kind, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
-    the family's ch_k, integrated over every parameter, 1/k! applied last.
-    Lower powers of R~ are full products; the top one builds only the dx_top
-    part of the diagonal of R~^(k-1) R~, by CylForm's own product rule."""
+    the family's ch_k, integrated over every parameter, 1/k! applied last;
+    the family must be a `kind`.  Lower powers of R~ are full products; the
+    top one sums only the dx_top pairs of the diagonal of R~^(k-1) R~, by
+    CylForm's one product step."""
+    _require(family, kind)
     check_k_max(k_max)
     r = _cyl_mat(CylForm.TYPES[family.R], _curvature_parts(family))
     out = []
@@ -352,10 +379,10 @@ def _fibre_chern(family, k_max: int):
             part = r.trace().parts[-1]          # the dx_top part
         else:
             acc = {}
+            slots = [acc] * (1 << family.R)     # every pair adds into acc
             for i, row in enumerate(power.entries):
                 for x, r_row in zip(row, r.entries):
-                    for _, u, v in x._factors(r_row[i], x._TOP_PAIRS):
-                        accumulate((u * v).terms.items(), acc)
+                    x._add_product(slots, r_row[i], x._TOP_PAIRS)
             part = UForm(family.algebra, acc)
             if k < k_max:
                 power = power * r
@@ -369,7 +396,7 @@ def kcs(path: PolyPath, k_max: int):
     r"""[KCS_1, ..., KCS_kmax] with KCS_k = K ch_k, the fibre integral over t
     of the dt part of the cylinder Chern form; a degree 2k-1 class in the
     abelianization; k_max >= 1."""
-    return [project_ab(u) for u in _fibre_chern(path, k_max)]
+    return [project_ab(u) for u in _fibre_chern(path, PolyPath, k_max)]
 
 
 def kcs_between(c0: Connection, c1: Connection, k_max: int):
@@ -386,17 +413,14 @@ def kcs_closed_form(path: PolyPath, k_max: int):
     """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
     k_max >= 1."""
     check_k_max(k_max)
-    r, s = tilde_curvature(path)
+    r, sr = tilde_curvature(path)       # sr = S R^(k-1)
     out = []
-    power = None
     fact = 1
     for k in range(1, k_max + 1):
         if k > 1:
             fact *= (k - 1)
-            power = r if power is None else power * r
-        integrand = s.trace() if power is None else (s * power).trace()
-        cls = project_ab(integrand)
-        val = cls.map_scalars(lambda q: q.integrate01(0))
+            sr = sr * r
+        val = project_ab(sr.trace()).map_scalars(lambda q: q.integrate01(0))
         out.append(val.scale(Fraction(EPSILON_K, fact)))
     return out
 
@@ -436,4 +460,4 @@ def secondary_transgression(b: Bigon, k_max: int):
     2k-2) whose dbar is the KCS of the s = 0 edge minus that of the s = 1
     edge, per degree in the abelianization.  The k = 1 potential vanishes,
     since the curvature has no ds /\ dt part; k_max >= 1."""
-    return [project_ab(u) for u in _fibre_chern(b, k_max)]
+    return [project_ab(u) for u in _fibre_chern(b, Bigon, k_max)]

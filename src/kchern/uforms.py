@@ -123,6 +123,13 @@ def _check_words(algebra: Algebra, words):
             raise FormError("word index out of range: %r" % (w,))
 
 
+def checked(x, other):
+    """`other`; FormError unless it has the type and algebra of `x`."""
+    if type(other) is not type(x) or other.algebra != x.algebra:
+        raise FormError("operand type or algebra mismatch")
+    return other
+
+
 class _Terms:
     """Sparse map from basis words to nonzero scalars over an algebra: the
     linear arithmetic shared by forms and abelianization classes.
@@ -168,8 +175,7 @@ class _Terms:
         return self.scale(scalar)
 
     def __add__(self, other):
-        if type(other) is not type(self) or other.algebra != self.algebra:
-            raise FormError("operand type or algebra mismatch")
+        checked(self, other)
         return self._like(accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
@@ -234,13 +240,12 @@ class UForm(_Terms):
     def from_element(a: AlgElement) -> "UForm":
         return UForm(a.algebra, {(i,): c for i, c in a.terms})
 
-    @staticmethod
-    def sparse_ring(algebra: Algebra):
+    def sparse_ring(self):
         """The hooks (terms, new, add, wrap) of the sparse matrix product
-        over Omega(A) (see `connections.Mat`): a form stands for its terms
-        (falsy when zero), a dict accumulates, `add_product` is the step and
-        the dict is wrapped without a copy."""
-        return (lambda u: u), dict, add_product, UForm(algebra)._like
+        over Omega(A) (see `connections.Mat`): a form over this algebra
+        stands for itself (falsy when zero), a dict accumulates,
+        `add_product` is the step and the dict is wrapped without a copy."""
+        return (lambda u: checked(self, u)), dict, add_product, self._like
 
     # structure ------------------------------------------------------------
     def __mul__(self, other):
@@ -278,8 +283,8 @@ def differential(w: UForm) -> UForm:
 def add_product(out: dict, u: UForm, v: UForm):
     """out += u*v, for forms over one algebra (not checked here) and `out` a
     dict of nonzero scalars by word: the one product step.  `multiply` runs
-    it once, and the product of form matrices (`connections.Mat`) once per
-    pair of nonzero entries, so each output entry is summed in one dict."""
+    it once, matrix and cylinder-form products once per nonzero pair of
+    entries or parts, so each output entry is summed in one dict."""
     alg = u.algebra
     cap = alg.degree_cap
     # inline: via accumulate, transgression and khat ran 5-10% slower

@@ -94,6 +94,29 @@ def test_no_unused_imports():
     assert not found
 
 
+def _is_fresh_product(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            or isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "multiply")
+
+
+def test_products_add_into_their_target():
+    # a product adds into its target dict through a ring's product step
+    # (`uforms.add_product`, `CylForm._add_product`); building the product
+    # first and then adding its terms with `accumulate` adds each term twice
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "accumulate"):
+                found += ["%s:%d" % (path.name, sub.lineno)
+                          for arg in node.args for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Attribute)
+                          and sub.attr == "terms"
+                          and _is_fresh_product(sub.value)]
+    assert not found
+
+
 def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -1,12 +1,14 @@
 """Transgression: cylinder forms, homotopy operator, KCS, bigons."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from kchern import suites, transgression
+from kchern.algebra import AlgebraError
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 chern, direct_sum, extend_scalars, grassmann,
                                 pullback, random_connection, random_idempotent,
@@ -21,7 +23,8 @@ from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
                                   secondary_transgression, straight_line,
                                   three_point_path, tilde_curvature,
                                   tform_operator)
-from kchern.uforms import UForm, ab_d, project_ab, word_degree
+from kchern.uforms import FormError, UForm, ab_d, project_ab, word_degree
+from tests.test_connections import _raised, _random_mat
 
 
 def unit_line_path(alg, theta1_form):
@@ -272,6 +275,21 @@ class TestBigons:
             with pytest.raises(ValueError, match="k_max"):
                 secondary_transgression(bigon, k_max)
 
+    def test_integrals_refuse_a_family_of_the_wrong_kind(self):
+        dual = make_fixture("dual")
+        eps = UForm.from_element(dual.basis(1))
+        _, c1, path = unit_line_path(dual, eps.d())
+        bigon = bigon_straight(path, path)
+        for family in (bigon, c1):
+            for call in (lambda: kcs(family, 2),
+                         lambda: kcs_closed_form(family, 2),
+                         lambda: tilde_curvature(family)):
+                with pytest.raises(ConnectionError_, match="expected a"):
+                    call()
+        for family in (path, c1):
+            with pytest.raises(ConnectionError_, match="expected a"):
+                secondary_transgression(family, 2)
+
     def test_bigon_edges_evaluate_to_paths(self):
         alg = make_fixture("dual")
         rng = random.Random(38)
@@ -511,3 +529,84 @@ class TestSignMutations:
         failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
         assert rep["status"] == "fail"
         assert caught in failed
+
+
+# ---------------------------------------------------------------------------
+# Sums and matrix products of cylinder forms
+# ---------------------------------------------------------------------------
+
+_REFERENCE_MUL = {TForm: ref_tform_mul, BiForm: ref_biform_mul}
+
+
+def _cyl_kernel_disagreements(seed=60, trials=3):
+    """The cylinder types whose matrix products x*y differ from the sums of
+    the reference products entry by entry, over 1-3-square matrices with
+    zero entries and zero blocks on every fixture."""
+    bad = set()
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random((seed, name).__repr__())
+        for cls, ref in _REFERENCE_MUL.items():
+            for _ in range(trials):
+                n = rng.randint(1, 3)
+                x, y = (_random_mat(n, rng, lambda: _random_cylform(
+                    cls, alg, rng, 1, 1), cls.zero(alg)) for _ in "xy")
+                want = [[cls.zero(alg) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        for k in range(n):
+                            want[i][j] = want[i][j] + ref(x.entries[i][k],
+                                                          y.entries[k][j])
+                if (x * y).entries != want:
+                    bad.add(cls.__name__)
+    return bad
+
+
+class TestCylinderProducts:
+    def test_matrix_products_match_reference(self):
+        assert _cyl_kernel_disagreements() == set()
+
+    @pytest.mark.parametrize("flip, caught", [
+        (_drop_sigma, {"TForm", "BiForm"}),
+        (_flip_shuffle, {"BiForm"}),
+    ])
+    def test_planted_sign_fails(self, monkeypatch, flip, caught):
+        flip(monkeypatch)
+        assert _cyl_kernel_disagreements() == caught
+
+    def test_mismatches_raise_as_left_factor(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        eps = UForm.from_element(dual.basis(1))
+
+        def mat(one, zero):
+            return Mat([[one, zero], [zero, one]])
+
+        tforms = mat(TForm(eps), TForm.zero(dual))
+        elems = mat(dual.unit(), dual.zero())
+        with pytest.raises(FormError):
+            tforms * elems
+        with pytest.raises(AlgebraError):
+            elems * tforms
+        others = (elems, mat(TForm(eps), dual.zero()),
+                  mat(BiForm(eps), BiForm.zero(dual)),
+                  mat(TForm(UForm.unit(x3)), TForm.zero(x3)),
+                  mat(eps, UForm.zero(dual)))
+        for other in others:
+            for x, y in ((tforms, other), (other, tforms)):
+                raised = _raised(lambda: x * y)
+                assert raised in (FormError, AlgebraError)
+                assert raised is _raised(lambda: [
+                    [x.entries[i][0] * y.entries[0][j]
+                     + x.entries[i][1] * y.entries[1][j] for j in range(2)]
+                    for i in range(2)])
+
+    def test_sums_refuse_another_type_or_algebra(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        eps = UForm.from_element(dual.basis(1))
+        x = TForm(eps)
+        for other in (BiForm(eps.d()), TForm(UForm.unit(x3)), eps,
+                      dual.unit()):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(FormError, match="mismatch"):
+                    op(x, other)
+        assert x + x - x == x

@@ -86,7 +86,7 @@ def dense_copy(alg, signs):
                               Q0)
         return c
 
-    table = [[coords(alg.elem_mul(tuple(basis[i]), tuple(basis[j])))
+    table = [[coords((alg.element(basis[i]) * alg.element(basis[j])).vec)
               for j in range(m)] for i in range(m)]
     return Algebra(table, names=list(alg.names))
 
