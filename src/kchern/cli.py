@@ -8,6 +8,7 @@ output is JSON with rationals as "num/den" strings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,7 +203,10 @@ def _add_common(p, kmax=True, algebra=True):
         group.add_argument("--algebra", help="algebra JSON file")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: building it costs more
+    than a small request; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kchern",
         description="Exact Chern character and Chern-Simons transgression "

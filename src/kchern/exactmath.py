@@ -7,13 +7,17 @@ is 1, else a reduced ``fractions.Fraction``, so integral arithmetic stays on
 the fast ``int`` path.  Equal values of the two types compare and hash equal
 and serialize alike, as "num/den" strings with the denominator omitted when
 it is 1.  Only this module divides, because int / int gives a float.
+
+Echelon rows are stored as primitive integer rows (``int`` entries, gcd 1,
+positive pivot entry) and eliminated without Fractions; a residual is
+divided back into Q once, at the end of its reduction.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
 
 Q0 = 0
@@ -246,10 +250,12 @@ class Poly2(Poly):
 class Echelon:
     """Forward-only sparse echelon form with min-index pivots.
 
-    Each stored row is normalized (pivot coefficient 1) and its pivot is its
-    minimal nonzero index, so reducing a vector by increasing index yields the
-    canonical residual supported on non-pivot indices.  Deterministic: pivots
-    are always the first nonzero coordinate in index order.
+    The pivot of a stored row is its minimal nonzero index, and the row is
+    primitive and integral: ``int`` entries with gcd 1 and a positive pivot
+    entry, so ``row / row[pivot]`` is the normalized row.  Reducing a vector
+    by increasing index yields the canonical residual supported on non-pivot
+    indices.  Deterministic: pivots are always the first nonzero coordinate
+    in index order.
     """
 
     __slots__ = ("pivots",)
@@ -265,10 +271,14 @@ class Echelon:
         """Canonical residual of vec modulo the current row space.
 
         Values may live in any commutative ring containing Q (rationals,
-        Poly1, Poly2); pivot rows always hold rationals as `rat` gives them.
+        Poly1, Poly2).  Elimination is fraction-free: at a pivot entry
+        p != 1 the work vector and the residual found so far are scaled by
+        p / gcd(c, p) (by p for a non-int coefficient c), and the result is
+        divided by the product of these scales at the end.
         """
         work = dict(vec)
         out = {}
+        scale = 1
         heap = list(work)
         heapq.heapify(heap)
         while heap:
@@ -282,6 +292,18 @@ class Echelon:
             if row is None:
                 out[i] = c
                 continue
+            p = row[i]
+            if p != 1:
+                if type(c) is int:
+                    g = gcd(c, p)
+                    m, c = p // g, c // g
+                else:
+                    m = p
+                if m != 1:
+                    scale *= m
+                    for d in (work, out):
+                        for j, v in d.items():
+                            d[j] = v * m
             for j, v in row.items():
                 if j == i:
                     continue
@@ -290,7 +312,11 @@ class Echelon:
                 else:
                     work[j] = -(c * v)
                     heapq.heappush(heap, j)
-        return out
+        if scale == 1:
+            return out
+        inv = Fraction(1, scale)
+        return {j: v * inv if isinstance(v, Poly) else rat(v * inv)
+                for j, v in out.items()}
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; returns True iff it enlarged the row space."""
@@ -301,20 +327,26 @@ class Echelon:
         return True
 
     def _store(self, r: dict):
-        """Store a nonzero residual, normalized, as the row of its pivot."""
+        """Store a nonzero rational residual as the row of its pivot, with
+        denominators cleared and the content divided out."""
+        den = lcm(*(v.denominator for v in r.values()))
+        r = {j: (v * den).numerator for j, v in r.items()}
         i = min(r)
-        inv = Fraction(1) / r[i]
-        self.pivots[i] = {j: rat(v * inv) for j, v in r.items()}
+        g = gcd(*r.values())
+        if r[i] < 0:
+            g = -g
+        self.pivots[i] = r if g == 1 else {j: v // g for j, v in r.items()}
 
 
 class TrackedEchelon(Echelon):
     """Echelon over a list of columns in Q^dim, tracking combinations for
     solves.
 
-    The k-th independent column is stored augmented by a unit tag
+    The k-th independent column is inserted augmented by a unit tag
     coordinate dim + k, which sorts after every data index: pivots fall on
     data indices only, and the tag part of a residual records the columns
-    subtracted while reducing it.
+    subtracted while reducing it.  Stored rows are primitive integral rows
+    like every Echelon row, tag part included.
     """
 
     __slots__ = ("dim", "tags")

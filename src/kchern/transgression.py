@@ -358,6 +358,7 @@ def tform_operator(path: PolyPath, x: Mat) -> Mat:
 
 def chern_tform(path: PolyPath, k_max: int):
     """[ch_0, ..., ch_kmax] as whole TForms, for the suites' ev check."""
+    _require(path, PolyPath)
     return chern_series(path.p.to_form().map(TForm),
                         lambda: _cyl_mat(TForm, _curvature_parts(path)),
                         k_max, Mat.trace)
@@ -450,6 +451,7 @@ def bigon_curvature(b: Bigon) -> Mat:
 def chern_biform(b: Bigon, k_max: int):
     """[ch_0, ..., ch_kmax] as whole BiForms; only tests call it, as the
     oracle of secondary_transgression."""
+    _require(b, Bigon)
     return chern_series(b.p.to_form().map(BiForm), lambda: bigon_curvature(b),
                         k_max, Mat.trace)
 

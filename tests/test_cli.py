@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import random
@@ -403,3 +404,33 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self, monkeypatch, tmp_path):
+        seen = []
+        parse = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kw):
+            seen.append(parser)
+            return parse(parser, *args, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        out = str(tmp_path / "h.json")
+        for _ in range(2):
+            assert run(["homology", "--fixture", "Q", "--degree", "0",
+                        "--out", out]) == 0
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_refusal_then_valid_call_keeps_exit_codes(self, tmp_path):
+        out = tmp_path / "h.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["homology", "--fixture", "Q", "--degree", "x"])
+        assert exc.value.code == 2
+        assert run(["homology", "--fixture", "Q", "--degree", "0",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dim"] == 1
+        assert run(["homology", "--fixture", "Q", "--degree", "0",
+                    "--degree-cap", "0"]) == 2
+        assert run(["homology", "--fixture", "Q", "--degree", "3",
+                    "--degree-cap", "3"]) == 3

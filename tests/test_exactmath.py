@@ -1,6 +1,8 @@
 """Exact rational arithmetic, polynomials, and sparse linear algebra."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,12 +55,18 @@ class TestStoredForm:
         assert type(Poly1({(1,): Fraction(4, 2)}).coeffs[(1,)]) is int
 
     def test_echelon_rows_are_stored_forms(self):
-        # the pivot is normalized by an exact inverse, never by 1 / int
+        # a stored row is primitive and integral: int entries, gcd 1 and a
+        # positive pivot entry; dividing by that entry gives the normalized row
         ech = Echelon()
         ech.add({0: 2, 1: 1})
+        ech.add({1: Fraction(-3, 4), 2: Fraction(3, 2)})
         row = ech.pivots[0]
-        assert row == {0: 1, 1: Fraction(1, 2)}
-        assert type(row[0]) is int and type(row[1]) is Fraction
+        assert {j: Fraction(v, row[0]) for j, v in row.items()} == \
+            {0: 1, 1: Fraction(1, 2)}
+        assert ech.pivots == {0: {0: 2, 1: 1}, 1: {1: 1, 2: -2}}
+        for row in ech.pivots.values():
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1 and row[min(row)] > 0
 
 
 class TestPoly1:
@@ -225,3 +233,133 @@ class TestLinearAlgebra:
             if ech.add(c):
                 rank += 1
         assert rank + len(basis) == 4
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination against a plain Fraction Gaussian oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_reduce(rows, vec):
+    """Residual of vec by rows {pivot: row normalized to pivot entry 1},
+    eliminating by increasing index in plain Fraction arithmetic."""
+    work = {j: v for j, v in vec.items() if v}
+    out = {}
+    while work:
+        i = min(work)
+        c = work.pop(i)
+        if i not in rows:
+            out[i] = c
+            continue
+        for j, v in rows[i].items():
+            if j != i:
+                work[j] = work.get(j, Q0) - c * v
+                if not work[j]:
+                    del work[j]
+    return out
+
+
+def _oracle_add(rows, vec):
+    r = _oracle_reduce(rows, vec)
+    if r:
+        i = min(r)
+        rows[i] = {j: Fraction(v) / r[i] for j, v in r.items()}
+    return bool(r)
+
+
+_ENTRIES = (1, -1, 2, -2, 3, -4, 6, Fraction(1, 2), Fraction(-2, 3),
+            Fraction(5, 4), Fraction(7, 6))
+
+
+def _sparse_system(seed, width=12, count=14):
+    """Seeded sparse vectors with entries != 1 and Fractions, about a
+    third of them combinations of earlier ones."""
+    rng = random.Random(seed)
+    vecs = []
+    for k in range(count):
+        if k > 2 and rng.random() < 0.35:
+            v = {}
+            for u in rng.sample(vecs, 2):
+                f = rng.choice(_ENTRIES)
+                for j, x in u.items():
+                    v[j] = v.get(j, Q0) + f * x
+            vecs.append({j: x for j, x in v.items() if x})
+        else:
+            vecs.append({j: rng.choice(_ENTRIES) for j in range(width)
+                         if rng.random() < 0.35})
+    return rng, [v for v in vecs if v]
+
+
+def _scalar(rng, kind):
+    """A random value of kind "rat", Poly1 or Poly2 (zero allowed)."""
+    if kind == "rat":
+        return rng.choice(_ENTRIES + (0,))
+    exps = [(0,), (1,), (2,)] if kind is Poly1 else [(0, 0), (1, 0), (0, 1)]
+    return kind({e: rng.choice(_ENTRIES) for e in exps
+                 if rng.random() < 0.6})
+
+
+class TestFractionFreeEchelon:
+    SEEDS = range(12)
+
+    def test_rows_residuals_and_values_match_the_oracle(self):
+        scaled = 0
+        for seed in self.SEEDS:
+            rng, vecs = _sparse_system(seed)
+            ech, rows = Echelon(), {}
+            for v in vecs:
+                assert ech.add(v) == _oracle_add(rows, v)
+            assert set(ech.pivots) == set(rows)
+            for i, row in ech.pivots.items():
+                assert all(type(x) is int for x in row.values())
+                assert gcd(*row.values()) == 1 and row[i] > 0
+                assert {j: Fraction(x, row[i]) for j, x in row.items()} \
+                    == rows[i]
+                scaled += row[i] != 1
+            for kind in ("rat", Poly1, Poly2):
+                for _ in range(6):
+                    vec = {j: _scalar(rng, kind) for j in range(12)
+                           if rng.random() < 0.5}
+                    vec = {j: x for j, x in vec.items() if x}
+                    assert ech.reduce(vec) == _oracle_reduce(rows, vec), \
+                        (seed, kind, vec)
+        assert scaled > 0
+
+    def test_tracked_solves_and_dependencies_match_the_oracle(self):
+        for seed in self.SEEDS:
+            rng, cols = _sparse_system(100 + seed, width=9, count=12)
+            ech, rows, kept = TrackedEchelon(9), {}, []
+            for tag, col in enumerate(cols):
+                dep = ech.add(col, tag)
+                assert (dep is None) == _oracle_add(rows, col)
+                if dep is None:
+                    kept.append(tag)
+                    continue
+                assert set(dep) <= set(kept)
+                assert _combine(cols, dep) == _nonzero(col)
+            assert len(kept) == ech.rank == len(rows)
+            for kind in ("rat", Poly1, Poly2):
+                for _ in range(4):
+                    # inside the span, as a known combination, and outside
+                    coeffs = {t: _scalar(rng, kind) for t in kept}
+                    b = _combine(cols, coeffs)
+                    sol = ech.solve(b)
+                    assert sol is not None
+                    assert _nonzero(sol) == _nonzero(coeffs), (seed, kind)
+                    probe = {j: _scalar(rng, kind) for j in range(9)}
+                    inside = not _oracle_reduce(rows, _nonzero(probe))
+                    sol = ech.solve(_nonzero(probe))
+                    assert (sol is not None) == inside
+                    if sol is not None:
+                        assert _combine(cols, sol) == _nonzero(probe)
+
+
+def _nonzero(vec):
+    return {j: x for j, x in vec.items() if x}
+
+
+def _combine(cols, coeffs):
+    out = {}
+    for tag, f in coeffs.items():
+        for j, x in cols[tag].items():
+            out[j] = out.get(j, Q0) + f * x
+    return _nonzero(out)

@@ -290,6 +290,18 @@ class TestBigons:
             with pytest.raises(ConnectionError_, match="expected a"):
                 secondary_transgression(family, 2)
 
+    def test_whole_chern_forms_refuse_a_family_of_the_wrong_kind(self):
+        dual = make_fixture("dual")
+        eps = UForm.from_element(dual.basis(1))
+        _, c1, path = unit_line_path(dual, eps.d())
+        bigon = bigon_straight(path, path)
+        for family in (bigon, c1):
+            with pytest.raises(ConnectionError_, match="expected a PolyPath"):
+                chern_tform(family, 1)
+        for family in (path, c1):
+            with pytest.raises(ConnectionError_, match="expected a Bigon"):
+                chern_biform(family, 1)
+
     def test_bigon_edges_evaluate_to_paths(self):
         alg = make_fixture("dual")
         rng = random.Random(38)

@@ -369,6 +369,19 @@ class TestHomology:
         assert canonical_forms_digest() == (
             "adb651ee519dd95bd98ef5ab5a282e1eb0212305dcd5e9975483865f6b0eea9f")
 
+    def test_dense_copies_keep_dimensions(self):
+        # a dense basis stores rows whose pivot entry is not 1, so the
+        # elimination scales; the homology must not see the basis change
+        for name in ("M2", "x3"):
+            dims = [de_rham_homology(make_fixture(name), n)[0]
+                    for n in range(3)]
+            for alg in dense_copies(name, 2, "homology-" + name):
+                assert [de_rham_homology(alg, n)[0]
+                        for n in range(3)] == dims, name
+                assert any(row[i] != 1 for n in range(4)
+                           for i, row in abelianization(
+                               alg, n).echelon.pivots.items()), name
+
     def test_homology_then_exactness(self):
         # homology and exactness solves share the memoized dbar: computing
         # homology first must not change what is_exact_in_ab decides
