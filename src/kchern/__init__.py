@@ -17,9 +17,9 @@ from .uforms import (AbClass, AbProjection, DegreeCapError, FormError, UForm,
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, apply_operator, chern, compose_iso,
                           curvature, direct_sum, extend_scalars, grassmann,
-                          pullback, random_automorphism, random_connection,
-                          random_form, random_idempotent, random_iso, sum_iso,
-                          swap_iso, trace_ab)
+                          permute_blocks, pullback, random_automorphism,
+                          random_connection, random_form, random_idempotent,
+                          random_iso, sum_iso, trace_ab)
 from .transgression import (BiForm, Bigon, CylForm, EPSILON_K, PolyPath,
                             TForm, bigon_straight, chern_tform, constant_path,
                             homotopy_K, kcs, kcs_between, kcs_closed_form,

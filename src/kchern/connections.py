@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import Q0
+from .exactmath import Poly, Q0
 from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab,
                      to_poly)
 
@@ -171,7 +171,7 @@ class Connection:
 
     R counts the parameters of a polynomial family of connections: theta
     has Poly scalars in R variables (coerced here), and R = 0 is a single
-    connection with rational scalars.
+    connection, whose scalars must be rational.
     """
 
     __slots__ = ("p", "theta", "algebra")
@@ -189,6 +189,10 @@ class Connection:
                     raise ConnectionError_("theta must be of degree 1")
         if self.R:
             theta = theta.map(lambda u: to_poly(u, self.R))
+        elif any(isinstance(c, Poly) for row in theta.entries for e in row
+                 for c in e.terms.values()):
+            raise ConnectionError_("a single connection has rational "
+                                   "scalars, not polynomials")
         pf = p.to_form()
         if (pf * theta * pf).entries != theta.entries:
             raise ConnectionError_("theta is not compressed: p*theta*p != theta")
@@ -430,6 +434,27 @@ def sum_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
                      block_diag(a.v, b.v, z))
 
 
+def permute_blocks(p: Idempotent, sizes, order) -> ModuleIso:
+    """Im(p) -> Im(s*p*s^T), moving block order[i] of the block diagonal p
+    (blocks of the given sizes) to slot i: u = s*p and v = p*s^T for the
+    permutation matrix s, so u permutes p's rows and v its columns."""
+    if sum(sizes) != p.size or min(sizes) < 0:
+        raise ConnectionError_("block sizes %r do not split %d"
+                               % (tuple(sizes), p.size))
+    if sorted(order) != list(range(len(sizes))):
+        raise ConnectionError_("block order %r is not a permutation"
+                               % (tuple(order),))
+    block = [b for b, n in enumerate(sizes) for _ in range(n)]
+    m = p.mat.entries
+    if any(e and block[i] != block[j]
+           for i, row in enumerate(m) for j, e in enumerate(row)):
+        raise ConnectionError_("p has a nonzero entry off its diagonal blocks")
+    perm = [i for b in order for i in range(p.size) if block[i] == b]
+    p1 = Idempotent(p.algebra, Mat([[m[i][j] for j in perm] for i in perm]))
+    return ModuleIso(p, p1, Mat([m[i] for i in perm]),
+                     Mat([[row[j] for j in perm] for row in m]))
+
+
 def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     """The automorphism p/(1 + alpha) of Im(p): always a scalar multiple of
     p, so its odd Chern forms vanish.
@@ -453,20 +478,3 @@ def random_automorphism(p: Idempotent, seed) -> ModuleIso:
     iso_g = _conjugation_iso(p, p1, g, ginv)
     iso_h = _conjugation_iso(p, p1, h, hinv)
     return compose_iso(iso_g, iso_h.inverse())
-
-
-def swap_iso(p: Idempotent, q: Idempotent) -> ModuleIso:
-    """The block-swap isomorphism Im(p (+) q) -> Im(q (+) p)."""
-    alg = p.algebra
-    z, one = alg.zero(), alg.unit()
-    n, m = p.size, q.size
-    tot = n + m
-    sigma = [[z for _ in range(tot)] for _ in range(tot)]
-    for i in range(n):
-        sigma[m + i][i] = one
-    for j in range(m):
-        sigma[j][n + j] = one
-    p0 = Idempotent(alg, block_diag(p.mat, q.mat, z))
-    p1 = Idempotent(alg, block_diag(q.mat, p.mat, z))
-    # sigma is a permutation matrix, so its inverse is its transpose
-    return ModuleIso(p0, p1, Mat(sigma) * p0.mat, Mat(zip(*sigma)) * p1.mat)

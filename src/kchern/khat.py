@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 
 from .algebra import Algebra
-from .connections import (Connection, ConnectionError_, Idempotent, Mat,
-                          ModuleIso, check_k_max, chern, compose_iso,
-                          direct_sum, grassmann, pullback, random_automorphism,
-                          random_connection, random_form, random_idempotent,
-                          sum_iso, swap_iso)
+from .connections import (Connection, ConnectionError_, Idempotent,
+                          ModuleIso, block_diag, check_k_max, chern,
+                          compose_iso, direct_sum, grassmann, permute_blocks,
+                          pullback, random_automorphism, random_connection,
+                          random_form, random_idempotent, sum_iso)
 from .uforms import AbClass, UForm, ab_d, is_exact_in_ab, project_ab
 from .transgression import (kcs, kcs_between, straight_line)
 
@@ -141,36 +141,27 @@ def chain_witnesses(g1: KHatGen, w01: KCSWitness,
 
     With phi01: M0+N01 -> M1+N01 and phi12: M1+N12 -> M2+N12, the composite
     stabilizer is N = N01+M1+N12 (connection D_N01 + D_1 + D_N12) and the
-    iso M0+N -> M2+N is assembled from block sums and swaps:
+    iso M0+N -> M2+N is one block sum followed by one block permutation:
 
-        M0+N01+M1+N12 --phi01+id+id--> M1+N01+M1+N12
-                      --swap(M1,N01)+id+id--> N01+M1+M1+N12
-                      --id+id+phi12--> N01+M1+M2+N12
-                      --swap(N01+M1, M2)+id--> M2+N01+M1+N12
+        M0+N01+M1+N12 --phi01+phi12--> M1+N01+M2+N12
+                      --blocks (2, 1, 0, 3)--> M2+N01+M1+N12
+
+    The witnesses must meet at g1: phi01 ends on M1+N01, phi12 starts on
+    M1+N12 and ends on some M2+N12.
     """
-    n01, n12 = w01.stab_p, w12.stab_p
-    m1 = g1.p
-    alg = g1.algebra
-    id_m1 = ModuleIso.identity(m1)
-    id_n12 = ModuleIso.identity(n12)
-    id_n01 = ModuleIso.identity(n01)
-    s1 = sum_iso(w01.iso, sum_iso(id_m1, id_n12))
-    s2 = sum_iso(swap_iso(m1, n01), sum_iso(id_m1, id_n12))
-    s3 = sum_iso(id_n01, sum_iso(id_m1, w12.iso))
-    # after s3 the blocks read N01 + M1 + M2 + N12; bring M2 to the front
-    n01m1 = Idempotent(alg, _take_block(s3.p1.mat, 0, n01.size + m1.size))
-    m2_size = w12.iso.p1.size - n12.size
-    m2 = Idempotent(alg, _take_block(s3.p1.mat, n01.size + m1.size, m2_size))
-    s4 = sum_iso(swap_iso(n01m1, m2), id_n12)
-    iso = compose_iso(compose_iso(compose_iso(s1, s2), s3), s4)
+    m1, n01, n12 = g1.p, w01.stab_p, w12.stab_p
+    k, z = m1.size, g1.algebra.zero()
+    if (w01.iso.p1.mat != block_diag(m1.mat, n01.mat, z)
+            or w12.iso.p0.mat != block_diag(m1.mat, n12.mat, z)
+            or [r[k:] for r in w12.iso.p1.mat.entries[k:]] != n12.mat.entries):
+        raise ConnectionError_("the witnesses do not meet at g1")
+    pair = sum_iso(w01.iso, w12.iso)
+    iso = compose_iso(pair, permute_blocks(pair.p1,
+                                           (k, n01.size, k, n12.size),
+                                           (2, 1, 0, 3)))
     stab_conn = direct_sum(direct_sum(w01.stab_conn, g1.conn),
                            w12.stab_conn)
     return KCSWitness(stab_conn.p, stab_conn, iso)
-
-
-def _take_block(m: Mat, start: int, size: int) -> Mat:
-    return Mat([[m.entries[start + i][start + j] for j in range(size)]
-                for i in range(size)])
 
 
 def odd_chern(k1: K1Pair, k_max: int):

@@ -96,8 +96,14 @@ def idempotent_to_json(p: Idempotent) -> dict:
 
 
 def idempotent_from_json(alg: Algebra, data: dict) -> Idempotent:
+    """The idempotent of {"entries", optionally "size"}; a "size" that is
+    not the number of rows raises ValueError."""
     mat = Mat([[elem_from_json(alg, e) for e in row]
                for row in data["entries"]])
+    if "size" in data and (type(data["size"]) is not int
+                           or data["size"] != mat.size):
+        raise ValueError("idempotent size %r does not match its %d rows"
+                         % (data["size"], mat.size))
     return Idempotent(alg, mat)
 
 

@@ -281,6 +281,41 @@ class TestMalformedInput:
                    {"idempotent": {"size": 0, "entries": []}, "theta": []})
         assert run(["chern", "--fixture", "dual", "--connection", f]) == 3
 
+    def test_idempotent_size_must_match_its_rows(self, tmp_path, capsys):
+        theta = [[[]]]
+        for i, size in enumerate((2, 0, True, "1")):
+            conn = {"idempotent": {"size": size, "entries": [[["1", "0"]]]},
+                    "theta": theta}
+            f = _write(tmp_path, "s%d.json" % i, conn)
+            assert run(["chern", "--fixture", "dual", "--connection", f]) \
+                == 2, size
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "does not match its 1 rows" in captured.err
+        # "size" is optional
+        f = _write(tmp_path, "nosize.json",
+                   {"idempotent": {"entries": [[["1", "0"]]]},
+                    "theta": theta})
+        assert run(["chern", "--fixture", "dual", "--connection", f]) == 0
+
+    def test_single_connection_refuses_polynomial_scalars(self, tmp_path,
+                                                          capsys):
+        # a t-dependent theta is a path, not a connection: as the theta of
+        # `chern` or as theta1 of a two-connection payload it exits 3
+        poly = [[[{"degree": 1, "word": [0, 1], "coeff": {"t^1": "1"}}]]]
+        zero = [[[]]]
+        idem = {"size": 1, "entries": [[["1", "0"]]]}
+        f = _write(tmp_path, "conn.json", {"idempotent": idem,
+                                           "theta": poly})
+        assert run(["chern", "--fixture", "dual", "--connection", f]) == 3
+        assert "rational scalars" in capsys.readouterr().err
+        f = _write(tmp_path, "pair.json", {"idempotent": idem,
+                                           "theta0": zero, "theta1": poly})
+        assert run(["kcs", "--fixture", "dual", "--path", f]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rational scalars" in captured.err
+
     def test_unwritable_out_is_a_parse_error(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")
         assert run(["homology", "--fixture", "Q", "--degree", "1",

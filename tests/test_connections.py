@@ -10,10 +10,10 @@ from kchern.algebra import AlgElement, AlgebraError, AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
                                 curvature, direct_sum, extend_scalars,
-                                grassmann, pullback, random_automorphism,
-                                random_connection, random_form,
-                                random_idempotent, random_iso, sum_iso,
-                                swap_iso, trace_ab, zero_form_mat)
+                                grassmann, permute_blocks, pullback,
+                                random_automorphism, random_connection,
+                                random_form, random_idempotent, random_iso,
+                                sum_iso, trace_ab, zero_form_mat)
 from kchern.exactmath import Poly, Q0, Q1, accumulate
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.transgression import TForm
@@ -66,6 +66,16 @@ class TestConnections:
         theta = Mat([[UForm.from_element(f).d()]])  # (1-e) de, not p.theta.p
         with pytest.raises(ConnectionError_):
             Connection(p, theta)
+
+    def test_single_connection_refuses_polynomial_scalars(self):
+        dual = make_fixture("dual")
+        p = Idempotent.identity(dual, 1)
+        for coeff in (Poly.TYPES[1]({(1,): 1}), Poly.TYPES[1]({(0,): 1}),
+                      Poly.TYPES[2]({(0, 1): 1})):
+            theta = Mat([[UForm(dual, {(0, 1): coeff})]])
+            with pytest.raises(ConnectionError_, match="rational scalars"):
+                Connection(p, theta)
+        assert Connection(p, Mat([[UForm(dual, {(0, 1): 1})]]))
 
     def test_curvature_operator_oracle(self):
         for name in FIXTURE_NAMES:
@@ -188,15 +198,32 @@ class TestIsos:
         assert any(aut.u == p.mat.map(lambda e: e.scale(Fraction(1, 1 + a)))
                    for a in (1, 2, -2, 3))
 
-    def test_swap_iso_roundtrip(self):
+    def test_permute_blocks_roundtrip(self):
         alg = make_fixture("QxQ")
         rng = random.Random(11)
         p = random_idempotent(alg, 2, rng)
         q = random_idempotent(alg, 1, rng)
-        s = swap_iso(p, q)
+        pq = direct_sum(grassmann(p), grassmann(q)).p
+        s = permute_blocks(pq, (p.size, q.size), (1, 0))
+        assert s.p1 == direct_sum(grassmann(q), grassmann(p)).p
         back = s.inverse()
         comp = compose_iso(s, back)
         assert comp.p0 == comp.p1
+
+    def test_permute_blocks_refusals(self):
+        dual = make_fixture("dual")
+        one, z, eps = dual.unit(), dual.zero(), dual.basis(1)
+        diag = Idempotent.identity(dual, 3)
+        for sizes, order in [((1, 1), (1, 0)), ((2, 2), (1, 0)),
+                             ((4, -1), (1, 0)), ((1, 2), (0, 0)),
+                             ((1, 2), (1, 2)), ((1, 1, 1), (2, 0))]:
+            with pytest.raises(ConnectionError_):
+                permute_blocks(diag, sizes, order)
+        # [[1, eps], [0, 0]] is idempotent with an entry off its 1+1 blocks
+        p = Idempotent(dual, Mat([[one, eps], [z, z]]))
+        with pytest.raises(ConnectionError_):
+            permute_blocks(p, (1, 1), (1, 0))
+        assert permute_blocks(p, (2,), (0,)).p1 == p
 
     def test_sum_iso_blocks(self):
         alg = make_fixture("dual")

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from kchern.connections import (ConnectionError_, ModuleIso, chern,
-                                compose_iso, direct_sum, grassmann, pullback,
-                                random_automorphism, random_connection,
-                                random_idempotent, sum_iso)
+from kchern.connections import (ConnectionError_, Idempotent, Mat,
+                                ModuleIso, chern, compose_iso, direct_sum,
+                                grassmann, pullback, random_automorphism,
+                                random_connection, random_idempotent,
+                                random_iso, sum_iso)
 from kchern import khat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
@@ -159,6 +160,91 @@ class TestVerifier:
         assert verify_kcs_equivalence(g1, g2, w12, 2)["accepted"]
         w02 = chain_witnesses(g1, w01, w12)
         assert verify_kcs_equivalence(g0, g2, w02, 2)["accepted"]
+
+    def test_chain_of_automorphism_witnesses(self):
+        # phi01 and phi12 are automorphisms of M+N01 and M+N12 (M0 = M1 =
+        # M2 = p), so only the block positions tell a dropped swap apart
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random(49)
+            p = random_idempotent(alg, 2, rng)
+            d0, d1, d2 = (random_connection(p, rng) for _ in range(3))
+            stabs = [random_connection(random_idempotent(alg, 1, rng), rng)
+                     for _ in range(2)]
+            phis = [random_automorphism(direct_sum(d1, s).p, rng)
+                    for s in stabs]
+            om01 = sum_classes(kcs_between(
+                direct_sum(d0, stabs[0]),
+                pullback(direct_sum(d1, stabs[0]), phis[0]), 2), alg)
+            om12 = sum_classes(kcs_between(
+                direct_sum(d1, stabs[1]),
+                pullback(direct_sum(d2, stabs[1]), phis[1]), 2), alg)
+            g0 = KHatGen(p, d0, UForm.zero(alg))
+            g1 = KHatGen(p, d1, (-om01).lift())
+            g2 = KHatGen(p, d2, (-om01 - om12).lift())
+            w01, w12 = (KCSWitness(s.p, s, phi)
+                        for s, phi in zip(stabs, phis))
+            w02 = chain_witnesses(g1, w01, w12)
+            self._check_chain_blocks(alg, p.size, w01, w12, w02)
+            assert verify_kcs_equivalence(g0, g2, w02, 2)["accepted"]
+
+    @staticmethod
+    def _check_chain_blocks(alg, k, w01, w12, w02):
+        """u and v of the chained iso against the blocks of phi01 and phi12
+        placed as chain_witnesses' diagram says: in M0+N01+M1+N12, out
+        M2+N01+M1+N12."""
+        n = 2 * k + w01.stab_p.size + w12.stab_p.size
+        # block offsets: in M0, N01, M1, N12; out M2, N01, M1, N12
+        offsets = [0, k, k + w01.stab_p.size, 2 * k + w01.stab_p.size]
+
+        def place(slots, size):
+            # global indices of the M+N block pair at the given slots
+            return ([offsets[slots[0]] + i for i in range(k)]
+                    + [offsets[slots[1]] + i for i in range(size - k)])
+
+        u = [[alg.zero() for _ in range(n)] for _ in range(n)]
+        v = [[alg.zero() for _ in range(n)] for _ in range(n)]
+        for phi, src, dst in ((w01.iso, (0, 1), (2, 1)),
+                              (w12.iso, (2, 3), (0, 3))):
+            size = phi.u.size
+            rows, cols = place(dst, size), place(src, size)
+            for i in range(size):
+                for j in range(size):
+                    u[rows[i]][cols[j]] = phi.u.entries[i][j]
+                    v[cols[i]][rows[j]] = phi.v.entries[i][j]
+        assert w02.iso.u == Mat(u)
+        assert w02.iso.v == Mat(v)
+
+    def test_chain_refuses_witnesses_that_do_not_meet(self):
+        alg = make_fixture("x3")
+        rng = random.Random(5)
+        p = random_idempotent(alg, 2, rng)
+        d1 = random_connection(p, rng)
+        g1 = KHatGen(p, d1, UForm.zero(alg))
+        stab = random_connection(random_idempotent(alg, 1, rng), rng)
+        good = KCSWitness(stab.p, stab,
+                          ModuleIso.identity(direct_sum(d1, stab).p))
+        # a witness on another module q != p
+        q = random_idempotent(alg, 2, rng)
+        assert q != p
+        other = KCSWitness(stab.p, stab, ModuleIso.identity(
+            direct_sum(random_connection(q, rng), stab).p))
+        # a witness whose target is not block diagonal
+        target, iso = random_iso(direct_sum(d1, stab).p, rng)
+        t = target.mat.entries
+        assert any(t[i][2] or t[2][i] for i in range(2))
+        skew = KCSWitness(stab.p, stab, iso)
+        # a witness from M1 + N to M1 + N' with N' != N
+        one, z, x = alg.unit(), alg.zero(), alg.basis(1)
+        n = Idempotent(alg, Mat([[one, z], [z, z]]))
+        n2 = Idempotent(alg, Mat([[one, x], [z, z]]))
+        moved = KCSWitness(n, grassmann(n), sum_iso(
+            ModuleIso.identity(p),
+            ModuleIso(n, n2, n2.mat * n.mat, n.mat * n2.mat)))
+        for w01, w12 in ((other, good), (good, other), (good, skew),
+                         (good, moved)):
+            with pytest.raises(ConnectionError_):
+                chain_witnesses(g1, w01, w12)
 
     def test_witness_shape_mismatch_rejected(self):
         alg = make_fixture("dual")
