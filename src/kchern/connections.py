@@ -1,7 +1,8 @@
 """Finitely generated projective modules as idempotent matrices, connections
-(p, theta) encoding D = p o d + theta on Im(p), curvature, traces into the
-abelianization, the Chern character forms, direct sums, pullbacks along
-module isomorphisms, and extension of scalars along algebra homs.
+(p, theta) encoding D = p o d + theta on Im(p) and polynomial families of
+them, curvature, traces into the abelianization, the Chern character forms,
+direct sums, pullbacks along module isomorphisms, and extension of scalars
+along algebra homs.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Poly, Q0
-from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab,
-                     to_poly)
+from .uforms import AbClass, UForm, enumerate_words, extend_hom, project_ab
 
 
 class ConnectionError_(ValueError):
@@ -169,15 +169,15 @@ class Connection:
     """Pair (p, theta): idempotent plus degree-1 potential with
     p*theta*p = theta; encodes the operator D(s) = p*ds + theta*s.
 
-    R counts the parameters of a polynomial family of connections: theta
-    has Poly scalars in R variables (coerced here), and R = 0 is a single
-    connection, whose scalars must be rational.
+    R counts the parameters of a polynomial family of connections on p:
+    R = 0 is a single connection, whose scalars must be rational, R = 1 a
+    path and R = 2 a bigon, whose theta has Poly scalars in R variables
+    (coerced here).
     """
 
-    __slots__ = ("p", "theta", "algebra")
-    R = 0
+    __slots__ = ("p", "theta", "algebra", "R")
 
-    def __init__(self, p: Idempotent, theta: Mat):
+    def __init__(self, p: Idempotent, theta: Mat, R: int = 0):
         self.algebra = p.algebra
         if theta.size != p.size:
             raise ConnectionError_("theta size mismatch")
@@ -187,8 +187,9 @@ class Connection:
                     raise ConnectionError_("theta entries must be forms")
                 if e and e.degrees() != [1]:
                     raise ConnectionError_("theta must be of degree 1")
-        if self.R:
-            theta = theta.map(lambda u: to_poly(u, self.R))
+        if R:
+            coerce = family_scalars(R).coerce
+            theta = theta.map(lambda u: u.map_scalars(coerce))
         elif any(isinstance(c, Poly) for row in theta.entries for e in row
                  for c in e.terms.values()):
             raise ConnectionError_("a single connection has rational "
@@ -198,6 +199,21 @@ class Connection:
             raise ConnectionError_("theta is not compressed: p*theta*p != theta")
         self.p = p
         self.theta = theta
+        self.R = R
+
+    def restrict(self, i: int, x) -> "Connection":
+        """Set parameter i to the rational x: a family with R - 1."""
+        if not 0 <= i < self.R:
+            raise ConnectionError_("R = %d has no parameter %r" % (self.R, i))
+        return Connection(self.p, self.theta.map(
+            lambda u: u.map_scalars(lambda q: q.subs(i, x))), self.R - 1)
+
+
+def family_scalars(r: int):
+    """The Poly type of a family in r parameters, or ConnectionError_."""
+    if r not in Poly.TYPES:
+        raise ConnectionError_("no Poly type in %r parameters" % (r,))
+    return Poly.TYPES[r]
 
 
 def grassmann(p: Idempotent) -> Connection:
@@ -264,12 +280,12 @@ def direct_sum(c1: Connection, c2: Connection) -> Connection:
     parameters (pointwise)."""
     if c1.algebra != c2.algebra:
         raise ConnectionError_("algebra mismatch")
-    if type(c1) is not type(c2):
+    if c1.R != c2.R:
         raise ConnectionError_("families with different parameters")
     alg = c1.algebra
     p = Idempotent(alg, block_diag(c1.p.mat, c2.p.mat, alg.zero()))
     theta = block_diag(c1.theta, c2.theta, UForm.zero(alg))
-    return type(c1)(p, theta)
+    return Connection(p, theta, c1.R)
 
 
 class ModuleIso:
@@ -305,7 +321,7 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
     theta' = p0 * v * (p1*du + theta*u) * p0, so that the operator identity
     phi*D = (v (x) id) o D o u holds on Im(p0).  Of a family, phi* is taken
     pointwise in the parameters; theta enters linearly, so the result is a
-    family of the same kind.
+    family with the same R.
     """
     if phi.p1 != c.p:
         raise ConnectionError_("iso target does not match the connection")
@@ -315,18 +331,18 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
     vf = phi.v.map(UForm.from_element)
     du = uf.map(lambda w: w.d())
     theta = p0f * (vf * (p1f * du + c.theta * uf)) * p0f
-    return type(c)(phi.p0, theta)
+    return Connection(phi.p0, theta, c.R)
 
 
 def extend_scalars(c: Connection, psi: AlgebraHom) -> Connection:
     """Entrywise (psi(p), psi^u(theta)) over the target algebra; a family
-    stays a family of the same kind."""
+    keeps its R."""
     if c.algebra != psi.source:
         raise ConnectionError_("connection does not live over the source")
     f = extend_hom(psi)
     p = Idempotent(psi.target, c.p.mat.map(psi))
     theta = c.theta.map(f)
-    return type(c)(p, theta)
+    return Connection(p, theta, c.R)
 
 
 # ---------------------------------------------------------------------------

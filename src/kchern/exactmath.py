@@ -111,14 +111,14 @@ class Poly:
         return cls._new({(0,) * cls.NVARS: q} if q else {})
 
     @classmethod
-    def coerce(cls, c) -> "Poly":
+    def coerce(cls, x) -> "Poly":
         """A Fraction, int or polynomial in at most NVARS variables as a
         polynomial of this type."""
-        if type(c) is cls:
-            return c
-        if isinstance(c, Poly):
-            return c.lift(cls)
-        return cls.const(c)
+        if type(x) is cls:
+            return x
+        if isinstance(x, Poly):
+            return x.lift(cls)
+        return cls.const(x)
 
     def _drop(self, cs: dict):
         """Result with one variable fewer, from a dict of nonzero values."""
@@ -273,7 +273,7 @@ class Echelon:
         Values may live in any commutative ring containing Q (rationals,
         Poly1, Poly2).  Elimination is fraction-free: at a pivot entry
         p != 1 the work vector and the residual found so far are scaled by
-        p / gcd(c, p) (by p for a non-int coefficient c), and the result is
+        p / gcd(a, p) (by p for a non-int coefficient a), and the result is
         divided by the product of these scales at the end.
         """
         work = dict(vec)
@@ -283,20 +283,20 @@ class Echelon:
         heapq.heapify(heap)
         while heap:
             i = heapq.heappop(heap)
-            c = work.get(i)
-            if c is None or not c:
+            a = work.get(i)
+            if a is None or not a:
                 work.pop(i, None)
                 continue
             del work[i]
             row = self.pivots.get(i)
             if row is None:
-                out[i] = c
+                out[i] = a
                 continue
             p = row[i]
             if p != 1:
-                if type(c) is int:
-                    g = gcd(c, p)
-                    m, c = p // g, c // g
+                if type(a) is int:
+                    g = gcd(a, p)
+                    m, a = p // g, a // g
                 else:
                     m = p
                 if m != 1:
@@ -308,9 +308,9 @@ class Echelon:
                 if j == i:
                     continue
                 if j in work:
-                    work[j] = work[j] - c * v
+                    work[j] = work[j] - a * v
                 else:
-                    work[j] = -(c * v)
+                    work[j] = -(a * v)
                     heapq.heappush(heap, j)
         if scale == 1:
             return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra import AlgElement, Algebra, algebra_from_json, algebra_to_json
 from .connections import Connection, Idempotent, Mat
 from .exactmath import Poly1, rat_from_str, rat_to_str
-from .transgression import PolyPath, straight_line
+from .transgression import straight_line
 from .uforms import AbClass, FormError, UForm, word_degree
 
 __all__ = [
@@ -132,7 +132,7 @@ def is_connection_pair(data) -> bool:
     return "theta0" in data and "theta1" in data
 
 
-def path_from_json(alg: Algebra, data: dict) -> PolyPath:
+def path_from_json(alg: Algebra, data: dict) -> Connection:
     """A polynomial path {"idempotent", "theta"} (written by
     connection_to_json), or the straight line of a two-connection payload
     {"idempotent", "theta0", "theta1"}."""
@@ -141,4 +141,4 @@ def path_from_json(alg: Algebra, data: dict) -> PolyPath:
         c0, c1 = (Connection(p, _theta_from_json(alg, data[key]))
                   for key in ("theta0", "theta1"))
         return straight_line(c0, c1)
-    return PolyPath(p, _theta_from_json(alg, data["theta"]))
+    return Connection(p, _theta_from_json(alg, data["theta"]), 1)

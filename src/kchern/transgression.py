@@ -2,7 +2,8 @@ r"""Polynomial families of connections (paths and bigons), the cylinder
 calculus over them, homotopy operators, evaluation maps, and the
 Chern-Simons transgression forms with all of their identities.
 
-A family in R parameters x_0, ..., x_{R-1} lives in the cylinder DGA
+A family in R parameters x_0, ..., x_{R-1} is a `Connection` with that R
+(`straight_line` adds a first one); it lives in the cylinder DGA
 Omega(A) (x) Omega_poly(Delta^R).  A CylForm is a sum of dx_I /\ u_I over
 the subsets I of the parameters, with u_I a form with Poly scalars and the
 parameter differentials kept leftmost in increasing order.  One sign rule
@@ -24,7 +25,7 @@ KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
 power is built.  The k = 1 potential vanishes: R~ has no ds /\ dt part.
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
-`secondary_transgression` a bigon; another family raises ConnectionError_.
+`secondary_transgression` a bigon; another R raises ConnectionError_.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from fractions import Fraction
 from math import factorial
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
-                          chern_series, curvature_formula)
-from .exactmath import Poly1, Poly2
+                          chern_series, curvature_formula, family_scalars)
 from .uforms import (FormError, UForm, add_product, checked, project_ab,
                      to_poly, word_degree)
 
@@ -241,70 +241,53 @@ def homotopy_K(w: TForm) -> UForm:
 # Families
 # ---------------------------------------------------------------------------
 
-class PolyPath(Connection):
-    """One-parameter polynomial family of connections on a fixed idempotent:
-    theta(t) with Poly1 scalars, p theta(t) p = theta(t)."""
-
-    __slots__ = ()
-    R = 1
-
-    def restrict(self, i: int, x) -> Connection:
-        """Set parameter i to the rational x: a family of the base class (a
-        Connection for a path, a path for a bigon)."""
-        theta = self.theta.map(
-            lambda u: u.map_scalars(lambda q: q.subs(i, x)))
-        return type(self).__base__(self.p, theta)
+def _require(family, r: int):
+    """Refuse anything but a family in r parameters with ConnectionError_."""
+    got = family.R if isinstance(family, Connection) else type(family).__name__
+    if got != r:
+        raise ConnectionError_("expected a family with R = %d, not %s"
+                               % (r, got))
 
 
-class Bigon(PolyPath):
-    """Two-parameter polynomial family theta(s, t) on a fixed idempotent."""
-
-    __slots__ = ()
-    R = 2
-
-
-def _interpolate(cls, p, weighted) -> PolyPath:
-    """The family cls(p, sum q * theta) over pairs (family, q), with each q a
-    polynomial in cls.R variables."""
-    theta = None
-    for fam, q in weighted:
-        m = fam.theta.map(lambda u: to_poly(u, cls.R).scale(q))
-        theta = m if theta is None else theta + m
-    return cls(p, theta)
+def _interpolate(families, weights) -> Connection:
+    """The family sum_i w_i theta_i in R + 1 parameters, for families with
+    one R on one idempotent and (w_i) = weights(x), polynomials in the new
+    parameter x, which comes first."""
+    f0 = families[0]
+    if any((f.p, f.R) != (f0.p, f0.R) for f in families):
+        raise ConnectionError_("families differ in idempotent or R")
+    r = f0.R + 1
+    x = family_scalars(r)({(1,) + (0,) * f0.R: 1})
+    thetas = [f.theta.map(lambda u: to_poly(u, r).scale(w))
+              for f, w in zip(families, weights(x))]
+    return Connection(f0.p, sum(thetas[1:], thetas[0]), r)
 
 
-_T = Poly1({(1,): 1})
+def straight_line(f0: Connection, f1: Connection) -> Connection:
+    """theta(x, ...) = (1-x) theta0 + x theta1 in a new first parameter x: it
+    restricts to f0 at x = 0 and to f1 at x = 1.  Two connections give a
+    path, two paths a bigon; a family with no Poly type in R + 1 parameters
+    is refused."""
+    return _interpolate((f0, f1), lambda x: (1 - x, x))
 
 
-def straight_line(c0: Connection, c1: Connection) -> PolyPath:
-    """theta(t) = (1-t) theta0 + t theta1; it restricts to c0 at t = 0 and
-    to c1 at t = 1."""
-    if c0.p != c1.p:
-        raise ConnectionError_("paths live on a fixed idempotent")
-    return _interpolate(PolyPath, c0.p, ((c0, 1 - _T), (c1, _T)))
-
-
-def constant_path(c: Connection) -> PolyPath:
+def constant_path(c: Connection) -> Connection:
     return straight_line(c, c)
 
 
 def three_point_path(c1: Connection, c2: Connection,
-                     c3: Connection) -> PolyPath:
+                     c3: Connection) -> Connection:
     """Quadratic interpolation through c1, c2, c3 at t = 0, 1/2, 1 with
     p1 = 1 - 3t + 2t^2, p2 = 4t - 4t^2, p3 = -t + 2t^2."""
-    if c1.p != c2.p or c1.p != c3.p:
-        raise ConnectionError_("paths live on a fixed idempotent")
-    tt = _T * _T
-    return _interpolate(PolyPath, c1.p, ((c1, 1 - 3 * _T + 2 * tt),
-                                         (c2, 4 * _T - 4 * tt),
-                                         (c3, 2 * tt - _T)))
+    return _interpolate((c1, c2, c3), lambda t: (
+        1 - 3 * t + 2 * t * t, 4 * t - 4 * t * t, 2 * t * t - t))
 
 
-def reverse_path(path: PolyPath) -> PolyPath:
-    """Substitute t -> 1 - t."""
-    theta = path.theta.map(
-        lambda u: u.map_scalars(lambda q: q.reflect(0)))
-    return PolyPath(path.p, theta)
+def reverse_path(path: Connection) -> Connection:
+    """Substitute t -> 1 - t in a path."""
+    _require(path, 1)
+    return Connection(path.p, path.theta.map(
+        lambda u: u.map_scalars(lambda q: q.reflect(0))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +308,32 @@ def _curvature_parts(family) -> dict:
             for m, x in parts.items()}
 
 
-def _cyl_mat(cls, parts: dict) -> Mat:
-    """The matrix of cls forms whose part m comes from parts[m] (zero when
-    absent)."""
-    n = parts[0].size
+def _cyl_curvature(family) -> Mat:
+    """The cylinder curvature R~ of a family as a matrix of CylForms in
+    family.R parameters; the parts _curvature_parts leaves out are zero."""
+    cls = CylForm.TYPES[family.R]
+    parts = _curvature_parts(family)
+    n = family.p.size
     return Mat([[cls(*(parts[m].entries[i][j] if m in parts else None
-                       for m in range(1 << cls.R)))
+                       for m in range(1 << family.R)))
                  for j in range(n)] for i in range(n)])
 
 
-def _require(family, kind):
-    if type(family) is not kind:        # a path or a bigon
-        raise ConnectionError_("expected a %s, not a %s"
-                               % (kind.__name__, type(family).__name__))
+def _cyl_chern(family, k_max: int):
+    """[ch_0, ..., ch_kmax] of a family as whole CylForms."""
+    return chern_series(family.p.to_form().map(CylForm.TYPES[family.R]),
+                        lambda: _cyl_curvature(family), k_max, Mat.trace)
 
 
-def tilde_curvature(path: PolyPath):
+def tilde_curvature(path: Connection):
     r"""(R(t), S(t)) with the cylinder curvature R-tilde = R(t) + dt /\ S(t);
     R(t) = p dp dp p + p dtheta p + theta^2 and S(t) = p (del_t theta) p."""
-    _require(path, PolyPath)
+    _require(path, 1)
     parts = _curvature_parts(path)
     return parts[0], parts[1]
 
 
-def tform_operator(path: PolyPath, x: Mat) -> Mat:
+def tform_operator(path: Connection, x: Mat) -> Mat:
     """The cylinder connection operator X -> p d-tilde X + theta X on TForm
     matrices (the oracle certifying tilde_curvature)."""
     pf = path.p.to_form().map(TForm)
@@ -356,23 +341,19 @@ def tform_operator(path: PolyPath, x: Mat) -> Mat:
     return pf * x.map(lambda w: w.d()) + th * x
 
 
-def chern_tform(path: PolyPath, k_max: int):
+def chern_tform(path: Connection, k_max: int):
     """[ch_0, ..., ch_kmax] as whole TForms, for the suites' ev check."""
-    _require(path, PolyPath)
-    return chern_series(path.p.to_form().map(TForm),
-                        lambda: _cyl_mat(TForm, _curvature_parts(path)),
-                        k_max, Mat.trace)
+    _require(path, 1)
+    return _cyl_chern(path, k_max)
 
 
-def _fibre_chern(family, kind, k_max: int):
+def _fibre_chern(family, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
-    the family's ch_k, integrated over every parameter, 1/k! applied last;
-    the family must be a `kind`.  Lower powers of R~ are full products; the
-    top one sums only the dx_top pairs of the diagonal of R~^(k-1) R~, by
-    CylForm's one product step."""
-    _require(family, kind)
+    the family's ch_k, integrated over every parameter, 1/k! applied last.
+    Lower powers of R~ are full products; the top one sums only the dx_top
+    pairs of the diagonal of R~^(k-1) R~, by CylForm's one product step."""
     check_k_max(k_max)
-    r = _cyl_mat(CylForm.TYPES[family.R], _curvature_parts(family))
+    r = _cyl_curvature(family)
     out = []
     power = r                       # R~^(k-1) from k = 2 on
     for k in range(1, k_max + 1):
@@ -393,11 +374,12 @@ def _fibre_chern(family, kind, k_max: int):
     return out
 
 
-def kcs(path: PolyPath, k_max: int):
+def kcs(path: Connection, k_max: int):
     r"""[KCS_1, ..., KCS_kmax] with KCS_k = K ch_k, the fibre integral over t
     of the dt part of the cylinder Chern form; a degree 2k-1 class in the
     abelianization; k_max >= 1."""
-    return [project_ab(u) for u in _fibre_chern(path, PolyPath, k_max)]
+    _require(path, 1)
+    return [project_ab(u) for u in _fibre_chern(path, k_max)]
 
 
 def kcs_between(c0: Connection, c1: Connection, k_max: int):
@@ -410,7 +392,7 @@ def kcs_between(c0: Connection, c1: Connection, k_max: int):
 EPSILON_K = 1
 
 
-def kcs_closed_form(path: PolyPath, k_max: int):
+def kcs_closed_form(path: Connection, k_max: int):
     """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
     k_max >= 1."""
     check_k_max(k_max)
@@ -430,36 +412,36 @@ def kcs_closed_form(path: PolyPath, k_max: int):
 # Bigons and secondary transgression
 # ---------------------------------------------------------------------------
 
-def bigon_straight(path1: PolyPath, path2: PolyPath) -> Bigon:
-    """theta(s, t) = (1-s) theta1(t) + s theta2(t); requires shared endpoints."""
-    if path1.p != path2.p:
-        raise ConnectionError_("bigon requires a fixed idempotent")
+def bigon_straight(path1: Connection, path2: Connection) -> Connection:
+    """theta(s, t) = (1-s) theta1(t) + s theta2(t); shared endpoints."""
+    _require(path1, 1)
+    _require(path2, 1)
     for t in (0, 1):
         if path1.restrict(0, t).theta != path2.restrict(0, t).theta:
             raise ConnectionError_("paths do not share endpoint t=%s" % t)
-    s = Poly2({(1, 0): 1})
-    return _interpolate(Bigon, path1.p, ((path1, 1 - s), (path2, s)))
+    return straight_line(path1, path2)
 
 
-def bigon_curvature(b: Bigon) -> Mat:
+def bigon_curvature(b: Connection) -> Mat:
     r"""Curvature of the bigon connection as a BiForm matrix:
     c00 = p dp dp p + p dtheta p + theta^2, ds part p (del_s theta) p,
     dt part p (del_t theta) p; the ds/\dt component emerges from products."""
-    return _cyl_mat(BiForm, _curvature_parts(b))
+    _require(b, 2)
+    return _cyl_curvature(b)
 
 
-def chern_biform(b: Bigon, k_max: int):
+def chern_biform(b: Connection, k_max: int):
     """[ch_0, ..., ch_kmax] as whole BiForms; only tests call it, as the
     oracle of secondary_transgression."""
-    _require(b, Bigon)
-    return chern_series(b.p.to_form().map(BiForm), lambda: bigon_curvature(b),
-                        k_max, Mat.trace)
+    _require(b, 2)
+    return _cyl_chern(b, k_max)
 
 
-def secondary_transgression(b: Bigon, k_max: int):
+def secondary_transgression(b: Connection, k_max: int):
     r"""[K K_s ch_1, ..., K K_s ch_kmax]: the fibre integrals over (s, t) of
     the ds /\ dt part of the bigon's Chern forms, even potentials (degree
     2k-2) whose dbar is the KCS of the s = 0 edge minus that of the s = 1
     edge, per degree in the abelianization.  The k = 1 potential vanishes,
     since the curvature has no ds /\ dt part; k_max >= 1."""
-    return [project_ab(u) for u in _fibre_chern(b, Bigon, k_max)]
+    _require(b, 2)
+    return [project_ab(u) for u in _fibre_chern(b, k_max)]

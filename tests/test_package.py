@@ -1,6 +1,7 @@
 """Package hygiene: clean compilation and a consistent version string."""
 
 import ast
+import os
 import pathlib
 import re
 import subprocess
@@ -122,6 +123,20 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match
     assert kchern.__version__ == match.group(1)
+
+
+def test_readme_quick_start_runs():
+    # the README's library example is the first public API a reader tries;
+    # run it as written against the sources in src/
+    text = (ROOT / "README.md").read_text()
+    match = re.search(r"## Library quick start\n\n```python\n(.*?)```", text,
+                      re.DOTALL)
+    assert match
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", match.group(1)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(proc.stdout.splitlines()) == 2, proc.stdout
 
 
 def test_benchmark_trace_targets_resolve():

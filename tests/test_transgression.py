@@ -17,7 +17,8 @@ from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform, run_transgression_suite
 from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
-                                  bigon_straight, chern_biform, chern_tform,
+                                  bigon_curvature, bigon_straight,
+                                  chern_biform, chern_tform,
                                   constant_path, homotopy_K, kcs, kcs_between,
                                   kcs_closed_form, reverse_path,
                                   secondary_transgression, straight_line,
@@ -296,10 +297,12 @@ class TestBigons:
         _, c1, path = unit_line_path(dual, eps.d())
         bigon = bigon_straight(path, path)
         for family in (bigon, c1):
-            with pytest.raises(ConnectionError_, match="expected a PolyPath"):
+            with pytest.raises(ConnectionError_,
+                               match="expected a family with R = 1"):
                 chern_tform(family, 1)
         for family in (path, c1):
-            with pytest.raises(ConnectionError_, match="expected a Bigon"):
+            with pytest.raises(ConnectionError_,
+                               match="expected a family with R = 2"):
                 chern_biform(family, 1)
 
     def test_bigon_edges_evaluate_to_paths(self):
@@ -317,6 +320,84 @@ class TestBigons:
             assert e0 == path1.restrict(0, t).theta.entries
             e1 = bigon.restrict(0, 1).restrict(0, t).theta.entries
             assert e1 == path2.restrict(0, t).theta.entries
+
+
+def _families(seed):
+    """(c0, c1, path1, path2, bigon) on a seeded rank-2 idempotent over dual:
+    the straight and three-point paths from c0 to c1 and their bigon."""
+    rng = random.Random(seed)
+    p = random_idempotent(make_fixture("dual"), 2, rng)
+    c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+    path1 = straight_line(c0, c1)
+    path2 = three_point_path(c0, cm, c1)
+    return c0, c1, path1, path2, bigon_straight(path1, path2)
+
+
+class TestFamilyParameters:
+    """A family is a Connection with R parameters; every builder and entry
+    point keys on R."""
+
+    def test_straight_line_adds_a_first_parameter(self):
+        c0, c1, path1, path2, bigon = _families(41)
+        assert (c0.R, path1.R, path2.R, bigon.R) == (0, 1, 1, 2)
+        line = straight_line(path1, path2)
+        assert line.R == 2
+        assert line.theta == bigon.theta
+        for s, path in ((0, path1), (1, path2)):
+            assert line.restrict(0, s).theta == path.theta
+
+    def test_square_is_two_nested_straight_lines(self):
+        rng = random.Random(42)
+        p = random_idempotent(make_fixture("x3"), 2, rng)
+        c1, c2, c3 = (random_connection(p, rng) for _ in range(3))
+        square = straight_line(constant_path(c1), straight_line(c2, c3))
+        assert square.R == 2
+        corners = {(s, t): square.restrict(0, s).restrict(0, t).theta
+                   for s in (0, 1) for t in (0, 1)}
+        assert corners == {(0, 0): c1.theta, (0, 1): c1.theta,
+                           (1, 0): c2.theta, (1, 1): c3.theta}
+
+    def test_a_pair_of_bigons_is_refused(self):
+        *_, bigon = _families(43)
+        with pytest.raises(ConnectionError_, match="no Poly type"):
+            straight_line(bigon, bigon)
+        with pytest.raises(ConnectionError_, match="no Poly type"):
+            Connection(bigon.p, bigon.theta, 3)
+
+    def test_families_with_different_R_are_refused(self):
+        c0, c1, path1, path2, bigon = _families(44)
+        for a, b in ((c0, path1), (path1, bigon)):
+            with pytest.raises(ConnectionError_):
+                straight_line(a, b)
+        with pytest.raises(ConnectionError_):
+            three_point_path(c0, path1, c1)
+        # a bigon built by either builder is refused beside a path
+        for other in (bigon, straight_line(path1, path2)):
+            with pytest.raises(ConnectionError_, match="different parameters"):
+                direct_sum(path1, other)
+
+    def test_restrict_refuses_a_missing_parameter(self):
+        c0, _, path1, _, bigon = _families(45)
+        for family, i in ((c0, 0), (path1, 1), (bigon, 2), (bigon, -1)):
+            with pytest.raises(ConnectionError_, match="no parameter"):
+                family.restrict(i, 0)
+        assert bigon.restrict(1, 0).R == 1
+
+    def test_reverse_path_refuses_anything_but_a_path(self):
+        c0, _, path1, _, bigon = _families(46)
+        for family in (c0, bigon):
+            with pytest.raises(ConnectionError_, match="expected a"):
+                reverse_path(family)
+        back = reverse_path(path1)
+        assert back.R == 1
+        assert back.restrict(0, 0).theta == path1.restrict(0, 1).theta
+
+    def test_bigon_curvature_refuses_anything_but_a_bigon(self):
+        c0, _, path1, _, bigon = _families(47)
+        for family in (c0, path1):
+            with pytest.raises(ConnectionError_, match="expected a"):
+                bigon_curvature(family)
+        assert isinstance(bigon_curvature(bigon).entries[0][0], BiForm)
 
 
 # ---------------------------------------------------------------------------
