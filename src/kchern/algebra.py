@@ -24,9 +24,9 @@ class Algebra:
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
-    `_add_product` (the one product step, used by `AlgElement.__mul__` and,
-    through `sparse_ring`, by the sparse product loop of `connections.Mat`)
-    and the word products of `uforms` read it; all skip zero coefficients.
+    `_add_product` (the product step of `AlgElement.__mul__`), the matrix
+    product of `connections.Mat` and the word products of `uforms` read it;
+    all skip zero coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -97,12 +97,6 @@ class Algebra:
                                              and e.algebra != self):
             raise AlgebraError("algebra mismatch")
 
-    def _terms(self, e):
-        """The nonzero (index, coefficient) pairs of an element of this
-        algebra; anything else raises AlgebraError."""
-        self._check(e)
-        return e.terms
-
     def _add_product(self, acc, a, b):
         """acc += a * b, for a and b given by their nonzero terms."""
         sparse = self.sparse_mul
@@ -119,15 +113,6 @@ class Algebra:
         r = object.__new__(AlgElement)
         r._store(self, tuple(map(rat, acc)))
         return r
-
-    def sparse_ring(self):
-        """The hooks (terms, new, add, wrap) of the sparse matrix product
-        over this algebra (see `connections.Mat`): the checked nonzero terms
-        of an element, a fresh coefficient list, the product step adding
-        a*b into it, and the element of a coefficient list."""
-        m = self.dim
-        return self._terms, lambda: [Q0] * m, self._add_product, \
-            self._element
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -191,16 +176,13 @@ class AlgElement:
     def __mul__(self, other):
         alg = self.algebra
         acc = [Q0] * alg.dim
-        alg._add_product(acc, alg._terms(self), alg._terms(other))
+        alg._check(other)
+        alg._add_product(acc, self.terms, other.terms)
         return alg._element(acc)
 
     def scale(self, scalar):
         scalar = rat(scalar)
         return self.algebra._element(c * scalar for c in self.vec)
-
-    def sparse_ring(self):
-        """The `sparse_ring` hooks of this element's algebra."""
-        return self.algebra.sparse_ring()
 
     def __bool__(self):
         return bool(self.terms)

@@ -3,6 +3,11 @@
 them, curvature, traces into the abelianization, the Chern character forms,
 direct sums, pullbacks along module isomorphisms, and extension of scalars
 along algebra homs.
+
+A matrix (`Mat`) is one sparse dict (i, j, key) -> scalar over its ring:
+products run one loop over pairs of keys, block sums and permutations
+relabel i and j, and `Idempotent`, `ModuleIso` and `Connection` check their
+identities by comparing dicts.
 """
 
 from __future__ import annotations
@@ -10,9 +15,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import Poly, Q0
-from .uforms import AbClass, UForm, enumerate_words, extend_hom, project_ab
+from .algebra import AlgElement, Algebra, AlgebraError, AlgebraHom
+from .exactmath import Poly, Q0, accumulate, rat
+from .uforms import (AbClass, FormError, UForm, enumerate_words, extend_hom,
+                     project_ab, word_product)
 
 
 class ConnectionError_(ValueError):
@@ -20,101 +26,169 @@ class ConnectionError_(ValueError):
 
 
 class Mat:
-    """Square matrix over a ring with + and * (AlgElement, UForm, TForm,
-    BiForm); minimal and generic.
-
-    Every product runs one sparse loop on the `sparse_ring()` hooks
-    (terms, new, add, wrap) of its first entry: pairs with a zero entry
-    are skipped, and each output entry is summed in one accumulator by the
-    ring's product step and wrapped once.  An entry the ring cannot take
-    raises as it would in an entrywise product.
+    """Square matrix over A (AlgElement entries), Omega(A) (UForm) or
+    cylinder forms (TForm, BiForm): its ring held once, as the entry type
+    `kind` and the `algebra`, and one sparse dict `data`, (i, j, key) ->
+    nonzero scalar, keyed by basis index, word or (dx mask, word).
+    `entries` builds entry objects on demand.  An entry of `Mat(entries)`
+    of another ring than the first, and a matrix over another ring in +, -
+    or *, raise the left factor's error: AlgebraError over A, FormError
+    over forms.  The product reads each row of the right factor once and
+    runs one key-product rule per pair of keys: `sparse_mul` over A,
+    `word_product` over Omega(A), or a cylinder type's `_key_product`.
     """
 
-    __slots__ = ("entries", "size")
+    __slots__ = ("kind", "algebra", "size", "data")
 
     def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.size = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.size:
-                raise ConnectionError_("matrix is not square")
+        rows = [list(row) for row in entries]
+        n = self.size = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ConnectionError_("matrix is not square")
+        first = rows[0][0] if n else None
+        self.kind = type(first) if n else None
+        self.algebra = getattr(first, "algebra", None)
+        self.data = {}
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                self._check(e, size=False)
+                keyed = (e.terms if self.kind is AlgElement
+                         else e.terms.items() if self.kind is UForm
+                         else (((m, w), c) for m, u in enumerate(e.parts)
+                               for w, c in u.terms.items()))
+                self.data.update(((i, j, key), c) for key, c in keyed)
 
-    def _check_size(self, other):
-        if other.size != self.size:
+    @classmethod
+    def _new(cls, kind, algebra, size: int, data: dict) -> "Mat":
+        """Wrap a dict of nonzero scalars, uncopied; over A they are stored
+        as `rat` gives them.  An empty matrix has no ring (kind None)."""
+        r = object.__new__(cls)
+        r.kind, r.algebra = (kind, algebra) if size else (None, None)
+        r.size = size
+        r.data = ({k: rat(c) for k, c in data.items()}
+                  if kind is AlgElement else data)
+        return r
+
+    def _like(self, data: dict) -> "Mat":
+        return Mat._new(self.kind, self.algebra, self.size, data)
+
+    def _check(self, other, size=True):
+        """ConnectionError_ on another size (if `size`), and the left
+        factor's error on another ring; `other` is a matrix or an entry."""
+        if size and other.size != self.size:
             raise ConnectionError_("matrix sizes differ: %d and %d"
                                    % (self.size, other.size))
+        kind = other.kind if isinstance(other, Mat) else type(other)
+        alg = getattr(other, "algebra", None)
+        if kind is not self.kind or (alg is not self.algebra
+                                     and alg != self.algebra):
+            raise (AlgebraError if self.kind is AlgElement else FormError)(
+                "matrix ring mismatch")
+
+    def _entry(self, terms: dict):
+        """The entry object of this ring with the scalars `terms` by key."""
+        kind, alg = self.kind, self.algebra
+        if kind is AlgElement:
+            return AlgElement(alg, [terms.get(a, Q0) for a in range(alg.dim)])
+        if kind is UForm:
+            return UForm(alg, terms)
+        return kind._make(tuple(UForm(alg, {w: c for (b, w), c in terms.items()
+                                            if b == m})
+                                for m in range(1 << kind.R)))
+
+    @property
+    def entries(self):
+        n = self.size
+        cells = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j, key), c in self.data.items():
+            cells[i][j][key] = c
+        return [[self._entry(t) for t in row] for row in cells]
 
     def __add__(self, other):
-        self._check_size(other)
-        n = self.size
-        return Mat([[self.entries[i][j] + other.entries[i][j]
-                     for j in range(n)] for i in range(n)])
+        self._check(other)
+        return self._like(accumulate(other.data.items(), dict(self.data)))
 
     def __sub__(self, other):
-        self._check_size(other)
-        n = self.size
-        return Mat([[self.entries[i][j] - other.entries[i][j]
-                     for j in range(n)] for i in range(n)])
+        return self + (-other)
 
     def __neg__(self):
-        return Mat([[-e for e in row] for row in self.entries])
+        return self._like({k: -c for k, c in self.data.items()})
+
+    def _product(self, other, keep=None) -> dict:
+        """The data of self*other, summed over the pairs of keys a at (i, k)
+        and b at (k, j) that keep(i, j, a, b) accepts (all by default)."""
+        self._check(other)
+        kind, alg = self.kind, self.algebra
+        if not self.size:
+            return {}
+        if kind is AlgElement:
+            sparse = alg.sparse_mul
+
+            def rule(a, b):
+                return sparse[a][b]
+        elif kind is UForm:
+            def rule(a, b):
+                return word_product(alg, a, b)
+        else:
+            rule = kind._key_product(alg, self.data)
+        rows = {}
+        for (k, j, b), c in other.data.items():
+            rows.setdefault(k, []).append((j, b, c))
+        out = {}
+        get = out.get
+        for (i, k, a), ca in self.data.items():
+            for j, b, cb in rows.get(k, ()):
+                if keep is None or keep(i, j, a, b):
+                    c = ca * cb
+                    for key, s in rule(a, b):
+                        key = (i, j, key)
+                        v = get(key)
+                        out[key] = c * s if v is None else v + c * s
+        return {key: v for key, v in out.items() if v}
 
     def __mul__(self, other):
-        self._check_size(other)
-        if not self.size:
-            return Mat([])
-        first = self.entries[0][0]
-        terms, new, add, wrap = first.sparse_ring()
-        # a left entry of another kind refuses `first` through its own
-        # ring, so errors follow the left factor as they do in a * b
-        lt = [[terms(e) if type(e) is type(first)
-               else e.sparse_ring()[0](first) for e in row]
-              for row in self.entries]
-        rt = [[terms(e) for e in row] for row in other.entries]
-        zero = wrap(new())
-        out = []
-        for lrow in lt:
-            row = []
-            for j in range(self.size):
-                acc = None
-                for k, a in enumerate(lrow):
-                    if a:
-                        b = rt[k][j]
-                        if b:
-                            if acc is None:
-                                acc = new()
-                            add(acc, a, b)
-                row.append(zero if acc is None else wrap(acc))
-            out.append(row)
-        return Mat(out)
+        return self._like(self._product(other))
 
     def map(self, f) -> "Mat":
         return Mat([[f(e) for e in row] for row in self.entries])
 
+    def map_scalars(self, f) -> "Mat":
+        """f applied to every scalar, zeros dropped."""
+        return self._like({k: v for k, c in self.data.items() if (v := f(c))})
+
+    def to_form(self) -> "Mat":
+        """A matrix over A as one over Omega(A): the key map a -> (a,)."""
+        return Mat._new(UForm, self.algebra, self.size, {
+            (i, j, (a,)): c for (i, j, a), c in self.data.items()})
+
+    def d(self) -> "Mat":
+        """d of every entry; over Omega(A) the key map w -> (0,) + w, where
+        w[0] != 0 (distinct words have distinct images)."""
+        if self.kind is not UForm:
+            return self.map(lambda e: e.d())
+        return self._like({(i, j, (0,) + w): c
+                           for (i, j, w), c in self.data.items() if w[0]})
+
     def trace(self):
-        acc = self.entries[0][0]
-        for i in range(1, self.size):
-            acc = acc + self.entries[i][i]
-        return acc
+        return self._entry(accumulate(
+            (key, c) for (i, j, key), c in self.data.items() if i == j))
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.entries == other.entries
+        return (isinstance(other, Mat) and self.size == other.size
+                and self.kind is other.kind and self.algebra == other.algebra
+                and self.data == other.data)
 
     def __repr__(self):
         return "Mat(%r)" % (self.entries,)
 
 
-def block_diag(a: Mat, b: Mat, zero) -> Mat:
-    """Block diagonal; `zero` supplies off-block entries."""
-    n, m = a.size, b.size
-    out = [[zero for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = a.entries[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = b.entries[i][j]
-    return Mat(out)
+def block_diag(a: Mat, b: Mat) -> Mat:
+    """The block diagonal matrix of a and b: b's rows and columns shift."""
+    a._check(b, size=False)
+    n = a.size
+    data = dict(a.data)
+    data.update(((n + i, n + j, k), c) for (i, j, k), c in b.data.items())
+    return Mat._new(a.kind, a.algebra, n + b.size, data)
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +203,17 @@ class Idempotent:
     def __init__(self, algebra: Algebra, mat: Mat):
         if not mat.size:
             raise ConnectionError_("idempotent matrix is empty")
-        self.algebra = algebra
-        self.mat = mat
-        self.size = mat.size
-        for row in mat.entries:
-            for e in row:
-                if not isinstance(e, AlgElement) or e.algebra != algebra:
-                    raise ConnectionError_("entries must live in the algebra")
-        if (mat * mat).entries != mat.entries:
+        self.algebra, self.mat, self.size = algebra, mat, mat.size
+        if mat.kind is not AlgElement or mat.algebra != algebra:
+            raise ConnectionError_("entries must live in the algebra")
+        if mat * mat != mat:
             raise ConnectionError_("matrix is not idempotent")
 
     def to_form(self) -> Mat:
-        return self.mat.map(UForm.from_element)
+        return self.mat.to_form()
 
     def __eq__(self, other):
-        return (isinstance(other, Idempotent)
-                and self.algebra == other.algebra
-                and self.mat == other.mat)
+        return isinstance(other, Idempotent) and self.mat == other.mat
 
     @staticmethod
     def identity(algebra: Algebra, n: int) -> "Idempotent":
@@ -159,10 +227,6 @@ class Idempotent:
         z = algebra.zero()
         return Idempotent(algebra, Mat([[z for _ in range(n)]
                                         for _ in range(n)]))
-
-
-def zero_form_mat(algebra: Algebra, n: int) -> Mat:
-    return Mat([[UForm.zero(algebra) for _ in range(n)] for _ in range(n)])
 
 
 class Connection:
@@ -181,32 +245,28 @@ class Connection:
         self.algebra = p.algebra
         if theta.size != p.size:
             raise ConnectionError_("theta size mismatch")
-        for row in theta.entries:
-            for e in row:
-                if not isinstance(e, UForm) or e.algebra != p.algebra:
-                    raise ConnectionError_("theta entries must be forms")
-                if e and e.degrees() != [1]:
-                    raise ConnectionError_("theta must be of degree 1")
+        if theta.kind is not UForm or theta.algebra != p.algebra:
+            raise ConnectionError_("theta entries must be forms")
+        if any(len(w) != 2 for _, _, w in theta.data):
+            raise ConnectionError_("theta must be of degree 1")
+        if any(isinstance(c, Poly) and c.NVARS > R
+               for c in theta.data.values()):
+            raise ConnectionError_("theta has scalars in more than R = %d "
+                                   "parameters (a single connection has "
+                                   "rational scalars, not polynomials)" % R)
         if R:
-            coerce = family_scalars(R).coerce
-            theta = theta.map(lambda u: u.map_scalars(coerce))
-        elif any(isinstance(c, Poly) for row in theta.entries for e in row
-                 for c in e.terms.values()):
-            raise ConnectionError_("a single connection has rational "
-                                   "scalars, not polynomials")
+            theta = theta.map_scalars(family_scalars(R).coerce)
         pf = p.to_form()
-        if (pf * theta * pf).entries != theta.entries:
+        if pf * theta * pf != theta:
             raise ConnectionError_("theta is not compressed: p*theta*p != theta")
-        self.p = p
-        self.theta = theta
-        self.R = R
+        self.p, self.theta, self.R = p, theta, R
 
     def restrict(self, i: int, x) -> "Connection":
         """Set parameter i to the rational x: a family with R - 1."""
         if not 0 <= i < self.R:
             raise ConnectionError_("R = %d has no parameter %r" % (self.R, i))
-        return Connection(self.p, self.theta.map(
-            lambda u: u.map_scalars(lambda q: q.subs(i, x))), self.R - 1)
+        return Connection(self.p, self.theta.map_scalars(
+            lambda q: q.subs(i, x)), self.R - 1)
 
 
 def family_scalars(r: int):
@@ -217,21 +277,19 @@ def family_scalars(r: int):
 
 
 def grassmann(p: Idempotent) -> Connection:
-    return Connection(p, zero_form_mat(p.algebra, p.size))
+    return Connection(p, Mat._new(UForm, p.algebra, p.size, {}))
 
 
 def apply_operator(c: Connection, x: Mat) -> Mat:
     """The extending connection applied entrywise: X -> p*dX + theta*X."""
-    pf = c.p.to_form()
-    return pf * x.map(lambda u: u.d()) + c.theta * x
+    return c.p.to_form() * x.d() + c.theta * x
 
 
 def curvature_formula(pf: Mat, theta: Mat) -> Mat:
     """p(dp)(dp)p + p(dtheta)p + theta*theta for form matrices p and theta
     over any scalars (rationals, or polynomials in path parameters)."""
-    dp = pf.map(lambda u: u.d())
-    dtheta = theta.map(lambda u: u.d())
-    return pf * dp * dp * pf + pf * dtheta * pf + theta * theta
+    dp = pf.d()
+    return pf * dp * dp * pf + pf * theta.d() * pf + theta * theta
 
 
 def curvature(c: Connection) -> Mat:
@@ -282,10 +340,8 @@ def direct_sum(c1: Connection, c2: Connection) -> Connection:
         raise ConnectionError_("algebra mismatch")
     if c1.R != c2.R:
         raise ConnectionError_("families with different parameters")
-    alg = c1.algebra
-    p = Idempotent(alg, block_diag(c1.p.mat, c2.p.mat, alg.zero()))
-    theta = block_diag(c1.theta, c2.theta, UForm.zero(alg))
-    return Connection(p, theta, c1.R)
+    p = Idempotent(c1.algebra, block_diag(c1.p.mat, c2.p.mat))
+    return Connection(p, block_diag(c1.theta, c2.theta), c1.R)
 
 
 class ModuleIso:
@@ -298,13 +354,13 @@ class ModuleIso:
         if p0.algebra != p1.algebra or p0.size != p1.size:
             raise ConnectionError_("idempotent mismatch")
         self.p0, self.p1, self.u, self.v = p0, p1, u, v
-        if (p1.mat * u * p0.mat).entries != u.entries:
+        if p1.mat * u * p0.mat != u:
             raise ConnectionError_("u is not compressed: p1*u*p0 != u")
-        if (p0.mat * v * p1.mat).entries != v.entries:
+        if p0.mat * v * p1.mat != v:
             raise ConnectionError_("v is not compressed: p0*v*p1 != v")
-        if (v * u).entries != p0.mat.entries:
+        if v * u != p0.mat:
             raise ConnectionError_("v*u != p0")
-        if (u * v).entries != p1.mat.entries:
+        if u * v != p1.mat:
             raise ConnectionError_("u*v != p1")
 
     def inverse(self) -> "ModuleIso":
@@ -327,9 +383,9 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
         raise ConnectionError_("iso target does not match the connection")
     p0f = phi.p0.to_form()
     p1f = phi.p1.to_form()
-    uf = phi.u.map(UForm.from_element)
-    vf = phi.v.map(UForm.from_element)
-    du = uf.map(lambda w: w.d())
+    uf = phi.u.to_form()
+    vf = phi.v.to_form()
+    du = uf.d()
     theta = p0f * (vf * (p1f * du + c.theta * uf)) * p0f
     return Connection(phi.p0, theta, c.R)
 
@@ -443,11 +499,9 @@ def compose_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
 def sum_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
     """Block sum of isomorphisms."""
     alg = a.p0.algebra
-    z = alg.zero()
-    p0 = Idempotent(alg, block_diag(a.p0.mat, b.p0.mat, z))
-    p1 = Idempotent(alg, block_diag(a.p1.mat, b.p1.mat, z))
-    return ModuleIso(p0, p1, block_diag(a.u, b.u, z),
-                     block_diag(a.v, b.v, z))
+    p0 = Idempotent(alg, block_diag(a.p0.mat, b.p0.mat))
+    p1 = Idempotent(alg, block_diag(a.p1.mat, b.p1.mat))
+    return ModuleIso(p0, p1, block_diag(a.u, b.u), block_diag(a.v, b.v))
 
 
 def permute_blocks(p: Idempotent, sizes, order) -> ModuleIso:
@@ -461,14 +515,18 @@ def permute_blocks(p: Idempotent, sizes, order) -> ModuleIso:
         raise ConnectionError_("block order %r is not a permutation"
                                % (tuple(order),))
     block = [b for b, n in enumerate(sizes) for _ in range(n)]
-    m = p.mat.entries
-    if any(e and block[i] != block[j]
-           for i, row in enumerate(m) for j, e in enumerate(row)):
+    m = p.mat
+    if any(block[i] != block[j] for i, j, _ in m.data):
         raise ConnectionError_("p has a nonzero entry off its diagonal blocks")
     perm = [i for b in order for i in range(p.size) if block[i] == b]
-    p1 = Idempotent(p.algebra, Mat([[m[i][j] for j in perm] for i in perm]))
-    return ModuleIso(p, p1, Mat([m[i] for i in perm]),
-                     Mat([[row[j] for j in perm] for row in m]))
+    slot = {i: s for s, i in enumerate(perm)}       # row i moves to slot[i]
+
+    def relabel(rows, cols):
+        return m._like({(rows.get(i, i), cols.get(j, j), a): c
+                        for (i, j, a), c in m.data.items()})
+
+    return ModuleIso(p, Idempotent(p.algebra, relabel(slot, slot)),
+                     relabel(slot, {}), relabel({}, slot))
 
 
 def random_automorphism(p: Idempotent, seed) -> ModuleIso:

@@ -60,19 +60,17 @@ def rat_from_str(s: str):
 def accumulate(pairs, out=None) -> dict:
     """Add each (key, value) of `pairs` into the dict `out` (a fresh one by
     default) and return it; a key whose sum is zero is dropped, a zero
-    first value included."""
+    first value included, and an integral Fraction is stored by `rat`."""
     if out is None:
         out = {}
     # a new key is stored as it is: 0 + v would be a slow Fraction sum
     for k, v in pairs:
         if k in out:
             v = out[k] + v
-            if v:
-                out[k] = v
-            else:
+            if not v:
                 del out[k]
-        elif v:
-            out[k] = v
+        if v:
+            out[k] = rat(v) if type(v) is Fraction else v
     return out
 
 
@@ -173,8 +171,8 @@ class Poly:
                 return NotImplemented
             if not other:
                 return self._new({})
-            other = rat(other)
-            return self._new({e: c * other for e, c in self.coeffs.items()})
+            return self._new({e: rat(c * other)
+                              for e, c in self.coeffs.items()})
         # inline: via accumulate, transgression p50 went 1.28 -> 1.40 ms
         out = {}
         for e1, a in self.coeffs.items():

@@ -150,10 +150,12 @@ def chain_witnesses(g1: KHatGen, w01: KCSWitness,
     M1+N12 and ends on some M2+N12.
     """
     m1, n01, n12 = g1.p, w01.stab_p, w12.stab_p
-    k, z = m1.size, g1.algebra.zero()
-    if (w01.iso.p1.mat != block_diag(m1.mat, n01.mat, z)
-            or w12.iso.p0.mat != block_diag(m1.mat, n12.mat, z)
-            or [r[k:] for r in w12.iso.p1.mat.entries[k:]] != n12.mat.entries):
+    k = m1.size
+    corner = {(i - k, j - k, a): c for (i, j, a), c
+              in w12.iso.p1.mat.data.items() if i >= k and j >= k}
+    if (w01.iso.p1.mat != block_diag(m1.mat, n01.mat)
+            or w12.iso.p0.mat != block_diag(m1.mat, n12.mat)
+            or corner != n12.mat.data):
         raise ConnectionError_("the witnesses do not meet at g1")
     pair = sum_iso(w01.iso, w12.iso)
     iso = compose_iso(pair, permute_blocks(pair.p1,

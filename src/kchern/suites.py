@@ -193,8 +193,7 @@ def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 # operator oracle for the curvature formula
                 r = curvature(c)
                 pf = p.to_form()
-                require((r * pf).entries ==
-                        apply_operator(c, apply_operator(c, pf)).entries,
+                require(r * pf == apply_operator(c, apply_operator(c, pf)),
                         "curvature operator oracle fails")
                 chs = chern(c, k_max)
                 # ch0 of the Grassmann connection is the class of sum p_ii
@@ -283,12 +282,11 @@ def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
                 path = straight_line(c0, c1)
                 # curvature family certified by the operator oracle
                 r, s = tilde_curvature(path)
-                n = p.size
-                rt = Mat([[TForm(r.entries[i][j], s.entries[i][j])
-                           for j in range(n)] for i in range(n)])
+                rt = Mat([[TForm(a, b) for a, b in zip(ra, sa)]
+                          for ra, sa in zip(r.entries, s.entries)])
                 pf = p.to_form().map(TForm)
-                require((rt * pf).entries == tform_operator(
-                    path, tform_operator(path, pf)).entries,
+                require(rt * pf == tform_operator(
+                    path, tform_operator(path, pf)),
                     "cylinder curvature oracle fails")
                 # transgression: d KCS = ch(c1) - ch(c0), exactly in ab
                 kcs_list = kcs(path, k_max)

@@ -17,9 +17,10 @@ gives the whole calculus:
 
 Every sign is read from `sigma` and the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
-use BiForm.  `CylForm._add_product` is the one product step: it adds each
-part product into a dict by `uforms.add_product`, for products of forms,
-of form matrices (`connections.Mat`) and of the fibre integral's top power.
+use BiForm.  `CylForm._key_product` is the one product rule, on the flat
+keys (dx mask, word) of `connections.Mat`: products of cylinder forms are
+1 x 1 matrix products, and the fibre integral's top power is a matrix
+product restricted to the pairs of masks that join to the top one.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
@@ -35,8 +36,9 @@ from math import factorial
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
-from .uforms import (FormError, UForm, add_product, checked, project_ab,
-                     to_poly, word_degree)
+from .exactmath import accumulate
+from .uforms import (FormError, UForm, checked, project_ab, to_poly,
+                     word_degree, word_product)
 
 
 def sigma(u: UForm) -> UForm:
@@ -61,8 +63,8 @@ class CylForm:
     parts[m] is the coefficient form of dx_I, I the set bits of m, with
     Poly scalars in R variables.  Restricting or integrating one parameter
     gives a CylForm in R - 1 parameters, and a UForm at R = 1.  Sums and
-    products refuse another type or algebra with FormError; a product runs
-    `_add_product`, alone or through `sparse_ring` in a matrix product.
+    products refuse another type or algebra with FormError; a product is
+    the 1 x 1 matrix product by `_key_product`.
     """
 
     __slots__ = ("parts",)
@@ -129,38 +131,25 @@ class CylForm:
     def __bool__(self):
         return any(self.parts)
 
-    def _add_product(self, out, other, pairs):
-        """out[ab] += the part products of self*other over `pairs` (a
-        sub-tuple of _PAIRS), for `out` a list of dicts by mask, by the rule
-        (dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v: the one
-        product step.  The algebras are not checked here."""
-        us, vs = self.parts, other.parts
-        flipped = {}
-        for a, b, ab, odd in pairs:
-            u, v = us[a], vs[b]
-            if not u or not v:
-                continue
-            if odd:
-                if a not in flipped:
-                    flipped[a] = sigma(u)
-                u = flipped[a]
-            add_product(out[ab], -u if SHUFFLE[a, b] < 0 else u, v)
+    @staticmethod
+    def _key_product(alg, left: dict):
+        r"""The product rule of keys (mask, word) of `connections.Mat`, for
+        a left factor with the data `left`: (dx_I w1)(dx_J w2) =
+        shuffle(I, J) dx_{I u J} sigma^{|J|}(w1) w2, and 0 when I and J
+        meet; `sigma` gives its signs, applied once to the left words."""
+        flip = sigma(UForm(alg, {w: 1 for _, _, (_, w) in left})).terms
 
-    def sparse_ring(self):
-        """The hooks (terms, new, add, wrap) of the sparse matrix product
-        (see `connections.Mat`): a form of this type and algebra stands for
-        itself (falsy when zero), a list of dicts by mask accumulates, the
-        step runs over _PAIRS, and the dicts are wrapped uncopied."""
-        n, like = len(self.parts), self.parts[0]._like
-        return ((lambda x: checked(self, x)), lambda: [{} for _ in range(n)],
-                lambda out, x, y: x._add_product(out, y, x._PAIRS),
-                lambda out: self._make(tuple(map(like, out))))
+        def rule(a, b):
+            (m1, w1), (m2, w2) = a, b
+            if m1 & m2:
+                return ()
+            s = SHUFFLE[m1, m2] * (flip[w1] if bin(m2).count("1") % 2 else 1)
+            return [((m1 | m2, w), s * c)
+                    for w, c in word_product(alg, w1, w2)]
+        return rule
 
     def __mul__(self, other):
-        terms, new, add, wrap = self.sparse_ring()
-        out = new()
-        add(out, self, terms(other))
-        return wrap(out)
+        return (Mat([[self]]) * Mat([[checked(self, other)]])).trace()
 
     def __rmul__(self, scalar):
         return self._make(tuple(x.scale(scalar) for x in self.parts))
@@ -257,8 +246,9 @@ def _interpolate(families, weights) -> Connection:
     if any((f.p, f.R) != (f0.p, f0.R) for f in families):
         raise ConnectionError_("families differ in idempotent or R")
     r = f0.R + 1
-    x = family_scalars(r)({(1,) + (0,) * f0.R: 1})
-    thetas = [f.theta.map(lambda u: to_poly(u, r).scale(w))
+    poly = family_scalars(r)
+    x = poly({(1,) + (0,) * f0.R: 1})
+    thetas = [f.theta.map_scalars(lambda c: poly.coerce(c) * w)
               for f, w in zip(families, weights(x))]
     return Connection(f0.p, sum(thetas[1:], thetas[0]), r)
 
@@ -286,8 +276,8 @@ def three_point_path(c1: Connection, c2: Connection,
 def reverse_path(path: Connection) -> Connection:
     """Substitute t -> 1 - t in a path."""
     _require(path, 1)
-    return Connection(path.p, path.theta.map(
-        lambda u: u.map_scalars(lambda q: q.reflect(0))), 1)
+    return Connection(path.p, path.theta.map_scalars(
+        lambda q: q.reflect(0)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +291,30 @@ def _curvature_parts(family) -> dict:
     pf = family.p.to_form()
     parts = {0: curvature_formula(pf, family.theta)}
     for i in range(family.R):
-        dtheta = family.theta.map(
-            lambda u: u.map_scalars(lambda q: q.diff(i)))
+        dtheta = family.theta.map_scalars(lambda q: q.diff(i))
         parts[1 << i] = pf * dtheta * pf
-    return {m: x.map(lambda u: to_poly(u, family.R))
-            for m, x in parts.items()}
+    coerce = family_scalars(family.R).coerce
+    return {m: x.map_scalars(coerce) for m, x in parts.items()}
+
+
+def _cyl_mat(family, parts: dict) -> Mat:
+    """The matrix of CylForms in family.R parameters whose dx_I part is the
+    form matrix parts[I], its scalars coerced to Poly: keys w -> (I, w)."""
+    coerce = family_scalars(family.R).coerce
+    return Mat._new(CylForm.TYPES[family.R], family.algebra, family.p.size, {
+        (i, j, (m, w)): coerce(c) for m, x in parts.items()
+        for (i, j, w), c in x.data.items()})
 
 
 def _cyl_curvature(family) -> Mat:
     """The cylinder curvature R~ of a family as a matrix of CylForms in
     family.R parameters; the parts _curvature_parts leaves out are zero."""
-    cls = CylForm.TYPES[family.R]
-    parts = _curvature_parts(family)
-    n = family.p.size
-    return Mat([[cls(*(parts[m].entries[i][j] if m in parts else None
-                       for m in range(1 << family.R)))
-                 for j in range(n)] for i in range(n)])
+    return _cyl_mat(family, _curvature_parts(family))
 
 
 def _cyl_chern(family, k_max: int):
     """[ch_0, ..., ch_kmax] of a family as whole CylForms."""
-    return chern_series(family.p.to_form().map(CylForm.TYPES[family.R]),
+    return chern_series(_cyl_mat(family, {0: family.p.to_form()}),
                         lambda: _cyl_curvature(family), k_max, Mat.trace)
 
 
@@ -336,9 +329,9 @@ def tilde_curvature(path: Connection):
 def tform_operator(path: Connection, x: Mat) -> Mat:
     """The cylinder connection operator X -> p d-tilde X + theta X on TForm
     matrices (the oracle certifying tilde_curvature)."""
-    pf = path.p.to_form().map(TForm)
-    th = path.theta.map(TForm)
-    return pf * x.map(lambda w: w.d()) + th * x
+    _require(path, 1)
+    pf = _cyl_mat(path, {0: path.p.to_form()})
+    return pf * x.d() + _cyl_mat(path, {0: path.theta}) * x
 
 
 def chern_tform(path: Connection, k_max: int):
@@ -350,22 +343,21 @@ def chern_tform(path: Connection, k_max: int):
 def _fibre_chern(family, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
     the family's ch_k, integrated over every parameter, 1/k! applied last.
-    Lower powers of R~ are full products; the top one sums only the dx_top
-    pairs of the diagonal of R~^(k-1) R~, by CylForm's one product step."""
+    Lower powers of R~ are full products; the top one sums only the
+    diagonal pairs of R~^(k-1) R~ whose masks are a pair of _TOP_PAIRS."""
     check_k_max(k_max)
     r = _cyl_curvature(family)
+    top = {(a, b) for a, b, _, _ in r.kind._TOP_PAIRS}
     out = []
     power = r                       # R~^(k-1) from k = 2 on
     for k in range(1, k_max + 1):
         if k == 1:
             part = r.trace().parts[-1]          # the dx_top part
         else:
-            acc = {}
-            slots = [acc] * (1 << family.R)     # every pair adds into acc
-            for i, row in enumerate(power.entries):
-                for x, r_row in zip(row, r.entries):
-                    x._add_product(slots, r_row[i], x._TOP_PAIRS)
-            part = UForm(family.algebra, acc)
+            diag = power._product(r, lambda i, j, a, b: i == j
+                                  and (a[0], b[0]) in top)
+            part = UForm(family.algebra, accumulate(
+                (w, c) for (_, _, (_, w)), c in diag.items()))
             if k < k_max:
                 power = power * r
         for _ in range(family.R):

@@ -240,13 +240,6 @@ class UForm(_Terms):
     def from_element(a: AlgElement) -> "UForm":
         return UForm(a.algebra, {(i,): c for i, c in a.terms})
 
-    def sparse_ring(self):
-        """The hooks (terms, new, add, wrap) of the sparse matrix product
-        over Omega(A) (see `connections.Mat`): a form over this algebra
-        stands for itself (falsy when zero), a dict accumulates,
-        `add_product` is the step and the dict is wrapped without a copy."""
-        return (lambda u: checked(self, u)), dict, add_product, self._like
-
     # structure ------------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, UForm):
@@ -280,41 +273,24 @@ def differential(w: UForm) -> UForm:
     return w._like({(0,) + word: c for word, c in w.terms.items() if word[0]})
 
 
-def add_product(out: dict, u: UForm, v: UForm):
-    """out += u*v, for forms over one algebra (not checked here) and `out` a
-    dict of nonzero scalars by word: the one product step.  `multiply` runs
-    it once, matrix and cylinder-form products once per nonzero pair of
-    entries or parts, so each output entry is summed in one dict."""
-    alg = u.algebra
-    cap = alg.degree_cap
-    # inline: via accumulate, transgression and khat ran 5-10% slower
-    for w1, c1 in u.terms.items():
-        d1 = word_degree(w1)
-        for w2, c2 in v.terms.items():
-            if d1 + word_degree(w2) > cap:
-                raise DegreeCapError(
-                    "product degree %d exceeds cap %d"
-                    % (d1 + word_degree(w2), cap))
-            c12 = c1 * c2
-            for w, c in _word_mul(alg, w1, w2).items():
-                val = c12 * c
-                if w in out:
-                    acc = out[w] + val
-                    if acc:
-                        out[w] = acc
-                    else:
-                        del out[w]
-                else:
-                    out[w] = val
+def word_product(alg: Algebra, w1, w2):
+    """The (word, rational) pairs of the product of two basis words, from
+    the memoized word products; DegreeCapError past the cap.  The one key
+    product over Omega(A): `multiply` and `connections.Mat` read it."""
+    if len(w1) + len(w2) - 2 > alg.degree_cap:
+        raise DegreeCapError("product degree %d exceeds cap %d"
+                             % (len(w1) + len(w2) - 2, alg.degree_cap))
+    return _word_mul(alg, w1, w2).items()
 
 
 def multiply(u: UForm, v: UForm) -> UForm:
     """Associative graded product by boundary rewriting."""
-    if u.algebra != v.algebra:
+    alg = u.algebra
+    if alg != v.algebra:
         raise FormError("form algebra mismatch")
-    out = {}
-    add_product(out, u, v)
-    return u._like(out)
+    return u._like(accumulate(
+        (w, c1 * c2 * c) for w1, c1 in u.terms.items()
+        for w2, c2 in v.terms.items() for w, c in word_product(alg, w1, w2)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 grassmann, permute_blocks, pullback,
                                 random_automorphism, random_connection,
                                 random_form, random_idempotent, random_iso,
-                                sum_iso, trace_ab, zero_form_mat)
+                                sum_iso, trace_ab)
 from kchern.exactmath import Poly, Q0, Q1, accumulate
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.transgression import TForm
@@ -236,9 +236,9 @@ class TestIsos:
         assert s.p0.size == 3
 
 
-def _random_mat(n, rng, entry, zero):
-    """n x n: entry() 70% of the time, else `zero`, and, half the time, a
-    zero off-diagonal block."""
+def _random_rows(n, rng, entry, zero):
+    """n x n entries: entry() 70% of the time, else `zero`, and, half the
+    time, a zero off-diagonal block."""
     rows = [[entry() if rng.random() < 0.7 else zero for _ in range(n)]
             for _ in range(n)]
     if n > 1 and rng.random() < 0.5:
@@ -246,30 +246,35 @@ def _random_mat(n, rng, entry, zero):
         for i in range(cut):
             for j in range(cut, n):
                 rows[i][j] = zero
-    return Mat(rows)
+    return rows
+
+
+def _random_mat(n, rng, entry, zero):
+    return Mat(_random_rows(n, rng, entry, zero))
 
 
 _COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
 
 
-def _random_kernel_mat(alg, n, rng):
-    """n x n, with non-integral coefficients, zero entries and, half the
-    time, a zero off-diagonal block."""
-    return _random_mat(n, rng, lambda: alg.element(
+def _random_kernel_rows(alg, n, rng):
+    """n x n elements, with non-integral coefficients, zero entries and, half
+    the time, a zero off-diagonal block."""
+    return _random_rows(n, rng, lambda: alg.element(
         [rng.choice(_COEFFS) for _ in range(alg.dim)]), alg.zero())
 
 
 def _entrywise_product(alg, x, y):
-    """x*y summed entry by entry from the dense structure table `mul`."""
-    n = x.size
+    """x*y summed entry by entry from the dense structure table `mul`, for
+    x and y given as lists of element rows (read by their `vec`)."""
+    n = len(x)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
             vec = [Q0] * alg.dim
             for l in range(n):
-                for a, ca in enumerate(x.entries[i][l].vec):
-                    for b, cb in enumerate(y.entries[l][j].vec):
+                for a, ca in enumerate(x[i][l].vec):
+                    for b, cb in enumerate(y[l][j].vec):
                         for k, s in enumerate(alg.mul[a][b]):
                             vec[k] += ca * cb * s
             row.append(alg.element(vec))
@@ -281,9 +286,9 @@ def _kernel_agrees(alg, seed, trials=8):
     rng = random.Random(seed)
     for _ in range(trials):
         n = rng.randint(1, 4)
-        x = _random_kernel_mat(alg, n, rng)
-        y = _random_kernel_mat(alg, n, rng)
-        entries = (x * y).entries
+        x = _random_kernel_rows(alg, n, rng)
+        y = _random_kernel_rows(alg, n, rng)
+        entries = (Mat(x) * Mat(y)).entries
         if entries != _entrywise_product(alg, x, y):
             return False
         # integral results are stored as int
@@ -323,9 +328,8 @@ class TestProductKernel:
             a * b
         with pytest.raises(AlgebraError):
             a * a.map(UForm.from_element)
-        mixed = Mat([[dual.unit(), x3.zero()], [dual.zero(), dual.unit()]])
         with pytest.raises(AlgebraError):
-            a * mixed
+            a * Mat([[dual.unit(), x3.zero()], [dual.zero(), dual.unit()]])
         # an equal algebra built twice is the same algebra
         again = make_fixture("dual")
         assert a * a.map(lambda e: again.element(e.vec)) == a
@@ -334,8 +338,8 @@ class TestProductKernel:
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)
             rng = random.Random(42)
-            x = _random_kernel_mat(alg, 3, rng)
-            y = _random_kernel_mat(alg, 3, rng)
+            x = Mat(_random_kernel_rows(alg, 3, rng))
+            y = Mat(_random_kernel_rows(alg, 3, rng))
             a = alg.element([rng.choice(_COEFFS) for _ in range(alg.dim)])
             b = x.entries[0][0]
             made = [a, alg.zero(), a + b, a - b, -a, a * b, b * a,
@@ -421,7 +425,7 @@ class TestFormProductKernel:
         for name in FIXTURE_NAMES:
             assert _form_kernel_agrees(make_fixture(name), make_fixture(name),
                                        50), name
-        assert (zero_form_mat(make_fixture("x3"), 0) * Mat([])).size == 0
+        assert (Mat([]) * Mat([])).size == 0
 
     def test_planted_word_product_fails(self):
         # one wrong coefficient in one memoized word product that the
@@ -448,10 +452,14 @@ class TestFormProductKernel:
 
         forms = mat(eps, UForm.zero(dual))
         others = (mat(UForm.unit(x3), UForm.zero(x3)),
-                  mat(eps, UForm.zero(x3)),
                   mat(dual.unit(), dual.zero()),
-                  mat(eps, dual.zero()),
                   mat(TForm(eps), TForm.zero(dual)))
+        # a matrix mixing algebras or entry types cannot be built: it
+        # raises what multiplying its first entry by the odd one raises
+        for one, zero in ((eps, UForm.zero(x3)), (eps, dual.zero())):
+            raised = _raised(lambda: mat(one, zero))
+            assert raised in (FormError, AlgebraError)
+            assert raised is _raised(lambda: one * zero)
         for other in others:
             for x, y in ((forms, other), (other, forms)):
                 raised = _raised(lambda: x * y)
@@ -469,7 +477,7 @@ class TestFormProductKernel:
         y = Mat([[zero, deps], [zero, zero]])
         with pytest.raises(DegreeCapError):
             x * y
-        assert (y * x).entries == zero_form_mat(dual, 2).entries
+        assert (y * x).entries == Mat([[zero, zero], [zero, zero]]).entries
 
 
 class TestMatSizes:

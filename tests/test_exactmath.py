@@ -118,6 +118,19 @@ def test_accumulate_adds_into_out_and_drops_zero_sums():
     assert out == {"b": Fraction(5, 2)}
 
 
+def test_poly_arithmetic_stores_integral_values_as_ints():
+    half = Fraction(1, 2)
+    made = [Poly1({(1,): 2}) * half, half * Poly1({(1,): 2}),
+            Poly1({(1,): half}) + Poly1({(1,): half}),
+            Poly1({(1,): half}) - Poly1({(1,): -half}),
+            Poly2({(1, 0): half}) * Fraction(4, 1)]
+    ech = Echelon()
+    ech.add({0: 2, 1: 1})
+    made.append(ech.reduce({0: Poly1({(0,): 2}), 1: Poly1({(0,): 2})})[1])
+    for p in made:
+        assert all(type(c) is int for c in p.coeffs.values()), p.coeffs
+
+
 def test_constant_hashes_as_its_fraction():
     # a constant polynomial equals its Fraction, so the hashes must agree
     for q in (Q0, Fraction(3, 2)):

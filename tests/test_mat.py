@@ -1,0 +1,240 @@
+"""The flat sparse `Mat`: products over every ring against entrywise
+oracles, and its API (entries, +, -, ==, trace, block sums and block
+permutations, refusals) against entry-by-entry arithmetic."""
+
+import math
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from kchern.algebra import AlgebraError
+from kchern.connections import (ConnectionError_, Idempotent, Mat, block_diag,
+                                direct_sum, permute_blocks, random_connection,
+                                random_form, random_idempotent)
+from kchern.exactmath import Poly
+from kchern.fixtures import FIXTURE_NAMES, make_fixture
+from kchern.suites import _random_cylform
+from kchern.transgression import (BiForm, TForm, _cyl_curvature, _fibre_chern,
+                                  bigon_straight, straight_line,
+                                  three_point_path)
+from kchern.uforms import DegreeCapError, FormError, UForm, multiply
+from tests.test_connections import _COEFFS, _raised, _random_rows
+from tests.test_transgression import (_drop_sigma, _flip_shuffle,
+                                      ref_biform_mul, ref_tform_mul)
+
+RINGS = ("A", "forms", "forms/Poly1", "forms/Poly2", "TForm", "BiForm")
+CYLINDERS = {"TForm": (TForm, ref_tform_mul),
+             "BiForm": (BiForm, ref_biform_mul)}
+
+
+def _scalar(rng, r):
+    c = rng.choice(_COEFFS[2:])
+    if not r:
+        return c
+    return Poly.TYPES[r]({(0,) * r: c,
+                          tuple(rng.randint(0, 1) for _ in range(r)): 1})
+
+
+def _ring(name, alg, rng):
+    """(draw, zero, mul) of a ring over alg: a seeded nonzero-ish entry, the
+    zero entry, and the entry product the oracle sums (AlgElement.__mul__,
+    `multiply`, or the hand-expanded reference rule of a cylinder type)."""
+    if name == "A":
+        return (lambda: alg.element([rng.choice(_COEFFS)
+                                     for _ in range(alg.dim)]),
+                alg.zero(), operator.mul)
+    if name.startswith("forms"):
+        r = ("forms", "forms/Poly1", "forms/Poly2").index(name)
+        return (lambda: random_form(alg, rng, (0, 1, 2), (0, 2), 2)
+                .map_scalars(lambda c: c * _scalar(rng, r)),
+                UForm.zero(alg), multiply)
+    cls, ref = CYLINDERS[name]
+    return lambda: _random_cylform(cls, alg, rng, 1, 1), cls.zero(alg), ref
+
+
+def _blocks(a, b, zero):
+    """The entries of the block diagonal matrix of entry rows a and b."""
+    return ([r + [zero] * len(b) for r in a]
+            + [[zero] * len(a) + r for r in b])
+
+
+def _entrywise(x, y, mul, zero):
+    n = len(x)
+    return [[sum((mul(x[i][k], y[k][j]) for k in range(n)), zero)
+             for j in range(n)] for i in range(n)]
+
+
+def _disagreeing(rings, seed=70, trials=2, top=6):
+    """The rings whose matrix products differ from the entrywise oracle on
+    seeded 1 x 1 to top x top matrices, with zero entries and zero blocks,
+    over every fixture."""
+    bad = set()
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random((seed, name).__repr__())
+        for ring in rings:
+            draw, zero, mul = _ring(ring, alg, rng)
+            for _ in range(trials):
+                n = rng.randint(1, top)
+                x, y = (_random_rows(n, rng, draw, zero) for _ in "xy")
+                if (Mat(x) * Mat(y)).entries != _entrywise(x, y, mul, zero):
+                    bad.add(ring)
+    return bad
+
+
+def _families(name, seed):
+    rng = random.Random(seed)
+    p = random_idempotent(make_fixture(name), 2, rng)
+    c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+    path1 = straight_line(c0, c1)
+    path2 = three_point_path(c0, cm, c1)
+    return path1, path2, bigon_straight(path1, path2)
+
+
+def _fibre_by_full_products(family, k_max):
+    """_fibre_chern with the dx_top part read off the trace of the whole
+    product R~^k."""
+    r = _cyl_curvature(family)
+    power, out = r, []
+    for k in range(1, k_max + 1):
+        part = power.trace().parts[-1]
+        for _ in range(family.R):
+            part = part.map_scalars(lambda q: q.integrate01(0))
+        out.append(part.scale(Fraction(1, math.factorial(k))))
+        power = power * r
+    return out
+
+
+class TestFlatMat:
+    def test_algebra_and_form_products_match_entrywise(self):
+        assert _disagreeing(RINGS[:4]) == set()
+
+    def test_cylinder_products_match_the_reference_rules(self):
+        assert _disagreeing(RINGS[4:], trials=1) == set()
+
+    @pytest.mark.parametrize("plant, caught", [
+        (_flip_shuffle, {"BiForm"}),
+        (_drop_sigma, {"TForm", "BiForm"}),
+    ])
+    def test_planted_cylinder_sign_fails(self, monkeypatch, plant, caught):
+        plant(monkeypatch)
+        assert _disagreeing(RINGS[4:], trials=1) == caught
+
+    def test_fibre_top_step_is_the_top_of_the_full_trace(self):
+        nonzero = 0
+        for name, k_max in (("dual", 3), ("x3", 2), ("M2", 2)):
+            for family in _families(name, 71):
+                got = _fibre_chern(family, k_max)
+                assert got == _fibre_by_full_products(family, k_max), name
+                nonzero += sum(1 for u in got if u)
+        assert nonzero
+
+
+class TestMatParity:
+    def test_entries_round_trip(self):
+        for name in ("dual", "x3", "M2"):
+            alg = make_fixture(name)
+            rng = random.Random(name)
+            for ring in RINGS:
+                draw, zero, _ = _ring(ring, alg, rng)
+                rows = _random_rows(rng.randint(1, 4), rng, draw, zero)
+                assert Mat(rows).entries == rows, (name, ring)
+
+    def test_linear_api_matches_entrywise(self):
+        for name in ("dual", "x3", "QxQ"):
+            alg = make_fixture(name)
+            rng = random.Random(name)
+            for ring in RINGS:
+                draw, zero, _ = _ring(ring, alg, rng)
+                n, m = rng.randint(1, 3), rng.randint(1, 3)
+                x, y = (_random_rows(n, rng, draw, zero) for _ in "xy")
+                z = _random_rows(m, rng, draw, zero)
+                for op in (operator.add, operator.sub):
+                    assert op(Mat(x), Mat(y)).entries == [
+                        [op(a, b) for a, b in zip(rx, ry)]
+                        for rx, ry in zip(x, y)], (name, ring)
+                assert (-Mat(x)).entries == [[-a for a in r] for r in x]
+                assert Mat(x).trace() == sum(
+                    (x[i][i] for i in range(n)), zero)
+                assert (Mat(x) == Mat(y)) == (x == y)
+                assert Mat(x) == Mat([list(r) for r in x])
+                assert Mat(x) - Mat(x) == Mat([[zero] * n] * n)
+                assert block_diag(Mat(x), Mat(z)).entries == _blocks(x, z,
+                                                                     zero)
+
+    def test_block_permutation_and_direct_sum_match_entrywise(self):
+        for name in ("dual", "x3", "M2"):
+            alg = make_fixture(name)
+            rng = random.Random(name)
+            cs = [random_connection(random_idempotent(alg, k, rng), rng)
+                  for k in (1, 2)]
+            s = direct_sum(*cs)
+            assert s.p.mat.entries == _blocks(
+                cs[0].p.mat.entries, cs[1].p.mat.entries, alg.zero())
+            assert s.theta.entries == _blocks(
+                cs[0].theta.entries, cs[1].theta.entries, UForm.zero(alg))
+            m = s.p.mat.entries
+            perm = [1, 2, 0]
+            iso = permute_blocks(s.p, (1, 2), (1, 0))
+            assert iso.p1.mat.entries == [[m[i][j] for j in perm]
+                                          for i in perm]
+            assert iso.u.entries == [m[i] for i in perm]
+            assert iso.v.entries == [[r[j] for j in perm] for r in m]
+
+
+class TestMatRefusals:
+    def test_size_mismatch(self):
+        alg = make_fixture("dual")
+        rng = random.Random(3)
+        for ring in RINGS:
+            draw, zero, _ = _ring(ring, alg, rng)
+            x = Mat([[draw()]])
+            y = Mat(_random_rows(2, rng, draw, zero))
+            for op in (operator.add, operator.sub, operator.mul):
+                for a, b in ((x, y), (y, x)):
+                    with pytest.raises(ConnectionError_, match="sizes differ"):
+                        op(a, b)
+
+    def test_another_ring_raises_the_left_factors_error(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        one = Mat([[dual.unit()]])
+        mats = {"A": one, "forms": one.to_form(),
+                "TForm": Mat([[TForm(UForm.unit(dual))]]),
+                "x3": Mat([[x3.unit()]])}
+        for left, x in mats.items():
+            for right, y in mats.items():
+                if left == right:
+                    continue
+                for op in (operator.add, operator.sub, operator.mul):
+                    raised = _raised(lambda: op(x, y))
+                    assert raised is (AlgebraError if left in ("A", "x3")
+                                      else FormError), (left, right, op)
+
+    def test_mixed_entries_are_refused_at_construction(self):
+        dual, x3 = make_fixture("dual"), make_fixture("x3")
+        eps = UForm.from_element(dual.basis(1))
+        for first, other, error in (
+                (dual.unit(), x3.zero(), AlgebraError),
+                (dual.unit(), UForm.zero(dual), AlgebraError),
+                (eps, dual.zero(), FormError),
+                (eps, UForm.zero(x3), FormError),
+                (TForm(eps), BiForm.zero(dual), FormError),
+                (TForm(eps), UForm.zero(dual), FormError)):
+            with pytest.raises(error):
+                Mat([[first, other], [other, first]])
+            assert _raised(lambda: first * other) is error
+
+    def test_degree_cap_in_every_form_ring(self):
+        dual = make_fixture("dual", degree_cap=2)
+        deps = UForm.from_element(dual.basis(1)).d()
+        for wrap in (lambda u: u, TForm, BiForm):
+            x = Mat([[wrap(deps * deps)]])
+            with pytest.raises(DegreeCapError):
+                x * Mat([[wrap(deps)]])
+
+    def test_empty_matrix_reaches_the_idempotent_refusal(self):
+        assert Mat([]) * Mat([]) == Mat([])
+        with pytest.raises(ConnectionError_, match="empty"):
+            Idempotent(make_fixture("x3"), Mat([]))

@@ -392,6 +392,22 @@ class TestFamilyParameters:
         assert back.R == 1
         assert back.restrict(0, 0).theta == path1.restrict(0, 1).theta
 
+    def test_theta_with_more_parameters_than_r_is_refused(self):
+        c0, _, path1, _, bigon = _families(48)
+        for theta, r in ((bigon.theta, 1), (bigon.theta, 0),
+                         (path1.theta, 0)):
+            with pytest.raises(ConnectionError_, match="more than R"):
+                Connection(bigon.p, theta, r)
+        assert Connection(bigon.p, path1.theta, 2).R == 2
+
+    def test_tform_operator_refuses_anything_but_a_path(self):
+        c0, _, path1, _, bigon = _families(49)
+        x = Mat([[TForm.zero(c0.algebra)] * c0.p.size] * c0.p.size)
+        for family in (c0, bigon):
+            with pytest.raises(ConnectionError_, match="expected a"):
+                tform_operator(family, x)
+        assert tform_operator(path1, x) == x
+
     def test_bigon_curvature_refuses_anything_but_a_bigon(self):
         c0, _, path1, _, bigon = _families(47)
         for family in (c0, path1):
@@ -680,8 +696,11 @@ class TestCylinderProducts:
             tforms * elems
         with pytest.raises(AlgebraError):
             elems * tforms
-        others = (elems, mat(TForm(eps), dual.zero()),
-                  mat(BiForm(eps), BiForm.zero(dual)),
+        one = TForm(eps)
+        raised = _raised(lambda: mat(one, dual.zero()))
+        assert raised is FormError
+        assert raised is _raised(lambda: one * dual.zero())
+        others = (elems, mat(BiForm(eps), BiForm.zero(dual)),
                   mat(TForm(UForm.unit(x3)), TForm.zero(x3)),
                   mat(eps, UForm.zero(dual)))
         for other in others:
