@@ -1,22 +1,21 @@
 """Write a BENCH_<PR>.json: the benchmark of a change against its parent.
 
-    python3 scripts/bench.py --parent REV --pr N [--seed S] [--seconds T]
-                             [--pairs khat=10,transgression=3,homology=3]
-                             [--trace-seed 7] [--trace-seconds 10]
-                             [--verify-runs 3]
+    python3 scripts/bench.py --parent REV --pr N [--seed S]
                              [--change "one line"] [--claim W:METRIC]
 
 Run from the root of the repository.  The parent is exported with
 ``git archive REV`` into ``.bench_build/parent-REV/``; the change is this
 checkout as it stands.  For each workload, ``perfbench/run.py --trace 0``
-runs in alternating pairs, one process at a time: even pairs start with the
-parent, odd pairs with the change.  Per metric the file holds both sides'
+runs for BENCHMARK.json's ``run_seconds`` in PAIRS alternating pairs, one
+process at a time: even pairs start with the parent, odd pairs with the
+change.  Per metric the file holds both sides'
 runs, medians and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
-``kchern verify --suite all --seed 7`` (alternating runs), the per-layer
-metrics of one ``run.py --trace 1`` run at ``--trace-seed``, and the host's
+``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
+per-layer metrics of one ``run.py --trace 1`` run at TRACE_SEED for
+TRACE_SECONDS, and the host's
 slowness (``perfbench/hostspeed.py``) read before and after the runs.
 """
 
@@ -37,6 +36,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 WORKLOADS = ("khat", "transgression", "homology")
+PAIRS = 10
+TRACE_SEED, TRACE_SECONDS = 7, 10
+VERIFY_RUNS = 3
 
 
 def parse_args(argv):
@@ -46,12 +48,6 @@ def parse_args(argv):
     parser.add_argument("--pr", required=True, type=int,
                         help="number N of the BENCH_N.json to write")
     parser.add_argument("--seed", type=int, default=1501)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--pairs", default="khat=10,transgression=3,"
-                        "homology=3", help="pairs per workload")
-    parser.add_argument("--trace-seed", type=int, default=7)
-    parser.add_argument("--trace-seconds", type=float, default=10)
-    parser.add_argument("--verify-runs", type=int, default=3)
     parser.add_argument("--change", default="",
                         help="one line saying what the change does")
     parser.add_argument("--claim", default=None,
@@ -124,19 +120,16 @@ def summary(better: str, parent: list, change: list) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    pairs = {w: int(n) for w, n in
-             (item.split("=") for item in args.pairs.split(","))}
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": export(args.parent), "change": ROOT}
     before = slowness()
-    command = ["--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", "0"]
+    command = ["--seed", str(args.seed), "--seconds",
+               str(bench["run_seconds"]), "--trace", "0"]
     runs = {}
     for workload in WORKLOADS:
-        if workload not in pairs:
-            continue
         got = {"parent": [], "change": []}
-        for k in range(pairs[workload]):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change",
                                                             "parent")
             for who in order:
@@ -147,23 +140,23 @@ def main(argv=None) -> int:
                     m: round(v["value"], 4)
                     for m, v in result["metrics"].items()}), flush=True)
         runs[workload] = {
-            "pairs": pairs[workload],
-            "seeds": [args.seed] * pairs[workload],
+            "pairs": PAIRS,
+            "seeds": [args.seed] * PAIRS,
             "failed": {who: [r["failed"] for r in got[who]] for who in got},
             "metrics": {m: summary(better[m], *(
                 [r["metrics"][m]["value"] for r in got[who]]
                 for who in ("parent", "change"))) for m in better},
         }
     verify = {"parent": [], "change": []}
-    for k in range(args.verify_runs):
+    for k in range(VERIFY_RUNS):
         for who in (("parent", "change") if k % 2 == 0
                     else ("change", "parent")):
             verify[who].append(verify_seconds(trees[who]))
     trace = {}
     for workload in runs:
         trace[workload] = {who: run_json(trees[who], [
-            "--workload", workload, "--seed", str(args.trace_seed),
-            "--seconds", str(args.trace_seconds), "--trace", "1"])["metrics"]
+            "--workload", workload, "--seed", str(TRACE_SEED),
+            "--seconds", str(TRACE_SECONDS), "--trace", "1"])["metrics"]
             for who in ("parent", "change")}
         trace[workload] = {m: {who: round(trace[workload][who][m]["value"], 6)
                                for who in ("parent", "change")}
@@ -182,7 +175,7 @@ def main(argv=None) -> int:
         "verify_all_seed7_s": {who: {"runs": xs,
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
-        "trace": {"seed": args.trace_seed, "seconds": args.trace_seconds,
+        "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS,
                   "per_pass": trace},
     }
     path = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
