@@ -14,6 +14,7 @@ method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
+wall time and exit status of one Tier-1 pytest run (the parent first), the
 per-layer metrics of one ``run.py --trace 1`` run at TRACE_SEED for
 TRACE_SECONDS, and the host's
 slowness (``perfbench/hostspeed.py``) read before and after the runs.
@@ -87,6 +88,23 @@ def verify_seconds(tree: str) -> float:
     return round(time.perf_counter() - t0, 3)
 
 
+def tier1(tree: str) -> dict:
+    """Wall time and exit status of the Tier-1 pytest run in tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"], cwd=tree,
+                          env=env, capture_output=True)
+    return {"seconds": round(time.perf_counter() - t0, 3),
+            "exit": proc.returncode}
+
+
+def alternating(k: int):
+    """The order of the sides in the k-th pair: the parent first when k is
+    even."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def slowness(samples: int = 15) -> float:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import hostspeed
@@ -130,9 +148,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         got = {"parent": [], "change": []}
         for k in range(PAIRS):
-            order = ("parent", "change") if k % 2 == 0 else ("change",
-                                                            "parent")
-            for who in order:
+            for who in alternating(k):
                 result = run_json(trees[who], ["--workload", workload]
                                   + command)
                 got[who].append(result)
@@ -149,9 +165,9 @@ def main(argv=None) -> int:
         }
     verify = {"parent": [], "change": []}
     for k in range(VERIFY_RUNS):
-        for who in (("parent", "change") if k % 2 == 0
-                    else ("change", "parent")):
+        for who in alternating(k):
             verify[who].append(verify_seconds(trees[who]))
+    tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     trace = {}
     for workload in runs:
         trace[workload] = {who: run_json(trees[who], [
@@ -175,6 +191,7 @@ def main(argv=None) -> int:
         "verify_all_seed7_s": {who: {"runs": xs,
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
+        "tier1_pytest": tier1_run,
         "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS,
                   "per_pass": trace},
     }

@@ -4,10 +4,11 @@ Chern-Simons transgression forms with all of their identities.
 
 A family in R parameters x_0, ..., x_{R-1} is a `Connection` with that R
 (`straight_line` adds a first one); it lives in the cylinder DGA
-Omega(A) (x) Omega_poly(Delta^R).  A CylForm is a sum of dx_I /\ u_I over
-the subsets I of the parameters, with u_I a form with Poly scalars and the
-parameter differentials kept leftmost in increasing order.  One sign rule
-gives the whole calculus:
+Omega(A) (x) Omega_poly(Delta^R).  A CylForm is a sum of terms c dx_I w,
+with the parameter differentials kept leftmost in increasing order, w a
+basis word and c a Poly in R variables; it holds them as one dict keyed by
+(dx mask, word), the keys of `connections.Mat`.  One sign rule gives the
+whole calculus:
 
   * product: (dx_I u)(dx_J v) = shuffle(I, J) dx_{I u J} sigma^{|J|}(u) v,
     and 0 when I and J meet, where shuffle(I, J) is the sign of the
@@ -17,10 +18,13 @@ gives the whole calculus:
 
 Every sign is read from `sigma` and the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
-use BiForm.  `CylForm._key_product` is the one product rule, on the flat
-keys (dx mask, word) of `connections.Mat`: products of cylinder forms are
-1 x 1 matrix products, and the fibre integral's top power is a matrix
-product restricted to the pairs of masks that join to the top one.
+use BiForm.  `CylForm._key_product` is the one product rule and
+`CylForm._key_d` the one differential rule on those keys, for cylinder
+forms and their matrices alike: products of cylinder forms are 1 x 1
+matrix products, and the fibre integral's top power is a matrix product
+restricted to the pairs of masks that join to the top one.  Integration
+and restriction keep the terms with (or without) dx_i and drop bit i
+from the mask.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
@@ -37,7 +41,7 @@ from math import factorial
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
 from .exactmath import accumulate
-from .uforms import (FormError, UForm, checked, project_ab, to_poly,
+from .uforms import (FormError, Terms, UForm, checked, project_ab, to_poly,
                      word_degree, word_product)
 
 
@@ -57,17 +61,19 @@ KOSZUL = {}     # I -> (-1)^|I|, the sign of d passing dx_I
 # Cylinder forms
 # ---------------------------------------------------------------------------
 
-class CylForm:
+class CylForm(Terms):
     r"""Element of the cylinder DGA over A in R parameters.
 
-    parts[m] is the coefficient form of dx_I, I the set bits of m, with
-    Poly scalars in R variables.  Restricting or integrating one parameter
-    gives a CylForm in R - 1 parameters, and a UForm at R = 1.  Sums and
-    products refuse another type or algebra with FormError; a product is
-    the 1 x 1 matrix product by `_key_product`.
+    terms[(m, w)] is the scalar of dx_I w, I the set bits of the mask m, a
+    Poly in R variables: the keys of `connections.Mat`.  The constructor
+    takes the coefficient forms of dx_I in mask order (missing ones are
+    zero), and `parts` gives them back.  Restricting or integrating one
+    parameter gives a CylForm in R - 1 parameters, and a UForm at R = 1.
+    Sums and products refuse another type or algebra with FormError; a
+    product is the 1 x 1 matrix product by `_key_product`.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
     R = 0
     TYPES = {}          # R -> subclass
 
@@ -86,50 +92,28 @@ class CylForm:
             SHUFFLE[a, b] = -1 if swaps % 2 else 1
 
     def __init__(self, *parts):
-        """parts in mask order; missing or None parts are zero."""
-        alg = parts[0].algebra
-        n = 1 << self.R
-        if len(parts) > n:
-            raise FormError("%d parts for %d parameters" % (len(parts),
-                                                            self.R))
-        out = []
-        for m in range(n):
-            u = parts[m] if m < len(parts) else None
-            if u is None:
-                u = UForm(alg)
-            elif u.algebra != alg:
-                raise FormError("component algebra mismatch")
-            out.append(to_poly(u, self.R))
-        self.parts = tuple(out)
-
-    @classmethod
-    def _make(cls, parts: tuple) -> "CylForm":
-        """Wrap parts that already have Poly scalars in R variables."""
-        r = object.__new__(cls)
-        r.parts = parts
-        return r
+        """1 to 2^R forms over one algebra, in mask order; FormError on
+        anything else."""
+        if (not 0 < len(parts) <= 1 << self.R
+                or not all(isinstance(u, UForm) for u in parts)):
+            raise FormError("%s takes 1 to %d forms, not %r"
+                            % (type(self).__name__, 1 << self.R, parts))
+        self.algebra = parts[0].algebra
+        if any(u.algebra != self.algebra for u in parts):
+            raise FormError("component algebra mismatch")
+        self.terms = {(m, w): c for m, u in enumerate(parts)
+                      for w, c in to_poly(u, self.R).terms.items()}
 
     @property
-    def algebra(self):
-        return self.parts[0].algebra
+    def parts(self) -> tuple:
+        """The coefficient forms of dx_I in mask order (a view)."""
+        return tuple(UForm(self.algebra, {w: c for (b, w), c
+                                          in self.terms.items() if b == m})
+                     for m in range(1 << self.R))
 
     @classmethod
     def zero(cls, alg) -> "CylForm":
         return cls(UForm.zero(alg))
-
-    def __add__(self, other):
-        return self._make(tuple(x + y for x, y in zip(
-            self.parts, checked(self, other).parts)))
-
-    def __sub__(self, other):
-        return self._make(tuple(x - y for x, y in zip(
-            self.parts, checked(self, other).parts)))
-
-    def __neg__(self):
-        return self._make(tuple(-x for x in self.parts))
-
-    def __bool__(self):
-        return any(self.parts)
 
     @staticmethod
     def _key_product(alg, left: dict):
@@ -151,37 +135,38 @@ class CylForm:
     def __mul__(self, other):
         return (Mat([[self]]) * Mat([[checked(self, other)]])).trace()
 
-    def __rmul__(self, scalar):
-        return self._make(tuple(x.scale(scalar) for x in self.parts))
+    @classmethod
+    def _key_d(cls, key, c):
+        r"""The (key, scalar) pairs of d(c dx_I w), key = (I, w), by
+        d(dx_I u) = (-1)^|I| dx_I (du + sum_{i not in I} dx_i del_i u); their
+        sum over the keys of a form (or matrix entry) is its d."""
+        m, w = key
+        if KOSZUL[m] < 0:
+            c = -c
+        out = [((m, (0,) + w), c)] if w[0] else []
+        for i in range(cls.R):
+            b = 1 << i
+            if not m & b:
+                dc = c.diff(i)
+                out.append(((m | b, w), dc if SHUFFLE[m, b] > 0 else -dc))
+        return out
 
     def d(self) -> "CylForm":
-        """d(dx_I u) = (-1)^|I| dx_I (du + sum_{i not in I} dx_i del_i u)."""
-        out = [None] * len(self.parts)
-        for a, u in enumerate(self.parts):
-            if not u:
-                continue
-            terms = [(a, u.d())]
-            for i in range(self.R):
-                if not a >> i & 1:
-                    b = 1 << i
-                    du = u.map_scalars(lambda q: q.diff(i))
-                    terms.append((a | b, du if SHUFFLE[a, b] > 0 else -du))
-            for m, term in terms:
-                if KOSZUL[a] < 0:
-                    term = -term
-                out[m] = term if out[m] is None else out[m] + term
-        return self._make(tuple(UForm(self.algebra) if x is None else x
-                                for x in out))
+        return self._like(accumulate(
+            x for key, c in self.terms.items() for x in self._key_d(key, c)))
 
     def _drop(self, i: int, with_dx: bool, f):
-        """The parts with (or without) dx_i, f applied to their scalars, as
-        a form in the other parameters (mask order is kept)."""
+        """The terms with (or without) dx_i, f applied to their scalars, as
+        a form in the other parameters: bit i leaves the mask."""
         bit = 1 << i
-        parts = tuple(u.map_scalars(f) for a, u in enumerate(self.parts)
-                      if bool(a & bit) == with_dx)
+        low = bit - 1
+        pairs = [(((m & low) | (m >> 1 & ~low), w), f(c))
+                 for (m, w), c in self.terms.items()
+                 if bool(m & bit) == with_dx]
         if self.R == 1:
-            return parts[0]
-        return CylForm.TYPES[self.R - 1]._make(parts)
+            return UForm.from_terms(self.algebra,
+                                    ((w, c) for (_, w), c in pairs))
+        return CylForm.TYPES[self.R - 1].from_terms(self.algebra, pairs)
 
     def integrate(self, i: int):
         r"""K_i: dx_I u -> dx_{I - i} int_0^1 u dx_i for i in I, 0 otherwise.
@@ -193,11 +178,8 @@ class CylForm:
         return self._drop(i, True, lambda q: q.integrate01(i))
 
     def restrict(self, i: int, x):
-        """ev: set parameter i to the rational x; parts with dx_i die."""
+        """ev: set parameter i to the rational x; terms with dx_i die."""
         return self._drop(i, False, lambda q: q.subs(i, x))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.parts == other.parts
 
     def __repr__(self):
         return "%s%r" % (type(self).__name__, self.parts)

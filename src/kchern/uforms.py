@@ -130,9 +130,10 @@ def checked(x, other):
     return other
 
 
-class _Terms:
-    """Sparse map from basis words to nonzero scalars over an algebra: the
-    linear arithmetic shared by forms and abelianization classes.
+class Terms:
+    """Sparse map from keys to nonzero scalars over an algebra: the linear
+    arithmetic shared by forms, abelianization classes and cylinder forms.
+    The keys are basis words, or (dx mask, word) for cylinder forms.
 
     Results keep the operand's type; combining values of different types or
     over different algebras raises FormError.
@@ -148,22 +149,25 @@ class _Terms:
         r.terms = terms
         return r
 
+    @classmethod
+    def from_terms(cls, algebra: Algebra, pairs):
+        """A value of this type over `algebra` from (key, scalar) pairs with
+        distinct keys: scalars stored as `_scalar` gives them, zeros
+        dropped, keys not checked."""
+        r = object.__new__(cls)
+        r.algebra = algebra
+        r.terms = {k: v for k, c in pairs if (v := _scalar(c))}
+        return r
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
 
-    def degrees(self):
-        return sorted({word_degree(w) for w in self.terms})
-
-    def component(self, n: int):
-        return self._like({w: c for w, c in self.terms.items()
-                           if word_degree(w) == n})
-
     def map_scalars(self, f):
-        return type(self)(self.algebra,
-                          {w: f(c) for w, c in self.terms.items()})
+        return self.from_terms(self.algebra,
+                               ((k, f(c)) for k, c in self.terms.items()))
 
     def scale(self, scalar):
         scalar = _scalar(scalar)
@@ -193,7 +197,20 @@ class _Terms:
                      frozenset((w, c) for w, c in self.terms.items())))
 
 
-class UForm(_Terms):
+class _WordTerms(Terms):
+    """Terms keyed by basis words, which have a degree."""
+
+    __slots__ = ()
+
+    def degrees(self):
+        return sorted({word_degree(w) for w in self.terms})
+
+    def component(self, n: int):
+        return self._like({w: c for w, c in self.terms.items()
+                           if word_degree(w) == n})
+
+
+class UForm(_WordTerms):
     """Sparse element of Omega^u_*(A); may mix degrees.
 
     Scalars are rationals, stored as `rat` gives them, or Poly; both support
@@ -248,6 +265,14 @@ class UForm(_Terms):
 
     def d(self) -> "UForm":
         return differential(self)
+
+    @staticmethod
+    def _key_product(alg, left: dict):
+        """The product rule of words for `connections.Mat`: `word_product`,
+        whatever the left factor's data `left`."""
+        def rule(a, b):
+            return word_product(alg, a, b)
+        return rule
 
     def __repr__(self):
         if not self.terms:
@@ -405,7 +430,7 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     return proj
 
 
-class AbClass(_Terms):
+class AbClass(_WordTerms):
     """A (possibly mixed-degree) element of Omega_ab in canonical quotient
     coordinates: a dict from quotient words to scalars."""
 

@@ -19,14 +19,20 @@ from kchern.suites import _random_cylform
 from kchern.transgression import (BiForm, TForm, _cyl_curvature, _fibre_chern,
                                   bigon_straight, straight_line,
                                   three_point_path)
-from kchern.uforms import DegreeCapError, FormError, UForm, multiply
+from kchern.uforms import (AbClass, DegreeCapError, FormError, UForm,
+                           multiply)
 from tests.test_connections import _COEFFS, _raised, _random_rows
-from tests.test_transgression import (_drop_sigma, _flip_shuffle,
-                                      ref_biform_mul, ref_tform_mul)
+from tests.test_transgression import (_drop_d_sign, _drop_sigma,
+                                      _flip_shuffle, ref_biform_d,
+                                      ref_biform_mul, ref_tform_d,
+                                      ref_tform_mul)
 
 RINGS = ("A", "forms", "forms/Poly1", "forms/Poly2", "TForm", "BiForm")
 CYLINDERS = {"TForm": (TForm, ref_tform_mul),
              "BiForm": (BiForm, ref_biform_mul)}
+# d of one entry: UForm.d, or the hand-expanded reference rule
+D_REFERENCES = dict.fromkeys(RINGS[1:4], UForm.d)
+D_REFERENCES.update(TForm=ref_tform_d, BiForm=ref_biform_d)
 
 
 def _scalar(rng, r):
@@ -84,6 +90,22 @@ def _disagreeing(rings, seed=70, trials=2, top=6):
     return bad
 
 
+def _d_disagreeing(seed=72, trials=2, top=4):
+    """The form rings whose `Mat.d` differs from d entry by entry on
+    seeded 1 x 1 to top x top matrices over every fixture."""
+    bad = set()
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random((seed, name).__repr__())
+        for ring, ref in D_REFERENCES.items():
+            draw, zero, _ = _ring(ring, alg, rng)
+            for _ in range(trials):
+                x = _random_rows(rng.randint(1, top), rng, draw, zero)
+                if Mat(x).d().entries != [[ref(e) for e in r] for r in x]:
+                    bad.add(ring)
+    return bad
+
+
 def _families(name, seed):
     rng = random.Random(seed)
     p = random_idempotent(make_fixture(name), 2, rng)
@@ -121,6 +143,13 @@ class TestFlatMat:
     def test_planted_cylinder_sign_fails(self, monkeypatch, plant, caught):
         plant(monkeypatch)
         assert _disagreeing(RINGS[4:], trials=1) == caught
+
+    def test_d_matches_entrywise(self):
+        assert _d_disagreeing() == set()
+
+    def test_planted_d_sign_fails(self, monkeypatch):
+        _drop_d_sign(monkeypatch)
+        assert _d_disagreeing() == {"TForm", "BiForm"}
 
     def test_fibre_top_step_is_the_top_of_the_full_trace(self):
         nonzero = 0
@@ -225,6 +254,12 @@ class TestMatRefusals:
             with pytest.raises(error):
                 Mat([[first, other], [other, first]])
             assert _raised(lambda: first * other) is error
+
+    def test_entries_of_no_matrix_ring_are_refused(self):
+        dual = make_fixture("dual")
+        for entry in (1, AbClass(dual, {(1,): 1})):
+            with pytest.raises(ConnectionError_, match="not an entry"):
+                Mat([[entry]])
 
     def test_degree_cap_in_every_form_ring(self):
         dual = make_fixture("dual", degree_cap=2)

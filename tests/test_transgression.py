@@ -712,6 +712,13 @@ class TestCylinderProducts:
                      + x.entries[i][1] * y.entries[1][j] for j in range(2)]
                     for i in range(2)])
 
+    def test_constructor_refuses_malformed_parts(self):
+        dual = make_fixture("dual")
+        u = UForm.unit(dual)
+        for parts in ((), (None, u), (dual.unit(),), (u, u, u)):
+            with pytest.raises(FormError):
+                TForm(*parts)
+
     def test_sums_refuse_another_type_or_algebra(self):
         dual, x3 = make_fixture("dual"), make_fixture("x3")
         eps = UForm.from_element(dual.basis(1))
