@@ -15,9 +15,11 @@ change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
 wall time and exit status of one Tier-1 pytest run (the parent first), the
-per-layer metrics of one ``run.py --trace 1`` run at TRACE_SEED for
-TRACE_SECONDS, and the host's
-slowness (``perfbench/hostspeed.py``) read before and after the runs.
+wall time and exit status of one cold ``kchern homology`` run on LADDER (the
+parent first; the M2 ladder rung of ROADMAP's north star), the per-layer
+metrics of one ``run.py --trace 1`` run at TRACE_SEED for TRACE_SECONDS,
+and the host's slowness (``perfbench/hostspeed.py``) read before and after
+the runs.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ WORKLOADS = ("khat", "transgression", "homology")
 PAIRS = 10
 TRACE_SEED, TRACE_SECONDS = 7, 10
 VERIFY_RUNS = 3
+LADDER = ("homology", "--fixture", "M2", "--degree", "7")
 
 
 def parse_args(argv):
@@ -95,6 +98,16 @@ def tier1(tree: str) -> dict:
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
                            "--continue-on-collection-errors"], cwd=tree,
                           env=env, capture_output=True)
+    return {"seconds": round(time.perf_counter() - t0, 3),
+            "exit": proc.returncode}
+
+
+def ladder(tree: str) -> dict:
+    """Wall time and exit status of one cold `kchern` LADDER run in tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kchern.cli"] + list(LADDER),
+                          cwd=tree, env=env, capture_output=True)
     return {"seconds": round(time.perf_counter() - t0, 3),
             "exit": proc.returncode}
 
@@ -168,6 +181,7 @@ def main(argv=None) -> int:
         for who in alternating(k):
             verify[who].append(verify_seconds(trees[who]))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
+    ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
     trace = {}
     for workload in runs:
         trace[workload] = {who: run_json(trees[who], [
@@ -192,6 +206,7 @@ def main(argv=None) -> int:
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
         "tier1_pytest": tier1_run,
+        "ladder": {"command": "kchern " + " ".join(LADDER), **ladder_run},
         "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS,
                   "per_pass": trace},
     }

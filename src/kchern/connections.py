@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .algebra import AlgElement, Algebra, AlgebraError, AlgebraHom
-from .exactmath import Poly, Q0, accumulate, rat
+from .exactmath import Poly, Q0, accumulate, coeff_product, rat
 from .uforms import (AbClass, FormError, UForm, enumerate_words, extend_hom,
                      project_ab)
 
@@ -38,6 +38,8 @@ class Mat:
     FormError over forms.  The product reads each row of the right factor
     once and runs one key-product rule per pair of keys: `sparse_mul` over
     A, or the entry type's `_key_product` (`word_product` over Omega(A)).
+    Over Poly scalars it multiplies coefficient dicts and wraps each output
+    entry once (see `_product`).
     """
 
     __slots__ = ("kind", "algebra", "size", "data")
@@ -116,32 +118,76 @@ class Mat:
 
     def _product(self, other, keep=None) -> dict:
         """The data of self*other, summed over the pairs of keys a at (i, k)
-        and b at (k, j) that keep(i, j, a, b) accepts (all by default)."""
+        and b at (k, j) that keep(i, j, a, b) accepts (all by default).
+
+        Rational scalars are multiplied and summed as they are.  When the
+        first value of either factor is a Poly, the product is fused: the
+        coefficients of ca*cb are multiplied out once per pair of keys whose
+        rule yields terms, s times them are added into one coefficient dict
+        per output key, and each output is wrapped once, so no intermediate
+        Poly is built; rational values are coerced once per product."""
         self._check(other)
         kind, alg = self.kind, self.algebra
-        if not self.size:
+        if not (self.data and other.data):
             return {}
         if kind is AlgElement:
             sparse = alg.sparse_mul
 
             def rule(a, b):
                 return sparse[a][b]
+            poly = None
         else:
             rule = kind._key_product(alg, self.data)
+            firsts = (next(iter(self.data.values())),
+                      next(iter(other.data.values())))
+            poly = next((type(c) for c in firsts if isinstance(c, Poly)),
+                        None)
         rows = {}
         for (k, j, b), c in other.data.items():
             rows.setdefault(k, []).append((j, b, c))
         out = {}
         get = out.get
+        if poly is None:
+            for (i, k, a), ca in self.data.items():
+                for j, b, cb in rows.get(k, ()):
+                    if keep is None or keep(i, j, a, b):
+                        c = ca * cb
+                        for key, s in rule(a, b):
+                            key = (i, j, key)
+                            v = get(key)
+                            out[key] = c * s if v is None else v + c * s
+            return {key: rat(v) if type(v) is Fraction else v
+                    for key, v in out.items() if v}
+
+        def coeffs(c):
+            return c.coeffs if type(c) is poly else poly.const(c).coeffs
+
+        for row in rows.values():
+            row[:] = [(j, b, coeffs(c)) for j, b, c in row]
         for (i, k, a), ca in self.data.items():
+            ca = coeffs(ca)
             for j, b, cb in rows.get(k, ()):
-                if keep is None or keep(i, j, a, b):
-                    c = ca * cb
-                    for key, s in rule(a, b):
-                        key = (i, j, key)
-                        v = get(key)
-                        out[key] = c * s if v is None else v + c * s
-        return {key: v for key, v in out.items() if v}
+                if keep is not None and not keep(i, j, a, b):
+                    continue
+                terms = rule(a, b)
+                if not terms:
+                    continue
+                prod = coeff_product(ca, cb)
+                for key, s in terms:
+                    key = (i, j, key)
+                    acc = get(key)
+                    if acc is None:
+                        out[key] = {e: s * v for e, v in prod.items()}
+                    else:
+                        for e, v in prod.items():
+                            w = acc.get(e)
+                            acc[e] = s * v if w is None else w + s * v
+        data = {}
+        for key, acc in out.items():
+            cs = {e: rat(v) for e, v in acc.items() if v}
+            if cs:
+                data[key] = poly._new(cs)
+        return data
 
     def __mul__(self, other):
         return self._like(self._product(other))
@@ -161,7 +207,11 @@ class Mat:
     def d(self) -> "Mat":
         """d of every entry; over Omega(A) the key map w -> (0,) + w, where
         w[0] != 0 (distinct words have distinct images), over cylinder
-        forms the sum of the key rule `_key_d` of the entry type."""
+        forms the sum of the key rule `_key_d` of the entry type.  A matrix
+        over A has no d (take `to_form` first): ConnectionError_."""
+        if self.kind is AlgElement:
+            raise ConnectionError_("d needs a matrix of forms, not one over "
+                                   "A (see to_form)")
         if self.kind is UForm:
             return self._like({(i, j, (0,) + w): c
                                for (i, j, w), c in self.data.items() if w[0]})

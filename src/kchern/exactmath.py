@@ -74,14 +74,57 @@ def accumulate(pairs, out=None) -> dict:
     return out
 
 
+class _ExponentSums(dict):
+    """(e1, e2) -> e1 + e2, the exponent of the product of two monomials,
+    computed on first use: a lookup is cheaper than the tuple sum."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        e = self[key] = tuple(map(add, *key))
+        return e
+
+
+_EXPONENT_SUMS = _ExponentSums()
+
+
+def coeff_product(a: dict, b: dict) -> dict:
+    """The coefficient dict of the product of two polynomials given as
+    coefficient dicts; its values are not yet stored by `rat`, and a zero
+    may remain where terms cancel."""
+    # inline: via accumulate, transgression p50 went 1.28 -> 1.40 ms
+    sums = _EXPONENT_SUMS
+    out = {}
+    get = out.get
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = sums[e1, e2]
+            v = get(e)
+            out[e] = x * y if v is None else v + x * y
+    return out
+
+
+_RECIPROCALS = [1]      # 1/(k + 1) at index k, grown on demand
+
+
+def _reciprocals(n: int) -> list:
+    """The weights 1/(k + 1) for k < n (at least), as stored rationals."""
+    while len(_RECIPROCALS) < n:
+        _RECIPROCALS.append(Fraction(1, len(_RECIPROCALS) + 1))
+    return _RECIPROCALS
+
+
 class Poly:
     """Polynomial over Q in NVARS commuting variables (the parameters of a
     family), as a sparse map exponent tuple -> nonzero rational (see `rat`).
 
     Values are immutable.  Arithmetic accepts int, Fraction and polynomials
     of the same type only, so mixing arities raises TypeError; `lift` moves
-    a polynomial to more variables.  Removing the last variable (`subs`,
-    `integrate01` at NVARS = 1) gives a rational.
+    a polynomial to more variables.  Every result stores its coefficients
+    as `rat` gives them.  Removing the last variable (`subs`, `integrate01`
+    at NVARS = 1) gives a rational.  Matrix products over Poly scalars do
+    not call `*` per entry: `connections.Mat._product` multiplies the
+    coefficient dicts with `coeff_product` and wraps each sum once.
     """
 
     __slots__ = ("coeffs",)
@@ -173,42 +216,39 @@ class Poly:
                 return self._new({})
             return self._new({e: rat(c * other)
                               for e, c in self.coeffs.items()})
-        # inline: via accumulate, transgression p50 went 1.28 -> 1.40 ms
-        out = {}
-        for e1, a in self.coeffs.items():
-            for e2, b in other.coeffs.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e)
-                if v is None:
-                    out[e] = a * b
-                else:
-                    v += a * b
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-        return self._new(out)
+        return self._new({e: rat(v) for e, v in coeff_product(
+            self.coeffs, other.coeffs).items() if v})
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in variable i."""
-        return self._new({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+        return self._new({e[:i] + (e[i] - 1,) + e[i + 1:]: rat(c * e[i])
                           for e, c in self.coeffs.items() if e[i]})
 
-    def _collapse(self, i: int, weight):
-        """Drop variable i, summing the terms weight(exponent) * c."""
-        return self._drop(accumulate((e[:i] + e[i + 1:], c * weight(e[i]))
-                                     for e, c in self.coeffs.items()))
-
     def integrate01(self, i: int):
-        """Definite integral of variable i over [0, 1], exact."""
-        return self._collapse(i, lambda k: rat(Fraction(1, k + 1)))
+        """Definite integral of variable i over [0, 1], exact: the term
+        c x_i^k gives c/(k + 1).  Integer coefficients are summed over one
+        common denominator, the lcm of the k + 1, and divided once per
+        remaining exponent; other coefficients take the cached weights."""
+        cs = self.coeffs
+        if all(type(c) is int for c in cs.values()):
+            den = lcm(*(e[i] + 1 for e in cs))
+            sums = {}
+            for e, c in cs.items():
+                rest = e[:i] + e[i + 1:]
+                sums[rest] = sums.get(rest, 0) + c * (den // (e[i] + 1))
+            return self._drop({e: rat(Fraction(n, den)) if den != 1 else n
+                               for e, n in sums.items() if n})
+        weights = _reciprocals(max(e[i] for e in cs) + 1)
+        return self._drop(accumulate((e[:i] + e[i + 1:], c * weights[e[i]])
+                                     for e, c in cs.items()))
 
     def subs(self, i: int, x):
         """Evaluate variable i at the rational x."""
         x = rat(x)
-        return self._collapse(i, lambda k: x ** k)
+        return self._drop(accumulate((e[:i] + e[i + 1:], c * x ** e[i])
+                                     for e, c in self.coeffs.items()))
 
     def reflect(self, i: int) -> "Poly":
         """Substitute 1 - x_i for x_i: (1 - x)^k = sum_j C(k, j) (-x)^j."""

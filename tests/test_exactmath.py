@@ -131,6 +131,69 @@ def test_poly_arithmetic_stores_integral_values_as_ints():
         assert all(type(c) is int for c in p.coeffs.values()), p.coeffs
 
 
+def test_polynomial_products_and_partials_store_integral_values_as_ints():
+    half = Fraction(1, 2)
+    p = Poly1({(1,): half}) * Poly1({(0,): 2})
+    assert p.coeffs == {(1,): 1} and type(p.coeffs[(1,)]) is int
+    q = Poly2({(1, 0): half, (0, 1): Fraction(3, 4)}) * Poly2({(0, 0): 4})
+    assert q.coeffs == {(1, 0): 2, (0, 1): 3}
+    assert all(type(c) is int for c in q.coeffs.values())
+    d = Poly1({(2,): half}).diff(0)
+    assert d.coeffs == {(1,): 1} and type(d.coeffs[(1,)]) is int
+    # a product whose terms cancel drops them
+    assert (Poly1({(0,): 1, (1,): 1}) * Poly1({(0,): 1, (1,): -1})).coeffs \
+        == {(0,): 1, (2,): -1}
+
+
+def _integral_oracle(p, i):
+    """{remaining exponent: sum of c/(k + 1)} of p's terms c x_i^k, term by
+    term in Fractions, zeros dropped."""
+    out = {}
+    for e, c in p.coeffs.items():
+        rest = e[:i] + e[i + 1:]
+        out[rest] = out.get(rest, Fraction(0)) + Fraction(c) / (e[i] + 1)
+    return {e: v for e, v in out.items() if v}
+
+
+def _is_stored(q):
+    return type(q) is (int if Fraction(q).denominator == 1 else Fraction)
+
+
+class TestIntegrate01:
+    def test_matches_the_termwise_oracle(self):
+        rng = random.Random(19)
+        coeffs = (1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(5, 4))
+        for cls in (Poly1, Poly2):
+            for integral in (True, False):
+                pool = coeffs[:5] if integral else coeffs
+                for _ in range(30):
+                    p = cls({tuple(rng.randint(0, 5) for _ in range(
+                        cls.NVARS)): rng.choice(pool)
+                        for _ in range(rng.randint(0, 6))})
+                    for i in range(cls.NVARS):
+                        want = _integral_oracle(p, i)
+                        got = p.integrate01(i)
+                        if cls is Poly1:
+                            assert got == want.get((), 0) and _is_stored(got)
+                        else:
+                            assert type(got) is Poly1
+                            assert got.coeffs == want
+                            assert all(_is_stored(c)
+                                       for c in got.coeffs.values())
+
+    def test_zero_and_integral_results(self):
+        assert Poly1().integrate01(0) == 0
+        assert type(Poly1().integrate01(0)) is int
+        assert Poly2().integrate01(1) == Poly1()
+        for p in (Poly1({(1,): 2}), Poly1({(0,): Fraction(1, 2), (1,): 1}),
+                  Poly1({(2,): 3, (5,): -6, (0,): 1})):
+            assert p.integrate01(0) == 1 and type(p.integrate01(0)) is int
+        got = Poly2({(1, 3): 2, (0, 1): Fraction(1, 2)}).integrate01(0)
+        assert got.coeffs == {(3,): 1, (1,): Fraction(1, 2)}
+        assert type(got.coeffs[(3,)]) is int
+
+
 def test_constant_hashes_as_its_fraction():
     # a constant polynomial equals its Fraction, so the hashes must agree
     for q in (Q0, Fraction(3, 2)):

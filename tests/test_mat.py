@@ -13,14 +13,14 @@ from kchern.algebra import AlgebraError
 from kchern.connections import (ConnectionError_, Idempotent, Mat, block_diag,
                                 direct_sum, permute_blocks, random_connection,
                                 random_form, random_idempotent)
-from kchern.exactmath import Poly
+from kchern.exactmath import Poly, Poly1, Poly2
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform
 from kchern.transgression import (BiForm, TForm, _cyl_curvature, _fibre_chern,
                                   bigon_straight, straight_line,
                                   three_point_path)
 from kchern.uforms import (AbClass, DegreeCapError, FormError, UForm,
-                           multiply)
+                           multiply, word_product)
 from tests.test_connections import _COEFFS, _raised, _random_rows
 from tests.test_transgression import (_drop_d_sign, _drop_sigma,
                                       _flip_shuffle, ref_biform_d,
@@ -90,6 +90,65 @@ def _disagreeing(rings, seed=70, trials=2, top=6):
     return bad
 
 
+def _poly(rng, r):
+    """A Poly in r variables with up to three terms, int and Fraction
+    coefficients."""
+    return Poly.TYPES[r]({tuple(rng.randint(0, 2) for _ in range(r)):
+                          rng.choice(_COEFFS) for _ in range(3)})
+
+
+FUSED_MIXES = ("poly*poly", "rational*poly", "poly*rational", "mixed")
+
+
+def _fused_disagreeing(seed=73, trials=2, top=4):
+    """The (r, mix) whose form-matrix products over Poly scalars in r
+    variables differ from the entrywise oracle `multiply` (plain Poly
+    arithmetic) or store a scalar otherwise than `_stored` says, on seeded
+    1 x 1 to top x top matrices over dual, x3 and M2.  `mix` says which
+    factor holds rational scalars; "mixed" draws each scalar's kind at
+    random, so the first value of a factor may be either, and a product
+    may hold rationals."""
+    bad = set()
+    for name in ("dual", "x3", "M2"):
+        alg = make_fixture(name)
+        rng = random.Random(repr((seed, name)))
+        zero = UForm.zero(alg)
+        for r in (1, 2):
+            for mix in FUSED_MIXES:
+                kinds = {"poly": lambda: _poly(rng, r),
+                         "rational": lambda: rng.choice(_COEFFS[2:]),
+                         "mixed": lambda: rng.choice(
+                             (_poly(rng, r), rng.choice(_COEFFS[2:])))}
+
+                def draw(kind):
+                    return random_form(alg, rng, (0, 1, 2), (0, 2), 2) \
+                        .map_scalars(lambda c: c * kinds[kind]())
+
+                left, right = mix.split("*") if "*" in mix else (mix, mix)
+                for _ in range(trials):
+                    n = rng.randint(1, top)
+                    x = _random_rows(n, rng, lambda: draw(left), zero)
+                    y = _random_rows(n, rng, lambda: draw(right), zero)
+                    got = Mat(x) * Mat(y)
+                    if (got.entries != _entrywise(x, y, multiply, zero)
+                            or not all(_stored(c, r, mix == "mixed")
+                                       for c in got.data.values())):
+                        bad.add((r, mix))
+    return bad
+
+
+def _stored(c, r, rational_ok):
+    """Whether c is a Poly in r variables (or, if rational_ok, a rational)
+    that is nonzero and holds nonzero coefficients as `rat` gives them."""
+    def is_rat(v):
+        return v and type(v) is (int if Fraction(v).denominator == 1
+                                 else Fraction)
+    if isinstance(c, Poly):
+        return type(c) is Poly.TYPES[r] and c.coeffs and all(
+            map(is_rat, c.coeffs.values()))
+    return rational_ok and is_rat(c)
+
+
 def _d_disagreeing(seed=72, trials=2, top=4):
     """The form rings whose `Mat.d` differs from d entry by entry on
     seeded 1 x 1 to top x top matrices over every fixture."""
@@ -143,6 +202,46 @@ class TestFlatMat:
     def test_planted_cylinder_sign_fails(self, monkeypatch, plant, caught):
         plant(monkeypatch)
         assert _disagreeing(RINGS[4:], trials=1) == caught
+
+    def test_fused_poly_products_match_entrywise(self):
+        assert _fused_disagreeing() == set()
+
+    def test_planted_dropped_rule_sign_fails_fused_products(self,
+                                                            monkeypatch):
+        # every rule output's scalar s read as 1, as if the product dropped s
+        monkeypatch.setattr(UForm, "_key_product", staticmethod(
+            lambda alg, left: lambda a, b: [
+                (w, 1) for w, _ in word_product(alg, a, b)]))
+        assert _fused_disagreeing() == {(r, mix) for r in (1, 2)
+                                        for mix in FUSED_MIXES}
+
+    def test_fused_products_cancel_and_store_ints(self):
+        dual = make_fixture("dual")
+        one, zero = UForm.unit(dual), UForm.zero(dual)
+        half = Fraction(1, 2)
+        # (1/2 + 3/2 t)(2t) - (1/2)(2t) = 3t^2: the t terms cancel, and
+        # 3/2 * 2 is stored as the int 3
+        x = Mat([[one.scale(Poly1({(0,): half, (1,): Fraction(3, 2)})),
+                  one.scale(Poly1({(0,): -half}))], [zero, zero]])
+        y = Mat([[one.scale(Poly1({(1,): 2})), zero],
+                 [one.scale(Poly1({(1,): 2})), zero]])
+        got = (x * y).data
+        assert got == {(0, 0, (0,)): Poly1({(2,): 3})}
+        assert got[0, 0, (0,)].coeffs == {(2,): 3}
+        assert type(got[0, 0, (0,)].coeffs[(2,)]) is int
+        # an entry that cancels to zero is absent
+        u = one.scale(Poly2({(1, 0): half, (0, 1): 1}))
+        cancel = Mat([[u, u], [zero, zero]]) * Mat([[u, zero], [-u, zero]])
+        assert cancel.data == {}
+        # a rational factor on either side
+        r = Mat([[one.scale(Fraction(2, 3))]])
+        p = Mat([[one.scale(Poly1({(1,): Fraction(3, 2)}))]])
+        for got in ((r * p).data, (p * r).data):
+            assert got == {(0, 0, (0,)): Poly1({(1,): 1})}
+            assert type(got[0, 0, (0,)].coeffs[(1,)]) is int
+        # rational form matrices store integral products as ints too
+        got = (r * Mat([[one.scale(Fraction(3, 2))]])).data
+        assert got == {(0, 0, (0,)): 1} and type(got[0, 0, (0,)]) is int
 
     def test_d_matches_entrywise(self):
         assert _d_disagreeing() == set()
@@ -268,6 +367,12 @@ class TestMatRefusals:
             x = Mat([[wrap(deps * deps)]])
             with pytest.raises(DegreeCapError):
                 x * Mat([[wrap(deps)]])
+
+    def test_d_of_a_matrix_over_the_algebra_is_refused(self):
+        dual = make_fixture("dual")
+        for entry in (dual.unit(), dual.zero()):
+            with pytest.raises(ConnectionError_, match="matrix of forms"):
+                Mat([[entry]]).d()
 
     def test_empty_matrix_reaches_the_idempotent_refusal(self):
         assert Mat([]) * Mat([]) == Mat([])

@@ -102,9 +102,9 @@ def _is_fresh_product(node):
 
 
 def test_products_add_into_their_target():
-    # a product adds into its target dict through a ring's product step
-    # (`uforms.add_product`, `CylForm._add_product`); building the product
-    # first and then adding its terms with `accumulate` adds each term twice
+    # a product adds into its target dict inside the one matrix-product
+    # loop, `Mat._product`; building the product first and then adding its
+    # terms with `accumulate` adds each term twice
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
