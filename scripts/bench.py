@@ -15,11 +15,12 @@ change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
 wall time and exit status of one Tier-1 pytest run (the parent first), the
-wall time and exit status of one cold ``kchern homology`` run on LADDER (the
-parent first; the M2 ladder rung of ROADMAP's north star), the per-layer
-metrics of one ``run.py --trace 1`` run at TRACE_SEED for TRACE_SECONDS,
-and the host's slowness (``perfbench/hostspeed.py``) read before and after
-the runs.
+wall time, exit status and peak RSS of one cold ``kchern homology`` run on
+LADDER (the parent first; the M2 ladder rung of ROADMAP's north star; the
+RSS is the ``ru_maxrss`` that ``os.wait4`` reports for that child alone),
+the median of each per-layer metric over TRACE_RUNS alternating
+``run.py --trace 1`` runs per side at TRACE_SEED for TRACE_SECONDS, and the
+host's slowness (``perfbench/hostspeed.py``) read before and after the runs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 WORKLOADS = ("khat", "transgression", "homology")
 PAIRS = 10
-TRACE_SEED, TRACE_SECONDS = 7, 10
+TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 3
 VERIFY_RUNS = 3
 LADDER = ("homology", "--fixture", "M2", "--degree", "7")
 
@@ -103,13 +104,21 @@ def tier1(tree: str) -> dict:
 
 
 def ladder(tree: str) -> dict:
-    """Wall time and exit status of one cold `kchern` LADDER run in tree."""
+    """Wall time, exit status and peak RSS of one cold `kchern` LADDER run
+    in tree.  The child is reaped with `os.wait4`, whose rusage covers that
+    child alone (RUSAGE_CHILDREN would also count the earlier runs); Linux
+    gives `ru_maxrss` in KiB."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "kchern.cli"] + list(LADDER),
-                          cwd=tree, env=env, capture_output=True)
-    return {"seconds": round(time.perf_counter() - t0, 3),
-            "exit": proc.returncode}
+    proc = subprocess.Popen([sys.executable, "-m", "kchern.cli"]
+                            + list(LADDER), cwd=tree, env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"seconds": round(seconds, 3), "exit": proc.returncode,
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
 
 
 def alternating(k: int):
@@ -184,13 +193,16 @@ def main(argv=None) -> int:
     ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
     trace = {}
     for workload in runs:
-        trace[workload] = {who: run_json(trees[who], [
-            "--workload", workload, "--seed", str(TRACE_SEED),
-            "--seconds", str(TRACE_SECONDS), "--trace", "1"])["metrics"]
-            for who in ("parent", "change")}
-        trace[workload] = {m: {who: round(trace[workload][who][m]["value"], 6)
-                               for who in ("parent", "change")}
-                           for m in trace[workload]["parent"]}
+        got = {"parent": [], "change": []}
+        for k in range(TRACE_RUNS):
+            for who in alternating(k):
+                got[who].append(run_json(trees[who], [
+                    "--workload", workload, "--seed", str(TRACE_SEED),
+                    "--seconds", str(TRACE_SECONDS), "--trace",
+                    "1"])["metrics"])
+        trace[workload] = {m: {who: round(statistics.median(
+            r[m]["value"] for r in got[who]), 6) for who in got}
+            for m in got["parent"][0]}
     report = {
         "change": args.change,
         "parent": args.parent,
@@ -208,7 +220,7 @@ def main(argv=None) -> int:
         "tier1_pytest": tier1_run,
         "ladder": {"command": "kchern " + " ".join(LADDER), **ladder_run},
         "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS,
-                  "per_pass": trace},
+                  "runs": TRACE_RUNS, "per_pass": trace},
     }
     path = os.path.join(ROOT, "BENCH_%d.json" % args.pr)
     with open(path, "w") as fh:

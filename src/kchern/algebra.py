@@ -18,9 +18,11 @@ class Algebra:
     mul[i][j] is the length-m coefficient vector of e_i * e_j.  Basis element
     0 is the unit; unitality and associativity are checked exhaustively at
     construction.  Instances are immutable; the caches hanging off an instance
-    are memoization that does not affect value semantics: `_wordmul` holds
-    read-only word products, and `_ab` the abelianization projection of each
-    degree, which keeps its dbar once built.
+    are memoization that does not affect value semantics: `_right` holds,
+    per degree, the basis words and the right-multiplication table of
+    `uforms._degree`, `_wordmul` the read-only word products decoded from
+    it, and `_ab` the abelianization projection of each degree, which keeps
+    its dbar once built.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
@@ -58,6 +60,7 @@ class Algebra:
         self.degree_cap = degree_cap
         self._validate()
         # memoization caches (read-mostly, value-semantics preserving)
+        self._right = []
         self._wordmul = {}
         self._ab = {}
 

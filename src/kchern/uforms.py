@@ -58,32 +58,67 @@ def enumerate_words(algebra: Algebra, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Word-level products (memoized per algebra)
 # ---------------------------------------------------------------------------
+#
+# Words are handled in index coordinates: with B = m - 1, the degree-n word
+# w = (w0, w1, ..., wn) sits at position
+#     idx(w) = w0 * B**n + sum_k (w_k - 1) * B**(n - k)
+# of `enumerate_words`, so idx(head + (k,)) = idx(head) * B + (k - 1) and
+# left multiplication by e_i only relabels the top digit w0.  Right
+# multiplication by a generator is one table per degree (`_degree`), built
+# from the table one degree down; every word product reads that recursion.
 
-def _word_times_elem(alg: Algebra, w, j):
-    """The product (basis word w) * e_j as a read-only map word -> rational.
+def _degree(alg: Algebra, n: int):
+    """(words, right) of degree n, built once per algebra with every lower
+    degree: `words` is `enumerate_words(alg, n)`, and right[j][idx(w)] the
+    (idx(w'), c) pairs of w * e_j for j >= 1 (right[0] is None; e_0 is the
+    unit).
 
-    Uses d e_i * e_j = d(e_i e_j) - e_i * d e_j recursively; the recursion
-    strictly shortens w, and only degree-0 elements ever cross a d.
+    Degree 0 is `sparse_mul`.  Above it, w = head + (i,) and the bimodule
+    rule head de_i * e_j = head d(e_i e_j) - (head e_i) de_j reads the table
+    one degree down at idx(head); only degree-0 elements ever cross a d.
     """
-    key = (w, j)
-    cache = alg._wordmul
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if len(w) == 1:
-        out = {(k,): c for k, c in alg.sparse_mul[w[0]][j]}
-    else:
-        head, i_n = w[:-1], w[-1]
-        out = {head + (k,): c for k, c in alg.sparse_mul[i_n][j] if k}
-        if j >= 1:
-            accumulate(((w2 + (j,), -c) for w2, c
-                        in _word_times_elem(alg, head, i_n).items()), out)
-    out = cache[key] = MappingProxyType({w: rat(c) for w, c in out.items()})
-    return out
+    cache = alg._right
+    m, b, sparse = alg.dim, alg.dim - 1, alg.sparse_mul
+    while len(cache) <= n:
+        deg = len(cache)
+        right = [None]
+        if deg == 0:
+            right += [[sparse[i][j] for i in range(m)] for j in range(1, m)]
+        else:
+            prev = cache[deg - 1][1]
+            for j in range(1, m):
+                # the terms of d(e_i e_j) as (last digit, coefficient)
+                dij = [tuple((t - 1, c) for t, c in sparse[i][j] if t)
+                       for i in range(m)]
+                col = []
+                for h in range(m * b ** (deg - 1)):
+                    base = h * b
+                    for i in range(1, m):
+                        out = {base + t: c for t, c in dij[i]}
+                        accumulate(((g * b + j - 1, -c)
+                                    for g, c in prev[i][h]), out)
+                        col.append(tuple(out.items()))
+                right.append(col)
+        cache.append((enumerate_words(alg, deg), right))
+    return cache[n]
+
+
+def _word_times_elem(alg: Algebra, w, j) -> dict:
+    """The product (basis word w) * e_j as a dict word -> rational: the
+    entry of `_degree`'s right table at idx(w), decoded to words."""
+    if not j:
+        return {w: Q1}
+    b = alg.dim - 1
+    idx = w[0]
+    for k in w[1:]:
+        idx = idx * b + k - 1
+    words, right = _degree(alg, len(w) - 1)
+    return {words[i]: c for i, c in right[j][idx]}
 
 
 def _word_mul(alg: Algebra, w1, w2):
-    """Product of two basis words as a read-only map word -> rational."""
+    """Product of two basis words as a read-only map word -> rational:
+    w1 * e_{w2[0]}, followed by the d-slots of w2."""
     key = (w1, w2)
     cache = alg._wordmul
     hit = cache.get(key)
@@ -92,10 +127,8 @@ def _word_mul(alg: Algebra, w1, w2):
     left = _word_times_elem(alg, w1, w2[0])
     tail = w2[1:]
     if tail:
-        out = MappingProxyType({w + tail: c for w, c in left.items()})
-    else:
-        out = left
-    cache[key] = out
+        left = {w + tail: c for w, c in left.items()}
+    out = cache[key] = MappingProxyType(left)
     return out
 
 
@@ -394,6 +427,10 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     pivot rows at degree n - 1, the other by the [e_i, w] with i >= 1 (e_0
     is the unit) and w a degree-n word.  Pivots and residuals depend only on
     the row space, so the projection equals that of the all-pairs span.
+
+    The vectors are built in index coordinates (see `_degree`): e_i * w
+    relabels the top digit of idx(w), w * e_i is an entry of the degree's
+    right table, and d shifts the indices of a degree n - 1 row by B**(n-1).
     """
     if n < 0:
         raise FormError("negative degree")
@@ -403,21 +440,24 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     hit = algebra._ab.get(n)
     if hit is not None:
         return hit
-    words = enumerate_words(algebra, n)
+    words, right = _degree(algebra, n)
     index = {w: i for i, w in enumerate(words)}
+    b = algebra.dim - 1
+    top = b ** n
 
     def spanning_vectors():
+        # in index coordinates; idx((0,) + w) = idx(w) - B**(n-1) for w0 > 0
         if n > 0:
-            prev = abelianization(algebra, n - 1)
-            for row in prev.echelon.pivots.values():
-                yield {index[(0,) + prev.words[j]]: c
-                       for j, c in row.items() if prev.words[j][0]}
+            low = b ** (n - 1)
+            for row in abelianization(algebra, n - 1).echelon.pivots.values():
+                yield {j - low: c for j, c in row.items() if j >= low}
         for i in range(1, algebra.dim):
-            for w in words:
-                vec = {index[ww]: c
-                       for ww, c in _word_mul(algebra, (i,), w).items()}
-                for ww, c in _word_mul(algebra, w, (i,)).items():
-                    vec[index[ww]] = vec.get(index[ww], Q0) - c
+            left = algebra.sparse_mul[i]
+            for idx, terms in enumerate(right[i]):
+                w0, rest = divmod(idx, top)
+                vec = {k * top + rest: c for k, c in left[w0]}
+                for k, c in terms:
+                    vec[k] = vec.get(k, Q0) - c
                 yield vec
 
     ech = Echelon()

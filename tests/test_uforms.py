@@ -17,7 +17,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           to_poly, _word_mul)
+                           to_poly, _degree, _word_mul)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -45,11 +45,36 @@ def canonical_forms_digest():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _tuple_word_mul(alg, w1, w2, memo):
+    """w1 * w2 as a dict word -> rational, by the bimodule law on word
+    tuples: (head de_i) e_j = head d(e_i e_j) - (head e_i) de_j, with only
+    `sparse_mul` read.  An oracle apart from the index tables of `uforms`;
+    `memo` keeps the (word, j) products of one algebra."""
+    def times(w, j):
+        out = memo.get((w, j))
+        if out is None:
+            if len(w) == 1:
+                out = {(k,): c for k, c in alg.sparse_mul[w[0]][j]}
+            else:
+                head, i = w[:-1], w[-1]
+                out = {head + (k,): c for k, c in alg.sparse_mul[i][j] if k}
+                if j:
+                    for w3, c in times(head, i).items():
+                        out[w3 + (j,)] = out.get(w3 + (j,), Q0) - c
+            out = memo[w, j] = {w3: c for w3, c in out.items() if c}
+        return out
+
+    tail = w2[1:]
+    return {w + tail: c for w, c in times(w1, w2[0]).items()}
+
+
 def _all_pairs_span(alg, n):
     """The degree-n commutator projection from its definition: every graded
-    commutator [w1, w2] of basis words with |w1| + |w2| = n, echelonized."""
+    commutator [w1, w2] of basis words with |w1| + |w2| = n, echelonized,
+    with the word products of `_tuple_word_mul`."""
     words = enumerate_words(alg, n)
     index = {w: i for i, w in enumerate(words)}
+    memo = {}
     ech = Echelon()
     for d1 in range(n // 2 + 1):
         d2 = n - d1
@@ -61,9 +86,9 @@ def _all_pairs_span(alg, n):
                 if d1 == d2 and b < a:
                     continue
                 vec = {}
-                for w, c in _word_mul(alg, w1, w2).items():
+                for w, c in _tuple_word_mul(alg, w1, w2, memo).items():
                     vec[index[w]] = vec.get(index[w], Q0) + c
-                for w, c in _word_mul(alg, w2, w1).items():
+                for w, c in _tuple_word_mul(alg, w2, w1, memo).items():
                     vec[index[w]] = vec.get(index[w], Q0) - sign * c
                 ech.add(vec)
     return AbProjection(alg, n, words, index, ech)
@@ -195,6 +220,16 @@ class TestWordModel:
         for n in range(5):
             for row in abelianization(alg, n).echelon.pivots.values():
                 assert all(canonical(c) for c in row.values())
+        # the right-multiplication tables the build read, and the word
+        # products decoded from them
+        assert len(alg._right) == 5
+        for _, right in alg._right:
+            for col in right[1:]:
+                assert all(canonical(c) for terms in col for _, c in terms)
+        words = enumerate_words(alg, 2)
+        for w1 in words:
+            for w2 in words:
+                _word_mul(alg, w1, w2)
         assert alg._wordmul
         for prod in alg._wordmul.values():
             assert all(canonical(c) for c in prod.values())
@@ -324,6 +359,35 @@ class TestSpanningSet:
             for alg in dense_copies(name, 2, "span-" + name):
                 for n in range(3):
                     self.assert_same_projection(alg, n)
+
+    def test_word_products_match_tuple_oracle(self):
+        # the index tables against the tuple recursion, term order aside
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            memo = {}
+            for d1 in range(4):
+                for d2 in range(4 - d1):
+                    for w1 in enumerate_words(alg, d1):
+                        for w2 in enumerate_words(alg, d2):
+                            assert dict(_word_mul(alg, w1, w2)) == \
+                                _tuple_word_mul(alg, w1, w2, memo), (w1, w2)
+
+    def test_planted_right_table_entry_fails(self):
+        # one flipped coefficient in one degree-1 right-table entry, before
+        # any degree above it is built, must show in the projection
+        alg = make_fixture("M2")
+        _, right = _degree(alg, 1)
+        col = right[1]
+        idx = next(i for i, terms in enumerate(col) if terms)
+        (k, c), *rest = col[idx]
+        col[idx] = ((k, -c), *rest)
+        differs = []
+        for n in range(4):
+            fast, oracle = abelianization(alg, n), _all_pairs_span(alg, n)
+            differs.append(set(fast.echelon.pivots)
+                           != set(oracle.echelon.pivots)
+                           or fast.quotient_words != oracle.quotient_words)
+        assert any(differs), differs
 
 
 class TestHomology:
