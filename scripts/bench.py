@@ -15,21 +15,26 @@ change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
 wall time and exit status of one Tier-1 pytest run (the parent first), the
-wall time, exit status and peak RSS of one cold ``kchern homology`` run on
-LADDER (the parent first; the M2 ladder rung of ROADMAP's north star; the
-RSS is the ``ru_maxrss`` that ``os.wait4`` reports for that child alone),
-the median of each per-layer metric over TRACE_RUNS alternating
-``run.py --trace 1`` runs per side at TRACE_SEED for TRACE_SECONDS, and the
-host's slowness (``perfbench/hostspeed.py``) read before and after the runs.
+homology ladder of ROADMAP's north star (the parent first): cold runs of
+``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
+n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
+is killed, with each rung's wall time, exit status and peak RSS (the
+``ru_maxrss`` that ``os.wait4`` reports for that child alone) and the top,
+the highest n that finished in time; the median of each per-layer metric
+over TRACE_RUNS alternating ``run.py --trace 1`` runs per side at
+TRACE_SEED for TRACE_SECONDS; and the host's slowness
+(``perfbench/hostspeed.py``) read before and after the runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
+import select
 import shutil
 import statistics
 import subprocess
@@ -43,7 +48,7 @@ WORKLOADS = ("khat", "transgression", "homology")
 PAIRS = 10
 TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 3
 VERIFY_RUNS = 3
-LADDER = ("homology", "--fixture", "M2", "--degree", "7")
+LADDER_LIMIT = 60
 
 
 def parse_args(argv):
@@ -103,22 +108,45 @@ def tier1(tree: str) -> dict:
             "exit": proc.returncode}
 
 
-def ladder(tree: str) -> dict:
-    """Wall time, exit status and peak RSS of one cold `kchern` LADDER run
-    in tree.  The child is reaped with `os.wait4`, whose rusage covers that
-    child alone (RUSAGE_CHILDREN would also count the earlier runs); Linux
-    gives `ru_maxrss` in KiB."""
+def rung(tree: str, n: int) -> dict:
+    """Wall time, exit status and peak RSS of one cold `kchern homology`
+    run at degree n of M2 in tree, killed at LADDER_LIMIT seconds.  The
+    child is watched through a pidfd and reaped with `os.wait4`, whose
+    rusage covers that child alone (RUSAGE_CHILDREN would also count the
+    earlier runs); Linux gives `ru_maxrss` in KiB."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "kchern.cli"]
-                            + list(LADDER), cwd=tree, env=env,
-                            stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen([sys.executable, "-m", "kchern.cli", "homology",
+                             "--fixture", "M2", "--degree", str(n),
+                             "--degree-cap", str(max(8, n + 1))], cwd=tree,
+                            env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
+    pidfd, ready = os.pidfd_open(proc.pid), []
+    try:
+        ready = select.select([pidfd], [], [], LADDER_LIMIT)[0]
+    finally:
+        os.close(pidfd)
+        if not ready:
+            proc.kill()
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"seconds": round(seconds, 3), "exit": proc.returncode,
+    return {"degree": n, "seconds": round(seconds, 3),
+            "exit": proc.returncode,
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
+
+
+def ladder(tree: str) -> dict:
+    """The rungs n = 0, 1, ... of the M2 homology ladder in tree, up to the
+    first that fails or passes LADDER_LIMIT seconds, and the top: the
+    highest n that finished with status 0 in time (None if none did)."""
+    rungs, top = [], None
+    for n in itertools.count():
+        rungs.append(rung(tree, n))
+        if rungs[-1]["exit"] or rungs[-1]["seconds"] > LADDER_LIMIT:
+            break
+        top = n
+    return {"rungs": rungs, "top": top}
 
 
 def alternating(k: int):
@@ -218,7 +246,9 @@ def main(argv=None) -> int:
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
         "tier1_pytest": tier1_run,
-        "ladder": {"command": "kchern " + " ".join(LADDER), **ladder_run},
+        "ladder": {"command": "kchern homology --fixture M2 --degree n "
+                   "--degree-cap max(8, n + 1)", "limit_s": LADDER_LIMIT,
+                   **ladder_run},
         "trace": {"seed": TRACE_SEED, "seconds": TRACE_SECONDS,
                   "runs": TRACE_RUNS, "per_pass": trace},
     }

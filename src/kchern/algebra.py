@@ -19,10 +19,12 @@ class Algebra:
     0 is the unit; unitality and associativity are checked exhaustively at
     construction.  Instances are immutable; the caches hanging off an instance
     are memoization that does not affect value semantics: `_right` holds,
-    per degree, the basis words and the right-multiplication table of
-    `uforms._degree`, `_wordmul` the read-only word products decoded from
-    it, and `_ab` the abelianization projection of each degree, which keeps
-    its dbar once built.
+    per degree, the basis words, their index map and the right-
+    multiplication table of `uforms._degree`, `_wordmul` the product of
+    each pair of words `uforms.word_product` was asked for, as a tuple of
+    (word, rational) pairs decoded from that table, and `_ab` the
+    abelianization projection of each degree, which keeps its dbar once
+    built.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.

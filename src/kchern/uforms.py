@@ -19,7 +19,6 @@ it; exactness solves and homology both read that one copy.
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import (Echelon, Poly, Q0, Q1, TrackedEchelon, accumulate,
@@ -63,15 +62,17 @@ def enumerate_words(algebra: Algebra, n: int) -> list:
 # w = (w0, w1, ..., wn) sits at position
 #     idx(w) = w0 * B**n + sum_k (w_k - 1) * B**(n - k)
 # of `enumerate_words`, so idx(head + (k,)) = idx(head) * B + (k - 1) and
-# left multiplication by e_i only relabels the top digit w0.  Right
-# multiplication by a generator is one table per degree (`_degree`), built
-# from the table one degree down; every word product reads that recursion.
+# left multiplication by e_i only relabels the top digit w0.  Each degree
+# has one word <-> index map and one right-multiplication table per
+# generator (`_degree`), built from the table one degree down.
+# `word_product` decodes an entry of that table once per pair of words and
+# keeps the result; every product of forms reads it.
 
 def _degree(alg: Algebra, n: int):
-    """(words, right) of degree n, built once per algebra with every lower
-    degree: `words` is `enumerate_words(alg, n)`, and right[j][idx(w)] the
-    (idx(w'), c) pairs of w * e_j for j >= 1 (right[0] is None; e_0 is the
-    unit).
+    """(words, index, right) of degree n, built once per algebra with every
+    lower degree: `words` is `enumerate_words(alg, n)`, `index` its inverse
+    w -> idx(w), and right[j][idx(w)] the (idx(w'), c) pairs of w * e_j for
+    j >= 1 (right[0] is None; e_0 is the unit).
 
     Degree 0 is `sparse_mul`.  Above it, w = head + (i,) and the bimodule
     rule head de_i * e_j = head d(e_i e_j) - (head e_i) de_j reads the table
@@ -85,7 +86,7 @@ def _degree(alg: Algebra, n: int):
         if deg == 0:
             right += [[sparse[i][j] for i in range(m)] for j in range(1, m)]
         else:
-            prev = cache[deg - 1][1]
+            prev = cache[deg - 1][2]
             for j in range(1, m):
                 # the terms of d(e_i e_j) as (last digit, coefficient)
                 dij = [tuple((t - 1, c) for t, c in sparse[i][j] if t)
@@ -99,37 +100,9 @@ def _degree(alg: Algebra, n: int):
                                     for g, c in prev[i][h]), out)
                         col.append(tuple(out.items()))
                 right.append(col)
-        cache.append((enumerate_words(alg, deg), right))
+        words = enumerate_words(alg, deg)
+        cache.append((words, {w: i for i, w in enumerate(words)}, right))
     return cache[n]
-
-
-def _word_times_elem(alg: Algebra, w, j) -> dict:
-    """The product (basis word w) * e_j as a dict word -> rational: the
-    entry of `_degree`'s right table at idx(w), decoded to words."""
-    if not j:
-        return {w: Q1}
-    b = alg.dim - 1
-    idx = w[0]
-    for k in w[1:]:
-        idx = idx * b + k - 1
-    words, right = _degree(alg, len(w) - 1)
-    return {words[i]: c for i, c in right[j][idx]}
-
-
-def _word_mul(alg: Algebra, w1, w2):
-    """Product of two basis words as a read-only map word -> rational:
-    w1 * e_{w2[0]}, followed by the d-slots of w2."""
-    key = (w1, w2)
-    cache = alg._wordmul
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    left = _word_times_elem(alg, w1, w2[0])
-    tail = w2[1:]
-    if tail:
-        left = {w + tail: c for w, c in left.items()}
-    out = cache[key] = MappingProxyType(left)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +228,10 @@ class UForm(_WordTerms):
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        t = {}
-        # inline: via accumulate (summed repeats then through _scalar), khat
-        # ops/s fell 406 -> 379
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _scalar(c)
-                if c:
-                    if w in t:
-                        v = _scalar(t[w] + c)
-                        if v:
-                            t[w] = v
-                        else:
-                            del t[w]
-                    else:
-                        t[w] = c
-        self.terms = t
-        _check_words(algebra, t)
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = accumulate((w, _scalar(c)) for w, c in terms or ())
+        _check_words(algebra, self.terms)
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -332,13 +292,25 @@ def differential(w: UForm) -> UForm:
 
 
 def word_product(alg: Algebra, w1, w2):
-    """The (word, rational) pairs of the product of two basis words, from
-    the memoized word products; DegreeCapError past the cap.  The one key
-    product over Omega(A): `multiply` and `connections.Mat` read it."""
+    """The product of two basis words as a tuple of (word, rational)
+    pairs: w1 * e_{w2[0]}, followed by the d-slots of w2.  Memoized per
+    algebra in `_wordmul`, so a repeated request returns the same tuple;
+    DegreeCapError past the cap.  The one key product over Omega(A):
+    `multiply` and `connections.Mat` read it."""
+    hit = alg._wordmul.get((w1, w2))
+    if hit is not None:
+        return hit
     if len(w1) + len(w2) - 2 > alg.degree_cap:
         raise DegreeCapError("product degree %d exceeds cap %d"
                              % (len(w1) + len(w2) - 2, alg.degree_cap))
-    return _word_mul(alg, w1, w2).items()
+    j, tail = w2[0], w2[1:]
+    if j:
+        words, index, right = _degree(alg, len(w1) - 1)
+        out = tuple((words[i] + tail, c) for i, c in right[j][index[w1]])
+    else:
+        out = ((w1 + tail, Q1),)
+    alg._wordmul[w1, w2] = out
+    return out
 
 
 def multiply(u: UForm, v: UForm) -> UForm:
@@ -358,14 +330,15 @@ def multiply(u: UForm, v: UForm) -> UForm:
 class AbProjection:
     """Projection of Omega^u_n onto Omega^u_n(A)_ab.
 
-    Holds the echelonized graded-commutator span at degree n; residuals are
-    canonical representatives supported on the non-pivot ("quotient") words.
-    The differential dbar: Omega_ab,n-1 -> Omega_ab,n is built on first use
-    of `dbar` and kept here.
+    Holds the echelonized graded-commutator span at degree n in the
+    degree's word indices; residuals are canonical representatives
+    supported on the non-pivot ("quotient") words.  The differential dbar:
+    Omega_ab,n-1 -> Omega_ab,n is built on first use of `dbar` and kept
+    here.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
-                 "quotient_words", "quotient_index", "_dbar")
+                 "quotient_words", "_dbar")
 
     def __init__(self, algebra, degree, words, index, echelon):
         self.algebra = algebra
@@ -375,8 +348,6 @@ class AbProjection:
         self.echelon = echelon
         self.quotient_words = [w for i, w in enumerate(words)
                                if i not in echelon.pivots]
-        self.quotient_index = {w: k for k, w in
-                               enumerate(self.quotient_words)}
         self._dbar = None
 
     def reduce_terms(self, terms: dict) -> dict:
@@ -393,24 +364,30 @@ class AbProjection:
         """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel),
         built once.
 
-        `solver` is a TrackedEchelon over the degree-n quotient coordinates
-        whose columns are the images of the degree n-1 quotient words,
-        tagged by the word.  `kernel` lists the dependencies met while
-        adding them, as dicts quotient word -> scalar; they are a basis of
-        ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+        `solver` is a TrackedEchelon over the degree-n word indices whose
+        columns are the canonical residuals of d of the degree n-1 quotient
+        words, tagged by the word.  `kernel` lists the dependencies met
+        while adding them, as dicts quotient word -> scalar; they are a
+        basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+
+        d(q) is the word (0,) + q, at index idx(q) - B**(n-1) (as in
+        `abelianization`), and zero when q0 = 0, that is idx(q) < B**(n-1).
         """
         if self._dbar is None:
-            alg = self.algebra
-            prev = (abelianization(alg, self.degree - 1).quotient_words
-                    if self.degree else ())
-            solver = TrackedEchelon(len(self.quotient_words))
+            solver = TrackedEchelon(len(self.words))
             kernel = []
-            for q in prev:
-                dv = project_ab(UForm.word(alg, q).d())
-                dep = solver.add({self.quotient_index[w]: c
-                                  for w, c in dv.terms.items()}, q)
-                if dep is not None:
-                    kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+            if self.degree:
+                prev = abelianization(self.algebra, self.degree - 1)
+                low = (self.algebra.dim - 1) ** (self.degree - 1)
+                for i, q in enumerate(prev.words):
+                    if i in prev.echelon.pivots:
+                        continue
+                    col = (self.echelon.reduce({i - low: Q1}) if i >= low
+                           else {})
+                    dep = solver.add(col, q)
+                    if dep is not None:
+                        kernel.append({q: Q1,
+                                       **{p: -c for p, c in dep.items()}})
             self._dbar = (solver, kernel)
         return self._dbar
 
@@ -440,8 +417,7 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     hit = algebra._ab.get(n)
     if hit is not None:
         return hit
-    words, right = _degree(algebra, n)
-    index = {w: i for i, w in enumerate(words)}
+    words, index, right = _degree(algebra, n)
     b = algebra.dim - 1
     top = b ** n
 
@@ -509,18 +485,18 @@ def ab_d(c: AbClass) -> AbClass:
 def is_exact_in_ab(w, n: int):
     """Decide project_ab(w) in Im(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
-    Accepts a UForm or AbClass homogeneous of degree n.  Returns
-    (True, primitive UForm) or (False, None); the primitive v satisfies
-    project_ab(d(v)) = project_ab(w).
+    Accepts a UForm or AbClass homogeneous of degree n; either is reduced
+    by the degree's commutator echelon first.  Returns (True, primitive
+    UForm) or (False, None); the primitive v satisfies project_ab(d(v)) =
+    project_ab(w).
     """
     if any(word_degree(ww) != n for ww in w.terms):
         raise FormError("%s is not homogeneous of degree %d"
                         % (type(w).__name__, n))
-    target = w if isinstance(w, AbClass) else project_ab(w)
     proj = abelianization(w.algebra, n)
     solver, _ = proj.dbar()
-    sol = solver.solve({proj.quotient_index[ww]: c
-                        for ww, c in target.terms.items()})
+    sol = solver.solve(proj.echelon.reduce(
+        {proj.index[ww]: c for ww, c in w.terms.items()}))
     if sol is None:
         return False, None
     return True, UForm(w.algebra, sol)
@@ -539,7 +515,7 @@ def de_rham_homology(algebra: Algebra, n: int):
     image = proj.dbar()[0].copy()
     reps = []
     for vec in kernel:
-        if image.add({proj.quotient_index[q]: c for q, c in vec.items()},
+        if image.add({proj.index[q]: c for q, c in vec.items()},
                      None) is None:
             reps.append(UForm(algebra, vec))
     return len(reps), reps

@@ -14,12 +14,12 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 random_automorphism, random_connection,
                                 random_form, random_idempotent, random_iso,
                                 sum_iso, trace_ab)
-from kchern.exactmath import Poly, Q0, Q1, accumulate
+from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.transgression import TForm
 from kchern.uforms import (DegreeCapError, FormError, UForm, ab_d,
                            enumerate_words, is_exact_in_ab, multiply,
-                           project_ab, _word_mul)
+                           project_ab, word_product)
 from tests.test_uforms import rand_homogeneous
 
 
@@ -428,8 +428,8 @@ class TestFormProductKernel:
         assert (Mat([]) * Mat([])).size == 0
 
     def test_planted_word_product_fails(self):
-        # one wrong coefficient in one memoized word product that the
-        # product reads
+        # one extra term in one memoized word product that the product
+        # reads
         for name in FIXTURE_NAMES:
             bad = make_fixture(name)
             rng = random.Random(51)
@@ -438,8 +438,8 @@ class TestFormProductKernel:
             w1, w2 = next((min(a.terms), min(b.terms))
                           for row in x.entries for k, a in enumerate(row)
                           for b in y.entries[k] if a and b)
-            bad._wordmul[w1, w2] = accumulate(
-                [(w1 + w2[1:], 1)], dict(_word_mul(bad, w1, w2)))
+            bad._wordmul[w1, w2] = (word_product(bad, w1, w2)
+                                    + ((w1 + w2[1:], 1),))
             assert (x * y).entries != _entrywise_form_product(
                 make_fixture(name), x, y), name
 

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from kchern.algebra import Algebra, AlgebraHom
 from kchern.connections import random_form
-from kchern.exactmath import Echelon, Q0, Q1
+from kchern.exactmath import Echelon, Q0, Q1, TrackedEchelon
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           to_poly, _degree, _word_mul)
+                           to_poly, word_product, _degree)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -163,13 +163,31 @@ class TestWordModel:
             w * eps.d()
 
     def test_word_products_are_read_only(self):
-        # the memoized products are shared by every caller
+        # the memoized products are shared by every caller: a tuple, the
+        # same object on a repeated request
         alg = make_fixture("x3")
-        for w1, w2 in (((1,), (1,)), ((1, 2), (2,)), ((2, 1), (1, 2))):
-            prod = _word_mul(alg, w1, w2)
-            with pytest.raises(TypeError):
-                prod[(0,)] = Q1
-            assert _word_mul(alg, w1, w2) is prod
+        for w1, w2 in (((1,), (1,)), ((1, 2), (2,)), ((2, 1), (1, 2)),
+                       ((2, 1), (0, 2))):
+            prod = word_product(alg, w1, w2)
+            assert type(prod) is tuple
+            assert word_product(alg, w1, w2) is prod
+
+    def test_degree_cap_checked_on_every_miss(self):
+        # the cap is checked only when a product is not memoized: a pair
+        # past it raises on every request and is never stored, also after
+        # in-cap products of both words are
+        alg = make_fixture("M2", degree_cap=3)
+        w1, w2 = (1, 2, 3), (2, 1, 3)
+        for a, b in ((w1, w1[:1]), (w2, w2[:2]), (w1[:2], w2),
+                     (w2[:2], w1), ((2,), w1)):
+            word_product(alg, a, b)
+        assert len(alg._wordmul) == 5
+        for _ in range(2):
+            with pytest.raises(DegreeCapError, match="degree 4 exceeds"):
+                word_product(alg, w1, w2)
+            with pytest.raises(DegreeCapError):
+                UForm.word(alg, w2) * UForm.word(alg, w1)
+        assert len(alg._wordmul) == 5
 
     def test_poly_scalars_hash_like_fractions(self):
         # equal forms hash equally whatever the scalar type
@@ -223,16 +241,17 @@ class TestWordModel:
         # the right-multiplication tables the build read, and the word
         # products decoded from them
         assert len(alg._right) == 5
-        for _, right in alg._right:
+        for words, index, right in alg._right:
+            assert [index[w] for w in words] == list(range(len(words)))
             for col in right[1:]:
                 assert all(canonical(c) for terms in col for _, c in terms)
         words = enumerate_words(alg, 2)
         for w1 in words:
             for w2 in words:
-                _word_mul(alg, w1, w2)
+                word_product(alg, w1, w2)
         assert alg._wordmul
         for prod in alg._wordmul.values():
-            assert all(canonical(c) for c in prod.values())
+            assert all(canonical(c) for _, c in prod)
 
     def test_bimodule_law_degree_one(self):
         # a db . c = a d(bc) - ab dc: the kernel-of-multiplication model
@@ -369,14 +388,14 @@ class TestSpanningSet:
                 for d2 in range(4 - d1):
                     for w1 in enumerate_words(alg, d1):
                         for w2 in enumerate_words(alg, d2):
-                            assert dict(_word_mul(alg, w1, w2)) == \
+                            assert dict(word_product(alg, w1, w2)) == \
                                 _tuple_word_mul(alg, w1, w2, memo), (w1, w2)
 
     def test_planted_right_table_entry_fails(self):
         # one flipped coefficient in one degree-1 right-table entry, before
         # any degree above it is built, must show in the projection
         alg = make_fixture("M2")
-        _, right = _degree(alg, 1)
+        _, _, right = _degree(alg, 1)
         col = right[1]
         idx = next(i for i, terms in enumerate(col) if terms)
         (k, c), *rest = col[idx]
@@ -463,6 +482,13 @@ class TestHomology:
                     assert ok
                     assert project_ab(prim.d()) == target
 
+    def test_exactness_reads_a_class_by_its_projection(self):
+        # an AbClass holding a commutator word is decided like its
+        # projection: (0, 1, 1) = deps deps projects to zero over dual
+        dual = make_fixture("dual")
+        ok, prim = is_exact_in_ab(AbClass(dual, {(0, 1, 1): 1}), 2)
+        assert ok and project_ab(prim.d()).is_zero()
+
     def test_exactness_certificates(self):
         rng = random.Random(12)
         for name in ("dual", "x3", "C2"):
@@ -474,6 +500,101 @@ class TestHomology:
                 ok, prim = is_exact_in_ab(target, n)
                 assert ok
                 assert project_ab(prim.d()) == target
+
+
+def _quotient_dbar(alg, n):
+    """dbar into degree n in quotient coordinates, the k-th coordinate the
+    k-th quotient word of degree n: each degree n-1 quotient word q is
+    mapped by `project_ab(UForm.word(alg, q).d())`.  Returns (solver,
+    kernel, coordinate of each quotient word), solver and kernel as in
+    `AbProjection.dbar`.  A reference apart from the index shift there."""
+    coord = {w: k for k, w in
+             enumerate(abelianization(alg, n).quotient_words)}
+    solver, kernel = TrackedEchelon(len(coord)), []
+    for q in abelianization(alg, n - 1).quotient_words if n else ():
+        dv = project_ab(UForm.word(alg, q).d())
+        dep = solver.add({coord[w]: c for w, c in dv.terms.items()}, q)
+        if dep is not None:
+            kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+    return solver, kernel, coord
+
+
+def _shifted_dbar(alg, n, shift):
+    """A wrong dbar into degree n for planting: the degree n-1 quotient
+    word at index i goes to the residual of the word at index i - shift
+    (zero below index 0) instead of i - B**(n-1)."""
+    proj, prev = abelianization(alg, n), abelianization(alg, n - 1)
+    solver, kernel = TrackedEchelon(len(proj.words)), []
+    for q in prev.quotient_words:
+        i = prev.index[q] - shift
+        dep = solver.add(proj.echelon.reduce({i: Q1}) if i >= 0 else {}, q)
+        if dep is not None:
+            kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+    return solver, kernel
+
+
+def _dbar_mismatches(name, alg, top):
+    """Where dbar, homology and exactness of `alg` (up to degree top)
+    differ from the quotient-coordinate reference on a fresh copy of
+    fixture `name`: a list of (what, degree)."""
+    ref = make_fixture(name)
+    dbars = {n: _quotient_dbar(ref, n) for n in range(top + 1)}
+    rng = random.Random("dbar-" + name)
+    out = []
+    for n in range(top + 1):
+        if [list(v.items()) for v in abelianization(alg, n).dbar()[1]] != \
+                [list(v.items()) for v in dbars[n][1]]:
+            out.append(("kernel", n))
+        if n < top:
+            solver, _, coord = dbars[n]
+            solver = solver.copy()
+            reps = [list(UForm(ref, v).terms.items()) for v in dbars[n + 1][1]
+                    if solver.add({coord[q]: c for q, c in v.items()},
+                                  None) is None]
+            dim_h, got = de_rham_homology(alg, n)
+            if (dim_h, [list(r.terms.items()) for r in got]) != \
+                    (len(reps), reps):
+                out.append(("homology", n))
+        if n:
+            for target in [rand_homogeneous(ref, rng, n - 1, terms=3).d()
+                           for _ in range(3)] + \
+                    [rand_homogeneous(ref, rng, n, terms=3)
+                     for _ in range(3)]:
+                solver, _, coord = dbars[n]
+                sol = solver.solve({coord[w]: c for w, c in
+                                    project_ab(target).terms.items()})
+                ok, prim = is_exact_in_ab(UForm(alg, target.terms), n)
+                if ok != (sol is not None) or (ok and list(
+                        prim.terms.items()) != list(sol.items())):
+                    out.append(("primitive", n))
+    return out
+
+
+class TestDbarReference:
+    """`AbProjection.dbar` shifts word indices by B**(n-1) and reduces in
+    the degree's own coordinates; the quotient-coordinate build of
+    `_quotient_dbar` must give the same kernels, homology and primitives,
+    term order included."""
+
+    def test_fixtures_match_reference(self):
+        for name in FIXTURE_NAMES:
+            assert _dbar_mismatches(name, make_fixture(name), 4) == [], name
+
+    def test_planted_shift_fails(self):
+        # a dbar built with shift B**(n-1) + 1 must be caught wherever
+        # dbar is not zero: on dual, x3 and M2 (on Q, QxQ and C2 it is
+        # zero up to degree 4, and so is the shifted one)
+        caught, nonzero = [], []
+        for name in FIXTURE_NAMES:
+            alg, fresh = make_fixture(name), make_fixture(name)
+            nonzero.append(any(abelianization(fresh, n).dbar()[0].rank
+                               for n in range(5)))
+            for n in range(1, 5):
+                low = (alg.dim - 1) ** (n - 1)
+                abelianization(alg, n)._dbar = _shifted_dbar(alg, n, low + 1)
+            caught.append(bool(_dbar_mismatches(name, alg, 4)))
+        assert caught == nonzero == [name in ("dual", "x3", "M2")
+                                     for name in FIXTURE_NAMES], caught
 
 
 class TestExtendHom:
