@@ -14,7 +14,8 @@ method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
-wall time and exit status of one Tier-1 pytest run (the parent first), the
+wall time and exit status of one Tier-1 pytest run and of one under
+``python -O`` (the parent first), the ``wc -l src/kchern/*.py`` total, the
 homology ladder of ROADMAP's north star (the parent first): cold runs of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
 n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
@@ -29,6 +30,7 @@ TRACE_SEED for TRACE_SECONDS; and the host's slowness
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import itertools
 import json
@@ -97,15 +99,26 @@ def verify_seconds(tree: str) -> float:
     return round(time.perf_counter() - t0, 3)
 
 
-def tier1(tree: str) -> dict:
-    """Wall time and exit status of the Tier-1 pytest run in tree."""
+def tier1(tree: str, flags=()) -> dict:
+    """Wall time and exit status of the Tier-1 pytest run in tree, with the
+    interpreter flags `flags`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+    proc = subprocess.run([sys.executable, *flags, "-m", "pytest", "-q",
                            "--continue-on-collection-errors"], cwd=tree,
                           env=env, capture_output=True)
     return {"seconds": round(time.perf_counter() - t0, 3),
             "exit": proc.returncode}
+
+
+def src_lines(tree: str) -> int:
+    """The `wc -l src/kchern/*.py` total in tree: the newlines of the
+    package's modules."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "kchern", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def rung(tree: str, n: int) -> dict:
@@ -218,6 +231,7 @@ def main(argv=None) -> int:
         for who in alternating(k):
             verify[who].append(verify_seconds(trees[who]))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
+    tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
     ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
     trace = {}
     for workload in runs:
@@ -246,6 +260,8 @@ def main(argv=None) -> int:
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
         "tier1_pytest": tier1_run,
+        "tier1_pytest_O": tier1_opt,
+        "src_lines": {who: src_lines(trees[who]) for who in trees},
         "ladder": {"command": "kchern homology --fixture M2 --degree n "
                    "--degree-cap max(8, n + 1)", "limit_s": LADDER_LIMIT,
                    **ladder_run},

@@ -2,7 +2,8 @@
 (p, theta) encoding D = p o d + theta on Im(p) and polynomial families of
 them, curvature, traces into the abelianization, the Chern character forms,
 direct sums, pullbacks along module isomorphisms, and extension of scalars
-along algebra homs.
+along algebra homs.  `chern_series` is the one Chern character loop, for
+`chern` and the cylinder forms and fibre integrals of `transgression`.
 
 A matrix (`Mat`) is one sparse dict (i, j, key) -> scalar over its ring:
 products run one loop over pairs of keys, block sums and permutations
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from .algebra import AlgElement, Algebra, AlgebraError, AlgebraHom
 from .exactmath import Poly, Q0, accumulate, coeff_product, rat
@@ -360,27 +362,30 @@ def check_k_max(k_max: int, least: int = 1):
         raise ValueError("k_max must be at least %d, not %d" % (least, k_max))
 
 
-def chern_series(pf: Mat, curv, k_max: int, trace):
-    """[trace(p), trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's
-    ch_k = tr(R^k)/k! for matrices over any ring of forms.  `curv()` gives
-    the curvature R and is called only when k_max >= 1."""
+def chern_series(curv, k_max: int, trace, keep=None):
+    """[trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's ch_k = tr(R^k)/k!
+    for k >= 1, over any ring of forms; `curv()` gives R, called only when
+    k_max >= 1.  Each lower power is one full product; the last, R^(kmax-1)
+    R, is built only on its diagonal, from the pairs of keys (a, b) that
+    keep(a, b) accepts (all by default): `trace` reads no more than that."""
     check_k_max(k_max, 0)
-    out = [trace(pf)]
-    if k_max >= 1:
-        r = curv()
-        power = r
-        fact = 1
-        for k in range(1, k_max + 1):
-            fact *= k
-            out.append(Fraction(1, fact) * trace(power))
-            if k < k_max:
-                power = power * r
+    out = []
+    for k in range(1, k_max + 1):
+        if k == 1:
+            r = power = curv()
+        elif k < k_max:
+            power = power * r
+        else:
+            power = power._like(power._product(r, lambda i, j, a, b: (
+                i == j and (keep is None or keep(a, b)))))
+        out.append(Fraction(1, factorial(k)) * trace(power))
     return out
 
 
 def chern(c: Connection, k_max: int):
     """[ch_0, ..., ch_kmax] with ch_k = trace_ab(R^k)/k!; ch_0 = trace_ab(p)."""
-    return chern_series(c.p.to_form(), lambda: curvature(c), k_max, trace_ab)
+    return [trace_ab(c.p.to_form())] + chern_series(lambda: curvature(c),
+                                                    k_max, trace_ab)
 
 
 def direct_sum(c1: Connection, c2: Connection) -> Connection:

@@ -48,7 +48,8 @@ def coeff_from_json(data):
     raise TypeError("bad coefficient payload %r" % (data,))
 
 
-def form_to_json(u: UForm) -> list:
+def form_to_json(u) -> list:
+    """The terms of a UForm or an AbClass, by word length, then word."""
     out = []
     for w in sorted(u.terms, key=lambda w: (len(w), w)):
         out.append({
@@ -76,7 +77,7 @@ def form_from_json(alg: Algebra, data: list) -> UForm:
 
 
 def abclass_to_json(c: AbClass) -> list:
-    return form_to_json(c.lift())
+    return form_to_json(c)
 
 
 def elem_to_json(e: AlgElement) -> list:

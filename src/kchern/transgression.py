@@ -21,14 +21,15 @@ Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
 use BiForm.  `CylForm._key_product` is the one product rule and
 `CylForm._key_d` the one differential rule on those keys, for cylinder
 forms and their matrices alike: products of cylinder forms are 1 x 1
-matrix products, and the fibre integral's top power is a matrix product
-restricted to the pairs of masks that join to the top one.  Integration
-and restriction keep the terms with (or without) dx_i and drop bit i
-from the mask.
+matrix products.  Integration and restriction keep the terms with (or
+without) dx_i and drop bit i from the mask.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
-of Karoubi's ch_k = tr(R~^k)/k! over the fibre; only that part of the top
-power is built.  The k = 1 potential vanishes: R~ has no ds /\ dt part.
+of Karoubi's ch_k = tr(R~^k)/k! over the fibre.  They and the whole
+cylinder Chern forms read ch_k from `connections.chern_series`, whose last
+power is built only on its diagonal; for the fibre integrals, only from
+the pairs of masks that join to the top one.  The k = 1 potential
+vanishes: R~ has no ds /\ dt part.
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
 `secondary_transgression` a bigon; another R raises ConnectionError_.
 """
@@ -36,7 +37,6 @@ power is built.  The k = 1 potential vanishes: R~ has no ds /\ dt part.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
@@ -81,10 +81,10 @@ class CylForm(Terms):
         super().__init_subclass__(**kwargs)
         CylForm.TYPES[cls.R] = cls
         n = 1 << cls.R
-        cls._PAIRS = tuple((a, b, a | b, bin(b).count("1") % 2)
-                           for a in range(n) for b in range(n) if not a & b)
-        cls._TOP_PAIRS = tuple(x for x in cls._PAIRS if x[2] == n - 1)
-        for a, b, _, _ in cls._PAIRS:
+        pairs = [(a, b) for a in range(n) for b in range(n) if not a & b]
+        # the pairs of disjoint masks whose union is the top mask
+        cls._TOP_PAIRS = frozenset((a, b) for a, b in pairs if a | b == n - 1)
+        for a, b in pairs:
             KOSZUL[a] = -1 if bin(a).count("1") % 2 else 1
             # the sign counts the pairs i in I, j in J with i > j
             swaps = sum(bin(a >> (j + 1)).count("1")
@@ -294,10 +294,12 @@ def _cyl_curvature(family) -> Mat:
     return _cyl_mat(family, _curvature_parts(family))
 
 
-def _cyl_chern(family, k_max: int):
-    """[ch_0, ..., ch_kmax] of a family as whole CylForms."""
-    return chern_series(_cyl_mat(family, {0: family.p.to_form()}),
-                        lambda: _cyl_curvature(family), k_max, Mat.trace)
+def _cyl_chern(family, r: int, k_max: int):
+    """[ch_0, ..., ch_kmax] of a family in r parameters as whole CylForms."""
+    _require(family, r)
+    pf = _cyl_mat(family, {0: family.p.to_form()})
+    return [pf.trace()] + chern_series(lambda: _cyl_curvature(family), k_max,
+                                       Mat.trace)
 
 
 def tilde_curvature(path: Connection):
@@ -318,34 +320,27 @@ def tform_operator(path: Connection, x: Mat) -> Mat:
 
 def chern_tform(path: Connection, k_max: int):
     """[ch_0, ..., ch_kmax] as whole TForms, for the suites' ev check."""
-    _require(path, 1)
-    return _cyl_chern(path, k_max)
+    return _cyl_chern(path, 1, k_max)
 
 
 def _fibre_chern(family, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
     the family's ch_k, integrated over every parameter, 1/k! applied last.
-    Lower powers of R~ are full products; the top one sums only the
-    diagonal pairs of R~^(k-1) R~ whose masks are a pair of _TOP_PAIRS."""
+    Only the pairs of masks in _TOP_PAIRS reach dx_top, so the last power
+    sums only those (see `chern_series`)."""
     check_k_max(k_max)
-    r = _cyl_curvature(family)
-    top = {(a, b) for a, b, _, _ in r.kind._TOP_PAIRS}
-    out = []
-    power = r                       # R~^(k-1) from k = 2 on
-    for k in range(1, k_max + 1):
-        if k == 1:
-            part = r.trace().parts[-1]          # the dx_top part
-        else:
-            diag = power._product(r, lambda i, j, a, b: i == j
-                                  and (a[0], b[0]) in top)
-            part = UForm(family.algebra, accumulate(
-                (w, c) for (_, _, (_, w)), c in diag.items()))
-            if k < k_max:
-                power = power * r
+    top = (1 << family.R) - 1
+    pairs = CylForm.TYPES[family.R]._TOP_PAIRS
+
+    def fibre(m: Mat) -> UForm:
+        part = UForm.from_terms(family.algebra, (
+            (w, c) for (mask, w), c in m.trace().terms.items() if mask == top))
         for _ in range(family.R):
             part = part.map_scalars(lambda q: q.integrate01(0))
-        out.append(part.scale(Fraction(1, factorial(k))))
-    return out
+        return part
+
+    return chern_series(lambda: _cyl_curvature(family), k_max, fibre,
+                        lambda a, b: (a[0], b[0]) in pairs)
 
 
 def kcs(path: Connection, k_max: int):
@@ -407,8 +402,7 @@ def bigon_curvature(b: Connection) -> Mat:
 def chern_biform(b: Connection, k_max: int):
     """[ch_0, ..., ch_kmax] as whole BiForms; only tests call it, as the
     oracle of secondary_transgression."""
-    _require(b, 2)
-    return _cyl_chern(b, k_max)
+    return _cyl_chern(b, 2, k_max)
 
 
 def secondary_transgression(b: Connection, k_max: int):

@@ -119,16 +119,6 @@ def _scalar(c):
         raise FormError(str(exc)) from None
 
 
-def _check_words(algebra: Algebra, words):
-    """FormError on an empty word or an index out of range."""
-    m = algebra.dim
-    for w in words:
-        if not w:
-            raise FormError("empty word")
-        if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
-            raise FormError("word index out of range: %r" % (w,))
-
-
 def checked(x, other):
     """`other`; FormError unless it has the type and algebra of `x`."""
     if type(other) is not type(x) or other.algebra != x.algebra:
@@ -221,7 +211,8 @@ class UForm(_WordTerms):
 
     Scalars are rationals, stored as `rat` gives them, or Poly; both support
     ring arithmetic and are falsy exactly at zero.  The constructor and
-    `scale` refuse anything else with FormError.
+    `scale` refuse anything else with FormError, and the constructor an
+    empty word or a word index out of range.
     """
 
     __slots__ = ()
@@ -231,7 +222,12 @@ class UForm(_WordTerms):
         if isinstance(terms, dict):
             terms = terms.items()
         self.terms = accumulate((w, _scalar(c)) for w, c in terms or ())
-        _check_words(algebra, self.terms)
+        m = algebra.dim
+        for w in self.terms:
+            if not w:
+                raise FormError("empty word")
+            if not (0 <= w[0] < m) or any(not (1 <= i < m) for i in w[1:]):
+                raise FormError("word index out of range: %r" % (w,))
 
     # constructors ---------------------------------------------------------
     @staticmethod
@@ -448,15 +444,14 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
 
 class AbClass(_WordTerms):
     """A (possibly mixed-degree) element of Omega_ab in canonical quotient
-    coordinates: a dict from quotient words to scalars."""
+    coordinates: a dict from quotient words to scalars.  The constructor
+    checks its dict as UForm does and reduces it as `project_ab` does."""
 
     __slots__ = ()
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        terms = ((w, _scalar(c)) for w, c in (terms or {}).items())
-        self.terms = {w: c for w, c in terms if c}
-        _check_words(algebra, self.terms)
+        self.terms = _ab_class(algebra, UForm(algebra, terms).terms).terms
 
     def lift(self) -> UForm:
         """The canonical representative as a form (sum of quotient words)."""
@@ -466,15 +461,19 @@ class AbClass(_WordTerms):
         return "AbClass(%r)" % (self.lift(),)
 
 
+def _ab_class(algebra: Algebra, terms: dict) -> "AbClass":
+    """The class of a dict word -> scalar, already checked: its canonical
+    residual, reduced degree by degree in increasing order."""
+    out = {}
+    for n in sorted({word_degree(w) for w in terms}):
+        out.update(abelianization(algebra, n).reduce_terms(
+            {w: c for w, c in terms.items() if word_degree(w) == n}))
+    return AbClass.from_terms(algebra, out.items())
+
+
 def project_ab(w: UForm) -> AbClass:
     """Image of a form in the abelianization, canonical coordinates."""
-    alg = w.algebra
-    out = {}
-    for n in w.degrees():
-        proj = abelianization(alg, n)
-        comp = {ww: c for ww, c in w.terms.items() if word_degree(ww) == n}
-        out.update(proj.reduce_terms(comp))
-    return AbClass(alg, out)
+    return _ab_class(w.algebra, w.terms)
 
 
 def ab_d(c: AbClass) -> AbClass:

@@ -11,13 +11,15 @@ import pytest
 
 from kchern.algebra import AlgebraError
 from kchern.connections import (ConnectionError_, Idempotent, Mat, block_diag,
-                                direct_sum, permute_blocks, random_connection,
-                                random_form, random_idempotent)
+                                chern, curvature, direct_sum, permute_blocks,
+                                random_connection, random_form,
+                                random_idempotent, trace_ab)
 from kchern.exactmath import Poly, Poly1, Poly2
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform
-from kchern.transgression import (BiForm, TForm, _cyl_curvature, _fibre_chern,
-                                  bigon_straight, straight_line,
+from kchern.transgression import (BiForm, TForm, _cyl_curvature, _cyl_mat,
+                                  _fibre_chern, bigon_straight, chern_biform,
+                                  chern_tform, straight_line,
                                   three_point_path)
 from kchern.uforms import (AbClass, DegreeCapError, FormError, UForm,
                            multiply, word_product)
@@ -188,6 +190,17 @@ def _fibre_by_full_products(family, k_max):
     return out
 
 
+def _chern_by_full_products(pf, r, k_max, trace):
+    """[trace(p), trace(R)/1!, ..., trace(R^kmax)/kmax!] with every power of
+    R a full product."""
+    out, power = [trace(pf)], r
+    for k in range(1, k_max + 1):
+        out.append(Fraction(1, math.factorial(k)) * trace(power))
+        if k < k_max:
+            power = power * r
+    return out
+
+
 class TestFlatMat:
     def test_algebra_and_form_products_match_entrywise(self):
         assert _disagreeing(RINGS[:4]) == set()
@@ -257,6 +270,32 @@ class TestFlatMat:
                 got = _fibre_chern(family, k_max)
                 assert got == _fibre_by_full_products(family, k_max), name
                 nonzero += sum(1 for u in got if u)
+        assert nonzero
+
+    def test_chern_forms_match_full_products(self):
+        # chern, chern_tform and chern_biform build the last power only on
+        # its diagonal; the traces equal those of the full products (chern
+        # up to k_max = 2 on M2, where degree 6 is slow)
+        nonzero = 0
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("chern/" + name)
+            cs = [random_connection(random_idempotent(alg, n, rng), rng)
+                  for n in (2, 3)]
+            path, _, bigon = _families(name, 73)
+            for k_max in (1, 2, 3):
+                for c in cs if name != "M2" or k_max < 3 else ():
+                    got = chern(c, k_max)
+                    assert got == _chern_by_full_products(
+                        c.p.to_form(), curvature(c), k_max, trace_ab), name
+                    nonzero += bool(got[-1])
+                for family, whole in ((path, chern_tform),
+                                      (bigon, chern_biform)):
+                    got = whole(family, k_max)
+                    assert got == _chern_by_full_products(
+                        _cyl_mat(family, {0: family.p.to_form()}),
+                        _cyl_curvature(family), k_max, Mat.trace), name
+                    nonzero += bool(got[-1])
         assert nonzero
 
 

@@ -153,7 +153,9 @@ class TestWordModel:
             for word in ((2,), (0, 0), (-1, 1), (7, 7)):
                 with pytest.raises(FormError, match="out of range"):
                     cls(dual, {word: 1})
-            assert cls(dual, {(): 0, (1, 1): 2}).terms == {(1, 1): 2}
+        # eps deps = 1/2 [eps, deps] is a commutator, so its class is zero
+        assert UForm(dual, {(): 0, (1, 1): 2}).terms == {(1, 1): 2}
+        assert AbClass(dual, {(): 0, (1, 1): 2}).terms == {}
 
     def test_degree_cap_enforced(self):
         alg = make_fixture("dual", degree_cap=2)
@@ -314,6 +316,25 @@ class TestAbelianization:
         assert list(ab.quotient_words) == [(1, 1, 1)]
         deps2 = UForm.word(dual, (0, 1, 1))
         assert project_ab(deps2).is_zero()
+
+    def test_constructed_classes_are_canonical(self):
+        # a class built from any words equals the projection of their form
+        m2, dual = make_fixture("M2"), make_fixture("dual")
+        cls = AbClass(m2, {(1, 2): 1})
+        assert cls == project_ab(UForm.word(m2, (1, 2)))
+        assert cls.terms == {(2, 1): -1}
+        assert AbClass(dual, {(0, 1, 1): 1}).is_zero()
+        assert AbClass(dual, {(0, 1, 1): 1}) == AbClass(dual)
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("classes/" + name)
+            for _ in range(10):
+                u = random_form(alg, rng, (0, 1, 2, 3), (1, 3), 3).scale(
+                    Fraction(1, rng.randint(1, 3)))
+                cls = AbClass(alg, u.terms)
+                assert cls == project_ab(u), name
+                assert all(type(c) is int for c in cls.terms.values()
+                           if c.denominator == 1)
 
     def test_product_algebra_odd_degrees_vanish(self):
         qq = make_fixture("QxQ")
