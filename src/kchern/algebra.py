@@ -5,7 +5,8 @@ and validated algebra homomorphisms.
 
 from __future__ import annotations
 
-from .exactmath import Q0, Q1, TrackedEchelon, rat, rat_from_str, rat_to_str
+from .exactmath import (Q0, Q1, Terms, TrackedEchelon, checked, rat,
+                        rat_from_str, rat_to_str)
 
 
 class AlgebraError(ValueError):
@@ -28,9 +29,10 @@ class Algebra:
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
-    `_add_product` (the product step of `AlgElement.__mul__`), the matrix
-    product of `connections.Mat` and the word products of `uforms` read it;
-    all skip zero coefficients.
+    `_add_product`, the one product step of elements (for
+    `AlgElement.__mul__` and the associativity check), the matrix product
+    of `connections.Mat` (through `AlgElement._key_product`) and the word
+    products of `uforms` read it; all skip zero coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -97,11 +99,6 @@ class Algebra:
         """Vectors a*b; only `perfbench/workloads.py` still calls it."""
         return (AlgElement(self, a) * AlgElement(self, b)).vec
 
-    def _check(self, e):
-        if not isinstance(e, AlgElement) or (e.algebra is not self
-                                             and e.algebra != self):
-            raise AlgebraError("algebra mismatch")
-
     def _add_product(self, acc, a, b):
         """acc += a * b, for a and b given by their nonzero terms."""
         sparse = self.sparse_mul
@@ -111,13 +108,6 @@ class Algebra:
                 c = ca * cb
                 for k, s in row[j]:
                     acc[k] += c * s
-
-    def _element(self, acc) -> "AlgElement":
-        """The element with the rational entries `acc`, stored through `rat`
-        without a length check."""
-        r = object.__new__(AlgElement)
-        r._store(self, tuple(map(rat, acc)))
-        return r
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -143,65 +133,61 @@ class Algebra:
         return "Algebra(dim=%d, names=%s)" % (self.dim, list(self.names))
 
 
-class AlgElement:
-    """Element of an Algebra: a vector of rational coefficients, each stored
-    as `rat` gives it (an int when integral), so a float or a Poly raises
-    TypeError and an integral result of arithmetic is an int.
+class AlgElement(Terms):
+    """Element of an Algebra: `terms` maps a basis index to its nonzero
+    rational coefficient, stored as `rat` gives it (an int when integral),
+    so a float or a Poly raises TypeError.  The constructor takes the dense
+    coefficient vector, and `vec` gives it back.
 
-    `terms` lists the nonzero (index, coefficient) pairs of `vec`, computed
-    once at construction; elements are immutable, so it cannot go stale.
+    Sums, differences, negation, `scale`, `==` and `hash` are those of
+    `Terms`; a scalar multiple is `scale`, never `*`.  The product is
+    `Algebra._add_product`, and `_key_product` gives `connections.Mat` the
+    same structure constants as a rule on basis indices.
     """
 
-    __slots__ = ("algebra", "vec", "terms")
+    __slots__ = ()
+    RingError = AlgebraError
+    _scalar = staticmethod(rat)
 
     def __init__(self, algebra: Algebra, vec):
         vec = tuple(map(rat, vec))
         if len(vec) != algebra.dim:
             raise AlgebraError("coefficient vector length mismatch")
-        self._store(algebra, vec)
-
-    def _store(self, algebra: Algebra, vec: tuple):
         self.algebra = algebra
-        self.vec = vec
-        self.terms = tuple((i, c) for i, c in enumerate(vec) if c)
+        self.terms = {i: c for i, c in enumerate(vec) if c}
 
-    def __add__(self, other):
-        self.algebra._check(other)
-        return self.algebra._element(
-            a + b for a, b in zip(self.vec, other.vec))
+    @property
+    def vec(self) -> tuple:
+        """The dense coefficient vector (a view of `terms`)."""
+        get = self.terms.get
+        return tuple(get(i, Q0) for i in range(self.algebra.dim))
 
-    def __sub__(self, other):
-        self.algebra._check(other)
-        return self.algebra._element(
-            a - b for a, b in zip(self.vec, other.vec))
-
-    def __neg__(self):
-        return self.algebra._element(-a for a in self.vec)
+    # The traced benchmark wraps AlgElement.__add__ and __mul__ through the
+    # class's own __dict__.
+    __add__ = Terms.__add__
 
     def __mul__(self, other):
         alg = self.algebra
         acc = [Q0] * alg.dim
-        alg._check(other)
-        alg._add_product(acc, self.terms, other.terms)
-        return alg._element(acc)
+        alg._add_product(acc, self.terms.items(),
+                         checked(self, other).terms.items())
+        return self.from_terms(alg, enumerate(acc))
 
-    def scale(self, scalar):
-        scalar = rat(scalar)
-        return self.algebra._element(c * scalar for c in self.vec)
+    def __rmul__(self, other):
+        return NotImplemented
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgElement)
-                and self.algebra == other.algebra and self.vec == other.vec)
-
-    def __hash__(self):
-        return hash((self.algebra, self.vec))
+    @staticmethod
+    def _key_product(alg: Algebra, left: dict):
+        """The product rule of basis indices for `connections.Mat`: the
+        nonzero structure constants of e_a * e_b, whatever the left
+        factor's data `left`."""
+        sparse = alg.sparse_mul
+        return lambda a, b: sparse[a][b]
 
     def __repr__(self):
         names = self.algebra.names
-        parts = [("%s*%s" % (c, names[i])) for i, c in self.terms]
+        parts = [("%s*%s" % (c, names[i])) for i, c in sorted(
+            self.terms.items())]
         return " + ".join(parts) if parts else "0"
 
 
@@ -385,7 +371,7 @@ class AlgebraHom:
         if a.algebra != self.source:
             raise AlgebraError("element does not belong to the source algebra")
         return AlgElement(self.target, (sum(
-            (m * c for m, c in zip(row, a.vec) if c), Q0)
+            (row[i] * c for i, c in a.terms.items()), Q0)
             for row in self.matrix))
 
 

@@ -17,10 +17,10 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .algebra import AlgElement, Algebra, AlgebraError, AlgebraHom
+from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Poly, Q0, accumulate, coeff_product, rat
-from .uforms import (AbClass, FormError, UForm, enumerate_words, extend_hom,
-                     project_ab)
+from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab,
+                     word_degree)
 
 
 class ConnectionError_(ValueError):
@@ -28,20 +28,22 @@ class ConnectionError_(ValueError):
 
 
 class Mat:
-    """Square matrix over A (AlgElement entries), Omega(A) (UForm) or
-    cylinder forms (TForm, BiForm): its ring held once, as the entry type
-    `kind` and the `algebra`, and one sparse dict `data`, (i, j, key) ->
-    nonzero scalar, keyed by basis index, or by the keys of a form's
-    `terms`: word, or (dx mask, word) for cylinder forms, so form entries
-    are read and wrapped the same way.  `entries` builds entry objects on
-    demand.  A first entry of no matrix ring raises ConnectionError_; an
-    entry of another ring than the first, and a matrix over another ring
-    in +, - or *, raise the left factor's error: AlgebraError over A,
-    FormError over forms.  The product reads each row of the right factor
-    once and runs one key-product rule per pair of keys: `sparse_mul` over
-    A, or the entry type's `_key_product` (`word_product` over Omega(A)).
-    Over Poly scalars it multiplies coefficient dicts and wraps each output
-    entry once (see `_product`).
+    """Square matrix over a ring of `exactmath.Terms` values: A (algebra
+    elements), Omega(A) (forms) or cylinder forms.  Its ring is held once,
+    as the entry type `kind` and the `algebra`, with one sparse dict
+    `data`, (i, j, key) -> nonzero stored scalar, keyed by the keys of the
+    entries' `terms`: basis index, word, or (dx mask, word).  `entries`
+    and `trace` wrap such dicts as entries of `kind`.
+
+    Mat never names an entry type: beyond the `Terms` protocol it reads
+    only `_key_product(alg, left)`, the product rule of keys, `_key_d`, the
+    key rule of d (forms only), and `RingError`.  A first entry with no
+    `_key_product` raises ConnectionError_; an entry of another ring than
+    the first, and a matrix over another ring in +, - or *, raise the left
+    factor's `RingError`.  The product reads each row of the right factor
+    once and runs one key-product rule per pair of keys; over Poly scalars
+    it multiplies coefficient dicts and wraps each output entry once (see
+    `_product`).
     """
 
     __slots__ = ("kind", "algebra", "size", "data")
@@ -53,8 +55,7 @@ class Mat:
             raise ConnectionError_("matrix is not square")
         first = rows[0][0] if n else None
         self.kind = type(first) if n else None
-        if n and not (self.kind is AlgElement
-                      or hasattr(self.kind, "_key_product")):
+        if n and not hasattr(self.kind, "_key_product"):
             raise ConnectionError_("%s is not an entry of a matrix ring"
                                    % self.kind.__name__)
         self.algebra = getattr(first, "algebra", None)
@@ -62,19 +63,17 @@ class Mat:
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 self._check(e, size=False)
-                keyed = (e.terms if self.kind is AlgElement
-                         else e.terms.items())
-                self.data.update(((i, j, key), c) for key, c in keyed)
+                self.data.update(((i, j, key), c)
+                                 for key, c in e.terms.items())
 
     @classmethod
     def _new(cls, kind, algebra, size: int, data: dict) -> "Mat":
-        """Wrap a dict of nonzero scalars, uncopied; over A they are stored
-        as `rat` gives them.  An empty matrix has no ring (kind None)."""
+        """Wrap a dict of nonzero stored scalars, uncopied.  An empty matrix
+        has no ring (kind None)."""
         r = object.__new__(cls)
         r.kind, r.algebra = (kind, algebra) if size else (None, None)
         r.size = size
-        r.data = ({k: rat(c) for k, c in data.items()}
-                  if kind is AlgElement else data)
+        r.data = data
         return r
 
     def _like(self, data: dict) -> "Mat":
@@ -82,7 +81,8 @@ class Mat:
 
     def _check(self, other, size=True):
         """ConnectionError_ on another size (if `size`), and the left
-        factor's error on another ring; `other` is a matrix or an entry."""
+        factor's RingError on another ring; `other` is a matrix or an
+        entry."""
         if size and other.size != self.size:
             raise ConnectionError_("matrix sizes differ: %d and %d"
                                    % (self.size, other.size))
@@ -90,15 +90,7 @@ class Mat:
         alg = getattr(other, "algebra", None)
         if kind is not self.kind or (alg is not self.algebra
                                      and alg != self.algebra):
-            raise (AlgebraError if self.kind is AlgElement else FormError)(
-                "matrix ring mismatch")
-
-    def _entry(self, terms: dict):
-        """The entry object of this ring with the scalars `terms` by key."""
-        kind, alg = self.kind, self.algebra
-        if kind is AlgElement:
-            return AlgElement(alg, [terms.get(a, Q0) for a in range(alg.dim)])
-        return kind.from_terms(alg, terms.items())
+            raise (self.kind or kind).RingError("matrix ring mismatch")
 
     @property
     def entries(self):
@@ -106,7 +98,8 @@ class Mat:
         cells = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j, key), c in self.data.items():
             cells[i][j][key] = c
-        return [[self._entry(t) for t in row] for row in cells]
+        return [[self.kind._new(self.algebra, t) for t in row]
+                for row in cells]
 
     def __add__(self, other):
         self._check(other)
@@ -129,21 +122,12 @@ class Mat:
         per output key, and each output is wrapped once, so no intermediate
         Poly is built; rational values are coerced once per product."""
         self._check(other)
-        kind, alg = self.kind, self.algebra
         if not (self.data and other.data):
             return {}
-        if kind is AlgElement:
-            sparse = alg.sparse_mul
-
-            def rule(a, b):
-                return sparse[a][b]
-            poly = None
-        else:
-            rule = kind._key_product(alg, self.data)
-            firsts = (next(iter(self.data.values())),
-                      next(iter(other.data.values())))
-            poly = next((type(c) for c in firsts if isinstance(c, Poly)),
-                        None)
+        rule = self.kind._key_product(self.algebra, self.data)
+        firsts = (next(iter(self.data.values())),
+                  next(iter(other.data.values())))
+        poly = next((type(c) for c in firsts if isinstance(c, Poly)), None)
         rows = {}
         for (k, j, b), c in other.data.items():
             rows.setdefault(k, []).append((j, b, c))
@@ -198,31 +182,22 @@ class Mat:
         return Mat([[f(e) for e in row] for row in self.entries])
 
     def map_scalars(self, f) -> "Mat":
-        """f applied to every scalar, zeros dropped."""
-        return self._like({k: v for k, c in self.data.items() if (v := f(c))})
-
-    def to_form(self) -> "Mat":
-        """A matrix over A as one over Omega(A): the key map a -> (a,)."""
-        return Mat._new(UForm, self.algebra, self.size, {
-            (i, j, (a,)): c for (i, j, a), c in self.data.items()})
+        """f applied to every scalar, stored as `accumulate` stores it."""
+        return self._like(accumulate((k, f(c)) for k, c in self.data.items()))
 
     def d(self) -> "Mat":
-        """d of every entry; over Omega(A) the key map w -> (0,) + w, where
-        w[0] != 0 (distinct words have distinct images), over cylinder
-        forms the sum of the key rule `_key_d` of the entry type.  A matrix
-        over A has no d (take `to_form` first): ConnectionError_."""
-        if self.kind is AlgElement:
-            raise ConnectionError_("d needs a matrix of forms, not one over "
-                                   "A (see to_form)")
-        if self.kind is UForm:
-            return self._like({(i, j, (0,) + w): c
-                               for (i, j, w), c in self.data.items() if w[0]})
+        """d of every entry: the sum of the key rule `_key_d` of the entry
+        type over the data.  A ring with no d, such as A (map the entries
+        to forms first, see `to_form`), raises ConnectionError_."""
+        key_d = getattr(self.kind, "_key_d", None)
+        if key_d is None:
+            raise ConnectionError_("d needs a matrix of forms (see to_form)")
         return self._like(accumulate(
             ((i, j, k), v) for (i, j, key), c in self.data.items()
-            for k, v in self.kind._key_d(key, c)))
+            for k, v in key_d(key, c)))
 
     def trace(self):
-        return self._entry(accumulate(
+        return self.kind._new(self.algebra, accumulate(
             (key, c) for (i, j, key), c in self.data.items() if i == j))
 
     def __eq__(self, other):
@@ -232,6 +207,12 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r)" % (self.entries,)
+
+
+def to_form(m: Mat) -> Mat:
+    """A matrix over A as one over Omega(A): the key map a -> (a,)."""
+    return Mat._new(UForm, m.algebra, m.size, {
+        (i, j, (a,)): c for (i, j, a), c in m.data.items()})
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
@@ -262,7 +243,7 @@ class Idempotent:
             raise ConnectionError_("matrix is not idempotent")
 
     def to_form(self) -> Mat:
-        return self.mat.to_form()
+        return to_form(self.mat)
 
     def __eq__(self, other):
         return isinstance(other, Idempotent) and self.mat == other.mat
@@ -299,7 +280,7 @@ class Connection:
             raise ConnectionError_("theta size mismatch")
         if theta.kind is not UForm or theta.algebra != p.algebra:
             raise ConnectionError_("theta entries must be forms")
-        if any(len(w) != 2 for _, _, w in theta.data):
+        if any(word_degree(w) != 1 for _, _, w in theta.data):
             raise ConnectionError_("theta must be of degree 1")
         if any(isinstance(c, Poly) and c.NVARS > R
                for c in theta.data.values()):
@@ -438,8 +419,8 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
         raise ConnectionError_("iso target does not match the connection")
     p0f = phi.p0.to_form()
     p1f = phi.p1.to_form()
-    uf = phi.u.to_form()
-    vf = phi.v.to_form()
+    uf = to_form(phi.u)
+    vf = to_form(phi.v)
     du = uf.d()
     theta = p0f * (vf * (p1f * du + c.theta * uf)) * p0f
     return Connection(phi.p0, theta, c.R)

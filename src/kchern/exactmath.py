@@ -1,6 +1,7 @@
-"""Exact arithmetic over Q: rationals, polynomials in the parameters of a
-family, and sparse exact echelon forms (canonical residuals and tracked
-solves).
+"""Exact arithmetic over Q: rationals, sparse linear combinations
+(`accumulate`, and `Terms`, the one term type of algebra elements, forms
+and cylinder forms), polynomials in the parameters of a family, and sparse
+exact echelon forms (canonical residuals and tracked solves).
 
 Rationals are stored as `rat` gives them: an ``int`` when the denominator
 is 1, else a reduced ``fractions.Fraction``, so integral arithmetic stays on
@@ -54,7 +55,7 @@ def rat_from_str(s: str):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Sparse linear combinations
 # ---------------------------------------------------------------------------
 
 def accumulate(pairs, out=None) -> dict:
@@ -73,6 +74,90 @@ def accumulate(pairs, out=None) -> dict:
             out[k] = rat(v) if type(v) is Fraction else v
     return out
 
+
+def checked(x, other):
+    """`other`; x.RingError unless it has the type and algebra of `x`."""
+    if type(other) is not type(x) or other.algebra != x.algebra:
+        raise x.RingError("operand type or algebra mismatch")
+    return other
+
+
+class Terms:
+    """Sparse map from keys to nonzero scalars over an algebra: the linear
+    arithmetic of every ring `connections.Mat` takes entries from, and of
+    abelianization classes.  The keys are basis indices for algebra
+    elements, basis words for forms and (dx mask, word) for cylinder forms.
+
+    A subclass sets two class constants: `RingError`, raised when values of
+    different types or over different algebras meet, and `_scalar`, which
+    gives a scalar its stored form (`rat` for rationals, so an integral
+    result is an int) or raises.  A matrix ring adds `_key_product(alg,
+    left)`, the product rule of its keys, and a ring of forms `_key_d(key,
+    c)`, the key rule of d.
+    """
+
+    __slots__ = ("algebra", "terms")
+
+    @classmethod
+    def _new(cls, algebra, terms: dict):
+        """A value of this type over `algebra` wrapping `terms` (a dict of
+        nonzero stored scalars), without copying or checking it."""
+        r = object.__new__(cls)
+        r.algebra = algebra
+        r.terms = terms
+        return r
+
+    def _like(self, terms: dict):
+        """`_new` over this value's algebra."""
+        return self._new(self.algebra, terms)
+
+    @classmethod
+    def from_terms(cls, algebra, pairs):
+        """A value of this type over `algebra` from (key, scalar) pairs with
+        distinct keys: scalars stored as `_scalar` gives them, zeros
+        dropped, keys not checked."""
+        return cls._new(algebra, {k: v for k, c in pairs
+                                  if (v := cls._scalar(c))})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def map_scalars(self, f):
+        return self.from_terms(self.algebra,
+                               ((k, f(c)) for k, c in self.terms.items()))
+
+    def scale(self, scalar):
+        scalar = self._scalar(scalar)
+        return self.map_scalars(lambda c: c * scalar)
+
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
+    def __add__(self, other):
+        checked(self, other)
+        return self._like(accumulate(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.algebra == other.algebra
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.algebra,
+                     frozenset((k, c) for k, c in self.terms.items())))
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
 
 class _ExponentSums(dict):
     """(e1, e2) -> e1 + e2, the exponent of the product of two monomials,

@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
-from .exactmath import accumulate
-from .uforms import (FormError, Terms, UForm, checked, project_ab, to_poly,
+from .exactmath import accumulate, checked
+from .uforms import (FormError, FormTerms, UForm, project_ab, to_poly,
                      word_degree, word_product)
 
 
@@ -61,7 +61,7 @@ KOSZUL = {}     # I -> (-1)^|I|, the sign of d passing dx_I
 # Cylinder forms
 # ---------------------------------------------------------------------------
 
-class CylForm(Terms):
+class CylForm(FormTerms):
     r"""Element of the cylinder DGA over A in R parameters.
 
     terms[(m, w)] is the scalar of dx_I w, I the set bits of the mask m, a
@@ -138,12 +138,13 @@ class CylForm(Terms):
     @classmethod
     def _key_d(cls, key, c):
         r"""The (key, scalar) pairs of d(c dx_I w), key = (I, w), by
-        d(dx_I u) = (-1)^|I| dx_I (du + sum_{i not in I} dx_i del_i u); their
-        sum over the keys of a form (or matrix entry) is its d."""
+        d(dx_I u) = (-1)^|I| dx_I (du + sum_{i not in I} dx_i del_i u), du
+        by the word rule `UForm._key_d`; their sum over the keys of a form
+        (or matrix entry) is its d."""
         m, w = key
         if KOSZUL[m] < 0:
             c = -c
-        out = [((m, (0,) + w), c)] if w[0] else []
+        out = [((m, dw), dc) for dw, dc in UForm._key_d(w, c)]
         for i in range(cls.R):
             b = 1 << i
             if not m & b:

@@ -19,10 +19,12 @@ it; exactness solves and homology both read that one copy.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from functools import partial
 
 from .algebra import AlgElement, Algebra, AlgebraHom
-from .exactmath import (Echelon, Poly, Q0, Q1, TrackedEchelon, accumulate,
-                        rat)
+from .exactmath import (Echelon, Poly, Q0, Q1, Terms, TrackedEchelon,
+                        accumulate, rat)
 
 
 class DegreeCapError(ValueError):
@@ -119,81 +121,17 @@ def _scalar(c):
         raise FormError(str(exc)) from None
 
 
-def checked(x, other):
-    """`other`; FormError unless it has the type and algebra of `x`."""
-    if type(other) is not type(x) or other.algebra != x.algebra:
-        raise FormError("operand type or algebra mismatch")
-    return other
+class FormTerms(Terms):
+    """Terms with form scalars (see `_scalar`), refusing a mismatched
+    operand with FormError: the base of forms, abelianization classes and
+    cylinder forms."""
+
+    __slots__ = ()
+    RingError = FormError
+    _scalar = staticmethod(_scalar)
 
 
-class Terms:
-    """Sparse map from keys to nonzero scalars over an algebra: the linear
-    arithmetic shared by forms, abelianization classes and cylinder forms.
-    The keys are basis words, or (dx mask, word) for cylinder forms.
-
-    Results keep the operand's type; combining values of different types or
-    over different algebras raises FormError.
-    """
-
-    __slots__ = ("algebra", "terms")
-
-    def _like(self, terms: dict):
-        """A value of this type over the same algebra wrapping `terms` (a
-        dict of nonzero scalars), without copying or checking it."""
-        r = object.__new__(type(self))
-        r.algebra = self.algebra
-        r.terms = terms
-        return r
-
-    @classmethod
-    def from_terms(cls, algebra: Algebra, pairs):
-        """A value of this type over `algebra` from (key, scalar) pairs with
-        distinct keys: scalars stored as `_scalar` gives them, zeros
-        dropped, keys not checked."""
-        r = object.__new__(cls)
-        r.algebra = algebra
-        r.terms = {k: v for k, c in pairs if (v := _scalar(c))}
-        return r
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def map_scalars(self, f):
-        return self.from_terms(self.algebra,
-                               ((k, f(c)) for k, c in self.terms.items()))
-
-    def scale(self, scalar):
-        scalar = _scalar(scalar)
-        if not scalar:
-            return self._like({})
-        return self._like({w: c * scalar for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def __add__(self, other):
-        checked(self, other)
-        return self._like(accumulate(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self):
-        return self._like({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.algebra == other.algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra,
-                     frozenset((w, c) for w, c in self.terms.items())))
-
-
-class _WordTerms(Terms):
+class _WordTerms(FormTerms):
     """Terms keyed by basis words, which have a degree."""
 
     __slots__ = ()
@@ -244,7 +182,7 @@ class UForm(_WordTerms):
 
     @staticmethod
     def from_element(a: AlgElement) -> "UForm":
-        return UForm(a.algebra, {(i,): c for i, c in a.terms})
+        return UForm(a.algebra, {(i,): c for i, c in a.terms.items()})
 
     # structure ------------------------------------------------------------
     def __mul__(self, other):
@@ -256,12 +194,17 @@ class UForm(_WordTerms):
         return differential(self)
 
     @staticmethod
+    def _key_d(word, c):
+        """The (word, scalar) pairs of d(c word): a0 da1...dan ->
+        d(a0bar) da1...dan, so the unit component of a0 dies.  Distinct
+        words have distinct images (0,) + word."""
+        return (((0,) + word, c),) if word[0] else ()
+
+    @staticmethod
     def _key_product(alg, left: dict):
         """The product rule of words for `connections.Mat`: `word_product`,
         whatever the left factor's data `left`."""
-        def rule(a, b):
-            return word_product(alg, a, b)
-        return rule
+        return partial(word_product, alg)
 
     def __repr__(self):
         if not self.terms:
@@ -282,9 +225,9 @@ def to_poly(u: UForm, r: int) -> UForm:
 
 
 def differential(w: UForm) -> UForm:
-    """a0 da1...dan -> d(a0bar) da1...dan; the unit component of a0 dies.
-    Distinct words have distinct images (0,) + word, so nothing cancels."""
-    return w._like({(0,) + word: c for word, c in w.terms.items() if word[0]})
+    """d by the key rule `UForm._key_d`; nothing cancels."""
+    return w._like(dict(x for word, c in w.terms.items()
+                        for x in UForm._key_d(word, c)))
 
 
 def word_product(alg: Algebra, w1, w2):
@@ -347,14 +290,16 @@ class AbProjection:
         self._dbar = None
 
     def reduce_terms(self, terms: dict) -> dict:
-        """Canonical residual of a degree-n coefficient dict word -> scalar."""
+        """Canonical residual of a degree-n coefficient dict word -> scalar,
+        its rationals stored as `rat` gives them."""
         if not terms:
             return {}
         if not self.echelon.pivots:
             return dict(terms)
         vec = {self.index[w]: c for w, c in terms.items()}
         res = self.echelon.reduce(vec)
-        return {self.words[i]: c for i, c in res.items()}
+        return {self.words[i]: rat(c) if type(c) is Fraction else c
+                for i, c in res.items()}
 
     def dbar(self):
         """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel),
@@ -462,13 +407,14 @@ class AbClass(_WordTerms):
 
 
 def _ab_class(algebra: Algebra, terms: dict) -> "AbClass":
-    """The class of a dict word -> scalar, already checked: its canonical
-    residual, reduced degree by degree in increasing order."""
+    """The class of a dict word -> scalar, already checked and stored: its
+    canonical residual, reduced degree by degree in increasing order and
+    wrapped as `reduce_terms` stores it."""
     out = {}
     for n in sorted({word_degree(w) for w in terms}):
         out.update(abelianization(algebra, n).reduce_terms(
             {w: c for w, c in terms.items() if word_degree(w) == n}))
-    return AbClass.from_terms(algebra, out.items())
+    return AbClass._new(algebra, out)
 
 
 def project_ab(w: UForm) -> AbClass:

@@ -13,8 +13,8 @@ from kchern.algebra import AlgebraError
 from kchern.connections import (ConnectionError_, Idempotent, Mat, block_diag,
                                 chern, curvature, direct_sum, permute_blocks,
                                 random_connection, random_form,
-                                random_idempotent, trace_ab)
-from kchern.exactmath import Poly, Poly1, Poly2
+                                random_idempotent, to_form, trace_ab)
+from kchern.exactmath import Poly, Poly1, Poly2, Terms, rat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform
 from kchern.transgression import (BiForm, TForm, _cyl_curvature, _cyl_mat,
@@ -351,6 +351,68 @@ class TestMatParity:
             assert iso.v.entries == [[r[j] for j in perm] for r in m]
 
 
+class _DualError(ValueError):
+    pass
+
+
+class _Dual(Terms):
+    """Q[x]/(x^2) keyed by the exponent of x, a ring kchern does not define:
+    it supplies only what the Terms protocol asks of a matrix ring."""
+
+    __slots__ = ()
+    RingError = _DualError
+    _scalar = staticmethod(rat)
+
+    @staticmethod
+    def _key_product(alg, left):
+        return lambda a, b: ((a + b, 1),) if a + b < 2 else ()
+
+
+def _dual(c0, c1):
+    return _Dual.from_terms("Q[x]/(x^2)", enumerate((c0, c1)))
+
+
+def _dual_mul(a, b):
+    (a0, a1), (b0, b1) = ((e.terms.get(0, 0), e.terms.get(1, 0))
+                          for e in (a, b))
+    return _dual(a0 * b0, a0 * b1 + a1 * b0)
+
+
+class TestRingProtocol:
+    def test_a_ring_of_the_protocol_alone(self):
+        # Mat over a test-local Terms subclass with only _key_product,
+        # RingError and _scalar: its whole contract with Mat
+        rng = random.Random("protocol")
+        zero = _dual(0, 0)
+
+        def draw():
+            return _dual(rng.choice(_COEFFS), rng.choice(_COEFFS))
+
+        products = []
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            x, y = (_random_rows(n, rng, draw, zero) for _ in "xy")
+            assert Mat(x).entries == x
+            for op in (operator.add, operator.sub):
+                assert op(Mat(x), Mat(y)).entries == [
+                    [op(a, b) for a, b in zip(rx, ry)]
+                    for rx, ry in zip(x, y)]
+            products += (Mat(x) * Mat(y)).entries
+            assert products[-n:] == _entrywise(x, y, _dual_mul, zero)
+            assert Mat(x).trace() == sum((x[i][i] for i in range(n)), zero)
+        # both exponents occur, so x * x = 0 is exercised
+        assert {k for row in products for e in row for k in e.terms} == {0, 1}
+        with pytest.raises(ConnectionError_, match="matrix of forms"):
+            Mat(x).d()
+        one = make_fixture("dual").unit()
+        with pytest.raises(_DualError):
+            Mat([[draw(), one], [one, one]])
+        with pytest.raises(AlgebraError):
+            Mat([[one, draw()], [one, one]])
+        with pytest.raises(_DualError):
+            Mat([[draw()]]) * Mat([[one]])
+
+
 class TestMatRefusals:
     def test_size_mismatch(self):
         alg = make_fixture("dual")
@@ -367,7 +429,7 @@ class TestMatRefusals:
     def test_another_ring_raises_the_left_factors_error(self):
         dual, x3 = make_fixture("dual"), make_fixture("x3")
         one = Mat([[dual.unit()]])
-        mats = {"A": one, "forms": one.to_form(),
+        mats = {"A": one, "forms": to_form(one),
                 "TForm": Mat([[TForm(UForm.unit(dual))]]),
                 "x3": Mat([[x3.unit()]])}
         for left, x in mats.items():

@@ -95,6 +95,24 @@ def test_no_unused_imports():
     assert not found
 
 
+def test_mat_names_no_entry_type():
+    # Mat reads its entries only through the Terms protocol (terms, _new,
+    # _key_product, _key_d, RingError), so the body of class Mat names no
+    # entry type: a branch on one would have to name it
+    entry_types = {"AlgElement", "UForm", "CylForm", "TForm", "BiForm"}
+    path = ROOT / "src" / "kchern" / "connections.py"
+    tree = ast.parse(path.read_text(), str(path))
+    mat = [node for node in tree.body
+           if isinstance(node, ast.ClassDef) and node.name == "Mat"]
+    assert len(mat) == 1
+    found = ["connections.py:%d %s" % (node.lineno, name)
+             for node in ast.walk(mat[0])
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None))
+             if name in entry_types]
+    assert not found
+
+
 def _is_fresh_product(node):
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
             or isinstance(node, ast.Call)

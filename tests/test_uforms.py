@@ -228,6 +228,17 @@ class TestWordModel:
         assert type(v.terms[(1,)]) is int
         assert type((u * Fraction(4, 2)).terms[(1, 1, 1)]) is int
 
+    def test_scalar_multiples_store_integral_values_as_ints(self):
+        # scale and 2 * x store through the type's _scalar, as sums do
+        dual = make_fixture("dual")
+        half = Fraction(1, 2)
+        for x in (UForm(dual, {(1,): half, (0, 1): Fraction(3, 2)}),
+                  AbClass(dual, {(1,): half})):
+            for y in (x.scale(2), 2 * x, x.scale(Fraction(2, 3))):
+                assert all(type(c) is int or c.denominator != 1
+                           for c in y.terms.values()), y.terms
+            assert (2 * x).terms[(1,)] == 1
+
     def test_stored_scalars_keep_one_representation(self):
         # integral rationals are stored as int, everything else as a
         # Fraction with denominator > 1
@@ -335,6 +346,24 @@ class TestAbelianization:
                 assert cls == project_ab(u), name
                 assert all(type(c) is int for c in cls.terms.values()
                            if c.denominator == 1)
+
+    def test_residuals_store_integral_values_as_ints(self):
+        # the echelon's fraction-free reduction can end on an integral
+        # Fraction; reduce_terms stores every value as rat gives it
+        m2 = make_fixture("M2")
+        proj = abelianization(m2, 1)
+        integral = 0
+        for w1 in proj.words:
+            for w2 in proj.words:
+                if w1 == w2:
+                    continue
+                res = proj.reduce_terms({w1: Fraction(3, 2),
+                                         w2: Fraction(1, 2)})
+                for c in res.values():
+                    if c.denominator == 1:
+                        integral += 1
+                        assert type(c) is int, (w1, w2, res)
+        assert len(proj.words) == 12 and integral
 
     def test_product_algebra_odd_degrees_vanish(self):
         qq = make_fixture("QxQ")
