@@ -23,7 +23,8 @@ is killed, with each rung's wall time, exit status and peak RSS (the
 ``ru_maxrss`` that ``os.wait4`` reports for that child alone) and the top,
 the highest n that finished in time; the median of each per-layer metric
 over TRACE_RUNS alternating ``run.py --trace 1`` runs per side at
-TRACE_SEED for TRACE_SECONDS; and the host's slowness
+TRACE_SEED for TRACE_SECONDS, with the side's min-max spread beside it
+(``<side>_spread``); and the host's slowness
 (``perfbench/hostspeed.py``) read before and after the runs.
 """
 
@@ -48,7 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 WORKLOADS = ("khat", "transgression", "homology")
 PAIRS = 10
-TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 3
+TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 5
 VERIFY_RUNS = 3
 LADDER_LIMIT = 60
 
@@ -242,9 +243,13 @@ def main(argv=None) -> int:
                     "--workload", workload, "--seed", str(TRACE_SEED),
                     "--seconds", str(TRACE_SECONDS), "--trace",
                     "1"])["metrics"])
-        trace[workload] = {m: {who: round(statistics.median(
-            r[m]["value"] for r in got[who]), 6) for who in got}
-            for m in got["parent"][0]}
+        trace[workload] = {}
+        for m in got["parent"][0]:
+            row = trace[workload][m] = {}
+            for who in got:
+                xs = [r[m]["value"] for r in got[who]]
+                row[who] = round(statistics.median(xs), 6)
+                row[who + "_spread"] = [round(min(xs), 6), round(max(xs), 6)]
     report = {
         "change": args.change,
         "parent": args.parent,

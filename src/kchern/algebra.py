@@ -23,9 +23,11 @@ class Algebra:
     per degree, the basis words, their index map and the right-
     multiplication table of `uforms._degree`, `_wordmul` the product of
     each pair of words `uforms.word_product` was asked for, as a tuple of
-    (word, rational) pairs decoded from that table, and `_ab` the
+    (word, rational) pairs decoded from that table, `_ab` the
     abelianization projection of each degree, which keeps its dbar once
-    built.
+    built, and `_ab_spectrum` the (eigenvalue, multiplicity) pairs of the
+    bimodule matrix D that certify dim Omega_ab,n (`uforms._certified_dim`;
+    empty where no certificate applies).
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
@@ -67,6 +69,7 @@ class Algebra:
         self._right = []
         self._wordmul = {}
         self._ab = {}
+        self._ab_spectrum = None
 
     def _validate(self):
         m = self.dim

@@ -216,7 +216,10 @@ def to_form(m: Mat) -> Mat:
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
-    """The block diagonal matrix of a and b: b's rows and columns shift."""
+    """The block diagonal matrix of a and b: b's rows and columns shift.
+    A 0 x 0 factor has no ring; the sum is then the other factor."""
+    if not a.size or not b.size:
+        return b if not a.size else a
     a._check(b, size=False)
     n = a.size
     data = dict(a.data)

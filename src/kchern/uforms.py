@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import (Echelon, Poly, Q0, Q1, Terms, TrackedEchelon,
@@ -349,6 +350,11 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     The vectors are built in index coordinates (see `_degree`): e_i * w
     relabels the top digit of idx(w), w * e_i is an entry of the degree's
     right table, and d shifts the indices of a degree n - 1 row by B**(n-1).
+
+    Feeding stops once the rank reaches dim Omega_n - `_certified_dim(A, n)`,
+    0 where no certificate applies; then the row space is all of [Omega,
+    Omega]_n.  A certified span that runs out below that rank raises
+    RuntimeError: the certificate or the spanning set is wrong.
     """
     if n < 0:
         raise FormError("negative degree")
@@ -377,14 +383,90 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
                     vec[k] = vec.get(k, Q0) - c
                 yield vec
 
+    certified = _certified_dim(algebra, n)
+    target = len(words) - (certified or 0)
     ech = Echelon()
     for vec in spanning_vectors():
         ech.add(vec)
-        if ech.rank == len(words):
+        if ech.rank == target:
             break
+    if certified is not None and ech.rank != target:
+        raise RuntimeError(
+            "commutator span of degree %d has rank %d, but the certified "
+            "quotient dimension %d needs rank %d"
+            % (n, ech.rank, certified, target))
     proj = AbProjection(algebra, n, words, index, ech)
     algebra._ab[n] = proj
     return proj
+
+
+def _certified_dim(algebra: Algebra, n: int):
+    """dim Omega_ab,n in closed form, or None where it is not certified.
+
+    It is certified for n >= 1 when A is semisimple, that is when the trace
+    form Tr(L_{e_i e_j}) is nondegenerate (in characteristic 0 the same as
+    separable), and r = dim Omega_ab,0 = dim A/[A, A] is 1 or m = dim A.
+    Over the algebraic closure, A (x) Qbar = M_{k_1} x ... x M_{k_r}; r = 1
+    means M_k(Qbar) with D = [m - 1], and r = m means Qbar^m, commutative,
+    with D = J - I.  Then, with eps = (-1)^(n-1),
+
+        dim Omega_ab,n = (1/n) sum_{k<n} eps^k tr(D^gcd(k, n)).
+
+    Proof sketch.  For n >= 1, [Omega, Omega]_n = b Omega_{n+1} + (1 -
+    kappa) Omega_n, with kappa(w da) = (-1)^|w| da w the Karoubi operator
+    and b(w da) = (-1)^|w| [w, a] (Cuntz and Quillen, J. AMS 8, 1995).  So
+    Omega_ab,n is the quotient of V_n = Omega_n / [A, Omega_n], the cyclic
+    tensor power (Omega^1)^{(x)_A n} (x)_{A^e} A, by 1 - kappa, and kappa
+    acts on V_n as eps times the rotation of the n factors, with kappa^n =
+    1.  In characteristic 0 the coinvariants of a finite cyclic group have
+    the dimension of its invariants, (1/n) sum_k tr(kappa^k | V_n).  For A
+    separable, 0 -> Omega^1 -> A (x) A -> A -> 0 splits as bimodules, so
+    over Qbar the bimodule Omega^1 has the Morita multiplicities d_ij =
+    k_i k_j - delta_ij; (x)_A multiplies multiplicity matrices and (x)_{A^e}
+    A takes their trace (the generalized trace; Loday, Cyclic Homology,
+    1.2), so the k-fold rotation has trace tr(D^gcd(k, n)): the closed
+    walks of length n that it fixes repeat a closed walk of length gcd(k,
+    n).  tr(D^g) is (m-1)^g, plus (m-1)(-1)^g when A is commutative.
+
+    Base change.  The words are a basis of Omega_n over Q and of Omega_n(A
+    (x) Qbar) over Qbar, and over either field the commutators of words,
+    whose coordinates are rational, span [Omega, Omega]_n.  So dim
+    Omega_ab,n is the corank of one rational matrix and does not change
+    from Q to Qbar: the certificate holds for non-split algebras (Q(i), the
+    quaternions) too.
+
+    Built once per algebra from the degree-0 projection and one m x m rank,
+    and kept as `Algebra._ab_spectrum`: the (eigenvalue, multiplicity)
+    pairs of D, empty where no certificate applies.
+    """
+    if n < 1:
+        return None
+    spectrum = algebra._ab_spectrum
+    if spectrum is None:
+        spectrum = algebra._ab_spectrum = _ab_spectrum(algebra)
+    if not spectrum:
+        return None
+    eps = 1 if n % 2 else -1
+    return sum(eps ** k * mult * lam ** gcd(k, n) for k in range(n)
+               for lam, mult in spectrum) // n
+
+
+def _ab_spectrum(algebra: Algebra) -> tuple:
+    """The eigenvalues of D with their multiplicities (see `_certified_dim`),
+    or () where the certificate does not apply."""
+    m, sparse = algebra.dim, algebra.sparse_mul
+    r = len(abelianization(algebra, 0).quotient_words)
+    if r not in (1, m):
+        return ()
+    # Tr(L_{e_k}) = sum_j (e_k e_j)_j; the form is sum_k (e_i e_j)_k Tr L_k
+    tr = [sum(algebra.mul[k][j][j] for j in range(m)) for k in range(m)]
+    form = Echelon()
+    for i in range(m):
+        form.add({j: sum(c * tr[k] for k, c in sparse[i][j])
+                  for j in range(m)})
+    if form.rank < m:
+        return ()
+    return ((m - 1, 1),) if r == 1 else ((m - 1, 1), (-1, m - 1))
 
 
 class AbClass(_WordTerms):

@@ -331,6 +331,16 @@ class TestMatParity:
                 assert block_diag(Mat(x), Mat(z)).entries == _blocks(x, z,
                                                                      zero)
 
+    def test_block_diag_with_empty_left_factor(self):
+        dual = make_fixture("dual")
+        for one in (Mat([[dual.unit()]]), to_form(Mat([[dual.unit()]]))):
+            assert block_diag(Mat([]), one) == one
+
+    def test_block_diag_with_empty_right_factor(self):
+        dual = make_fixture("dual")
+        for one in (Mat([[dual.unit()]]), to_form(Mat([[dual.unit()]]))):
+            assert block_diag(one, Mat([])) == one
+
     def test_block_permutation_and_direct_sum_match_entrywise(self):
         for name in ("dual", "x3", "M2"):
             alg = make_fixture(name)

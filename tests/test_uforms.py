@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kchern.algebra import Algebra, AlgebraHom
+from kchern import uforms
+from kchern.algebra import (Algebra, AlgebraHom, make_matrix_algebra,
+                            make_product, make_truncated_poly)
 from kchern.connections import random_form
 from kchern.exactmath import Echelon, Q0, Q1, TrackedEchelon
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
@@ -17,7 +19,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           to_poly, word_product, _degree)
+                           to_poly, word_product, _certified_dim, _degree)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -122,6 +124,32 @@ def dense_copies(name, count, seed):
     width = alg.dim * (alg.dim - 1) // 2
     return [dense_copy(alg, [rng.choice((-1, 1)) for _ in range(width)])
             for _ in range(count)]
+
+
+def quadratic_field(d):
+    """Q(sqrt d) for a non-square d: basis 1, r with r^2 = d."""
+    return Algebra([[[1, 0], [0, 1]], [[0, 1], [d, 0]]], names=["1", "r"])
+
+
+def quaternions():
+    """Hamilton's quaternions over Q: basis 1, i, j, k, i^2 = j^2 = k^2 =
+    ijk = -1; a division algebra, so not split."""
+    mul = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        mul[0][a][a] = mul[a][0][a] = 1
+    for a in range(1, 4):
+        mul[a][a][0] = -1
+        b, c = a % 3 + 1, (a + 1) % 3 + 1
+        mul[a][b][c], mul[b][a][c] = 1, -1
+    return Algebra(mul, names=["1", "i", "j", "k"])
+
+
+def unstopped(alg):
+    """A fresh copy of alg whose commutator echelon is fed to the end: its
+    certificate memo is set to the refused value ()."""
+    fresh = Algebra(alg.mul, names=alg.names, degree_cap=alg.degree_cap)
+    fresh._ab_spectrum = ()
+    return fresh
 
 
 class TestWordModel:
@@ -457,6 +485,82 @@ class TestSpanningSet:
                            != set(oracle.echelon.pivots)
                            or fast.quotient_words != oracle.quotient_words)
         assert any(differs), differs
+
+
+class TestCertifiedDimension:
+    """`_certified_dim` against the unstopped build, which it must equal
+    wherever it is given, and planted wrong certificates."""
+
+    def assert_certified(self, alg, top):
+        full = unstopped(alg)
+        for n in range(top + 1):
+            stopped, ref = abelianization(alg, n), abelianization(full, n)
+            if n:
+                assert _certified_dim(alg, n) == len(ref.quotient_words), n
+            assert set(stopped.echelon.pivots) == set(ref.echelon.pivots)
+            assert stopped.quotient_words == ref.quotient_words
+
+    def test_matrix_algebra(self):
+        self.assert_certified(make_fixture("M2"), 6)
+
+    def test_two_dimensional_separable_algebras(self):
+        for alg in (make_fixture("QxQ"), make_fixture("C2"),
+                    quadratic_field(-1), quadratic_field(2)):
+            self.assert_certified(alg, 7)
+
+    def test_quaternions(self):
+        self.assert_certified(quaternions(), 5)
+
+    def test_dense_matrix_algebras(self):
+        for alg in dense_copies("M2", 2, "certified-M2"):
+            self.assert_certified(alg, 4)
+
+    def test_closed_forms(self):
+        # the signed necklace counts of ROADMAP F5, and 0, 1, 0, 1, ...
+        m2, qq = make_fixture("M2"), make_fixture("QxQ")
+        assert [_certified_dim(m2, n) for n in range(1, 10)] == \
+            [3, 3, 11, 21, 51, 119, 315, 831, 2195]
+        assert [_certified_dim(qq, n) for n in range(1, 7)] == \
+            [0, 1, 0, 1, 0, 1]
+        assert _certified_dim(m2, 0) is None
+
+    def test_refused(self):
+        # not semisimple (dual, x3), or dim Omega_ab,0 = 2 on a 5-dimensional
+        # algebra (Q x M2): the build is the unstopped one
+        mixed = make_product(make_truncated_poly(1), make_matrix_algebra(2))
+        for alg in (make_fixture("dual"), make_fixture("x3"),
+                    dense_copies("x3", 1, "refused-x3")[0], mixed):
+            assert all(_certified_dim(alg, n) is None for n in range(4))
+            assert alg._ab_spectrum == ()
+            for n in range(3):
+                TestSpanningSet().assert_same_projection(alg, n)
+
+    def test_planted_certificate_one_too_large_stops_early(self,
+                                                          monkeypatch):
+        true = _certified_dim
+        for n in (2, 3):
+            alg = make_fixture("M2")
+            abelianization(alg, n - 1)
+            monkeypatch.setattr(uforms, "_certified_dim",
+                                lambda a, k: true(a, k) + 1)
+            fast = abelianization(alg, n)
+            monkeypatch.undo()
+            oracle = _all_pairs_span(alg, n)
+            assert set(fast.echelon.pivots) != set(oracle.echelon.pivots)
+            assert fast.quotient_words != oracle.quotient_words
+
+    def test_planted_certificate_one_too_small_raises(self, monkeypatch):
+        true = _certified_dim
+        for name, top in (("M2", 4), ("QxQ", 5), ("Q", 3)):
+            for n in range(1, top + 1):
+                alg = make_fixture(name)
+                abelianization(alg, n - 1)
+                monkeypatch.setattr(uforms, "_certified_dim",
+                                    lambda a, k: true(a, k) - 1)
+                with pytest.raises(RuntimeError, match="certified"):
+                    abelianization(alg, n)
+                monkeypatch.undo()
+                assert n not in alg._ab
 
 
 class TestHomology:
