@@ -13,10 +13,15 @@ runs, medians and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
-``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs), the
-wall time and exit status of one Tier-1 pytest run and of one under
-``python -O`` (the parent first), the ``wc -l src/kchern/*.py`` total, the
-homology ladder of ROADMAP's north star (the parent first): cold runs of
+``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs); per
+side and per run, the sha256 of that report and of the cold ``kchern
+homology`` reports of the six fixtures at n = 0..HOMOLOGY_DEGREE, each
+with every ``time_ms`` removed (the digest criterion 9 pins), and
+``outputs_identical``, whether every run of both sides gave the same two
+digests; the wall time and exit status of one Tier-1 pytest run and of
+one under ``python -O`` (the parent first), the ``wc -l src/kchern/*.py``
+total, the homology ladder of ROADMAP's north star (the parent first):
+cold runs of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
 n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
 is killed, with each rung's wall time, exit status and peak RSS (the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import io
 import itertools
 import json
@@ -51,6 +57,8 @@ WORKLOADS = ("khat", "transgression", "homology")
 PAIRS = 10
 TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 5
 VERIFY_RUNS = 3
+FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
+HOMOLOGY_DEGREE = 3
 LADDER_LIMIT = 60
 
 
@@ -90,14 +98,48 @@ def run_json(tree: str, args) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def verify_seconds(tree: str) -> float:
-    out = os.path.join(BUILD, "verify-all.json")
+def strip_timing(obj):
+    """obj without its `time_ms` keys, at every depth."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k != "time_ms"}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
+
+
+def digest(report) -> str:
+    """The sha256 of a timing-stripped report, as criterion 9 pins it."""
+    return hashlib.sha256(json.dumps(strip_timing(report), sort_keys=True)
+                          .encode()).hexdigest()
+
+
+def verify_run(tree: str, who: str) -> tuple:
+    """Wall time of `kchern verify --suite all --seed 7` in tree, and the
+    digest of its report."""
+    out = os.path.join(BUILD, "verify-all-%s.json" % who)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     t0 = time.perf_counter()
     subprocess.run([sys.executable, "-m", "kchern.cli", "verify", "--suite",
                     "all", "--seed", "7", "--out", out], cwd=tree, env=env,
                    check=True, capture_output=True)
-    return round(time.perf_counter() - t0, 3)
+    seconds = round(time.perf_counter() - t0, 3)
+    with open(out) as fh:
+        return seconds, digest(json.load(fh))
+
+
+def homology_digest(tree: str) -> str:
+    """The sha256 of the digests of the cold `kchern homology` reports of
+    the six fixtures at degrees 0..HOMOLOGY_DEGREE, in that order."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    digests = []
+    for fixture in FIXTURES:
+        for n in range(HOMOLOGY_DEGREE + 1):
+            proc = subprocess.run([sys.executable, "-m", "kchern.cli",
+                                   "homology", "--fixture", fixture,
+                                   "--degree", str(n)], cwd=tree, env=env,
+                                  check=True, capture_output=True, text=True)
+            digests.append(digest(json.loads(proc.stdout)))
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
 def tier1(tree: str, flags=()) -> dict:
@@ -228,9 +270,14 @@ def main(argv=None) -> int:
                 for who in ("parent", "change"))) for m in better},
         }
     verify = {"parent": [], "change": []}
+    digests = {"verify": {"parent": [], "change": []},
+               "homology": {"parent": [], "change": []}}
     for k in range(VERIFY_RUNS):
         for who in alternating(k):
-            verify[who].append(verify_seconds(trees[who]))
+            seconds, verify_digest = verify_run(trees[who], who)
+            verify[who].append(seconds)
+            digests["verify"][who].append(verify_digest)
+            digests["homology"][who].append(homology_digest(trees[who]))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
     ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
@@ -264,6 +311,13 @@ def main(argv=None) -> int:
         "verify_all_seed7_s": {who: {"runs": xs,
                                      "median": statistics.median(xs)}
                                for who, xs in verify.items()},
+        "output_sha256": {"commands": {
+            "verify": "kchern verify --suite all --seed 7",
+            "homology": "kchern homology --fixture F --degree n, F in %s, "
+                        "n = 0..%d" % (", ".join(FIXTURES), HOMOLOGY_DEGREE)},
+            **digests},
+        "outputs_identical": all(len({d for xs in runs.values() for d in xs})
+                                 == 1 for runs in digests.values()),
         "tier1_pytest": tier1_run,
         "tier1_pytest_O": tier1_opt,
         "src_lines": {who: src_lines(trees[who]) for who in trees},

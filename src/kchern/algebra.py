@@ -1,12 +1,13 @@
 """Finite-dimensional unital associative Q-algebras given by structure
-constants, with the unit pinned to basis slot 0, plus standard constructors
-and validated algebra homomorphisms.
+constants, with the unit pinned to basis slot 0; standard constructors, each
+stating e_i * e_j in closed form through one table builder, `_table` (and
+`Algebra` validates every table, theirs included); validated homomorphisms.
 """
 
 from __future__ import annotations
 
-from .exactmath import (Q0, Q1, Terms, TrackedEchelon, checked, rat,
-                        rat_from_str, rat_to_str)
+from .exactmath import (Q0, Q1, Terms, checked, rat, rat_from_str,
+                        rat_to_str)
 
 
 class AlgebraError(ValueError):
@@ -74,7 +75,7 @@ class Algebra:
     def _validate(self):
         m = self.dim
         for i in range(m):
-            ei = tuple(Q1 if k == i else Q0 for k in range(m))
+            ei = self._basis_vec(i)
             if self.mul[0][i] != ei:
                 raise AlgebraError(
                     "unit is not basis element 0: e0*%s != %s"
@@ -198,110 +199,75 @@ class AlgElement(Terms):
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _express_in_basis(basis_vecs, dim):
-    """Return a function expressing dense vectors in the given basis."""
-    ech = TrackedEchelon(dim)
-    for tag, v in enumerate(basis_vecs):
-        dep = ech.add({i: c for i, c in enumerate(v) if c}, tag)
-        if dep is not None:
-            raise AlgebraError("proposed basis is dependent")
-
-    def express(vec):
-        sol = ech.solve({i: rat(c) for i, c in enumerate(vec) if c})
-        if sol is None:
-            raise AlgebraError("vector outside basis span")
-        return tuple(sol.get(i, Q0) for i in range(len(basis_vecs)))
-
-    return express
+def _table(m: int, product) -> list:
+    """The dense table `Algebra` takes, from `product(i, j)`: the (k, c)
+    pairs of e_i * e_j = sum c e_k over basis indices < m (a repeated k
+    adds up)."""
+    table = [[[Q0] * m for _ in range(m)] for _ in range(m)]
+    for i, row in enumerate(table):
+        for j, vec in enumerate(row):
+            for k, c in product(i, j):
+                vec[k] += c
+    return table
 
 
 def make_matrix_algebra(k: int, degree_cap: int = 8) -> Algebra:
-    """M_k(Q) with basis {1} followed by the matrix units E_ij except E_kk."""
+    """M_k(Q) with basis {1} followed by the matrix units E_ij except E_kk,
+    row by row: E_ij sits at slot 1 + (i - 1) k + (j - 1)."""
     if k < 1:
         raise AlgebraError("k must be >= 1")
-    n2 = k * k
+    units = [(i, j) for i in range(k) for j in range(k)][:-1]
+    corner = [(0, Q1)] + [(1 + i * k + i, -Q1) for i in range(k - 1)]
 
-    def mat_unit(i, j):
-        v = [Q0] * n2
-        v[i * k + j] = Q1
-        return v
+    def product(s, t):
+        if not (s and t):
+            return ((s or t, Q1),)
+        (i, j), (jj, l) = units[s - 1], units[t - 1]
+        if j != jj:
+            return ()
+        # E_ij E_jl = E_il, and E_kk = 1 - sum_{i<k} E_ii
+        return corner if i == l == k - 1 else ((1 + i * k + l, Q1),)
 
-    ident = [Q0] * n2
-    for i in range(k):
-        ident[i * k + i] = Q1
-    basis = [ident]
-    names = ["1"]
-    for i in range(k):
-        for j in range(k):
-            if (i, j) == (k - 1, k - 1):
-                continue
-            basis.append(mat_unit(i, j))
-            names.append("E%d%d" % (i + 1, j + 1))
-    express = _express_in_basis(basis, n2)
-
-    def mat_mul(a, b):
-        out = [Q0] * n2
-        for i in range(k):
-            for j in range(k):
-                s = Q0
-                for l in range(k):
-                    s += a[i * k + l] * b[l * k + j]
-                out[i * k + j] = s
-        return out
-
-    mul = [[express(mat_mul(basis[i], basis[j])) for j in range(len(basis))]
-           for i in range(len(basis))]
-    return Algebra(mul, names=names, degree_cap=degree_cap)
+    names = ["1"] + ["E%d%d" % (i + 1, j + 1) for i, j in units]
+    return Algebra(_table(k * k, product), names=names,
+                   degree_cap=degree_cap)
 
 
 def make_truncated_poly(k: int, degree_cap: int = 8) -> Algebra:
     """Q[x]/(x^k) with basis {1, x, ..., x^(k-1)}."""
     if k < 1:
         raise AlgebraError("k must be >= 1")
-    mul = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            vec = [Q0] * k
-            if i + j < k:
-                vec[i + j] = Q1
-            row.append(vec)
-        mul.append(row)
     names = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, k)]
-    return Algebra(mul, names=names, degree_cap=degree_cap)
+    return Algebra(_table(k, lambda i, j: ((i + j, Q1),) if i + j < k
+                          else ()), names=names, degree_cap=degree_cap)
 
 
 def make_product(a: Algebra, b: Algebra, degree_cap: int = 8) -> Algebra:
     """Direct product algebra, rebased so the unit (1,1) sits at slot 0.
 
-    Basis: (1,1), (1,0), then (e_i, 0) for i >= 1, then (0, f_j) for j >= 1.
+    Basis: (1,1), (1,0), then (e_i, 0) for i >= 1, then (0, f_j) for j >= 1:
+    (e_i, 0) sits at slot 1 + i, (0, f_j) at slot dim(a) + j, and (0, 1) is
+    the unit minus eL = (1, 0).  Elements of different factors multiply to 0.
     """
-    da, db = a.dim, b.dim
-    dim = da + db
+    da = a.dim
 
-    def pair(av, bv):
-        return tuple(av) + tuple(bv)
+    def right(k, c):
+        return ((da + k, c),) if k else ((0, c), (1, -c))
 
-    zero_a = (Q0,) * da
-    zero_b = (Q0,) * db
-    basis = [pair(a._basis_vec(0), b._basis_vec(0)),
-             pair(a._basis_vec(0), zero_b)]
-    names = ["1", "eL"]
-    for i in range(1, da):
-        basis.append(pair(a._basis_vec(i), zero_b))
-        names.append("L:" + a.names[i])
-    for j in range(1, db):
-        basis.append(pair(zero_a, b._basis_vec(j)))
-        names.append("R:" + b.names[j])
-    express = _express_in_basis(basis, dim)
+    def product(s, t):
+        if not (s and t):
+            return ((s or t, Q1),)
+        if s <= da and t <= da:
+            return ((1 + k, c) for k, c in a.sparse_mul[s - 1][t - 1])
+        if s > da and t > da:
+            return (p for k, c in b.sparse_mul[s - da][t - da]
+                    for p in right(k, c))
+        return ()
 
-    def mul_pair(u, v):
-        return pair((a.element(u[:da]) * a.element(v[:da])).vec,
-                    (b.element(u[da:]) * b.element(v[da:])).vec)
-
-    mul = [[express(mul_pair(basis[i], basis[j]))
-            for j in range(len(basis))] for i in range(len(basis))]
-    return Algebra(mul, names=names, degree_cap=degree_cap)
+    names = (["1", "eL"] + ["L:" + n for n in a.names[1:]]
+             + ["R:" + n for n in b.names[1:]])
+    return Algebra(_table(da + b.dim, product), names=names,
+                   degree_cap=degree_cap)
 
 
 def make_group_algebra(cayley_table, names=None, degree_cap: int = 8) -> Algebra:
@@ -311,30 +277,20 @@ def make_group_algebra(cayley_table, names=None, degree_cap: int = 8) -> Algebra
     (shape, identity and inverses here, associativity by Algebra).
     """
     n = len(cayley_table)
-    for i in range(n):
-        if len(cayley_table[i]) != n:
+    for row in cayley_table:
+        if len(row) != n:
             raise AlgebraError("Cayley table is not square")
-        for j in range(n):
-            v = cayley_table[i][j]
-            if not (0 <= v < n):
-                raise AlgebraError("Cayley table entry out of range")
-    for i in range(n):
-        if cayley_table[0][i] != i or cayley_table[i][0] != i:
+        if not all(0 <= v < n for v in row):
+            raise AlgebraError("Cayley table entry out of range")
+    for i, row in enumerate(cayley_table):
+        if cayley_table[0][i] != i or row[0] != i:
             raise AlgebraError("element 0 is not the identity")
-    for i in range(n):
-        if sorted(cayley_table[i]) != list(range(n)):
+        if sorted(row) != list(range(n)):
             raise AlgebraError("element %d has no inverse" % i)
-    mul = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [Q0] * n
-            vec[cayley_table[i][j]] = Q1
-            row.append(vec)
-        mul.append(row)
     if names is None:
         names = ["1"] + ["g%d" % i for i in range(1, n)]
-    return Algebra(mul, names=names, degree_cap=degree_cap)
+    return Algebra(_table(n, lambda i, j: ((cayley_table[i][j], Q1),)),
+                   names=names, degree_cap=degree_cap)
 
 
 # ---------------------------------------------------------------------------

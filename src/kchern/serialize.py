@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import AlgElement, Algebra, algebra_from_json, algebra_to_json
 from .connections import Connection, Idempotent, Mat
-from .exactmath import Poly1, rat_from_str, rat_to_str
+from .exactmath import Poly, Poly1, rat_from_str, rat_to_str
 from .transgression import straight_line
 from .uforms import AbClass, FormError, UForm, word_degree
 
@@ -26,24 +26,33 @@ __all__ = [
 
 
 def coeff_to_json(c):
-    if isinstance(c, Poly1):
+    """A rational as "num/den", a Poly1 as its {"t^k": "num/den"} map, the
+    one polynomial format there is; a polynomial in any other number of
+    parameters (a bigon's Poly2) raises FormError."""
+    if isinstance(c, Poly):
+        if c.NVARS != 1:
+            raise FormError("JSON has one polynomial format, {\"t^k\": ...} "
+                            "in one parameter t, not %d" % c.NVARS)
         return {"t^%d" % k: rat_to_str(c.coeffs[(k,)])
                 for (k,) in sorted(c.coeffs)}
     return rat_to_str(c)
 
 
 def coeff_from_json(data):
-    """A "num/den" string or a {"t^k": "num/den"} map; anything else raises
-    TypeError or ValueError."""
+    """A "num/den" string or a {"t^k": "num/den"} map keyed exactly as
+    coeff_to_json writes ("t^%d" % k, so no two keys name one exponent);
+    anything else raises TypeError or ValueError."""
     if isinstance(data, str):
         return rat_from_str(data)
     if isinstance(data, dict):
         coeffs = {}
         for key, val in data.items():
-            if not (key.startswith("t^") and key[2:].isdecimal()):
-                raise ValueError("polynomial keys must look like 't^k', "
-                                 "not %r" % (key,))
-            coeffs[(int(key[2:]),)] = rat_from_str(val)
+            k = key[2:]
+            if not (k.isascii() and k.isdigit() and key == "t^%d" % int(k)):
+                raise ValueError("polynomial keys must be 't^k', k in ASCII "
+                                 "digits with no leading zero, not %r"
+                                 % (key,))
+            coeffs[(int(k),)] = rat_from_str(val)
         return Poly1(coeffs)
     raise TypeError("bad coefficient payload %r" % (data,))
 

@@ -1,13 +1,14 @@
 """Structure-constant algebras, constructors, homs, and JSON I/O."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from kchern.algebra import (AlgebraError, AlgebraHom, algebra_from_json,
                             algebra_to_json, make_group_algebra,
-                            make_matrix_algebra, make_truncated_poly,
-                            table_from_json, unit_index)
+                            make_matrix_algebra, make_product,
+                            make_truncated_poly, table_from_json, unit_index)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 
@@ -84,6 +85,106 @@ class TestConstructors:
         ]
         with pytest.raises(AlgebraError, match="unit"):
             Algebra(mul_table)
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+def _combine(vec, images):
+    """sum_k vec[k] images[k], for images that are lists of lists."""
+    return [[sum(c * img[i][j] for c, img in zip(vec, images))
+             for j in range(len(images[0][0]))]
+            for i in range(len(images[0]))]
+
+
+def _assert_represents(alg, images, product):
+    """Every basis product e_s * e_t of alg, mapped linearly by images, is
+    product(images[s], images[t])."""
+    for s, t in itertools.product(range(alg.dim), repeat=2):
+        got = _combine((alg.basis(s) * alg.basis(t)).vec, images)
+        assert got == product(images[s], images[t]), (
+            alg.names[s], alg.names[t])
+
+
+def _unit_matrix(k, i, j):
+    return [[Q1 if (r, c) == (i, j) else Q0 for c in range(k)]
+            for r in range(k)]
+
+
+def _s3():
+    """The permutations of {0, 1, 2}, identity first, and their Cayley
+    table under composition (g_i g_j is the map x -> g_i(g_j(x)))."""
+    perms = list(itertools.permutations(range(3)))
+    return perms, [[perms.index(tuple(p[q[x]] for x in range(3)))
+                    for q in perms] for p in perms]
+
+
+class TestConstructorOracles:
+    """The constructors' products against models that share none of their
+    closed forms: rational matrices, pairs of factor elements and
+    permutation matrices."""
+
+    def test_matrix_algebra_is_the_matrix_product(self):
+        for k in range(1, 5):
+            alg = make_matrix_algebra(k)
+            assert alg.dim == k * k
+            ident = [[Q1 if r == c else Q0 for c in range(k)]
+                     for r in range(k)]
+            images = [ident] + [
+                _unit_matrix(k, int(name[1]) - 1, int(name[2]) - 1)
+                for name in alg.names[1:]]
+            _assert_represents(alg, images, _matmul)
+            # the corner E_kk is 1 - sum_{i<k} E_ii
+            corner = alg.unit()
+            for i in range(k - 1):
+                corner -= alg.basis(alg.names.index("E%d%d" % (i + 1, i + 1)))
+            assert _combine(corner.vec, images) == _unit_matrix(
+                k, k - 1, k - 1)
+
+    def test_product_multiplies_componentwise(self):
+        factors = [make_fixture(n) for n in FIXTURE_NAMES]
+        factors.append(make_matrix_algebra(3))
+        for a, b in itertools.product(factors, repeat=2):
+            alg = make_product(a, b)
+            da, db = a.dim, b.dim
+            assert alg.dim == da + db
+
+            def pair(u, v):
+                # a one-row matrix, a's coordinates then b's, so that
+                # _combine sums pairs componentwise
+                return [list(u) + list(v)]
+
+            zero_a, zero_b = a.zero().vec, b.zero().vec
+            images = [pair(a.unit().vec, b.unit().vec),
+                      pair(a.unit().vec, zero_b)]
+            images += [pair(a.basis(i).vec, zero_b) for i in range(1, da)]
+            images += [pair(zero_a, b.basis(j).vec) for j in range(1, db)]
+
+            def product(x, y):
+                (x,), (y,) = x, y
+                return pair(
+                    (a.element(x[:da]) * a.element(y[:da])).vec,
+                    (b.element(x[da:]) * b.element(y[da:])).vec)
+
+            _assert_represents(alg, images, product)
+            assert alg.names[:2] == ("1", "eL")
+
+    def test_group_algebra_matches_its_cayley_table(self):
+        perms, table = _s3()
+        alg = make_group_algebra(table)
+        for i, j in itertools.product(range(6), repeat=2):
+            assert alg.basis(i) * alg.basis(j) == alg.basis(table[i][j])
+        # and Q[S3] acts on Q^3 by permutation matrices
+        images = [[[Q1 if p[c] == r else Q0 for c in range(3)]
+                   for r in range(3)] for p in perms]
+        _assert_represents(alg, images, _matmul)
+
+    def test_empty_constructors_are_refused(self):
+        for make in (make_matrix_algebra, make_truncated_poly):
+            with pytest.raises(AlgebraError):
+                make(0)
 
 
 class TestElements:

@@ -345,6 +345,21 @@ class TestMalformedInput:
             f = _write(tmp_path, "c%d.json" % i, path)
             assert run(["kcs", "--fixture", "dual", "--path", f]) == 2, coeff
 
+    def test_two_keys_of_one_exponent_are_a_parse_error(self, tmp_path,
+                                                        capsys):
+        # "t^01" and "t^\u0661" (an Arabic-Indic one) would both name t^1:
+        # read as t^1, the path would differ from the one in the file
+        for i, coeff in enumerate(({"t^1": "1", "t^01": "2"},
+                                   {"t^\u0661": "1"})):
+            path = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                    "theta": [[[{"degree": 1, "word": [0, 1],
+                                 "coeff": coeff}]]]}
+            f = _write(tmp_path, "k%d.json" % i, path)
+            assert run(["kcs", "--fixture", "dual", "--path", f]) == 2, coeff
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "ASCII digits" in captured.err
+
 
 class _Reads:
     """An argparse namespace that records which of its values are read."""

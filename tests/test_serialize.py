@@ -4,8 +4,10 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from kchern.connections import random_connection, random_idempotent
-from kchern.exactmath import Poly1
+from kchern.exactmath import Poly1, Poly2
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import (abclass_to_json, algebra_from_json,
                               algebra_to_json, coeff_from_json,
@@ -13,8 +15,8 @@ from kchern.serialize import (abclass_to_json, algebra_from_json,
                               connection_to_json, form_from_json,
                               form_to_json, idempotent_from_json,
                               idempotent_to_json, path_from_json)
-from kchern.transgression import straight_line
-from kchern.uforms import project_ab
+from kchern.transgression import constant_path, straight_line
+from kchern.uforms import FormError, UForm, project_ab
 from tests.test_uforms import rand_homogeneous
 
 
@@ -30,6 +32,33 @@ class TestCoefficients:
     def test_poly1(self):
         p = Poly1({(0,): Fraction(1, 2), (2,): Fraction(-3)})
         assert coeff_from_json(through_json(coeff_to_json(p))) == p
+
+    def test_keys_are_the_ones_coeff_to_json_writes(self):
+        p = Poly1({(0,): 1, (10,): Fraction(1, 2)})
+        assert coeff_to_json(p) == {"t^0": "1", "t^10": "1/2"}
+        assert coeff_from_json({"t^0": "1", "t^10": "1/2"}) == p
+        # each of these would name an exponent coeff_to_json writes as
+        # "t^1" (or "t^0"); two of them in one map lost a term
+        for key in ("t^01", "t^00", "t^\u0661", "t^\uff11", "t^+1", "t^ 1",
+                    "t^1 ", "t^\u00b9"):
+            with pytest.raises(ValueError, match="ASCII digits"):
+                coeff_from_json({"t^1": "1", key: "2"})
+            with pytest.raises(ValueError, match="ASCII digits"):
+                coeff_from_json({key: "2"})
+
+    def test_only_polynomials_in_t_have_a_format(self):
+        u = UForm(make_fixture("dual"), {(1,): Poly2({(1, 0): 1})})
+        with pytest.raises(FormError, match=r"t\^k"):
+            form_to_json(u)
+        rng = random.Random(62)
+        p = random_idempotent(make_fixture("dual"), 2, rng)
+        c1, c2, c3 = (random_connection(p, rng) for _ in range(3))
+        bigon = straight_line(constant_path(c1), straight_line(c2, c3))
+        assert bigon.R == 2 and any(
+            isinstance(c, Poly2) for e in bigon.theta.entries[0]
+            for c in e.terms.values())
+        with pytest.raises(FormError, match=r"t\^k"):
+            connection_to_json(bigon)
 
 
 class TestForms:
@@ -59,7 +88,6 @@ class TestForms:
 
     def test_abclass_serializes_lift(self):
         alg = make_fixture("QxQ")
-        from kchern.uforms import UForm
         e = UForm.from_element(alg.basis(1))
         cls = project_ab(e * e.d() * e.d())
         data = through_json(abclass_to_json(cls))
