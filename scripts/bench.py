@@ -15,10 +15,10 @@ change of the medians and the number of pairs the change wins (ties count
 for neither).  It also holds, per side, the wall time of
 ``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs); per
 side and per run, the sha256 of that report and of the cold ``kchern
-homology`` reports of the six fixtures at n = 0..HOMOLOGY_DEGREE, each
-with every ``time_ms`` removed (the digest criterion 9 pins), and
-``outputs_identical``, whether every run of both sides gave the same two
-digests; the wall time and exit status of one Tier-1 pytest run and of
+homology`` reports of the six fixtures at n = 0..HOMOLOGY_DEGREE and of
+M2 at n = M2_DEGREES, each with every ``time_ms`` removed (the digest
+criterion 9 pins), and ``outputs_identical``, whether every run of both
+sides gave the same two digests; the wall time and exit status of one Tier-1 pytest run and of
 one under ``python -O`` (the parent first), the ``wc -l src/kchern/*.py``
 total, the homology ladder of ROADMAP's north star (the parent first):
 cold runs of
@@ -59,6 +59,7 @@ TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 5
 VERIFY_RUNS = 3
 FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
 HOMOLOGY_DEGREE = 3
+M2_DEGREES = (4, 5, 6)
 LADDER_LIMIT = 60
 
 
@@ -129,16 +130,18 @@ def verify_run(tree: str, who: str) -> tuple:
 
 def homology_digest(tree: str) -> str:
     """The sha256 of the digests of the cold `kchern homology` reports of
-    the six fixtures at degrees 0..HOMOLOGY_DEGREE, in that order."""
+    the six fixtures at degrees 0..HOMOLOGY_DEGREE, in that order, then of
+    M2 at the degrees M2_DEGREES."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     digests = []
-    for fixture in FIXTURES:
-        for n in range(HOMOLOGY_DEGREE + 1):
-            proc = subprocess.run([sys.executable, "-m", "kchern.cli",
-                                   "homology", "--fixture", fixture,
-                                   "--degree", str(n)], cwd=tree, env=env,
-                                  check=True, capture_output=True, text=True)
-            digests.append(digest(json.loads(proc.stdout)))
+    requests = [(fixture, n) for fixture in FIXTURES
+                for n in range(HOMOLOGY_DEGREE + 1)]
+    for fixture, n in requests + [("M2", n) for n in M2_DEGREES]:
+        proc = subprocess.run([sys.executable, "-m", "kchern.cli",
+                               "homology", "--fixture", fixture,
+                               "--degree", str(n)], cwd=tree, env=env,
+                              check=True, capture_output=True, text=True)
+        digests.append(digest(json.loads(proc.stdout)))
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
@@ -314,7 +317,9 @@ def main(argv=None) -> int:
         "output_sha256": {"commands": {
             "verify": "kchern verify --suite all --seed 7",
             "homology": "kchern homology --fixture F --degree n, F in %s, "
-                        "n = 0..%d" % (", ".join(FIXTURES), HOMOLOGY_DEGREE)},
+                        "n = 0..%d, then F = M2, n = %s"
+                        % (", ".join(FIXTURES), HOMOLOGY_DEGREE,
+                           ", ".join(map(str, M2_DEGREES)))},
             **digests},
         "outputs_identical": all(len({d for xs in runs.values() for d in xs})
                                  == 1 for runs in digests.values()),

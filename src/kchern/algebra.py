@@ -26,9 +26,16 @@ class Algebra:
     each pair of words `uforms.word_product` was asked for, as a tuple of
     (word, rational) pairs decoded from that table, `_ab` the
     abelianization projection of each degree, which keeps its dbar once
-    built, and `_ab_spectrum` the (eigenvalue, multiplicity) pairs of the
+    built, `_ab_spectrum` the (eigenvalue, multiplicity) pairs of the
     bimodule matrix D that certify dim Omega_ab,n (`uforms._certified_dim`;
-    empty where no certificate applies).
+    empty where no certificate applies), and `_necklace` the closed-form
+    differentials of M_k and the path tables of `uforms._paths`.
+
+    `matrix_size` is the k that `make_matrix_algebra(k)` records on the
+    M_k(Q) it builds, and None on every other algebra, one built from an
+    equal table included.  Where it is set, `uforms.abelianization`
+    projects in necklace coordinates instead of building the commutator
+    echelon; the outputs are the same.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
@@ -65,12 +72,14 @@ class Algebra:
         if len(self.names) != m:
             raise AlgebraError("wrong number of basis names")
         self.degree_cap = degree_cap
+        self.matrix_size = None
         self._validate()
         # memoization caches (read-mostly, value-semantics preserving)
         self._right = []
         self._wordmul = {}
         self._ab = {}
         self._ab_spectrum = None
+        self._necklace = None
 
     def _validate(self):
         m = self.dim
@@ -213,7 +222,8 @@ def _table(m: int, product) -> list:
 
 def make_matrix_algebra(k: int, degree_cap: int = 8) -> Algebra:
     """M_k(Q) with basis {1} followed by the matrix units E_ij except E_kk,
-    row by row: E_ij sits at slot 1 + (i - 1) k + (j - 1)."""
+    row by row: E_ij sits at slot 1 + (i - 1) k + (j - 1).  The algebra
+    records k as its `matrix_size`."""
     if k < 1:
         raise AlgebraError("k must be >= 1")
     units = [(i, j) for i in range(k) for j in range(k)][:-1]
@@ -229,8 +239,9 @@ def make_matrix_algebra(k: int, degree_cap: int = 8) -> Algebra:
         return corner if i == l == k - 1 else ((1 + i * k + l, Q1),)
 
     names = ["1"] + ["E%d%d" % (i + 1, j + 1) for i, j in units]
-    return Algebra(_table(k * k, product), names=names,
-                   degree_cap=degree_cap)
+    alg = Algebra(_table(k * k, product), names=names, degree_cap=degree_cap)
+    alg.matrix_size = k
+    return alg
 
 
 def make_truncated_poly(k: int, degree_cap: int = 8) -> Algebra:

@@ -71,7 +71,9 @@ def form_to_json(u) -> list:
 
 def form_from_json(alg: Algebra, data: list) -> UForm:
     """The form of a term list; UForm sums repeated words.  A word that is
-    not a non-empty list of integers (bools excluded) raises ValueError."""
+    not a non-empty list of integers, or an optional "degree" that is not
+    an integer (bools and floats excluded), raises ValueError; a degree
+    that does not match the word raises FormError."""
     pairs = []
     for item in data:
         w = item["word"]
@@ -79,8 +81,12 @@ def form_from_json(alg: Algebra, data: list) -> UForm:
             raise ValueError("a word is a non-empty list of integers, not %r"
                              % (w,))
         w = tuple(w)
-        if "degree" in item and item["degree"] != word_degree(w):
-            raise FormError("degree does not match word length")
+        if "degree" in item:
+            if type(item["degree"]) is not int:
+                raise ValueError("a term's degree is an integer, not %r"
+                                 % (item["degree"],))
+            if item["degree"] != word_degree(w):
+                raise FormError("degree does not match word length")
         pairs.append((w, coeff_from_json(item["coeff"])))
     return UForm(alg, pairs)
 

@@ -13,7 +13,10 @@ a0 da1...dan -> d(a0bar) da1...dan.  The abelianization quotient by graded
 commutators, noncommutative de Rham homology, extension of algebra homs to
 DGA maps, and exactness certificates live here as well.  Each degree's
 abelianization projection memoizes the descended differential dbar into
-it; exactness solves and homology both read that one copy.
+it; exactness solves and homology both read that one copy.  On M_k, whose
+k `make_matrix_algebra` records as `Algebra.matrix_size`, the projection
+is computed in necklace coordinates; on every other algebra, from the
+echelonized commutators.  Both give the same canonical residuals.
 """
 
 from __future__ import annotations
@@ -270,35 +273,45 @@ def multiply(u: UForm, v: UForm) -> UForm:
 class AbProjection:
     """Projection of Omega^u_n onto Omega^u_n(A)_ab.
 
-    Holds the echelonized graded-commutator span at degree n in the
-    degree's word indices; residuals are canonical representatives
-    supported on the non-pivot ("quotient") words.  The differential dbar:
-    Omega_ab,n-1 -> Omega_ab,n is built on first use of `dbar` and kept
-    here.
+    The quotient words are the non-pivot words of the echelonized
+    graded-commutator span at degree n, in the degree's word indices
+    (`words`, and `index` its inverse); `reduce` gives the canonical
+    residual of a vector, supported on them.  This class reads both off
+    that `echelon`; `_NecklaceProjection` finds the same words and
+    residuals for M_k without it.  The differential dbar: Omega_ab,n-1 ->
+    Omega_ab,n is built on first use of `dbar` and kept here.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
                  "quotient_words", "_dbar")
 
-    def __init__(self, algebra, degree, words, index, echelon):
+    def __init__(self, algebra, degree, words, index, echelon,
+                 quotient_words=None):
         self.algebra = algebra
         self.degree = degree
         self.words = words
         self.index = index
         self.echelon = echelon
-        self.quotient_words = [w for i, w in enumerate(words)
-                               if i not in echelon.pivots]
+        if quotient_words is None:
+            quotient_words = [w for i, w in enumerate(words)
+                              if i not in echelon.pivots]
+        self.quotient_words = quotient_words
         self._dbar = None
+
+    def reduce(self, vec: dict) -> dict:
+        """Canonical residual of a dict word index -> scalar, its keys in
+        increasing order."""
+        return self.echelon.reduce(vec)
 
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar,
         its rationals stored as `rat` gives them."""
         if not terms:
             return {}
-        if not self.echelon.pivots:
+        if len(self.quotient_words) == len(self.words):
             return dict(terms)
         vec = {self.index[w]: c for w, c in terms.items()}
-        res = self.echelon.reduce(vec)
+        res = self.reduce(vec)
         return {self.words[i]: rat(c) if type(c) is Fraction else c
                 for i, c in res.items()}
 
@@ -312,8 +325,8 @@ class AbProjection:
         while adding them, as dicts quotient word -> scalar; they are a
         basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
-        d(q) is the word (0,) + q, at index idx(q) - B**(n-1) (as in
-        `abelianization`), and zero when q0 = 0, that is idx(q) < B**(n-1).
+        d(q) is the word (0,) + q, at index idx(q) - B**(n-1) (see
+        `_degree`), and zero when q0 = 0, that is idx(q) < B**(n-1).
         """
         if self._dbar is None:
             solver = TrackedEchelon(len(self.words))
@@ -321,11 +334,9 @@ class AbProjection:
             if self.degree:
                 prev = abelianization(self.algebra, self.degree - 1)
                 low = (self.algebra.dim - 1) ** (self.degree - 1)
-                for i, q in enumerate(prev.words):
-                    if i in prev.echelon.pivots:
-                        continue
-                    col = (self.echelon.reduce({i - low: Q1}) if i >= low
-                           else {})
+                for q in prev.quotient_words:
+                    i = prev.index[q]
+                    col = self.reduce({i - low: Q1}) if i >= low else {}
                     dep = solver.add(col, q)
                     if dep is not None:
                         kernel.append({q: Q1,
@@ -335,7 +346,29 @@ class AbProjection:
 
 
 def abelianization(algebra: Algebra, n: int) -> AbProjection:
-    """Quotient projection of degree n by graded commutators (memoized).
+    """Quotient projection of degree n by graded commutators (memoized):
+    in necklace coordinates for M_k (`_NecklaceProjection`, where
+    `Algebra.matrix_size` is set), else by the commutator echelon
+    (`_commutator_projection`).  Both give the same quotient words and
+    residuals."""
+    if n < 0:
+        raise FormError("negative degree")
+    if n > algebra.degree_cap:
+        raise DegreeCapError("degree %d exceeds cap %d"
+                             % (n, algebra.degree_cap))
+    hit = algebra._ab.get(n)
+    if hit is not None:
+        return hit
+    if algebra.matrix_size is None:
+        proj = _commutator_projection(algebra, n)
+    else:
+        proj = _NecklaceProjection(algebra, n)
+    algebra._ab[n] = proj
+    return proj
+
+
+def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
+    """The projection of degree n read off the echelonized commutators.
 
     Rather than every word-pair commutator, the echelon is fed a spanning
     set of [Omega, Omega]_n = [A, Omega_n] + d([Omega, Omega]_{n-1}).  The
@@ -356,14 +389,6 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     Omega]_n.  A certified span that runs out below that rank raises
     RuntimeError: the certificate or the spanning set is wrong.
     """
-    if n < 0:
-        raise FormError("negative degree")
-    if n > algebra.degree_cap:
-        raise DegreeCapError("degree %d exceeds cap %d"
-                             % (n, algebra.degree_cap))
-    hit = algebra._ab.get(n)
-    if hit is not None:
-        return hit
     words, index, right = _degree(algebra, n)
     b = algebra.dim - 1
     top = b ** n
@@ -395,9 +420,176 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
             "commutator span of degree %d has rank %d, but the certified "
             "quotient dimension %d needs rank %d"
             % (n, ech.rank, certified, target))
-    proj = AbProjection(algebra, n, words, index, ech)
-    algebra._ab[n] = proj
-    return proj
+    return AbProjection(algebra, n, words, index, ech)
+
+
+# ---------------------------------------------------------------------------
+# Necklace coordinates for M_k
+# ---------------------------------------------------------------------------
+#
+# For A = M_k(Q) with matrix units E_pq, the L = k^2 - 1 one-forms z_pq =
+# c_pq (p != q) and z_pp = c_pp - c_kk (p < k), where c_ij = sum_a E_ai
+# dE_ja, commute with A, and with Z their span Omega^1 = A (x) Z (Cuntz and
+# Quillen, J. AMS 8, 1995).  Letter z_pq has the number p k + q, the slot
+# of E_pq less one.  With da = sum_z phi_z(a) z, a word is
+#     a0 da1...dan = sum a0 phi_z1(a1)...phi_zn(an) z1...zn,
+# and the matrix trace identifies Omega_n / [A, Omega_n] with Z^(x)n (the
+# generalized trace; Loday, Cyclic Homology, 1.2).  The Karoubi operator
+# acts there as eps = (-1)^(n-1) times the rotation that moves the last
+# letter to the front, so Omega_ab,n is Z^(x)n modulo 1 - eps rotation: a
+# basis is the necklaces of n letters whose rotation stabilizer carries no
+# sign -1.  A letter tuple is coded by its base-L digits, the first letter
+# most significant, and a necklace by the least code of its rotations.
+
+def _phi(k: int) -> tuple:
+    """dE_pq = sum_{i!=p} E_iq z_ip - sum_{j!=q} E_pj z_qj + E_pq (z_pp -
+    z_qq), with z_kk = 0, in closed form: at the slot of E_pq, its terms c
+    E_ij z as {row i: [(letter z, j, c), ...]}.  Slot 0 is the unit, and
+    d1 = 0."""
+    out = [{}]
+    for p in range(k):
+        for q in range(k):
+            if p == q == k - 1:
+                break
+            rows = {i: [(i * k + p, q, Q1)] for i in range(k) if i != p}
+            rows[p] = [(q * k + j, j, -Q1) for j in range(k) if j != q]
+            if p != q:
+                rows[p] += [(z, q, c) for z, c in ((p * k + p, Q1),
+                                                   (q * k + q, -Q1))
+                            if z != k * k - 1]
+            out.append(rows)
+    return tuple(out)
+
+
+def _paths(alg: Algebra, rest: tuple) -> dict:
+    """phi_z1(a1)...phi_zn(an) for rest = (a1, ..., an), summed over the
+    letters: (c, j) -> {code of z1...zn: the coefficient of E_cj}.  Built
+    from rest[:-1] and memoized, with `_phi`, in `Algebra._necklace`."""
+    if alg._necklace is None:
+        k = alg.matrix_size
+        alg._necklace = (_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}})
+    phi, memo = alg._necklace
+    hit = memo.get(rest)
+    if hit is None:
+        size, step = alg.dim - 1, phi[rest[-1]]
+        hit = {}
+        for (c, i), codes in _paths(alg, rest[:-1]).items():
+            for z, j, x in step.get(i, ()):
+                accumulate(((code * size + z, v * x)
+                            for code, v in codes.items()),
+                           hit.setdefault((c, j), {}))
+        memo[rest] = hit
+    return hit
+
+
+def _eps(n: int) -> int:
+    """eps = (-1)^(n-1), the sign with which the Karoubi operator rotates
+    n one-forms (see `_certified_dim`)."""
+    return 1 if n % 2 else -1
+
+
+def _necklace(code: int, n: int, size: int) -> tuple:
+    """(necklace, sign) of the class of the degree-n letter tuple `code`
+    over `size` letters: the tuple is eps^j times its j-fold rotation, and
+    the necklace is the least rotation.  The sign is 0 when a rotation that
+    fixes the tuple carries eps^j = -1."""
+    top = size ** max(n - 1, 0)
+    eps = _eps(n)
+    best, sign, x, s = code, 1, code, 1
+    for _ in range(n - 1):
+        x = x % size * top + x // size
+        s *= eps
+        if x == code:
+            return best, (sign if s > 0 else 0)
+        if x < best:
+            best, sign = x, s
+    return best, sign
+
+
+class _NecklaceProjection(AbProjection):
+    """The projection of degree n of M_k (`Algebra.matrix_size`) in
+    necklace coordinates.
+
+    pi(a0 da1...dan) = sum tr(a0 phi_z1(a1)...phi_zn(an)) [z1...zn], summed
+    into necklaces with their signs, is the quotient map onto Omega_ab,n.
+    Pivots are minimal indices, so a word is a quotient word iff its pi is
+    independent of the pi of all later words: the scan runs from the last
+    word down, keeps each word whose pi raises the rank of `echelon` (over
+    necklaces), and stops at the number of nonzero necklace classes,
+    `_walk_count` with D = [k^2 - 1] (RuntimeError if the words run out
+    first).  The residual of a word, the combination of quotient words
+    with the same pi, is solved on first use over the quotient words' pi
+    and kept (RuntimeError if there is none); `reduce` sums the residuals.
+    """
+
+    __slots__ = ("_classes", "_solver", "_residuals")
+
+    def __init__(self, algebra: Algebra, n: int):
+        words = enumerate_words(algebra, n)
+        super().__init__(algebra, n, words,
+                         {w: i for i, w in enumerate(words)}, Echelon(), ())
+        self._classes = {}
+        self._solver = None
+        count = _walk_count(((algebra.dim - 1, 1),), n) if n else 1
+        found = []
+        for i in reversed(range(len(words))):
+            if self.echelon.rank == count:
+                break
+            if self.echelon.add(self._pi(i)):
+                found.append(i)
+        if self.echelon.rank != count:
+            raise RuntimeError(
+                "the words of degree %d span %d of the %d necklace classes"
+                % (n, self.echelon.rank, count))
+        found.reverse()
+        self.quotient_words = [words[i] for i in found]
+        self._residuals = {i: {i: Q1} for i in found}
+
+    def _pi(self, i: int) -> dict:
+        """pi of word i: necklace -> nonzero coefficient."""
+        alg, w = self.algebra, self.words[i]
+        paths = _paths(alg, w[1:])
+        if w[0]:
+            r, s = divmod(w[0] - 1, alg.matrix_size)
+            terms = paths.get((s, r), {}).items()
+        else:
+            terms = (t for c in range(alg.matrix_size)
+                     for t in paths.get((c, c), {}).items())
+        classes, out = self._classes, {}
+        for code, v in terms:
+            hit = classes.get(code)
+            if hit is None:
+                hit = classes[code] = _necklace(code, self.degree,
+                                                alg.dim - 1)
+            key, sign = hit
+            out[key] = out.get(key, Q0) + sign * v
+        return {key: v for key, v in out.items() if v}
+
+    def _residual(self, i: int) -> dict:
+        """The residual of word i: quotient word index -> coefficient, by
+        increasing index."""
+        res = self._residuals.get(i)
+        if res is None:
+            if self._solver is None:
+                self._solver = TrackedEchelon(
+                    (self.algebra.dim - 1) ** self.degree)
+                for q in map(self.index.get, self.quotient_words):
+                    self._solver.add(self._pi(q), q)
+            sol = self._solver.solve(self._pi(i))
+            if sol is None:
+                raise RuntimeError("the quotient words of degree %d do not "
+                                   "span the class of %r"
+                                   % (self.degree, self.words[i]))
+            res = self._residuals[i] = {j: sol[j] for j in sorted(sol)}
+        return res
+
+    def reduce(self, vec: dict) -> dict:
+        out = {}
+        for i, c in vec.items():
+            if c:
+                for j, r in self._residual(i).items():
+                    out[j] = out[j] + c * r if j in out else c * r
+        return {j: out[j] for j in sorted(out) if out[j]}
 
 
 def _certified_dim(algebra: Algebra, n: int):
@@ -446,7 +638,15 @@ def _certified_dim(algebra: Algebra, n: int):
         spectrum = algebra._ab_spectrum = _ab_spectrum(algebra)
     if not spectrum:
         return None
-    eps = 1 if n % 2 else -1
+    return _walk_count(spectrum, n)
+
+
+def _walk_count(spectrum: tuple, n: int) -> int:
+    """(1/n) sum_{k<n} eps^k tr(D^gcd(k, n)) for n >= 1, D given by its
+    (eigenvalue, multiplicity) pairs: the signed closed walks of
+    `_certified_dim`, and for D = [L] the necklaces of n letters out of L
+    that `_necklace` keeps."""
+    eps = _eps(n)
     return sum(eps ** k * mult * lam ** gcd(k, n) for k in range(n)
                for lam, mult in spectrum) // n
 
@@ -513,7 +713,7 @@ def is_exact_in_ab(w, n: int):
     """Decide project_ab(w) in Im(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
     Accepts a UForm or AbClass homogeneous of degree n; either is reduced
-    by the degree's commutator echelon first.  Returns (True, primitive
+    by the degree's projection first.  Returns (True, primitive
     UForm) or (False, None); the primitive v satisfies project_ab(d(v)) =
     project_ab(w).
     """
@@ -522,7 +722,7 @@ def is_exact_in_ab(w, n: int):
                         % (type(w).__name__, n))
     proj = abelianization(w.algebra, n)
     solver, _ = proj.dbar()
-    sol = solver.solve(proj.echelon.reduce(
+    sol = solver.solve(proj.reduce(
         {proj.index[ww]: c for ww, c in w.terms.items()}))
     if sol is None:
         return False, None

@@ -217,6 +217,18 @@ class TestKcs:
         assert "theta must be of degree 1" in capsys.readouterr().err
 
 
+    def test_path_term_degree_must_be_an_integer(self, tmp_path, capsys):
+        # "degree": true equals 1 and 1.0 equals 1, but a degree is an int
+        for degree in (True, 1.0):
+            payload = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                       "theta": [[[{"degree": degree, "word": [1, 1],
+                                    "coeff": {"t^1": "1"}}]]]}
+            f = tmp_path / "path.json"
+            f.write_text(json.dumps(payload))
+            assert run(["kcs", "--fixture", "dual", "--path", str(f)]) == 2
+            assert "degree is an integer" in capsys.readouterr().err
+
+
 def _write(tmp_path, name, payload):
     f = tmp_path / name
     f.write_text(json.dumps(payload))

@@ -86,6 +86,18 @@ class TestForms:
                                  term([0, 1], "-1/2")])
         assert v.terms == {(1,): 1}
 
+    def test_degree_must_be_an_integer(self):
+        # true == 1 and 0.0 == 0, but neither is an integer degree
+        alg = make_fixture("dual")
+        for degree, word in ((True, [0, 1]), (0.0, [1]), (1.0, [1, 1]),
+                             ("1", [0, 1])):
+            with pytest.raises(ValueError, match="degree is an integer"):
+                form_from_json(alg, [{"degree": degree, "word": word,
+                                      "coeff": "1"}])
+        with pytest.raises(FormError, match="does not match"):
+            form_from_json(alg, [{"degree": 2, "word": [0, 1],
+                                  "coeff": "1"}])
+
     def test_abclass_serializes_lift(self):
         alg = make_fixture("QxQ")
         e = UForm.from_element(alg.basis(1))

@@ -12,14 +12,15 @@ from kchern import uforms
 from kchern.algebra import (Algebra, AlgebraHom, make_matrix_algebra,
                             make_product, make_truncated_poly)
 from kchern.connections import random_form
-from kchern.exactmath import Echelon, Q0, Q1, TrackedEchelon
+from kchern.exactmath import Echelon, Poly1, Q0, Q1, TrackedEchelon
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           to_poly, word_product, _certified_dim, _degree)
+                           to_poly, word_product, _certified_dim, _degree,
+                           _necklace, _phi)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -144,10 +145,17 @@ def quaternions():
     return Algebra(mul, names=["1", "i", "j", "k"])
 
 
+def table_copy(alg):
+    """A fresh copy of alg built from its table: equal to alg, but with no
+    recorded matrix size, so its projections read the commutator echelon
+    (the oracle of the necklace path of M_k)."""
+    return Algebra(alg.mul, names=alg.names, degree_cap=alg.degree_cap)
+
+
 def unstopped(alg):
-    """A fresh copy of alg whose commutator echelon is fed to the end: its
-    certificate memo is set to the refused value ()."""
-    fresh = Algebra(alg.mul, names=alg.names, degree_cap=alg.degree_cap)
+    """A fresh table copy of alg whose commutator echelon is fed to the
+    end: its certificate memo is set to the refused value ()."""
+    fresh = table_copy(alg)
     fresh._ab_spectrum = ()
     return fresh
 
@@ -274,7 +282,7 @@ class TestWordModel:
             return type(c) is int or (type(c) is Fraction
                                       and c.denominator != 1)
 
-        alg = make_fixture("M2")
+        alg = table_copy(make_fixture("M2"))
         abelianization(alg, 4)
         for n in range(5):
             for row in abelianization(alg, n).echelon.pivots.values():
@@ -445,11 +453,24 @@ class TestSpanningSet:
             assert fast.reduce_terms({w: Q1}) == oracle.reduce_terms({w: Q1})
 
     def test_fixtures(self):
+        # M2 through its table copy, which keeps the commutator echelon
         tops = {"M2": 4, "x3": 5}
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)
+            if name == "M2":
+                alg = table_copy(alg)
             for n in range(tops.get(name, 6) + 1):
                 self.assert_same_projection(alg, n)
+
+    def test_necklace_path(self):
+        # equal quotient words over one word list mean equal pivot sets
+        alg = make_fixture("M2")
+        for n in range(5):
+            fast, oracle = abelianization(alg, n), _all_pairs_span(alg, n)
+            assert fast.quotient_words == oracle.quotient_words
+            for w in fast.words:
+                assert fast.reduce_terms({w: Q1}) == \
+                    oracle.reduce_terms({w: Q1})
 
     def test_dense_copies(self):
         for name in ("x3", "M2"):
@@ -472,7 +493,7 @@ class TestSpanningSet:
     def test_planted_right_table_entry_fails(self):
         # one flipped coefficient in one degree-1 right-table entry, before
         # any degree above it is built, must show in the projection
-        alg = make_fixture("M2")
+        alg = table_copy(make_fixture("M2"))
         _, _, right = _degree(alg, 1)
         col = right[1]
         idx = next(i for i, terms in enumerate(col) if terms)
@@ -501,7 +522,7 @@ class TestCertifiedDimension:
             assert stopped.quotient_words == ref.quotient_words
 
     def test_matrix_algebra(self):
-        self.assert_certified(make_fixture("M2"), 6)
+        self.assert_certified(table_copy(make_fixture("M2")), 6)
 
     def test_two_dimensional_separable_algebras(self):
         for alg in (make_fixture("QxQ"), make_fixture("C2"),
@@ -539,7 +560,7 @@ class TestCertifiedDimension:
                                                           monkeypatch):
         true = _certified_dim
         for n in (2, 3):
-            alg = make_fixture("M2")
+            alg = table_copy(make_fixture("M2"))
             abelianization(alg, n - 1)
             monkeypatch.setattr(uforms, "_certified_dim",
                                 lambda a, k: true(a, k) + 1)
@@ -553,7 +574,7 @@ class TestCertifiedDimension:
         true = _certified_dim
         for name, top in (("M2", 4), ("QxQ", 5), ("Q", 3)):
             for n in range(1, top + 1):
-                alg = make_fixture(name)
+                alg = table_copy(make_fixture(name))
                 abelianization(alg, n - 1)
                 monkeypatch.setattr(uforms, "_certified_dim",
                                     lambda a, k: true(a, k) - 1)
@@ -681,7 +702,7 @@ def _shifted_dbar(alg, n, shift):
     solver, kernel = TrackedEchelon(len(proj.words)), []
     for q in prev.quotient_words:
         i = prev.index[q] - shift
-        dep = solver.add(proj.echelon.reduce({i: Q1}) if i >= 0 else {}, q)
+        dep = solver.add(proj.reduce({i: Q1}) if i >= 0 else {}, q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     return solver, kernel
@@ -749,6 +770,168 @@ class TestDbarReference:
             caught.append(bool(_dbar_mismatches(name, alg, 4)))
         assert caught == nonzero == [name in ("dual", "x3", "M2")
                                      for name in FIXTURE_NAMES], caught
+
+
+def _seeded_terms(alg, rng, n, count):
+    """`count` distinct degree-n words with seeded nonzero scalars, half
+    of them Poly1."""
+    words = enumerate_words(alg, n)
+    out = {}
+    for w in rng.sample(words, min(count, len(words))):
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        out[w] = Poly1({(0,): c, (rng.randint(1, 3),): 1}) \
+            if rng.random() < 0.5 else c
+    return out
+
+
+def _necklace_mismatches(alg, ref, top, seed):
+    """Where the projections of alg, built by `make_matrix_algebra`, up to
+    degree top differ from those of ref, its table copy on the echelon
+    path: quotient words, the residuals of 30 seeded vectors per degree
+    (term order included), dbar kernels, homology representatives (n <
+    top) and exactness primitives, as a list of (what, degree).  A
+    RuntimeError from alg's projections ends the list."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(top + 1):
+        try:
+            _compare_projections(alg, ref, n, top, rng, out)
+        except RuntimeError:
+            return out + [("raised", n)]
+    return out
+
+
+def _compare_projections(alg, ref, n, top, rng, out):
+    """One degree of `_necklace_mismatches`."""
+    fast, slow = abelianization(alg, n), abelianization(ref, n)
+    if fast.quotient_words != slow.quotient_words:
+        out.append(("quotient words", n))
+    for _ in range(30):
+        terms = _seeded_terms(alg, rng, n, rng.randint(1, 6))
+        if list(fast.reduce_terms(terms).items()) != \
+                list(slow.reduce_terms(terms).items()):
+            out.append(("residual", n))
+            break
+    if [list(v.items()) for v in fast.dbar()[1]] != \
+            [list(v.items()) for v in slow.dbar()[1]]:
+        out.append(("kernel", n))
+    if n < top:
+        (dim_a, reps_a), (dim_b, reps_b) = (de_rham_homology(alg, n),
+                                            de_rham_homology(ref, n))
+        if (dim_a, [list(r.terms.items()) for r in reps_a]) != \
+                (dim_b, [list(r.terms.items()) for r in reps_b]):
+            out.append(("homology", n))
+    if n:
+        for target in [rand_homogeneous(ref, rng, n - 1, terms=3).d()
+                       for _ in range(3)] + \
+                [rand_homogeneous(ref, rng, n, terms=3)
+                 for _ in range(3)]:
+            ok_a, prim_a = is_exact_in_ab(UForm(alg, target.terms), n)
+            ok_b, prim_b = is_exact_in_ab(target, n)
+            if ok_a != ok_b or (ok_a and list(prim_a.terms.items())
+                                != list(prim_b.terms.items())):
+                out.append(("primitive", n))
+
+
+def _matrix_unit(alg, k, i, j):
+    """E_ij of M_k as an element of `make_matrix_algebra(k)`, E_kk = 1 -
+    sum_{i<k} E_ii."""
+    if i == j == k - 1:
+        return alg.unit() - sum((alg.basis(1 + l * k + l)
+                                 for l in range(k - 1)), alg.zero())
+    return alg.basis(1 + i * k + j)
+
+
+class TestNecklaceProjection:
+    """`make_matrix_algebra(k)` projects in necklace coordinates; its table
+    copy, on the echelon path, is the oracle."""
+
+    def test_matches_echelon_path(self):
+        for k, top in ((2, 6), (3, 3)):
+            alg = make_matrix_algebra(k)
+            assert _necklace_mismatches(alg, table_copy(alg), top,
+                                        "necklace-%d" % k) == [], k
+
+    def test_phi_matches_solve(self):
+        # the e_a z are a basis of Omega^1, the z commute with A, and
+        # solving dE_pq in that basis gives the closed form
+        for k in (2, 3, 4):
+            alg = make_matrix_algebra(k)
+
+            def unit(i, j):
+                return UForm.from_element(_matrix_unit(alg, k, i, j))
+
+            def c(i, j):
+                return sum((unit(a, i) * unit(j, a).d() for a in range(k)),
+                           UForm(alg))
+
+            letters = [c(p, q) if p != q else c(p, p) - c(k - 1, k - 1)
+                       for p in range(k) for q in range(k)][:-1]
+            index = {w: i for i, w in enumerate(enumerate_words(alg, 1))}
+            solver = TrackedEchelon(len(index))
+            for a in range(alg.dim):
+                e = UForm.from_element(alg.basis(a))
+                for z, form in enumerate(letters):
+                    assert e * form == form * e, (k, a, z)
+                    assert solver.add({index[w]: v for w, v in
+                                       (e * form).terms.items()},
+                                      (a, z)) is None
+            assert solver.rank == len(index)
+            phi = _phi(k)
+            assert len(phi) == alg.dim and phi[0] == {}
+            for s in range(1, alg.dim):
+                sol = solver.solve({index[w]: v for w, v in UForm.from_element(
+                    alg.basis(s)).d().terms.items()})
+                closed = {}
+                for i, terms in phi[s].items():
+                    for z, j, x in terms:
+                        for a, v in _matrix_unit(alg, k, i, j).terms.items():
+                            closed[a, z] = closed.get((a, z), Q0) + x * v
+                assert sol == {key: v for key, v in closed.items() if v}
+
+    def test_necklace_count_is_certified(self):
+        # the nonzero classes `_necklace` keeps, counted one by one
+        for k, top in ((2, 9), (3, 5)):
+            alg, size = make_matrix_algebra(k), k * k - 1
+            for n in range(1, top + 1):
+                kept = sum(1 for x in range(size ** n)
+                           if _necklace(x, n, size) == (x, 1))
+                assert kept == _certified_dim(alg, n), (k, n)
+
+    def test_cold_homology_builds_no_right_table(self):
+        alg = make_fixture("M2")
+        for n in range(4):
+            de_rham_homology(alg, n)
+        assert alg._ab_spectrum is None
+        assert alg._right == []
+
+    def assert_planted_fails(self, monkeypatch, name, value):
+        # the oracle is built before the plant, which may reach its
+        # certificate too
+        ref = table_copy(make_fixture("M2"))
+        for n in range(5):
+            abelianization(ref, n)
+        monkeypatch.setattr(uforms, name, value, raising=False)
+        assert _necklace_mismatches(make_fixture("M2"), ref, 4, "planted")
+
+    def test_planted_wrong_eps_fails(self, monkeypatch):
+        true = uforms._eps
+        self.assert_planted_fails(monkeypatch, "_eps", lambda n: -true(n))
+
+    def test_planted_phi_coefficient_fails(self, monkeypatch):
+        true = uforms._phi
+
+        def flipped(k):
+            out = list(true(k))
+            (i, ((z, j, c), *rest)), *_ = out[1].items()
+            out[1] = {**out[1], i: [(z, j, -c), *rest]}
+            return tuple(out)
+
+        self.assert_planted_fails(monkeypatch, "_phi", flipped)
+
+    def test_planted_upward_scan_fails(self, monkeypatch):
+        # a module-level `reversed` shadows the builtin in the scan
+        self.assert_planted_fails(monkeypatch, "reversed", iter)
 
 
 class TestExtendHom:
