@@ -59,7 +59,7 @@ TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 5
 VERIFY_RUNS = 3
 FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
 HOMOLOGY_DEGREE = 3
-M2_DEGREES = (4, 5, 6)
+M2_DEGREES = (4, 5, 6, 7, 8)
 LADDER_LIMIT = 60
 
 
@@ -131,7 +131,8 @@ def verify_run(tree: str, who: str) -> tuple:
 def homology_digest(tree: str) -> str:
     """The sha256 of the digests of the cold `kchern homology` reports of
     the six fixtures at degrees 0..HOMOLOGY_DEGREE, in that order, then of
-    M2 at the degrees M2_DEGREES."""
+    M2 at the degrees M2_DEGREES, each with ``--degree-cap max(8, n + 1)``
+    as the ladder runs it."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     digests = []
     requests = [(fixture, n) for fixture in FIXTURES
@@ -139,7 +140,8 @@ def homology_digest(tree: str) -> str:
     for fixture, n in requests + [("M2", n) for n in M2_DEGREES]:
         proc = subprocess.run([sys.executable, "-m", "kchern.cli",
                                "homology", "--fixture", fixture,
-                               "--degree", str(n)], cwd=tree, env=env,
+                               "--degree", str(n), "--degree-cap",
+                               str(max(8, n + 1))], cwd=tree, env=env,
                               check=True, capture_output=True, text=True)
         digests.append(digest(json.loads(proc.stdout)))
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()

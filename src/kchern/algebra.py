@@ -25,11 +25,12 @@ class Algebra:
     multiplication table of `uforms._degree`, `_wordmul` the product of
     each pair of words `uforms.word_product` was asked for, as a tuple of
     (word, rational) pairs decoded from that table, `_ab` the
-    abelianization projection of each degree, which keeps its dbar once
-    built, `_ab_spectrum` the (eigenvalue, multiplicity) pairs of the
-    bimodule matrix D that certify dim Omega_ab,n (`uforms._certified_dim`;
-    empty where no certificate applies), and `_necklace` the closed-form
-    differentials of M_k and the path tables of `uforms._paths`.
+    abelianization projection of each degree, `_dbar` the dbar into each
+    degree once built (`uforms.dbar`), `_ab_spectrum` the (eigenvalue,
+    multiplicity) pairs of the bimodule matrix D that certify dim
+    Omega_ab,n (`uforms._certified_dim`; empty where no certificate
+    applies), and `_necklace` the closed-form differentials of M_k, the
+    path tables, necklace classes and word pis of `uforms._tables`.
 
     `matrix_size` is the k that `make_matrix_algebra(k)` records on the
     M_k(Q) it builds, and None on every other algebra, one built from an
@@ -78,6 +79,7 @@ class Algebra:
         self._right = []
         self._wordmul = {}
         self._ab = {}
+        self._dbar = {}
         self._ab_spectrum = None
         self._necklace = None
 

@@ -11,12 +11,15 @@ The product is computed by the boundary rewriting rule
 da*b = d(ab) - a*db (a degree-0 move, no Koszul signs), the differential by
 a0 da1...dan -> d(a0bar) da1...dan.  The abelianization quotient by graded
 commutators, noncommutative de Rham homology, extension of algebra homs to
-DGA maps, and exactness certificates live here as well.  Each degree's
-abelianization projection memoizes the descended differential dbar into
-it; exactness solves and homology both read that one copy.  On M_k, whose
+DGA maps, and exactness certificates live here as well.  The descended
+differential dbar into each degree is built once per algebra (`dbar`);
+exactness solves and homology both read that one copy.  On M_k, whose
 k `make_matrix_algebra` records as `Algebra.matrix_size`, the projection
 is computed in necklace coordinates; on every other algebra, from the
-echelonized commutators.  Both give the same canonical residuals.
+echelonized commutators.  Both give the same canonical residuals.  dbar
+solves in the coordinates of its path: canonical residuals on the
+echelon path, and on M_k the necklace vector pi itself, which needs no
+projection of the target degree.
 """
 
 from __future__ import annotations
@@ -278,12 +281,12 @@ class AbProjection:
     (`words`, and `index` its inverse); `reduce` gives the canonical
     residual of a vector, supported on them.  This class reads both off
     that `echelon`; `_NecklaceProjection` finds the same words and
-    residuals for M_k without it.  The differential dbar: Omega_ab,n-1 ->
-    Omega_ab,n is built on first use of `dbar` and kept here.
+    residuals for M_k without it.  `coords` gives the coordinates in which
+    the solver of `dbar` into this degree reads a vector.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
-                 "quotient_words", "_dbar")
+                 "quotient_words")
 
     def __init__(self, algebra, degree, words, index, echelon,
                  quotient_words=None):
@@ -296,7 +299,6 @@ class AbProjection:
             quotient_words = [w for i, w in enumerate(words)
                               if i not in echelon.pivots]
         self.quotient_words = quotient_words
-        self._dbar = None
 
     def reduce(self, vec: dict) -> dict:
         """Canonical residual of a dict word index -> scalar, its keys in
@@ -315,34 +317,19 @@ class AbProjection:
         return {self.words[i]: rat(c) if type(c) is Fraction else c
                 for i, c in res.items()}
 
-    def dbar(self):
-        """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel),
-        built once.
+    def coords(self, terms: dict) -> dict:
+        """The coordinates of a degree-n dict word -> scalar in which
+        `dbar` into degree n solves: here its residual, by word index."""
+        return self.reduce({self.index[w]: c for w, c in terms.items()})
 
-        `solver` is a TrackedEchelon over the degree-n word indices whose
-        columns are the canonical residuals of d of the degree n-1 quotient
-        words, tagged by the word.  `kernel` lists the dependencies met
-        while adding them, as dicts quotient word -> scalar; they are a
-        basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
-        d(q) is the word (0,) + q, at index idx(q) - B**(n-1) (see
-        `_degree`), and zero when q0 = 0, that is idx(q) < B**(n-1).
-        """
-        if self._dbar is None:
-            solver = TrackedEchelon(len(self.words))
-            kernel = []
-            if self.degree:
-                prev = abelianization(self.algebra, self.degree - 1)
-                low = (self.algebra.dim - 1) ** (self.degree - 1)
-                for q in prev.quotient_words:
-                    i = prev.index[q]
-                    col = self.reduce({i - low: Q1}) if i >= low else {}
-                    dep = solver.add(col, q)
-                    if dep is not None:
-                        kernel.append({q: Q1,
-                                       **{p: -c for p, c in dep.items()}})
-            self._dbar = (solver, kernel)
-        return self._dbar
+def _check_degree(algebra: Algebra, n: int):
+    """FormError for a negative degree, DegreeCapError past the cap."""
+    if n < 0:
+        raise FormError("negative degree")
+    if n > algebra.degree_cap:
+        raise DegreeCapError("degree %d exceeds cap %d"
+                             % (n, algebra.degree_cap))
 
 
 def abelianization(algebra: Algebra, n: int) -> AbProjection:
@@ -351,11 +338,7 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     `Algebra.matrix_size` is set), else by the commutator echelon
     (`_commutator_projection`).  Both give the same quotient words and
     residuals."""
-    if n < 0:
-        raise FormError("negative degree")
-    if n > algebra.degree_cap:
-        raise DegreeCapError("degree %d exceeds cap %d"
-                             % (n, algebra.degree_cap))
+    _check_degree(algebra, n)
     hit = algebra._ab.get(n)
     if hit is not None:
         return hit
@@ -365,6 +348,45 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
         proj = _NecklaceProjection(algebra, n)
     algebra._ab[n] = proj
     return proj
+
+
+def dbar(algebra: Algebra, n: int):
+    """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel), built
+    once per algebra and kept in `Algebra._dbar`; DegreeCapError past the
+    cap.
+
+    `solver` is a TrackedEchelon whose columns are d of the degree n-1
+    quotient words q, tagged by the word, in the coordinates of degree n:
+    the canonical residual of the word (0,) + q (`AbProjection.coords`),
+    and on M_k its pi (`_necklace_coords`), which needs no projection of
+    degree n.  d(q) is zero when q0 = 0.  `kernel` lists the dependencies
+    met while adding the columns, as dicts quotient word -> scalar; they
+    are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+
+    Both coordinates give the same solver outputs.  The scan of
+    `_NecklaceProjection` keeps exactly the words whose pi raise the rank,
+    up to the number of necklace classes, so pi maps the span of the
+    quotient words isomorphically onto the necklace space; a word and its
+    residual have the same pi, so pi of a vector is this isomorphism
+    applied to its residual.  Which columns a TrackedEchelon accepts, the
+    dependencies it returns and its solves are combinations of the
+    columns, unique where they exist, and so do not change under an
+    invertible change of data coordinates.
+    """
+    _check_degree(algebra, n)
+    hit = algebra._dbar.get(n)
+    if hit is not None:
+        return hit
+    coords = (abelianization(algebra, n).coords
+              if algebra.matrix_size is None
+              else partial(_necklace_coords, algebra))
+    solver, kernel = TrackedEchelon(dimension(algebra, n)), []
+    for q in abelianization(algebra, n - 1).quotient_words if n else ():
+        dep = solver.add(coords({(0,) + q: Q1}) if q[0] else {}, q)
+        if dep is not None:
+            kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+    hit = algebra._dbar[n] = (solver, kernel)
+    return hit
 
 
 def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
@@ -461,14 +483,23 @@ def _phi(k: int) -> tuple:
     return tuple(out)
 
 
+def _tables(alg: Algebra) -> tuple:
+    """`Algebra._necklace` of M_k, built on first use: the closed form of
+    `_phi`, the path tables of `_paths`, per degree the class `_necklace`
+    gives each letter code `_pi` met, and the pi of each word
+    `_necklace_coords` was asked for."""
+    if alg._necklace is None:
+        k = alg.matrix_size
+        alg._necklace = (_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
+                         {}, {})
+    return alg._necklace
+
+
 def _paths(alg: Algebra, rest: tuple) -> dict:
     """phi_z1(a1)...phi_zn(an) for rest = (a1, ..., an), summed over the
     letters: (c, j) -> {code of z1...zn: the coefficient of E_cj}.  Built
-    from rest[:-1] and memoized, with `_phi`, in `Algebra._necklace`."""
-    if alg._necklace is None:
-        k = alg.matrix_size
-        alg._necklace = (_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}})
-    phi, memo = alg._necklace
+    from rest[:-1] and memoized in `_tables`."""
+    phi, memo = _tables(alg)[:2]
     hit = memo.get(rest)
     if hit is None:
         size, step = alg.dim - 1, phi[rest[-1]]
@@ -506,6 +537,39 @@ def _necklace(code: int, n: int, size: int) -> tuple:
     return best, sign
 
 
+def _pi(alg: Algebra, word: tuple) -> dict:
+    """pi of a word of M_k (see `_NecklaceProjection`): necklace -> nonzero
+    int coefficient."""
+    k, n = alg.matrix_size, word_degree(word)
+    paths = _paths(alg, word[1:])
+    if word[0]:
+        r, s = divmod(word[0] - 1, k)
+        terms = paths.get((s, r), {}).items()
+    else:
+        terms = (t for c in range(k) for t in paths.get((c, c), {}).items())
+    classes, out = _tables(alg)[2].setdefault(n, {}), {}
+    for code, v in terms:
+        hit = classes.get(code)
+        if hit is None:
+            hit = classes[code] = _necklace(code, n, alg.dim - 1)
+        key, sign = hit
+        out[key] = out.get(key, Q0) + sign * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _necklace_coords(alg: Algebra, terms: dict) -> dict:
+    """pi of a homogeneous dict word -> scalar, with the pi of each word
+    kept in `_tables`."""
+    pis, out = _tables(alg)[3], {}
+    for w, c in terms.items():
+        p = pis.get(w)
+        if p is None:
+            p = pis[w] = _pi(alg, w)
+        for key, v in p.items():
+            out[key] = out[key] + c * v if key in out else c * v
+    return {key: v for key, v in out.items() if v}
+
+
 class _NecklaceProjection(AbProjection):
     """The projection of degree n of M_k (`Algebra.matrix_size`) in
     necklace coordinates.
@@ -520,22 +584,22 @@ class _NecklaceProjection(AbProjection):
     first).  The residual of a word, the combination of quotient words
     with the same pi, is solved on first use over the quotient words' pi
     and kept (RuntimeError if there is none); `reduce` sums the residuals.
+    `coords` is pi itself, so `dbar` needs no residual.
     """
 
-    __slots__ = ("_classes", "_solver", "_residuals")
+    __slots__ = ("_solver", "_residuals")
 
     def __init__(self, algebra: Algebra, n: int):
         words = enumerate_words(algebra, n)
         super().__init__(algebra, n, words,
                          {w: i for i, w in enumerate(words)}, Echelon(), ())
-        self._classes = {}
         self._solver = None
         count = _walk_count(((algebra.dim - 1, 1),), n) if n else 1
         found = []
         for i in reversed(range(len(words))):
             if self.echelon.rank == count:
                 break
-            if self.echelon.add(self._pi(i)):
+            if self.echelon.add(_pi(algebra, words[i])):
                 found.append(i)
         if self.echelon.rank != count:
             raise RuntimeError(
@@ -545,37 +609,17 @@ class _NecklaceProjection(AbProjection):
         self.quotient_words = [words[i] for i in found]
         self._residuals = {i: {i: Q1} for i in found}
 
-    def _pi(self, i: int) -> dict:
-        """pi of word i: necklace -> nonzero coefficient."""
-        alg, w = self.algebra, self.words[i]
-        paths = _paths(alg, w[1:])
-        if w[0]:
-            r, s = divmod(w[0] - 1, alg.matrix_size)
-            terms = paths.get((s, r), {}).items()
-        else:
-            terms = (t for c in range(alg.matrix_size)
-                     for t in paths.get((c, c), {}).items())
-        classes, out = self._classes, {}
-        for code, v in terms:
-            hit = classes.get(code)
-            if hit is None:
-                hit = classes[code] = _necklace(code, self.degree,
-                                                alg.dim - 1)
-            key, sign = hit
-            out[key] = out.get(key, Q0) + sign * v
-        return {key: v for key, v in out.items() if v}
-
     def _residual(self, i: int) -> dict:
         """The residual of word i: quotient word index -> coefficient, by
         increasing index."""
         res = self._residuals.get(i)
         if res is None:
+            alg = self.algebra
             if self._solver is None:
-                self._solver = TrackedEchelon(
-                    (self.algebra.dim - 1) ** self.degree)
-                for q in map(self.index.get, self.quotient_words):
-                    self._solver.add(self._pi(q), q)
-            sol = self._solver.solve(self._pi(i))
+                self._solver = TrackedEchelon((alg.dim - 1) ** self.degree)
+                for q in self.quotient_words:
+                    self._solver.add(_pi(alg, q), self.index[q])
+            sol = self._solver.solve(_pi(alg, self.words[i]))
             if sol is None:
                 raise RuntimeError("the quotient words of degree %d do not "
                                    "span the class of %r"
@@ -590,6 +634,9 @@ class _NecklaceProjection(AbProjection):
                 for j, r in self._residual(i).items():
                     out[j] = out[j] + c * r if j in out else c * r
         return {j: out[j] for j in sorted(out) if out[j]}
+
+    def coords(self, terms: dict) -> dict:
+        return _necklace_coords(self.algebra, terms)
 
 
 def _certified_dim(algebra: Algebra, n: int):
@@ -712,18 +759,16 @@ def ab_d(c: AbClass) -> AbClass:
 def is_exact_in_ab(w, n: int):
     """Decide project_ab(w) in Im(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
-    Accepts a UForm or AbClass homogeneous of degree n; either is reduced
-    by the degree's projection first.  Returns (True, primitive
-    UForm) or (False, None); the primitive v satisfies project_ab(d(v)) =
-    project_ab(w).
+    Accepts a UForm or AbClass homogeneous of degree n; the solver of
+    `dbar` reads it in the degree's coordinates (`AbProjection.coords`).
+    Returns (True, primitive UForm) or (False, None); the primitive v
+    satisfies project_ab(d(v)) = project_ab(w).
     """
     if any(word_degree(ww) != n for ww in w.terms):
         raise FormError("%s is not homogeneous of degree %d"
                         % (type(w).__name__, n))
     proj = abelianization(w.algebra, n)
-    solver, _ = proj.dbar()
-    sol = solver.solve(proj.reduce(
-        {proj.index[ww]: c for ww, c in w.terms.items()}))
+    sol = dbar(w.algebra, n)[0].solve(proj.coords(w.terms))
     if sol is None:
         return False, None
     return True, UForm(w.algebra, sol)
@@ -734,16 +779,16 @@ def de_rham_homology(algebra: Algebra, n: int):
 
     Returns (dimension, list of representative UForms): the kernel vectors
     of dbar on degree n that are independent modulo the image of dbar on
-    degree n - 1.
+    degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError), but on
+    M_k no projection of degree n + 1 (see `dbar`).
     """
+    _, kernel = dbar(algebra, n + 1)
     proj = abelianization(algebra, n)
-    _, kernel = abelianization(algebra, n + 1).dbar()
     # a copy, so the memoized solver of dbar never learns the kernel
-    image = proj.dbar()[0].copy()
+    image = dbar(algebra, n)[0].copy()
     reps = []
     for vec in kernel:
-        if image.add({proj.index[q]: c for q, c in vec.items()},
-                     None) is None:
+        if image.add(proj.coords(vec), None) is None:
             reps.append(UForm(algebra, vec))
     return len(reps), reps
 

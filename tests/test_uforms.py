@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kchern
 from kchern import uforms
 from kchern.algebra import (Algebra, AlgebraHom, make_matrix_algebra,
                             make_product, make_truncated_poly)
@@ -17,7 +18,7 @@ from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
-                           differential, dimension, enumerate_words,
+                           dbar, differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
                            to_poly, word_product, _certified_dim, _degree,
                            _necklace, _phi)
@@ -609,6 +610,23 @@ class TestHomology:
         exact, _ = is_exact_in_ab(cls, 2)
         assert not exact
 
+    @pytest.mark.parametrize("path", ["necklace", "echelon"])
+    def test_degree_cap_is_explicit(self, path):
+        # homology at n reads dbar into n + 1, exactness dbar into n: past
+        # the cap both raise on either path, before building anything
+        for cap in (3, 8):
+            alg = make_fixture("M2", degree_cap=cap)
+            if path == "echelon":
+                alg = table_copy(alg)
+            assert (alg.matrix_size is None) == (path == "echelon")
+            with pytest.raises(DegreeCapError, match="exceeds cap %d" % cap):
+                kchern.de_rham_homology(alg, cap)
+            word = kchern.UForm.word(alg, (1,) * (cap + 2))
+            with pytest.raises(DegreeCapError):
+                kchern.is_exact_in_ab(word, cap + 1)
+            assert alg._ab == {} and alg._dbar == {}
+        assert kchern.de_rham_homology(alg, 1)[0] == 0
+
     def test_dual_h2_vanishes(self):
         dual = make_fixture("dual")
         assert de_rham_homology(dual, 2)[0] == 0
@@ -682,7 +700,7 @@ def _quotient_dbar(alg, n):
     k-th quotient word of degree n: each degree n-1 quotient word q is
     mapped by `project_ab(UForm.word(alg, q).d())`.  Returns (solver,
     kernel, coordinate of each quotient word), solver and kernel as in
-    `AbProjection.dbar`.  A reference apart from the index shift there."""
+    `dbar`.  A reference apart from the coordinates there."""
     coord = {w: k for k, w in
              enumerate(abelianization(alg, n).quotient_words)}
     solver, kernel = TrackedEchelon(len(coord)), []
@@ -696,13 +714,15 @@ def _quotient_dbar(alg, n):
 
 def _shifted_dbar(alg, n, shift):
     """A wrong dbar into degree n for planting: the degree n-1 quotient
-    word at index i goes to the residual of the word at index i - shift
-    (zero below index 0) instead of i - B**(n-1)."""
+    word at index i goes to the coordinates (`AbProjection.coords`: the
+    residual, and pi on M_k) of the word at index i - shift (zero below
+    index 0) instead of i - B**(n-1)."""
     proj, prev = abelianization(alg, n), abelianization(alg, n - 1)
     solver, kernel = TrackedEchelon(len(proj.words)), []
     for q in prev.quotient_words:
         i = prev.index[q] - shift
-        dep = solver.add(proj.reduce({i: Q1}) if i >= 0 else {}, q)
+        dep = solver.add(proj.coords({proj.words[i]: Q1}) if i >= 0 else {},
+                         q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     return solver, kernel
@@ -717,7 +737,7 @@ def _dbar_mismatches(name, alg, top):
     rng = random.Random("dbar-" + name)
     out = []
     for n in range(top + 1):
-        if [list(v.items()) for v in abelianization(alg, n).dbar()[1]] != \
+        if [list(v.items()) for v in dbar(alg, n)[1]] != \
                 [list(v.items()) for v in dbars[n][1]]:
             out.append(("kernel", n))
         if n < top:
@@ -746,8 +766,8 @@ def _dbar_mismatches(name, alg, top):
 
 
 class TestDbarReference:
-    """`AbProjection.dbar` shifts word indices by B**(n-1) and reduces in
-    the degree's own coordinates; the quotient-coordinate build of
+    """`dbar` maps q to the word (0,) + q and reads it in the degree's
+    solver coordinates; the quotient-coordinate build of
     `_quotient_dbar` must give the same kernels, homology and primitives,
     term order included."""
 
@@ -762,11 +782,10 @@ class TestDbarReference:
         caught, nonzero = [], []
         for name in FIXTURE_NAMES:
             alg, fresh = make_fixture(name), make_fixture(name)
-            nonzero.append(any(abelianization(fresh, n).dbar()[0].rank
-                               for n in range(5)))
+            nonzero.append(any(dbar(fresh, n)[0].rank for n in range(5)))
             for n in range(1, 5):
                 low = (alg.dim - 1) ** (n - 1)
-                abelianization(alg, n)._dbar = _shifted_dbar(alg, n, low + 1)
+                alg._dbar[n] = _shifted_dbar(alg, n, low + 1)
             caught.append(bool(_dbar_mismatches(name, alg, 4)))
         assert caught == nonzero == [name in ("dual", "x3", "M2")
                                      for name in FIXTURE_NAMES], caught
@@ -812,8 +831,8 @@ def _compare_projections(alg, ref, n, top, rng, out):
                 list(slow.reduce_terms(terms).items()):
             out.append(("residual", n))
             break
-    if [list(v.items()) for v in fast.dbar()[1]] != \
-            [list(v.items()) for v in slow.dbar()[1]]:
+    if [list(v.items()) for v in dbar(alg, n)[1]] != \
+            [list(v.items()) for v in dbar(ref, n)[1]]:
         out.append(("kernel", n))
     if n < top:
         (dim_a, reps_a), (dim_b, reps_b) = (de_rham_homology(alg, n),
@@ -899,11 +918,35 @@ class TestNecklaceProjection:
                 assert kept == _certified_dim(alg, n), (k, n)
 
     def test_cold_homology_builds_no_right_table(self):
-        alg = make_fixture("M2")
+        # dbar reads pi, so homology at n builds no projection of degree
+        # n + 1 either, and neither it nor exactness builds a residual
+        # solver
         for n in range(4):
+            alg = make_fixture("M2")
             de_rham_homology(alg, n)
-        assert alg._ab_spectrum is None
-        assert alg._right == []
+            assert alg._ab_spectrum is None
+            assert alg._right == []
+            assert n + 1 not in alg._ab and n + 1 in alg._dbar, n
+            assert all(p._solver is None for p in alg._ab.values()), n
+        alg, rng = make_fixture("M2"), random.Random(15)
+        for n in (1, 2, 3):
+            is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
+            is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
+                           n)
+        assert sorted(alg._ab) == [0, 1, 2, 3] and alg._right == []
+        assert all(p._solver is None for p in alg._ab.values())
+
+    def test_planted_shifted_column_fails(self):
+        # a necklace dbar column read off the wrong word, shifted as
+        # `_shifted_dbar` does, must be caught against the echelon path
+        for k, top in ((2, 4), (3, 2)):
+            alg = make_matrix_algebra(k)
+            ref = table_copy(alg)
+            for n in range(1, top + 1):
+                low = (alg.dim - 1) ** (n - 1)
+                alg._dbar[n] = _shifted_dbar(alg, n, low + 1)
+            found = _necklace_mismatches(alg, ref, top, "shifted-%d" % k)
+            assert ("kernel", 2) in found and ("primitive", 2) in found, k
 
     def assert_planted_fails(self, monkeypatch, name, value):
         # the oracle is built before the plant, which may reach its
