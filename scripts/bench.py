@@ -12,25 +12,31 @@ change.  Per metric the file holds both sides'
 runs, medians and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
-for neither).  It also holds, per side, the wall time of
-``kchern verify --suite all --seed 7`` (VERIFY_RUNS alternating runs); per
-side and per run, the sha256 of that report and of the cold ``kchern
-homology`` reports of the six fixtures at n = 0..HOMOLOGY_DEGREE and of
-M2 at n = M2_DEGREES, each with every ``time_ms`` removed (the digest
-criterion 9 pins), and ``outputs_identical``, whether every run of both
-sides gave the same two digests; the wall time and exit status of one Tier-1 pytest run and of
-one under ``python -O`` (the parent first), the ``wc -l src/kchern/*.py``
-total, the homology ladder of ROADMAP's north star (the parent first):
-cold runs of
+for neither).  It also holds, per side, the wall time of ``kchern verify
+--suite all --seed 7`` (VERIFY_RUNS alternating runs); per side and per
+run, the sha256 of that report, of the cold ``kchern homology`` reports of
+the six fixtures at n = 0..HOMOLOGY_DEGREE and of M2 at n = M2_DEGREES,
+and of the L3/L4 reports: ``kchern chern --seed s --kmax 3`` (``--kmax 2``
+on M2) for s = 0..CHERN_SEEDS - 1 and ``kchern kcs --path P``, forward
+and ``--reverse``, on the six fixtures, each with every ``time_ms``
+removed (the digest criterion 9 pins); and ``outputs_identical``, whether
+every run of both sides gave the same three digests.  The kcs payloads P
+are two-connection paths that the parent tree writes once under
+``.bench_build/payloads/`` and both sides read: the connections
+``random_connection(random_idempotent(A, 2, s), 10 + s)`` and
+``20 + s`` for s = 0..PAYLOAD_SEEDS - 1.  It also holds the wall time and
+exit status of one Tier-1 pytest run and of one under ``python -O`` (the
+parent first), the ``wc -l src/kchern/*.py`` total, the homology ladder
+of ROADMAP's north star (the parent first): cold runs of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
 n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
 is killed, with each rung's wall time, exit status and peak RSS (the
-``ru_maxrss`` that ``os.wait4`` reports for that child alone) and the top,
-the highest n that finished in time; the median of each per-layer metric
-over TRACE_RUNS alternating ``run.py --trace 1`` runs per side at
+``ru_maxrss`` that ``os.wait4`` reports for that child alone) and the
+top, the highest n that finished in time; the median of each per-layer
+metric over TRACE_RUNS alternating ``run.py --trace 1`` runs per side at
 TRACE_SEED for TRACE_SECONDS, with the side's min-max spread beside it
-(``<side>_spread``); and the host's slowness
-(``perfbench/hostspeed.py``) read before and after the runs.
+(``<side>_spread``); and the host's slowness (``perfbench/hostspeed.py``)
+read before and after the runs.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ VERIFY_RUNS = 3
 FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
 HOMOLOGY_DEGREE = 3
 M2_DEGREES = (4, 5, 6, 7, 8)
+CHERN_SEEDS, PAYLOAD_SEEDS = 4, 3
 LADDER_LIMIT = 60
 
 
@@ -128,23 +135,78 @@ def verify_run(tree: str, who: str) -> tuple:
         return seconds, digest(json.load(fh))
 
 
-def homology_digest(tree: str) -> str:
-    """The sha256 of the digests of the cold `kchern homology` reports of
-    the six fixtures at degrees 0..HOMOLOGY_DEGREE, in that order, then of
-    M2 at the degrees M2_DEGREES, each with ``--degree-cap max(8, n + 1)``
-    as the ladder runs it."""
+def cli_digest(tree: str, requests) -> str:
+    """The sha256 of the digests of the `kchern` reports of `requests`,
+    lists of CLI arguments, run in that order in tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     digests = []
-    requests = [(fixture, n) for fixture in FIXTURES
-                for n in range(HOMOLOGY_DEGREE + 1)]
-    for fixture, n in requests + [("M2", n) for n in M2_DEGREES]:
-        proc = subprocess.run([sys.executable, "-m", "kchern.cli",
-                               "homology", "--fixture", fixture,
-                               "--degree", str(n), "--degree-cap",
-                               str(max(8, n + 1))], cwd=tree, env=env,
-                              check=True, capture_output=True, text=True)
+    for argv in requests:
+        proc = subprocess.run([sys.executable, "-m", "kchern.cli", *argv],
+                              cwd=tree, env=env, check=True,
+                              capture_output=True, text=True)
         digests.append(digest(json.loads(proc.stdout)))
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
+
+def homology_digest(tree: str) -> str:
+    """The digest of the cold `kchern homology` reports of the six fixtures
+    at degrees 0..HOMOLOGY_DEGREE, in that order, then of M2 at the degrees
+    M2_DEGREES, each with ``--degree-cap max(8, n + 1)`` as the ladder runs
+    it."""
+    requests = [(fixture, n) for fixture in FIXTURES
+                for n in range(HOMOLOGY_DEGREE + 1)]
+    return cli_digest(tree, [
+        ["homology", "--fixture", fixture, "--degree", str(n),
+         "--degree-cap", str(max(8, n + 1))]
+        for fixture, n in requests + [("M2", n) for n in M2_DEGREES]])
+
+
+# Run in the parent tree: one two-connection path payload per fixture and
+# seed, {"idempotent", "theta0", "theta1"} as `kchern kcs --path` reads it.
+PAYLOAD_WRITER = """
+import json, os, sys
+from kchern.connections import random_connection, random_idempotent
+from kchern.fixtures import make_fixture
+from kchern.serialize import connection_to_json
+out, seeds, fixtures = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+for name in fixtures:
+    alg = make_fixture(name)
+    for s in range(seeds):
+        p = random_idempotent(alg, 2, s)
+        c0, c1 = (connection_to_json(random_connection(p, seed))
+                  for seed in (10 + s, 20 + s))
+        with open(os.path.join(out, "%s-%d.json" % (name, s)), "w") as fh:
+            json.dump({"idempotent": c0["idempotent"],
+                       "theta0": c0["theta"], "theta1": c1["theta"]}, fh)
+"""
+
+
+def write_payloads(tree: str) -> list:
+    """The paths of the kcs payloads, written once by the code in tree."""
+    out = os.path.join(BUILD, "payloads")
+    shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(out)
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    subprocess.run([sys.executable, "-c", PAYLOAD_WRITER, out,
+                    str(PAYLOAD_SEEDS), *FIXTURES], cwd=tree, env=env,
+                   check=True, capture_output=True)
+    return [os.path.join(out, "%s-%d.json" % (fixture, s))
+            for fixture in FIXTURES for s in range(PAYLOAD_SEEDS)]
+
+
+def transgression_digest(tree: str, payloads) -> str:
+    """The digest of the L3/L4 reports: `kchern chern --seed s` on the six
+    fixtures for s = 0..CHERN_SEEDS - 1 (k_max 3, and 2 on M2), then
+    `kchern kcs --path P` for each payload, forward and reversed."""
+    requests = [["chern", "--fixture", fixture, "--seed", str(s), "--kmax",
+                 "2" if fixture == "M2" else "3"]
+                for fixture in FIXTURES for s in range(CHERN_SEEDS)]
+    for path in payloads:
+        fixture = os.path.basename(path).rsplit("-", 1)[0]
+        for extra in ([], ["--reverse"]):
+            requests.append(["kcs", "--fixture", fixture, "--path", path,
+                             *extra])
+    return cli_digest(tree, requests)
 
 
 def tier1(tree: str, flags=()) -> dict:
@@ -276,13 +338,17 @@ def main(argv=None) -> int:
         }
     verify = {"parent": [], "change": []}
     digests = {"verify": {"parent": [], "change": []},
-               "homology": {"parent": [], "change": []}}
+               "homology": {"parent": [], "change": []},
+               "transgression": {"parent": [], "change": []}}
+    payloads = write_payloads(trees["parent"])
     for k in range(VERIFY_RUNS):
         for who in alternating(k):
             seconds, verify_digest = verify_run(trees[who], who)
             verify[who].append(seconds)
             digests["verify"][who].append(verify_digest)
             digests["homology"][who].append(homology_digest(trees[who]))
+            digests["transgression"][who].append(
+                transgression_digest(trees[who], payloads))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
     ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
@@ -321,7 +387,13 @@ def main(argv=None) -> int:
             "homology": "kchern homology --fixture F --degree n, F in %s, "
                         "n = 0..%d, then F = M2, n = %s"
                         % (", ".join(FIXTURES), HOMOLOGY_DEGREE,
-                           ", ".join(map(str, M2_DEGREES)))},
+                           ", ".join(map(str, M2_DEGREES))),
+            "transgression": "kchern chern --fixture F --seed s --kmax 3 "
+                             "(2 on M2), s = 0..%d, then kchern kcs "
+                             "--fixture F --path P [--reverse], P the "
+                             "payloads of seeds 0..%d, F in %s"
+                             % (CHERN_SEEDS - 1, PAYLOAD_SEEDS - 1,
+                                ", ".join(FIXTURES))},
             **digests},
         "outputs_identical": all(len({d for xs in runs.values() for d in xs})
                                  == 1 for runs in digests.values()),

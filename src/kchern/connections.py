@@ -323,14 +323,21 @@ def apply_operator(c: Connection, x: Mat) -> Mat:
 
 def curvature_formula(pf: Mat, theta: Mat) -> Mat:
     """p(dp)(dp)p + p(dtheta)p + theta*theta for form matrices p and theta
-    over any scalars (rationals, or polynomials in path parameters)."""
+    over any scalars (rationals, or polynomials in path parameters), as
+    p(dp)(dp) + dtheta - (dp)theta + theta(dp) + theta*theta.
+
+    p = p^2 gives p(dp)p = 0, so p(dp)(dp)p = p(dp)(dp); theta = p theta p,
+    which the `Connection` constructor checks, gives d(theta) = (dp)theta +
+    p(dtheta)p - theta(dp).  With dp = 0, theta*theta is the one product."""
     dp = pf.d()
-    return pf * dp * dp * pf + pf * theta.d() * pf + theta * theta
+    return pf * dp * dp + theta.d() - dp * theta + theta * dp + theta * theta
 
 
 def curvature(c: Connection) -> Mat:
-    """R = p(dp)(dp)p + p(dtheta)p + theta*theta (degree 2); the theta terms
-    are certified by the operator oracle R*p == D(D(p)) columnwise."""
+    """R = p(dp)(dp)p + p(dtheta)p + theta*theta (degree 2), computed by
+    `curvature_formula` from the compression theta = p theta p that
+    `Connection` checks; the theta terms are certified by the operator
+    oracle R*p == D(D(p)) columnwise."""
     return curvature_formula(c.p.to_form(), c.theta)
 
 
@@ -414,18 +421,20 @@ def pullback(c: Connection, phi: ModuleIso) -> Connection:
     """phi*D on Im(p0), where c lives on Im(p1) = Im(phi.p1).
 
     theta' = p0 * v * (p1*du + theta*u) * p0, so that the operator identity
-    phi*D = (v (x) id) o D o u holds on Im(p0).  Of a family, phi* is taken
-    pointwise in the parameters; theta enters linearly, so the result is a
-    family with the same R.
+    phi*D = (v (x) id) o D o u holds on Im(p0).  It is computed as
+    v*du - p0*dp0 + v*theta*u: v = p0 v p1, u = p1 u p0 and v*u = p0, which
+    `ModuleIso` checks, give p0 v = v p1 = v, u p0 = u and
+    v du p0 = v du - v u dp0.  The `Connection` constructor still checks
+    the result's compression.  Of a family, phi* is taken pointwise in the
+    parameters; theta enters linearly, so the result is a family with the
+    same R.
     """
     if phi.p1 != c.p:
         raise ConnectionError_("iso target does not match the connection")
     p0f = phi.p0.to_form()
-    p1f = phi.p1.to_form()
     uf = to_form(phi.u)
     vf = to_form(phi.v)
-    du = uf.d()
-    theta = p0f * (vf * (p1f * du + c.theta * uf)) * p0f
+    theta = vf * uf.d() - p0f * p0f.d() + vf * c.theta * uf
     return Connection(phi.p0, theta, c.R)
 
 

@@ -269,13 +269,14 @@ def reverse_path(path: Connection) -> Connection:
 
 def _curvature_parts(family) -> dict:
     r"""The cylinder curvature of a family in R parameters by dx mask:
-    0 -> p dp dp p + p dtheta p + theta^2 and 1 << i -> p (del_i theta) p;
-    the parts with two or more dx are zero (they emerge in products)."""
-    pf = family.p.to_form()
-    parts = {0: curvature_formula(pf, family.theta)}
+    0 -> p dp dp p + p dtheta p + theta^2 (by `curvature_formula`) and
+    1 << i -> p (del_i theta) p = del_i theta: p is constant, and the
+    `Connection` constructor checks p theta p = theta as polynomials in the
+    parameters.  The parts with two or more dx are zero (they emerge in
+    products)."""
+    parts = {0: curvature_formula(family.p.to_form(), family.theta)}
     for i in range(family.R):
-        dtheta = family.theta.map_scalars(lambda q: q.diff(i))
-        parts[1 << i] = pf * dtheta * pf
+        parts[1 << i] = family.theta.map_scalars(lambda q: q.diff(i))
     coerce = family_scalars(family.R).coerce
     return {m: x.map_scalars(coerce) for m, x in parts.items()}
 
@@ -305,7 +306,9 @@ def _cyl_chern(family, r: int, k_max: int):
 
 def tilde_curvature(path: Connection):
     r"""(R(t), S(t)) with the cylinder curvature R-tilde = R(t) + dt /\ S(t);
-    R(t) = p dp dp p + p dtheta p + theta^2 and S(t) = p (del_t theta) p."""
+    R(t) = p dp dp p + p dtheta p + theta^2 and S(t) = p (del_t theta) p,
+    read as del_t theta: the identities of `_curvature_parts`, licensed by
+    the compression p theta p = theta that `Connection` checks."""
     _require(path, 1)
     parts = _curvature_parts(path)
     return parts[0], parts[1]

@@ -281,8 +281,7 @@ class AbProjection:
     (`words`, and `index` its inverse); `reduce` gives the canonical
     residual of a vector, supported on them.  This class reads both off
     that `echelon`; `_NecklaceProjection` finds the same words and
-    residuals for M_k without it.  `coords` gives the coordinates in which
-    the solver of `dbar` into this degree reads a vector.
+    residuals for M_k without it.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
@@ -316,11 +315,6 @@ class AbProjection:
         res = self.reduce(vec)
         return {self.words[i]: rat(c) if type(c) is Fraction else c
                 for i, c in res.items()}
-
-    def coords(self, terms: dict) -> dict:
-        """The coordinates of a degree-n dict word -> scalar in which
-        `dbar` into degree n solves: here its residual, by word index."""
-        return self.reduce({self.index[w]: c for w, c in terms.items()})
 
 
 def _check_degree(algebra: Algebra, n: int):
@@ -356,12 +350,12 @@ def dbar(algebra: Algebra, n: int):
     cap.
 
     `solver` is a TrackedEchelon whose columns are d of the degree n-1
-    quotient words q, tagged by the word, in the coordinates of degree n:
-    the canonical residual of the word (0,) + q (`AbProjection.coords`),
-    and on M_k its pi (`_necklace_coords`), which needs no projection of
-    degree n.  d(q) is zero when q0 = 0.  `kernel` lists the dependencies
-    met while adding the columns, as dicts quotient word -> scalar; they
-    are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+    quotient words q, tagged by the word, in the coordinates of degree n
+    (`_solver_coords`): the canonical residual of the word (0,) + q, and on
+    M_k its pi, read once from `_pi` and not kept, which needs no
+    projection of degree n.  d(q) is zero when q0 = 0.  `kernel` lists the
+    dependencies met while adding the columns, as dicts quotient word ->
+    scalar; they are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
     Both coordinates give the same solver outputs.  The scan of
     `_NecklaceProjection` keeps exactly the words whose pi raise the rank,
@@ -377,16 +371,29 @@ def dbar(algebra: Algebra, n: int):
     hit = algebra._dbar.get(n)
     if hit is not None:
         return hit
-    coords = (abelianization(algebra, n).coords
-              if algebra.matrix_size is None
-              else partial(_necklace_coords, algebra))
+    column = _solver_coords(algebra, n)[1]
     solver, kernel = TrackedEchelon(dimension(algebra, n)), []
     for q in abelianization(algebra, n - 1).quotient_words if n else ():
-        dep = solver.add(coords({(0,) + q: Q1}) if q[0] else {}, q)
+        dep = solver.add(column((0,) + q) if q[0] else {}, q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     hit = algebra._dbar[n] = (solver, kernel)
     return hit
+
+
+def _solver_coords(algebra: Algebra, n: int) -> tuple:
+    """(coords, column): the coordinates in which the solver of `dbar` into
+    degree n reads a degree-n dict word -> scalar, and a single word.  On
+    M_k they are pi (`_necklace_coords`, which keeps the pi of each word of
+    its inputs, and `_pi` for a word), and need no projection of degree n;
+    on every other algebra, the canonical residual by word index."""
+    if algebra.matrix_size is not None:
+        return partial(_necklace_coords, algebra), partial(_pi, algebra)
+    proj = abelianization(algebra, n)
+
+    def coords(terms):
+        return proj.reduce({proj.index[w]: c for w, c in terms.items()})
+    return coords, lambda word: coords({word: Q1})
 
 
 def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
@@ -486,8 +493,8 @@ def _phi(k: int) -> tuple:
 def _tables(alg: Algebra) -> tuple:
     """`Algebra._necklace` of M_k, built on first use: the closed form of
     `_phi`, the path tables of `_paths`, per degree the class `_necklace`
-    gives each letter code `_pi` met, and the pi of each word
-    `_necklace_coords` was asked for."""
+    gives each letter code `_pi` met, and the pi of each word of the
+    inputs of `_necklace_coords`."""
     if alg._necklace is None:
         k = alg.matrix_size
         alg._necklace = (_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
@@ -584,7 +591,7 @@ class _NecklaceProjection(AbProjection):
     first).  The residual of a word, the combination of quotient words
     with the same pi, is solved on first use over the quotient words' pi
     and kept (RuntimeError if there is none); `reduce` sums the residuals.
-    `coords` is pi itself, so `dbar` needs no residual.
+    `dbar` reads pi itself (`_solver_coords`), so it needs no residual.
     """
 
     __slots__ = ("_solver", "_residuals")
@@ -634,9 +641,6 @@ class _NecklaceProjection(AbProjection):
                 for j, r in self._residual(i).items():
                     out[j] = out[j] + c * r if j in out else c * r
         return {j: out[j] for j in sorted(out) if out[j]}
-
-    def coords(self, terms: dict) -> dict:
-        return _necklace_coords(self.algebra, terms)
 
 
 def _certified_dim(algebra: Algebra, n: int):
@@ -760,15 +764,16 @@ def is_exact_in_ab(w, n: int):
     """Decide project_ab(w) in Im(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
     Accepts a UForm or AbClass homogeneous of degree n; the solver of
-    `dbar` reads it in the degree's coordinates (`AbProjection.coords`).
+    `dbar` reads it in the degree's coordinates (`_solver_coords`), on M_k
+    with no projection of degree n.
     Returns (True, primitive UForm) or (False, None); the primitive v
     satisfies project_ab(d(v)) = project_ab(w).
     """
     if any(word_degree(ww) != n for ww in w.terms):
         raise FormError("%s is not homogeneous of degree %d"
                         % (type(w).__name__, n))
-    proj = abelianization(w.algebra, n)
-    sol = dbar(w.algebra, n)[0].solve(proj.coords(w.terms))
+    solver = dbar(w.algebra, n)[0]
+    sol = solver.solve(_solver_coords(w.algebra, n)[0](w.terms))
     if sol is None:
         return False, None
     return True, UForm(w.algebra, sol)
@@ -783,12 +788,12 @@ def de_rham_homology(algebra: Algebra, n: int):
     M_k no projection of degree n + 1 (see `dbar`).
     """
     _, kernel = dbar(algebra, n + 1)
-    proj = abelianization(algebra, n)
+    coords = _solver_coords(algebra, n)[0]
     # a copy, so the memoized solver of dbar never learns the kernel
     image = dbar(algebra, n)[0].copy()
     reps = []
     for vec in kernel:
-        if image.add(proj.coords(vec), None) is None:
+        if image.add(coords(vec), None) is None:
             reps.append(UForm(algebra, vec))
     return len(reps), reps
 

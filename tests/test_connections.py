@@ -9,14 +9,15 @@ import pytest
 from kchern.algebra import AlgebraError, AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, apply_operator, chern, compose_iso,
-                                curvature, direct_sum, extend_scalars,
-                                grassmann, permute_blocks, pullback,
-                                random_automorphism, random_connection,
-                                random_form, random_idempotent, random_iso,
-                                sum_iso, trace_ab)
+                                curvature, curvature_formula, direct_sum,
+                                extend_scalars, grassmann, permute_blocks,
+                                pullback, random_automorphism,
+                                random_connection, random_form,
+                                random_idempotent, random_iso, sum_iso,
+                                to_form, trace_ab)
 from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.transgression import TForm
+from kchern.transgression import TForm, straight_line
 from kchern.uforms import (DegreeCapError, FormError, UForm, ab_d,
                            enumerate_words, is_exact_in_ab, multiply,
                            project_ab, word_product)
@@ -535,3 +536,144 @@ class TestExtendScalars:
         lhs = chern(pushed, 2)
         rhs = [project_ab(f(cls.lift())) for cls in chern(c, 2)]
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Curvature and pullback against the textbook formulas they rewrite
+# ---------------------------------------------------------------------------
+
+def textbook_curvature(pf, theta):
+    """p(dp)(dp)p + p(dtheta)p + theta*theta, as first derived."""
+    dp = pf.d()
+    return pf * dp * dp * pf + pf * theta.d() * pf + theta * theta
+
+
+def textbook_pullback(c, phi):
+    """p0 v (p1 du + theta u) p0, as first derived."""
+    p0f, p1f = phi.p0.to_form(), phi.p1.to_form()
+    uf, vf = to_form(phi.u), to_form(phi.v)
+    return p0f * (vf * (p1f * uf.d() + c.theta * uf)) * p0f
+
+
+def first_summand(alg):
+    """diag(1, 0), whose dp is 0."""
+    z, one = alg.zero(), alg.unit()
+    return Idempotent(alg, Mat([[one, z], [z, z]]))
+
+
+def conjugated_summand(alg):
+    """g diag(1, 0) g^-1 for g = [[1, 0], [b, 1]] [[1, a], [0, 1]] with
+    a = e_1 and b = e_(m-1): dp dp is not 0 where A has such elements."""
+    one = alg.unit()
+    a, b = (alg.element([int(k == i) for k in range(alg.dim)])
+            for i in (1, alg.dim - 1))
+    return Idempotent(alg, Mat([[one + a * b, -a],
+                                [b + b * a * b, -(b * a)]]))
+
+
+def idempotents(alg):
+    """The first summand, a random idempotent and a conjugated summand; the
+    last two have dp != 0 on every fixture but Q."""
+    return (first_summand(alg), random_idempotent(alg, 2, 8),
+            conjugated_summand(alg))
+
+
+def families(p, rng):
+    """A connection, a path and a bigon on p (R = 0, 1, 2)."""
+    c = [random_connection(p, rng) for _ in range(4)]
+    return (c[0], straight_line(c[0], c[1]),
+            straight_line(straight_line(c[0], c[1]),
+                          straight_line(c[2], c[3])))
+
+
+def uncompressed(c, word):
+    """c with `word` added at the (1, 1) entry of theta, outside Im p for
+    the first summand: built with `Mat._new`, bypassing the compression
+    check of `Connection`."""
+    bad = object.__new__(Connection)
+    data = dict(c.theta.data)
+    data[1, 1, word] = 1
+    bad.p, bad.algebra, bad.R = c.p, c.algebra, c.R
+    bad.theta = Mat._new(UForm, c.algebra, c.theta.size, data)
+    return bad
+
+
+class TestCompressionIdentities:
+    """curvature_formula and pullback use p dp p = 0, theta = p theta p and
+    the compressions of u and v; the textbook formulas do not."""
+
+    def test_curvature_matches_textbook(self):
+        dp_nonzero = 0
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("curv-" + name)
+            for p in idempotents(alg):
+                pf = p.to_form()
+                dp_nonzero += bool(pf.d().data)
+                for fam in families(p, rng):
+                    assert curvature_formula(pf, fam.theta) == \
+                        textbook_curvature(pf, fam.theta), (name, fam.R)
+        assert dp_nonzero == 2 * (len(FIXTURE_NAMES) - 1)
+
+    def test_pullback_matches_textbook(self):
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("pull-" + name)
+            for p0 in idempotents(alg):
+                p1, phi = random_iso(p0, rng)
+                for fam in families(p1, rng):
+                    want = Connection(p0, textbook_pullback(fam, phi), fam.R)
+                    got = pullback(fam, phi)
+                    assert (got.theta, got.R) == (want.theta, fam.R), name
+
+    def test_planted_uncompressed_theta_breaks_curvature(self):
+        # the curvature identity is licensed by the compression check of
+        # Connection: a theta that bypasses it makes the formulas differ
+        alg = make_fixture("dual")
+        p = first_summand(alg)
+        for fam in families(p, random.Random(5)):
+            bad = uncompressed(fam, (1, 1))
+            pf = p.to_form()
+            assert curvature_formula(pf, bad.theta) != \
+                textbook_curvature(pf, bad.theta), fam.R
+            with pytest.raises(ConnectionError_, match="not compressed"):
+                Connection(p, bad.theta, fam.R)
+
+    def test_planted_uncompressed_iso_breaks_pullback(self):
+        # pullback's identity is licensed by ModuleIso's checks alone: an
+        # uncompressed theta leaves it exact, v*theta*u = v (p1 theta p1) u,
+        # but a v that bypasses v = p0 v p1 makes the formulas differ, and
+        # the Connection check refuses the result
+        alg = make_fixture("dual")
+        p = first_summand(alg)
+        z = UForm.zero(alg)
+        c = Connection(p, Mat([[UForm(alg, {(0, 1): 1, (1, 1): 2}), z],
+                               [z, z]]))
+        phi = ModuleIso.identity(p)
+        bad = uncompressed(c, (1, 1))
+        assert Connection(p, textbook_pullback(bad, phi)).theta == \
+            pullback(bad, phi).theta
+        z, one = alg.zero(), alg.unit()
+        leak = object.__new__(ModuleIso)
+        leak.p0, leak.p1, leak.u = p, p, p.mat
+        leak.v = p.mat + Mat([[z, z], [one, z]])
+        assert Connection(p, textbook_pullback(c, leak)).theta == c.theta
+        with pytest.raises(ConnectionError_, match="not compressed"):
+            pullback(c, leak)
+
+    def test_first_summand_curvature_is_one_product(self, monkeypatch):
+        alg = make_fixture("M2")
+        c = random_connection(first_summand(alg), random.Random(7))
+        assert c.theta.data and not c.p.to_form().d().data
+        calls = []
+        product = Mat._product
+
+        def counted(self, other, keep=None):
+            if self.data and other.data:
+                calls.append(1)
+            return product(self, other, keep)
+
+        monkeypatch.setattr(Mat, "_product", counted)
+        r = curvature(c)
+        assert len(calls) == 1
+        assert r == c.theta * c.theta + c.theta.d()

@@ -10,8 +10,9 @@ import pytest
 from kchern import connections, suites, transgression
 from kchern.algebra import AlgebraError
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
-                                chern, direct_sum, extend_scalars, grassmann,
-                                pullback, random_connection, random_idempotent,
+                                chern, direct_sum, extend_scalars,
+                                family_scalars, grassmann, pullback,
+                                random_connection, random_idempotent,
                                 random_iso)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
@@ -25,7 +26,9 @@ from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
                                   three_point_path, tilde_curvature,
                                   tform_operator)
 from kchern.uforms import FormError, UForm, ab_d, project_ab, word_degree
-from tests.test_connections import _raised, _random_mat
+from tests.test_connections import (_raised, _random_mat, families,
+                                    first_summand, idempotents,
+                                    textbook_curvature, uncompressed)
 
 
 def unit_line_path(alg, theta1_form):
@@ -414,6 +417,48 @@ class TestFamilyParameters:
             with pytest.raises(ConnectionError_, match="expected a"):
                 bigon_curvature(family)
         assert isinstance(bigon_curvature(bigon).entries[0][0], BiForm)
+
+
+# ---------------------------------------------------------------------------
+# The cylinder curvature against the textbook formulas it rewrites
+# ---------------------------------------------------------------------------
+
+def _textbook_parts(family):
+    """The parts of `_curvature_parts` as first derived: p dp dp p +
+    p dtheta p + theta^2 and p (del_i theta) p."""
+    pf = family.p.to_form()
+    parts = {0: textbook_curvature(pf, family.theta)}
+    for i in range(family.R):
+        parts[1 << i] = pf * family.theta.map_scalars(
+            lambda q: q.diff(i)) * pf
+    coerce = family_scalars(family.R).coerce
+    return {m: x.map_scalars(coerce) for m, x in parts.items()}
+
+
+class TestCurvatureParts:
+    def test_parts_match_textbook(self):
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("parts-" + name)
+            for p in idempotents(alg):
+                for fam in families(p, rng)[1:]:
+                    want = _textbook_parts(fam)
+                    assert transgression._curvature_parts(fam) == want, name
+                    if fam.R == 1:
+                        assert tilde_curvature(fam) == (want[0], want[1])
+
+    def test_planted_uncompressed_theta_breaks_s(self):
+        # S = del_i theta is licensed by p theta p = theta as polynomials,
+        # which Connection checks: a family theta that bypasses it makes S
+        # differ from p (del_i theta) p
+        alg = make_fixture("dual")
+        p = first_summand(alg)
+        path = families(p, random.Random(8))[1]
+        x = family_scalars(1)({(1,): 1})
+        bad = uncompressed(path, (1, 1))
+        bad.theta = bad.theta.map_scalars(lambda c: x * c)
+        assert transgression._curvature_parts(bad)[1] != \
+            _textbook_parts(bad)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            dbar, differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
                            to_poly, word_product, _certified_dim, _degree,
-                           _necklace, _phi)
+                           _necklace, _phi, _solver_coords)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -714,15 +714,15 @@ def _quotient_dbar(alg, n):
 
 def _shifted_dbar(alg, n, shift):
     """A wrong dbar into degree n for planting: the degree n-1 quotient
-    word at index i goes to the coordinates (`AbProjection.coords`: the
+    word at index i goes to the coordinates (`_solver_coords`: the
     residual, and pi on M_k) of the word at index i - shift (zero below
     index 0) instead of i - B**(n-1)."""
     proj, prev = abelianization(alg, n), abelianization(alg, n - 1)
+    column = _solver_coords(alg, n)[1]
     solver, kernel = TrackedEchelon(len(proj.words)), []
     for q in prev.quotient_words:
         i = prev.index[q] - shift
-        dep = solver.add(proj.coords({proj.words[i]: Q1}) if i >= 0 else {},
-                         q)
+        dep = solver.add(column(proj.words[i]) if i >= 0 else {}, q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     return solver, kernel
@@ -933,8 +933,46 @@ class TestNecklaceProjection:
             is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
             is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
                            n)
-        assert sorted(alg._ab) == [0, 1, 2, 3] and alg._right == []
+        assert sorted(alg._ab) == [0, 1, 2] and alg._right == []
         assert all(p._solver is None for p in alg._ab.values())
+
+    def test_cold_exactness_reads_pi(self):
+        # is_exact_in_ab of degree n on M_k needs dbar into n (the
+        # projection of degree n - 1) and pi, but no projection of degree
+        # n; its verdicts and primitives are those of the echelon path
+        rng = random.Random(16)
+        for n in (1, 2, 3, 4):
+            alg = make_fixture("M2")
+            forms = [rand_homogeneous(alg, rng, n, terms=3),
+                     rand_homogeneous(alg, rng, n - 1, terms=3).d()]
+            got = [is_exact_in_ab(w, n) for w in forms]
+            assert list(alg._ab) == [n - 1], n
+            ref = table_copy(alg)
+            want = [is_exact_in_ab(UForm(ref, w.terms), n) for w in forms]
+            assert [(ok, v and list(v.terms.items())) for ok, v in got] == \
+                [(ok, v and list(v.terms.items())) for ok, v in want], n
+            assert got[1][0], n
+
+    def test_dbar_keeps_no_column_pi(self):
+        # dbar reads the pi of each column word (0,) + q once from `_pi`:
+        # the per-word memo keeps none of them, and the solver and kernel
+        # are those of columns read through `_necklace_coords`
+        alg, ref = make_fixture("M2"), make_fixture("M2")
+        for n in range(6):
+            solver, kernel = dbar(alg, n)
+            columns = [(0,) + q for q in abelianization(alg, n - 1)
+                       .quotient_words if q[0]] if n else []
+            assert not set(columns) & set(uforms._tables(alg)[3]), n
+            want, want_kernel = TrackedEchelon(dimension(ref, n)), []
+            for q in abelianization(ref, n - 1).quotient_words if n else ():
+                dep = want.add(uforms._necklace_coords(ref, {(0,) + q: Q1})
+                               if q[0] else {}, q)
+                if dep is not None:
+                    want_kernel.append(
+                        {q: Q1, **{p: -c for p, c in dep.items()}})
+            assert (solver.pivots, solver.tags) == (want.pivots, want.tags)
+            assert [list(v.items()) for v in kernel] == \
+                [list(v.items()) for v in want_kernel], n
 
     def test_planted_shifted_column_fails(self):
         # a necklace dbar column read off the wrong word, shifted as
