@@ -273,9 +273,14 @@ class Connection:
     R = 0 is a single connection, whose scalars must be rational, R = 1 a
     path and R = 2 a bigon, whose theta has Poly scalars in R variables
     (coerced here).
+
+    A connection is not mutated after construction.  The one slot beyond
+    its data, `_curv`, holds a family's cylinder curvature, filled and read
+    only by `transgression._curvature_parts`, so that every L4 entry point
+    on one family shares one curvature; it stays unset until then.
     """
 
-    __slots__ = ("p", "theta", "algebra", "R")
+    __slots__ = ("p", "theta", "algebra", "R", "_curv")
 
     def __init__(self, p: Idempotent, theta: Mat, R: int = 0):
         self.algebra = p.algebra
@@ -369,7 +374,8 @@ def chern_series(curv, k_max: int, trace, keep=None):
         else:
             power = power._like(power._product(r, lambda i, j, a, b: (
                 i == j and (keep is None or keep(a, b)))))
-        out.append(Fraction(1, factorial(k)) * trace(power))
+        out.append(trace(power) if k == 1
+                   else Fraction(1, factorial(k)) * trace(power))
     return out
 
 

@@ -29,7 +29,10 @@ of Karoubi's ch_k = tr(R~^k)/k! over the fibre.  They and the whole
 cylinder Chern forms read ch_k from `connections.chern_series`, whose last
 power is built only on its diagonal; for the fibre integrals, only from
 the pairs of masks that join to the top one.  The k = 1 potential
-vanishes: R~ has no ds /\ dt part.
+vanishes: R~ has no ds /\ dt part.  Every entry point reads R~ from
+`_curvature_parts`, which computes it once per family and keeps it on the
+`Connection`, so KCS, its closed form and the whole Chern forms of one
+path (or bigon) share one curvature.
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
 `secondary_transgression` a bigon; another R raises ConnectionError_.
 """
@@ -273,12 +276,22 @@ def _curvature_parts(family) -> dict:
     1 << i -> p (del_i theta) p = del_i theta: p is constant, and the
     `Connection` constructor checks p theta p = theta as polynomials in the
     parameters.  The parts with two or more dx are zero (they emerge in
-    products)."""
+    products).
+
+    Computed at most once per family: the parts are kept in the family's
+    `_curv` slot with the p and theta objects they came from, and read
+    back only while both are still the family's own (a family whose p or
+    theta was reassigned is recomputed).  Callers must not mutate them."""
+    memo = getattr(family, "_curv", None)
+    if memo and memo[0] is family.p and memo[1] is family.theta:
+        return memo[2]
     parts = {0: curvature_formula(family.p.to_form(), family.theta)}
     for i in range(family.R):
         parts[1 << i] = family.theta.map_scalars(lambda q: q.diff(i))
     coerce = family_scalars(family.R).coerce
-    return {m: x.map_scalars(coerce) for m, x in parts.items()}
+    parts = {m: x.map_scalars(coerce) for m, x in parts.items()}
+    family._curv = (family.p, family.theta, parts)
+    return parts
 
 
 def _cyl_mat(family, parts: dict) -> Mat:
@@ -386,11 +399,14 @@ def kcs_closed_form(path: Connection, k_max: int):
 # ---------------------------------------------------------------------------
 
 def bigon_straight(path1: Connection, path2: Connection) -> Connection:
-    """theta(s, t) = (1-s) theta1(t) + s theta2(t); shared endpoints."""
+    """theta(s, t) = (1-s) theta1(t) + s theta2(t); shared endpoints,
+    compared as the thetas at t = 0 and t = 1."""
     _require(path1, 1)
     _require(path2, 1)
     for t in (0, 1):
-        if path1.restrict(0, t).theta != path2.restrict(0, t).theta:
+        a, b = (path.theta.map_scalars(lambda q: q.subs(0, t))
+                for path in (path1, path2))
+        if a != b:
             raise ConnectionError_("paths do not share endpoint t=%s" % t)
     return straight_line(path1, path2)
 

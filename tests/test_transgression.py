@@ -1,5 +1,7 @@
 """Transgression: cylinder forms, homotopy operator, KCS, bigons."""
 
+import hashlib
+import json
 import math
 import operator
 import random
@@ -16,6 +18,7 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 random_iso)
 from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
+from kchern.serialize import abclass_to_json, form_to_json
 from kchern.suites import _random_cylform, run_transgression_suite
 from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
                                   bigon_curvature, bigon_straight,
@@ -98,6 +101,39 @@ class TestPaths:
         c0, c1, c2 = (random_connection(p, rng) for _ in range(3))
         with pytest.raises(ConnectionError_):
             bigon_straight(straight_line(c0, c1), straight_line(c0, c2))
+
+    def test_bigon_refuses_either_endpoint(self, monkeypatch):
+        # the endpoints are compared as matrices: the bigon is the one
+        # Connection that bigon_straight builds
+        built = []
+        init = Connection.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Connection, "__init__", counted)
+        refused = set()
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("ends/" + name)
+            p = random_idempotent(alg, 2, 8)
+            c0, cm, c1, c2 = (random_connection(p, rng) for _ in range(4))
+            lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
+            for other, t, end in ((straight_line(c2, c1), 0, c0),
+                                  (three_point_path(c0, cm, c2), 1, c1)):
+                if c2.theta == end.theta:
+                    continue        # equal ends (on Q every theta is 0)
+                refused.add(name)
+                for pair in ((lin, other), (other, lin)):
+                    with pytest.raises(ConnectionError_,
+                                       match="endpoint t=%d" % t):
+                        bigon_straight(*pair)
+            built.clear()
+            bigon = bigon_straight(lin, quad)
+            assert len(built) == 1
+            assert bigon.theta == straight_line(lin, quad).theta
+        assert refused == set(FIXTURE_NAMES) - {"Q"}
 
     def test_cylinder_curvature_oracle(self):
         for name in FIXTURE_NAMES:
@@ -443,6 +479,10 @@ class TestCurvatureParts:
             for p in idempotents(alg):
                 for fam in families(p, rng)[1:]:
                     want = _textbook_parts(fam)
+                    # the parts are read back from the memo the fibre
+                    # integral filled
+                    fibre = kcs if fam.R == 1 else secondary_transgression
+                    fibre(fam, 1)
                     assert transgression._curvature_parts(fam) == want, name
                     if fam.R == 1:
                         assert tilde_curvature(fam) == (want[0], want[1])
@@ -459,6 +499,113 @@ class TestCurvatureParts:
         bad.theta = bad.theta.map_scalars(lambda c: x * c)
         assert transgression._curvature_parts(bad)[1] != \
             _textbook_parts(bad)[1]
+
+
+def _count_curvatures(monkeypatch):
+    """A list that gains one item per curvature_formula call of
+    transgression."""
+    calls = []
+    formula = transgression.curvature_formula
+
+    def counted(pf, theta):
+        calls.append(1)
+        return formula(pf, theta)
+
+    monkeypatch.setattr(transgression, "curvature_formula", counted)
+    return calls
+
+
+class TestCurvatureMemo:
+    """A family's cylinder curvature is computed once and shared by every
+    L4 entry point, and recomputed when its p or theta is reassigned."""
+
+    def test_one_curvature_per_path(self, monkeypatch):
+        calls = _count_curvatures(monkeypatch)
+        for name in ("dual", "x3", "M2"):
+            p = random_idempotent(make_fixture(name), 2, 9)
+            path = families(p, random.Random("memo-" + name))[1]
+            want = _textbook_parts(path)
+            assert tilde_curvature(path) == (want[0], want[1])
+            classes = kcs(path, 2)
+            assert kcs_closed_form(path, 2) == classes
+            assert [project_ab(homotopy_K(ch))
+                    for ch in chern_tform(path, 2)[1:]] == classes
+            assert tilde_curvature(path) == (want[0], want[1])
+        assert len(calls) == 3
+
+    def test_one_curvature_per_bigon(self, monkeypatch):
+        calls = _count_curvatures(monkeypatch)
+        *_, bigon = _families("memo-bigon")
+        pots = secondary_transgression(bigon, 3)
+        assert [project_ab(homotopy_K(ch.integrate(0)))
+                for ch in chern_biform(bigon, 3)[1:]] == pots
+        assert bigon_curvature(bigon) == \
+            transgression._cyl_mat(bigon, _textbook_parts(bigon))
+        assert len(calls) == 1
+
+    def test_reassigned_theta_or_p_is_recomputed(self, monkeypatch):
+        calls = _count_curvatures(monkeypatch)
+        _, _, path1, path2, _ = _families(61)
+        before = kcs(path1, 2)
+        path1.theta = path2.theta
+        assert tilde_curvature(path1) == tilde_curvature(path2)
+        assert kcs(path1, 2) == kcs(path2, 2) != before
+        assert len(calls) == 3
+        # a p equal to the old one but another object is recomputed too
+        path1.p = Idempotent(path1.algebra, path1.p.mat)
+        assert tilde_curvature(path1) == tilde_curvature(path2)
+        assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# Golden L4 values
+# ---------------------------------------------------------------------------
+
+def _l4_digests():
+    """sha256 per L4 entry point of its serialized values over seeded
+    straight and three-point paths and their bigon on every fixture (k_max
+    2 on M2, 3 elsewhere).  On each path kcs runs first, so that
+    kcs_closed_form and tilde_curvature read its curvature."""
+    payload = {"kcs": {}, "closed": {}, "tilde": {}, "secondary": {}}
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random("l4-golden/" + name)
+        p = random_idempotent(alg, 2, rng)
+        c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+        lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
+        k_max = 2 if name == "M2" else 3
+        for key in ("kcs", "closed", "tilde"):
+            payload[key][name] = []
+        for path in (lin, quad):
+            for key, f in (("kcs", kcs), ("closed", kcs_closed_form)):
+                payload[key][name].append(
+                    [abclass_to_json(u) for u in f(path, k_max)])
+            payload["tilde"][name].append(
+                [[[form_to_json(e) for e in row] for row in m.entries]
+                 for m in tilde_curvature(path)])
+        payload["secondary"][name] = [abclass_to_json(u) for u in
+                                      secondary_transgression(
+                                          bigon_straight(lin, quad), k_max)]
+    return {key: hashlib.sha256(json.dumps(
+        value, sort_keys=True).encode()).hexdigest()
+        for key, value in payload.items()}
+
+
+class TestGoldenL4:
+    def test_l4_values_golden(self):
+        # KCS, its closed form, the secondary potential and the cylinder
+        # curvature are canonical, so a rewrite of L3/L4 must reproduce
+        # them byte for byte
+        assert _l4_digests() == {
+            "kcs": "d18cd26228c64c6329466c97450fe961"
+                   "41c2e4cb2aa477941e6beca92e118028",
+            "closed": "d18cd26228c64c6329466c97450fe961"
+                      "41c2e4cb2aa477941e6beca92e118028",
+            "tilde": "4785cd88df00323e75258c7a8f128036"
+                     "9ad26f1679188052e6be0fe2de2501e8",
+            "secondary": "f7c03aa6e8dcb6431a45601d3888d7c1"
+                         "a27d14dfa170e4973d34c6f7d9aece8e",
+        }
 
 
 # ---------------------------------------------------------------------------
