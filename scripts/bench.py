@@ -4,11 +4,13 @@
                              [--change "one line"] [--claim W:METRIC]
 
 Run from the root of the repository.  The parent is exported with
-``git archive REV`` into ``.bench_build/parent-REV/``; the change is this
-checkout as it stands.  For each workload, ``perfbench/run.py --trace 0``
-runs for BENCHMARK.json's ``run_seconds`` in PAIRS alternating pairs, one
-process at a time: even pairs start with the parent, odd pairs with the
-change.  Per metric the file holds both sides'
+``git archive REV`` into ``.bench_build/parent/``, and the change, this
+checkout as it stands (the files git tracks or would add, as they are on
+disk), is copied beside it into ``.bench_build/change/``, so both sides run
+from trees at the same depth.  For each workload,
+``perfbench/run.py --trace 0`` runs for BENCHMARK.json's ``run_seconds`` in
+PAIRS alternating pairs, one process at a time: even pairs start with the
+parent, odd pairs with the change.  Per metric the file holds both sides'
 runs, medians and quartiles (``statistics.quantiles(n=4,
 method="inclusive")``), the parent's interquartile range, the relative
 change of the medians and the number of pairs the change wins (ties count
@@ -84,15 +86,37 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def export(rev: str) -> str:
-    """A fresh `git archive` of rev under .bench_build/; its path."""
-    path = os.path.join(BUILD, "parent-%s" % rev)
+def _fresh(side: str) -> str:
+    """An empty .bench_build/<side>/; its path."""
+    path = os.path.join(BUILD, side)
     shutil.rmtree(path, ignore_errors=True)
     os.makedirs(path)
+    return path
+
+
+def export(rev: str) -> str:
+    """A fresh `git archive` of rev in .bench_build/parent/; its path."""
+    path = _fresh("parent")
     tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(path)
+    return path
+
+
+def export_worktree() -> str:
+    """A fresh copy in .bench_build/change/ of the files of this checkout
+    that `git add -A` would commit, as they are on disk; its path."""
+    path = _fresh("change")
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in names:
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):
+            dst = os.path.join(path, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
     return path
 
 
@@ -313,7 +337,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    trees = {"parent": export(args.parent), "change": ROOT}
+    trees = {"parent": export(args.parent), "change": export_worktree()}
     before = slowness()
     command = ["--seed", str(args.seed), "--seconds",
                str(bench["run_seconds"]), "--trace", "0"]

@@ -111,9 +111,13 @@ class Mat:
     def __neg__(self):
         return self._like({k: -c for k, c in self.data.items()})
 
-    def _product(self, other, keep=None) -> dict:
+    def _product(self, other, match=None) -> dict:
         """The data of self*other, summed over the pairs of keys a at (i, k)
-        and b at (k, j) that keep(i, j, a, b) accepts (all by default).
+        and b at (k, j).  With match = (f, g), only its diagonal, from the
+        pairs with j = i and f(a) == g(b): the right factor is indexed by
+        (row, column, g(b)) and each left key looks up (k, i, f(a)), so it
+        visits only its partners.  Both run one loop; only the index of the
+        right factor and its lookup key differ.
 
         Rational scalars are multiplied and summed as they are.  When the
         first value of either factor is a Poly, the product is fused: the
@@ -129,19 +133,26 @@ class Mat:
                   next(iter(other.data.values())))
         poly = next((type(c) for c in firsts if isinstance(c, Poly)), None)
         rows = {}
-        for (k, j, b), c in other.data.items():
-            rows.setdefault(k, []).append((j, b, c))
+        lefts = self.data.items()
+        if match is None:
+            for (k, j, b), c in other.data.items():
+                rows.setdefault(k, []).append((j, b, c))
+        else:
+            f, g = match
+            for (k, j, b), c in other.data.items():
+                rows.setdefault((k, j, g(b)), []).append((j, b, c))
+            lefts = [((i, (k, i, f(a)), a), c)
+                     for (i, k, a), c in self.data.items()]
         out = {}
         get = out.get
         if poly is None:
-            for (i, k, a), ca in self.data.items():
+            for (i, k, a), ca in lefts:
                 for j, b, cb in rows.get(k, ()):
-                    if keep is None or keep(i, j, a, b):
-                        c = ca * cb
-                        for key, s in rule(a, b):
-                            key = (i, j, key)
-                            v = get(key)
-                            out[key] = c * s if v is None else v + c * s
+                    c = ca * cb
+                    for key, s in rule(a, b):
+                        key = (i, j, key)
+                        v = get(key)
+                        out[key] = c * s if v is None else v + c * s
             return {key: rat(v) if type(v) is Fraction else v
                     for key, v in out.items() if v}
 
@@ -150,11 +161,9 @@ class Mat:
 
         for row in rows.values():
             row[:] = [(j, b, coeffs(c)) for j, b, c in row]
-        for (i, k, a), ca in self.data.items():
+        for (i, k, a), ca in lefts:
             ca = coeffs(ca)
             for j, b, cb in rows.get(k, ()):
-                if keep is not None and not keep(i, j, a, b):
-                    continue
                 terms = rule(a, b)
                 if not terms:
                     continue
@@ -177,6 +186,12 @@ class Mat:
 
     def __mul__(self, other):
         return self._like(self._product(other))
+
+    def diagonal(self, other, match=None) -> "Mat":
+        """The diagonal of self*other, all that a trace of it reads: from
+        the pairs of keys that match = (f, g) pairs (see `_product`), or
+        from every pair of keys by default."""
+        return self._like(self._product(other, match or (_any, _any)))
 
     def map(self, f) -> "Mat":
         return Mat([[f(e) for e in row] for row in self.entries])
@@ -207,6 +222,11 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r)" % (self.entries,)
+
+
+def _any(key):
+    """One class for every key: a diagonal product pairs all of them."""
+    return None
 
 
 def to_form(m: Mat) -> Mat:
@@ -358,12 +378,12 @@ def check_k_max(k_max: int, least: int = 1):
         raise ValueError("k_max must be at least %d, not %d" % (least, k_max))
 
 
-def chern_series(curv, k_max: int, trace, keep=None):
+def chern_series(curv, k_max: int, trace, match=None):
     """[trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's ch_k = tr(R^k)/k!
     for k >= 1, over any ring of forms; `curv()` gives R, called only when
     k_max >= 1.  Each lower power is one full product; the last, R^(kmax-1)
-    R, is built only on its diagonal, from the pairs of keys (a, b) that
-    keep(a, b) accepts (all by default): `trace` reads no more than that."""
+    R, is `Mat.diagonal`: only the pairs of keys that `match` pairs (every
+    pair by default) are visited, and `trace` reads no more than that."""
     check_k_max(k_max, 0)
     out = []
     for k in range(1, k_max + 1):
@@ -372,8 +392,7 @@ def chern_series(curv, k_max: int, trace, keep=None):
         elif k < k_max:
             power = power * r
         else:
-            power = power._like(power._product(r, lambda i, j, a, b: (
-                i == j and (keep is None or keep(a, b)))))
+            power = power.diagonal(r, match)
         out.append(trace(power) if k == 1
                    else Fraction(1, factorial(k)) * trace(power))
     return out

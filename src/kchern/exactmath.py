@@ -394,11 +394,21 @@ class Echelon:
         """Canonical residual of vec modulo the current row space.
 
         Values may live in any commutative ring containing Q (rationals,
-        Poly1, Poly2).  Elimination is fraction-free: at a pivot entry
-        p != 1 the work vector and the residual found so far are scaled by
-        p / gcd(a, p) (by p for a non-int coefficient a), and the result is
-        divided by the product of these scales at the end.
+        Poly1, Poly2).  Elimination is fraction-free (see `_eliminate`): the
+        scaled residual is divided by its scale at the end.
         """
+        out, scale = self._eliminate(vec)
+        if scale == 1:
+            return out
+        inv = Fraction(1, scale)
+        return {j: v * inv if isinstance(v, Poly) else rat(v * inv)
+                for j, v in out.items()}
+
+    def _eliminate(self, vec: dict):
+        """(scale * residual, scale) for the canonical residual of vec and
+        a positive int scale: at a pivot entry p != 1 the work vector and
+        the residual found so far are scaled by p / gcd(a, p) (by p for a
+        non-int coefficient a), and scale is the product of these."""
         work = dict(vec)
         out = {}
         scale = 1
@@ -435,15 +445,13 @@ class Echelon:
                 else:
                     work[j] = -(a * v)
                     heapq.heappush(heap, j)
-        if scale == 1:
-            return out
-        inv = Fraction(1, scale)
-        return {j: v * inv if isinstance(v, Poly) else rat(v * inv)
-                for j, v in out.items()}
+        return out, scale
 
     def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True iff it enlarged the row space."""
-        r = self.reduce(vec)
+        """Insert a rational vector; returns True iff it enlarged the row
+        space.  The scaled residual of `_eliminate` is stored undivided: its
+        scale is positive, so its primitive row is the residual's."""
+        r = self._eliminate(vec)[0]
         if not r:
             return False
         self._store(r)

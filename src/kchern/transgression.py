@@ -25,14 +25,14 @@ matrix products.  Integration and restriction keep the terms with (or
 without) dx_i and drop bit i from the mask.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
-of Karoubi's ch_k = tr(R~^k)/k! over the fibre.  They and the whole
-cylinder Chern forms read ch_k from `connections.chern_series`, whose last
-power is built only on its diagonal; for the fibre integrals, only from
-the pairs of masks that join to the top one.  The k = 1 potential
-vanishes: R~ has no ds /\ dt part.  Every entry point reads R~ from
-`_curvature_parts`, which computes it once per family and keeps it on the
-`Connection`, so KCS, its closed form and the whole Chern forms of one
-path (or bigon) share one curvature.
+of Karoubi's ch_k = tr(R~^k)/k! over the fibre and build only what reaches
+it: the last power of `connections.chern_series` from the pairs of keys
+whose masks join to the top one, found by lookup, and R~ without its base
+part when k_max <= R.  The whole cylinder Chern forms read the same loop.
+The k = 1 potential vanishes: R~ has no ds /\ dt part.  Every entry point
+reads R~ from `_curvature_parts`, which computes it once per family and
+keeps it on the `Connection`, so KCS, its closed form and the whole Chern
+forms of one path (or bigon) share one curvature.
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
 `secondary_transgression` a bigon; another R raises ConnectionError_.
 """
@@ -270,27 +270,32 @@ def reverse_path(path: Connection) -> Connection:
 # Curvature along families, KCS
 # ---------------------------------------------------------------------------
 
-def _curvature_parts(family) -> dict:
+def _curvature_parts(family, base: bool = True) -> dict:
     r"""The cylinder curvature of a family in R parameters by dx mask:
     0 -> p dp dp p + p dtheta p + theta^2 (by `curvature_formula`) and
     1 << i -> p (del_i theta) p = del_i theta: p is constant, and the
     `Connection` constructor checks p theta p = theta as polynomials in the
     parameters.  The parts with two or more dx are zero (they emerge in
-    products).
+    products).  Without `base` the base part 0 is left out.
 
-    Computed at most once per family: the parts are kept in the family's
-    `_curv` slot with the p and theta objects they came from, and read
-    back only while both are still the family's own (a family whose p or
-    theta was reassigned is recomputed).  Callers must not mutate them."""
+    Computed at most once per family: the whole parts are kept in the
+    family's `_curv` slot with the p and theta objects they came from, and
+    read back only while both are still the family's own (a family whose p
+    or theta was reassigned is recomputed).  Parts without the base are
+    read from a filled slot or computed, never kept.  Callers must not
+    mutate them."""
     memo = getattr(family, "_curv", None)
     if memo and memo[0] is family.p and memo[1] is family.theta:
-        return memo[2]
-    parts = {0: curvature_formula(family.p.to_form(), family.theta)}
+        return memo[2] if base else {m: x for m, x in memo[2].items() if m}
+    parts = {}
+    if base:
+        parts[0] = curvature_formula(family.p.to_form(), family.theta)
     for i in range(family.R):
         parts[1 << i] = family.theta.map_scalars(lambda q: q.diff(i))
     coerce = family_scalars(family.R).coerce
     parts = {m: x.map_scalars(coerce) for m, x in parts.items()}
-    family._curv = (family.p, family.theta, parts)
+    if base:
+        family._curv = (family.p, family.theta, parts)
     return parts
 
 
@@ -343,11 +348,13 @@ def chern_tform(path: Connection, k_max: int):
 def _fibre_chern(family, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
     the family's ch_k, integrated over every parameter, 1/k! applied last.
-    Only the pairs of masks in _TOP_PAIRS reach dx_top, so the last power
-    sums only those (see `chern_series`)."""
+    Only what reaches dx_top is built: each part of R~ carries at most one
+    dx, so the base part reaches it only when k_max > R, and the last power
+    pairs each key only with the keys of its partner mask in _TOP_PAIRS
+    (`Mat.diagonal`)."""
     check_k_max(k_max)
     top = (1 << family.R) - 1
-    pairs = CylForm.TYPES[family.R]._TOP_PAIRS
+    partner = dict(CylForm.TYPES[family.R]._TOP_PAIRS)
 
     def fibre(m: Mat) -> UForm:
         part = UForm.from_terms(family.algebra, (
@@ -356,8 +363,10 @@ def _fibre_chern(family, k_max: int):
             part = part.map_scalars(lambda q: q.integrate01(0))
         return part
 
-    return chern_series(lambda: _cyl_curvature(family), k_max, fibre,
-                        lambda a, b: (a[0], b[0]) in pairs)
+    # a mask with no partner looks up None, which no mask matches
+    match = (lambda a: partner.get(a[0]), lambda b: b[0])
+    return chern_series(lambda: _cyl_mat(family, _curvature_parts(
+        family, k_max > family.R)), k_max, fibre, match)
 
 
 def kcs(path: Connection, k_max: int):
@@ -380,7 +389,8 @@ EPSILON_K = 1
 
 def kcs_closed_form(path: Connection, k_max: int):
     """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
-    k_max >= 1."""
+    k_max >= 1.  Its own power loop, apart from `chern_series`; the last
+    S R^(kmax-1) is built only on its diagonal, all its trace reads."""
     check_k_max(k_max)
     r, sr = tilde_curvature(path)       # sr = S R^(k-1)
     out = []
@@ -388,7 +398,7 @@ def kcs_closed_form(path: Connection, k_max: int):
     for k in range(1, k_max + 1):
         if k > 1:
             fact *= (k - 1)
-            sr = sr * r
+            sr = sr.diagonal(r) if k == k_max else sr * r
         val = project_ab(sr.trace()).map_scalars(lambda q: q.integrate01(0))
         out.append(val.scale(Fraction(EPSILON_K, fact)))
     return out

@@ -25,9 +25,9 @@ from kchern.uforms import (AbClass, DegreeCapError, FormError, UForm,
                            multiply, word_product)
 from tests.test_connections import _COEFFS, _raised, _random_rows
 from tests.test_transgression import (_drop_d_sign, _drop_sigma,
-                                      _flip_shuffle, ref_biform_d,
-                                      ref_biform_mul, ref_tform_d,
-                                      ref_tform_mul)
+                                      _flip_shuffle, _pair_next_column,
+                                      ref_biform_d, ref_biform_mul,
+                                      ref_tform_d, ref_tform_mul)
 
 RINGS = ("A", "forms", "forms/Poly1", "forms/Poly2", "TForm", "BiForm")
 CYLINDERS = {"TForm": (TForm, ref_tform_mul),
@@ -88,6 +88,37 @@ def _disagreeing(rings, seed=70, trials=2, top=6):
                 n = rng.randint(1, top)
                 x, y = (_random_rows(n, rng, draw, zero) for _ in "xy")
                 if (Mat(x) * Mat(y)).entries != _entrywise(x, y, mul, zero):
+                    bad.add(ring)
+    return bad
+
+
+def _diagonal_disagreeing(rings, seed=74, trials=2, top=4):
+    """The rings where `Mat.diagonal` differs from the diagonal of the full
+    product on seeded 1 x 1 to top x top matrices over every fixture; for
+    the cylinder rings also under the match of the fibre integrals (a mask
+    pairs with its partner in _TOP_PAIRS), against the dx_top keys of that
+    diagonal."""
+    bad = set()
+    for name in FIXTURE_NAMES:
+        alg = make_fixture(name)
+        rng = random.Random((seed, name).__repr__())
+        for ring in rings:
+            draw, zero, _ = _ring(ring, alg, rng)
+            for _ in range(trials):
+                n = rng.randint(1, top)
+                x, y = (Mat(_random_rows(n, rng, draw, zero)) for _ in "xy")
+                diagonal = {(i, j, key): c for (i, j, key), c
+                            in (x * y).data.items() if i == j}
+                if x.diagonal(y).data != diagonal:
+                    bad.add(ring)
+                if ring not in CYLINDERS:
+                    continue
+                cls = CYLINDERS[ring][0]
+                partner = dict(cls._TOP_PAIRS)
+                match = (lambda a: partner.get(a[0]), lambda b: b[0])
+                if x.diagonal(y, match).data != {
+                        (i, j, key): c for (i, j, key), c in diagonal.items()
+                        if key[0] == (1 << cls.R) - 1}:
                     bad.add(ring)
     return bad
 
@@ -215,6 +246,14 @@ class TestFlatMat:
     def test_planted_cylinder_sign_fails(self, monkeypatch, plant, caught):
         plant(monkeypatch)
         assert _disagreeing(RINGS[4:], trials=1) == caught
+
+    def test_diagonal_is_the_diagonal_of_the_full_product(self):
+        assert _diagonal_disagreeing(RINGS) == set()
+
+    def test_planted_pair_next_column_fails_the_diagonal(self,
+                                                         monkeypatch):
+        _pair_next_column(monkeypatch)
+        assert _diagonal_disagreeing(RINGS) == set(RINGS)
 
     def test_fused_poly_products_match_entrywise(self):
         assert _fused_disagreeing() == set()

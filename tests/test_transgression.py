@@ -20,8 +20,8 @@ from kchern.exactmath import Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import abclass_to_json, form_to_json
 from kchern.suites import _random_cylform, run_transgression_suite
-from kchern.transgression import (BiForm, EPSILON_K, KOSZUL, SHUFFLE, TForm,
-                                  bigon_curvature, bigon_straight,
+from kchern.transgression import (BiForm, CylForm, EPSILON_K, KOSZUL, SHUFFLE,
+                                  TForm, bigon_curvature, bigon_straight,
                                   chern_biform, chern_tform,
                                   constant_path, homotopy_K, kcs, kcs_between,
                                   kcs_closed_form, reverse_path,
@@ -480,9 +480,10 @@ class TestCurvatureParts:
                 for fam in families(p, rng)[1:]:
                     want = _textbook_parts(fam)
                     # the parts are read back from the memo the fibre
-                    # integral filled
+                    # integral filled (it builds the base part, and so
+                    # keeps the curvature, only when k_max > R)
                     fibre = kcs if fam.R == 1 else secondary_transgression
-                    fibre(fam, 1)
+                    fibre(fam, fam.R + 1)
                     assert transgression._curvature_parts(fam) == want, name
                     if fam.R == 1:
                         assert tilde_curvature(fam) == (want[0], want[1])
@@ -677,6 +678,196 @@ class TestFibreIntegral:
         rep = run_transgression_suite(3, fixtures=["x3"])
         failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
         assert "closed-form agreement" in failed
+
+
+# ---------------------------------------------------------------------------
+# Only what the fibre integral reads: no base part when k_max <= R, and the
+# last power on its diagonal from partner pairs alone
+# ---------------------------------------------------------------------------
+
+def _fibre_families(name, tag):
+    """A seeded straight path, three-point path and their bigon on a random
+    rank-2 idempotent over the fixture `name`."""
+    alg = make_fixture(name)
+    rng = random.Random("%s/%s" % (tag, name))
+    p = random_idempotent(alg, 2, rng)
+    c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+    lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
+    return lin, quad, bigon_straight(lin, quad)
+
+
+def _whole_fibre(family, k_max):
+    """The fibre integrals read off the whole cylinder Chern forms: the
+    oracle of kcs and secondary_transgression."""
+    if family.R == 1:
+        return [project_ab(homotopy_K(ch))
+                for ch in chern_tform(family, k_max)[1:]]
+    return [project_ab(homotopy_K(ch.integrate(0)))
+            for ch in chern_biform(family, k_max)[1:]]
+
+
+def _fibre(family, k_max):
+    return (kcs if family.R == 1 else secondary_transgression)(family, k_max)
+
+
+class TestBasePartSkip:
+    """R~'s base part reaches dx_top only when k_max > R, so below that the
+    fibre integrals build no curvature_formula."""
+
+    @pytest.mark.parametrize("k_max", [1, 2])
+    def test_low_k_max_builds_no_base_part(self, monkeypatch, k_max):
+        calls = _count_curvatures(monkeypatch)
+        nonzero = 0
+        for name in FIXTURE_NAMES:
+            lin, _, bigon = _fibre_families(name, "skip")
+            fams = [bigon] + ([lin] if k_max == 1 else [])
+            got = [_fibre(family, k_max) for family in fams]
+            assert not calls, name
+            assert all(getattr(f, "_curv", None) is None for f in fams)
+            assert got == [_whole_fibre(f, k_max) for f in fams], name
+            calls.clear()
+            nonzero += sum(1 for values in got for u in values if u)
+        assert nonzero
+
+    def test_k_max_above_r_builds_the_base_part_once(self, monkeypatch):
+        calls = _count_curvatures(monkeypatch)
+        _, _, bigon = _fibre_families("x3", "skip3")
+        pots = secondary_transgression(bigon, 3)
+        assert len(calls) == 1
+        assert secondary_transgression(bigon, 3) == pots
+        # with the whole curvature kept, k_max = 2 reads its dx parts
+        assert secondary_transgression(bigon, 2) == pots[:2]
+        assert _whole_fibre(bigon, 3) == pots
+        assert len(calls) == 1
+        assert pots[2]
+
+    def test_planted_skip_at_r_plus_one_fails(self, monkeypatch):
+        # the base part left out at every k_max, so at k_max = R + 1 too
+        cases = [(name, family, family.R + 1)
+                 for name in ("x3", "M2")
+                 for family in _fibre_families(name, "skip-plant")
+                 if name != "M2" or family.R == 1]
+        want = [_whole_fibre(family, k_max) for _, family, k_max in cases]
+        parts = transgression._curvature_parts
+        monkeypatch.setattr(transgression, "_curvature_parts",
+                            lambda family, base=True: parts(family, False))
+        bad = {name for (name, family, k_max), w in zip(cases, want)
+               if _fibre(family, k_max) != w}
+        assert bad == {"x3", "M2"}
+
+
+def _pair_next_column(monkeypatch):
+    # the diagonal index files the right factor's column j under j - 1, so
+    # row i of the left factor meets column i + 1 (mod n) of the right
+    product = Mat._product
+
+    def planted(self, other, match=None):
+        if match is None:
+            return product(self, other)
+        n = other.size
+        return product(self, other._like({
+            (k, (j - 1) % n, b): c for (k, j, b), c in other.data.items()}),
+            match)
+
+    monkeypatch.setattr(Mat, "_product", planted)
+
+
+def _last_power_traces(monkeypatch):
+    """A list that gains, per diagonal product, the trace of that product
+    and the trace of the full product of the same factors."""
+    seen = []
+    product = Mat._product
+
+    def spy(self, other, match=None):
+        out = product(self, other, match)
+        if match is not None:
+            seen.append((self._like(out).trace(),
+                         self._like(product(self, other)).trace()))
+        return out
+
+    monkeypatch.setattr(Mat, "_product", spy)
+    return seen
+
+
+def _closed_forms():
+    """[(fixture, path, k_max)] over seeded straight and three-point paths
+    on every fixture (k_max 2 on M2, 3 elsewhere)."""
+    return [(name, path, 2 if name == "M2" else 3) for name in FIXTURE_NAMES
+            for path in _fibre_families(name, "closed")[:2]]
+
+
+class TestDiagonalLastPower:
+    def test_closed_form_last_power_trace_is_the_full_trace(self,
+                                                            monkeypatch):
+        cases = _closed_forms()
+        want = [kcs(path, k_max) for _, path, k_max in cases]
+        seen = _last_power_traces(monkeypatch)
+        for (name, path, k_max), w in zip(cases, want):
+            assert kcs_closed_form(path, k_max) == w, name
+        # one diagonal product per call: the last S R^(k_max - 1)
+        assert len(seen) == len(cases)
+        assert all(diag == full for diag, full in seen)
+        # the last traces vanish over Q and the dual numbers
+        assert {name for (name, _, _), (diag, _) in zip(cases, seen)
+                if diag} == set(FIXTURE_NAMES) - {"Q", "dual"}
+
+    def test_closed_form_keeps_its_own_power_loop(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("kcs_closed_form called chern_series")
+
+        name, path, k_max = _closed_forms()[0]
+        want = kcs(path, k_max)
+        monkeypatch.setattr(transgression, "chern_series", refused)
+        assert kcs_closed_form(path, k_max) == want
+
+    def test_planted_pair_next_column_fails(self, monkeypatch):
+        cases = _closed_forms()
+        want = [kcs(path, k_max) for _, path, k_max in cases]
+        _pair_next_column(monkeypatch)
+        seen = _last_power_traces(monkeypatch)
+        bad = {name for (name, path, k_max), w in zip(cases, want)
+               if kcs_closed_form(path, k_max) != w}
+        assert {"x3", "M2"} <= bad
+        assert any(diag != full for diag, full in seen)
+
+    def test_last_power_visits_only_pairs_it_keeps(self, monkeypatch):
+        # the product rule runs once per pair of keys the loop visits; the
+        # pairs kept are those on the diagonal whose masks are top partners
+        visits = []
+        count = [0]
+        key_product, product = CylForm._key_product, Mat._product
+
+        def counted_rule(alg, left):
+            rule = key_product(alg, left)
+
+            def counted(a, b):
+                count[0] += 1
+                return rule(a, b)
+            return counted
+
+        def spy(self, other, match=None):
+            if match is None:
+                return product(self, other)
+            count[0] = 0
+            out = product(self, other, match)
+            pairs = [(a[0], b[0]) for (i, k, a) in self.data
+                     for (k2, j, b) in other.data if k2 == k and j == i]
+            kept = sum(1 for x in pairs if x in self.kind._TOP_PAIRS)
+            visits.append((count[0], kept, len(pairs)))
+            return out
+
+        monkeypatch.setattr(CylForm, "_key_product",
+                            staticmethod(counted_rule))
+        monkeypatch.setattr(Mat, "_product", spy)
+        for name in ("x3", "M2"):
+            lin, quad, bigon = _fibre_families(name, "visits")
+            kcs(lin, 2)
+            kcs(quad, 2)
+            secondary_transgression(bigon, 2 if name == "M2" else 3)
+        assert len(visits) == 6
+        assert all(visited == kept for visited, kept, _ in visits)
+        assert sum(kept for _, kept, _ in visits) > 0
+        assert all(kept < diagonal for _, kept, diagonal in visits)
 
 
 # ---------------------------------------------------------------------------
