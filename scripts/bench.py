@@ -26,10 +26,13 @@ every run of both sides gave the same three digests.  The kcs payloads P
 are two-connection paths that the parent tree writes once under
 ``.bench_build/payloads/`` and both sides read: the connections
 ``random_connection(random_idempotent(A, 2, s), 10 + s)`` and
-``20 + s`` for s = 0..PAYLOAD_SEEDS - 1.  It also holds the wall time and
-exit status of one Tier-1 pytest run and of one under ``python -O`` (the
-parent first), the ``wc -l src/kchern/*.py`` total, the homology ladder
-of ROADMAP's north star (the parent first): cold runs of
+``20 + s`` for s = 0..PAYLOAD_SEEDS - 1, and one more path per fixture,
+with s = PAYLOAD_SEEDS and the second theta scaled by 3/7, so that the
+kcs reports cover non-integral coefficients too.  It also holds the wall
+time and exit status of one Tier-1 pytest run and of one under
+``python -O`` (the parent first), the ``wc -l src/kchern/*.py`` total,
+the homology ladder of ROADMAP's north star (the parent first): cold runs
+of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
 n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
 is killed, with each rung's wall time, exit status and peak RSS (the
@@ -186,20 +189,27 @@ def homology_digest(tree: str) -> str:
 
 
 # Run in the parent tree: one two-connection path payload per fixture and
-# seed, {"idempotent", "theta0", "theta1"} as `kchern kcs --path` reads it.
+# seed, {"idempotent", "theta0", "theta1"} as `kchern kcs --path` reads it,
+# and per fixture one more, <fixture>-fraction, whose theta1 is scaled by 3/7.
 PAYLOAD_WRITER = """
 import json, os, sys
-from kchern.connections import random_connection, random_idempotent
+from fractions import Fraction
+from kchern.connections import (Connection, random_connection,
+                                random_idempotent)
 from kchern.fixtures import make_fixture
 from kchern.serialize import connection_to_json
 out, seeds, fixtures = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 for name in fixtures:
     alg = make_fixture(name)
-    for s in range(seeds):
+    for s in range(seeds + 1):
         p = random_idempotent(alg, 2, s)
-        c0, c1 = (connection_to_json(random_connection(p, seed))
-                  for seed in (10 + s, 20 + s))
-        with open(os.path.join(out, "%s-%d.json" % (name, s)), "w") as fh:
+        c0, c1 = (random_connection(p, seed) for seed in (10 + s, 20 + s))
+        if s == seeds:
+            c1 = Connection(p, c1.theta.map_scalars(
+                lambda q: q * Fraction(3, 7)))
+        c0, c1 = connection_to_json(c0), connection_to_json(c1)
+        fname = "%s-%s.json" % (name, "fraction" if s == seeds else s)
+        with open(os.path.join(out, fname), "w") as fh:
             json.dump({"idempotent": c0["idempotent"],
                        "theta0": c0["theta"], "theta1": c1["theta"]}, fh)
 """
@@ -214,8 +224,9 @@ def write_payloads(tree: str) -> list:
     subprocess.run([sys.executable, "-c", PAYLOAD_WRITER, out,
                     str(PAYLOAD_SEEDS), *FIXTURES], cwd=tree, env=env,
                    check=True, capture_output=True)
-    return [os.path.join(out, "%s-%d.json" % (fixture, s))
-            for fixture in FIXTURES for s in range(PAYLOAD_SEEDS)]
+    return [os.path.join(out, "%s-%s.json" % (fixture, s))
+            for fixture in FIXTURES
+            for s in [*range(PAYLOAD_SEEDS), "fraction"]]
 
 
 def transgression_digest(tree: str, payloads) -> str:
@@ -415,7 +426,8 @@ def main(argv=None) -> int:
             "transgression": "kchern chern --fixture F --seed s --kmax 3 "
                              "(2 on M2), s = 0..%d, then kchern kcs "
                              "--fixture F --path P [--reverse], P the "
-                             "payloads of seeds 0..%d, F in %s"
+                             "payloads of seeds 0..%d and the 3/7-scaled "
+                             "one, F in %s"
                              % (CHERN_SEEDS - 1, PAYLOAD_SEEDS - 1,
                                 ", ".join(FIXTURES))},
             **digests},

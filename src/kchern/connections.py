@@ -13,6 +13,7 @@ identities by comparing dicts.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -111,7 +112,7 @@ class Mat:
     def __neg__(self):
         return self._like({k: -c for k, c in self.data.items()})
 
-    def _product(self, other, match=None) -> dict:
+    def _product(self, other, match=None, pair=None) -> dict:
         """The data of self*other, summed over the pairs of keys a at (i, k)
         and b at (k, j).  With match = (f, g), only its diagonal, from the
         pairs with j = i and f(a) == g(b): the right factor is indexed by
@@ -124,7 +125,12 @@ class Mat:
         coefficients of ca*cb are multiplied out once per pair of keys whose
         rule yields terms, s times them are added into one coefficient dict
         per output key, and each output is wrapped once, so no intermediate
-        Poly is built; rational values are coerced once per product."""
+        Poly is built; rational values are coerced once per product.  Over
+        Poly scalars, `pair`, a bilinear map from two coefficient dicts to
+        a rational (`exactmath.coeff_integral`), takes the place of the
+        scalar product: the loop of the rational scalars sums s * pair(ca,
+        cb), so the output holds rationals and no coefficient dict is
+        built."""
         self._check(other)
         if not (self.data and other.data):
             return {}
@@ -145,22 +151,26 @@ class Mat:
                      for (i, k, a), c in self.data.items()]
         out = {}
         get = out.get
+        if poly is not None:
+            def coeffs(c):
+                return c.coeffs if type(c) is poly else poly.const(c).coeffs
+
+            for row in rows.values():
+                row[:] = [(j, b, coeffs(c)) for j, b, c in row]
+            if pair is not None:
+                lefts = [(key, coeffs(c)) for key, c in lefts]
+                poly = None
         if poly is None:
+            mul = pair or operator.mul
             for (i, k, a), ca in lefts:
                 for j, b, cb in rows.get(k, ()):
-                    c = ca * cb
+                    c = mul(ca, cb)
                     for key, s in rule(a, b):
                         key = (i, j, key)
                         v = get(key)
                         out[key] = c * s if v is None else v + c * s
             return {key: rat(v) if type(v) is Fraction else v
                     for key, v in out.items() if v}
-
-        def coeffs(c):
-            return c.coeffs if type(c) is poly else poly.const(c).coeffs
-
-        for row in rows.values():
-            row[:] = [(j, b, coeffs(c)) for j, b, c in row]
         for (i, k, a), ca in lefts:
             ca = coeffs(ca)
             for j, b, cb in rows.get(k, ()):
@@ -187,11 +197,12 @@ class Mat:
     def __mul__(self, other):
         return self._like(self._product(other))
 
-    def diagonal(self, other, match=None) -> "Mat":
+    def diagonal(self, other, match=None, pair=None) -> "Mat":
         """The diagonal of self*other, all that a trace of it reads: from
         the pairs of keys that match = (f, g) pairs (see `_product`), or
-        from every pair of keys by default."""
-        return self._like(self._product(other, match or (_any, _any)))
+        from every pair of keys by default.  With `pair`, its rational
+        values in place of the products of Poly scalars (see `_product`)."""
+        return self._like(self._product(other, match or (_any, _any), pair))
 
     def map(self, f) -> "Mat":
         return Mat([[f(e) for e in row] for row in self.entries])
@@ -378,23 +389,26 @@ def check_k_max(k_max: int, least: int = 1):
         raise ValueError("k_max must be at least %d, not %d" % (least, k_max))
 
 
-def chern_series(curv, k_max: int, trace, match=None):
+def chern_series(curv, k_max: int, trace, last=None):
     """[trace(R)/1!, ..., trace(R^kmax)/kmax!]: Karoubi's ch_k = tr(R^k)/k!
     for k >= 1, over any ring of forms; `curv()` gives R, called only when
-    k_max >= 1.  Each lower power is one full product; the last, R^(kmax-1)
-    R, is `Mat.diagonal`: only the pairs of keys that `match` pairs (every
-    pair by default) are visited, and `trace` reads no more than that."""
+    k_max >= 1.  Each lower power is one full product.  The last term, for
+    k_max >= 2, is last(R^(kmax-1), R, kmax!), by default the trace of
+    `Mat.diagonal`, all that `trace` reads of R^(kmax-1) R, over kmax!."""
     check_k_max(k_max, 0)
+    if last is None:
+        def last(power, r, fact):
+            return Fraction(1, fact) * trace(power.diagonal(r))
     out = []
     for k in range(1, k_max + 1):
         if k == 1:
             r = power = curv()
+            out.append(trace(power))
         elif k < k_max:
             power = power * r
+            out.append(Fraction(1, factorial(k)) * trace(power))
         else:
-            power = power.diagonal(r, match)
-        out.append(trace(power) if k == 1
-                   else Fraction(1, factorial(k)) * trace(power))
+            out.append(last(power, r, factorial(k)))
     return out
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import product
+from math import comb, gcd, lcm, prod
 from operator import add
 
 Q0 = 0
@@ -187,6 +188,41 @@ def coeff_product(a: dict, b: dict) -> dict:
             v = get(e)
             out[e] = x * y if v is None else v + x * y
     return out
+
+
+_INTEGRAL_WEIGHTS = {}  # bounds -> (den, rows) of integral_weights
+
+
+def integral_weights(bounds: tuple):
+    """(den, rows) for exponent tuples e1, e2 with e1 + e2 <= bounds in
+    each variable: rows[e1][e2] = den // prod_i (e1_i + e2_i + 1), the
+    integral of the monomial x^(e1 + e2) over [0, 1]^R (Fubini) as an
+    integer weight over the common denominator den = prod_i lcm(1, ...,
+    bounds_i + 1).  Kept per bounds."""
+    table = _INTEGRAL_WEIGHTS.get(bounds)
+    if table is None:
+        den = prod(lcm(*range(1, b + 2)) for b in bounds)
+        table = _INTEGRAL_WEIGHTS[bounds] = den, {
+            e1: {e2: den // prod(x + y + 1 for x, y in zip(e1, e2))
+                 for e2 in product(*(range(b - x + 1)
+                                     for b, x in zip(bounds, e1)))}
+            for e1 in product(*(range(b + 1) for b in bounds))}
+    return table
+
+
+def coeff_integral(a: dict, b: dict, rows: dict):
+    """den times the integral over [0, 1]^R of the product of two
+    polynomials given as coefficient dicts, for the weight rows and den of
+    `integral_weights`: sum a_e1 b_e2 W(e1 + e2), with no product built.
+    An int when both have int coefficients."""
+    total = 0
+    for e1, x in a.items():
+        row = rows[e1]
+        s = 0
+        for e2, y in b.items():
+            s += y * row[e2]
+        total += x * s
+    return total
 
 
 _RECIPROCALS = [1]      # 1/(k + 1) at index k, grown on demand
@@ -397,7 +433,11 @@ class Echelon:
         Poly1, Poly2).  Elimination is fraction-free (see `_eliminate`): the
         scaled residual is divided by its scale at the end.
         """
-        out, scale = self._eliminate(vec)
+        return self._unscale(*self._eliminate(vec))
+
+    @staticmethod
+    def _unscale(out: dict, scale: int) -> dict:
+        """The residual from `_eliminate`'s (scale * residual, scale)."""
         if scale == 1:
             return out
         inv = Fraction(1, scale)
@@ -496,17 +536,19 @@ class TrackedEchelon(Echelon):
 
         Returns None if independent of the current columns, else the
         dependency combination {tag: coeff} with vec = sum coeff * column.
+        As in `Echelon.add`, an independent column's scaled residual is
+        stored undivided; only a combination is divided by the scale.
         """
         new = self.dim + len(self.tags)
         aug = dict(vec)
         aug[new] = Q1
-        r = self.reduce(aug)
+        r, scale = self._eliminate(aug)
         if min(r) < self.dim:
             self.tags.append(tag)
             self._store(r)
             return None
         del r[new]
-        return self._combination(r)
+        return self._combination(self._unscale(r, scale))
 
     def copy(self) -> "TrackedEchelon":
         """An independent echelon with the same columns and tags (stored

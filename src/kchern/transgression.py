@@ -28,7 +28,12 @@ KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre and build only what reaches
 it: the last power of `connections.chern_series` from the pairs of keys
 whose masks join to the top one, found by lookup, and R~ without its base
-part when k_max <= R.  The whole cylinder Chern forms read the same loop.
+part when k_max <= R.  The last power is integrated while it is multiplied:
+by Fubini, int_{[0,1]^R} x^e = prod_i 1/(e_i + 1), so each pair of Poly
+scalars a, b adds sum a_e1 b_e2 W(e1 + e2) into one rational per word, W
+the integer weights den / prod_i (e1_i + e2_i + 1) of
+`exactmath.integral_weights`, and each word is divided once, by den * k!.
+The whole cylinder Chern forms read the same loop.
 The k = 1 potential vanishes: R~ has no ds /\ dt part.  Every entry point
 reads R~ from `_curvature_parts`, which computes it once per family and
 keeps it on the `Connection`, so KCS, its closed form and the whole Chern
@@ -40,10 +45,12 @@ forms of one path (or bigon) share one curvature.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from operator import add
 
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
-from .exactmath import accumulate, checked
+from .exactmath import accumulate, checked, coeff_integral, integral_weights
 from .uforms import (FormError, FormTerms, UForm, project_ab, to_poly,
                      word_degree, word_product)
 
@@ -345,13 +352,26 @@ def chern_tform(path: Connection, k_max: int):
     return _cyl_chern(path, 1, k_max)
 
 
+def _degrees(m: Mat) -> tuple:
+    """The highest exponent of each parameter over the Poly scalars of m."""
+    return tuple(map(max, zip(*{e for c in m.data.values()
+                                for e in c.coeffs})))
+
+
 def _fibre_chern(family, k_max: int):
     r"""[int_{[0,1]^R} ch_k|top for k = 1..k_max]: the dx_top coefficient of
-    the family's ch_k, integrated over every parameter, 1/k! applied last.
-    Only what reaches dx_top is built: each part of R~ carries at most one
-    dx, so the base part reaches it only when k_max > R, and the last power
-    pairs each key only with the keys of its partner mask in _TOP_PAIRS
-    (`Mat.diagonal`)."""
+    the family's ch_k, integrated over every parameter.  Only what reaches
+    dx_top is built: each part of R~ carries at most one dx, so the base
+    part reaches it only when k_max > R, and the last power pairs each key
+    only with the keys of its partner mask in _TOP_PAIRS (`Mat.diagonal`).
+
+    ch_1 and the lower powers are traced, integrated by `integrate01` and
+    scaled by 1/k!.  The last power is integrated while it is multiplied:
+    by Fubini, int_{[0,1]^R} x^e = prod_i 1/(e_i + 1), so each pair of
+    scalars a, b adds s * sum a_e1 b_e2 W(e1 + e2) into one rational per
+    word (`exactmath.coeff_integral`), the weights W integers over one
+    common denominator (`exactmath.integral_weights`), and each word is
+    divided once, by that denominator times k!."""
     check_k_max(k_max)
     top = (1 << family.R) - 1
     partner = dict(CylForm.TYPES[family.R]._TOP_PAIRS)
@@ -365,8 +385,19 @@ def _fibre_chern(family, k_max: int):
 
     # a mask with no partner looks up None, which no mask matches
     match = (lambda a: partner.get(a[0]), lambda b: b[0])
+
+    def last(power: Mat, r: Mat, fact: int) -> UForm:
+        den, rows = integral_weights(tuple(map(add, _degrees(power),
+                                               _degrees(r))))
+        diag = power.diagonal(r, match, partial(coeff_integral, rows=rows))
+        # every key of diag has the top mask: match pairs only partners
+        sums = accumulate((w, n) for (_, _, (_, w)), n in diag.data.items())
+        den *= fact
+        return UForm.from_terms(family.algebra, (
+            (w, Fraction(n, den)) for w, n in sums.items()))
+
     return chern_series(lambda: _cyl_mat(family, _curvature_parts(
-        family, k_max > family.R)), k_max, fibre, match)
+        family, k_max > family.R)), k_max, fibre, last)
 
 
 def kcs(path: Connection, k_max: int):

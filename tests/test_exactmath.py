@@ -1,5 +1,6 @@
 """Exact rational arithmetic, polynomials, and sparse linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kchern.exactmath import (Echelon, Poly1, Poly2, Q0, Q1, TrackedEchelon,
-                              accumulate, rat, rat_from_str, rat_to_str)
+                              accumulate, coeff_integral, integral_weights,
+                              rat, rat_from_str, rat_to_str)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -192,6 +194,68 @@ class TestIntegrate01:
         got = Poly2({(1, 3): 2, (0, 1): Fraction(1, 2)}).integrate01(0)
         assert got.coeffs == {(3,): 1, (1,): Fraction(1, 2)}
         assert type(got.coeffs[(3,)]) is int
+
+
+def _random_poly(rng, cls, pool, top=4):
+    """A seeded polynomial of type cls with up to 5 terms of exponents at
+    most `top` and coefficients drawn from `pool`; it may be empty."""
+    return cls({tuple(rng.randint(0, top) for _ in range(cls.NVARS)):
+                rng.choice(pool) for _ in range(rng.randint(0, 5))})
+
+
+def _pair_integral(a, b):
+    """coeff_integral of two polynomials of one type, divided by the
+    denominator of their weights."""
+    bounds = tuple(max((e[i] for e in a.coeffs), default=0)
+                   + max((e[i] for e in b.coeffs), default=0)
+                   for i in range(a.NVARS))
+    den, rows = integral_weights(bounds)
+    return coeff_integral(a.coeffs, b.coeffs, rows), den
+
+
+class TestPairIntegral:
+    INTS = (1, -1, 2, 3, -4, 7)
+    FRACTIONS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+                 Fraction(3, 7))
+
+    def test_matches_integrate01_of_the_product(self):
+        # int, non-integral Fraction and mixed coefficients, constants and
+        # empty coefficient dicts, in one and two variables
+        rng = random.Random(31)
+        kinds = {"int": self.INTS, "fraction": self.FRACTIONS,
+                 "mixed": self.INTS + self.FRACTIONS}
+        non_integral = 0
+        for cls in (Poly1, Poly2):
+            for kind, pool in kinds.items():
+                for trial in range(40):
+                    a, b = (_random_poly(rng, cls, pool) for _ in range(2))
+                    if trial % 8 == 0:
+                        a = cls.const(rng.choice(pool))
+                    if trial % 10 == 1:
+                        b = cls()
+                    got, den = _pair_integral(a, b)
+                    want = a * b
+                    for _ in range(cls.NVARS):
+                        want = want.integrate01(0)
+                    assert Fraction(got, den) == want, (cls, kind, a, b)
+                    if kind == "int":
+                        assert type(got) is int
+                    non_integral += Fraction(got).denominator != 1
+        assert non_integral
+
+    def test_weights_share_one_denominator(self):
+        for bounds in ((0,), (3,), (8,), (2, 5), (4, 8)):
+            den, rows = integral_weights(bounds)
+            assert integral_weights(bounds) == (den, rows)
+            for e1, row in rows.items():
+                for e2, w in row.items():
+                    e = [x + y for x, y in zip(e1, e2)]
+                    assert all(x <= b for x, b in zip(e, bounds))
+                    assert Fraction(w, den) == math.prod(
+                        Fraction(1, x + 1) for x in e)
+            # den is the least common denominator of the weights
+            assert math.gcd(den, *(w for row in rows.values()
+                                   for w in row.values())) == 1
 
 
 def test_constant_hashes_as_its_fraction():
@@ -427,6 +491,42 @@ class TestFractionFreeEchelon:
                     assert (sol is not None) == inside
                     if sol is not None:
                         assert _combine(cols, sol) == _nonzero(probe)
+
+
+class _ReducingTrackedEchelon(TrackedEchelon):
+    """The TrackedEchelon whose add divides every residual by its scale
+    before storing it, as the one before undivided stores did."""
+
+    def add(self, vec, tag):
+        new = self.dim + len(self.tags)
+        r = self.reduce({**vec, new: Q1})
+        if min(r) < self.dim:
+            self.tags.append(tag)
+            self._store(r)
+            return None
+        del r[new]
+        return self._combination(r)
+
+
+class TestTrackedUndividedStore:
+    def test_rows_tags_and_combinations_match_the_reducing_add(self):
+        scaled = dependent = fractional = 0
+        for seed in range(16):
+            _, cols = _sparse_system(200 + seed, width=9, count=14)
+            ech, ref = TrackedEchelon(9), _ReducingTrackedEchelon(9)
+            for tag, col in enumerate(cols):
+                got, want = ech.add(col, tag), ref.add(col, tag)
+                assert got == want, (seed, tag)
+                if got is not None:
+                    dependent += 1
+                    assert all(type(c) is (int if Fraction(c).denominator
+                                           == 1 else Fraction)
+                               for c in got.values())
+                    fractional += any(type(c) is Fraction
+                                      for c in got.values())
+            assert ech.pivots == ref.pivots and ech.tags == ref.tags
+            scaled += sum(row[i] != 1 for i, row in ech.pivots.items())
+        assert scaled and dependent and fractional
 
 
 def _nonzero(vec):

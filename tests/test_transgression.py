@@ -1,5 +1,6 @@
 """Transgression: cylinder forms, homotopy operator, KCS, bigons."""
 
+import collections
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 family_scalars, grassmann, pullback,
                                 random_connection, random_idempotent,
                                 random_iso)
-from kchern.exactmath import Q0, Q1
+from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import abclass_to_json, form_to_json
 from kchern.suites import _random_cylform, run_transgression_suite
@@ -562,17 +563,30 @@ class TestCurvatureMemo:
 # Golden L4 values
 # ---------------------------------------------------------------------------
 
-def _l4_digests():
+def _scaled(c, q):
+    """The connection c with theta scaled by the rational q."""
+    return Connection(c.p, c.theta.map_scalars(lambda x: x * q))
+
+
+# The scale of the non-integral families: their thetas mix int and
+# non-integral Fraction coefficients in one polynomial.
+NON_INTEGRAL = Fraction(3, 7)
+
+
+def _l4_digests(scale=1):
     """sha256 per L4 entry point of its serialized values over seeded
     straight and three-point paths and their bigon on every fixture (k_max
-    2 on M2, 3 elsewhere).  On each path kcs runs first, so that
-    kcs_closed_form and tilde_curvature read its curvature."""
+    2 on M2, 3 elsewhere), the middle and end connections' thetas scaled by
+    `scale`.  On each path kcs runs first, so that kcs_closed_form and
+    tilde_curvature read its curvature."""
     payload = {"kcs": {}, "closed": {}, "tilde": {}, "secondary": {}}
     for name in FIXTURE_NAMES:
         alg = make_fixture(name)
         rng = random.Random("l4-golden/" + name)
         p = random_idempotent(alg, 2, rng)
         c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+        if scale != 1:
+            cm, c1 = _scaled(cm, scale), _scaled(c1, scale)
         lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
         k_max = 2 if name == "M2" else 3
         for key in ("kcs", "closed", "tilde"):
@@ -608,21 +622,39 @@ class TestGoldenL4:
                          "a27d14dfa170e4973d34c6f7d9aece8e",
         }
 
+    def test_l4_values_golden_non_integral(self):
+        # the same families with thetas of int and non-integral Fraction
+        # coefficients; the digests were computed before the last Chern
+        # power of the fibre integrals was integrated in its product
+        assert _l4_digests(NON_INTEGRAL) == {
+            "kcs": "abf4fd3e68f26ce6d33cc3f4d027fc1e"
+                   "1120dac769d4518be95bdc4f40b0e5a4",
+            "closed": "abf4fd3e68f26ce6d33cc3f4d027fc1e"
+                      "1120dac769d4518be95bdc4f40b0e5a4",
+            "tilde": "d55b923f0b5938ba98c4e7a7a207cff5"
+                     "0a8db7a51ed1ee38fbc776774b395e1a",
+            "secondary": "97472295fa4faac7b16b0ce8c6251914"
+                         "129080dc277bcb0c76f1b8b28856198a",
+        }
+
 
 # ---------------------------------------------------------------------------
 # The fibre integrals against the full cylinder Chern forms
 # ---------------------------------------------------------------------------
 
-def _fibre_disagreements():
+def _fibre_disagreements(scale=1):
     """(fixtures where kcs or secondary_transgression differs from K, or
     K K_s, of the full chern_tform or chern_biform forms, count of nonzero
-    values), over seeded straight and three-point paths and their bigons."""
+    values), over seeded straight and three-point paths and their bigons,
+    the middle and end connections' thetas scaled by `scale`."""
     bad, nonzero = set(), 0
     for name in FIXTURE_NAMES:
         alg = make_fixture(name)
         rng = random.Random("fibre/" + name)
         for p in (random_idempotent(alg, 2, rng), Idempotent.identity(alg, 1)):
             c0, cm, c1 = (random_connection(p, rng) for _ in range(3))
+            if scale != 1:
+                cm, c1 = _scaled(cm, scale), _scaled(c1, scale)
             lin, quad = straight_line(c0, c1), three_point_path(c0, cm, c1)
             bigon = bigon_straight(lin, quad)
             for k_max in range(1, 3 if name == "M2" else 4):
@@ -659,6 +691,11 @@ def _drop_top_pair(monkeypatch):
 class TestFibreIntegral:
     def test_matches_full_chern_forms(self):
         bad, nonzero = _fibre_disagreements()
+        assert bad == set()
+        assert nonzero > 0
+
+    def test_matches_full_chern_forms_non_integral(self):
+        bad, nonzero = _fibre_disagreements(NON_INTEGRAL)
         assert bad == set()
         assert nonzero > 0
 
@@ -761,13 +798,13 @@ def _pair_next_column(monkeypatch):
     # row i of the left factor meets column i + 1 (mod n) of the right
     product = Mat._product
 
-    def planted(self, other, match=None):
+    def planted(self, other, match=None, pair=None):
         if match is None:
             return product(self, other)
         n = other.size
         return product(self, other._like({
             (k, (j - 1) % n, b): c for (k, j, b), c in other.data.items()}),
-            match)
+            match, pair)
 
     monkeypatch.setattr(Mat, "_product", planted)
 
@@ -778,8 +815,8 @@ def _last_power_traces(monkeypatch):
     seen = []
     product = Mat._product
 
-    def spy(self, other, match=None):
-        out = product(self, other, match)
+    def spy(self, other, match=None, pair=None):
+        out = product(self, other, match, pair)
         if match is not None:
             seen.append((self._like(out).trace(),
                          self._like(product(self, other)).trace()))
@@ -812,13 +849,18 @@ class TestDiagonalLastPower:
                 if diag} == set(FIXTURE_NAMES) - {"Q", "dual"}
 
     def test_closed_form_keeps_its_own_power_loop(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("kcs_closed_form called chern_series")
+        # the oracle builds its last power as Polys, apart from the
+        # integrated last power of the fibre integrals
+        def refused(*args, **kwargs):
+            raise AssertionError("kcs_closed_form called chern_series or "
+                                 "the pair integral")
 
-        name, path, k_max = _closed_forms()[0]
-        want = kcs(path, k_max)
-        monkeypatch.setattr(transgression, "chern_series", refused)
-        assert kcs_closed_form(path, k_max) == want
+        cases = _closed_forms()
+        want = [kcs(path, k_max) for _, path, k_max in cases]
+        for name in ("chern_series", "coeff_integral", "integral_weights"):
+            monkeypatch.setattr(transgression, name, refused)
+        for (name, path, k_max), w in zip(cases, want):
+            assert kcs_closed_form(path, k_max) == w, name
 
     def test_planted_pair_next_column_fails(self, monkeypatch):
         cases = _closed_forms()
@@ -845,11 +887,11 @@ class TestDiagonalLastPower:
                 return rule(a, b)
             return counted
 
-        def spy(self, other, match=None):
+        def spy(self, other, match=None, pair=None):
             if match is None:
                 return product(self, other)
             count[0] = 0
-            out = product(self, other, match)
+            out = product(self, other, match, pair)
             pairs = [(a[0], b[0]) for (i, k, a) in self.data
                      for (k2, j, b) in other.data if k2 == k and j == i]
             kept = sum(1 for x in pairs if x in self.kind._TOP_PAIRS)
@@ -868,6 +910,53 @@ class TestDiagonalLastPower:
         assert all(visited == kept for visited, kept, _ in visits)
         assert sum(kept for _, kept, _ in visits) > 0
         assert all(kept < diagonal for _, kept, diagonal in visits)
+
+
+class TestIntegratedLastPower:
+    """The fibre integrals' last power is integrated in its product: it
+    multiplies no coefficient dicts, builds no Poly and runs no
+    integrate01, and its values are rationals."""
+
+    def test_last_power_builds_no_poly(self, monkeypatch):
+        inside, calls = [False], collections.Counter()
+        product = Mat._product
+
+        def spy(self, other, match=None, pair=None):
+            inside[0] = pair is not None
+            try:
+                out = product(self, other, match, pair)
+            finally:
+                inside[0] = False
+            if pair is not None:
+                calls["pair products"] += 1
+                calls["rational outputs"] += all(
+                    type(v) in (int, Fraction) for v in out.values())
+                calls["values"] += len(out)
+            return out
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name, inside[0]] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(Mat, "_product", spy)
+        monkeypatch.setattr(connections, "coeff_product", counted(
+            "coeff_product", connections.coeff_product))
+        monkeypatch.setattr(Poly, "_new", classmethod(counted(
+            "Poly", Poly._new.__func__)))
+        monkeypatch.setattr(Poly, "integrate01", counted(
+            "integrate01", Poly.integrate01))
+        runs = 0
+        for name, k_maxes in (("x3", (2, 3)), ("M2", (2,))):
+            for family in _fibre_families(name, "integrated"):
+                for k_max in k_maxes:
+                    _fibre(family, k_max)
+                    runs += 1
+        assert calls["pair products"] == calls["rational outputs"] == runs
+        assert calls["values"] > 0
+        for name in ("coeff_product", "Poly", "integrate01"):
+            assert calls[name, False] > 0 and not calls[name, True], name
 
 
 # ---------------------------------------------------------------------------
