@@ -6,9 +6,16 @@ along algebra homs.  `chern_series` is the one Chern character loop, for
 `chern` and the cylinder forms and fibre integrals of `transgression`.
 
 A matrix (`Mat`) is one sparse dict (i, j, key) -> scalar over its ring:
-products run one loop over pairs of keys, block sums and permutations
-relabel i and j, and `Idempotent`, `ModuleIso` and `Connection` check their
-identities by comparing dicts.
+products run one loop over pairs of keys, and block sums and permutations
+relabel i and j.  The public constructors of `Idempotent`, `ModuleIso` and
+`Connection` check their identities by comparing dicts; so do `pullback`,
+`extend_scalars`, the `serialize` readers and the seeded generators, which
+take caller data.  Closure operations on objects that were already checked
+(`direct_sum`, `sum_iso`, `compose_iso`, `permute_blocks`,
+`ModuleIso.inverse`, `ModuleIso.identity`, `Connection.restrict`, and
+`transgression`'s interpolations and `reverse_path`) build their results
+through the unchecked `_new` of each class instead: each states the
+identity that makes its result satisfy the checks.
 """
 
 from __future__ import annotations
@@ -263,7 +270,8 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 class Idempotent:
-    """n x n matrix p over A with p*p = p (checked)."""
+    """n x n matrix p over A with p*p = p, checked by the constructor;
+    `_new` trusts a closure operation that guarantees it."""
 
     __slots__ = ("algebra", "mat", "size")
 
@@ -275,6 +283,14 @@ class Idempotent:
             raise ConnectionError_("entries must live in the algebra")
         if mat * mat != mat:
             raise ConnectionError_("matrix is not idempotent")
+
+    @classmethod
+    def _new(cls, algebra: Algebra, mat: Mat) -> "Idempotent":
+        """Wrap a nonempty matrix over `algebra` that is idempotent by an
+        identity its caller states, without the check."""
+        r = object.__new__(cls)
+        r.algebra, r.mat, r.size = algebra, mat, mat.size
+        return r
 
     def to_form(self) -> Mat:
         return to_form(self.mat)
@@ -303,7 +319,9 @@ class Connection:
     R counts the parameters of a polynomial family of connections on p:
     R = 0 is a single connection, whose scalars must be rational, R = 1 a
     path and R = 2 a bigon, whose theta has Poly scalars in R variables
-    (coerced here).
+    (coerced here).  The constructor checks the degree, the scalars and
+    the compression; `_new` only coerces, for closure operations whose
+    identity guarantees the rest.
 
     A connection is not mutated after construction.  The one slot beyond
     its data, `_curv`, holds a family's cylinder curvature, filled and read
@@ -333,11 +351,24 @@ class Connection:
             raise ConnectionError_("theta is not compressed: p*theta*p != theta")
         self.p, self.theta, self.R = p, theta, R
 
+    @classmethod
+    def _new(cls, p: Idempotent, theta: Mat, R: int) -> "Connection":
+        """Wrap a degree-1 theta on p, compressed by an identity its caller
+        states, without the checks; scalars are coerced as the constructor
+        coerces them."""
+        r = object.__new__(cls)
+        if R:
+            theta = theta.map_scalars(family_scalars(R).coerce)
+        r.algebra, r.p, r.theta, r.R = p.algebra, p, theta, R
+        return r
+
     def restrict(self, i: int, x) -> "Connection":
-        """Set parameter i to the rational x: a family with R - 1."""
+        """Set parameter i to the rational x: a family with R - 1.  The
+        substitution is a ring map on the scalars and p is constant, so
+        p theta p = theta still holds."""
         if not 0 <= i < self.R:
             raise ConnectionError_("R = %d has no parameter %r" % (self.R, i))
-        return Connection(self.p, self.theta.map_scalars(
+        return Connection._new(self.p, self.theta.map_scalars(
             lambda q: q.subs(i, x)), self.R - 1)
 
 
@@ -420,18 +451,21 @@ def chern(c: Connection, k_max: int):
 
 def direct_sum(c1: Connection, c2: Connection) -> Connection:
     """Block sum of two connections, or of two families with the same
-    parameters (pointwise)."""
+    parameters (pointwise).  Products of block diagonal matrices are taken
+    block by block, so the block sum of idempotents is idempotent and the
+    block sum of compressed thetas is compressed by it."""
     if c1.algebra != c2.algebra:
         raise ConnectionError_("algebra mismatch")
     if c1.R != c2.R:
         raise ConnectionError_("families with different parameters")
-    p = Idempotent(c1.algebra, block_diag(c1.p.mat, c2.p.mat))
-    return Connection(p, block_diag(c1.theta, c2.theta), c1.R)
+    p = Idempotent._new(c1.algebra, block_diag(c1.p.mat, c2.p.mat))
+    return Connection._new(p, block_diag(c1.theta, c2.theta), c1.R)
 
 
 class ModuleIso:
     """Isomorphism Im(p0) -> Im(p1) given by u with explicit inverse v;
-    p1*u*p0 = u, p0*v*p1 = v, v*u = p0, u*v = p1 (all checked)."""
+    p1*u*p0 = u, p0*v*p1 = v, v*u = p0, u*v = p1, all checked by the
+    constructor; `_new` trusts a closure operation that guarantees them."""
 
     __slots__ = ("p0", "p1", "u", "v")
 
@@ -448,12 +482,24 @@ class ModuleIso:
         if u * v != p1.mat:
             raise ConnectionError_("u*v != p1")
 
+    @classmethod
+    def _new(cls, p0: Idempotent, p1: Idempotent, u: Mat,
+             v: Mat) -> "ModuleIso":
+        """Wrap (p0, p1, u, v) that satisfy the four identities by one its
+        caller states, without the checks."""
+        r = object.__new__(cls)
+        r.p0, r.p1, r.u, r.v = p0, p1, u, v
+        return r
+
     def inverse(self) -> "ModuleIso":
-        return ModuleIso(self.p1, self.p0, self.v, self.u)
+        """Im(p1) -> Im(p0) by v, with inverse u: the four identities are
+        symmetric in (p0, u) and (p1, v)."""
+        return ModuleIso._new(self.p1, self.p0, self.v, self.u)
 
     @staticmethod
     def identity(p: Idempotent) -> "ModuleIso":
-        return ModuleIso(p, p, p.mat, p.mat)
+        """u = v = p: each identity reads p*p*p = p or p*p = p."""
+        return ModuleIso._new(p, p, p.mat, p.mat)
 
 
 def pullback(c: Connection, phi: ModuleIso) -> Connection:
@@ -577,24 +623,30 @@ def _conjugation_iso(p0: Idempotent, p1: Idempotent, g: Mat,
 
 
 def compose_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
-    """b after a: Im(a.p0) -> Im(b.p1); requires a.p1 = b.p0."""
+    """b after a: Im(a.p0) -> Im(b.p1); requires a.p1 = b.p0 (= p).  With
+    u1, v1 of a and u2, v2 of b: u2 u1 v1 v2 = u2 p v2 = u2 v2 = b.p1 and
+    v1 v2 u2 u1 = v1 p u1 = a.p0, and b.p1 u2 u1 a.p0 = u2 u1 and
+    a.p0 v1 v2 b.p1 = v1 v2 from the compressions of a and b."""
     if a.p1 != b.p0:
         raise ConnectionError_("isos are not composable")
-    return ModuleIso(a.p0, b.p1, b.u * a.u, a.v * b.v)
+    return ModuleIso._new(a.p0, b.p1, b.u * a.u, a.v * b.v)
 
 
 def sum_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:
-    """Block sum of isomorphisms."""
+    """Block sum of isomorphisms.  u, v, p0 and p1 are all block diagonal
+    with the blocks of a first, so every identity holds block by block."""
     alg = a.p0.algebra
-    p0 = Idempotent(alg, block_diag(a.p0.mat, b.p0.mat))
-    p1 = Idempotent(alg, block_diag(a.p1.mat, b.p1.mat))
-    return ModuleIso(p0, p1, block_diag(a.u, b.u), block_diag(a.v, b.v))
+    p0 = Idempotent._new(alg, block_diag(a.p0.mat, b.p0.mat))
+    p1 = Idempotent._new(alg, block_diag(a.p1.mat, b.p1.mat))
+    return ModuleIso._new(p0, p1, block_diag(a.u, b.u), block_diag(a.v, b.v))
 
 
 def permute_blocks(p: Idempotent, sizes, order) -> ModuleIso:
     """Im(p) -> Im(s*p*s^T), moving block order[i] of the block diagonal p
     (blocks of the given sizes) to slot i: u = s*p and v = p*s^T for the
-    permutation matrix s, so u permutes p's rows and v its columns."""
+    permutation matrix s, so u permutes p's rows and v its columns.  With
+    s^T s = 1 and p*p = p, the target s p s^T is idempotent, v u = p and
+    u v = s p s^T, and both compressions read s p or p s^T again."""
     if sum(sizes) != p.size or min(sizes) < 0:
         raise ConnectionError_("block sizes %r do not split %d"
                                % (tuple(sizes), p.size))
@@ -612,8 +664,8 @@ def permute_blocks(p: Idempotent, sizes, order) -> ModuleIso:
         return m._like({(rows.get(i, i), cols.get(j, j), a): c
                         for (i, j, a), c in m.data.items()})
 
-    return ModuleIso(p, Idempotent(p.algebra, relabel(slot, slot)),
-                     relabel(slot, {}), relabel({}, slot))
+    return ModuleIso._new(p, Idempotent._new(p.algebra, relabel(slot, slot)),
+                          relabel(slot, {}), relabel({}, slot))
 
 
 def random_automorphism(p: Idempotent, seed) -> ModuleIso:

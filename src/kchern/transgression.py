@@ -16,7 +16,8 @@ whole calculus:
   * differential:
     d(dx_I u) = (-1)^{|I|} dx_I (du + sum_{i not in I} dx_i del_i u).
 
-Every sign is read from `sigma` and the tables SHUFFLE and KOSZUL below.
+Every sign is read from `grading_sign`, the sign of sigma on one word, and
+the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
 use BiForm.  `CylForm._key_product` is the one product rule and
 `CylForm._key_d` the one differential rule on those keys, for cylinder
@@ -55,10 +56,10 @@ from .uforms import (FormError, FormTerms, UForm, project_ab, to_poly,
                      word_degree, word_product)
 
 
-def sigma(u: UForm) -> UForm:
-    """Grading involution: negate odd-degree components."""
-    return UForm(u.algebra, {w: (-c if word_degree(w) % 2 else c)
-                             for w, c in u.terms.items()})
+def grading_sign(w) -> int:
+    """The sign of the grading involution sigma on the word w: sigma
+    negates odd-degree components."""
+    return -1 if word_degree(w) % 2 else 1
 
 
 # Signs of the cylinder calculus by bit mask of parameter differentials
@@ -130,8 +131,8 @@ class CylForm(FormTerms):
         r"""The product rule of keys (mask, word) of `connections.Mat`, for
         a left factor with the data `left`: (dx_I w1)(dx_J w2) =
         shuffle(I, J) dx_{I u J} sigma^{|J|}(w1) w2, and 0 when I and J
-        meet; `sigma` gives its signs, applied once to the left words."""
-        flip = sigma(UForm(alg, {w: 1 for _, _, (_, w) in left})).terms
+        meet; `grading_sign` gives sigma's sign, read once per left word."""
+        flip = {w: grading_sign(w) for _, _, (_, w) in left}
 
         def rule(a, b):
             (m1, w1), (m2, w2) = a, b
@@ -234,7 +235,9 @@ def _require(family, r: int):
 def _interpolate(families, weights) -> Connection:
     """The family sum_i w_i theta_i in R + 1 parameters, for families with
     one R on one idempotent and (w_i) = weights(x), polynomials in the new
-    parameter x, which comes first."""
+    parameter x, which comes first.  Each theta_i is compressed by p, so by
+    linearity p (sum_i w_i theta_i) p = sum_i w_i theta_i: the family is
+    built without the constructor's check."""
     f0 = families[0]
     if any((f.p, f.R) != (f0.p, f0.R) for f in families):
         raise ConnectionError_("families differ in idempotent or R")
@@ -243,7 +246,7 @@ def _interpolate(families, weights) -> Connection:
     x = poly({(1,) + (0,) * f0.R: 1})
     thetas = [f.theta.map_scalars(lambda c: poly.coerce(c) * w)
               for f, w in zip(families, weights(x))]
-    return Connection(f0.p, sum(thetas[1:], thetas[0]), r)
+    return Connection._new(f0.p, sum(thetas[1:], thetas[0]), r)
 
 
 def straight_line(f0: Connection, f1: Connection) -> Connection:
@@ -267,9 +270,10 @@ def three_point_path(c1: Connection, c2: Connection,
 
 
 def reverse_path(path: Connection) -> Connection:
-    """Substitute t -> 1 - t in a path."""
+    """Substitute t -> 1 - t in a path: a ring map on the scalars, so
+    p theta p = theta still holds."""
     _require(path, 1)
-    return Connection(path.p, path.theta.map_scalars(
+    return Connection._new(path.p, path.theta.map_scalars(
         lambda q: q.reflect(0)), 1)
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from kchern.algebra import AlgebraError, AlgebraHom
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
-                                ModuleIso, apply_operator, chern, compose_iso,
+                                ModuleIso, apply_operator, block_diag, chern,
+                                compose_iso,
                                 curvature, curvature_formula, direct_sum,
                                 extend_scalars, grassmann, permute_blocks,
                                 pullback, random_automorphism,
@@ -17,7 +18,8 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 to_form, trace_ab)
 from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.transgression import TForm, straight_line
+from kchern.transgression import (TForm, reverse_path, straight_line,
+                                  three_point_path)
 from kchern.uforms import (DegreeCapError, FormError, UForm, ab_d,
                            enumerate_words, is_exact_in_ab, multiply,
                            project_ab, word_product)
@@ -677,3 +679,129 @@ class TestCompressionIdentities:
         r = curvature(c)
         assert len(calls) == 1
         assert r == c.theta * c.theta + c.theta.d()
+
+
+# ---------------------------------------------------------------------------
+# Closure operations build through _new: their identities, rechecked
+# ---------------------------------------------------------------------------
+
+def recheck(x):
+    """x rebuilt by its checked public constructor, or ConnectionError_
+    where an identity that its closure operation claims fails."""
+    if isinstance(x, Idempotent):
+        return Idempotent(x.algebra, x.mat)
+    if isinstance(x, Connection):
+        return Connection(recheck(x.p), x.theta, x.R)
+    return ModuleIso(recheck(x.p0), recheck(x.p1), x.u, x.v)
+
+
+def closure_inputs(alg, rng):
+    """Seeded isos Im(p) -> Im(p1) -> Im(p2) on a conjugate p of the first
+    summand, an iso on the 1 x 1 identity, a connection on that, and three
+    on p."""
+    p, _ = random_iso(first_summand(alg), rng)
+    p1, a = random_iso(p, rng)
+    _, b = random_iso(p1, rng)
+    one = Idempotent.identity(alg, 1)
+    _, e = random_iso(one, rng)
+    return (a, b, e, random_connection(one, rng),
+            [random_connection(p, rng) for _ in range(3)])
+
+
+def closure_results(alg, rng):
+    """(name, result) for every closure operation that builds through
+    `_new`, on seeded inputs."""
+    a, b, e, c1, (c0, c, c2) = closure_inputs(alg, rng)
+    line, quad = straight_line(c0, c), three_point_path(c0, c, c2)
+    line1 = straight_line(c1, c1)
+    bigon = straight_line(line, quad)
+    pair = sum_iso(a, e)
+    third = Fraction(1, 3)
+    return [
+        ("direct_sum", direct_sum(c0, c1)),
+        ("direct_sum of paths", direct_sum(line, line1)),
+        ("sum_iso", pair),
+        ("compose_iso", compose_iso(a, b)),
+        ("permute_blocks", permute_blocks(pair.p1, (2, 1), (1, 0))),
+        ("inverse", a.inverse()),
+        ("identity", ModuleIso.identity(a.p1)),
+        ("straight_line", line),
+        ("three_point_path", quad),
+        ("bigon", bigon),
+        ("restrict", line.restrict(0, third)),
+        ("restrict a bigon", bigon.restrict(1, third)),
+        ("reverse_path", reverse_path(quad)),
+    ]
+
+
+def _sum_iso_swapped_u(a, b):
+    iso = sum_iso(a, b)
+    return ModuleIso._new(iso.p0, iso.p1, block_diag(b.u, a.u), iso.v)
+
+
+def _compose_iso_reversed_u(a, b):
+    iso = compose_iso(a, b)
+    return ModuleIso._new(iso.p0, iso.p1, a.u * b.u, iso.v)
+
+
+def _permute_blocks_row_v(p, sizes, order):
+    iso = permute_blocks(p, sizes, order)
+    return ModuleIso._new(iso.p0, iso.p1, iso.u, iso.u)     # v = s*p
+
+
+def _direct_sum_swapped_theta(c1, c2):
+    c = direct_sum(c1, c2)
+    return Connection._new(c.p, block_diag(c2.theta, c1.theta), c.R)
+
+
+class TestClosureIdentities:
+    """Each closure operation skips the checks that its identity makes
+    hold; the checked constructors accept every result, and refuse a
+    planted defect in each block-structural operation."""
+
+    def test_checked_constructors_accept_closures(self):
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("closure/" + name)
+            for op, x in closure_results(alg, rng):
+                y = recheck(x)
+                if isinstance(x, Connection):
+                    assert (y.theta, y.R) == (x.theta, x.R), (name, op)
+
+    def test_new_coerces_family_scalars(self):
+        # as the constructor does: a family stores Poly scalars only
+        alg = make_fixture("dual")
+        z = UForm.zero(alg)
+        c = Connection(first_summand(alg), Mat([[UForm(alg, {(0, 1): 3}), z],
+                                                [z, z]]))
+        path = Connection._new(c.p, c.theta, 1)
+        assert path.theta == Connection(c.p, c.theta, 1).theta
+        assert {type(q) for q in path.theta.data.values()} == {
+            Poly.TYPES[1]}
+
+    def test_checked_constructors_refuse_planted_defects(self):
+        refused = {}
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            a, b, e, c1, conns = closure_inputs(
+                alg, random.Random("closure/" + name))
+            pair = sum_iso(a, e)
+            plants = [
+                ("sum_iso", lambda: _sum_iso_swapped_u(a, e)),
+                ("compose_iso", lambda: _compose_iso_reversed_u(a, b)),
+                ("permute_blocks", lambda: _permute_blocks_row_v(
+                    pair.p1, (2, 1), (1, 0)))]
+            # swapped thetas differ only if one is nonzero; on Q, which
+            # has no degree-1 forms, none is
+            c0 = next((c for c in conns if c.theta.data), None)
+            if c0 is not None:
+                plants.append(("direct_sum",
+                               lambda: _direct_sum_swapped_theta(c0, c1)))
+            for op, plant in plants:
+                with pytest.raises(ConnectionError_):
+                    recheck(plant())
+                refused.setdefault(op, set()).add(name)
+        everywhere = set(FIXTURE_NAMES)
+        assert refused == {"sum_iso": everywhere, "compose_iso": everywhere,
+                           "permute_blocks": everywhere,
+                           "direct_sum": everywhere - {"Q"}}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kchern.connections import (ConnectionError_, Idempotent, Mat,
+from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 ModuleIso, chern, compose_iso, direct_sum,
                                 grassmann, pullback, random_automorphism,
                                 random_connection, random_idempotent,
@@ -256,6 +256,28 @@ class TestVerifier:
                            ModuleIso.identity(direct_sum(stab, stab).p))
         with pytest.raises(ConnectionError_):
             verify_kcs_equivalence(g0, g1, wrong, 2)
+
+    def test_forged_uncompressed_witness_is_refused(self):
+        # the verifier pulls back the caller's iso through the checked
+        # Connection constructor: a v that bypasses v = p0 v p1 is refused
+        alg = make_fixture("dual")
+        z, one = alg.zero(), alg.unit()
+        p = Idempotent(alg, Mat([[one, z], [z, z]]))
+        zf = UForm.zero(alg)
+        c = Connection(p, Mat([[UForm(alg, {(0, 1): 1, (1, 1): 2}), zf],
+                               [zf, zf]]))
+        g = KHatGen(p, c, zf)
+        stab = grassmann(Idempotent.identity(alg, 1))
+        sum_p = direct_sum(c, stab).p
+        forged = object.__new__(ModuleIso)
+        forged.p0 = forged.p1 = sum_p
+        forged.u = sum_p.mat
+        forged.v = sum_p.mat + Mat([[z, z, z], [one, z, z], [z, z, z]])
+        w = KCSWitness(stab.p, stab, forged)
+        with pytest.raises(ConnectionError_, match="not compressed"):
+            verify_kcs_equivalence(g, g, w, 2)
+        honest = KCSWitness(stab.p, stab, ModuleIso.identity(sum_p))
+        assert verify_kcs_equivalence(g, g, honest, 2)["accepted"]
 
 
 class TestOddChern:

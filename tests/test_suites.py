@@ -1,11 +1,23 @@
 """Planted defects: each suite check named here must fail when the code it
 exercises is made wrong, or its "pass" would show nothing."""
 
+import random
+
 import pytest
 
 from kchern import connections, suites, transgression, uforms
-from kchern.suites import (run_chern_suite, run_hexagon_suite,
-                           run_transgression_suite)
+from kchern.connections import (Connection, Idempotent, ModuleIso,
+                                direct_sum, pullback, random_automorphism,
+                                random_connection, random_idempotent)
+from kchern.fixtures import make_fixture
+from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
+                         verify_kcs_equivalence)
+from kchern.suites import (SUITES, run_chern_suite, run_hexagon_suite,
+                           run_suite, run_transgression_suite)
+from kchern.transgression import kcs_between
+from kchern.uforms import UForm
+from tests.test_connections import _sum_iso_swapped_u
+from tests.test_khat import sum_classes, trivial_witness
 
 
 def _self_sum(a, b):
@@ -53,3 +65,87 @@ def test_planted_defect_fails_the_check(monkeypatch, name, suite, fixture,
     assert rep["status"] == "fail"
     assert [c["status"] for c in rep["checks"] if c["name"] == name] == [
         status]
+
+
+# ---------------------------------------------------------------------------
+# Closure operations with the checked constructors swapped back in
+# ---------------------------------------------------------------------------
+
+def _checked_new(monkeypatch):
+    """Every `_new` runs its class's checked constructor instead."""
+    for kind in (Idempotent, Connection, ModuleIso):
+        monkeypatch.setattr(kind, "_new", classmethod(
+            lambda cls, *args: cls(*args)))
+
+
+def _timeless(x):
+    if isinstance(x, dict):
+        return {k: _timeless(v) for k, v in x.items() if k != "time_ms"}
+    if isinstance(x, list):
+        return [_timeless(v) for v in x]
+    return x
+
+
+def _khat_round(name):
+    """A stabilized, twisted witness verified, the same with a planted
+    even perturbation of omega, and a chain of two trivial witnesses
+    verified: the closure operations of the K-hat verifier."""
+    alg = make_fixture(name)
+    rng = random.Random("khat-round/" + name)
+    p = random_idempotent(alg, 2, rng)
+    d0, d1, d2 = (random_connection(p, rng) for _ in range(3))
+    stab_p = random_idempotent(alg, 1, rng)
+    stab = random_connection(stab_p, rng)
+    phi = random_automorphism(direct_sum(d1, stab).p, rng)
+    twisted = sum_classes(kcs_between(
+        direct_sum(d0, stab), pullback(direct_sum(d1, stab), phi), 2), alg)
+    om01 = sum_classes(kcs_between(d0, d1, 2), alg)
+    om12 = sum_classes(kcs_between(d1, d2, 2), alg)
+    g0 = KHatGen(p, d0, UForm.zero(alg))
+    g1 = KHatGen(p, d1, (-twisted).lift())
+    g1_bad = KHatGen(p, d1, g1.omega + UForm.unit(alg))
+    h1 = KHatGen(p, d1, (-om01).lift())
+    h2 = KHatGen(p, d2, (-om01 - om12).lift())
+    w = KCSWitness(stab_p, stab, phi)
+    chain = chain_witnesses(h1, trivial_witness(g0, rng),
+                            trivial_witness(h1, rng))
+    reports = [verify_kcs_equivalence(g0, g1, w, 2),
+               verify_kcs_equivalence(g0, g1_bad, w, 2),
+               verify_kcs_equivalence(g0, h2, chain, 2)]
+    return reports, (chain.iso.u, chain.iso.v, chain.stab_conn.theta)
+
+
+class TestCheckedConstructorOracle:
+    """The closure operations skip the identity checks; with the checked
+    constructors swapped back in, no check refuses what they build, and
+    every report is the same."""
+
+    @pytest.fixture
+    def few(self, monkeypatch):
+        for count in ("N_PATHS", "N_PAIRS", "N_CLOSED"):
+            monkeypatch.setattr(suites, count, 1)
+
+    def test_suites_and_khat_round_agree(self, monkeypatch, few):
+        fast = ([_timeless(run_suite(s, 7)) for s in SUITES],
+                [_khat_round(name) for name in ("M2", "x3")])
+        _checked_new(monkeypatch)
+        checked = ([_timeless(run_suite(s, 7)) for s in SUITES],
+                   [_khat_round(name) for name in ("M2", "x3")])
+        assert checked == fast
+        assert all(r["status"] == "pass" for r in fast[0])
+        for reports, _ in fast[1]:
+            assert [r["accepted"] for r in reports] == [True, False, True]
+            assert not reports[1]["degrees"][0]["exact"]
+
+    def test_planted_closure_defect_is_caught(self, monkeypatch, few):
+        # the odd Chern forms of scalar automorphisms vanish, so the block
+        # sum law passes with the u blocks swapped; the checked
+        # ModuleIso refuses them
+        monkeypatch.setattr(suites, "sum_iso", _sum_iso_swapped_u)
+        rep = run_hexagon_suite(7, fixtures=["M2"])
+        assert rep["status"] == "pass"
+        _checked_new(monkeypatch)
+        rep = run_hexagon_suite(7, fixtures=["M2"])
+        odd = [c for c in rep["checks"] if c["name"] == "odd chern laws"]
+        assert [c["status"] for c in odd] == ["error"]
+        assert "ConnectionError_" in odd[0]["detail"]["error"]

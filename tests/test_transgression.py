@@ -105,15 +105,20 @@ class TestPaths:
 
     def test_bigon_refuses_either_endpoint(self, monkeypatch):
         # the endpoints are compared as matrices: the bigon is the one
-        # Connection that bigon_straight builds
+        # Connection that bigon_straight builds, by either constructor
         built = []
-        init = Connection.__init__
+        init, new = Connection.__init__, Connection._new.__func__
 
         def counted(self, *args):
             built.append(1)
             init(self, *args)
 
+        def counted_new(cls, *args):
+            built.append(1)
+            return new(cls, *args)
+
         monkeypatch.setattr(Connection, "__init__", counted)
+        monkeypatch.setattr(Connection, "_new", classmethod(counted_new))
         refused = set()
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)
@@ -1067,7 +1072,7 @@ def _flip_shuffle(monkeypatch):
 
 
 def _drop_sigma(monkeypatch):
-    monkeypatch.setattr(transgression, "sigma", lambda u: u)
+    monkeypatch.setattr(transgression, "grading_sign", lambda w: 1)
 
 
 def _drop_d_sign(monkeypatch):
