@@ -31,8 +31,10 @@ with s = PAYLOAD_SEEDS and the second theta scaled by 3/7, so that the
 kcs reports cover non-integral coefficients too.  It also holds the wall
 time and exit status of one Tier-1 pytest run and of one under
 ``python -O`` (the parent first), the ``wc -l src/kchern/*.py`` total,
-the homology ladder of ROADMAP's north star (the parent first): cold runs
-of
+the code lines of those modules, in total and per module (lines that are
+not blank, not comment-only and not inside a module, class or function
+docstring, which ``ast`` finds), the homology ladder of ROADMAP's north
+star (the parent first): cold runs of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
 n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
 is killed, with each rung's wall time, exit status and peak RSS (the
@@ -47,6 +49,7 @@ read before and after the runs.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import hashlib
 import io
@@ -266,6 +269,31 @@ def src_lines(tree: str) -> int:
     return total
 
 
+def src_code_lines(tree: str) -> dict:
+    """The code lines of src/kchern/*.py in tree, in total and by module: the
+    lines that are not blank, not comment-only and not inside a module,
+    class or function docstring."""
+    modules = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "kchern",
+                                              "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        docs = set()
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and node.body:
+                first = node.body[0]
+                if (isinstance(first, ast.Expr)
+                        and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+        modules[os.path.basename(path)] = sum(
+            1 for i, line in enumerate(text.splitlines(), 1)
+            if i not in docs and line.strip()
+            and not line.lstrip().startswith("#"))
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def rung(tree: str, n: int) -> dict:
     """Wall time, exit status and peak RSS of one cold `kchern homology`
     run at degree n of M2 in tree, killed at LADDER_LIMIT seconds.  The
@@ -436,6 +464,7 @@ def main(argv=None) -> int:
         "tier1_pytest": tier1_run,
         "tier1_pytest_O": tier1_opt,
         "src_lines": {who: src_lines(trees[who]) for who in trees},
+        "src_code_lines": {who: src_code_lines(trees[who]) for who in trees},
         "ladder": {"command": "kchern homology --fixture M2 --degree n "
                    "--degree-cap max(8, n + 1)", "limit_s": LADDER_LIMIT,
                    **ladder_run},

@@ -13,7 +13,7 @@ from .algebra import (AlgElement, Algebra, AlgebraError, AlgebraHom,
 from .uforms import (AbClass, AbProjection, DegreeCapError, FormError, UForm,
                      ab_d, abelianization, de_rham_homology, differential,
                      dimension, enumerate_words, extend_hom, is_exact_in_ab,
-                     multiply, project_ab, to_poly, word_degree)
+                     multiply, project_ab, word_degree)
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, apply_operator, chern, compose_iso,
                           curvature, direct_sum, extend_scalars, grassmann,

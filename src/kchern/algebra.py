@@ -192,10 +192,9 @@ class AlgElement(Terms):
         return NotImplemented
 
     @staticmethod
-    def _key_product(alg: Algebra, left: dict):
-        """The product rule of basis indices for `connections.Mat`: the
-        nonzero structure constants of e_a * e_b, whatever the left
-        factor's data `left`."""
+    def _key_product(alg: Algebra):
+        """The product rule of basis indices for `connections.Mat` over
+        `alg`: the nonzero structure constants of e_a * e_b."""
         sparse = alg.sparse_mul
         return lambda a, b: sparse[a][b]
 

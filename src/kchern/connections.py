@@ -15,7 +15,8 @@ take caller data.  Closure operations on objects that were already checked
 `ModuleIso.inverse`, `ModuleIso.identity`, `Connection.restrict`, and
 `transgression`'s interpolations and `reverse_path`) build their results
 through the unchecked `_new` of each class instead: each states the
-identity that makes its result satisfy the checks.
+identity that makes its result satisfy the checks, and keeps the scalar
+type `family_scalars(R)` that the constructor gives a family.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ class Mat:
     and `trace` wrap such dicts as entries of `kind`.
 
     Mat never names an entry type: beyond the `Terms` protocol it reads
-    only `_key_product(alg, left)`, the product rule of keys, `_key_d`, the
-    key rule of d (forms only), and `RingError`.  A first entry with no
-    `_key_product` raises ConnectionError_; an entry of another ring than
-    the first, and a matrix over another ring in +, - or *, raise the left
-    factor's `RingError`.  The product reads each row of the right factor
-    once and runs one key-product rule per pair of keys; over Poly scalars
-    it multiplies coefficient dicts and wraps each output entry once (see
-    `_product`).
+    only `_key_product(alg)`, the product rule of keys over the algebra,
+    `_key_d`, the key rule of d (forms only), and `RingError`.  A first
+    entry with no `_key_product` raises ConnectionError_; an entry of
+    another ring than the first, and a matrix over another ring in +, - or
+    *, raise the left factor's `RingError`.  The product reads each row of
+    the right factor once and runs one key-product rule per pair of keys;
+    over Poly scalars it multiplies coefficient dicts and wraps each output
+    entry once (see `_product`).
     """
 
     __slots__ = ("kind", "algebra", "size", "data")
@@ -141,7 +142,7 @@ class Mat:
         self._check(other)
         if not (self.data and other.data):
             return {}
-        rule = self.kind._key_product(self.algebra, self.data)
+        rule = self.kind._key_product(self.algebra)
         firsts = (next(iter(self.data.values())),
                   next(iter(other.data.values())))
         poly = next((type(c) for c in firsts if isinstance(c, Poly)), None)
@@ -318,10 +319,10 @@ class Connection:
 
     R counts the parameters of a polynomial family of connections on p:
     R = 0 is a single connection, whose scalars must be rational, R = 1 a
-    path and R = 2 a bigon, whose theta has Poly scalars in R variables
+    path and R = 2 a bigon, whose theta has `family_scalars(R)` scalars
     (coerced here).  The constructor checks the degree, the scalars and
-    the compression; `_new` only coerces, for closure operations whose
-    identity guarantees the rest.
+    the compression; `_new` only wraps, for closure operations whose
+    identity guarantees the checks and whose theta keeps that type.
 
     A connection is not mutated after construction.  The one slot beyond
     its data, `_curv`, holds a family's cylinder curvature, filled and read
@@ -354,18 +355,16 @@ class Connection:
     @classmethod
     def _new(cls, p: Idempotent, theta: Mat, R: int) -> "Connection":
         """Wrap a degree-1 theta on p, compressed by an identity its caller
-        states, without the checks; scalars are coerced as the constructor
-        coerces them."""
+        states and with `family_scalars(R)` scalars (rationals at R = 0),
+        without the checks."""
         r = object.__new__(cls)
-        if R:
-            theta = theta.map_scalars(family_scalars(R).coerce)
         r.algebra, r.p, r.theta, r.R = p.algebra, p, theta, R
         return r
 
     def restrict(self, i: int, x) -> "Connection":
         """Set parameter i to the rational x: a family with R - 1.  The
-        substitution is a ring map on the scalars and p is constant, so
-        p theta p = theta still holds."""
+        substitution is a ring map of scalars, Poly_R to Poly_{R-1} (or Q),
+        and p is constant, so p theta p = theta still holds."""
         if not 0 <= i < self.R:
             raise ConnectionError_("R = %d has no parameter %r" % (self.R, i))
         return Connection._new(self.p, self.theta.map_scalars(

@@ -92,9 +92,9 @@ class Terms:
     A subclass sets two class constants: `RingError`, raised when values of
     different types or over different algebras meet, and `_scalar`, which
     gives a scalar its stored form (`rat` for rationals, so an integral
-    result is an int) or raises.  A matrix ring adds `_key_product(alg,
-    left)`, the product rule of its keys, and a ring of forms `_key_d(key,
-    c)`, the key rule of d.
+    result is an int) or raises.  A matrix ring adds `_key_product(alg)`,
+    the product rule of its keys over the algebra `alg`, and a ring of
+    forms `_key_d(key, c)`, the key rule of d.
     """
 
     __slots__ = ("algebra", "terms")

@@ -38,7 +38,9 @@ The whole cylinder Chern forms read the same loop.
 The k = 1 potential vanishes: R~ has no ds /\ dt part.  Every entry point
 reads R~ from `_curvature_parts`, which computes it once per family and
 keeps it on the `Connection`, so KCS, its closed form and the whole Chern
-forms of one path (or bigon) share one curvature.
+forms of one path (or bigon) share one curvature.  A family's theta
+keeps the scalars `family_scalars(R)` it is built with, so R~ coerces
+only its base part, which p's rationals enter.
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
 `secondary_transgression` a bigon; another R raises ConnectionError_.
 """
@@ -52,8 +54,8 @@ from operator import add
 from .connections import (Connection, ConnectionError_, Mat, check_k_max,
                           chern_series, curvature_formula, family_scalars)
 from .exactmath import accumulate, checked, coeff_integral, integral_weights
-from .uforms import (FormError, FormTerms, UForm, project_ab, to_poly,
-                     word_degree, word_product)
+from .uforms import (FormError, FormTerms, UForm, project_ab, word_degree,
+                     word_product)
 
 
 def grading_sign(w) -> int:
@@ -112,8 +114,9 @@ class CylForm(FormTerms):
         self.algebra = parts[0].algebra
         if any(u.algebra != self.algebra for u in parts):
             raise FormError("component algebra mismatch")
-        self.terms = {(m, w): c for m, u in enumerate(parts)
-                      for w, c in to_poly(u, self.R).terms.items()}
+        coerce = family_scalars(self.R).coerce
+        self.terms = {(m, w): coerce(c) for m, u in enumerate(parts)
+                      for w, c in u.terms.items()}
 
     @property
     def parts(self) -> tuple:
@@ -127,18 +130,18 @@ class CylForm(FormTerms):
         return cls(UForm.zero(alg))
 
     @staticmethod
-    def _key_product(alg, left: dict):
-        r"""The product rule of keys (mask, word) of `connections.Mat`, for
-        a left factor with the data `left`: (dx_I w1)(dx_J w2) =
-        shuffle(I, J) dx_{I u J} sigma^{|J|}(w1) w2, and 0 when I and J
-        meet; `grading_sign` gives sigma's sign, read once per left word."""
-        flip = {w: grading_sign(w) for _, _, (_, w) in left}
-
+    def _key_product(alg):
+        r"""The product rule of keys (mask, word) of `connections.Mat` over
+        `alg`: (dx_I w1)(dx_J w2) = shuffle(I, J) dx_{I u J} sigma^{|J|}(w1)
+        w2, and 0 when I and J meet.  Per pair of keys it reads SHUFFLE,
+        and sigma's sign `grading_sign(w1)` when |J| is odd."""
         def rule(a, b):
             (m1, w1), (m2, w2) = a, b
             if m1 & m2:
                 return ()
-            s = SHUFFLE[m1, m2] * (flip[w1] if bin(m2).count("1") % 2 else 1)
+            s = SHUFFLE[m1, m2]
+            if bin(m2).count("1") % 2:
+                s *= grading_sign(w1)
             return [((m1 | m2, w), s * c)
                     for w, c in word_product(alg, w1, w2)]
         return rule
@@ -237,7 +240,8 @@ def _interpolate(families, weights) -> Connection:
     one R on one idempotent and (w_i) = weights(x), polynomials in the new
     parameter x, which comes first.  Each theta_i is compressed by p, so by
     linearity p (sum_i w_i theta_i) p = sum_i w_i theta_i: the family is
-    built without the constructor's check."""
+    built without the constructor's check, each theta_i coerced to the
+    family's scalars before it is weighted."""
     f0 = families[0]
     if any((f.p, f.R) != (f0.p, f0.R) for f in families):
         raise ConnectionError_("families differ in idempotent or R")
@@ -270,7 +274,7 @@ def three_point_path(c1: Connection, c2: Connection,
 
 
 def reverse_path(path: Connection) -> Connection:
-    """Substitute t -> 1 - t in a path: a ring map on the scalars, so
+    """Substitute t -> 1 - t in a path: a ring map of Poly1 scalars, so
     p theta p = theta still holds."""
     _require(path, 1)
     return Connection._new(path.p, path.theta.map_scalars(
@@ -287,7 +291,8 @@ def _curvature_parts(family, base: bool = True) -> dict:
     1 << i -> p (del_i theta) p = del_i theta: p is constant, and the
     `Connection` constructor checks p theta p = theta as polynomials in the
     parameters.  The parts with two or more dx are zero (they emerge in
-    products).  Without `base` the base part 0 is left out.
+    products).  Without `base` the base part 0 is left out.  The parts have
+    theta's scalars: the base part, which p's rationals enter, is coerced.
 
     Computed at most once per family: the whole parts are kept in the
     family's `_curv` slot with the p and theta objects they came from, and
@@ -300,11 +305,11 @@ def _curvature_parts(family, base: bool = True) -> dict:
         return memo[2] if base else {m: x for m, x in memo[2].items() if m}
     parts = {}
     if base:
-        parts[0] = curvature_formula(family.p.to_form(), family.theta)
+        coerce = family_scalars(family.R).coerce
+        parts[0] = curvature_formula(family.p.to_form(),
+                                     family.theta).map_scalars(coerce)
     for i in range(family.R):
         parts[1 << i] = family.theta.map_scalars(lambda q: q.diff(i))
-    coerce = family_scalars(family.R).coerce
-    parts = {m: x.map_scalars(coerce) for m, x in parts.items()}
     if base:
         family._curv = (family.p, family.theta, parts)
     return parts

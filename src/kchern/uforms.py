@@ -208,9 +208,9 @@ class UForm(_WordTerms):
         return (((0,) + word, c),) if word[0] else ()
 
     @staticmethod
-    def _key_product(alg, left: dict):
-        """The product rule of words for `connections.Mat`: `word_product`,
-        whatever the left factor's data `left`."""
+    def _key_product(alg):
+        """The product rule of words for `connections.Mat` over `alg`:
+        `word_product`."""
         return partial(word_product, alg)
 
     def __repr__(self):
@@ -223,12 +223,6 @@ class UForm(_WordTerms):
             body = names[w[0]] + "".join(" d" + names[i] for i in w[1:])
             parts.append("(%s)*%s" % (c, body))
         return " + ".join(parts)
-
-
-def to_poly(u: UForm, r: int) -> UForm:
-    """u with every scalar as a polynomial in r >= 1 parameters (see
-    Poly.coerce)."""
-    return u.map_scalars(Poly.TYPES[r].coerce)
 
 
 def differential(w: UForm) -> UForm:

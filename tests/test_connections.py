@@ -14,11 +14,12 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 extend_scalars, grassmann, permute_blocks,
                                 pullback, random_automorphism,
                                 random_connection, random_form,
-                                random_idempotent, random_iso, sum_iso,
-                                to_form, trace_ab)
+                                family_scalars, random_idempotent,
+                                random_iso, sum_iso, to_form, trace_ab)
 from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.transgression import (TForm, reverse_path, straight_line,
+from kchern.transgression import (TForm, _curvature_parts, bigon_straight,
+                                  constant_path, reverse_path, straight_line,
                                   three_point_path)
 from kchern.uforms import (DegreeCapError, FormError, UForm, ab_d,
                            enumerate_words, is_exact_in_ab, multiply,
@@ -734,6 +735,39 @@ def closure_results(alg, rng):
     ]
 
 
+def family_results(alg, rng):
+    """(name, family) for every closure operation that builds a family, on
+    seeded inputs: paths through connections on the conjugated summand, a
+    bigon between two of them, a constant path on the 1 x 1 identity, and
+    the constant path of the Grassmann connection, whose theta is 0, so
+    that its base curvature p dp dp has only p's rationals."""
+    p = conjugated_summand(alg)
+    c0, c, c2 = (random_connection(p, rng) for _ in range(3))
+    c1 = random_connection(Idempotent.identity(alg, 1), rng)
+    line, quad = straight_line(c0, c), three_point_path(c0, c2, c)
+    bigon = bigon_straight(line, quad)
+    third = Fraction(1, 3)
+    return [
+        ("straight_line", line),
+        ("three_point_path", quad),
+        ("constant_path", constant_path(c0)),
+        ("constant Grassmann path", constant_path(grassmann(p))),
+        ("bigon_straight", bigon),
+        ("direct_sum of paths", direct_sum(line, constant_path(c1))),
+        ("restrict a bigon", bigon.restrict(0, third)),
+        ("restrict a path", line.restrict(0, third)),
+        ("reverse_path", reverse_path(quad)),
+    ]
+
+
+def _theta_and_curvature(family):
+    """("theta", theta), then (mask, part) for the cylinder curvature parts
+    of a family with R >= 1, computed only when they are reached."""
+    yield "theta", family.theta
+    if family.R:
+        yield from sorted(_curvature_parts(family).items())
+
+
 def _sum_iso_swapped_u(a, b):
     iso = sum_iso(a, b)
     return ModuleIso._new(iso.p0, iso.p1, block_diag(b.u, a.u), iso.v)
@@ -768,16 +802,23 @@ class TestClosureIdentities:
                 if isinstance(x, Connection):
                     assert (y.theta, y.R) == (x.theta, x.R), (name, op)
 
-    def test_new_coerces_family_scalars(self):
-        # as the constructor does: a family stores Poly scalars only
-        alg = make_fixture("dual")
-        z = UForm.zero(alg)
-        c = Connection(first_summand(alg), Mat([[UForm(alg, {(0, 1): 3}), z],
-                                                [z, z]]))
-        path = Connection._new(c.p, c.theta, 1)
-        assert path.theta == Connection(c.p, c.theta, 1).theta
-        assert {type(q) for q in path.theta.data.values()} == {
-            Poly.TYPES[1]}
+    def test_closure_families_keep_their_scalar_type(self):
+        # the constructor fixes a family's scalars as family_scalars(R),
+        # rationals at R = 0, and every closure operation keeps that type,
+        # so Connection._new only wraps; the curvature parts have it too
+        nonzero = set()
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            rng = random.Random("scalars/" + name)
+            for op, fam in family_results(alg, rng):
+                want = {family_scalars(fam.R)} if fam.R else {int, Fraction}
+                for part, m in _theta_and_curvature(fam):
+                    got = {type(q) for q in m.data.values()}
+                    assert got <= want, (name, op, part, got)
+                    if got:
+                        nonzero.add(op)
+        assert nonzero == {op for op, _ in family_results(
+            make_fixture("dual"), random.Random(0))}
 
     def test_checked_constructors_refuse_planted_defects(self):
         refused = {}

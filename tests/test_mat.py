@@ -262,7 +262,7 @@ class TestFlatMat:
                                                             monkeypatch):
         # every rule output's scalar s read as 1, as if the product dropped s
         monkeypatch.setattr(UForm, "_key_product", staticmethod(
-            lambda alg, left: lambda a, b: [
+            lambda alg: lambda a, b: [
                 (w, 1) for w, _ in word_product(alg, a, b)]))
         assert _fused_disagreeing() == {(r, mix) for r in (1, 2)
                                         for mix in FUSED_MIXES}
@@ -413,7 +413,7 @@ class _Dual(Terms):
     _scalar = staticmethod(rat)
 
     @staticmethod
-    def _key_product(alg, left):
+    def _key_product(alg):
         return lambda a, b: ((a + b, 1),) if a + b < 2 else ()
 
 

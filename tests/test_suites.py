@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kchern import connections, suites, transgression, uforms
+from kchern import connections, khat, suites, transgression, uforms
 from kchern.connections import (Connection, Idempotent, ModuleIso,
                                 direct_sum, pullback, random_automorphism,
                                 random_connection, random_idempotent)
@@ -65,6 +65,40 @@ def test_planted_defect_fails_the_check(monkeypatch, name, suite, fixture,
     assert rep["status"] == "fail"
     assert [c["status"] for c in rep["checks"] if c["name"] == name] == [
         status]
+
+
+# F6's survivors: odd_chern mutants that no check can see yet, because every
+# automorphism the hexagon suite draws is a scalar multiple of p (F1) and no
+# fixture has an odd class (F2).  A fixture or generator that gives the odd
+# checks content turns these into passes; then drop the marker.
+ODD_CHERN_SURVIVORS = {
+    "odd_chern_x2": lambda real: lambda k1, k_max: [
+        c.scale(2) for c in real(k1, k_max)],
+    "odd_chern_zero": lambda real: lambda k1, k_max: [
+        c.scale(0) for c in real(k1, k_max)],
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "F1/F2: every drawn automorphism is a scalar multiple of p, so its odd "
+    "Chern forms vanish and no odd-degree check can tell the mutant"))
+@pytest.mark.parametrize("mutant", sorted(ODD_CHERN_SURVIVORS))
+def test_odd_chern_survivor_fails_the_hexagon_suite(monkeypatch, mutant):
+    calls = []
+    mutated = ODD_CHERN_SURVIVORS[mutant](khat.odd_chern)
+
+    def plant(k1, k_max):
+        calls.append(1)
+        return mutated(k1, k_max)
+
+    for module in (khat, suites):
+        monkeypatch.setattr(module, "odd_chern", plant)
+    rep = run_hexagon_suite(7, fixtures=["dual", "x3"])
+    if not calls:
+        # not an AssertionError, so a plant that never runs fails the test
+        # instead of xfailing
+        pytest.fail("the mutant was never called")
+    assert rep["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -884,8 +884,8 @@ class TestDiagonalLastPower:
         count = [0]
         key_product, product = CylForm._key_product, Mat._product
 
-        def counted_rule(alg, left):
-            rule = key_product(alg, left)
+        def counted_rule(alg):
+            rule = key_product(alg)
 
             def counted(a, b):
                 count[0] += 1
