@@ -30,7 +30,8 @@ class Algebra:
     multiplicity) pairs of the bimodule matrix D that certify dim
     Omega_ab,n (`uforms._certified_dim`; empty where no certificate
     applies), and `_necklace` the closed-form differentials of M_k, the
-    path tables, necklace classes and word pis of `uforms._tables`.
+    path tables, necklace classes, word pis, dz table and E11-lift ranks of
+    `uforms._tables`.
 
     `matrix_size` is the k that `make_matrix_algebra(k)` records on the
     M_k(Q) it builds, and None on every other algebra, one built from an

@@ -39,8 +39,9 @@ The k = 1 potential vanishes: R~ has no ds /\ dt part.  Every entry point
 reads R~ from `_curvature_parts`, which computes it once per family and
 keeps it on the `Connection`, so KCS, its closed form and the whole Chern
 forms of one path (or bigon) share one curvature.  A family's theta
-keeps the scalars `family_scalars(R)` it is built with, so R~ coerces
-only its base part, which p's rationals enter.
+keeps the scalars `family_scalars(R)` it is built with, so only p's
+rationals are coerced: in R~'s base part, and in p's cylinder matrix
+(`_cyl_p`).
 `kcs`, `kcs_closed_form` and `tilde_curvature` take a path and
 `secondary_transgression` a bigon; another R raises ConnectionError_.
 """
@@ -317,11 +318,19 @@ def _curvature_parts(family, base: bool = True) -> dict:
 
 def _cyl_mat(family, parts: dict) -> Mat:
     """The matrix of CylForms in family.R parameters whose dx_I part is the
-    form matrix parts[I], its scalars coerced to Poly: keys w -> (I, w)."""
-    coerce = family_scalars(family.R).coerce
+    form matrix parts[I]: keys w -> (I, w).  The parts already have the
+    family's scalars `family_scalars(R)`, as theta and `_curvature_parts`
+    do, and are wrapped as they are; `_cyl_p` coerces p's rationals."""
     return Mat._new(CylForm.TYPES[family.R], family.algebra, family.p.size, {
-        (i, j, (m, w)): coerce(c) for m, x in parts.items()
+        (i, j, (m, w)): c for m, x in parts.items()
         for (i, j, w), c in x.data.items()})
+
+
+def _cyl_p(family) -> Mat:
+    """p as a matrix of CylForms in family.R parameters, its rationals
+    coerced to `family_scalars(R)`."""
+    return _cyl_mat(family, {0: family.p.to_form().map_scalars(
+        family_scalars(family.R).coerce)})
 
 
 def _cyl_curvature(family) -> Mat:
@@ -333,9 +342,8 @@ def _cyl_curvature(family) -> Mat:
 def _cyl_chern(family, r: int, k_max: int):
     """[ch_0, ..., ch_kmax] of a family in r parameters as whole CylForms."""
     _require(family, r)
-    pf = _cyl_mat(family, {0: family.p.to_form()})
-    return [pf.trace()] + chern_series(lambda: _cyl_curvature(family), k_max,
-                                       Mat.trace)
+    return [_cyl_p(family).trace()] + chern_series(
+        lambda: _cyl_curvature(family), k_max, Mat.trace)
 
 
 def tilde_curvature(path: Connection):
@@ -352,8 +360,7 @@ def tform_operator(path: Connection, x: Mat) -> Mat:
     """The cylinder connection operator X -> p d-tilde X + theta X on TForm
     matrices (the oracle certifying tilde_curvature)."""
     _require(path, 1)
-    pf = _cyl_mat(path, {0: path.p.to_form()})
-    return pf * x.d() + _cyl_mat(path, {0: path.theta}) * x
+    return _cyl_p(path) * x.d() + _cyl_mat(path, {0: path.theta}) * x
 
 
 def chern_tform(path: Connection, k_max: int):

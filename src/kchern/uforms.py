@@ -19,7 +19,11 @@ is computed in necklace coordinates; on every other algebra, from the
 echelonized commutators.  Both give the same canonical residuals.  dbar
 solves in the coordinates of its path: canonical residuals on the
 echelon path, and on M_k the necklace vector pi itself, which needs no
-projection of the target degree.
+projection of the target degree.  Homology on M_k in a degree n >= 1 first
+reads dim H_n off the ranks of dbar taken directly on necklaces, through
+the E11 lift of each (`_lift_rank`, with one closed-form dz table, `_dz`):
+where H_n = 0, no word of any degree is touched; otherwise the
+representatives are read off `dbar` in quotient words.
 """
 
 from __future__ import annotations
@@ -484,15 +488,16 @@ def _phi(k: int) -> tuple:
     return tuple(out)
 
 
-def _tables(alg: Algebra) -> tuple:
+def _tables(alg: Algebra) -> list:
     """`Algebra._necklace` of M_k, built on first use: the closed form of
     `_phi`, the path tables of `_paths`, per degree the class `_necklace`
-    gives each letter code `_pi` met, and the pi of each word of the
-    inputs of `_necklace_coords`."""
+    gives each letter code `_pi` met, the pi of each word of the inputs of
+    `_necklace_coords`, the dz table of `_dz` (None until its first use)
+    and the rank of dbar out of each degree `_lift_rank` computed."""
     if alg._necklace is None:
         k = alg.matrix_size
-        alg._necklace = (_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
-                         {}, {})
+        alg._necklace = [_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
+                         {}, {}, None, {}]
     return alg._necklace
 
 
@@ -595,7 +600,7 @@ class _NecklaceProjection(AbProjection):
         super().__init__(algebra, n, words,
                          {w: i for i, w in enumerate(words)}, Echelon(), ())
         self._solver = None
-        count = _walk_count(((algebra.dim - 1, 1),), n) if n else 1
+        count = _necklace_count(algebra, n)
         found = []
         for i in reversed(range(len(words))):
             if self.echelon.rank == count:
@@ -635,6 +640,107 @@ class _NecklaceProjection(AbProjection):
                 for j, r in self._residual(i).items():
                     out[j] = out[j] + c * r if j in out else c * r
         return {j: out[j] for j in sorted(out) if out[j]}
+
+
+def _necklace_count(alg: Algebra, n: int) -> int:
+    """dim Omega_ab,n of M_k: the nonzero necklace classes of n letters,
+    `_walk_count` with D = [k^2 - 1], and 1 at n = 0."""
+    return _walk_count(((alg.dim - 1, 1),), n) if n else 1
+
+
+# The E11 lift.  A necklace t = z1...zn of the basis `_necklace` keeps
+# lifts to E11 z1...zn: the letters commute with A and tr E11 = 1, so its
+# pi is t.  Then
+#     d(E11 z1...zn) = dE11 z1...zn + sum_i (-1)^(i-1) E11 z1...dz_i...zn,
+# and pi of the first term is zero, since every term of dE11 (`_phi`) lies
+# off the diagonal.  dz_i = sum M z' z'' with M in A moves past the letters
+# before it, so the i-th term contributes tr(E11 M) [z1...z'z''...zn]: the
+# rank of dbar out of degree n is that of these rows over necklaces, with
+# no word enumerated.
+
+def _dz(alg: Algebra) -> tuple:
+    """The dz table of M_k, built on first use and kept in `_tables`: for
+    each letter z, the (code of z'z'', c) pairs of dz = sum M z'z'' with c =
+    tr(E11 M) nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
+
+    z_pq = c_pq = sum_a E_ap dE_qa, so dc_pq = sum_a dE_ap dE_qa, and z_pp =
+    c_pp - c_kk.  With dE_xy = sum_z phi_z(E_xy) z from `_phi` (dE_kk =
+    -sum_{l<k} dE_ll, E_kk not being a basis element), tr(E11 dE_ap dE_qa)
+    at z'z'' sums the (1, j) entry of phi_z'(E_ap) times the (j, 1) entry of
+    phi_z''(E_qa) over j."""
+    tables = _tables(alg)
+    if tables[4] is None:
+        k, phi = alg.matrix_size, tables[0]
+        size = k * k - 1
+        # dE_xy in the rows of `_phi`: {row i: [(letter z, j, c), ...]}
+        de = {(x, y): phi[1 + x * k + y] for x in range(k) for y in range(k)
+              if x != k - 1 or y != k - 1}
+        de[k - 1, k - 1] = last = {}
+        for l in range(k - 1):
+            for i, terms in phi[1 + l * (k + 1)].items():
+                last.setdefault(i, []).extend((z, j, -c) for z, j, c in terms)
+
+        def dc(p, q, sign, out):
+            for a in range(k):
+                right = de[q, a]
+                accumulate(((z1 * size + z2, sign * c1 * c2)
+                            for z1, j, c1 in de[a, p].get(0, ())
+                            for z2, i, c2 in right.get(j, ()) if i == 0), out)
+            return out
+
+        table = []
+        for z in range(size):
+            p, q = divmod(z, k)
+            out = dc(p, q, 1, {})
+            table.append(tuple((dc(k - 1, k - 1, -1, out) if p == q
+                                else out).items()))
+        tables[4] = tuple(table)
+    return tables[4]
+
+
+def _lift_rows(alg: Algebra, n: int):
+    """(t, dbar of the class t) for each necklace t of n letters of M_k, n >=
+    0, by decreasing code, dbar of t as necklace -> nonzero int: the sum
+    over the positions i of (-1)^(i-1) times the `_dz` pairs of the i-th
+    letter spliced in its place, reduced into necklaces with their signs.
+    The classes of the n + 1 letter codes met are kept for one call."""
+    size = alg.dim - 1
+    dz = _dz(alg) if n else ()
+    steps = [(size ** (n - i), size ** (n - 1 - i), -1 if i % 2 else 1)
+             for i in range(n)]
+    classes = {}
+    for t in range(size ** n - 1, -1, -1):
+        if _necklace(t, n, size) != (t, 1):
+            continue
+        row = {}
+        for high, low, sign in steps:
+            head, rest = divmod(t, high)
+            z, tail = divmod(rest, low)
+            base = head * size * size
+            for pair, c in dz[z]:
+                code = (base + pair) * low + tail
+                hit = classes.get(code)
+                if hit is None:
+                    hit = classes[code] = _necklace(code, n + 1, size)
+                key, s = hit
+                if s:
+                    row[key] = row.get(key, 0) + sign * s * c
+        yield t, {key: v for key, v in row.items() if v}
+
+
+def _lift_rank(alg: Algebra, n: int) -> int:
+    """The rank of dbar: Omega_ab,n -> Omega_ab,n+1 of M_k, n >= 0: that of
+    the rows of `_lift_rows`, kept per degree in `_tables`.  Pivots are
+    least necklaces, so the rows go in by decreasing code, which keeps the
+    echelon's fill-in low."""
+    ranks = _tables(alg)[5]
+    if n not in ranks:
+        ech = Echelon()
+        for _, row in _lift_rows(alg, n):
+            if row:
+                ech.add(row)
+        ranks[n] = ech.rank
+    return ranks[n]
 
 
 def _certified_dim(algebra: Algebra, n: int):
@@ -778,9 +884,27 @@ def de_rham_homology(algebra: Algebra, n: int):
 
     Returns (dimension, list of representative UForms): the kernel vectors
     of dbar on degree n that are independent modulo the image of dbar on
-    degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError), but on
-    M_k no projection of degree n + 1 (see `dbar`).
+    degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError) and n >=
+    0 (FormError), both refused before anything is built.
+
+    On M_k with n >= 1, dim H_n = dim Omega_ab,n - rank(dbar out of n) -
+    rank(dbar out of n - 1) is read off the E11 lift (`_necklace_count`,
+    `_lift_rank`); where it is zero the answer is (0, []), with no word
+    scanned and no projection or dbar built.  H_0 is never zero: it holds
+    the class of 1, which d kills and [A, A] cannot contain (the trace of
+    1 on A is dim A).  Otherwise, and on every other algebra, the
+    representatives are the quotient words' kernel vectors of `dbar`, on
+    M_k with no projection of degree n + 1; there their number must equal
+    the lift's (RuntimeError).
     """
+    _check_degree(algebra, n + 1)
+    _check_degree(algebra, n)
+    lift = None
+    if n and algebra.matrix_size is not None:
+        lift = (_necklace_count(algebra, n) - _lift_rank(algebra, n)
+                - _lift_rank(algebra, n - 1))
+        if not lift:
+            return 0, []
     _, kernel = dbar(algebra, n + 1)
     coords = _solver_coords(algebra, n)[0]
     # a copy, so the memoized solver of dbar never learns the kernel
@@ -789,6 +913,9 @@ def de_rham_homology(algebra: Algebra, n: int):
     for vec in kernel:
         if image.add(coords(vec), None) is None:
             reps.append(UForm(algebra, vec))
+    if lift is not None and len(reps) != lift:
+        raise RuntimeError("H_%d has %d representatives, but the E11 lift "
+                           "gives dimension %d" % (n, len(reps), lift))
     return len(reps), reps
 
 

@@ -240,3 +240,21 @@ def test_criterion_9_cli_reproducibility(tmp_path):
     announce(9, "verify --suite all --seed 7 deterministic (two runs, "
                 "timing-stripped reports identical and pinned) in %.1fs total"
              % elapsed)
+
+
+def test_m2_homology_rung_10_wall_clock(tmp_path):
+    """A rung of the M2 homology ladder (ROADMAP aim 1) as a gate: a cold
+    `kchern homology --fixture M2 --degree 10 --degree-cap 11` finishes,
+    with H_10 = 0, in under 5 s."""
+    out = tmp_path / "h10.json"
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kchern.cli", "homology", "--fixture", "M2",
+         "--degree", "10", "--degree-cap", "11", "--out", str(out)],
+        capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text()) == {
+        "degree": 10, "dim": 0, "representatives": []}
+    assert elapsed < 5
+    print("GATE: PASS — M2 homology at degree 10 in %.2fs" % elapsed)

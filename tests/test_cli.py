@@ -124,6 +124,16 @@ class TestHomology:
         assert "H_8 needs degree 9, which exceeds cap 8" in err
         assert run(["homology", "--fixture", "Q", "--degree", "7"]) == 0
 
+    def test_negative_degree_is_refused(self, capsys, tmp_path):
+        # on M2 too, where homology first reads the E11 lift: a negative
+        # degree is a validation error, never an answer
+        out = tmp_path / "h.json"
+        for name in ("M2", "x3"):
+            assert run(["homology", "--fixture", name, "--degree", "-1",
+                        "--out", str(out)]) == 3, name
+            assert "negative degree" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestChern:
     def test_from_file(self, tmp_path):

@@ -17,7 +17,7 @@ from kchern.connections import (ConnectionError_, Idempotent, Mat, block_diag,
 from kchern.exactmath import Poly, Poly1, Poly2, Terms, rat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.suites import _random_cylform
-from kchern.transgression import (BiForm, TForm, _cyl_curvature, _cyl_mat,
+from kchern.transgression import (BiForm, TForm, _cyl_curvature, _cyl_p,
                                   _fibre_chern, bigon_straight, chern_biform,
                                   chern_tform, straight_line,
                                   three_point_path)
@@ -332,7 +332,7 @@ class TestFlatMat:
                                       (bigon, chern_biform)):
                     got = whole(family, k_max)
                     assert got == _chern_by_full_products(
-                        _cyl_mat(family, {0: family.p.to_form()}),
+                        _cyl_p(family),
                         _cyl_curvature(family), k_max, Mat.trace), name
                     nonzero += bool(got[-1])
         assert nonzero

@@ -31,8 +31,9 @@ from kchern.transgression import (BiForm, CylForm, EPSILON_K, KOSZUL, SHUFFLE,
                                   tform_operator)
 from kchern.uforms import FormError, UForm, ab_d, project_ab, word_degree
 from tests.test_connections import (_raised, _random_mat, families,
-                                    first_summand, idempotents,
-                                    textbook_curvature, uncompressed)
+                                    family_results, first_summand,
+                                    idempotents, textbook_curvature,
+                                    uncompressed)
 
 
 def unit_line_path(alg, theta1_form):
@@ -506,6 +507,40 @@ class TestCurvatureParts:
         bad.theta = bad.theta.map_scalars(lambda c: x * c)
         assert transgression._curvature_parts(bad)[1] != \
             _textbook_parts(bad)[1]
+
+
+class TestCylMatScalars:
+    """`_cyl_mat` wraps its parts as they are: every caller hands it the
+    family's scalars, and only p's rationals are coerced (`_cyl_p`)."""
+
+    def test_every_part_has_the_family_scalars(self, monkeypatch):
+        wrap, seen = transgression._cyl_mat, collections.Counter()
+
+        def typed(family, parts):
+            want = family_scalars(family.R)
+            for m, x in parts.items():
+                got = {type(c) for c in x.data.values()}
+                assert got <= {want}, (family.R, m, got)
+                seen[family.R, bool(m)] += bool(got)
+            return wrap(family, parts)
+
+        monkeypatch.setattr(transgression, "_cyl_mat", typed)
+        for name in FIXTURE_NAMES:
+            alg = make_fixture(name)
+            # every closure that builds a family, the constant Grassmann
+            # path among them: its base part has only p's rationals
+            for _, family in family_results(alg, random.Random(name)):
+                if not family.R:
+                    continue
+                # k_max > R builds the base part of R~, then the whole forms
+                _fibre(family, family.R + 1)
+                _whole_fibre(family, 2)
+                if family.R == 1:
+                    pf = family.p.to_form().map(TForm)
+                    tform_operator(family, tform_operator(family, pf))
+        # p, theta and the base part (mask 0), and the dx parts, on both R
+        assert set(seen) == {(r, m) for r in (1, 2) for m in (False, True)}
+        assert all(seen.values())
 
 
 def _count_curvatures(monkeypatch):

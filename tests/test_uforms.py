@@ -861,6 +861,20 @@ def _matrix_unit(alg, k, i, j):
     return alg.basis(1 + i * k + j)
 
 
+def _letters(alg, k):
+    """The letter one-forms of M_k as UForms, letter z_pq at p k + q: c(p, q)
+    for p != q and c(p, p) - c(k, k), with c(i, j) = sum_a E_ai dE_ja."""
+    def unit(i, j):
+        return UForm.from_element(_matrix_unit(alg, k, i, j))
+
+    def c(i, j):
+        return sum((unit(a, i) * unit(j, a).d() for a in range(k)),
+                   UForm(alg))
+
+    return [c(p, q) if p != q else c(p, p) - c(k - 1, k - 1)
+            for p in range(k) for q in range(k)][:-1]
+
+
 class TestNecklaceProjection:
     """`make_matrix_algebra(k)` projects in necklace coordinates; its table
     copy, on the echelon path, is the oracle."""
@@ -876,16 +890,7 @@ class TestNecklaceProjection:
         # solving dE_pq in that basis gives the closed form
         for k in (2, 3, 4):
             alg = make_matrix_algebra(k)
-
-            def unit(i, j):
-                return UForm.from_element(_matrix_unit(alg, k, i, j))
-
-            def c(i, j):
-                return sum((unit(a, i) * unit(j, a).d() for a in range(k)),
-                           UForm(alg))
-
-            letters = [c(p, q) if p != q else c(p, p) - c(k - 1, k - 1)
-                       for p in range(k) for q in range(k)][:-1]
+            letters = _letters(alg, k)
             index = {w: i for i, w in enumerate(enumerate_words(alg, 1))}
             solver = TrackedEchelon(len(index))
             for a in range(alg.dim):
@@ -918,15 +923,19 @@ class TestNecklaceProjection:
                 assert kept == _certified_dim(alg, n), (k, n)
 
     def test_cold_homology_builds_no_right_table(self):
-        # dbar reads pi, so homology at n builds no projection of degree
-        # n + 1 either, and neither it nor exactness builds a residual
-        # solver
+        # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
+        # projection and no dbar; at n = 0 the word path reads pi, so it
+        # builds no projection of degree 1 either, and neither homology nor
+        # exactness builds a residual solver
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
             assert alg._ab_spectrum is None
             assert alg._right == []
-            assert n + 1 not in alg._ab and n + 1 in alg._dbar, n
+            if n:
+                assert alg._ab == {} and alg._dbar == {}, n
+            else:
+                assert 1 not in alg._ab and 1 in alg._dbar
             assert all(p._solver is None for p in alg._ab.values()), n
         alg, rng = make_fixture("M2"), random.Random(15)
         for n in (1, 2, 3):
@@ -1013,6 +1022,137 @@ class TestNecklaceProjection:
     def test_planted_upward_scan_fails(self, monkeypatch):
         # a module-level `reversed` shadows the builtin in the scan
         self.assert_planted_fails(monkeypatch, "reversed", iter)
+
+
+def _letter_product(alg, letters, head, t, n):
+    """head z1...zn as a UForm, z1...zn the letter code t of n letters."""
+    size = len(letters)
+    for i in range(n):
+        head = head * letters[t // size ** (n - 1 - i) % size]
+    return head
+
+
+class TestNecklaceLift:
+    """On M_k, homology reads the ranks of dbar off the E11 lift of each
+    necklace (`uforms._lift_rank`); the word path's dbar is the oracle."""
+
+    TOPS = ((2, 6), (3, 3))
+
+    @staticmethod
+    def word_ranks(k, top):
+        alg = make_matrix_algebra(k)
+        return [len(dbar(alg, n + 1)[0].tags) for n in range(top + 1)]
+
+    @staticmethod
+    def lift_ranks(k, top):
+        alg = make_matrix_algebra(k)
+        return [uforms._lift_rank(alg, n) for n in range(top + 1)]
+
+    def test_ranks_match_word_path(self):
+        for k, top in self.TOPS:
+            assert self.lift_ranks(k, top) == self.word_ranks(k, top), k
+
+    def test_dz_matches_letter_forms(self):
+        # the e_a z'z'' are a basis of Omega^2, so d of each letter form
+        # solves uniquely as sum M z'z''; tr(E11 e_a) is 1 for the unit
+        # and E11 (slots 0 and 1) and 0 otherwise
+        for k in (2, 3):
+            alg = make_matrix_algebra(k)
+            letters = _letters(alg, k)
+            size = len(letters)
+            index = {w: i for i, w in enumerate(enumerate_words(alg, 2))}
+            solver = TrackedEchelon(len(index))
+            for a in range(alg.dim):
+                e = UForm.from_element(alg.basis(a))
+                for z1, f1 in enumerate(letters):
+                    for z2, f2 in enumerate(letters):
+                        assert solver.add(
+                            {index[w]: v for w, v in (e * f1 * f2).terms
+                             .items()}, (a, z1 * size + z2)) is None
+            assert solver.rank == len(index)
+            table = uforms._dz(alg)
+            assert len(table) == size
+            for z, form in enumerate(letters):
+                sol = solver.solve({index[w]: v for w, v in
+                                    form.d().terms.items()})
+                want = {}
+                for (a, pair), v in sol.items():
+                    if a < 2:
+                        want[pair] = want.get(pair, Q0) + v
+                assert dict(table[z]) == \
+                    {pair: v for pair, v in want.items() if v}, (k, z)
+
+    def test_rows_are_pi_of_d_of_the_lift(self):
+        # E11 z1...zn lifts the necklace, and its row is pi(d(E11 z1...zn))
+        # by the word model
+        for k, top in ((2, 3), (3, 2)):
+            alg = make_matrix_algebra(k)
+            letters = _letters(alg, k)
+            e11 = UForm.from_element(_matrix_unit(alg, k, 0, 0))
+            for n in range(top + 1):
+                rows = list(uforms._lift_rows(alg, n))
+                assert len(rows) == uforms._necklace_count(alg, n)
+                for t, row in rows:
+                    lift = _letter_product(alg, letters, e11, t, n)
+                    assert uforms._necklace_coords(alg, lift.terms) == {t: 1}
+                    assert uforms._necklace_coords(
+                        alg, lift.d().terms) == row, (k, n, t)
+
+    def test_de11_term_vanishes(self):
+        # pi(dE11 z1...zn) = 0 for every letter tuple: each term of dE11
+        # lies off the diagonal, so the rows carry no dE11 term
+        for k, top in ((2, 3), (3, 2)):
+            alg = make_matrix_algebra(k)
+            letters = _letters(alg, k)
+            de11 = UForm.from_element(_matrix_unit(alg, k, 0, 0)).d()
+            assert de11
+            for n in range(top + 1):
+                for t in range(len(letters) ** n):
+                    form = _letter_product(alg, letters, de11, t, n)
+                    assert uforms._necklace_coords(alg, form.terms) == {}
+
+    def assert_planted_fails(self, monkeypatch, name, value):
+        want = [self.word_ranks(k, top) for k, top in self.TOPS]
+        monkeypatch.setattr(uforms, name, value)
+        for (k, top), ranks in zip(self.TOPS, want):
+            assert self.lift_ranks(k, top) != ranks, k
+
+    def test_planted_dz_coefficient_fails(self, monkeypatch):
+        true = uforms._dz
+
+        def flipped(alg):
+            table = list(true(alg))
+            (pair, c), *rest = table[0]
+            table[0] = ((pair, -c), *rest)
+            return tuple(table)
+
+        self.assert_planted_fails(monkeypatch, "_dz", flipped)
+
+    def test_planted_dropped_dz_term_fails(self, monkeypatch):
+        true = uforms._dz
+
+        def dropped(alg):
+            table = list(true(alg))
+            table[0] = table[0][1:]
+            return tuple(table)
+
+        self.assert_planted_fails(monkeypatch, "_dz", dropped)
+
+    def test_planted_wrong_eps_fails(self, monkeypatch):
+        true = uforms._eps
+        self.assert_planted_fails(monkeypatch, "_eps", lambda n: -true(n))
+
+    def test_refusals_come_before_any_build(self):
+        # a negative degree, or n + 1 past the cap, is refused before the
+        # lift (or the word path) builds anything
+        for name in ("M2", "x3"):
+            alg = make_fixture(name, degree_cap=4)
+            with pytest.raises(FormError, match="negative degree"):
+                de_rham_homology(alg, -1)
+            with pytest.raises(DegreeCapError, match="degree 5 exceeds cap"):
+                de_rham_homology(alg, 4)
+            assert (alg._ab, alg._dbar, alg._right, alg._necklace) == \
+                ({}, {}, [], None), name
 
 
 class TestExtendHom:
