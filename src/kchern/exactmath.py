@@ -499,9 +499,11 @@ class Echelon:
 
     def _store(self, r: dict):
         """Store a nonzero rational residual as the row of its pivot, with
-        denominators cleared and the content divided out."""
-        den = lcm(*(v.denominator for v in r.values()))
-        r = {j: (v * den).numerator for j, v in r.items()}
+        denominators cleared (where some entry is not an int) and the
+        content divided out."""
+        if any(type(v) is not int for v in r.values()):
+            den = lcm(*(v.denominator for v in r.values()))
+            r = {j: (v * den).numerator for j, v in r.items()}
         i = min(r)
         g = gcd(*r.values())
         if r[i] < 0:

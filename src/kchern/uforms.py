@@ -15,7 +15,9 @@ DGA maps, and exactness certificates live here as well.  The descended
 differential dbar into each degree is built once per algebra (`dbar`);
 exactness solves and homology both read that one copy.  On M_k, whose
 k `make_matrix_algebra` records as `Algebra.matrix_size`, the projection
-is computed in necklace coordinates; on every other algebra, from the
+is computed in necklace coordinates, where one tracked echelon of the
+words' necklace vectors both picks the quotient words and solves each
+word's residual, kept per word; on every other algebra, from the
 echelonized commutators.  Both give the same canonical residuals.  dbar
 solves in the coordinates of its path: canonical residuals on the
 echelon path, and on M_k the necklace vector pi itself, which needs no
@@ -276,10 +278,11 @@ class AbProjection:
 
     The quotient words are the non-pivot words of the echelonized
     graded-commutator span at degree n, in the degree's word indices
-    (`words`, and `index` its inverse); `reduce` gives the canonical
-    residual of a vector, supported on them.  This class reads both off
-    that `echelon`; `_NecklaceProjection` finds the same words and
-    residuals for M_k without it.
+    (`words`, and `index` its inverse); `reduce_terms` gives the canonical
+    residual of a dict word -> scalar, supported on them.  This class reads
+    both off that `echelon` (its `reduce` works in word indices);
+    `_NecklaceProjection` finds the same words and residuals for M_k with
+    an echelon over necklaces instead.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
@@ -297,11 +300,6 @@ class AbProjection:
                               if i not in echelon.pivots]
         self.quotient_words = quotient_words
 
-    def reduce(self, vec: dict) -> dict:
-        """Canonical residual of a dict word index -> scalar, its keys in
-        increasing order."""
-        return self.echelon.reduce(vec)
-
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar,
         its rationals stored as `rat` gives them."""
@@ -310,7 +308,7 @@ class AbProjection:
         if len(self.quotient_words) == len(self.words):
             return dict(terms)
         vec = {self.index[w]: c for w, c in terms.items()}
-        res = self.reduce(vec)
+        res = self.echelon.reduce(vec)
         return {self.words[i]: rat(c) if type(c) is Fraction else c
                 for i, c in res.items()}
 
@@ -356,14 +354,15 @@ def dbar(algebra: Algebra, n: int):
     scalar; they are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
     Both coordinates give the same solver outputs.  The scan of
-    `_NecklaceProjection` keeps exactly the words whose pi raise the rank,
-    up to the number of necklace classes, so pi maps the span of the
-    quotient words isomorphically onto the necklace space; a word and its
-    residual have the same pi, so pi of a vector is this isomorphism
-    applied to its residual.  Which columns a TrackedEchelon accepts, the
-    dependencies it returns and its solves are combinations of the
-    columns, unique where they exist, and so do not change under an
-    invertible change of data coordinates.
+    `_NecklaceProjection` keeps exactly the words whose pi raise the rank
+    of its echelon, up to the number of necklace classes, so pi maps the
+    span of the quotient words isomorphically onto the necklace space; a
+    word and its residual have the same pi, so pi of a vector is this
+    isomorphism applied to its residual, and dbar solves no residual of a
+    word.  Which columns a TrackedEchelon accepts, the dependencies it
+    returns and its solves are combinations of the columns, unique where
+    they exist, and so do not change under an invertible change of data
+    coordinates.
     """
     _check_degree(algebra, n)
     hit = algebra._dbar.get(n)
@@ -390,7 +389,7 @@ def _solver_coords(algebra: Algebra, n: int) -> tuple:
     proj = abelianization(algebra, n)
 
     def coords(terms):
-        return proj.reduce({proj.index[w]: c for w, c in terms.items()})
+        return proj.echelon.reduce({proj.index[w]: terms[w] for w in terms})
     return coords, lambda word: coords({word: Q1})
 
 
@@ -584,62 +583,50 @@ class _NecklaceProjection(AbProjection):
     into necklaces with their signs, is the quotient map onto Omega_ab,n.
     Pivots are minimal indices, so a word is a quotient word iff its pi is
     independent of the pi of all later words: the scan runs from the last
-    word down, keeps each word whose pi raises the rank of `echelon` (over
-    necklaces), and stops at the number of nonzero necklace classes,
-    `_walk_count` with D = [k^2 - 1] (RuntimeError if the words run out
-    first).  The residual of a word, the combination of quotient words
-    with the same pi, is solved on first use over the quotient words' pi
-    and kept (RuntimeError if there is none); `reduce` sums the residuals.
+    word down, adds the pi of each word to `echelon`, a TrackedEchelon over
+    necklaces tagged by the word, and stops at the number of nonzero
+    necklace classes, `_walk_count` with D = [k^2 - 1] (RuntimeError if the
+    words run out first).  The words that raised the rank are its tags.
+    The residual of a word, the combination of quotient words with the
+    same pi, is one solve of that echelon on first use, kept per word
+    (RuntimeError if there is none); `reduce_terms` sums the residuals.
     `dbar` reads pi itself (`_solver_coords`), so it needs no residual.
     """
 
-    __slots__ = ("_solver", "_residuals")
+    __slots__ = ("_residuals",)
 
     def __init__(self, algebra: Algebra, n: int):
         words = enumerate_words(algebra, n)
-        super().__init__(algebra, n, words,
-                         {w: i for i, w in enumerate(words)}, Echelon(), ())
-        self._solver = None
         count = _necklace_count(algebra, n)
-        found = []
-        for i in reversed(range(len(words))):
-            if self.echelon.rank == count:
+        ech = TrackedEchelon((algebra.dim - 1) ** n)
+        for w in reversed(words):
+            if ech.rank == count:
                 break
-            if self.echelon.add(_pi(algebra, words[i])):
-                found.append(i)
-        if self.echelon.rank != count:
+            ech.add(_pi(algebra, w), w)
+        if ech.rank != count:
             raise RuntimeError(
                 "the words of degree %d span %d of the %d necklace classes"
-                % (n, self.echelon.rank, count))
-        found.reverse()
-        self.quotient_words = [words[i] for i in found]
-        self._residuals = {i: {i: Q1} for i in found}
+                % (n, ech.rank, count))
+        super().__init__(algebra, n, words,
+                         {w: i for i, w in enumerate(words)}, ech,
+                         sorted(ech.tags))
+        self._residuals = {q: {q: Q1} for q in self.quotient_words}
 
-    def _residual(self, i: int) -> dict:
-        """The residual of word i: quotient word index -> coefficient, by
-        increasing index."""
-        res = self._residuals.get(i)
-        if res is None:
-            alg = self.algebra
-            if self._solver is None:
-                self._solver = TrackedEchelon((alg.dim - 1) ** self.degree)
-                for q in self.quotient_words:
-                    self._solver.add(_pi(alg, q), self.index[q])
-            sol = self._solver.solve(_pi(alg, self.words[i]))
-            if sol is None:
-                raise RuntimeError("the quotient words of degree %d do not "
-                                   "span the class of %r"
-                                   % (self.degree, self.words[i]))
-            res = self._residuals[i] = {j: sol[j] for j in sorted(sol)}
-        return res
-
-    def reduce(self, vec: dict) -> dict:
+    def reduce_terms(self, terms: dict) -> dict:
         out = {}
-        for i, c in vec.items():
-            if c:
-                for j, r in self._residual(i).items():
-                    out[j] = out[j] + c * r if j in out else c * r
-        return {j: out[j] for j in sorted(out) if out[j]}
+        for w, c in terms.items():
+            res = self._residuals.get(w)
+            if res is None:
+                res = self.echelon.solve(_pi(self.algebra, w))
+                if res is None:
+                    raise RuntimeError("the quotient words of degree %d do "
+                                       "not span the class of %r"
+                                       % (self.degree, w))
+                self._residuals[w] = res
+            for q, r in res.items():
+                out[q] = out[q] + c * r if q in out else c * r
+        return {q: rat(v) if type(v) is Fraction else v
+                for q, v in sorted(out.items()) if v}
 
 
 def _necklace_count(alg: Algebra, n: int) -> int:

@@ -529,6 +529,41 @@ class TestTrackedUndividedStore:
         assert scaled and dependent and fractional
 
 
+def _primitive(r):
+    """The reference normal form of a nonzero rational residual: divided by
+    its pivot entry, times the lcm of the denominators, as ints with gcd 1
+    and a positive pivot entry."""
+    i = min(r)
+    row = {j: Fraction(v) / r[i] for j, v in r.items()}
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {j: int(v * den) for j, v in row.items()}
+
+
+class TestStore:
+    def test_int_fraction_and_mixed_residuals_store_primitive_rows(self):
+        # `_store` clears denominators only when some entry is not an int
+        rng = random.Random(35)
+        ints = [e for e in _ENTRIES if type(e) is int]
+        fracs = [e for e in _ENTRIES if type(e) is Fraction]
+        seen = set()
+        for _ in range(200):
+            kind = rng.choice(("int", "fraction", "mixed"))
+            pool = {"int": ints, "fraction": fracs, "mixed": _ENTRIES}[kind]
+            r = {j: rng.choice(pool) * rng.choice((1, 2, 6))
+                 for j in rng.sample(range(10), rng.randint(1, 5))}
+            if kind == "mixed" and all(type(v) is int for v in r.values()):
+                r[10] = Fraction(1, 3)
+            ech = Echelon()
+            ech._store(r)
+            ((i, row),) = ech.pivots.items()
+            assert i == min(r)
+            assert all(type(v) is int for v in row.values()), r
+            assert row == _primitive(r), r
+            assert gcd(*row.values()) == 1 and row[i] > 0
+            seen.add(kind)
+        assert seen == {"int", "fraction", "mixed"}
+
+
 def _nonzero(vec):
     return {j: x for j, x in vec.items() if x}
 

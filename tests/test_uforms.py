@@ -926,7 +926,8 @@ class TestNecklaceProjection:
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
         # projection and no dbar; at n = 0 the word path reads pi, so it
         # builds no projection of degree 1 either, and neither homology nor
-        # exactness builds a residual solver
+        # exactness solves a residual: each projection knows only the
+        # residuals of its quotient words
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
@@ -936,14 +937,35 @@ class TestNecklaceProjection:
                 assert alg._ab == {} and alg._dbar == {}, n
             else:
                 assert 1 not in alg._ab and 1 in alg._dbar
-            assert all(p._solver is None for p in alg._ab.values()), n
+            assert all(set(p._residuals) == set(p.quotient_words)
+                       for p in alg._ab.values()), n
         alg, rng = make_fixture("M2"), random.Random(15)
         for n in (1, 2, 3):
             is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
             is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
                            n)
         assert sorted(alg._ab) == [0, 1, 2] and alg._right == []
-        assert all(p._solver is None for p in alg._ab.values())
+        assert all(set(p._residuals) == set(p.quotient_words)
+                   for p in alg._ab.values())
+
+    def test_warm_projection_solves_nothing(self, monkeypatch):
+        # the residual of each word is solved once and kept: a second
+        # project_ab of the same form makes no solve
+        alg, rng = make_fixture("M2"), random.Random(35)
+        forms = [rand_homogeneous(alg, rng, n, terms=6) for n in (1, 2, 3)]
+        calls = []
+        solve = TrackedEchelon.solve
+
+        def counted(self, b):
+            calls.append(b)
+            return solve(self, b)
+
+        monkeypatch.setattr(TrackedEchelon, "solve", counted)
+        first = [project_ab(w) for w in forms]
+        assert calls
+        calls.clear()
+        assert [project_ab(w) for w in forms] == first
+        assert calls == []
 
     def test_cold_exactness_reads_pi(self):
         # is_exact_in_ab of degree n on M_k needs dbar into n (the
@@ -1022,6 +1044,15 @@ class TestNecklaceProjection:
     def test_planted_upward_scan_fails(self, monkeypatch):
         # a module-level `reversed` shadows the builtin in the scan
         self.assert_planted_fails(monkeypatch, "reversed", iter)
+
+    @pytest.mark.parametrize("shift", (-1, 1))
+    def test_planted_necklace_count_fails(self, monkeypatch, shift):
+        # one class short stops the scan early, one too many runs the words
+        # out: either way quotient words differ or the scan raises
+        true = uforms._necklace_count
+        self.assert_planted_fails(
+            monkeypatch, "_necklace_count",
+            lambda alg, n: true(alg, n) + (shift if n else 0))
 
 
 def _letter_product(alg, letters, head, t, n):
