@@ -1,7 +1,8 @@
 """Finite-dimensional unital associative Q-algebras given by structure
 constants, with the unit pinned to basis slot 0; standard constructors, each
 stating e_i * e_j in closed form through one table builder, `_table` (and
-`Algebra` validates every table, theirs included); validated homomorphisms.
+`Algebra` validates every distinct table, theirs included, once per
+process); validated homomorphisms.
 """
 
 from __future__ import annotations
@@ -14,24 +15,35 @@ class AlgebraError(ValueError):
     pass
 
 
+# The tables `Algebra._validate` accepted in this process, oldest first, as
+# dict keys; a table that failed is never kept.
+_ACCEPTED = {}
+_ACCEPTED_MAX = 256
+
+
 class Algebra:
     """A unital associative Q-algebra of dimension m.
 
     mul[i][j] is the length-m coefficient vector of e_i * e_j.  Basis element
-    0 is the unit; unitality and associativity are checked exhaustively at
-    construction.  Instances are immutable; the caches hanging off an instance
-    are memoization that does not affect value semantics: `_right` holds,
-    per degree, the basis words, their index map and the right-
-    multiplication table of `uforms._degree`, `_wordmul` the product of
-    each pair of words `uforms.word_product` was asked for, as a tuple of
-    (word, rational) pairs decoded from that table, `_ab` the
-    abelianization projection of each degree, `_dbar` the dbar into each
-    degree once built (`uforms.dbar`), `_ab_spectrum` the (eigenvalue,
-    multiplicity) pairs of the bimodule matrix D that certify dim
-    Omega_ab,n (`uforms._certified_dim`; empty where no certificate
-    applies), and `_necklace` the closed-form differentials of M_k, the
-    path tables, necklace classes, word pis, dz table and E11-lift ranks of
-    `uforms._tables`.
+    0 is the unit; unitality and associativity are checked exhaustively
+    (`_validate`) the first time a table is seen: a table equal to one
+    accepted before in this process (the last `_ACCEPTED_MAX` of them, in
+    `_ACCEPTED`) is not checked again, and a table that failed is never
+    remembered.  Instances are immutable; the caches hanging off an
+    instance are memoization that does not affect value semantics:
+    `_right` holds, per degree, the basis words, their index map and the
+    right-multiplication columns of `uforms._degree`, whose entries are
+    built as they are read, `_wordmul` the product of each pair of words
+    `uforms.word_product` was asked for, as a tuple of (word, rational)
+    pairs decoded from those entries, `_ab` the abelianization projection
+    of each degree, `_dbar` the dbar into each degree once built
+    (`uforms.dbar`), `_ab_spectrum` the (eigenvalue, multiplicity) pairs of
+    the bimodule matrix D that certify dim Omega_ab,n
+    (`uforms._certified_dim`; empty where no certificate applies),
+    `_generators` the basis indices of the generating set that the
+    commutator echelon reads (`uforms._generating_set`), and `_necklace`
+    the closed-form differentials of M_k, the path tables, necklace
+    classes, word pis, dz table and E11-lift ranks of `uforms._tables`.
 
     `matrix_size` is the k that `make_matrix_algebra(k)` records on the
     M_k(Q) it builds, and None on every other algebra, one built from an
@@ -75,13 +87,18 @@ class Algebra:
             raise AlgebraError("wrong number of basis names")
         self.degree_cap = degree_cap
         self.matrix_size = None
-        self._validate()
+        if self.mul not in _ACCEPTED:
+            self._validate()
+            if len(_ACCEPTED) >= _ACCEPTED_MAX:
+                del _ACCEPTED[next(iter(_ACCEPTED))]
+            _ACCEPTED[self.mul] = None
         # memoization caches (read-mostly, value-semantics preserving)
         self._right = []
         self._wordmul = {}
         self._ab = {}
         self._dbar = {}
         self._ab_spectrum = None
+        self._generators = None
         self._necklace = None
 
     def _validate(self):

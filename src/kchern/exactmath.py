@@ -46,9 +46,15 @@ def rat_to_str(q) -> str:
 
 
 def rat_from_str(s: str):
-    """Parse a "num/den" (or integer) string into its stored form."""
+    """Parse a "num/den" (or integer) string into its stored form.  A
+    string `int` reads is an integer, with the value `Fraction` gives it;
+    `Fraction` parses every other string."""
     if not isinstance(s, str):
         raise TypeError("rationals are \"num/den\" strings, not %r" % (s,))
+    try:
+        return int(s)
+    except ValueError:
+        pass
     try:
         return rat(Fraction(s))
     except ZeroDivisionError:

@@ -78,45 +78,57 @@ def enumerate_words(algebra: Algebra, n: int) -> list:
 #     idx(w) = w0 * B**n + sum_k (w_k - 1) * B**(n - k)
 # of `enumerate_words`, so idx(head + (k,)) = idx(head) * B + (k - 1) and
 # left multiplication by e_i only relabels the top digit w0.  Each degree
-# has one word <-> index map and one right-multiplication table per
-# generator (`_degree`), built from the table one degree down.
-# `word_product` decodes an entry of that table once per pair of words and
-# keeps the result; every product of forms reads it.
+# has one word <-> index map and one right-multiplication column per basis
+# element e_j, j >= 1 (`_degree`), whose entries are built on first read,
+# each from one entry one degree down (`_RightColumn`).  `word_product`
+# decodes an entry once per pair of words and keeps the result; every
+# product of forms reads it.
+
+class _RightColumn(dict):
+    """right[j] of one degree n, j >= 1: idx(w) -> the (idx(w'), c) pairs
+    of w * e_j, each entry built on its first read (`__missing__`) and
+    kept; `get` and `in` see only the entries built so far.
+
+    Degree 0 reads `sparse_mul`.  Above it, w = head + (i,) and the bimodule
+    rule head de_i * e_j = head d(e_i e_j) - (head e_i) de_j reads one entry
+    of the column of e_i one degree down (`prev`, that degree's list of
+    columns), at idx(head); only degree-0 elements ever cross a d."""
+
+    __slots__ = ("b", "j", "sparse", "prev")
+
+    def __init__(self, alg: Algebra, j: int, prev):
+        super().__init__()
+        self.b, self.j, self.sparse, self.prev = (alg.dim - 1, j,
+                                                  alg.sparse_mul, prev)
+
+    def __missing__(self, idx):
+        j, sparse, prev = self.j, self.sparse, self.prev
+        if prev is None:
+            entry = sparse[idx][j]
+        else:
+            b = self.b
+            h, i = divmod(idx, b)
+            out = {h * b + t - 1: c for t, c in sparse[i + 1][j] if t}
+            accumulate(((g * b + j - 1, -c) for g, c in prev[i + 1][h]), out)
+            entry = tuple(out.items())
+        self[idx] = entry
+        return entry
+
 
 def _degree(alg: Algebra, n: int):
-    """(words, index, right) of degree n, built once per algebra with every
-    lower degree: `words` is `enumerate_words(alg, n)`, `index` its inverse
-    w -> idx(w), and right[j][idx(w)] the (idx(w'), c) pairs of w * e_j for
-    j >= 1 (right[0] is None; e_0 is the unit).
-
-    Degree 0 is `sparse_mul`.  Above it, w = head + (i,) and the bimodule
-    rule head de_i * e_j = head d(e_i e_j) - (head e_i) de_j reads the table
-    one degree down at idx(head); only degree-0 elements ever cross a d.
-    """
+    """(words, index, right) of degree n, made once per algebra with every
+    lower degree and kept in `Algebra._right`: `words` is
+    `enumerate_words(alg, n)`, `index` its inverse w -> idx(w), and
+    right[j] the `_RightColumn` of e_j for j >= 1 (right[0] is None; e_0 is
+    the unit), whose entries are built only as they are read."""
     cache = alg._right
-    m, b, sparse = alg.dim, alg.dim - 1, alg.sparse_mul
     while len(cache) <= n:
         deg = len(cache)
-        right = [None]
-        if deg == 0:
-            right += [[sparse[i][j] for i in range(m)] for j in range(1, m)]
-        else:
-            prev = cache[deg - 1][2]
-            for j in range(1, m):
-                # the terms of d(e_i e_j) as (last digit, coefficient)
-                dij = [tuple((t - 1, c) for t, c in sparse[i][j] if t)
-                       for i in range(m)]
-                col = []
-                for h in range(m * b ** (deg - 1)):
-                    base = h * b
-                    for i in range(1, m):
-                        out = {base + t: c for t, c in dij[i]}
-                        accumulate(((g * b + j - 1, -c)
-                                    for g, c in prev[i][h]), out)
-                        col.append(tuple(out.items()))
-                right.append(col)
+        prev = cache[-1][2] if deg else None
         words = enumerate_words(alg, deg)
-        cache.append((words, {w: i for i, w in enumerate(words)}, right))
+        cache.append((words, {w: i for i, w in enumerate(words)},
+                      [None] + [_RightColumn(alg, j, prev)
+                                for j in range(1, alg.dim)]))
     return cache[n]
 
 
@@ -401,23 +413,38 @@ def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
     right side lies in the left, as d[x, y] = [dx, y] + (-1)^|x| [x, dy].
     Conversely, [xy, z] = [x, yz] + (-1)^{|x|(|y|+|z|)} [y, zx] reduces
     every commutator to commutators [g, w] with a generator g = a or da,
-    and [da, w] = d[a, w] - [a, dw].  The d-part is spanned by d of the
-    pivot rows at degree n - 1, the other by the [e_i, w] with i >= 1 (e_0
-    is the unit) and w a degree-n word.  Pivots and residuals depend only on
-    the row space, so the projection equals that of the all-pairs span.
+    and [da, w] = d[a, w] - [a, dw].  For a, b in A the same identity reads
+    [ab, w] = [a, bw] + [b, wa], so [A, Omega_n] is spanned by the [e_g, w]
+    with g in a generating set of A (`_generating_set`) and w a degree-n
+    word.  The echelon is fed d of the pivot rows at degree n - 1, then the
+    commutators of each word with the generators.  Pivots and residuals
+    depend only on the row space, so the projection equals that of the
+    all-pairs span.
 
-    The vectors are built in index coordinates (see `_degree`): e_i * w
-    relabels the top digit of idx(w), w * e_i is an entry of the degree's
-    right table, and d shifts the indices of a degree n - 1 row by B**(n-1).
+    The vectors are built in index coordinates (see `_degree`): e_g * w
+    relabels the top digit of idx(w), w * e_g is an entry of the degree's
+    right column of e_g, built as it is read, and d shifts the indices of
+    a degree n - 1 row by B**(n-1).
 
     Feeding stops once the rank reaches dim Omega_n - `_certified_dim(A, n)`,
     0 where no certificate applies; then the row space is all of [Omega,
     Omega]_n.  A certified span that runs out below that rank raises
-    RuntimeError: the certificate or the spanning set is wrong.
+    RuntimeError: the certificate or the spanning set is wrong.  Pivots are
+    least indices, so with a certificate the words go from the last down,
+    which reaches the rank with fewer rows (dense copies of M2); without
+    one every row is fed, and the words go in increasing order, which
+    keeps the stored rows sparser (x3 at degree 5: 191 entries against 236
+    from the last word down), so later reductions cost less.
     """
     words, index, right = _degree(algebra, n)
     b = algebra.dim - 1
     top = b ** n
+    sparse, gens = algebra.sparse_mul, _generating_set(algebra)
+    certified = _certified_dim(algebra, n)
+    target = len(words) - (certified or 0)
+    order = range(len(words))
+    if certified is not None:
+        order = reversed(order)
 
     def spanning_vectors():
         # in index coordinates; idx((0,) + w) = idx(w) - B**(n-1) for w0 > 0
@@ -425,17 +452,14 @@ def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
             low = b ** (n - 1)
             for row in abelianization(algebra, n - 1).echelon.pivots.values():
                 yield {j - low: c for j, c in row.items() if j >= low}
-        for i in range(1, algebra.dim):
-            left = algebra.sparse_mul[i]
-            for idx, terms in enumerate(right[i]):
-                w0, rest = divmod(idx, top)
-                vec = {k * top + rest: c for k, c in left[w0]}
-                for k, c in terms:
+        for idx in order:
+            w0, rest = divmod(idx, top)
+            for g in gens:
+                vec = {k * top + rest: c for k, c in sparse[g][w0]}
+                for k, c in right[g][idx]:
                     vec[k] = vec.get(k, Q0) - c
                 yield vec
 
-    certified = _certified_dim(algebra, n)
-    target = len(words) - (certified or 0)
     ech = Echelon()
     for vec in spanning_vectors():
         ech.add(vec)
@@ -447,6 +471,35 @@ def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
             "quotient dimension %d needs rank %d"
             % (n, ech.rank, certified, target))
     return AbProjection(algebra, n, words, index, ech)
+
+
+def _generating_set(algebra: Algebra) -> tuple:
+    """The basis indices of a generating set of A, found once per algebra
+    and kept as `Algebra._generators`: the indices i >= 1 in order, each
+    kept when e_i lies outside the subalgebra the kept ones generate.  That
+    subalgebra is one Echelon, the span of the words in the kept
+    generators, closed under left multiplication by each, and is built only
+    while an index is left to test; so for m <= 2 the set is every index i
+    >= 1, found with no Echelon work."""
+    gens = algebra._generators
+    if gens is None:
+        m, sparse = algebra.dim, algebra.sparse_mul
+        gens, span = [], Echelon()
+        for i in range(1, m):
+            if span.rank and not span.reduce({i: Q1}):
+                continue
+            gens.append(i)
+            if i == m - 1:
+                break
+            span, todo = Echelon(), [{0: Q1}]
+            while todo and span.rank < m:
+                vec = todo.pop()
+                if span.add(vec):
+                    todo += [accumulate((k, c * s) for j, c in vec.items()
+                                        for k, s in sparse[g][j])
+                             for g in gens]
+        gens = algebra._generators = tuple(gens)
+    return gens
 
 
 # ---------------------------------------------------------------------------

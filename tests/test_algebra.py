@@ -86,6 +86,44 @@ class TestConstructors:
         with pytest.raises(AlgebraError, match="unit"):
             Algebra(mul_table)
 
+    def test_each_accepted_table_is_checked_once(self, monkeypatch):
+        # a table equal to one accepted before is not checked again, one
+        # that differs in one entry is, and a failure is never remembered
+        from kchern import algebra
+        make_fixture("M2")
+        calls = []
+        check = algebra.Algebra._validate
+
+        def counted(self):
+            calls.append(self.mul)
+            check(self)
+
+        monkeypatch.setattr(algebra.Algebra, "_validate", counted)
+        m2 = make_fixture("M2")
+        assert calls == []
+        table = [[list(vec) for vec in row] for row in m2.mul]
+        table[2][3][0] += 1         # E12 E21 = 1 + E11
+        for _ in range(2):
+            with pytest.raises(AlgebraError, match="associativity"):
+                algebra.Algebra(table)
+        assert len(calls) == 2
+        # the planted failures still raise once every fixture was accepted
+        for name in FIXTURE_NAMES:
+            make_fixture(name)
+        for _ in range(2):
+            self.test_rejects_nonassociative()
+            self.test_rejects_misplaced_unit()
+            self.test_group_algebra_rejects_nonassociative_loop()
+
+    def test_accepted_tables_are_bounded(self, monkeypatch):
+        from kchern import algebra
+        monkeypatch.setattr(algebra, "_ACCEPTED", {})
+        monkeypatch.setattr(algebra, "_ACCEPTED_MAX", 2)
+        for k in (2, 3, 4, 2):
+            make_truncated_poly(k)
+        assert list(algebra._ACCEPTED) == [make_truncated_poly(k).mul
+                                           for k in (4, 2)]
+
 
 def _matmul(x, y):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]

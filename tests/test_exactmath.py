@@ -39,6 +39,23 @@ class TestRationalStrings:
         assert type(rat_from_str("6/3")) is int
         assert rat_from_str("-6/4") == Fraction(-3, 2)
 
+    def test_integer_strings_parse_as_fraction_does(self):
+        # the int fast path must give Fraction's value and stored type, and
+        # refuse what it refuses; a zero denominator is a ValueError
+        def parsed(parse, s):
+            try:
+                x = parse(s)
+            except (ValueError, ZeroDivisionError):
+                return ValueError
+            return type(x), x
+
+        for s in ("5", "+5", "-5", "007", "-007", " 12 ", "\t-3\n", "1_000",
+                  "1__0", "_1", "3/1", "-0", "+0", "٣", "١٢",
+                  "١٢/٤", "²", "", " ", "1/0", "1/2",
+                  "1e3", "0x10", "+-1", "1 0"):
+            assert parsed(rat_from_str, s) == parsed(
+                lambda t: rat(Fraction(t)), s), repr(s)
+
 
 class TestStoredForm:
     def test_integral_values_are_ints(self):

@@ -1,6 +1,7 @@
 """Universal differential forms, abelianization, and de Rham homology."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import kchern
 from kchern import uforms
-from kchern.algebra import (Algebra, AlgebraHom, make_matrix_algebra,
-                            make_product, make_truncated_poly)
+from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
+                            make_matrix_algebra, make_product,
+                            make_truncated_poly)
 from kchern.connections import random_form
 from kchern.exactmath import Echelon, Poly1, Q0, Q1, TrackedEchelon
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
@@ -20,8 +22,8 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            dbar, differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           word_product, _certified_dim, _degree, _necklace,
-                           _phi, _solver_coords)
+                           word_product, _certified_dim, _degree,
+                           _generating_set, _necklace, _phi, _solver_coords)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -144,6 +146,15 @@ def quaternions():
         b, c = a % 3 + 1, (a + 1) % 3 + 1
         mul[a][b][c], mul[b][a][c] = 1, -1
     return Algebra(mul, names=["1", "i", "j", "k"])
+
+
+def group_algebra_s3():
+    """Q[S3] from the Cayley table of the permutations of {0, 1, 2},
+    identity first (g_i g_j is x -> g_i(g_j(x))): dim 6, blocks Q, Q and
+    M2, so no certificate applies."""
+    perms = list(itertools.permutations(range(3)))
+    return make_group_algebra([[perms.index(tuple(p[q[x]] for x in range(3)))
+                                for q in perms] for p in perms])
 
 
 def table_copy(alg):
@@ -288,13 +299,8 @@ class TestWordModel:
         for n in range(5):
             for row in abelianization(alg, n).echelon.pivots.values():
                 assert all(canonical(c) for c in row.values())
-        # the right-multiplication tables the build read, and the word
-        # products decoded from them
-        assert len(alg._right) == 5
-        for words, index, right in alg._right:
-            assert [index[w] for w in words] == list(range(len(words)))
-            for col in right[1:]:
-                assert all(canonical(c) for terms in col for _, c in terms)
+        # the word products decoded from the right-multiplication entries,
+        # and every entry the build and the products read
         words = enumerate_words(alg, 2)
         for w1 in words:
             for w2 in words:
@@ -302,6 +308,13 @@ class TestWordModel:
         assert alg._wordmul
         for prod in alg._wordmul.values():
             assert all(canonical(c) for _, c in prod)
+        assert len(alg._right) == 5
+        for words, index, right in alg._right:
+            assert [index[w] for w in words] == list(range(len(words)))
+            assert any(right[1:])
+            for col in right[1:]:
+                assert all(canonical(c) for terms in col.values()
+                           for _, c in terms)
 
     def test_bimodule_law_degree_one(self):
         # a db . c = a d(bc) - ab dc: the kernel-of-multiplication model
@@ -463,6 +476,22 @@ class TestSpanningSet:
             for n in range(tops.get(name, 6) + 1):
                 self.assert_same_projection(alg, n)
 
+    def test_group_algebra_s3(self):
+        alg = group_algebra_s3()
+        assert _generating_set(alg) == (1, 2)
+        for n in range(3):
+            self.assert_same_projection(alg, n)
+
+    def test_planted_dropped_generator_fails(self):
+        # a generating set short of one generator spans too few commutators
+        for alg, gens in ((make_fixture("x3"), ()),
+                          (group_algebra_s3(), (1,)),
+                          (group_algebra_s3(), (2,))):
+            alg._generators = gens
+            with pytest.raises((AssertionError, RuntimeError)):
+                for n in range(3):
+                    self.assert_same_projection(alg, n)
+
     def test_necklace_path(self):
         # equal quotient words over one word list mean equal pivot sets
         alg = make_fixture("M2")
@@ -492,12 +521,13 @@ class TestSpanningSet:
                                 _tuple_word_mul(alg, w1, w2, memo), (w1, w2)
 
     def test_planted_right_table_entry_fails(self):
-        # one flipped coefficient in one degree-1 right-table entry, before
-        # any degree above it is built, must show in the projection
+        # one flipped coefficient in one degree-1 right-table entry that
+        # the feed reads, the top word's in the first generator's column,
+        # before any degree above it is built, must show in the projection
         alg = table_copy(make_fixture("M2"))
-        _, _, right = _degree(alg, 1)
-        col = right[1]
-        idx = next(i for i, terms in enumerate(col) if terms)
+        words, _, right = _degree(alg, 1)
+        col = right[_generating_set(alg)[0]]
+        idx = len(words) - 1
         (k, c), *rest = col[idx]
         col[idx] = ((k, -c), *rest)
         differs = []
@@ -947,6 +977,14 @@ class TestNecklaceProjection:
         assert sorted(alg._ab) == [0, 1, 2] and alg._right == []
         assert all(set(p._residuals) == set(p.quotient_words)
                    for p in alg._ab.values())
+
+    def test_one_word_product_builds_one_entry_per_degree(self):
+        # a right-table entry of degree n reads one entry of degree n - 1,
+        # so a product with a degree-7 left factor builds at most 8
+        alg = table_copy(make_fixture("M2"))
+        word_product(alg, (1,) + (2, 3) * 3 + (1,), (3, 2))
+        built = [len(col) for _, _, right in alg._right for col in right[1:]]
+        assert 0 < sum(built) <= 8, built
 
     def test_warm_projection_solves_nothing(self, monkeypatch):
         # the residual of each word is solved once and kept: a second
