@@ -34,10 +34,13 @@ time and exit status of one Tier-1 pytest run and of one under
 the code lines of those modules, in total and per module (lines that are
 not blank, not comment-only and not inside a module, class or function
 docstring, which ``ast`` finds), the homology ladder of ROADMAP's north
-star (the parent first): cold runs of
+star: cold runs of
 ``kchern homology --fixture M2 --degree n --degree-cap max(8, n + 1)`` for
-n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds, where it
-is killed, with each rung's wall time, exit status and peak RSS (the
+n = 0, 1, ... until a rung fails or passes LADDER_LIMIT seconds of raw wall
+time, where it is killed, the two sides' rungs of one degree run one after
+the other (the parent first at even n), with each rung's raw wall time,
+the host slowness read just before it, the wall time divided by that
+slowness (``scaled_seconds``), exit status and peak RSS (the
 ``ru_maxrss`` that ``os.wait4`` reports for that child alone) and the
 top, the highest n that finished in time; the median of each per-layer
 metric over TRACE_RUNS alternating ``run.py --trace 1`` runs per side at
@@ -295,11 +298,13 @@ def src_code_lines(tree: str) -> dict:
 
 
 def rung(tree: str, n: int) -> dict:
-    """Wall time, exit status and peak RSS of one cold `kchern homology`
-    run at degree n of M2 in tree, killed at LADDER_LIMIT seconds.  The
-    child is watched through a pidfd and reaped with `os.wait4`, whose
-    rusage covers that child alone (RUSAGE_CHILDREN would also count the
-    earlier runs); Linux gives `ru_maxrss` in KiB."""
+    """Wall time, host slowness, scaled time, exit status and peak RSS of
+    one cold `kchern homology` run at degree n of M2 in tree, killed at
+    LADDER_LIMIT seconds of raw wall time; the slowness is read just before
+    the run.  The child is watched through a pidfd and reaped with
+    `os.wait4`, whose rusage covers that child alone (RUSAGE_CHILDREN would
+    also count the earlier runs); Linux gives `ru_maxrss` in KiB."""
+    slow = slowness()
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "kchern.cli", "homology",
@@ -317,22 +322,31 @@ def rung(tree: str, n: int) -> dict:
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"degree": n, "seconds": round(seconds, 3),
+    return {"degree": n, "seconds": round(seconds, 3), "slowness": slow,
+            "scaled_seconds": round(seconds / slow, 3),
             "exit": proc.returncode,
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
 
 
-def ladder(tree: str) -> dict:
-    """The rungs n = 0, 1, ... of the M2 homology ladder in tree, up to the
-    first that fails or passes LADDER_LIMIT seconds, and the top: the
-    highest n that finished with status 0 in time (None if none did)."""
-    rungs, top = [], None
-    for n in itertools.count():
-        rungs.append(rung(tree, n))
-        if rungs[-1]["exit"] or rungs[-1]["seconds"] > LADDER_LIMIT:
-            break
-        top = n
-    return {"rungs": rungs, "top": top}
+def ladders(trees: dict) -> dict:
+    """Per side, the rungs n = 0, 1, ... of the M2 homology ladder in its
+    tree, up to the first that fails or passes LADDER_LIMIT raw seconds,
+    and the top: the highest n that finished with status 0 in time (None
+    if none did).  The sides' rungs of one degree run one after the other,
+    in the order `alternating(n)` gives, while both sides climb."""
+    out = {who: {"rungs": [], "top": None} for who in trees}
+    climbing, n = set(trees), 0
+    while climbing:
+        for who in alternating(n):
+            if who in climbing:
+                got = rung(trees[who], n)
+                out[who]["rungs"].append(got)
+                if got["exit"] or got["seconds"] > LADDER_LIMIT:
+                    climbing.discard(who)
+                else:
+                    out[who]["top"] = n
+        n += 1
+    return out
 
 
 def alternating(k: int):
@@ -414,7 +428,7 @@ def main(argv=None) -> int:
                 transgression_digest(trees[who], payloads))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
-    ladder_run = {who: ladder(trees[who]) for who in alternating(0)}
+    ladder_run = ladders(trees)
     trace = {}
     for workload in runs:
         got = {"parent": [], "change": []}

@@ -35,8 +35,11 @@ class Algebra:
     right-multiplication columns of `uforms._degree`, whose entries are
     built as they are read, `_wordmul` the product of each pair of words
     `uforms.word_product` was asked for, as a tuple of (word, rational)
-    pairs decoded from those entries, `_ab` the abelianization projection
-    of each degree, `_dbar` the dbar into each degree once built
+    pairs decoded from those entries, `_cylmul` the product of each pair
+    of cylinder keys (mask, word) that `transgression.CylForm._key_product`
+    was asked for (`transgression._CylProducts`, made on first use), `_ab`
+    the abelianization projection of each degree, with the residual of each
+    word it has reduced, `_dbar` the dbar into each degree once built
     (`uforms.dbar`), `_ab_spectrum` the (eigenvalue, multiplicity) pairs of
     the bimodule matrix D that certify dim Omega_ab,n
     (`uforms._certified_dim`; empty where no certificate applies),
@@ -44,6 +47,10 @@ class Algebra:
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
     the closed-form differentials of M_k, the path tables, necklace
     classes, word pis, dz table and E11-lift ranks of `uforms._tables`.
+    The caches belong to one instance: a rule replaced at run time (a
+    monkeypatched `word_product`, `grading_sign` or sign table) is seen
+    only by an algebra that has not yet cached what it feeds, so a test
+    that plants one builds a fresh algebra.
 
     `matrix_size` is the k that `make_matrix_algebra(k)` records on the
     M_k(Q) it builds, and None on every other algebra, one built from an
@@ -95,6 +102,7 @@ class Algebra:
         # memoization caches (read-mostly, value-semantics preserving)
         self._right = []
         self._wordmul = {}
+        self._cylmul = None
         self._ab = {}
         self._dbar = {}
         self._ab_spectrum = None

@@ -128,6 +128,8 @@ class Mat:
         visits only its partners.  Both run one loop; only the index of the
         right factor and its lookup key differ.
 
+        Every loop reads the rule of a pair of keys first and skips a pair
+        whose rule is empty, before any scalar of it is multiplied.
         Rational scalars are multiplied and summed as they are.  When the
         first value of either factor is a Poly, the product is fused: the
         coefficients of ca*cb are multiplied out once per pair of keys whose
@@ -172,8 +174,11 @@ class Mat:
             mul = pair or operator.mul
             for (i, k, a), ca in lefts:
                 for j, b, cb in rows.get(k, ()):
+                    terms = rule(a, b)
+                    if not terms:
+                        continue
                     c = mul(ca, cb)
-                    for key, s in rule(a, b):
+                    for key, s in terms:
                         key = (i, j, key)
                         v = get(key)
                         out[key] = c * s if v is None else v + c * s

@@ -19,11 +19,12 @@ whole calculus:
 Every sign is read from `grading_sign`, the sign of sigma on one word, and
 the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
-use BiForm.  `CylForm._key_product` is the one product rule and
-`CylForm._key_d` the one differential rule on those keys, for cylinder
-forms and their matrices alike: products of cylinder forms are 1 x 1
-matrix products.  Integration and restriction keep the terms with (or
-without) dx_i and drop bit i from the mask.
+use BiForm.  `CylForm._key_product` is the one product rule, its results
+kept per algebra and pair of keys, and `CylForm._key_d` the one
+differential rule on those keys, for cylinder forms and their matrices
+alike: products of cylinder forms are 1 x 1 matrix products.  Integration
+and restriction keep the terms with (or without) dx_i and drop bit i from
+the mask.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre and build only what reaches
@@ -74,6 +75,34 @@ KOSZUL = {}     # I -> (-1)^|I|, the sign of d passing dx_I
 # ---------------------------------------------------------------------------
 # Cylinder forms
 # ---------------------------------------------------------------------------
+
+class _CylProducts(dict):
+    """(key, key) -> the product of two keys (mask, word) of one algebra,
+    as a tuple of ((mask, word), scalar) pairs, and () when the masks meet;
+    each built on its first read (`__missing__`) and kept.  Per pair it
+    reads SHUFFLE, and sigma's sign `grading_sign(w1)` when the right mask
+    has an odd number of bits.  Both depend only on the masks and the
+    word, so one memo serves every R; like `word_product`, it is bounded
+    by the degree cap."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, pair):
+        (m1, w1), (m2, w2) = pair
+        out = ()
+        if not m1 & m2:
+            s = SHUFFLE[m1, m2]
+            if bin(m2).count("1") % 2:
+                s *= grading_sign(w1)
+            out = tuple(((m1 | m2, w), s * c)
+                        for w, c in word_product(self.alg, w1, w2))
+        self[pair] = out
+        return out
+
 
 class CylForm(FormTerms):
     r"""Element of the cylinder DGA over A in R parameters.
@@ -134,18 +163,13 @@ class CylForm(FormTerms):
     def _key_product(alg):
         r"""The product rule of keys (mask, word) of `connections.Mat` over
         `alg`: (dx_I w1)(dx_J w2) = shuffle(I, J) dx_{I u J} sigma^{|J|}(w1)
-        w2, and 0 when I and J meet.  Per pair of keys it reads SHUFFLE,
-        and sigma's sign `grading_sign(w1)` when |J| is odd."""
-        def rule(a, b):
-            (m1, w1), (m2, w2) = a, b
-            if m1 & m2:
-                return ()
-            s = SHUFFLE[m1, m2]
-            if bin(m2).count("1") % 2:
-                s *= grading_sign(w1)
-            return [((m1 | m2, w), s * c)
-                    for w, c in word_product(alg, w1, w2)]
-        return rule
+        w2, and 0 when I and J meet.  Its results are read from the
+        algebra's memo `Algebra._cylmul` (`_CylProducts`), made here on
+        first use, so a pair of keys is worked out once per algebra."""
+        memo = alg._cylmul
+        if memo is None:
+            memo = alg._cylmul = _CylProducts(alg)
+        return lambda a, b: memo[a, b]
 
     def __mul__(self, other):
         return (Mat([[self]]) * Mat([[checked(self, other)]])).trace()

@@ -295,10 +295,19 @@ class AbProjection:
     both off that `echelon` (its `reduce` works in word indices);
     `_NecklaceProjection` finds the same words and residuals for M_k with
     an echelon over necklaces instead.
+
+    `reduce_terms` is the one reduction of both: it sums c * residual(w)
+    over the terms, with the residual of each word kept in `_residuals`
+    (each quotient word maps to itself) and found on a miss by the one
+    hook `_residual`.  This is sound because the canonical residual is
+    linear: it is the unique vector on the quotient words congruent to its
+    input modulo the row span, so the residual of a sum is the sum of the
+    residuals.  And a projection's echelon is never changed after
+    `abelianization` returns it, so a kept residual stays canonical.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
-                 "quotient_words")
+                 "quotient_words", "_residuals")
 
     def __init__(self, algebra, degree, words, index, echelon,
                  quotient_words=None):
@@ -311,18 +320,27 @@ class AbProjection:
             quotient_words = [w for i, w in enumerate(words)
                               if i not in echelon.pivots]
         self.quotient_words = quotient_words
+        self._residuals = {q: {q: Q1} for q in quotient_words}
+
+    def _residual(self, w) -> dict:
+        """The canonical residual of the word w, quotient word -> rational:
+        the echelon's reduction of its index, relabelled to words."""
+        words = self.words
+        return {words[i]: c for i, c in
+                self.echelon.reduce({self.index[w]: Q1}).items()}
 
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar,
-        its rationals stored as `rat` gives them."""
-        if not terms:
-            return {}
-        if len(self.quotient_words) == len(self.words):
-            return dict(terms)
-        vec = {self.index[w]: c for w, c in terms.items()}
-        res = self.echelon.reduce(vec)
-        return {self.words[i]: rat(c) if type(c) is Fraction else c
-                for i, c in res.items()}
+        its rationals stored as `rat` gives them, keys sorted."""
+        residuals, out = self._residuals, {}
+        for w, c in terms.items():
+            res = residuals.get(w)
+            if res is None:
+                res = residuals[w] = self._residual(w)
+            for q, r in res.items():
+                out[q] = out[q] + c * r if q in out else c * r
+        return {q: rat(v) if type(v) is Fraction else v
+                for q, v in sorted(out.items()) if v}
 
 
 def _check_degree(algebra: Algebra, n: int):
@@ -395,13 +413,15 @@ def _solver_coords(algebra: Algebra, n: int) -> tuple:
     degree n reads a degree-n dict word -> scalar, and a single word.  On
     M_k they are pi (`_necklace_coords`, which keeps the pi of each word of
     its inputs, and `_pi` for a word), and need no projection of degree n;
-    on every other algebra, the canonical residual by word index."""
+    on every other algebra, the canonical residual by word index, summed
+    from the residuals the projection keeps per word (`reduce_terms`)."""
     if algebra.matrix_size is not None:
         return partial(_necklace_coords, algebra), partial(_pi, algebra)
     proj = abelianization(algebra, n)
+    index = proj.index
 
     def coords(terms):
-        return proj.echelon.reduce({proj.index[w]: terms[w] for w in terms})
+        return {index[q]: c for q, c in proj.reduce_terms(terms).items()}
     return coords, lambda word: coords({word: Q1})
 
 
@@ -641,12 +661,13 @@ class _NecklaceProjection(AbProjection):
     necklace classes, `_walk_count` with D = [k^2 - 1] (RuntimeError if the
     words run out first).  The words that raised the rank are its tags.
     The residual of a word, the combination of quotient words with the
-    same pi, is one solve of that echelon on first use, kept per word
-    (RuntimeError if there is none); `reduce_terms` sums the residuals.
+    same pi, is one solve of that echelon (`_residual`, RuntimeError if
+    there is none), which `AbProjection.reduce_terms` asks for on first use
+    and keeps per word.
     `dbar` reads pi itself (`_solver_coords`), so it needs no residual.
     """
 
-    __slots__ = ("_residuals",)
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, n: int):
         words = enumerate_words(algebra, n)
@@ -663,23 +684,15 @@ class _NecklaceProjection(AbProjection):
         super().__init__(algebra, n, words,
                          {w: i for i, w in enumerate(words)}, ech,
                          sorted(ech.tags))
-        self._residuals = {q: {q: Q1} for q in self.quotient_words}
 
-    def reduce_terms(self, terms: dict) -> dict:
-        out = {}
-        for w, c in terms.items():
-            res = self._residuals.get(w)
-            if res is None:
-                res = self.echelon.solve(_pi(self.algebra, w))
-                if res is None:
-                    raise RuntimeError("the quotient words of degree %d do "
-                                       "not span the class of %r"
-                                       % (self.degree, w))
-                self._residuals[w] = res
-            for q, r in res.items():
-                out[q] = out[q] + c * r if q in out else c * r
-        return {q: rat(v) if type(v) is Fraction else v
-                for q, v in sorted(out.items()) if v}
+    def _residual(self, w) -> dict:
+        """The combination of quotient words with the pi of w: one solve
+        of the scan's echelon (RuntimeError if there is none)."""
+        res = self.echelon.solve(_pi(self.algebra, w))
+        if res is None:
+            raise RuntimeError("the quotient words of degree %d do not span "
+                               "the class of %r" % (self.degree, w))
+        return res
 
 
 def _necklace_count(alg: Algebra, n: int) -> int:
@@ -883,10 +896,11 @@ def _ab_class(algebra: Algebra, terms: dict) -> "AbClass":
     """The class of a dict word -> scalar, already checked and stored: its
     canonical residual, reduced degree by degree in increasing order and
     wrapped as `reduce_terms` stores it."""
-    out = {}
-    for n in sorted({word_degree(w) for w in terms}):
-        out.update(abelianization(algebra, n).reduce_terms(
-            {w: c for w, c in terms.items() if word_degree(w) == n}))
+    by_degree, out = {}, {}
+    for w, c in terms.items():
+        by_degree.setdefault(word_degree(w), {})[w] = c
+    for n in sorted(by_degree):
+        out.update(abelianization(algebra, n).reduce_terms(by_degree[n]))
     return AbClass._new(algebra, out)
 
 

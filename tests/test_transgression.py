@@ -13,17 +13,17 @@ import pytest
 from kchern import connections, suites, transgression
 from kchern.algebra import AlgebraError
 from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
-                                chern, direct_sum, extend_scalars,
-                                family_scalars, grassmann, pullback,
-                                random_connection, random_idempotent,
-                                random_iso)
+                                chern, chern_series, curvature, direct_sum,
+                                extend_scalars, family_scalars, grassmann,
+                                pullback, random_connection,
+                                random_idempotent, random_iso)
 from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import abclass_to_json, form_to_json
 from kchern.suites import _random_cylform, run_transgression_suite
 from kchern.transgression import (BiForm, CylForm, EPSILON_K, KOSZUL, SHUFFLE,
-                                  TForm, bigon_curvature, bigon_straight,
-                                  chern_biform, chern_tform,
+                                  TForm, _CylProducts, bigon_curvature,
+                                  bigon_straight, chern_biform, chern_tform,
                                   constant_path, homotopy_K, kcs, kcs_between,
                                   kcs_closed_form, reverse_path,
                                   secondary_transgression, straight_line,
@@ -1243,3 +1243,97 @@ class TestCylinderProducts:
                 with pytest.raises(FormError, match="mismatch"):
                     op(x, other)
         assert x + x - x == x
+
+
+# ---------------------------------------------------------------------------
+# What each algebra memoizes per key: the cylinder key products and the
+# residual of each word; a planted defect must show through both
+# ---------------------------------------------------------------------------
+
+def _transgresses(families, k_max):
+    """The suite's two transgression checks in Omega_ab for k = 1..k_max,
+    on a straight path, a three-point path and their bigon
+    (`_fibre_families`): d KCS_k = ch_k(c1) - ch_k(c0) on the straight
+    path, and d of the bigon's secondary potential equals the KCS_k of the
+    first path minus that of the second.  Every product and projection is
+    computed again on each call, through the algebra's memos."""
+    lin, quad, bigon = families
+    k1, k2 = kcs(lin, k_max), kcs(quad, k_max)
+    pots = secondary_transgression(bigon, k_max)
+    ch0, ch1 = (chern(lin.restrict(0, t), k_max) for t in (0, 1))
+    return all(ab_d(k1[k - 1]) == ch1[k] - ch0[k]
+               and ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1]
+               for k in range(1, k_max + 1))
+
+
+class TestKeyMemos:
+    def test_flipped_residual_fails(self):
+        # the kept residual of a word outside the quotient words, with
+        # w0 != 0, that the raw Chern forms of degree 4 read with different
+        # coefficients: d KCS_2 has only words with w0 = 0, so only the
+        # Chern side moves
+        families = _fibre_families("x3", "memo")
+        lin = families[0]
+        assert _transgresses(families, 3)
+        raw0, raw1 = (chern_series(lambda t=t: curvature(lin.restrict(0, t)),
+                                   3, Mat.trace)[1] for t in (0, 1))
+        diff = raw1 - raw0
+        proj = lin.algebra._ab[4]
+        residuals = proj._residuals
+        w = min(w for w, res in residuals.items() if w[0] and res
+                and w not in proj.quotient_words and diff.terms.get(w))
+        res = dict(residuals[w])
+        q = min(res)
+        res[q] = -res[q]
+        residuals[w] = res
+        assert not _transgresses(families, 3)
+
+    @pytest.mark.parametrize("name", ["x3", "M2"])
+    def test_flipped_cylinder_product_fails(self, name):
+        # the first kept product of keys whose masks join to dx_0 (dt on a
+        # path, ds on a bigon), with every sign flipped; of those whose
+        # terms have a nonzero class, since no check in Omega_ab can see
+        # the flip of a product of commutators
+        families = _fibre_families(name, "memo")
+        alg, k_max = families[0].algebra, 2 if name == "M2" else 3
+        assert _transgresses(families, k_max)
+        memo = alg._cylmul
+        pair = next(pair for pair, terms in memo.items()
+                    if pair[0][0] | pair[1][0] == 1 and project_ab(UForm(
+                        alg, {w: s for (_, w), s in terms})))
+        memo[pair] = tuple((key, -s) for key, s in memo[pair])
+        assert not _transgresses(families, k_max)
+
+    @pytest.mark.parametrize("name", ["x3", "M2"])
+    def test_mask_blind_memo_fails(self, monkeypatch, name):
+        # a memo keyed by the two words alone answers for the first pair of
+        # masks it met.  On a path a word's degree fixes its mask, so only
+        # the bigon's ds and dt parts, both of degree 1, can meet it; at
+        # k = 2 it turns tr(S_s S_t - S_t S_s) into tr(S_s S_t + S_t S_s),
+        # which is zero in Omega_ab, and on M2 the KCS_2 of the two paths
+        # agree there, so k_max is 3
+        memos = {}
+
+        def key_product(alg):
+            products, memo = _CylProducts(alg), memos.setdefault(id(alg), {})
+
+            def rule(a, b):
+                words = a[1], b[1]
+                if words not in memo:
+                    memo[words] = products[a, b]
+                return memo[words]
+            return rule
+        monkeypatch.setattr(CylForm, "_key_product", staticmethod(key_product))
+        assert not _transgresses(_fibre_families(name, "memo"), 3)
+
+    def test_grading_sign_mutant_reaches_cold_memos_only(self, monkeypatch):
+        # kcs never reads sigma (in a path's products every left factor of
+        # an odd right mask has even degree); the secondary potential does.
+        # The mutant is seen by an algebra built after it, not by one whose
+        # memo already holds the products
+        warm = _fibre_families("x3", "memo")[2]
+        want = secondary_transgression(warm, 3)
+        _drop_sigma(monkeypatch)
+        assert secondary_transgression(warm, 3) == want
+        assert secondary_transgression(
+            _fibre_families("x3", "memo")[2], 3) != want

@@ -15,7 +15,8 @@ from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
                             make_matrix_algebra, make_product,
                             make_truncated_poly)
 from kchern.connections import random_form
-from kchern.exactmath import Echelon, Poly1, Q0, Q1, TrackedEchelon
+from kchern.exactmath import (Echelon, Poly1, Q0, Q1, TrackedEchelon,
+                              rat)
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
@@ -537,6 +538,40 @@ class TestSpanningSet:
                            != set(oracle.echelon.pivots)
                            or fast.quotient_words != oracle.quotient_words)
         assert any(differs), differs
+
+
+class TestResidualCache:
+    """`reduce_terms` sums the residuals a projection keeps per word: each
+    must be the residual a fresh reduction of the echelon gives, and a sum
+    of them the residual of the whole vector."""
+
+    def assert_fresh(self, alg, top, rng):
+        for n in range(top + 1):
+            proj = abelianization(alg, n)
+            words, index = proj.words, proj.index
+
+            def fresh(terms):
+                res = proj.echelon.reduce({index[w]: c
+                                           for w, c in terms.items()})
+                return [(words[i], rat(c) if type(c) is Fraction else c)
+                        for i, c in sorted(res.items()) if c]
+            for w in words:
+                assert list(proj.reduce_terms({w: Q1}).items()) == \
+                    fresh({w: Q1}), (n, w)
+                assert proj._residuals[w] == dict(fresh({w: Q1})), (n, w)
+            for _ in range(5):
+                terms = {rng.choice(words): rng.choice(
+                    (Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                     Poly1({(0,): rng.randint(1, 3), (2,): -1})))
+                         for _ in range(4)}
+                assert list(proj.reduce_terms(terms).items()) == \
+                    fresh(terms), (n, terms)
+
+    def test_residuals_match_fresh_reductions(self):
+        rng = random.Random(37)
+        for name in ("x3", "dual", "QxQ", "C2"):
+            self.assert_fresh(make_fixture(name), 4, rng)
+        self.assert_fresh(dense_copies("x3", 1, "residuals")[0], 2, rng)
 
 
 class TestCertifiedDimension:
