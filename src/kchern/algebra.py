@@ -46,7 +46,7 @@ class Algebra:
     `_generators` the basis indices of the generating set that the
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
     the closed-form differentials of M_k, the path tables, necklace
-    classes, word pis, dz table and E11-lift ranks of `uforms._tables`.
+    classes, dz table and E11-lift ranks of `uforms._tables`.
     The caches belong to one instance: a rule replaced at run time (a
     monkeypatched `word_product`, `grading_sign` or sign table) is seen
     only by an algebra that has not yet cached what it feeds, so a test

@@ -18,14 +18,13 @@ k `make_matrix_algebra` records as `Algebra.matrix_size`, the projection
 is computed in necklace coordinates, where one tracked echelon of the
 words' necklace vectors both picks the quotient words and solves each
 word's residual, kept per word; on every other algebra, from the
-echelonized commutators.  Both give the same canonical residuals.  dbar
-solves in the coordinates of its path: canonical residuals on the
-echelon path, and on M_k the necklace vector pi itself, which needs no
-projection of the target degree.  Homology on M_k in a degree n >= 1 first
-reads dim H_n off the ranks of dbar taken directly on necklaces, through
-the E11 lift of each (`_lift_rank`, with one closed-form dz table, `_dz`):
-where H_n = 0, no word of any degree is touched; otherwise the
-representatives are read off `dbar` in quotient words.
+echelonized commutators.  Both give the same canonical residuals, and
+dbar solves in them on every algebra (`AbProjection.coords`).  Homology on
+M_k in a degree n >= 1 first reads dim H_n off the ranks of dbar taken
+directly on necklaces, through the E11 lift of each (`_lift_rank`, with
+one closed-form dz table, `_dz`): where H_n = 0, no word of any degree is
+touched; otherwise the representatives are read off `dbar` in quotient
+words.
 """
 
 from __future__ import annotations
@@ -322,6 +321,12 @@ class AbProjection:
         self.quotient_words = quotient_words
         self._residuals = {q: {q: Q1} for q in quotient_words}
 
+    def coords(self, terms: dict) -> dict:
+        """The canonical residual of a degree-n dict word -> scalar by word
+        index: the coordinates in which the solver of `dbar` reads it."""
+        index = self.index
+        return {index[q]: c for q, c in self.reduce_terms(terms).items()}
+
     def _residual(self, w) -> dict:
         """The canonical residual of the word w, quotient word -> rational:
         the echelon's reduction of its index, relabelled to words."""
@@ -377,52 +382,23 @@ def dbar(algebra: Algebra, n: int):
 
     `solver` is a TrackedEchelon whose columns are d of the degree n-1
     quotient words q, tagged by the word, in the coordinates of degree n
-    (`_solver_coords`): the canonical residual of the word (0,) + q, and on
-    M_k its pi, read once from `_pi` and not kept, which needs no
-    projection of degree n.  d(q) is zero when q0 = 0.  `kernel` lists the
-    dependencies met while adding the columns, as dicts quotient word ->
-    scalar; they are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
-
-    Both coordinates give the same solver outputs.  The scan of
-    `_NecklaceProjection` keeps exactly the words whose pi raise the rank
-    of its echelon, up to the number of necklace classes, so pi maps the
-    span of the quotient words isomorphically onto the necklace space; a
-    word and its residual have the same pi, so pi of a vector is this
-    isomorphism applied to its residual, and dbar solves no residual of a
-    word.  Which columns a TrackedEchelon accepts, the dependencies it
-    returns and its solves are combinations of the columns, unique where
-    they exist, and so do not change under an invertible change of data
-    coordinates.
+    (`AbProjection.coords`): the canonical residual of the word (0,) + q by
+    word index.  d(q) is zero when q0 = 0.  `kernel` lists the dependencies
+    met while adding the columns, as dicts quotient word -> scalar; they
+    are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
     """
     _check_degree(algebra, n)
     hit = algebra._dbar.get(n)
     if hit is not None:
         return hit
-    column = _solver_coords(algebra, n)[1]
+    proj = abelianization(algebra, n)
     solver, kernel = TrackedEchelon(dimension(algebra, n)), []
     for q in abelianization(algebra, n - 1).quotient_words if n else ():
-        dep = solver.add(column((0,) + q) if q[0] else {}, q)
+        dep = solver.add(proj.coords({(0,) + q: Q1}) if q[0] else {}, q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     hit = algebra._dbar[n] = (solver, kernel)
     return hit
-
-
-def _solver_coords(algebra: Algebra, n: int) -> tuple:
-    """(coords, column): the coordinates in which the solver of `dbar` into
-    degree n reads a degree-n dict word -> scalar, and a single word.  On
-    M_k they are pi (`_necklace_coords`, which keeps the pi of each word of
-    its inputs, and `_pi` for a word), and need no projection of degree n;
-    on every other algebra, the canonical residual by word index, summed
-    from the residuals the projection keeps per word (`reduce_terms`)."""
-    if algebra.matrix_size is not None:
-        return partial(_necklace_coords, algebra), partial(_pi, algebra)
-    proj = abelianization(algebra, n)
-    index = proj.index
-
-    def coords(terms):
-        return {index[q]: c for q, c in proj.reduce_terms(terms).items()}
-    return coords, lambda word: coords({word: Q1})
 
 
 def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
@@ -563,13 +539,13 @@ def _phi(k: int) -> tuple:
 def _tables(alg: Algebra) -> list:
     """`Algebra._necklace` of M_k, built on first use: the closed form of
     `_phi`, the path tables of `_paths`, per degree the class `_necklace`
-    gives each letter code `_pi` met, the pi of each word of the inputs of
-    `_necklace_coords`, the dz table of `_dz` (None until its first use)
-    and the rank of dbar out of each degree `_lift_rank` computed."""
+    gives each letter code `_pi` met, the dz table of `_dz` (None until its
+    first use) and the rank of dbar out of each degree `_lift_rank`
+    computed."""
     if alg._necklace is None:
         k = alg.matrix_size
         alg._necklace = [_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
-                         {}, {}, None, {}]
+                         {}, None, {}]
     return alg._necklace
 
 
@@ -617,7 +593,8 @@ def _necklace(code: int, n: int, size: int) -> tuple:
 
 def _pi(alg: Algebra, word: tuple) -> dict:
     """pi of a word of M_k (see `_NecklaceProjection`): necklace -> nonzero
-    int coefficient."""
+    int coefficient.  The scan of `_NecklaceProjection` and its residual
+    solves read it."""
     k, n = alg.matrix_size, word_degree(word)
     paths = _paths(alg, word[1:])
     if word[0]:
@@ -632,19 +609,6 @@ def _pi(alg: Algebra, word: tuple) -> dict:
             hit = classes[code] = _necklace(code, n, alg.dim - 1)
         key, sign = hit
         out[key] = out.get(key, Q0) + sign * v
-    return {key: v for key, v in out.items() if v}
-
-
-def _necklace_coords(alg: Algebra, terms: dict) -> dict:
-    """pi of a homogeneous dict word -> scalar, with the pi of each word
-    kept in `_tables`."""
-    pis, out = _tables(alg)[3], {}
-    for w, c in terms.items():
-        p = pis.get(w)
-        if p is None:
-            p = pis[w] = _pi(alg, w)
-        for key, v in p.items():
-            out[key] = out[key] + c * v if key in out else c * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -663,8 +627,7 @@ class _NecklaceProjection(AbProjection):
     The residual of a word, the combination of quotient words with the
     same pi, is one solve of that echelon (`_residual`, RuntimeError if
     there is none), which `AbProjection.reduce_terms` asks for on first use
-    and keeps per word.
-    `dbar` reads pi itself (`_solver_coords`), so it needs no residual.
+    and keeps per word; `dbar` reads those residuals as on every algebra.
     """
 
     __slots__ = ()
@@ -722,7 +685,7 @@ def _dz(alg: Algebra) -> tuple:
     at z'z'' sums the (1, j) entry of phi_z'(E_ap) times the (j, 1) entry of
     phi_z''(E_qa) over j."""
     tables = _tables(alg)
-    if tables[4] is None:
+    if tables[3] is None:
         k, phi = alg.matrix_size, tables[0]
         size = k * k - 1
         # dE_xy in the rows of `_phi`: {row i: [(letter z, j, c), ...]}
@@ -747,8 +710,8 @@ def _dz(alg: Algebra) -> tuple:
             out = dc(p, q, 1, {})
             table.append(tuple((dc(k - 1, k - 1, -1, out) if p == q
                                 else out).items()))
-        tables[4] = tuple(table)
-    return tables[4]
+        tables[3] = tuple(table)
+    return tables[3]
 
 
 def _lift_rows(alg: Algebra, n: int):
@@ -786,7 +749,7 @@ def _lift_rank(alg: Algebra, n: int) -> int:
     the rows of `_lift_rows`, kept per degree in `_tables`.  Pivots are
     least necklaces, so the rows go in by decreasing code, which keeps the
     echelon's fill-in low."""
-    ranks = _tables(alg)[5]
+    ranks = _tables(alg)[4]
     if n not in ranks:
         ech = Echelon()
         for _, row in _lift_rows(alg, n):
@@ -801,10 +764,10 @@ def _certified_dim(algebra: Algebra, n: int):
 
     It is certified for n >= 1 when A is semisimple, that is when the trace
     form Tr(L_{e_i e_j}) is nondegenerate (in characteristic 0 the same as
-    separable), and r = dim Omega_ab,0 = dim A/[A, A] is 1 or m = dim A.
-    Over the algebraic closure, A (x) Qbar = M_{k_1} x ... x M_{k_r}; r = 1
-    means M_k(Qbar) with D = [m - 1], and r = m means Qbar^m, commutative,
-    with D = J - I.  Then, with eps = (-1)^(n-1),
+    separable).  Over the algebraic closure, A (x) Qbar = M_{k_1} x ... x
+    M_{k_r}, with r = dim Omega_ab,0 = dim A/[A, A] and m = dim A = sum
+    k_i^2, and D = k k^T - I for the block sizes k.  Then, with eps =
+    (-1)^(n-1),
 
         dim Omega_ab,n = (1/n) sum_{k<n} eps^k tr(D^gcd(k, n)).
 
@@ -822,14 +785,16 @@ def _certified_dim(algebra: Algebra, n: int):
     A takes their trace (the generalized trace; Loday, Cyclic Homology,
     1.2), so the k-fold rotation has trace tr(D^gcd(k, n)): the closed
     walks of length n that it fixes repeat a closed walk of length gcd(k,
-    n).  tr(D^g) is (m-1)^g, plus (m-1)(-1)^g when A is commutative.
+    n).  D = k k^T - I has the eigenvalue |k|^2 - 1 = m - 1 once, on k,
+    and -1 with multiplicity r - 1, on the complement of k; so tr(D^g) =
+    (m-1)^g + (r-1)(-1)^g, and no block size is needed.
 
     Base change.  The words are a basis of Omega_n over Q and of Omega_n(A
     (x) Qbar) over Qbar, and over either field the commutators of words,
     whose coordinates are rational, span [Omega, Omega]_n.  So dim
     Omega_ab,n is the corank of one rational matrix and does not change
-    from Q to Qbar: the certificate holds for non-split algebras (Q(i), the
-    quaternions) too.
+    from Q to Qbar, and neither does r, the case n = 0: the certificate
+    holds for non-split algebras (Q(i), the quaternions) too.
 
     Built once per algebra from the degree-0 projection and one m x m rank,
     and kept as `Algebra._ab_spectrum`: the (eigenvalue, multiplicity)
@@ -859,9 +824,6 @@ def _ab_spectrum(algebra: Algebra) -> tuple:
     """The eigenvalues of D with their multiplicities (see `_certified_dim`),
     or () where the certificate does not apply."""
     m, sparse = algebra.dim, algebra.sparse_mul
-    r = len(abelianization(algebra, 0).quotient_words)
-    if r not in (1, m):
-        return ()
     # Tr(L_{e_k}) = sum_j (e_k e_j)_j; the form is sum_k (e_i e_j)_k Tr L_k
     tr = [sum(algebra.mul[k][j][j] for j in range(m)) for k in range(m)]
     form = Echelon()
@@ -870,7 +832,8 @@ def _ab_spectrum(algebra: Algebra) -> tuple:
                   for j in range(m)})
     if form.rank < m:
         return ()
-    return ((m - 1, 1),) if r == 1 else ((m - 1, 1), (-1, m - 1))
+    r = len(abelianization(algebra, 0).quotient_words)
+    return ((m - 1, 1), (-1, r - 1))
 
 
 class AbClass(_WordTerms):
@@ -918,8 +881,7 @@ def is_exact_in_ab(w, n: int):
     """Decide project_ab(w) in Im(dbar: Omega_ab,n-1 -> Omega_ab,n).
 
     Accepts a UForm or AbClass homogeneous of degree n; the solver of
-    `dbar` reads it in the degree's coordinates (`_solver_coords`), on M_k
-    with no projection of degree n.
+    `dbar` reads its canonical residual (`AbProjection.coords`).
     Returns (True, primitive UForm) or (False, None); the primitive v
     satisfies project_ab(d(v)) = project_ab(w).
     """
@@ -927,7 +889,7 @@ def is_exact_in_ab(w, n: int):
         raise FormError("%s is not homogeneous of degree %d"
                         % (type(w).__name__, n))
     solver = dbar(w.algebra, n)[0]
-    sol = solver.solve(_solver_coords(w.algebra, n)[0](w.terms))
+    sol = solver.solve(abelianization(w.algebra, n).coords(w.terms))
     if sol is None:
         return False, None
     return True, UForm(w.algebra, sol)
@@ -947,9 +909,9 @@ def de_rham_homology(algebra: Algebra, n: int):
     scanned and no projection or dbar built.  H_0 is never zero: it holds
     the class of 1, which d kills and [A, A] cannot contain (the trace of
     1 on A is dim A).  Otherwise, and on every other algebra, the
-    representatives are the quotient words' kernel vectors of `dbar`, on
-    M_k with no projection of degree n + 1; there their number must equal
-    the lift's (RuntimeError).
+    representatives are the quotient words' kernel vectors of `dbar`, read
+    in canonical residuals (`AbProjection.coords`); on M_k their number
+    must equal the lift's (RuntimeError).
     """
     _check_degree(algebra, n + 1)
     _check_degree(algebra, n)
@@ -960,7 +922,7 @@ def de_rham_homology(algebra: Algebra, n: int):
         if not lift:
             return 0, []
     _, kernel = dbar(algebra, n + 1)
-    coords = _solver_coords(algebra, n)[0]
+    coords = abelianization(algebra, n).coords
     # a copy, so the memoized solver of dbar never learns the kernel
     image = dbar(algebra, n)[0].copy()
     reps = []

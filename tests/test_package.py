@@ -95,6 +95,38 @@ def test_no_unused_imports():
     assert not found
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_no_dead_private_helpers():
+    # every private module-level function or class, and every private
+    # method, is named somewhere in the package outside its own definition:
+    # a helper that only tests or the benchmark still call is dead code
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    defs = []
+    for path, tree in zip(SOURCES, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(path.name, sub) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+    defs = [(module, node) for module, node in defs if _private(node.name)]
+    named = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            named.setdefault(name, []).append(node)
+    found = []
+    for module, node in defs:
+        inside = {id(sub) for sub in ast.walk(node)}
+        if all(id(ref) in inside for ref in named.get(node.name, ())):
+            found.append("%s:%d %s" % (module, node.lineno, node.name))
+    assert not found
+
+
 def test_mat_names_no_entry_type():
     # Mat reads its entries only through the Terms protocol (terms, _new,
     # _key_product, _key_d, RingError), so the body of class Mat names no

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 import kchern
 from kchern import uforms
 from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
-                            make_matrix_algebra, make_product,
-                            make_truncated_poly)
+                            make_matrix_algebra, make_product)
 from kchern.connections import random_form
 from kchern.exactmath import (Echelon, Poly1, Q0, Q1, TrackedEchelon,
                               rat)
@@ -24,7 +23,7 @@ from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            dbar, differential, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
                            word_product, _certified_dim, _degree,
-                           _generating_set, _necklace, _phi, _solver_coords)
+                           _generating_set, _necklace, _phi)
 
 
 def rand_homogeneous(alg, rng, degree, terms=2):
@@ -611,12 +610,51 @@ class TestCertifiedDimension:
             [0, 1, 0, 1, 0, 1]
         assert _certified_dim(m2, 0) is None
 
+    @staticmethod
+    def semisimple_with_blocks():
+        """(algebra, top, dim Omega_ab,n for n <= top) of semisimple
+        algebras with 1 < dim Omega_ab,0 < dim A: Q[S3] (blocks Q, Q, M2),
+        Q x M2 and M2 x M2, the products built from table copies."""
+        m2 = make_fixture("M2")
+        return ((group_algebra_s3(), 3, [3, 3, 12, 43]),
+                (make_product(make_fixture("Q"), table_copy(m2)), 4,
+                 [2, 3, 7, 23, 67]),
+                (make_product(table_copy(m2), table_copy(m2)), 3,
+                 [2, 6, 22, 118]))
+
+    def test_semisimple_with_blocks(self):
+        # the spectrum ((m - 1, 1), (-1, r - 1)) of D = k k^T - I
+        for alg, top, dims in self.semisimple_with_blocks():
+            self.assert_certified(alg, top)
+            r = len(abelianization(alg, 0).quotient_words)
+            assert alg._ab_spectrum == ((alg.dim - 1, 1), (-1, r - 1))
+            assert [len(abelianization(alg, n).quotient_words)
+                    for n in range(top + 1)] == dims
+
+    def test_planted_spectrum_too_small_raises(self):
+        # one eigenvalue -1 too many on Q[S3] certifies dim Omega_ab,1 =
+        # 5 - 3 = 2 < 3: the span cannot reach the rank target
+        alg = group_algebra_s3()
+        abelianization(alg, 0)
+        alg._ab_spectrum = ((5, 1), (-1, 3))
+        with pytest.raises(RuntimeError, match="certified"):
+            abelianization(alg, 1)
+        assert 1 not in alg._ab
+
+    def test_planted_spectrum_overcount_fails_agreement(self):
+        # one eigenvalue -1 too few certifies dim Omega_ab,1 = 4 > 3: the
+        # feed stops early and raises nothing, so only the agreement with
+        # the unstopped build catches it
+        alg = group_algebra_s3()
+        abelianization(alg, 0)
+        alg._ab_spectrum = ((5, 1), (-1, 1))
+        with pytest.raises(AssertionError):
+            self.assert_certified(alg, 1)
+
     def test_refused(self):
-        # not semisimple (dual, x3), or dim Omega_ab,0 = 2 on a 5-dimensional
-        # algebra (Q x M2): the build is the unstopped one
-        mixed = make_product(make_truncated_poly(1), make_matrix_algebra(2))
+        # not semisimple (dual, x3): the build is the unstopped one
         for alg in (make_fixture("dual"), make_fixture("x3"),
-                    dense_copies("x3", 1, "refused-x3")[0], mixed):
+                    dense_copies("x3", 1, "refused-x3")[0]):
             assert all(_certified_dim(alg, n) is None for n in range(4))
             assert alg._ab_spectrum == ()
             for n in range(3):
@@ -779,15 +817,15 @@ def _quotient_dbar(alg, n):
 
 def _shifted_dbar(alg, n, shift):
     """A wrong dbar into degree n for planting: the degree n-1 quotient
-    word at index i goes to the coordinates (`_solver_coords`: the
-    residual, and pi on M_k) of the word at index i - shift (zero below
-    index 0) instead of i - B**(n-1)."""
+    word at index i goes to the coordinates (`AbProjection.coords`, the
+    canonical residual) of the word at index i - shift (zero below index
+    0) instead of i - B**(n-1)."""
     proj, prev = abelianization(alg, n), abelianization(alg, n - 1)
-    column = _solver_coords(alg, n)[1]
     solver, kernel = TrackedEchelon(len(proj.words)), []
     for q in prev.quotient_words:
         i = prev.index[q] - shift
-        dep = solver.add(column(proj.words[i]) if i >= 0 else {}, q)
+        dep = solver.add(proj.coords({proj.words[i]: Q1}) if i >= 0 else {},
+                         q)
         if dep is not None:
             kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
     return solver, kernel
@@ -989,10 +1027,10 @@ class TestNecklaceProjection:
 
     def test_cold_homology_builds_no_right_table(self):
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
-        # projection and no dbar; at n = 0 the word path reads pi, so it
-        # builds no projection of degree 1 either, and neither homology nor
-        # exactness solves a residual: each projection knows only the
-        # residuals of its quotient words
+        # projection and no dbar; at n = 0 dbar into degree 1 reads the
+        # residuals of the projection of degree 1, and exactness those of
+        # its own degree, all on the necklace path: no right table and no
+        # certificate
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
@@ -1001,17 +1039,14 @@ class TestNecklaceProjection:
             if n:
                 assert alg._ab == {} and alg._dbar == {}, n
             else:
-                assert 1 not in alg._ab and 1 in alg._dbar
-            assert all(set(p._residuals) == set(p.quotient_words)
-                       for p in alg._ab.values()), n
+                assert sorted(alg._ab) == [0, 1] and 1 in alg._dbar
         alg, rng = make_fixture("M2"), random.Random(15)
         for n in (1, 2, 3):
             is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
             is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
                            n)
-        assert sorted(alg._ab) == [0, 1, 2] and alg._right == []
-        assert all(set(p._residuals) == set(p.quotient_words)
-                   for p in alg._ab.values())
+        assert sorted(alg._ab) == [0, 1, 2, 3] and alg._right == []
+        assert alg._ab_spectrum is None
 
     def test_one_word_product_builds_one_entry_per_degree(self):
         # a right-table entry of degree n reads one entry of degree n - 1,
@@ -1040,46 +1075,23 @@ class TestNecklaceProjection:
         assert [project_ab(w) for w in forms] == first
         assert calls == []
 
-    def test_cold_exactness_reads_pi(self):
-        # is_exact_in_ab of degree n on M_k needs dbar into n (the
-        # projection of degree n - 1) and pi, but no projection of degree
-        # n; its verdicts and primitives are those of the echelon path
+    def test_cold_exactness_matches_echelon_path(self):
+        # a cold is_exact_in_ab of degree n on M_k gives the verdicts and
+        # primitives of the echelon path
         rng = random.Random(16)
         for n in (1, 2, 3, 4):
             alg = make_fixture("M2")
             forms = [rand_homogeneous(alg, rng, n, terms=3),
                      rand_homogeneous(alg, rng, n - 1, terms=3).d()]
             got = [is_exact_in_ab(w, n) for w in forms]
-            assert list(alg._ab) == [n - 1], n
             ref = table_copy(alg)
             want = [is_exact_in_ab(UForm(ref, w.terms), n) for w in forms]
             assert [(ok, v and list(v.terms.items())) for ok, v in got] == \
                 [(ok, v and list(v.terms.items())) for ok, v in want], n
             assert got[1][0], n
 
-    def test_dbar_keeps_no_column_pi(self):
-        # dbar reads the pi of each column word (0,) + q once from `_pi`:
-        # the per-word memo keeps none of them, and the solver and kernel
-        # are those of columns read through `_necklace_coords`
-        alg, ref = make_fixture("M2"), make_fixture("M2")
-        for n in range(6):
-            solver, kernel = dbar(alg, n)
-            columns = [(0,) + q for q in abelianization(alg, n - 1)
-                       .quotient_words if q[0]] if n else []
-            assert not set(columns) & set(uforms._tables(alg)[3]), n
-            want, want_kernel = TrackedEchelon(dimension(ref, n)), []
-            for q in abelianization(ref, n - 1).quotient_words if n else ():
-                dep = want.add(uforms._necklace_coords(ref, {(0,) + q: Q1})
-                               if q[0] else {}, q)
-                if dep is not None:
-                    want_kernel.append(
-                        {q: Q1, **{p: -c for p, c in dep.items()}})
-            assert (solver.pivots, solver.tags) == (want.pivots, want.tags)
-            assert [list(v.items()) for v in kernel] == \
-                [list(v.items()) for v in want_kernel], n
-
     def test_planted_shifted_column_fails(self):
-        # a necklace dbar column read off the wrong word, shifted as
+        # a dbar column of M_k read off the wrong word, shifted as
         # `_shifted_dbar` does, must be caught against the echelon path
         for k, top in ((2, 4), (3, 2)):
             alg = make_matrix_algebra(k)
@@ -1126,6 +1138,16 @@ class TestNecklaceProjection:
         self.assert_planted_fails(
             monkeypatch, "_necklace_count",
             lambda alg, n: true(alg, n) + (shift if n else 0))
+
+
+def _form_pi(alg, form):
+    """pi of a homogeneous form of M_k: the sum of `uforms._pi` over its
+    words, necklace -> nonzero coefficient."""
+    out = {}
+    for w, c in form.terms.items():
+        for key, v in uforms._pi(alg, w).items():
+            out[key] = out.get(key, Q0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 def _letter_product(alg, letters, head, t, n):
@@ -1198,9 +1220,8 @@ class TestNecklaceLift:
                 assert len(rows) == uforms._necklace_count(alg, n)
                 for t, row in rows:
                     lift = _letter_product(alg, letters, e11, t, n)
-                    assert uforms._necklace_coords(alg, lift.terms) == {t: 1}
-                    assert uforms._necklace_coords(
-                        alg, lift.d().terms) == row, (k, n, t)
+                    assert _form_pi(alg, lift) == {t: 1}
+                    assert _form_pi(alg, lift.d()) == row, (k, n, t)
 
     def test_de11_term_vanishes(self):
         # pi(dE11 z1...zn) = 0 for every letter tuple: each term of dE11
@@ -1213,7 +1234,7 @@ class TestNecklaceLift:
             for n in range(top + 1):
                 for t in range(len(letters) ** n):
                     form = _letter_product(alg, letters, de11, t, n)
-                    assert uforms._necklace_coords(alg, form.terms) == {}
+                    assert _form_pi(alg, form) == {}
 
     def assert_planted_fails(self, monkeypatch, name, value):
         want = [self.word_ranks(k, top) for k, top in self.TOPS]
