@@ -505,8 +505,9 @@ def _generating_set(algebra: Algebra) -> tuple:
 # For A = M_k(Q) with matrix units E_pq, the L = k^2 - 1 one-forms z_pq =
 # c_pq (p != q) and z_pp = c_pp - c_kk (p < k), where c_ij = sum_a E_ai
 # dE_ja, commute with A, and with Z their span Omega^1 = A (x) Z (Cuntz and
-# Quillen, J. AMS 8, 1995).  Letter z_pq has the number p k + q, the slot
-# of E_pq less one.  With da = sum_z phi_z(a) z, a word is
+# Quillen, J. AMS 8, 1995).  Matrix unit E_pq has the number u = p k + q,
+# its slot less one and the number of letter z_pq (E_kk has neither).  With
+# da = sum_z phi_z(a) z, a word is
 #     a0 da1...dan = sum a0 phi_z1(a1)...phi_zn(an) z1...zn,
 # and the matrix trace identifies Omega_n / [A, Omega_n] with Z^(x)n (the
 # generalized trace; Loday, Cyclic Homology, 1.2).  The Karoubi operator
@@ -518,14 +519,12 @@ def _generating_set(algebra: Algebra) -> tuple:
 
 def _phi(k: int) -> tuple:
     """dE_pq = sum_{i!=p} E_iq z_ip - sum_{j!=q} E_pj z_qj + E_pq (z_pp -
-    z_qq), with z_kk = 0, in closed form: at the slot of E_pq, its terms c
-    E_ij z as {row i: [(letter z, j, c), ...]}.  Slot 0 is the unit, and
-    d1 = 0."""
-    out = [{}]
+    z_qq), with z_kk = 0, for every matrix unit at u = p k + q: its terms c
+    E_ij z as {row i: [(letter z, j, c), ...]}.  E_kk is no special case:
+    its form uses only the letters z_ik and z_kj.  d1 = 0 has no entry."""
+    out = []
     for p in range(k):
         for q in range(k):
-            if p == q == k - 1:
-                break
             rows = {i: [(i * k + p, q, Q1)] for i in range(k) if i != p}
             rows[p] = [(q * k + j, j, -Q1) for j in range(k) if j != q]
             if p != q:
@@ -537,11 +536,11 @@ def _phi(k: int) -> tuple:
 
 
 def _tables(alg: Algebra) -> list:
-    """`Algebra._necklace` of M_k, built on first use: the closed form of
-    `_phi`, the path tables of `_paths`, per degree the class `_necklace`
-    gives each letter code `_pi` met, the dz table of `_dz` (None until its
-    first use) and the rank of dbar out of each degree `_lift_rank`
-    computed."""
+    """`Algebra._necklace` of M_k, built on first use: the dE of each matrix
+    unit at u = p k + q (`_phi`), the path tables of `_paths`, per degree
+    the class `_necklace` gives each letter code `_pi` met, the dz table of
+    `_dz` (None until its first use) and the rank of dbar out of each
+    degree `_lift_rank` computed."""
     if alg._necklace is None:
         k = alg.matrix_size
         alg._necklace = [_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
@@ -552,11 +551,11 @@ def _tables(alg: Algebra) -> list:
 def _paths(alg: Algebra, rest: tuple) -> dict:
     """phi_z1(a1)...phi_zn(an) for rest = (a1, ..., an), summed over the
     letters: (c, j) -> {code of z1...zn: the coefficient of E_cj}.  Built
-    from rest[:-1] and memoized in `_tables`."""
+    from rest[:-1] and `_phi` at a_n - 1, and memoized in `_tables`."""
     phi, memo = _tables(alg)[:2]
     hit = memo.get(rest)
     if hit is None:
-        size, step = alg.dim - 1, phi[rest[-1]]
+        size, step = alg.dim - 1, phi[rest[-1] - 1]
         hit = {}
         for (c, i), codes in _paths(alg, rest[:-1]).items():
             for z, j, x in step.get(i, ()):
@@ -620,10 +619,11 @@ class _NecklaceProjection(AbProjection):
     into necklaces with their signs, is the quotient map onto Omega_ab,n.
     Pivots are minimal indices, so a word is a quotient word iff its pi is
     independent of the pi of all later words: the scan runs from the last
-    word down, adds the pi of each word to `echelon`, a TrackedEchelon over
-    necklaces tagged by the word, and stops at the number of nonzero
-    necklace classes, `_walk_count` with D = [k^2 - 1] (RuntimeError if the
-    words run out first).  The words that raised the rank are its tags.
+    word of the algebra's word table (`_degree`) down, adds the pi of each
+    word to `echelon`, a TrackedEchelon over necklaces tagged by the word,
+    and stops at the number of nonzero necklace classes, `_walk_count` with
+    D = [k^2 - 1] (RuntimeError if the words run out first).  The words
+    that raised the rank are its tags.
     The residual of a word, the combination of quotient words with the
     same pi, is one solve of that echelon (`_residual`, RuntimeError if
     there is none), which `AbProjection.reduce_terms` asks for on first use
@@ -633,7 +633,7 @@ class _NecklaceProjection(AbProjection):
     __slots__ = ()
 
     def __init__(self, algebra: Algebra, n: int):
-        words = enumerate_words(algebra, n)
+        words, index = _degree(algebra, n)[:2]
         count = _necklace_count(algebra, n)
         ech = TrackedEchelon((algebra.dim - 1) ** n)
         for w in reversed(words):
@@ -644,9 +644,7 @@ class _NecklaceProjection(AbProjection):
             raise RuntimeError(
                 "the words of degree %d span %d of the %d necklace classes"
                 % (n, ech.rank, count))
-        super().__init__(algebra, n, words,
-                         {w: i for i, w in enumerate(words)}, ech,
-                         sorted(ech.tags))
+        super().__init__(algebra, n, words, index, ech, sorted(ech.tags))
 
     def _residual(self, w) -> dict:
         """The combination of quotient words with the pi of w: one solve
@@ -680,27 +678,19 @@ def _dz(alg: Algebra) -> tuple:
     tr(E11 M) nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
 
     z_pq = c_pq = sum_a E_ap dE_qa, so dc_pq = sum_a dE_ap dE_qa, and z_pp =
-    c_pp - c_kk.  With dE_xy = sum_z phi_z(E_xy) z from `_phi` (dE_kk =
-    -sum_{l<k} dE_ll, E_kk not being a basis element), tr(E11 dE_ap dE_qa)
-    at z'z'' sums the (1, j) entry of phi_z'(E_ap) times the (j, 1) entry of
-    phi_z''(E_qa) over j."""
+    c_pp - c_kk.  With dE_xy = sum_z phi_z(E_xy) z read at x k + y of
+    `_phi` (E_kk included), tr(E11 dE_ap dE_qa) at z'z'' sums the (1, j)
+    entry of phi_z'(E_ap) times the (j, 1) entry of phi_z''(E_qa) over j."""
     tables = _tables(alg)
     if tables[3] is None:
         k, phi = alg.matrix_size, tables[0]
         size = k * k - 1
-        # dE_xy in the rows of `_phi`: {row i: [(letter z, j, c), ...]}
-        de = {(x, y): phi[1 + x * k + y] for x in range(k) for y in range(k)
-              if x != k - 1 or y != k - 1}
-        de[k - 1, k - 1] = last = {}
-        for l in range(k - 1):
-            for i, terms in phi[1 + l * (k + 1)].items():
-                last.setdefault(i, []).extend((z, j, -c) for z, j, c in terms)
 
         def dc(p, q, sign, out):
             for a in range(k):
-                right = de[q, a]
+                right = phi[q * k + a]
                 accumulate(((z1 * size + z2, sign * c1 * c2)
-                            for z1, j, c1 in de[a, p].get(0, ())
+                            for z1, j, c1 in phi[a * k + p].get(0, ())
                             for z2, i, c2 in right.get(j, ()) if i == 0), out)
             return out
 

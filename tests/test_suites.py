@@ -9,7 +9,7 @@ from kchern import connections, khat, suites, transgression, uforms
 from kchern.connections import (Connection, Idempotent, ModuleIso,
                                 direct_sum, pullback, random_automorphism,
                                 random_connection, random_idempotent)
-from kchern.fixtures import make_fixture
+from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
                          verify_kcs_equivalence)
 from kchern.suites import (SUITES, run_chern_suite, run_hexagon_suite,
@@ -65,6 +65,21 @@ def test_planted_defect_fails_the_check(monkeypatch, name, suite, fixture,
     assert rep["status"] == "fail"
     assert [c["status"] for c in rep["checks"] if c["name"] == name] == [
         status]
+
+
+def test_short_word_list_fails_the_dimension_law(monkeypatch):
+    # `dimension law` compares `dimension` with the formula and with the
+    # words `enumerate_words` lists: one word short in every degree must
+    # fail it on every fixture, and the real list passes
+    def law(rep):
+        return {c["fixture"]: c["status"] for c in rep["checks"]
+                if c["name"] == "dimension law"}
+
+    assert law(run_suite("dga", 7)) == dict.fromkeys(FIXTURE_NAMES, "pass")
+    real = suites.enumerate_words
+    monkeypatch.setattr(suites, "enumerate_words",
+                        lambda alg, n: real(alg, n)[:-1])
+    assert law(run_suite("dga", 7)) == dict.fromkeys(FIXTURE_NAMES, "fail")
 
 
 # F6's survivors: odd_chern mutants that no check can see yet, because every

@@ -798,6 +798,56 @@ class TestHomology:
                 assert project_ab(prim.d()) == target
 
 
+class TestHomologyOracle:
+    """F12's dimensions as an oracle: H_0 = r and, for n >= 1, H_n = r - 1
+    in even degrees and 0 in odd ones, with r the number of simple blocks
+    of (A/J) (x) Qbar.  r is stated per algebra with its reason; nothing
+    in `uforms` computes it."""
+
+    BLOCKS = {
+        "Q": 1,     # a field
+        "dual": 1,  # local: A/J = Q
+        "x3": 1,    # local: A/J = Q
+        "M2": 1,    # simple, and M2(Qbar) stays simple
+        "QxQ": 2,   # two copies of Q
+        "C2": 2,    # Q x Q, split by the idempotents (1 +- g)/2
+    }
+
+    @staticmethod
+    def dims(alg, top):
+        return [de_rham_homology(alg, n)[0] for n in range(top + 1)]
+
+    @staticmethod
+    def want(r, top):
+        return [r] + [0 if n % 2 else r - 1 for n in range(1, top + 1)]
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        assert self.dims(make_fixture(name), 4) == \
+            self.want(self.BLOCKS[name], 4)
+
+    def test_m2_to_degree_8(self):
+        assert self.dims(make_fixture("M2", degree_cap=9), 8) == \
+            self.want(1, 8)
+
+    def test_products(self):
+        q = make_fixture("Q")
+        # three copies of Q; Q and M2, each simple over Qbar
+        for alg, r in ((make_product(make_fixture("QxQ"), q), 3),
+                       (make_product(q, make_fixture("M2")), 2)):
+            assert self.dims(alg, 3) == self.want(r, 3), r
+
+    def test_planted_wrong_eps_fails(self, monkeypatch):
+        # the M2 case must catch it, by a dimension or the lift's refusal
+        true = uforms._eps
+        monkeypatch.setattr(uforms, "_eps", lambda n: -true(n))
+        try:
+            dims = self.dims(make_fixture("M2", degree_cap=9), 8)
+        except RuntimeError:
+            return
+        assert dims != self.want(1, 8)
+
+
 def _quotient_dbar(alg, n):
     """dbar into degree n in quotient coordinates, the k-th coordinate the
     k-th quotient word of degree n: each degree n-1 quotient word q is
@@ -978,6 +1028,11 @@ def _letters(alg, k):
             for p in range(k) for q in range(k)][:-1]
 
 
+def _right_entries(alg):
+    """The right-table entries built so far on `alg`, over all degrees."""
+    return sum(len(col) for _, _, right in alg._right for col in right[1:])
+
+
 class TestNecklaceProjection:
     """`make_matrix_algebra(k)` projects in necklace coordinates; its table
     copy, on the echelon path, is the oracle."""
@@ -1005,16 +1060,31 @@ class TestNecklaceProjection:
                                       (a, z)) is None
             assert solver.rank == len(index)
             phi = _phi(k)
-            assert len(phi) == alg.dim and phi[0] == {}
-            for s in range(1, alg.dim):
-                sol = solver.solve({index[w]: v for w, v in UForm.from_element(
-                    alg.basis(s)).d().terms.items()})
-                closed = {}
-                for i, terms in phi[s].items():
+            assert len(phi) == k * k
+
+            def solved(s):
+                return solver.solve({index[w]: v for w, v in UForm
+                                     .from_element(alg.basis(s)).d().terms
+                                     .items()})
+
+            def closed(u):
+                out = {}
+                for i, terms in phi[u].items():
                     for z, j, x in terms:
                         for a, v in _matrix_unit(alg, k, i, j).terms.items():
-                            closed[a, z] = closed.get((a, z), Q0) + x * v
-                assert sol == {key: v for key, v in closed.items() if v}
+                            out[a, z] = out.get((a, z), Q0) + x * v
+                return {key: v for key, v in out.items() if v}
+
+            # unit u = p k + q sits at slot u + 1
+            for s in range(1, alg.dim):
+                assert closed(s - 1) == solved(s), (k, s)
+            # E_kk has no slot: dE_kk = -sum_{l<k} dE_ll
+            want = {}
+            for l in range(k - 1):
+                for key, v in solved(1 + l * k + l).items():
+                    want[key] = want.get(key, Q0) - v
+            assert closed(k * k - 1) == \
+                {key: v for key, v in want.items() if v}, k
 
     def test_necklace_count_is_certified(self):
         # the nonzero classes `_necklace` keeps, counted one by one
@@ -1029,23 +1099,27 @@ class TestNecklaceProjection:
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
         # projection and no dbar; at n = 0 dbar into degree 1 reads the
         # residuals of the projection of degree 1, and exactness those of
-        # its own degree, all on the necklace path: no right table and no
-        # certificate
+        # its own degree, all on the necklace path: the scans share the
+        # word tables of `_degree`, but no right-table entry is built, and
+        # no certificate
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
             assert alg._ab_spectrum is None
-            assert alg._right == []
+            assert _right_entries(alg) == 0, n
             if n:
                 assert alg._ab == {} and alg._dbar == {}, n
+                assert alg._right == [], n
             else:
                 assert sorted(alg._ab) == [0, 1] and 1 in alg._dbar
+                assert len(alg._right) == 2
         alg, rng = make_fixture("M2"), random.Random(15)
         for n in (1, 2, 3):
             is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
             is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
                            n)
-        assert sorted(alg._ab) == [0, 1, 2, 3] and alg._right == []
+        assert sorted(alg._ab) == [0, 1, 2, 3] and len(alg._right) == 4
+        assert _right_entries(alg) == 0
         assert alg._ab_spectrum is None
 
     def test_one_word_product_builds_one_entry_per_degree(self):
@@ -1053,8 +1127,7 @@ class TestNecklaceProjection:
         # so a product with a degree-7 left factor builds at most 8
         alg = table_copy(make_fixture("M2"))
         word_product(alg, (1,) + (2, 3) * 3 + (1,), (3, 2))
-        built = [len(col) for _, _, right in alg._right for col in right[1:]]
-        assert 0 < sum(built) <= 8, built
+        assert 0 < _right_entries(alg) <= 8
 
     def test_warm_projection_solves_nothing(self, monkeypatch):
         # the residual of each word is solved once and kept: a second
@@ -1119,9 +1192,10 @@ class TestNecklaceProjection:
         true = uforms._phi
 
         def flipped(k):
+            # dE11, the entry of unit 0
             out = list(true(k))
-            (i, ((z, j, c), *rest)), *_ = out[1].items()
-            out[1] = {**out[1], i: [(z, j, -c), *rest]}
+            (i, ((z, j, c), *rest)), *_ = out[0].items()
+            out[0] = {**out[0], i: [(z, j, -c), *rest]}
             return tuple(out)
 
         self.assert_planted_fails(monkeypatch, "_phi", flipped)
@@ -1262,6 +1336,20 @@ class TestNecklaceLift:
             return tuple(table)
 
         self.assert_planted_fails(monkeypatch, "_dz", dropped)
+
+    def test_planted_ekk_phi_coefficient_fails(self, monkeypatch):
+        # only `_dz` reads E_kk's entry of `_phi` (for z_pp = c_pp - c_kk),
+        # so a flip there must reach the lift's ranks
+        true = uforms._phi
+
+        def flipped(k):
+            out = list(true(k))
+            rows = out[k * k - 1]
+            (z, j, c), *rest = rows[min(rows)]
+            out[k * k - 1] = {**rows, min(rows): [(z, j, -c), *rest]}
+            return tuple(out)
+
+        self.assert_planted_fails(monkeypatch, "_phi", flipped)
 
     def test_planted_wrong_eps_fails(self, monkeypatch):
         true = uforms._eps
