@@ -7,8 +7,8 @@ process); validated homomorphisms.
 
 from __future__ import annotations
 
-from .exactmath import (Q0, Q1, Terms, checked, rat, rat_from_str,
-                        rat_to_str)
+from .exactmath import (Q0, Q1, Terms, accumulate, checked, rat,
+                        rat_from_str, rat_to_str)
 
 
 class AlgebraError(ValueError):
@@ -60,10 +60,10 @@ class Algebra:
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
-    `_add_product`, the one product step of elements (for
-    `AlgElement.__mul__` and the associativity check), the matrix product
-    of `connections.Mat` (through `AlgElement._key_product`) and the word
-    products of `uforms` read it; all skip zero coefficients.
+    The element product `AlgElement.__mul__`, the associativity check of
+    `_validate`, the matrix product of `connections.Mat` (through
+    `AlgElement._key_product`) and the word products of `uforms` read it;
+    all skip zero coefficients.
     """
 
     def __init__(self, mul, names=None, degree_cap: int = 8):
@@ -125,9 +125,11 @@ class Algebra:
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    left, right = [Q0] * m, [Q0] * m
-                    self._add_product(left, sparse[i][j], ((k, Q1),))
-                    self._add_product(right, ((i, Q1),), sparse[j][k])
+                    # (e_i e_j) e_k and e_i (e_j e_k), row by row
+                    left = accumulate((l, c * s) for p, c in sparse[i][j]
+                                      for l, s in sparse[p][k])
+                    right = accumulate((l, c * s) for p, c in sparse[j][k]
+                                       for l, s in sparse[i][p])
                     if left != right:
                         raise AlgebraError(
                             "associativity fails on triple (%s, %s, %s)"
@@ -139,16 +141,6 @@ class Algebra:
     def elem_mul(self, a, b):
         """Vectors a*b; only `perfbench/workloads.py` still calls it."""
         return (AlgElement(self, a) * AlgElement(self, b)).vec
-
-    def _add_product(self, acc, a, b):
-        """acc += a * b, for a and b given by their nonzero terms."""
-        sparse = self.sparse_mul
-        for i, ca in a:
-            row = sparse[i]
-            for j, cb in b:
-                c = ca * cb
-                for k, s in row[j]:
-                    acc[k] += c * s
 
     def unit(self) -> "AlgElement":
         return AlgElement(self, self._basis_vec(0))
@@ -181,9 +173,10 @@ class AlgElement(Terms):
     coefficient vector, and `vec` gives it back.
 
     Sums, differences, negation, `scale`, `==` and `hash` are those of
-    `Terms`; a scalar multiple is `scale`, never `*`.  The product is
-    `Algebra._add_product`, and `_key_product` gives `connections.Mat` the
-    same structure constants as a rule on basis indices.
+    `Terms`; a scalar multiple is `scale`, never `*`.  The product sums
+    ca * cb * s over the terms (k, s) of `Algebra.sparse_mul[i][j]`, and
+    `_key_product` gives `connections.Mat` the same structure constants as
+    a rule on basis indices.
     """
 
     __slots__ = ()
@@ -208,11 +201,11 @@ class AlgElement(Terms):
     __add__ = Terms.__add__
 
     def __mul__(self, other):
-        alg = self.algebra
-        acc = [Q0] * alg.dim
-        alg._add_product(acc, self.terms.items(),
-                         checked(self, other).terms.items())
-        return self.from_terms(alg, enumerate(acc))
+        b = checked(self, other).terms.items()
+        sparse = self.algebra.sparse_mul
+        return self._like(accumulate(
+            (k, ca * cb * s) for i, ca in self.terms.items()
+            for j, cb in b for k, s in sparse[i][j]))
 
     def __rmul__(self, other):
         return NotImplemented

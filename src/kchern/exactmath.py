@@ -231,16 +231,6 @@ def coeff_integral(a: dict, b: dict, rows: dict):
     return total
 
 
-_RECIPROCALS = [1]      # 1/(k + 1) at index k, grown on demand
-
-
-def _reciprocals(n: int) -> list:
-    """The weights 1/(k + 1) for k < n (at least), as stored rationals."""
-    while len(_RECIPROCALS) < n:
-        _RECIPROCALS.append(Fraction(1, len(_RECIPROCALS) + 1))
-    return _RECIPROCALS
-
-
 class Poly:
     """Polynomial over Q in NVARS commuting variables (the parameters of a
     family), as a sparse map exponent tuple -> nonzero rational (see `rat`).
@@ -355,21 +345,18 @@ class Poly:
 
     def integrate01(self, i: int):
         """Definite integral of variable i over [0, 1], exact: the term
-        c x_i^k gives c/(k + 1).  Integer coefficients are summed over one
-        common denominator, the lcm of the k + 1, and divided once per
-        remaining exponent; other coefficients take the cached weights."""
+        c x_i^k gives c/(k + 1).  The terms are summed over one common
+        denominator, the lcm of the k + 1, and divided once per remaining
+        exponent.  At den = 1 every k is 0, so each remaining exponent has
+        one term, already stored as `rat` gives it."""
         cs = self.coeffs
-        if all(type(c) is int for c in cs.values()):
-            den = lcm(*(e[i] + 1 for e in cs))
-            sums = {}
-            for e, c in cs.items():
-                rest = e[:i] + e[i + 1:]
-                sums[rest] = sums.get(rest, 0) + c * (den // (e[i] + 1))
-            return self._drop({e: rat(Fraction(n, den)) if den != 1 else n
-                               for e, n in sums.items() if n})
-        weights = _reciprocals(max(e[i] for e in cs) + 1)
-        return self._drop(accumulate((e[:i] + e[i + 1:], c * weights[e[i]])
-                                     for e, c in cs.items()))
+        den = lcm(*(e[i] + 1 for e in cs))
+        sums = {}
+        for e, c in cs.items():
+            rest = e[:i] + e[i + 1:]
+            sums[rest] = sums.get(rest, 0) + c * (den // (e[i] + 1))
+        return self._drop({e: rat(Fraction(n, den)) if den != 1 else n
+                           for e, n in sums.items() if n})
 
     def subs(self, i: int, x):
         """Evaluate variable i at the rational x."""

@@ -286,26 +286,39 @@ def _entrywise_product(alg, x, y):
     return out
 
 
+def _stored(elements):
+    """Whether every coefficient is stored as `rat` gives it: integral
+    results as int."""
+    return not any(type(c) is Fraction and c.denominator == 1
+                   for e in elements for c in e.terms.values())
+
+
 def _kernel_agrees(alg, seed, trials=8):
+    """(Mat products agree, element products agree): whether Mat products
+    of seeded matrices, and `AlgElement.__mul__` on their entries paired
+    position by position, equal `_entrywise_product` and store their
+    results as `rat` gives them."""
     rng = random.Random(seed)
+    mats = elements = True
     for _ in range(trials):
         n = rng.randint(1, 4)
         x = _random_kernel_rows(alg, n, rng)
         y = _random_kernel_rows(alg, n, rng)
         entries = (Mat(x) * Mat(y)).entries
-        if entries != _entrywise_product(alg, x, y):
-            return False
-        # integral results are stored as int
-        if any(type(c) is Fraction and c.denominator == 1
-               for row in entries for e in row for c in e.vec):
-            return False
-    return True
+        mats = mats and entries == _entrywise_product(alg, x, y) and _stored(
+            e for row in entries for e in row)
+        pairs = [(a, b) for ra, rb in zip(x, y) for a, b in zip(ra, rb)]
+        products = [a * b for a, b in pairs]
+        elements = elements and products == [
+            _entrywise_product(alg, [[a]], [[b]])[0][0]
+            for a, b in pairs] and _stored(products)
+    return mats, elements
 
 
 class TestProductKernel:
     def test_matches_entrywise_products(self):
         for name in FIXTURE_NAMES:
-            assert _kernel_agrees(make_fixture(name), 40), name
+            assert _kernel_agrees(make_fixture(name), 40) == (True, True), name
 
     def test_planted_structure_constant_fails(self):
         # one wrong constant in the sparse table, for every pair (i, j)
@@ -322,7 +335,8 @@ class TestProductKernel:
                         tuple(tuple(terms) if (a, b) == (i, j) else t
                               for b, t in enumerate(row))
                         for a, row in enumerate(table))
-                    assert not _kernel_agrees(bad, 41, trials=30), (name, i, j)
+                    assert _kernel_agrees(bad, 41, trials=30) == (
+                        False, False), (name, i, j)
 
     def test_mixed_entries_raise(self):
         dual, x3 = make_fixture("dual"), make_fixture("x3")
@@ -334,6 +348,11 @@ class TestProductKernel:
             a * a.map(UForm.from_element)
         with pytest.raises(AlgebraError):
             a * Mat([[dual.unit(), x3.zero()], [dual.zero(), dual.unit()]])
+        # an element product checks its operand before it reads any term
+        for left, right in ((dual.zero(), x3.unit()), (dual.unit(), x3.zero()),
+                            (dual.zero(), x3.zero())):
+            with pytest.raises(AlgebraError):
+                left * right
         # an equal algebra built twice is the same algebra
         again = make_fixture("dual")
         assert a * a.map(lambda e: again.element(e.vec)) == a

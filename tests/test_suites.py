@@ -2,13 +2,18 @@
 exercises is made wrong, or its "pass" would show nothing."""
 
 import random
+from fractions import Fraction
+from itertools import product
+from math import lcm, prod
 
 import pytest
 
-from kchern import connections, khat, suites, transgression, uforms
+from kchern import (connections, exactmath, khat, suites, transgression,
+                    uforms)
 from kchern.connections import (Connection, Idempotent, ModuleIso,
                                 direct_sum, pullback, random_automorphism,
-                                random_connection, random_idempotent)
+                                random_connection, random_idempotent, sum_iso)
+from kchern.exactmath import Poly, accumulate
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
                          verify_kcs_equivalence)
@@ -82,6 +87,79 @@ def test_short_word_list_fails_the_dimension_law(monkeypatch):
     assert law(run_suite("dga", 7)) == dict.fromkeys(FIXTURE_NAMES, "fail")
 
 
+# ---------------------------------------------------------------------------
+# L0 integral mutants: weights 1/(k + 2) where the integral of x^k over
+# [0, 1] is 1/(k + 1)
+# ---------------------------------------------------------------------------
+
+def _shifted_integrate01(self, i):
+    return self._drop(accumulate((e[:i] + e[i + 1:], Fraction(c, e[i] + 2))
+                                 for e, c in self.coeffs.items()))
+
+
+def _shifted_integral_weights(bounds):
+    den = prod(lcm(*range(1, b + 3)) for b in bounds)
+    return den, {
+        e1: {e2: den // prod(x + y + 2 for x, y in zip(e1, e2))
+             for e2 in product(*(range(b - x + 1)
+                                 for b, x in zip(bounds, e1)))}
+        for e1 in product(*(range(b + 1) for b in bounds))}
+
+
+def _patch_integrate01(monkeypatch):
+    monkeypatch.setattr(Poly, "integrate01", _shifted_integrate01)
+
+
+def _patch_integral_weights(monkeypatch):
+    # every module that binds the name: transgression imports it
+    for module in (exactmath, transgression):
+        monkeypatch.setattr(module, "integral_weights",
+                            _shifted_integral_weights)
+
+
+def _pairs(*checks):
+    return {(check, name) for check, names in checks for name in names}
+
+
+# (check, fixture) pairs of the transgression suite at seed 7, with
+# N_PATHS, N_PAIRS, N_CLOSED and N_TRIPLES at 1, that each mutant fails
+INTEGRAL_MUTANTS = {
+    "integrate01": (_patch_integrate01, _pairs(
+        ("homotopy formula", FIXTURE_NAMES),
+        ("closed-form agreement", ("M2", "dual", "x3")),
+        ("path identities", ("M2",)),
+        ("secondary transgression", ("M2", "x3")))),
+    "integral_weights": (_patch_integral_weights, _pairs(
+        ("closed-form agreement", ("M2", "dual", "x3")),
+        ("path identities", ("M2", "x3")),
+        ("secondary transgression", ("x3",)),
+        ("triangle law", ("M2", "x3")))),
+}
+
+
+class TestIntegralMutants:
+    @pytest.fixture
+    def few(self, monkeypatch):
+        for count in ("N_PATHS", "N_PAIRS", "N_CLOSED", "N_TRIPLES"):
+            monkeypatch.setattr(suites, count, 1)
+
+    @staticmethod
+    def failed(rep):
+        return {(c["name"], c["fixture"]) for c in rep["checks"]
+                if c["status"] == "fail"}
+
+    def test_unpatched_suite_passes(self, few):
+        rep = run_transgression_suite(7)
+        assert rep["status"] == "pass"
+
+    @pytest.mark.parametrize("mutant", sorted(INTEGRAL_MUTANTS))
+    def test_mutant_fails_its_checks(self, monkeypatch, few, mutant):
+        patch, pairs = INTEGRAL_MUTANTS[mutant]
+        patch(monkeypatch)
+        rep = run_transgression_suite(7)
+        assert pairs <= self.failed(rep), pairs - self.failed(rep)
+
+
 # F6's survivors: odd_chern mutants that no check can see yet, because every
 # automorphism the hexagon suite draws is a scalar multiple of p (F1) and no
 # fixture has an odd class (F2).  A fixture or generator that gives the odd
@@ -114,6 +192,38 @@ def test_odd_chern_survivor_fails_the_hexagon_suite(monkeypatch, mutant):
         # instead of xfailing
         pytest.fail("the mutant was never called")
     assert rep["status"] == "fail"
+
+
+# F1's survivors: sum_iso mutants that `odd chern laws` cannot see, because
+# the odd Chern forms of the scalar automorphisms it draws vanish, so a block
+# sum with a wrong second block changes no form.  A generator of non-scalar
+# automorphisms turns these into passes; then drop the marker.
+SUM_ISO_SURVIVORS = {
+    "sum_iso_b_inverse": lambda a, b: sum_iso(a, b.inverse()),
+    "sum_iso_b_identity": lambda a, b: sum_iso(
+        a, ModuleIso.identity(b.p0)),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "F1: every drawn automorphism is a scalar multiple of p, so its odd "
+    "Chern forms vanish and the block-sum law cannot tell the mutant"))
+@pytest.mark.parametrize("mutant", sorted(SUM_ISO_SURVIVORS))
+def test_sum_iso_survivor_fails_odd_chern_laws(monkeypatch, mutant):
+    calls = []
+
+    def plant(a, b):
+        calls.append(1)
+        return SUM_ISO_SURVIVORS[mutant](a, b)
+
+    monkeypatch.setattr(suites, "sum_iso", plant)
+    rep = run_hexagon_suite(7, fixtures=["dual", "x3"])
+    if not calls:
+        # not an AssertionError, so a plant that never runs fails the test
+        # instead of xfailing
+        pytest.fail("the mutant was never called")
+    assert "fail" in [c["status"] for c in rep["checks"]
+                      if c["name"] == "odd chern laws"]
 
 
 # ---------------------------------------------------------------------------
