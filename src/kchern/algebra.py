@@ -45,8 +45,8 @@ class Algebra:
     (`uforms._certified_dim`; empty where no certificate applies),
     `_generators` the basis indices of the generating set that the
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
-    the closed-form differentials of M_k, the path tables, necklace
-    classes, dz table and E11-lift ranks of `uforms._tables`.
+    the closed-form differentials (`uforms._phi`), dz table and E11-lift
+    ranks of M_k that `uforms._tables` keeps.
     The caches belong to one instance: a rule replaced at run time (a
     monkeypatched `word_product`, `grading_sign` or sign table) is seen
     only by an algebra that has not yet cached what it feeds, so a test
@@ -54,9 +54,8 @@ class Algebra:
 
     `matrix_size` is the k that `make_matrix_algebra(k)` records on the
     M_k(Q) it builds, and None on every other algebra, one built from an
-    equal table included.  Where it is set, `uforms.abelianization`
-    projects in necklace coordinates instead of building the commutator
-    echelon; the outputs are the same.
+    equal table included.  Only the E11 lift of `uforms.de_rham_homology`
+    reads it; the outputs are the same either way.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.

@@ -17,6 +17,7 @@ divided back into Q once, at the end of its reduction.
 from __future__ import annotations
 
 import heapq
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, prod
@@ -48,13 +49,24 @@ def rat_to_str(q) -> str:
 def rat_from_str(s: str):
     """Parse a "num/den" (or integer) string into its stored form.  A
     string `int` reads is an integer, with the value `Fraction` gives it;
-    `Fraction` parses every other string."""
+    `Fraction` parses every other string.  A decimal exponent whose value
+    would need more digits than `int` reads in one literal
+    (`sys.get_int_max_str_digits()`, where 0 means no limit) is refused
+    with ValueError before any power of 10 is computed: the significant
+    digits of the mantissa (at least one) plus |exponent|."""
     if not isinstance(s, str):
         raise TypeError("rationals are \"num/den\" strings, not %r" % (s,))
     try:
         return int(s)
     except ValueError:
         pass
+    head, e, exp = s.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if e and limit:
+        digits = "".join(c for c in head if c.isdigit()).lstrip("0")
+        if max(len(digits), 1) + abs(int(exp)) > limit:
+            raise ValueError("%r needs more than %d digits"
+                             % (s[:40], limit))
     try:
         return rat(Fraction(s))
     except ZeroDivisionError:

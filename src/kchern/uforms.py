@@ -11,20 +11,17 @@ The product is computed by the boundary rewriting rule
 da*b = d(ab) - a*db (a degree-0 move, no Koszul signs), the differential by
 a0 da1...dan -> d(a0bar) da1...dan.  The abelianization quotient by graded
 commutators, noncommutative de Rham homology, extension of algebra homs to
-DGA maps, and exactness certificates live here as well.  The descended
-differential dbar into each degree is built once per algebra (`dbar`);
-exactness solves and homology both read that one copy.  On M_k, whose
-k `make_matrix_algebra` records as `Algebra.matrix_size`, the projection
-is computed in necklace coordinates, where one tracked echelon of the
-words' necklace vectors both picks the quotient words and solves each
-word's residual, kept per word; on every other algebra, from the
-echelonized commutators.  Both give the same canonical residuals, and
-dbar solves in them on every algebra (`AbProjection.coords`).  Homology on
-M_k in a degree n >= 1 first reads dim H_n off the ranks of dbar taken
-directly on necklaces, through the E11 lift of each (`_lift_rank`, with
-one closed-form dz table, `_dz`): where H_n = 0, no word of any degree is
-touched; otherwise the representatives are read off `dbar` in quotient
-words.
+DGA maps, and exactness certificates live here as well.  Every algebra
+projects onto the quotient through one commutator echelon per degree
+(`abelianization`), whose reductions give canonical residuals, kept per
+word.  The descended differential dbar into each degree is built once per
+algebra (`dbar`) in those residuals (`AbProjection.coords`); exactness
+solves and homology both read that one copy.  Homology on M_k, whose k
+`make_matrix_algebra` records as `Algebra.matrix_size`, in a degree n >= 1
+first reads dim H_n off the ranks of dbar taken directly on necklaces,
+through the E11 lift of each (`_lift_rank`, with one closed-form dz table,
+`_dz`): where H_n = 0, no word of any degree is touched; otherwise the
+representatives are read off `dbar` in quotient words.
 """
 
 from __future__ import annotations
@@ -288,38 +285,33 @@ class AbProjection:
     """Projection of Omega^u_n onto Omega^u_n(A)_ab.
 
     The quotient words are the non-pivot words of the echelonized
-    graded-commutator span at degree n, in the degree's word indices
-    (`words`, and `index` its inverse); `reduce_terms` gives the canonical
-    residual of a dict word -> scalar, supported on them.  This class reads
-    both off that `echelon` (its `reduce` works in word indices);
-    `_NecklaceProjection` finds the same words and residuals for M_k with
-    an echelon over necklaces instead.
+    graded-commutator span at degree n (`_commutator_projection`), in the
+    degree's word indices (`words`, and `index` its inverse);
+    `reduce_terms` gives the canonical residual of a dict word -> scalar,
+    supported on them.
 
-    `reduce_terms` is the one reduction of both: it sums c * residual(w)
-    over the terms, with the residual of each word kept in `_residuals`
-    (each quotient word maps to itself) and found on a miss by the one
-    hook `_residual`.  This is sound because the canonical residual is
-    linear: it is the unique vector on the quotient words congruent to its
-    input modulo the row span, so the residual of a sum is the sum of the
-    residuals.  And a projection's echelon is never changed after
-    `abelianization` returns it, so a kept residual stays canonical.
+    `reduce_terms` sums c * residual(w) over the terms, with the residual of
+    each word, the echelon's reduction of its index, kept in `_residuals`
+    (each quotient word maps to itself).  This is sound because the
+    canonical residual is linear: it is the unique vector on the quotient
+    words congruent to its input modulo the row span, so the residual of a
+    sum is the sum of the residuals.  And a projection's echelon is never
+    changed after `abelianization` returns it, so a kept residual stays
+    canonical.
     """
 
     __slots__ = ("algebra", "degree", "words", "index", "echelon",
                  "quotient_words", "_residuals")
 
-    def __init__(self, algebra, degree, words, index, echelon,
-                 quotient_words=None):
+    def __init__(self, algebra, degree, words, index, echelon):
         self.algebra = algebra
         self.degree = degree
         self.words = words
         self.index = index
         self.echelon = echelon
-        if quotient_words is None:
-            quotient_words = [w for i, w in enumerate(words)
-                              if i not in echelon.pivots]
-        self.quotient_words = quotient_words
-        self._residuals = {q: {q: Q1} for q in quotient_words}
+        self.quotient_words = [w for i, w in enumerate(words)
+                               if i not in echelon.pivots]
+        self._residuals = {q: {q: Q1} for q in self.quotient_words}
 
     def coords(self, terms: dict) -> dict:
         """The canonical residual of a degree-n dict word -> scalar by word
@@ -327,21 +319,15 @@ class AbProjection:
         index = self.index
         return {index[q]: c for q, c in self.reduce_terms(terms).items()}
 
-    def _residual(self, w) -> dict:
-        """The canonical residual of the word w, quotient word -> rational:
-        the echelon's reduction of its index, relabelled to words."""
-        words = self.words
-        return {words[i]: c for i, c in
-                self.echelon.reduce({self.index[w]: Q1}).items()}
-
     def reduce_terms(self, terms: dict) -> dict:
         """Canonical residual of a degree-n coefficient dict word -> scalar,
         its rationals stored as `rat` gives them, keys sorted."""
-        residuals, out = self._residuals, {}
+        residuals, words, out = self._residuals, self.words, {}
         for w, c in terms.items():
             res = residuals.get(w)
             if res is None:
-                res = residuals[w] = self._residual(w)
+                res = residuals[w] = {words[i]: r for i, r in self.echelon
+                                      .reduce({self.index[w]: Q1}).items()}
             for q, r in res.items():
                 out[q] = out[q] + c * r if q in out else c * r
         return {q: rat(v) if type(v) is Fraction else v
@@ -358,21 +344,14 @@ def _check_degree(algebra: Algebra, n: int):
 
 
 def abelianization(algebra: Algebra, n: int) -> AbProjection:
-    """Quotient projection of degree n by graded commutators (memoized):
-    in necklace coordinates for M_k (`_NecklaceProjection`, where
-    `Algebra.matrix_size` is set), else by the commutator echelon
-    (`_commutator_projection`).  Both give the same quotient words and
-    residuals."""
+    """Quotient projection of degree n by graded commutators, read off the
+    commutator echelon (`_commutator_projection`) and memoized in
+    `Algebra._ab`."""
     _check_degree(algebra, n)
     hit = algebra._ab.get(n)
-    if hit is not None:
-        return hit
-    if algebra.matrix_size is None:
-        proj = _commutator_projection(algebra, n)
-    else:
-        proj = _NecklaceProjection(algebra, n)
-    algebra._ab[n] = proj
-    return proj
+    if hit is None:
+        hit = algebra._ab[n] = _commutator_projection(algebra, n)
+    return hit
 
 
 def dbar(algebra: Algebra, n: int):
@@ -381,11 +360,12 @@ def dbar(algebra: Algebra, n: int):
     cap.
 
     `solver` is a TrackedEchelon whose columns are d of the degree n-1
-    quotient words q, tagged by the word, in the coordinates of degree n
-    (`AbProjection.coords`): the canonical residual of the word (0,) + q by
-    word index.  d(q) is zero when q0 = 0.  `kernel` lists the dependencies
-    met while adding the columns, as dicts quotient word -> scalar; they
-    are a basis of ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
+    quotient words q of the commutator echelon, tagged by the word, in the
+    coordinates of degree n (`AbProjection.coords`): the canonical residual
+    of the word (0,) + q by word index.  d(q) is zero when q0 = 0.
+    `kernel` lists the dependencies met while adding the columns, as dicts
+    quotient word -> scalar; they are a basis of ker(dbar: Omega_ab,n-1 ->
+    Omega_ab,n).
     """
     _check_degree(algebra, n)
     hit = algebra._dbar.get(n)
@@ -499,7 +479,7 @@ def _generating_set(algebra: Algebra) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Necklace coordinates for M_k
+# The E11 lift: dbar of M_k on necklaces
 # ---------------------------------------------------------------------------
 #
 # For A = M_k(Q) with matrix units E_pq, the L = k^2 - 1 one-forms z_pq =
@@ -514,7 +494,9 @@ def _generating_set(algebra: Algebra) -> tuple:
 # acts there as eps = (-1)^(n-1) times the rotation that moves the last
 # letter to the front, so Omega_ab,n is Z^(x)n modulo 1 - eps rotation: a
 # basis is the necklaces of n letters whose rotation stabilizer carries no
-# sign -1.  A letter tuple is coded by its base-L digits, the first letter
+# sign -1, and the quotient map is pi(a0 da1...dan) = sum tr(a0
+# phi_z1(a1)...phi_zn(an)) [z1...zn], summed into necklaces with their
+# signs.  A letter tuple is coded by its base-L digits, the first letter
 # most significant, and a necklace by the least code of its rotations.
 
 def _phi(k: int) -> tuple:
@@ -537,33 +519,12 @@ def _phi(k: int) -> tuple:
 
 def _tables(alg: Algebra) -> list:
     """`Algebra._necklace` of M_k, built on first use: the dE of each matrix
-    unit at u = p k + q (`_phi`), the path tables of `_paths`, per degree
-    the class `_necklace` gives each letter code `_pi` met, the dz table of
-    `_dz` (None until its first use) and the rank of dbar out of each
-    degree `_lift_rank` computed."""
+    unit at u = p k + q (`_phi`), the dz table of `_dz` (None until its
+    first use) and the rank of dbar out of each degree `_lift_rank`
+    computed."""
     if alg._necklace is None:
-        k = alg.matrix_size
-        alg._necklace = [_phi(k), {(): {(c, c): {0: Q1} for c in range(k)}},
-                         {}, None, {}]
+        alg._necklace = [_phi(alg.matrix_size), None, {}]
     return alg._necklace
-
-
-def _paths(alg: Algebra, rest: tuple) -> dict:
-    """phi_z1(a1)...phi_zn(an) for rest = (a1, ..., an), summed over the
-    letters: (c, j) -> {code of z1...zn: the coefficient of E_cj}.  Built
-    from rest[:-1] and `_phi` at a_n - 1, and memoized in `_tables`."""
-    phi, memo = _tables(alg)[:2]
-    hit = memo.get(rest)
-    if hit is None:
-        size, step = alg.dim - 1, phi[rest[-1] - 1]
-        hit = {}
-        for (c, i), codes in _paths(alg, rest[:-1]).items():
-            for z, j, x in step.get(i, ()):
-                accumulate(((code * size + z, v * x)
-                            for code, v in codes.items()),
-                           hit.setdefault((c, j), {}))
-        memo[rest] = hit
-    return hit
 
 
 def _eps(n: int) -> int:
@@ -588,72 +549,6 @@ def _necklace(code: int, n: int, size: int) -> tuple:
         if x < best:
             best, sign = x, s
     return best, sign
-
-
-def _pi(alg: Algebra, word: tuple) -> dict:
-    """pi of a word of M_k (see `_NecklaceProjection`): necklace -> nonzero
-    int coefficient.  The scan of `_NecklaceProjection` and its residual
-    solves read it."""
-    k, n = alg.matrix_size, word_degree(word)
-    paths = _paths(alg, word[1:])
-    if word[0]:
-        r, s = divmod(word[0] - 1, k)
-        terms = paths.get((s, r), {}).items()
-    else:
-        terms = (t for c in range(k) for t in paths.get((c, c), {}).items())
-    classes, out = _tables(alg)[2].setdefault(n, {}), {}
-    for code, v in terms:
-        hit = classes.get(code)
-        if hit is None:
-            hit = classes[code] = _necklace(code, n, alg.dim - 1)
-        key, sign = hit
-        out[key] = out.get(key, Q0) + sign * v
-    return {key: v for key, v in out.items() if v}
-
-
-class _NecklaceProjection(AbProjection):
-    """The projection of degree n of M_k (`Algebra.matrix_size`) in
-    necklace coordinates.
-
-    pi(a0 da1...dan) = sum tr(a0 phi_z1(a1)...phi_zn(an)) [z1...zn], summed
-    into necklaces with their signs, is the quotient map onto Omega_ab,n.
-    Pivots are minimal indices, so a word is a quotient word iff its pi is
-    independent of the pi of all later words: the scan runs from the last
-    word of the algebra's word table (`_degree`) down, adds the pi of each
-    word to `echelon`, a TrackedEchelon over necklaces tagged by the word,
-    and stops at the number of nonzero necklace classes, `_walk_count` with
-    D = [k^2 - 1] (RuntimeError if the words run out first).  The words
-    that raised the rank are its tags.
-    The residual of a word, the combination of quotient words with the
-    same pi, is one solve of that echelon (`_residual`, RuntimeError if
-    there is none), which `AbProjection.reduce_terms` asks for on first use
-    and keeps per word; `dbar` reads those residuals as on every algebra.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, algebra: Algebra, n: int):
-        words, index = _degree(algebra, n)[:2]
-        count = _necklace_count(algebra, n)
-        ech = TrackedEchelon((algebra.dim - 1) ** n)
-        for w in reversed(words):
-            if ech.rank == count:
-                break
-            ech.add(_pi(algebra, w), w)
-        if ech.rank != count:
-            raise RuntimeError(
-                "the words of degree %d span %d of the %d necklace classes"
-                % (n, ech.rank, count))
-        super().__init__(algebra, n, words, index, ech, sorted(ech.tags))
-
-    def _residual(self, w) -> dict:
-        """The combination of quotient words with the pi of w: one solve
-        of the scan's echelon (RuntimeError if there is none)."""
-        res = self.echelon.solve(_pi(self.algebra, w))
-        if res is None:
-            raise RuntimeError("the quotient words of degree %d do not span "
-                               "the class of %r" % (self.degree, w))
-        return res
 
 
 def _necklace_count(alg: Algebra, n: int) -> int:
@@ -682,7 +577,7 @@ def _dz(alg: Algebra) -> tuple:
     `_phi` (E_kk included), tr(E11 dE_ap dE_qa) at z'z'' sums the (1, j)
     entry of phi_z'(E_ap) times the (j, 1) entry of phi_z''(E_qa) over j."""
     tables = _tables(alg)
-    if tables[3] is None:
+    if tables[1] is None:
         k, phi = alg.matrix_size, tables[0]
         size = k * k - 1
 
@@ -700,8 +595,8 @@ def _dz(alg: Algebra) -> tuple:
             out = dc(p, q, 1, {})
             table.append(tuple((dc(k - 1, k - 1, -1, out) if p == q
                                 else out).items()))
-        tables[3] = tuple(table)
-    return tables[3]
+        tables[1] = tuple(table)
+    return tables[1]
 
 
 def _lift_rows(alg: Algebra, n: int):
@@ -739,7 +634,7 @@ def _lift_rank(alg: Algebra, n: int) -> int:
     the rows of `_lift_rows`, kept per degree in `_tables`.  Pivots are
     least necklaces, so the rows go in by decreasing code, which keeps the
     echelon's fill-in low."""
-    ranks = _tables(alg)[4]
+    ranks = _tables(alg)[2]
     if n not in ranks:
         ech = Echelon()
         for _, row in _lift_rows(alg, n):
@@ -893,12 +788,13 @@ def de_rham_homology(algebra: Algebra, n: int):
     degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError) and n >=
     0 (FormError), both refused before anything is built.
 
-    On M_k with n >= 1, dim H_n = dim Omega_ab,n - rank(dbar out of n) -
-    rank(dbar out of n - 1) is read off the E11 lift (`_necklace_count`,
-    `_lift_rank`); where it is zero the answer is (0, []), with no word
-    scanned and no projection or dbar built.  H_0 is never zero: it holds
-    the class of 1, which d kills and [A, A] cannot contain (the trace of
-    1 on A is dim A).  Otherwise, and on every other algebra, the
+    On M_k (`Algebra.matrix_size`, which only this lift reads) with n >=
+    1, dim H_n = dim Omega_ab,n - rank(dbar out of n) - rank(dbar out of
+    n - 1) is read off the E11 lift (`_necklace_count`, `_lift_rank`);
+    where it is zero the answer is (0, []), with no word enumerated and no
+    projection or dbar built.  H_0 is never zero: it holds the class of 1,
+    which d kills and [A, A] cannot contain (the trace of 1 on A is dim
+    A).  Otherwise, and on every other algebra, the
     representatives are the quotient words' kernel vectors of `dbar`, read
     in canonical residuals (`AbProjection.coords`); on M_k their number
     must equal the lift's (RuntimeError).

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import argparse
+import copy
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from kchern.connections import random_connection, random_idempotent
 from kchern.fixtures import make_fixture
 from kchern.serialize import (connection_to_json, idempotent_to_json,
                               _theta_to_json)
+from kchern.transgression import straight_line
 
 
 @pytest.fixture()
@@ -69,6 +71,16 @@ class TestAlgebraCheck:
 
     def test_missing_file(self):
         assert run(["algebra-check", "/nonexistent/nowhere.json"]) == 2
+
+    def test_huge_exponent_is_a_parse_error(self, tmp_path, capsys):
+        # "1e10000000" would make Fraction compute 10^10^7 before the
+        # table is read further: refused at once, as a 5,001-digit literal
+        payload = algebra_to_json(make_fixture("dual"))
+        payload["mul"][1][1][0] = "1e10000000"
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(payload))
+        assert run(["algebra-check", str(f)]) == 2
+        assert "digits" in capsys.readouterr().err
 
     def test_boolean_dim_is_a_parse_error(self, tmp_path, capsys):
         f = tmp_path / "bool.json"
@@ -506,3 +518,116 @@ class TestParser:
                     "--degree-cap", "0"]) == 2
         assert run(["homology", "--fixture", "Q", "--degree", "3",
                     "--degree-cap", "3"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The input contract under seeded structural mutation
+# ---------------------------------------------------------------------------
+
+FUZZ_ATOMS = ("1/0", "0/0", "1e400", "1e5000", float("nan"), True, False,
+              [], [[]], [[[]]], 10 ** 300, "\u0661\u0662", "\u0663/\u0664")
+
+
+def _nodes(tree, path=()):
+    """The paths of every node of a JSON tree, the root () first."""
+    yield path
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(payload, rng):
+    """(a mutated deep copy of payload, what was done): one node replaced by
+    an atom of FUZZ_ATOMS, deleted, duplicated in its list, wrapped in a
+    list, or given an extra key."""
+    tree = copy.deepcopy(payload)
+    paths = list(_nodes(tree))
+    op = rng.choice(("atom", "delete", "duplicate", "wrap", "add key"))
+
+    def at(path):
+        node = tree
+        for key in path:
+            node = node[key]
+        return node
+
+    if op == "delete":
+        paths = paths[1:]
+    elif op == "duplicate":
+        paths = [q for q in paths if q and isinstance(at(q[:-1]), list)]
+    elif op == "add key":
+        paths = [q for q in paths if isinstance(at(q), dict)]
+    path = rng.choice(paths)
+    atom = copy.deepcopy(rng.choice(FUZZ_ATOMS))
+    node = at(path)
+    if op == "atom":
+        node = atom
+    elif op == "wrap":
+        node = [node]
+    elif op == "add key":
+        node["fuzz"] = atom
+    if path:
+        parent, key = at(path[:-1]), path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate":
+            parent.insert(key, copy.deepcopy(node))
+        else:
+            parent[key] = node
+    else:
+        tree = node
+    return tree, (op, path, atom if op in ("atom", "add key") else None)
+
+
+class TestInputFuzz:
+    """Aim 3's input contract as a standing gate: seeded structural
+    mutations of valid payloads of every input kind go through `main` in
+    process, and each must return an exit code of the contract (0, 2, 3 or
+    4), never raise."""
+
+    SEED, CASES = 1729, 100
+
+    @staticmethod
+    def requests():
+        """(kind, valid payload, argv with None for the payload's file)."""
+        alg = make_fixture("dual")
+        p = random_idempotent(alg, 2, 3)
+        c0, c1 = random_connection(p, 4), random_connection(p, 5)
+        pair = {"idempotent": idempotent_to_json(p),
+                "theta0": _theta_to_json(c0.theta),
+                "theta1": _theta_to_json(c1.theta)}
+        kcs = ["kcs", "--fixture", "dual", "--kmax", "1", "--path", None]
+        return (("algebra", algebra_to_json(alg),
+                 ["homology", "--degree", "1", "--algebra", None]),
+                ("connection", connection_to_json(c0),
+                 ["chern", "--fixture", "dual", "--kmax", "1",
+                  "--connection", None]),
+                ("polynomial path", connection_to_json(straight_line(c0, c1)),
+                 kcs),
+                ("two-connection pair", pair, kcs))
+
+    def test_mutated_payloads_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(self.SEED)
+        f, out = tmp_path / "payload.json", str(tmp_path / "out.json")
+        codes, escapes = {}, []
+        for kind, payload, argv in self.requests():
+            for _ in range(self.CASES):
+                tree, what = _mutate(payload, rng)
+                f.write_text(json.dumps(tree))
+                try:
+                    rc = main([str(f) if a is None else a for a in argv]
+                              + ["--out", out])
+                except Exception as exc:
+                    escapes.append((kind, what, repr(exc)[:200]))
+                    continue
+                if type(rc) is not int or rc not in (0, 2, 3, 4):
+                    escapes.append((kind, what, rc))
+                codes[rc] = codes.get(rc, 0) + 1
+        capsys.readouterr()
+        assert escapes == []
+        # the cases reach acceptance, parse errors and validation failures
+        assert {0, 2, 3} <= set(codes), codes

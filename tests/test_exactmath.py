@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +57,28 @@ class TestRationalStrings:
                   "1e3", "0x10", "+-1", "1 0"):
             assert parsed(rat_from_str, s) == parsed(
                 lambda t: rat(Fraction(t)), s), repr(s)
+
+
+    def test_huge_exponents_are_refused_at_once(self):
+        # the digits a decimal exponent asks for are counted before any
+        # power of 10 is computed, against the limit `int` applies to a
+        # literal; small exponents keep their values
+        assert rat_from_str("1e3") == 1000
+        assert rat_from_str("1.5") == Fraction(3, 2)
+        assert rat_from_str("1e400") == 10 ** 400
+        assert rat_from_str("25e-2") == Fraction(1, 4)
+        for s in ("1e5000", "1e-5000", "1" * 5001):
+            with pytest.raises(ValueError):
+                rat_from_str(s)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="digits"):
+            rat_from_str("1e10000000")
+        assert time.perf_counter() - start < 0.05
+
+    def test_no_digit_limit_means_no_refusal(self, monkeypatch):
+        # a limit of 0 means no limit, as it does for int
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert rat_from_str("1e5000") == 10 ** 5000
 
 
 class TestStoredForm:

@@ -1,5 +1,6 @@
 """Universal differential forms, abelianization, and de Rham homology."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -15,7 +16,7 @@ from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
                             make_matrix_algebra, make_product)
 from kchern.connections import random_form
 from kchern.exactmath import (Echelon, Poly1, Q0, Q1, TrackedEchelon,
-                              rat)
+                              accumulate, rat)
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
@@ -159,8 +160,7 @@ def group_algebra_s3():
 
 def table_copy(alg):
     """A fresh copy of alg built from its table: equal to alg, but with no
-    recorded matrix size, so its projections read the commutator echelon
-    (the oracle of the necklace path of M_k)."""
+    recorded matrix size, so its homology reads no E11 lift."""
     return Algebra(alg.mul, names=alg.names, degree_cap=alg.degree_cap)
 
 
@@ -467,7 +467,7 @@ class TestSpanningSet:
             assert fast.reduce_terms({w: Q1}) == oracle.reduce_terms({w: Q1})
 
     def test_fixtures(self):
-        # M2 through its table copy, which keeps the commutator echelon
+        # M2 through its table copy, which records no matrix size
         tops = {"M2": 4, "x3": 5}
         for name in FIXTURE_NAMES:
             alg = make_fixture(name)
@@ -493,7 +493,9 @@ class TestSpanningSet:
                     self.assert_same_projection(alg, n)
 
     def test_necklace_path(self):
-        # equal quotient words over one word list mean equal pivot sets
+        # the matrix size that `make_matrix_algebra` records changes no
+        # projection; equal quotient words over one word list mean equal
+        # pivot sets
         alg = make_fixture("M2")
         for n in range(5):
             fast, oracle = abelianization(alg, n), _all_pairs_span(alg, n)
@@ -568,9 +570,31 @@ class TestResidualCache:
 
     def test_residuals_match_fresh_reductions(self):
         rng = random.Random(37)
-        for name in ("x3", "dual", "QxQ", "C2"):
+        for name in ("x3", "dual", "QxQ", "C2", "M2"):
             self.assert_fresh(make_fixture(name), 4, rng)
         self.assert_fresh(dense_copies("x3", 1, "residuals")[0], 2, rng)
+
+    def test_warm_projection_reduces_nothing(self, monkeypatch):
+        # the residual of each word is reduced once and kept: a second
+        # project_ab of the same forms makes no reduction
+        for name in ("M2", "x3"):
+            alg, rng = make_fixture(name), random.Random(35)
+            forms = [rand_homogeneous(alg, rng, n, terms=6)
+                     for n in (1, 2, 3)]
+            calls = []
+            reduce = Echelon.reduce
+
+            def counted(self, vec):
+                calls.append(vec)
+                return reduce(self, vec)
+
+            monkeypatch.setattr(Echelon, "reduce", counted)
+            first = [project_ab(w) for w in forms]
+            assert calls, name
+            calls.clear()
+            assert [project_ab(w) for w in forms] == first
+            assert calls == [], name
+            monkeypatch.undo()
 
 
 class TestCertifiedDimension:
@@ -958,11 +982,11 @@ def _seeded_terms(alg, rng, n, count):
 
 def _necklace_mismatches(alg, ref, top, seed):
     """Where the projections of alg, built by `make_matrix_algebra`, up to
-    degree top differ from those of ref, its table copy on the echelon
-    path: quotient words, the residuals of 30 seeded vectors per degree
-    (term order included), dbar kernels, homology representatives (n <
-    top) and exactness primitives, as a list of (what, degree).  A
-    RuntimeError from alg's projections ends the list."""
+    degree top differ from those of ref, its table copy with no recorded
+    matrix size: quotient words, the residuals of 30 seeded vectors per
+    degree (term order included), dbar kernels, homology representatives
+    (n < top) and exactness primitives, as a list of (what, degree).  A
+    RuntimeError from alg's projections or homology ends the list."""
     rng = random.Random(seed)
     out = []
     for n in range(top + 1):
@@ -1034,14 +1058,9 @@ def _right_entries(alg):
 
 
 class TestNecklaceProjection:
-    """`make_matrix_algebra(k)` projects in necklace coordinates; its table
-    copy, on the echelon path, is the oracle."""
-
-    def test_matches_echelon_path(self):
-        for k, top in ((2, 6), (3, 3)):
-            alg = make_matrix_algebra(k)
-            assert _necklace_mismatches(alg, table_copy(alg), top,
-                                        "necklace-%d" % k) == [], k
+    """The necklace model of M_k that the E11 lift reads (`_phi`,
+    `_necklace`, `_necklace_count`), and `make_matrix_algebra(k)` against
+    its table copy: the matrix size it records changes no output."""
 
     def test_phi_matches_solve(self):
         # the e_a z are a basis of Omega^1, the z commute with A, and
@@ -1097,30 +1116,18 @@ class TestNecklaceProjection:
 
     def test_cold_homology_builds_no_right_table(self):
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
-        # projection and no dbar; at n = 0 dbar into degree 1 reads the
-        # residuals of the projection of degree 1, and exactness those of
-        # its own degree, all on the necklace path: the scans share the
-        # word tables of `_degree`, but no right-table entry is built, and
-        # no certificate
+        # projection, no dbar, no right-table entry and no certificate;
+        # at n = 0 dbar into degree 1 reads the commutator projections of
+        # degrees 0 and 1
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
-            assert alg._ab_spectrum is None
-            assert _right_entries(alg) == 0, n
             if n:
                 assert alg._ab == {} and alg._dbar == {}, n
-                assert alg._right == [], n
+                assert alg._right == [] and _right_entries(alg) == 0, n
+                assert alg._ab_spectrum is None, n
             else:
                 assert sorted(alg._ab) == [0, 1] and 1 in alg._dbar
-                assert len(alg._right) == 2
-        alg, rng = make_fixture("M2"), random.Random(15)
-        for n in (1, 2, 3):
-            is_exact_in_ab(rand_homogeneous(alg, rng, n, terms=3), n)
-            is_exact_in_ab(rand_homogeneous(alg, rng, n - 1, terms=3).d(),
-                           n)
-        assert sorted(alg._ab) == [0, 1, 2, 3] and len(alg._right) == 4
-        assert _right_entries(alg) == 0
-        assert alg._ab_spectrum is None
 
     def test_one_word_product_builds_one_entry_per_degree(self):
         # a right-table entry of degree n reads one entry of degree n - 1,
@@ -1129,43 +1136,9 @@ class TestNecklaceProjection:
         word_product(alg, (1,) + (2, 3) * 3 + (1,), (3, 2))
         assert 0 < _right_entries(alg) <= 8
 
-    def test_warm_projection_solves_nothing(self, monkeypatch):
-        # the residual of each word is solved once and kept: a second
-        # project_ab of the same form makes no solve
-        alg, rng = make_fixture("M2"), random.Random(35)
-        forms = [rand_homogeneous(alg, rng, n, terms=6) for n in (1, 2, 3)]
-        calls = []
-        solve = TrackedEchelon.solve
-
-        def counted(self, b):
-            calls.append(b)
-            return solve(self, b)
-
-        monkeypatch.setattr(TrackedEchelon, "solve", counted)
-        first = [project_ab(w) for w in forms]
-        assert calls
-        calls.clear()
-        assert [project_ab(w) for w in forms] == first
-        assert calls == []
-
-    def test_cold_exactness_matches_echelon_path(self):
-        # a cold is_exact_in_ab of degree n on M_k gives the verdicts and
-        # primitives of the echelon path
-        rng = random.Random(16)
-        for n in (1, 2, 3, 4):
-            alg = make_fixture("M2")
-            forms = [rand_homogeneous(alg, rng, n, terms=3),
-                     rand_homogeneous(alg, rng, n - 1, terms=3).d()]
-            got = [is_exact_in_ab(w, n) for w in forms]
-            ref = table_copy(alg)
-            want = [is_exact_in_ab(UForm(ref, w.terms), n) for w in forms]
-            assert [(ok, v and list(v.terms.items())) for ok, v in got] == \
-                [(ok, v and list(v.terms.items())) for ok, v in want], n
-            assert got[1][0], n
-
     def test_planted_shifted_column_fails(self):
         # a dbar column of M_k read off the wrong word, shifted as
-        # `_shifted_dbar` does, must be caught against the echelon path
+        # `_shifted_dbar` does, must be caught against the table copy
         for k, top in ((2, 4), (3, 2)):
             alg = make_matrix_algebra(k)
             ref = table_copy(alg)
@@ -1200,26 +1173,63 @@ class TestNecklaceProjection:
 
         self.assert_planted_fails(monkeypatch, "_phi", flipped)
 
-    def test_planted_upward_scan_fails(self, monkeypatch):
-        # a module-level `reversed` shadows the builtin in the scan
-        self.assert_planted_fails(monkeypatch, "reversed", iter)
-
     @pytest.mark.parametrize("shift", (-1, 1))
     def test_planted_necklace_count_fails(self, monkeypatch, shift):
-        # one class short stops the scan early, one too many runs the words
-        # out: either way quotient words differ or the scan raises
+        # one class short or one too many gives the E11 lift a nonzero
+        # H_n that dbar's representatives do not match: homology raises
         true = uforms._necklace_count
         self.assert_planted_fails(
             monkeypatch, "_necklace_count",
             lambda alg, n: true(alg, n) + (shift if n else 0))
 
 
-def _form_pi(alg, form):
-    """pi of a homogeneous form of M_k: the sum of `uforms._pi` over its
-    words, necklace -> nonzero coefficient."""
+def _paths(alg, rest, memo):
+    """phi_z1(a1)...phi_zn(an) for rest = (a1, ..., an) of M_k, summed over
+    the letters: (c, j) -> {code of z1...zn: the coefficient of E_cj}.
+    Built from rest[:-1] and `_phi` at a_n - 1, and kept in `memo`, one
+    dict per algebra."""
+    hit = memo.get(rest)
+    if hit is None:
+        k = alg.matrix_size
+        if not rest:
+            hit = {(c, c): {0: Q1} for c in range(k)}
+        else:
+            size, step = alg.dim - 1, _phi(k)[rest[-1] - 1]
+            hit = {}
+            for (c, i), codes in _paths(alg, rest[:-1], memo).items():
+                for z, j, x in step.get(i, ()):
+                    accumulate(((code * size + z, v * x)
+                                for code, v in codes.items()),
+                               hit.setdefault((c, j), {}))
+        memo[rest] = hit
+    return hit
+
+
+def _pi(alg, word, memo):
+    """pi of a word of M_k by the generalized trace (see the E11-lift
+    comment in `uforms`): necklace -> nonzero coefficient, the products of
+    `_paths` traced against e_w0 and summed into necklaces with their
+    signs."""
+    k, n = alg.matrix_size, len(word) - 1
+    paths = _paths(alg, word[1:], memo)
+    if word[0]:
+        r, s = divmod(word[0] - 1, k)
+        terms = paths.get((s, r), {}).items()
+    else:
+        terms = (t for c in range(k) for t in paths.get((c, c), {}).items())
+    out = {}
+    for code, v in terms:
+        key, sign = _necklace(code, n, alg.dim - 1)
+        out[key] = out.get(key, Q0) + sign * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _form_pi(alg, form, memo):
+    """pi of a homogeneous form of M_k: the sum of `_pi` over its words,
+    necklace -> nonzero coefficient."""
     out = {}
     for w, c in form.terms.items():
-        for key, v in uforms._pi(alg, w).items():
+        for key, v in _pi(alg, w, memo).items():
             out[key] = out.get(key, Q0) + c * v
     return {key: v for key, v in out.items() if v}
 
@@ -1234,19 +1244,22 @@ def _letter_product(alg, letters, head, t, n):
 
 class TestNecklaceLift:
     """On M_k, homology reads the ranks of dbar off the E11 lift of each
-    necklace (`uforms._lift_rank`); the word path's dbar is the oracle."""
+    necklace (`uforms._lift_rank`); dbar of the commutator echelon is the
+    oracle."""
 
     TOPS = ((2, 6), (3, 3))
 
     @staticmethod
+    @functools.cache
     def word_ranks(k, top):
+        # built once per (k, top), always before any plant
         alg = make_matrix_algebra(k)
-        return [len(dbar(alg, n + 1)[0].tags) for n in range(top + 1)]
+        return tuple(len(dbar(alg, n + 1)[0].tags) for n in range(top + 1))
 
     @staticmethod
     def lift_ranks(k, top):
         alg = make_matrix_algebra(k)
-        return [uforms._lift_rank(alg, n) for n in range(top + 1)]
+        return tuple(uforms._lift_rank(alg, n) for n in range(top + 1))
 
     def test_ranks_match_word_path(self):
         for k, top in self.TOPS:
@@ -1286,7 +1299,7 @@ class TestNecklaceLift:
         # E11 z1...zn lifts the necklace, and its row is pi(d(E11 z1...zn))
         # by the word model
         for k, top in ((2, 3), (3, 2)):
-            alg = make_matrix_algebra(k)
+            alg, memo = make_matrix_algebra(k), {}
             letters = _letters(alg, k)
             e11 = UForm.from_element(_matrix_unit(alg, k, 0, 0))
             for n in range(top + 1):
@@ -1294,21 +1307,21 @@ class TestNecklaceLift:
                 assert len(rows) == uforms._necklace_count(alg, n)
                 for t, row in rows:
                     lift = _letter_product(alg, letters, e11, t, n)
-                    assert _form_pi(alg, lift) == {t: 1}
-                    assert _form_pi(alg, lift.d()) == row, (k, n, t)
+                    assert _form_pi(alg, lift, memo) == {t: 1}
+                    assert _form_pi(alg, lift.d(), memo) == row, (k, n, t)
 
     def test_de11_term_vanishes(self):
         # pi(dE11 z1...zn) = 0 for every letter tuple: each term of dE11
         # lies off the diagonal, so the rows carry no dE11 term
         for k, top in ((2, 3), (3, 2)):
-            alg = make_matrix_algebra(k)
+            alg, memo = make_matrix_algebra(k), {}
             letters = _letters(alg, k)
             de11 = UForm.from_element(_matrix_unit(alg, k, 0, 0)).d()
             assert de11
             for n in range(top + 1):
                 for t in range(len(letters) ** n):
                     form = _letter_product(alg, letters, de11, t, n)
-                    assert _form_pi(alg, form) == {}
+                    assert _form_pi(alg, form, memo) == {}
 
     def assert_planted_fails(self, monkeypatch, name, value):
         want = [self.word_ranks(k, top) for k, top in self.TOPS]
