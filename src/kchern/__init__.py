@@ -11,9 +11,9 @@ from .algebra import (AlgElement, Algebra, AlgebraError, AlgebraHom,
                       algebra_from_json, algebra_to_json, make_group_algebra,
                       make_matrix_algebra, make_product, make_truncated_poly)
 from .uforms import (AbClass, AbProjection, DegreeCapError, FormError, UForm,
-                     ab_d, abelianization, de_rham_homology, differential,
-                     dimension, enumerate_words, extend_hom, is_exact_in_ab,
-                     multiply, project_ab, word_degree)
+                     ab_d, abelianization, de_rham_homology, dimension,
+                     enumerate_words, extend_hom, is_exact_in_ab, multiply,
+                     project_ab, word_degree)
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, apply_operator, chern, compose_iso,
                           curvature, direct_sum, extend_scalars, grassmann,

@@ -45,8 +45,8 @@ class Algebra:
     (`uforms._certified_dim`; empty where no certificate applies),
     `_generators` the basis indices of the generating set that the
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
-    the closed-form differentials (`uforms._phi`), dz table and E11-lift
-    ranks of M_k that `uforms._tables` keeps.
+    the pair of the dz table of M_k (`uforms._dz`) and the E11-lift ranks
+    (`uforms._lift_rank`).
     The caches belong to one instance: a rule replaced at run time (a
     monkeypatched `word_product`, `grading_sign` or sign table) is seen
     only by an algebra that has not yet cached what it feeds, so a test

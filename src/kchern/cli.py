@@ -112,9 +112,6 @@ def cmd_algebra_check(args):
 
 def cmd_homology(args):
     alg = _resolve_algebra(args)
-    if args.degree + 1 > alg.degree_cap:
-        raise CliError("H_%d needs degree %d, which exceeds cap %d" % (
-            args.degree, args.degree + 1, alg.degree_cap), EXIT_VALIDATION)
     dim_h, reps = de_rham_homology(alg, args.degree)
     report = {
         "degree": args.degree,

@@ -617,13 +617,8 @@ def random_iso(p0: Idempotent, seed):
     alg = p0.algebra
     g, ginv = _random_unipotent(alg, p0.size, rng)
     p1 = Idempotent(alg, g * p0.mat * ginv)
-    return p1, _conjugation_iso(p0, p1, g, ginv)
-
-
-def _conjugation_iso(p0: Idempotent, p1: Idempotent, g: Mat,
-                     ginv: Mat) -> ModuleIso:
-    """Im(p0) -> Im(p1) by u = p1*g*p0, with inverse v = p0*g^-1*p1."""
-    return ModuleIso(p0, p1, p1.mat * g * p0.mat, p0.mat * ginv * p1.mat)
+    # u = p1 g p0, with inverse v = p0 g^-1 p1
+    return p1, ModuleIso(p0, p1, p1.mat * g * p0.mat, p0.mat * ginv * p1.mat)
 
 
 def compose_iso(a: ModuleIso, b: ModuleIso) -> ModuleIso:

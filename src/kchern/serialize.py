@@ -38,10 +38,17 @@ def coeff_to_json(c):
     return rat_to_str(c)
 
 
+# The largest exponent k of a "t^k" key.  The fibre integrals' weight
+# tables grow with the square of a path's degree and their denominator
+# with lcm(1, ..., 2k + 1), so an unbounded k is unbounded work.
+MAX_T_EXPONENT = 64
+
+
 def coeff_from_json(data):
     """A "num/den" string or a {"t^k": "num/den"} map keyed exactly as
     coeff_to_json writes ("t^%d" % k, so no two keys name one exponent);
-    anything else raises TypeError or ValueError."""
+    a k above MAX_T_EXPONENT raises FormError before its coefficient is
+    read, anything else malformed TypeError or ValueError."""
     if isinstance(data, str):
         return rat_from_str(data)
     if isinstance(data, dict):
@@ -52,6 +59,9 @@ def coeff_from_json(data):
                 raise ValueError("polynomial keys must be 't^k', k in ASCII "
                                  "digits with no leading zero, not %r"
                                  % (key,))
+            if int(k) > MAX_T_EXPONENT:
+                raise FormError("%r exceeds the exponent limit %d"
+                                % (key, MAX_T_EXPONENT))
             coeffs[(int(k),)] = rat_from_str(val)
         return Poly1(coeffs)
     raise TypeError("bad coefficient payload %r" % (data,))

@@ -20,11 +20,11 @@ Every sign is read from `grading_sign`, the sign of sigma on one word, and
 the tables SHUFFLE and KOSZUL below.
 Paths (R = 1, parameter t) use TForm, bigons (R = 2, parameters (s, t))
 use BiForm.  `CylForm._key_product` is the one product rule, its results
-kept per algebra and pair of keys, and `CylForm._key_d` the one
-differential rule on those keys, for cylinder forms and their matrices
-alike: products of cylinder forms are 1 x 1 matrix products.  Integration
-and restriction keep the terms with (or without) dx_i and drop bit i from
-the mask.
+kept per algebra and pair of keys, and `CylForm._key_d` the one d rule on
+those keys, which `FormTerms.d` and `Mat.d` sum: products of cylinder
+forms are 1 x 1 matrix products.  Integration (`CylForm.integrate`, the
+one fibre integral K, which `homotopy_K` and `_fibre_chern` read) and
+restriction keep the terms with (or without) dx_i and drop bit i.
 
 KCS_k = K ch_k and the bigon potential K K_s ch_k integrate the dx_top part
 of Karoubi's ch_k = tr(R~^k)/k! over the fibre and build only what reaches
@@ -190,10 +190,6 @@ class CylForm(FormTerms):
                 dc = c.diff(i)
                 out.append(((m | b, w), dc if SHUFFLE[m, b] > 0 else -dc))
         return out
-
-    def d(self) -> "CylForm":
-        return self._like(accumulate(
-            x for key, c in self.terms.items() for x in self._key_d(key, c)))
 
     def _drop(self, i: int, with_dx: bool, f):
         """The terms with (or without) dx_i, f applied to their scalars, as
@@ -405,22 +401,21 @@ def _fibre_chern(family, k_max: int):
     part reaches it only when k_max > R, and the last power pairs each key
     only with the keys of its partner mask in _TOP_PAIRS (`Mat.diagonal`).
 
-    ch_1 and the lower powers are traced, integrated by `integrate01` and
-    scaled by 1/k!.  The last power is integrated while it is multiplied:
+    ch_1 and the lower powers are traced, integrated by `CylForm.integrate`
+    (K_0 taken R times keeps only the dx_top part) and scaled by 1/k!.
+    The last power is integrated while it is multiplied:
     by Fubini, int_{[0,1]^R} x^e = prod_i 1/(e_i + 1), so each pair of
     scalars a, b adds s * sum a_e1 b_e2 W(e1 + e2) into one rational per
     word (`exactmath.coeff_integral`), the weights W integers over one
     common denominator (`exactmath.integral_weights`), and each word is
     divided once, by that denominator times k!."""
     check_k_max(k_max)
-    top = (1 << family.R) - 1
     partner = dict(CylForm.TYPES[family.R]._TOP_PAIRS)
 
     def fibre(m: Mat) -> UForm:
-        part = UForm.from_terms(family.algebra, (
-            (w, c) for (mask, w), c in m.trace().terms.items() if mask == top))
+        part = m.trace()
         for _ in range(family.R):
-            part = part.map_scalars(lambda q: q.integrate01(0))
+            part = part.integrate(0)
         return part
 
     # a mask with no partner looks up None, which no mask matches

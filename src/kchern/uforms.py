@@ -151,6 +151,12 @@ class FormTerms(Terms):
     RingError = FormError
     _scalar = staticmethod(_scalar)
 
+    def d(self):
+        """The one d of word and cylinder forms: the sum of the type's key
+        rule `_key_d` over the terms (an AbClass has none; see `ab_d`)."""
+        return self._like(accumulate(
+            x for key, c in self.terms.items() for x in self._key_d(key, c)))
+
 
 class _WordTerms(FormTerms):
     """Terms keyed by basis words, which have a degree."""
@@ -211,9 +217,6 @@ class UForm(_WordTerms):
             return multiply(self, other)
         return self.scale(other)
 
-    def d(self) -> "UForm":
-        return differential(self)
-
     @staticmethod
     def _key_d(word, c):
         """The (word, scalar) pairs of d(c word): a0 da1...dan ->
@@ -237,12 +240,6 @@ class UForm(_WordTerms):
             body = names[w[0]] + "".join(" d" + names[i] for i in w[1:])
             parts.append("(%s)*%s" % (c, body))
         return " + ".join(parts)
-
-
-def differential(w: UForm) -> UForm:
-    """d by the key rule `UForm._key_d`; nothing cancels."""
-    return w._like(dict(x for word, c in w.terms.items()
-                        for x in UForm._key_d(word, c)))
 
 
 def word_product(alg: Algebra, w1, w2):
@@ -517,16 +514,6 @@ def _phi(k: int) -> tuple:
     return tuple(out)
 
 
-def _tables(alg: Algebra) -> list:
-    """`Algebra._necklace` of M_k, built on first use: the dE of each matrix
-    unit at u = p k + q (`_phi`), the dz table of `_dz` (None until its
-    first use) and the rank of dbar out of each degree `_lift_rank`
-    computed."""
-    if alg._necklace is None:
-        alg._necklace = [_phi(alg.matrix_size), None, {}]
-    return alg._necklace
-
-
 def _eps(n: int) -> int:
     """eps = (-1)^(n-1), the sign with which the Karoubi operator rotates
     n one-forms (see `_certified_dim`)."""
@@ -568,17 +555,18 @@ def _necklace_count(alg: Algebra, n: int) -> int:
 # no word enumerated.
 
 def _dz(alg: Algebra) -> tuple:
-    """The dz table of M_k, built on first use and kept in `_tables`: for
-    each letter z, the (code of z'z'', c) pairs of dz = sum M z'z'' with c =
-    tr(E11 M) nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
+    """The dz table of M_k, built on first use and kept in
+    `Algebra._necklace` beside the ranks of `_lift_rank`: for each letter
+    z, the (code of z'z'', c) pairs of dz = sum M z'z'' with c = tr(E11 M)
+    nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
 
     z_pq = c_pq = sum_a E_ap dE_qa, so dc_pq = sum_a dE_ap dE_qa, and z_pp =
     c_pp - c_kk.  With dE_xy = sum_z phi_z(E_xy) z read at x k + y of
     `_phi` (E_kk included), tr(E11 dE_ap dE_qa) at z'z'' sums the (1, j)
     entry of phi_z'(E_ap) times the (j, 1) entry of phi_z''(E_qa) over j."""
-    tables = _tables(alg)
-    if tables[1] is None:
-        k, phi = alg.matrix_size, tables[0]
+    if alg._necklace is None:
+        k = alg.matrix_size
+        phi = _phi(k)
         size = k * k - 1
 
         def dc(p, q, sign, out):
@@ -595,8 +583,8 @@ def _dz(alg: Algebra) -> tuple:
             out = dc(p, q, 1, {})
             table.append(tuple((dc(k - 1, k - 1, -1, out) if p == q
                                 else out).items()))
-        tables[1] = tuple(table)
-    return tables[1]
+        alg._necklace = (tuple(table), {})
+    return alg._necklace[0]
 
 
 def _lift_rows(alg: Algebra, n: int):
@@ -631,10 +619,11 @@ def _lift_rows(alg: Algebra, n: int):
 
 def _lift_rank(alg: Algebra, n: int) -> int:
     """The rank of dbar: Omega_ab,n -> Omega_ab,n+1 of M_k, n >= 0: that of
-    the rows of `_lift_rows`, kept per degree in `_tables`.  Pivots are
-    least necklaces, so the rows go in by decreasing code, which keeps the
-    echelon's fill-in low."""
-    ranks = _tables(alg)[2]
+    the rows of `_lift_rows`, kept per degree in `Algebra._necklace`, which
+    `_dz` makes.  Pivots are least necklaces, so the rows go in by
+    decreasing code, which keeps the echelon's fill-in low."""
+    _dz(alg)
+    ranks = alg._necklace[1]
     if n not in ranks:
         ech = Echelon()
         for _, row in _lift_rows(alg, n):
@@ -785,8 +774,9 @@ def de_rham_homology(algebra: Algebra, n: int):
 
     Returns (dimension, list of representative UForms): the kernel vectors
     of dbar on degree n that are independent modulo the image of dbar on
-    degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError) and n >=
-    0 (FormError), both refused before anything is built.
+    degree n - 1.  Needs n + 1 <= the degree cap (DegreeCapError, "H_n
+    needs degree n + 1, which exceeds cap c", the message the CLI prints)
+    and n >= 0 (FormError), both refused before anything is built.
 
     On M_k (`Algebra.matrix_size`, which only this lift reads) with n >=
     1, dim H_n = dim Omega_ab,n - rank(dbar out of n) - rank(dbar out of
@@ -799,7 +789,9 @@ def de_rham_homology(algebra: Algebra, n: int):
     in canonical residuals (`AbProjection.coords`); on M_k their number
     must equal the lift's (RuntimeError).
     """
-    _check_degree(algebra, n + 1)
+    if n + 1 > algebra.degree_cap:
+        raise DegreeCapError("H_%d needs degree %d, which exceeds cap %d"
+                             % (n, n + 1, algebra.degree_cap))
     _check_degree(algebra, n)
     lift = None
     if n and algebra.matrix_size is not None:

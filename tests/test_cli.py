@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,8 +15,8 @@ from kchern.algebra import algebra_to_json
 from kchern.cli import build_parser, main
 from kchern.connections import random_connection, random_idempotent
 from kchern.fixtures import make_fixture
-from kchern.serialize import (connection_to_json, idempotent_to_json,
-                              _theta_to_json)
+from kchern.serialize import (MAX_T_EXPONENT, connection_to_json,
+                              idempotent_to_json, _theta_to_json)
 from kchern.transgression import straight_line
 
 
@@ -393,6 +394,24 @@ class TestMalformedInput:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "ASCII digits" in captured.err
+
+    def test_t_exponent_has_a_limit(self, tmp_path, capsys):
+        # the fibre integrals' weight tables grow with a path's degree, so
+        # an exponent past MAX_T_EXPONENT is refused, at once and with exit 3
+        for k, code in ((MAX_T_EXPONENT, 0), (MAX_T_EXPONENT + 1, 3),
+                        (10_000_000, 3)):
+            path = {"idempotent": {"size": 1, "entries": [[["1", "0"]]]},
+                    "theta": [[[{"degree": 1, "word": [0, 1],
+                                 "coeff": {"t^%d" % k: "1"}}]]]}
+            f = _write(tmp_path, "t%d.json" % k, path)
+            start = time.perf_counter()
+            got = run(["kcs", "--fixture", "dual", "--kmax", "2", "--path", f])
+            elapsed = time.perf_counter() - start
+            assert got == code, k
+            err = capsys.readouterr().err
+            if code:
+                assert elapsed < 0.05, (k, elapsed)
+                assert "exponent limit %d" % MAX_T_EXPONENT in err, k
 
 
 class _Reads:

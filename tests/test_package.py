@@ -127,6 +127,47 @@ def test_no_dead_private_helpers():
     assert not found
 
 
+# names the package exports with no caller inside it, each with its reason
+EXPORTS_WITHOUT_CALLER = {
+    "chain_witnesses": "the paper's transitivity map of K-hat witnesses "
+                       "(L5), public API that no suite composes",
+    "Poly2": "the scalars of a bigon, which family_scalars(2) finds in "
+             "Poly.TYPES by their number of variables, not by name",
+}
+
+
+def test_every_export_has_a_caller():
+    # the public twin of test_no_dead_private_helpers: every name that
+    # kchern/__init__.py imports is named somewhere in the other modules
+    # outside its own definition (an import counts: test_no_unused_imports
+    # makes it a use or a re-export in __all__), or is listed above with
+    # its reason; a listed name that gains a caller is listed no longer
+    init = ROOT / "src" / "kchern" / "__init__.py"
+    exports = {alias.asname or alias.name
+               for node in ast.parse(init.read_text(), str(init)).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in SOURCES if path != init]
+    inside = {}         # name -> the nodes of its own definition
+    for tree in trees:
+        for node in tree.body:
+            names = [getattr(t, "id", None)
+                     for t in getattr(node, "targets", ())]
+            for name in names + [getattr(node, "name", None)]:
+                if name in exports:
+                    inside.setdefault(name, set()).update(
+                        id(sub) for sub in ast.walk(node))
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if id(node) not in inside.get(name, ()):
+                named.add(name)
+    assert sorted(exports - named) == sorted(EXPORTS_WITHOUT_CALLER)
+
+
 def test_mat_names_no_entry_type():
     # Mat reads its entries only through the Terms protocol (terms, _new,
     # _key_product, _key_d, RingError), so the body of class Mat names no

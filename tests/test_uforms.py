@@ -21,7 +21,7 @@ from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
-                           dbar, differential, dimension, enumerate_words,
+                           dbar, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
                            word_product, _certified_dim, _degree,
                            _generating_set, _necklace, _phi)
@@ -365,8 +365,52 @@ class TestDGA:
     def test_module_functions(self):
         alg = make_fixture("dual")
         eps = UForm.from_element(alg.basis(1))
-        assert differential(eps) == eps.d()
         assert multiply(eps, eps.d()) == eps * eps.d()
+
+
+# The weights of a derivation D of A that is diagonal on the basis, D(e_i)
+# = w_i e_i: the Euler derivation on dual and x3, and ad(E11) on M2, whose
+# basis 1, E11, E12, E21 it scales by 0, 0, 1, -1.
+CARTAN_WEIGHTS = {"dual": (0, 1), "x3": (0, 1, 2), "M2": (0, 0, 1, -1)}
+
+
+def _iota(u, weights, signed=True):
+    """iota_D(a0 da1...dan) = sum_i (-1)^(i-1) a0 da1...D(a_i)...dan, each
+    term a product of words through `multiply`; without `signed` the
+    alternating sign is left out."""
+    alg, out = u.algebra, UForm.zero(u.algebra)
+    for w, c in u.terms.items():
+        for i in range(1, len(w)):
+            sign = -1 if signed and i % 2 == 0 else 1
+            left = multiply(UForm.word(alg, w[:i]),
+                            UForm.word(alg, (w[i],), sign * weights[w[i]] * c))
+            out = out + multiply(left, UForm.word(alg, (0,) + w[i + 1:]))
+    return out
+
+
+class TestCartanFormula:
+    """L_D = d iota_D + iota_D d, where the Lie derivative L_D of a diagonal
+    D scales each word by the sum of its letters' weights."""
+
+    @staticmethod
+    def failing_words(signed):
+        checked = failed = 0
+        for name, weights in CARTAN_WEIGHTS.items():
+            alg = make_fixture(name)
+            for n in range(4):
+                for w in enumerate_words(alg, n):
+                    u = UForm.word(alg, w)
+                    lhs = (_iota(u.d(), weights, signed)
+                           + _iota(u, weights, signed).d())
+                    checked += 1
+                    failed += lhs != u.scale(sum(weights[i] for i in w))
+        return checked, failed
+
+    def test_cartan_formula_on_every_word(self):
+        assert self.failing_words(True) == (213, 0)
+
+    def test_unsigned_contraction_fails(self):
+        assert self.failing_words(False) == (213, 162)
 
 
 class TestAbelianization:
@@ -1375,7 +1419,8 @@ class TestNecklaceLift:
             alg = make_fixture(name, degree_cap=4)
             with pytest.raises(FormError, match="negative degree"):
                 de_rham_homology(alg, -1)
-            with pytest.raises(DegreeCapError, match="degree 5 exceeds cap"):
+            with pytest.raises(DegreeCapError, match="H_4 needs degree 5, "
+                               "which exceeds cap 4"):
                 de_rham_homology(alg, 4)
             assert (alg._ab, alg._dbar, alg._right, alg._necklace) == \
                 ({}, {}, [], None), name
