@@ -13,13 +13,13 @@ from .algebra import (AlgElement, Algebra, AlgebraError, AlgebraHom,
 from .uforms import (AbClass, AbProjection, DegreeCapError, FormError, UForm,
                      ab_d, abelianization, de_rham_homology, dimension,
                      enumerate_words, extend_hom, is_exact_in_ab, multiply,
-                     project_ab, word_degree)
+                     project_ab, random_form, word_degree)
 from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           ModuleIso, apply_operator, chern, compose_iso,
                           curvature, direct_sum, extend_scalars, grassmann,
                           permute_blocks, pullback, random_automorphism,
-                          random_connection, random_form, random_idempotent,
-                          random_iso, sum_iso, trace_ab)
+                          random_connection, random_idempotent, random_iso,
+                          sum_iso, trace_ab)
 from .transgression import (BiForm, CylForm, EPSILON_K, TForm, bigon_straight,
                             chern_tform, constant_path, homotopy_K, kcs,
                             kcs_between, kcs_closed_form, reverse_path,
@@ -29,7 +29,6 @@ from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
                    hexagon_suite, map_I, map_R, map_a,
                    odd_chern, verify_kcs_equivalence, zero_generator)
 from .fixtures import FIXTURE_NAMES, make_fixture
-from .suites import (run_chern_suite, run_dga_suite, run_hexagon_suite,
-                     run_suite, run_transgression_suite)
+from .suites import run_suite
 
 __version__ = "0.1.0"

@@ -17,6 +17,10 @@ take caller data.  Closure operations on objects that were already checked
 through the unchecked `_new` of each class instead: each states the
 identity that makes its result satisfy the checks, and keeps the scalar
 type `family_scalars(R)` that the constructor gives a family.
+
+The seeded generators of idempotents, connections, isomorphisms and
+automorphisms live here; the random forms they fill in come from
+`uforms.random_form`, which draws from each degree's kept word list.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import factorial
 
 from .algebra import AlgElement, Algebra, AlgebraHom
 from .exactmath import Poly, Q0, accumulate, coeff_product, rat
-from .uforms import (AbClass, UForm, enumerate_words, extend_hom, project_ab,
+from .uforms import (AbClass, UForm, extend_hom, project_ab, random_form,
                      word_degree)
 
 
@@ -579,25 +583,6 @@ def random_idempotent(alg: Algebra, n: int, seed) -> Idempotent:
               for j in range(n)] for i in range(n)])
     u, uinv = _random_unipotent(alg, n, rng)
     return Idempotent(alg, u * e * uinv)
-
-
-def random_form(alg: Algebra, rng: random.Random, degrees, count,
-                bound: int) -> UForm:
-    """The sum of `count` seeded terms c*w per degree of `degrees`, with w a
-    word of that degree and c an integer in [-bound, bound].  `degrees` is
-    read lazily and `count` may be a (lo, hi) range, drawn for each degree
-    that has words; so the draws come in the order degree, count, then word
-    and coefficient per term."""
-    pairs = []
-    for n in degrees:
-        words = enumerate_words(alg, n)
-        if not words:
-            continue
-        draws = count if isinstance(count, int) else rng.randint(*count)
-        for _ in range(draws):
-            pairs.append((words[rng.randrange(len(words))],
-                          rng.randint(-bound, bound)))
-    return UForm(alg, pairs)
 
 
 def random_connection(p: Idempotent, seed) -> Connection:

@@ -14,8 +14,9 @@ from .connections import (Connection, ConnectionError_, Idempotent,
                           ModuleIso, block_diag, check_k_max, chern,
                           compose_iso, direct_sum, grassmann, permute_blocks,
                           pullback, random_automorphism, random_connection,
-                          random_form, random_idempotent, sum_iso)
-from .uforms import AbClass, UForm, ab_d, is_exact_in_ab, project_ab
+                          random_idempotent, sum_iso)
+from .uforms import (AbClass, UForm, ab_d, is_exact_in_ab, project_ab,
+                     random_form)
 from .transgression import (kcs, kcs_between, straight_line)
 
 

@@ -3,6 +3,8 @@
 Each suite runs a family of identity checks with seeded randomness and
 returns a JSON-ready report; the CLI `verify` command and the acceptance
 tests drive the same code.  All comparisons are exact rational equalities.
+`CHECKS` lists each suite's checks, and `run_suite` is the one loop that
+runs them.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from .algebra import Algebra, AlgebraHom
 from .connections import (Mat, ModuleIso, apply_operator, check_k_max, chern,
                           compose_iso, curvature, direct_sum, extend_scalars,
                           grassmann, pullback, random_automorphism,
-                          random_connection, random_form, random_idempotent,
-                          random_iso, sum_iso, trace_ab)
+                          random_connection, random_idempotent, random_iso,
+                          sum_iso, trace_ab)
 from .exactmath import Poly, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
@@ -28,7 +30,7 @@ from .transgression import (BiForm, TForm, bigon_straight, chern_tform,
                             secondary_transgression, straight_line,
                             three_point_path, tilde_curvature, tform_operator)
 from .uforms import (AbClass, UForm, ab_d, dimension, enumerate_words,
-                     extend_hom, is_exact_in_ab, project_ab)
+                     extend_hom, is_exact_in_ab, project_ab, random_form)
 
 
 # Sample sizes per fixture: random forms per DGA check and their top
@@ -70,15 +72,16 @@ def require(cond, msg):
 
 class _Check:
     """Collects named results with timings: "pass", "fail" (a check's
-    `require` failed) or "error" (a check raised anything else)."""
+    `require` failed) or "error" (a check raised anything else); `run`
+    calls fn(*args)."""
 
     def __init__(self):
         self.items = []
 
-    def run(self, name, fixture, fn):
+    def run(self, name, fixture, fn, *args):
         t0 = time.perf_counter()
         try:
-            detail = fn()
+            detail = fn(*args)
             status = "pass"
         except AssertionError as exc:
             detail = {"error": str(exc)}
@@ -100,130 +103,107 @@ class _Check:
                 "checks": self.items}
 
 
-def _fixture_algebras(fixtures, degree_cap):
-    names = fixtures or FIXTURE_NAMES
-    return [(n, make_fixture(n, degree_cap)) for n in names]
+# ---------------------------------------------------------------------------
+# DGA checks
+# ---------------------------------------------------------------------------
+
+def _dd(alg, rng, seed, k_max):
+    for _ in range(N_FORMS):
+        degs = (rng.randint(0, MAX_DEGREE) for _ in range(3))
+        u = random_form(alg, rng, degs, 1, 3)
+        require(u.d().d().is_zero(), "d(d(u)) != 0")
+    return {"count": N_FORMS}
+
+
+def _leibniz(alg, rng, seed, k_max):
+    count = 0
+    for _ in range(N_FORMS):
+        du = rng.randint(0, MAX_DEGREE - 1)
+        dv = rng.randint(0, MAX_DEGREE - 1 - du) \
+            if du < MAX_DEGREE - 1 else 0
+        u = random_form(alg, rng, (du,), 2, 3)
+        v = random_form(alg, rng, (dv,), 2, 3)
+        sign = -Q1 if du % 2 else Q1
+        lhs = (u * v).d()
+        rhs = u.d() * v + (u * v.d()).scale(sign)
+        require(lhs == rhs, "Leibniz fails")
+        count += 1
+    return {"count": count}
+
+
+def _associativity(alg, rng, seed, k_max):
+    count = 0
+    for _ in range(N_FORMS):
+        degs = [rng.randint(0, 2) for _ in range(3)]
+        while sum(degs) > MAX_DEGREE:
+            degs[rng.randrange(3)] = 0
+        u, v, w = (random_form(alg, rng, (d,), 2, 3) for d in degs)
+        require((u * v) * w == u * (v * w), "associativity fails")
+        count += 1
+    return {"count": count}
+
+
+def _dimension_law(alg, rng, seed, k_max):
+    m = alg.dim
+    for n in range(0, 7):
+        require(dimension(alg, n) == m * (m - 1) ** n ==
+                len(enumerate_words(alg, n)), "dimension law fails")
+    return {"degrees": 7}
 
 
 # ---------------------------------------------------------------------------
-# DGA suite
+# Chern checks
 # ---------------------------------------------------------------------------
 
-def run_dga_suite(seed: int, fixtures=None, degree_cap: int = 8) -> dict:
-    checks = _Check()
-    for name, alg in _fixture_algebras(fixtures, degree_cap):
-        rng = random.Random((seed, "dga", name).__repr__())
+def _cyclicity(alg, rng, seed, k_max):
+    for _ in range(10):
+        da = rng.randint(0, 2)
+        db = rng.randint(0, 2)
+        a = Mat([[random_form(alg, rng, (da,), 2, 3)
+                  for _ in range(2)] for _ in range(2)])
+        b = Mat([[random_form(alg, rng, (db,), 2, 3)
+                  for _ in range(2)] for _ in range(2)])
+        sign = -Q1 if (da * db) % 2 else Q1
+        require(trace_ab(a * b) == trace_ab(b * a).scale(sign),
+                "trace cyclicity fails")
+    return {"count": 10}
 
-        def check_dd(alg=alg, rng=rng):
-            for _ in range(N_FORMS):
-                degs = (rng.randint(0, MAX_DEGREE) for _ in range(3))
-                u = random_form(alg, rng, degs, 1, 3)
-                require(u.d().d().is_zero(), "d(d(u)) != 0")
-            return {"count": N_FORMS}
 
-        def check_leibniz(alg=alg, rng=rng):
-            count = 0
-            for _ in range(N_FORMS):
-                du = rng.randint(0, MAX_DEGREE - 1)
-                dv = rng.randint(0, MAX_DEGREE - 1 - du) \
-                    if du < MAX_DEGREE - 1 else 0
-                u = random_form(alg, rng, (du,), 2, 3)
-                v = random_form(alg, rng, (dv,), 2, 3)
-                sign = -Q1 if du % 2 else Q1
-                lhs = (u * v).d()
-                rhs = u.d() * v + (u * v.d()).scale(sign)
-                require(lhs == rhs, "Leibniz fails")
-                count += 1
-            return {"count": count}
-
-        def check_assoc(alg=alg, rng=rng):
-            count = 0
-            for _ in range(N_FORMS):
-                degs = [rng.randint(0, 2) for _ in range(3)]
-                while sum(degs) > MAX_DEGREE:
-                    degs[rng.randrange(3)] = 0
-                u, v, w = (random_form(alg, rng, (d,), 2, 3) for d in degs)
-                require((u * v) * w == u * (v * w), "associativity fails")
-                count += 1
-            return {"count": count}
-
-        def check_dims(alg=alg):
-            m = alg.dim
-            for n in range(0, 7):
-                require(dimension(alg, n) == m * (m - 1) ** n ==
-                        len(enumerate_words(alg, n)), "dimension law fails")
-            return {"degrees": 7}
-
-        checks.run("d o d = 0", name, check_dd)
-        checks.run("graded Leibniz", name, check_leibniz)
-        checks.run("associativity", name, check_assoc)
-        checks.run("dimension law", name, check_dims)
-    return checks.report("dga", seed)
+def _chern_identities(alg, rng, seed, k_max):
+    ops = 0
+    for _ in range(N_CONN):
+        p = random_idempotent(alg, 2, rng)
+        c = random_connection(p, rng)
+        # operator oracle for the curvature formula
+        r = curvature(c)
+        pf = p.to_form()
+        require(r * pf == apply_operator(c, apply_operator(c, pf)),
+                "curvature operator oracle fails")
+        chs = chern(c, k_max)
+        # ch0 of the Grassmann connection is the class of sum p_ii
+        require(chern(grassmann(p), k_max)[0] ==
+                trace_ab(p.to_form()), "ch0 mismatch")
+        # closedness in the abelianization
+        for k, cls in enumerate(chs):
+            require(ab_d(cls).is_zero(), "d(ch_%d) != 0 in ab" % k)
+        # additivity under direct sum
+        c2 = random_connection(p, rng)
+        both = direct_sum(c, c2)
+        chs2 = chern(c2, k_max)
+        chsb = chern(both, k_max)
+        for k in range(k_max + 1):
+            require(chsb[k] == chs[k] + chs2[k], "ch not additive")
+        # connection independence in homology
+        for k in range(1, k_max + 1):
+            diff = chs[k] - chs2[k]
+            ok, _prim = is_exact_in_ab(diff, 2 * k)
+            require(ok, "ch difference not exact")
+        ops += 1
+    return {"count": ops}
 
 
 # ---------------------------------------------------------------------------
-# Chern suite
-# ---------------------------------------------------------------------------
-
-def run_chern_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                    k_max: int = 2) -> dict:
-    check_k_max(k_max)
-    checks = _Check()
-    for name, alg in _fixture_algebras(fixtures, degree_cap):
-        rng = random.Random((seed, "chern", name).__repr__())
-
-        def check_cyclicity(alg=alg, rng=rng):
-            for _ in range(10):
-                da = rng.randint(0, 2)
-                db = rng.randint(0, 2)
-                a = Mat([[random_form(alg, rng, (da,), 2, 3)
-                          for _ in range(2)] for _ in range(2)])
-                b = Mat([[random_form(alg, rng, (db,), 2, 3)
-                          for _ in range(2)] for _ in range(2)])
-                sign = -Q1 if (da * db) % 2 else Q1
-                require(trace_ab(a * b) == trace_ab(b * a).scale(sign),
-                        "trace cyclicity fails")
-            return {"count": 10}
-
-        def check_connections(alg=alg, rng=rng):
-            ops = 0
-            for _ in range(N_CONN):
-                p = random_idempotent(alg, 2, rng)
-                c = random_connection(p, rng)
-                # operator oracle for the curvature formula
-                r = curvature(c)
-                pf = p.to_form()
-                require(r * pf == apply_operator(c, apply_operator(c, pf)),
-                        "curvature operator oracle fails")
-                chs = chern(c, k_max)
-                # ch0 of the Grassmann connection is the class of sum p_ii
-                require(chern(grassmann(p), k_max)[0] ==
-                        trace_ab(p.to_form()), "ch0 mismatch")
-                # closedness in the abelianization
-                for k, cls in enumerate(chs):
-                    require(ab_d(cls).is_zero(), "d(ch_%d) != 0 in ab" % k)
-                # additivity under direct sum
-                c2 = random_connection(p, rng)
-                both = direct_sum(c, c2)
-                chs2 = chern(c2, k_max)
-                chsb = chern(both, k_max)
-                for k in range(k_max + 1):
-                    require(chsb[k] == chs[k] + chs2[k], "ch not additive")
-                # connection independence in homology
-                for k in range(1, k_max + 1):
-                    diff = chs[k] - chs2[k]
-                    ok, _prim = is_exact_in_ab(diff, 2 * k)
-                    require(ok, "ch difference not exact")
-                ops += 1
-            return {"count": ops}
-
-        checks.run("trace cyclicity", name, check_cyclicity)
-        checks.run("chern identities", name, check_connections)
-    return checks.report("chern", seed)
-
-
-# ---------------------------------------------------------------------------
-# Transgression suite
+# Transgression checks
 # ---------------------------------------------------------------------------
 
 def _naturality_homs(degree_cap):
@@ -251,263 +231,255 @@ def _random_path(alg, rng, quadratic=False):
     return straight_line(c0, c1)
 
 
-def run_transgression_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                            k_max: int = 2) -> dict:
-    check_k_max(k_max)
-    checks = _Check()
-    for name, alg in _fixture_algebras(fixtures, degree_cap):
-        rng = random.Random((seed, "transgression", name).__repr__())
+def _homotopy(alg, rng, seed, k_max):
+    for _ in range(20):
+        w = _random_cylform(TForm, alg, rng, 3, 2)
+        lhs = homotopy_K(w.d()) + homotopy_K(w).d()
+        rhs = w.restrict(0, 1) - w.restrict(0, 0)
+        require(lhs == rhs, "homotopy formula fails")
+    return {"count": 20}
 
-        def check_homotopy(alg=alg, rng=rng):
-            for _ in range(20):
-                w = _random_cylform(TForm, alg, rng, 3, 2)
-                lhs = homotopy_K(w.d()) + homotopy_K(w).d()
-                rhs = w.restrict(0, 1) - w.restrict(0, 0)
-                require(lhs == rhs, "homotopy formula fails")
-            return {"count": 20}
 
-        def check_tform_ring(alg=alg, rng=rng):
-            for _ in range(10):
-                a = _random_cylform(TForm, alg, rng, 2, 2)
-                b = _random_cylform(TForm, alg, rng, 2, 2)
-                c = _random_cylform(TForm, alg, rng, 1, 2)
-                require((a * b) * c == a * (b * c), "TForm assoc fails")
-            return {"count": 10}
+def _tform_associativity(alg, rng, seed, k_max):
+    for _ in range(10):
+        a = _random_cylform(TForm, alg, rng, 2, 2)
+        b = _random_cylform(TForm, alg, rng, 2, 2)
+        c = _random_cylform(TForm, alg, rng, 1, 2)
+        require((a * b) * c == a * (b * c), "TForm assoc fails")
+    return {"count": 10}
 
-        def check_paths(alg=alg, rng=rng):
-            for _ in range(N_PATHS):
-                p = random_idempotent(alg, 2, rng)
-                c0 = random_connection(p, rng)
-                c1 = random_connection(p, rng)
-                path = straight_line(c0, c1)
-                # curvature family certified by the operator oracle
-                r, s = tilde_curvature(path)
-                rt = Mat([[TForm(a, b) for a, b in zip(ra, sa)]
-                          for ra, sa in zip(r.entries, s.entries)])
-                pf = p.to_form().map(TForm)
-                require(rt * pf == tform_operator(
-                    path, tform_operator(path, pf)),
-                    "cylinder curvature oracle fails")
-                # transgression: d KCS = ch(c1) - ch(c0), exactly in ab
-                kcs_list = kcs(path, k_max)
-                ch0 = chern(c0, k_max)
-                ch1 = chern(c1, k_max)
-                for k in range(1, k_max + 1):
-                    require(ab_d(kcs_list[k - 1]) == ch1[k] - ch0[k],
-                            "d KCS != delta ch")
-                # reversal is an exact sign flip
-                rev = kcs(reverse_path(path), k_max)
-                for k in range(k_max):
-                    require(rev[k] == -kcs_list[k], "reversal sign fails")
-                # ev-compatibility of ch along the path
-                chs_t = chern_tform(path, k_max)
-                for tval in (0, Fraction(1, 2), 1):
-                    cht = chern(path.restrict(0, tval), k_max)
-                    for k in range(k_max + 1):
-                        require(project_ab(chs_t[k].restrict(0, tval))
-                                == cht[k],
-                                "ev compatibility fails")
-                # constant path vanishes
-                const = kcs(constant_path(c0), k_max)
-                require(all(x.is_zero() for x in const),
-                        "constant KCS != 0")
-                # direct sum additivity
-                p2 = random_idempotent(alg, 1, rng)
-                d0 = random_connection(p2, rng)
-                d1 = random_connection(p2, rng)
-                path2 = straight_line(d0, d1)
-                kcs2 = kcs(path2, k_max)
-                kcsb = kcs(direct_sum(path, path2), k_max)
-                for k in range(k_max):
-                    require(kcsb[k] == kcs_list[k] + kcs2[k],
-                            "KCS not additive")
-                # pullback invariance along a module isomorphism
-                p1, iso = random_iso(p, rng)
-                c1a = random_connection(p1, rng)
-                c1b = random_connection(p1, rng)
-                other = straight_line(c1a, c1b)
-                require(kcs(pullback(other, iso), k_max) ==
-                        kcs(other, k_max), "KCS not pullback invariant")
-            return {"count": N_PATHS}
 
-        def check_secondary(alg=alg, rng=rng):
-            for _ in range(N_PAIRS):
-                p = random_idempotent(alg, 2, rng)
-                c0 = random_connection(p, rng)
-                c1 = random_connection(p, rng)
-                cm = random_connection(p, rng)
-                path1 = straight_line(c0, c1)
-                path2 = three_point_path(c0, cm, c1)
-                bigon = bigon_straight(path1, path2)
-                pots = secondary_transgression(bigon, k_max)
-                k1 = kcs(path1, k_max)
-                k2 = kcs(path2, k_max)
-                for k in range(1, k_max + 1):
-                    require(ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1],
-                            "secondary transgression fails")
-            return {"count": N_PAIRS}
+def _path_identities(alg, rng, seed, k_max):
+    for _ in range(N_PATHS):
+        p = random_idempotent(alg, 2, rng)
+        c0 = random_connection(p, rng)
+        c1 = random_connection(p, rng)
+        path = straight_line(c0, c1)
+        # curvature family certified by the operator oracle
+        r, s = tilde_curvature(path)
+        rt = Mat([[TForm(a, b) for a, b in zip(ra, sa)]
+                  for ra, sa in zip(r.entries, s.entries)])
+        pf = p.to_form().map(TForm)
+        require(rt * pf == tform_operator(
+            path, tform_operator(path, pf)),
+            "cylinder curvature oracle fails")
+        # transgression: d KCS = ch(c1) - ch(c0), exactly in ab
+        kcs_list = kcs(path, k_max)
+        ch0 = chern(c0, k_max)
+        ch1 = chern(c1, k_max)
+        for k in range(1, k_max + 1):
+            require(ab_d(kcs_list[k - 1]) == ch1[k] - ch0[k],
+                    "d KCS != delta ch")
+        # reversal is an exact sign flip
+        rev = kcs(reverse_path(path), k_max)
+        for k in range(k_max):
+            require(rev[k] == -kcs_list[k], "reversal sign fails")
+        # ev-compatibility of ch along the path
+        chs_t = chern_tform(path, k_max)
+        for tval in (0, Fraction(1, 2), 1):
+            cht = chern(path.restrict(0, tval), k_max)
+            for k in range(k_max + 1):
+                require(project_ab(chs_t[k].restrict(0, tval))
+                        == cht[k],
+                        "ev compatibility fails")
+        # constant path vanishes
+        const = kcs(constant_path(c0), k_max)
+        require(all(x.is_zero() for x in const),
+                "constant KCS != 0")
+        # direct sum additivity
+        p2 = random_idempotent(alg, 1, rng)
+        d0 = random_connection(p2, rng)
+        d1 = random_connection(p2, rng)
+        path2 = straight_line(d0, d1)
+        kcs2 = kcs(path2, k_max)
+        kcsb = kcs(direct_sum(path, path2), k_max)
+        for k in range(k_max):
+            require(kcsb[k] == kcs_list[k] + kcs2[k],
+                    "KCS not additive")
+        # pullback invariance along a module isomorphism
+        p1, iso = random_iso(p, rng)
+        c1a = random_connection(p1, rng)
+        c1b = random_connection(p1, rng)
+        other = straight_line(c1a, c1b)
+        require(kcs(pullback(other, iso), k_max) ==
+                kcs(other, k_max), "KCS not pullback invariant")
+    return {"count": N_PATHS}
 
-        def check_kk(alg=alg, rng=rng):
-            for _ in range(50):
-                b = _random_cylform(BiForm, alg, rng, 2, 1)
-                require(homotopy_K(b.integrate(0)) ==
-                        homotopy_K(b.integrate(1)),
-                        "K K1 != K K2")
-            return {"count": 50}
 
-        def check_triangle(alg=alg, rng=rng):
-            count = 0
-            for _ in range(N_TRIPLES):
-                p = random_idempotent(alg, 2, rng)
-                c1 = random_connection(p, rng)
-                c2 = random_connection(p, rng)
-                c3 = random_connection(p, rng)
-                k13 = kcs_between(c1, c3, k_max)
-                k12 = kcs_between(c1, c2, k_max)
-                k23 = kcs_between(c2, c3, k_max)
-                for k in range(1, k_max + 1):
-                    resid = k13[k - 1] - k12[k - 1] - k23[k - 1]
-                    ok, prim = is_exact_in_ab(resid, 2 * k - 1)
-                    require(ok, "triangle residual not exact")
-                    # the emitted primitive certifies exactness
-                    require(project_ab(prim.d()) ==
-                            resid.component(2 * k - 1),
-                            "triangle primitive does not certify")
-                count += 1
-            return {"count": count}
+def _secondary(alg, rng, seed, k_max):
+    for _ in range(N_PAIRS):
+        p = random_idempotent(alg, 2, rng)
+        c0 = random_connection(p, rng)
+        c1 = random_connection(p, rng)
+        cm = random_connection(p, rng)
+        path1 = straight_line(c0, c1)
+        path2 = three_point_path(c0, cm, c1)
+        bigon = bigon_straight(path1, path2)
+        pots = secondary_transgression(bigon, k_max)
+        k1 = kcs(path1, k_max)
+        k2 = kcs(path2, k_max)
+        for k in range(1, k_max + 1):
+            require(ab_d(pots[k - 1]) == k1[k - 1] - k2[k - 1],
+                    "secondary transgression fails")
+    return {"count": N_PAIRS}
 
-        def check_closed_form(alg=alg, rng=rng):
-            for i in range(N_CLOSED):
-                path = _random_path(alg, rng, quadratic=(i % 3 == 0))
-                require(kcs_closed_form(path, k_max) == kcs(path, k_max),
-                        "closed form disagrees")
-            return {"count": N_CLOSED}
 
-        checks.run("homotopy formula", name, check_homotopy)
-        checks.run("TForm associativity", name, check_tform_ring)
-        checks.run("path identities", name, check_paths)
-        checks.run("secondary transgression", name, check_secondary)
-        checks.run("K K1 = K K2", name, check_kk)
-        checks.run("triangle law", name, check_triangle)
-        checks.run("closed-form agreement", name, check_closed_form)
+def _kk(alg, rng, seed, k_max):
+    for _ in range(50):
+        b = _random_cylform(BiForm, alg, rng, 2, 1)
+        require(homotopy_K(b.integrate(0)) ==
+                homotopy_K(b.integrate(1)),
+                "K K1 != K K2")
+    return {"count": 50}
 
-    # hom naturality across fixtures
-    rng = random.Random((seed, "naturality").__repr__())
 
-    def check_naturality(rng=rng):
-        for hom_name, psi in _naturality_homs(degree_cap):
-            f = extend_hom(psi)
-            for _ in range(3):
-                path = _random_path(psi.source, rng)
-                ind = extend_scalars(path, psi)
-                lhs = kcs(ind, 2)
-                rhs = [project_ab(f(cls.lift())) for cls in kcs(path, 2)]
-                require(lhs == rhs,
-                        "KCS naturality fails for %s" % hom_name)
-        return {"homs": 3}
+def _triangle(alg, rng, seed, k_max):
+    count = 0
+    for _ in range(N_TRIPLES):
+        p = random_idempotent(alg, 2, rng)
+        c1 = random_connection(p, rng)
+        c2 = random_connection(p, rng)
+        c3 = random_connection(p, rng)
+        k13 = kcs_between(c1, c3, k_max)
+        k12 = kcs_between(c1, c2, k_max)
+        k23 = kcs_between(c2, c3, k_max)
+        for k in range(1, k_max + 1):
+            resid = k13[k - 1] - k12[k - 1] - k23[k - 1]
+            ok, prim = is_exact_in_ab(resid, 2 * k - 1)
+            require(ok, "triangle residual not exact")
+            # the emitted primitive certifies exactness
+            require(project_ab(prim.d()) ==
+                    resid.component(2 * k - 1),
+                    "triangle primitive does not certify")
+        count += 1
+    return {"count": count}
 
-    checks.run("hom naturality", "cross-fixture", check_naturality)
-    return checks.report("transgression", seed)
+
+def _closed_form(alg, rng, seed, k_max):
+    for i in range(N_CLOSED):
+        path = _random_path(alg, rng, quadratic=(i % 3 == 0))
+        require(kcs_closed_form(path, k_max) == kcs(path, k_max),
+                "closed form disagrees")
+    return {"count": N_CLOSED}
+
+
+def _naturality(rng, degree_cap):
+    """The cross-fixture check of the transgression suite: KCS commutes
+    with extension of scalars along each hom of `_naturality_homs`."""
+    for hom_name, psi in _naturality_homs(degree_cap):
+        f = extend_hom(psi)
+        for _ in range(3):
+            path = _random_path(psi.source, rng)
+            ind = extend_scalars(path, psi)
+            lhs = kcs(ind, 2)
+            rhs = [project_ab(f(cls.lift())) for cls in kcs(path, 2)]
+            require(lhs == rhs,
+                    "KCS naturality fails for %s" % hom_name)
+    return {"homs": 3}
 
 
 # ---------------------------------------------------------------------------
-# Hexagon suite
+# Hexagon checks
 # ---------------------------------------------------------------------------
 
-def run_hexagon_suite(seed: int, fixtures=None, degree_cap: int = 8,
-                      k_max: int = 2) -> dict:
-    check_k_max(k_max)
-    checks = _Check()
-    for name, alg in _fixture_algebras(fixtures, degree_cap):
-        rng = random.Random((seed, "hexagon", name).__repr__())
+def _hexagon(alg, rng, seed, k_max):
+    rep = hexagon_suite(alg, seed, k_max)
+    require(rep["status"] == "pass", "hexagon identities fail")
+    return {"identities": [e["name"] for e in rep["identities"]]}
 
-        def check_core(alg=alg):
-            rep = hexagon_suite(alg, seed, k_max)
-            require(rep["status"] == "pass", "hexagon identities fail")
-            return {"identities": [e["name"] for e in rep["identities"]]}
 
-        def check_witnesses(alg=alg, rng=rng):
-            p = random_idempotent(alg, 2, rng)
-            d = random_connection(p, rng)
-            g0 = KHatGen(p, d, UForm.zero(alg))
-            # reflexivity with a trivial stabilizer
-            stab_p = random_idempotent(alg, 1, rng)
-            stab = grassmann(stab_p)
-            sum_p = direct_sum(d, stab).p
-            wit = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
-            require(verify_kcs_equivalence(g0, g0, wit, k_max)["accepted"],
-                    "reflexive witness rejected")
-            # constructed omega
-            d2 = random_connection(p, rng)
-            omega1 = AbClass(alg)
-            for cls in kcs_between(d, d2, k_max):
-                omega1 = omega1 + cls
-            g1 = KHatGen(p, d2, (-omega1).lift())
-            wit2 = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
-            require(verify_kcs_equivalence(g0, g1, wit2, k_max)["accepted"],
-                    "constructed omega rejected")
-            # symmetry with the inverse iso
-            require(verify_kcs_equivalence(g1, g0, wit2, k_max)["accepted"],
-                    "symmetric witness rejected")
-            return {"count": 3}
+def _witnesses(alg, rng, seed, k_max):
+    p = random_idempotent(alg, 2, rng)
+    d = random_connection(p, rng)
+    g0 = KHatGen(p, d, UForm.zero(alg))
+    # reflexivity with a trivial stabilizer
+    stab_p = random_idempotent(alg, 1, rng)
+    stab = grassmann(stab_p)
+    sum_p = direct_sum(d, stab).p
+    wit = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
+    require(verify_kcs_equivalence(g0, g0, wit, k_max)["accepted"],
+            "reflexive witness rejected")
+    # constructed omega
+    d2 = random_connection(p, rng)
+    omega1 = AbClass(alg)
+    for cls in kcs_between(d, d2, k_max):
+        omega1 = omega1 + cls
+    g1 = KHatGen(p, d2, (-omega1).lift())
+    wit2 = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
+    require(verify_kcs_equivalence(g0, g1, wit2, k_max)["accepted"],
+            "constructed omega rejected")
+    # symmetry with the inverse iso
+    require(verify_kcs_equivalence(g1, g0, wit2, k_max)["accepted"],
+            "symmetric witness rejected")
+    return {"count": 3}
 
-        def check_odd_chern(alg=alg, rng=rng):
-            p = random_idempotent(alg, 2, rng)
-            u1 = random_automorphism(p, rng)
-            u2 = random_automorphism(p, rng)
-            comp = compose_iso(u2, u1)
-            ch_comp = odd_chern(K1Pair(p, comp), k_max)
-            ch1 = odd_chern(K1Pair(p, u1), k_max)
-            ch2 = odd_chern(K1Pair(p, u2), k_max)
-            for k in range(1, k_max + 1):
-                diff = ch_comp[k - 1] - ch1[k - 1] - ch2[k - 1]
-                ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                require(ok, "odd chern composition law fails")
-            # block sum law
-            p2 = random_idempotent(alg, 2, rng)
-            v = random_automorphism(p2, rng)
-            chb = odd_chern(K1Pair(direct_sum(grassmann(p),
-                                              grassmann(p2)).p,
-                                   sum_iso(u1, v)), k_max)
-            chv = odd_chern(K1Pair(p2, v), k_max)
-            for k in range(1, k_max + 1):
-                diff = chb[k - 1] - ch1[k - 1] - chv[k - 1]
-                ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                require(ok, "odd chern block-sum law fails")
-            # connection independence mod Im(d)
-            dth = random_connection(p, rng)
-            alt = kcs(straight_line(dth, pullback(dth, u1)), k_max)
-            for k in range(1, k_max + 1):
-                diff = alt[k - 1] - ch1[k - 1]
-                ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-                require(ok, "odd chern depends on connection")
-            return {"count": 3}
 
-        checks.run("hexagon identities", name, check_core)
-        checks.run("kcs equivalence witnesses", name, check_witnesses)
-        checks.run("odd chern laws", name, check_odd_chern)
-    return checks.report("hexagon", seed)
+def _odd_chern_laws(alg, rng, seed, k_max):
+    p = random_idempotent(alg, 2, rng)
+    u1 = random_automorphism(p, rng)
+    u2 = random_automorphism(p, rng)
+    comp = compose_iso(u2, u1)
+    ch_comp = odd_chern(K1Pair(p, comp), k_max)
+    ch1 = odd_chern(K1Pair(p, u1), k_max)
+    ch2 = odd_chern(K1Pair(p, u2), k_max)
+    for k in range(1, k_max + 1):
+        diff = ch_comp[k - 1] - ch1[k - 1] - ch2[k - 1]
+        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
+        require(ok, "odd chern composition law fails")
+    # block sum law
+    p2 = random_idempotent(alg, 2, rng)
+    v = random_automorphism(p2, rng)
+    chb = odd_chern(K1Pair(direct_sum(grassmann(p),
+                                      grassmann(p2)).p,
+                           sum_iso(u1, v)), k_max)
+    chv = odd_chern(K1Pair(p2, v), k_max)
+    for k in range(1, k_max + 1):
+        diff = chb[k - 1] - ch1[k - 1] - chv[k - 1]
+        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
+        require(ok, "odd chern block-sum law fails")
+    # connection independence mod Im(d)
+    dth = random_connection(p, rng)
+    alt = kcs(straight_line(dth, pullback(dth, u1)), k_max)
+    for k in range(1, k_max + 1):
+        diff = alt[k - 1] - ch1[k - 1]
+        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
+        require(ok, "odd chern depends on connection")
+    return {"count": 3}
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-SUITES = ("dga", "chern", "transgression", "hexagon")
+# suite -> its checks in report order, each fn(alg, rng, seed, k_max) on one
+# fixture algebra and the fixture's rng of that suite
+CHECKS = {
+    "dga": (("d o d = 0", _dd), ("graded Leibniz", _leibniz),
+            ("associativity", _associativity),
+            ("dimension law", _dimension_law)),
+    "chern": (("trace cyclicity", _cyclicity),
+              ("chern identities", _chern_identities)),
+    "transgression": (("homotopy formula", _homotopy),
+                      ("TForm associativity", _tform_associativity),
+                      ("path identities", _path_identities),
+                      ("secondary transgression", _secondary),
+                      ("K K1 = K K2", _kk), ("triangle law", _triangle),
+                      ("closed-form agreement", _closed_form)),
+    "hexagon": (("hexagon identities", _hexagon),
+                ("kcs equivalence witnesses", _witnesses),
+                ("odd chern laws", _odd_chern_laws)),
+}
+SUITES = tuple(CHECKS)
 
 
 def run_suite(suite: str, seed: int, fixtures=None, degree_cap: int = 8,
               k_max: int = 2) -> dict:
+    """The report of one suite, or of each of `SUITES` for "all".  Per
+    fixture of `fixtures` (default `FIXTURE_NAMES`), in the order given,
+    the suite's `CHECKS` run on one algebra with one rng seeded by (seed,
+    suite, fixture); the transgression suite then checks hom naturality
+    on its own (seed, "naturality") rng."""
     check_k_max(k_max)
-    if suite == "dga":
-        return run_dga_suite(seed, fixtures, degree_cap)
-    if suite == "chern":
-        return run_chern_suite(seed, fixtures, degree_cap, k_max=k_max)
-    if suite == "transgression":
-        return run_transgression_suite(seed, fixtures, degree_cap,
-                                       k_max=k_max)
-    if suite == "hexagon":
-        return run_hexagon_suite(seed, fixtures, degree_cap, k_max=k_max)
     if suite == "all":
         reports = [run_suite(s, seed, fixtures, degree_cap, k_max)
                    for s in SUITES]
@@ -515,4 +487,15 @@ def run_suite(suite: str, seed: int, fixtures=None, degree_cap: int = 8,
                   else "fail")
         return {"suite": "all", "seed": seed, "status": status,
                 "reports": reports}
-    raise ValueError("unknown suite %r" % suite)
+    if suite not in CHECKS:
+        raise ValueError("unknown suite %r" % suite)
+    checks = _Check()
+    for name in fixtures or FIXTURE_NAMES:
+        alg = make_fixture(name, degree_cap)
+        rng = random.Random((seed, suite, name).__repr__())
+        for check, fn in CHECKS[suite]:
+            checks.run(check, name, fn, alg, rng, seed, k_max)
+    if suite == "transgression":
+        checks.run("hom naturality", "cross-fixture", _naturality,
+                   random.Random((seed, "naturality").__repr__()), degree_cap)
+    return checks.report(suite, seed)

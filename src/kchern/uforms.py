@@ -128,6 +128,27 @@ def _degree(alg: Algebra, n: int):
     return cache[n]
 
 
+def random_form(alg: Algebra, rng, degrees, count, bound: int) -> UForm:
+    """The sum of `count` seeded terms c*w per degree of `degrees`, with w a
+    word of that degree and c an integer in [-bound, bound], drawn by the
+    random.Random `rng` from the degree's kept word list (`_degree`).
+    `degrees` is read lazily and `count` may be a (lo, hi) range, drawn for
+    each degree that has words; so the draws come in the order degree,
+    count, then word and coefficient per term."""
+    pairs = []
+    for n in degrees:
+        if n < 0:
+            raise FormError("negative degree")
+        words = _degree(alg, n)[0]
+        if not words:
+            continue
+        draws = count if isinstance(count, int) else rng.randint(*count)
+        for _ in range(draws):
+            pairs.append((words[rng.randrange(len(words))],
+                          rng.randint(-bound, bound)))
+    return UForm(alg, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Forms
 # ---------------------------------------------------------------------------

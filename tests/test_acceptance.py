@@ -18,8 +18,7 @@ from kchern.connections import (ModuleIso, direct_sum, pullback,
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (KCSWitness, KHatGen, chain_witnesses, hexagon_suite,
                          verify_kcs_equivalence)
-from kchern.suites import (run_chern_suite, run_dga_suite, run_hexagon_suite,
-                           run_transgression_suite)
+from kchern.suites import run_suite
 from kchern.transgression import kcs_between
 from kchern.uforms import (AbClass, UForm, de_rham_homology, dimension,
                            enumerate_words, is_exact_in_ab, project_ab)
@@ -33,7 +32,7 @@ def transgression_report():
     """Criteria 4, 5, 6 and 8 share one suite run (degree cap 6)."""
     if "transgression" not in _cache:
         t0 = time.perf_counter()
-        rep = run_transgression_suite(SEED, degree_cap=6, k_max=2)
+        rep = run_suite("transgression", SEED, degree_cap=6, k_max=2)
         _cache["transgression"] = (rep, time.perf_counter() - t0)
     return _cache["transgression"]
 
@@ -50,7 +49,7 @@ def announce(num, detail):
 
 def test_criterion_1_dga_suite():
     t0 = time.perf_counter()
-    rep = run_dga_suite(SEED)
+    rep = run_suite("dga", SEED)
     elapsed = time.perf_counter() - t0
     assert rep["status"] == "pass"
     for name in ("d o d = 0", "graded Leibniz", "associativity"):
@@ -81,7 +80,7 @@ def test_criterion_2_dimension_law():
 
 def test_criterion_3_chern_suite():
     t0 = time.perf_counter()
-    rep = run_chern_suite(SEED, k_max=2)
+    rep = run_suite("chern", SEED, k_max=2)
     elapsed = time.perf_counter() - t0
     assert rep["status"] == "pass"
     for c in checks_by_name(rep, "chern identities"):
@@ -133,7 +132,7 @@ def test_criterion_7_khat_layer():
             assert hexagon_suite(alg, seed, 2)["status"] == "pass"
     # full hexagon check battery (R o a = d, Pr o R = ch o I, odd chern
     # composition and block-sum laws, witness checks)
-    hex_rep = run_hexagon_suite(SEED, k_max=2)
+    hex_rep = run_suite("hexagon", SEED, k_max=2)
     assert hex_rep["status"] == "pass"
 
     # explicit witness chain on the product fixture, where the class of

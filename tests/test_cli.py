@@ -269,14 +269,14 @@ class TestMalformedInput:
     def test_kmax_below_one_refused_before_any_suite(self, monkeypatch,
                                                      capsys):
         from kchern import suites
-        ran = []
-        monkeypatch.setattr(suites, "run_dga_suite",
-                            lambda *args, **kw: ran.append(args))
+        built = []
+        monkeypatch.setattr(suites, "make_fixture",
+                            lambda *args, **kw: built.append(args))
         for suite in ("dga", "all"):
             assert run(["verify", "--suite", suite, "--fixture", "dual",
                         "--kmax", "0"]) == 2, suite
             assert capsys.readouterr().out == ""
-        assert ran == []
+        assert built == []
 
     def test_kmax_below_one_refused_by_kcs(self, tmp_path, capsys):
         f = _pair_file(tmp_path)

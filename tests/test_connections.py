@@ -542,6 +542,14 @@ class TestRandomForm:
         assert u == UForm(alg, pairs)
         assert rng.getstate() == ref.getstate()
 
+    def test_negative_degree_is_refused(self):
+        # the kept word lists are indexed by degree, so -1 must not read
+        # the highest one built
+        alg = make_fixture("dual")
+        random_form(alg, random.Random(8), (3,), 1, 1)
+        with pytest.raises(FormError, match="negative degree"):
+            random_form(alg, random.Random(8), (-1,), 1, 1)
+
 
 class TestExtendScalars:
     def test_naturality_of_chern(self):

@@ -331,16 +331,14 @@ class TestHexagon:
 
     def test_kmax_below_one_is_refused(self):
         # k_max = 0 would compare empty class lists and report "pass"
-        from kchern.suites import (run_chern_suite, run_hexagon_suite,
-                                   run_transgression_suite)
+        from kchern.suites import run_suite
         alg = make_fixture("dual")
         for k_max in (0, -1):
             with pytest.raises(ValueError):
                 hexagon_suite(alg, 7, k_max)
-            for suite in (run_chern_suite, run_transgression_suite,
-                          run_hexagon_suite):
+            for suite in ("chern", "transgression", "hexagon"):
                 with pytest.raises(ValueError):
-                    suite(7, ["dual"], k_max=k_max)
+                    run_suite(suite, 7, ["dual"], k_max=k_max)
             p = random_idempotent(alg, 2, 1)
             c0, c1 = random_connection(p, 2), random_connection(p, 3)
             with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Planted defects: each suite check named here must fail when the code it
 exercises is made wrong, or its "pass" would show nothing."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,8 +19,7 @@ from kchern.exactmath import Poly, accumulate
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
                          verify_kcs_equivalence)
-from kchern.suites import (SUITES, run_chern_suite, run_hexagon_suite,
-                           run_suite, run_transgression_suite)
+from kchern.suites import SUITES, run_suite
 from kchern.transgression import kcs_between
 from kchern.uforms import UForm
 from tests.test_connections import _sum_iso_swapped_u
@@ -48,25 +49,23 @@ def _self_sum_iso(a, b):
 
 
 @pytest.mark.parametrize("name, suite, fixture, target, plant, status", [
-    ("chern identities", run_chern_suite, "M2", "direct_sum", _self_sum,
+    ("chern identities", "chern", "M2", "direct_sum", _self_sum, "fail"),
+    ("hom naturality", "transgression", "Q", "extend_hom", _doubled_hom,
      "fail"),
-    ("hom naturality", run_transgression_suite, "Q", "extend_hom",
-     _doubled_hom, "fail"),
-    ("triangle law", run_transgression_suite, "dual", "is_exact_in_ab",
+    ("triangle law", "transgression", "dual", "is_exact_in_ab",
      _zero_primitive, "fail"),
-    ("kcs equivalence witnesses", run_hexagon_suite, "M2", "kcs_between",
+    ("kcs equivalence witnesses", "hexagon", "M2", "kcs_between",
      _negated_kcs, "fail"),
     # the block sum of u1 with itself lives on p (+) p, not p (+) p2, so
     # K1Pair refuses it: the check errors rather than fails
-    ("odd chern laws", run_hexagon_suite, "M2", "sum_iso", _self_sum_iso,
-     "error"),
+    ("odd chern laws", "hexagon", "M2", "sum_iso", _self_sum_iso, "error"),
 ])
 def test_planted_defect_fails_the_check(monkeypatch, name, suite, fixture,
                                         target, plant, status):
     monkeypatch.setattr(suites, target, plant)
     for count in ("N_PATHS", "N_PAIRS", "N_CLOSED"):
         monkeypatch.setattr(suites, count, 1)
-    rep = suite(7, fixtures=[fixture])
+    rep = run_suite(suite, 7, fixtures=[fixture])
     assert rep["status"] == "fail"
     assert [c["status"] for c in rep["checks"] if c["name"] == name] == [
         status]
@@ -149,14 +148,14 @@ class TestIntegralMutants:
                 if c["status"] == "fail"}
 
     def test_unpatched_suite_passes(self, few):
-        rep = run_transgression_suite(7)
+        rep = run_suite("transgression", 7)
         assert rep["status"] == "pass"
 
     @pytest.mark.parametrize("mutant", sorted(INTEGRAL_MUTANTS))
     def test_mutant_fails_its_checks(self, monkeypatch, few, mutant):
         patch, pairs = INTEGRAL_MUTANTS[mutant]
         patch(monkeypatch)
-        rep = run_transgression_suite(7)
+        rep = run_suite("transgression", 7)
         assert pairs <= self.failed(rep), pairs - self.failed(rep)
 
 
@@ -186,7 +185,7 @@ def test_odd_chern_survivor_fails_the_hexagon_suite(monkeypatch, mutant):
 
     for module in (khat, suites):
         monkeypatch.setattr(module, "odd_chern", plant)
-    rep = run_hexagon_suite(7, fixtures=["dual", "x3"])
+    rep = run_suite("hexagon", 7, fixtures=["dual", "x3"])
     if not calls:
         # not an AssertionError, so a plant that never runs fails the test
         # instead of xfailing
@@ -217,7 +216,7 @@ def test_sum_iso_survivor_fails_odd_chern_laws(monkeypatch, mutant):
         return SUM_ISO_SURVIVORS[mutant](a, b)
 
     monkeypatch.setattr(suites, "sum_iso", plant)
-    rep = run_hexagon_suite(7, fixtures=["dual", "x3"])
+    rep = run_suite("hexagon", 7, fixtures=["dual", "x3"])
     if not calls:
         # not an AssertionError, so a plant that never runs fails the test
         # instead of xfailing
@@ -243,6 +242,21 @@ def _timeless(x):
     if isinstance(x, list):
         return [_timeless(v) for v in x]
     return x
+
+
+# sha256 of the timing-stripped report of every suite on a fixture subset in
+# non-canonical order, a non-default cap and k_max = 3, whose middle Chern
+# power k = 2 no default `verify` reaches
+NON_DEFAULT_ALL_SHA256 = (
+    "1dd842fbeb09b08a80de1e7266ed77b0fe05ad3abce1452db8035320dc44e91d")
+
+
+def test_non_default_report_is_pinned():
+    rep = run_suite("all", 3, fixtures=["C2", "dual"], degree_cap=7,
+                    k_max=3)
+    assert rep["status"] == "pass"
+    text = json.dumps(_timeless(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == NON_DEFAULT_ALL_SHA256
 
 
 def _khat_round(name):
@@ -301,10 +315,10 @@ class TestCheckedConstructorOracle:
         # sum law passes with the u blocks swapped; the checked
         # ModuleIso refuses them
         monkeypatch.setattr(suites, "sum_iso", _sum_iso_swapped_u)
-        rep = run_hexagon_suite(7, fixtures=["M2"])
+        rep = run_suite("hexagon", 7, fixtures=["M2"])
         assert rep["status"] == "pass"
         _checked_new(monkeypatch)
-        rep = run_hexagon_suite(7, fixtures=["M2"])
+        rep = run_suite("hexagon", 7, fixtures=["M2"])
         odd = [c for c in rep["checks"] if c["name"] == "odd chern laws"]
         assert [c["status"] for c in odd] == ["error"]
         assert "ConnectionError_" in odd[0]["detail"]["error"]

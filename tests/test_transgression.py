@@ -20,7 +20,7 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
 from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import abclass_to_json, form_to_json
-from kchern.suites import _random_cylform, run_transgression_suite
+from kchern.suites import _random_cylform, run_suite
 from kchern.transgression import (BiForm, CylForm, EPSILON_K, KOSZUL, SHUFFLE,
                                   TForm, _CylProducts, bigon_curvature,
                                   bigon_straight, chern_biform, chern_tform,
@@ -752,7 +752,7 @@ class TestFibreIntegral:
         for name, count in (("N_PATHS", 1), ("N_PAIRS", 2), ("N_TRIPLES", 1),
                             ("N_CLOSED", 2)):
             monkeypatch.setattr(suites, name, count)
-        rep = run_transgression_suite(3, fixtures=["x3"])
+        rep = run_suite("transgression", 3, fixtures=["x3"])
         failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
         assert "closed-form agreement" in failed
 
@@ -1148,7 +1148,7 @@ class TestSignMutations:
         for name, count in (("N_PATHS", 1), ("N_PAIRS", 2), ("N_TRIPLES", 1),
                             ("N_CLOSED", 2)):
             monkeypatch.setattr(suites, name, count)
-        rep = run_transgression_suite(3, fixtures=["x3"])
+        rep = run_suite("transgression", 3, fixtures=["x3"])
         failed = {c["name"] for c in rep["checks"] if c["status"] != "pass"}
         assert rep["status"] == "fail"
         assert caught in failed

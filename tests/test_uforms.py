@@ -14,16 +14,18 @@ import kchern
 from kchern import uforms
 from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
                             make_matrix_algebra, make_product)
-from kchern.connections import random_form
+from kchern.connections import chern, random_connection, random_idempotent
 from kchern.exactmath import (Echelon, Poly1, Q0, Q1, TrackedEchelon,
                               accumulate, rat)
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
+from kchern.transgression import kcs_between
 from kchern.uforms import (AbClass, AbProjection, DegreeCapError, FormError,
                            UForm, ab_d, abelianization, de_rham_homology,
                            dbar, dimension, enumerate_words,
                            extend_hom, is_exact_in_ab, multiply, project_ab,
-                           word_product, _certified_dim, _degree,
+                           random_form, word_degree, word_product,
+                           _certified_dim, _degree,
                            _generating_set, _necklace, _phi)
 
 
@@ -411,6 +413,71 @@ class TestCartanFormula:
 
     def test_unsigned_contraction_fails(self):
         assert self.failing_words(False) == (213, 162)
+
+
+class TestConstructedPrimitives:
+    """A class closed in Omega_ab splits into closed parts by D-weight, and
+    iota_D maps graded commutators to graded commutators, so the Cartan
+    formula gives each weight-j part w_j, j != 0, the primitive
+    iota_D(w_j) / j: dbar [iota_D w_j] = j [w_j], with no call to dbar's
+    solver."""
+
+    @staticmethod
+    def parts(name):
+        """The nonzero-weight parts (j, w_j) of the lifted ch_1, ch_2 and
+        closed triangle residuals KCS(c1, c3) - KCS(c1, c2) - KCS(c2, c3)
+        of four seeded draws of (c1, c2, c3) over the fixture `name`."""
+        alg, weights = make_fixture(name), CARTAN_WEIGHTS[name]
+        rng = random.Random("primitives/" + name)
+        parts = []
+        for _ in range(4):
+            p = random_idempotent(alg, 2, rng)
+            c1, c2, c3 = (random_connection(p, rng) for _ in range(3))
+            k13, k12, k23 = (kcs_between(a, b, 2)
+                             for a, b in ((c1, c3), (c1, c2), (c2, c3)))
+            for cls in chern(c1, 2)[1:] + [
+                    x - y - z for x, y, z in zip(k13, k12, k23)]:
+                split = {}
+                for w, c in cls.lift().terms.items():
+                    split.setdefault(sum(weights[i] for i in w), {})[w] = c
+                parts += [(j, UForm(alg, terms))
+                          for j, terms in split.items() if j]
+        return alg, weights, parts
+
+    @staticmethod
+    def failing(parts, weights):
+        return [(j, part) for j, part in parts
+                if ab_d(project_ab(_iota(part, weights)))
+                != project_ab(part).scale(j)]
+
+    def test_every_part_has_its_constructed_primitive(self):
+        count = 0
+        for name in ("x3", "M2"):
+            _, weights, parts = self.parts(name)
+            assert self.failing(parts, weights) == []
+            for _, part in parts:
+                n = word_degree(min(part.terms))
+                assert is_exact_in_ab(part, n)[0]
+            count += len(parts)
+        assert count == 21
+
+    def test_flipped_residual_fails(self):
+        # the kept degree-1 residual of the first word outside the quotient
+        # words that a primitive of a degree-2 part reads, with one
+        # coefficient flipped: dbar out of degree 1 is injective on M2, so
+        # the changed class of the primitive changes its dbar
+        alg, weights, parts = self.parts("M2")
+        assert self.failing(parts, weights) == []
+        proj = alg._ab[1]
+        residuals = proj._residuals
+        w = min(w for j, part in parts if word_degree(min(part.terms)) == 2
+                for w in _iota(part, weights).terms
+                if w not in proj.quotient_words and residuals[w])
+        res = dict(residuals[w])
+        q = min(res)
+        res[q] = -res[q]
+        residuals[w] = res
+        assert self.failing(parts, weights)
 
 
 class TestAbelianization:
