@@ -75,7 +75,7 @@ PAIRS = 10
 TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 7, 10, 5
 VERIFY_RUNS = 3
 FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
-HOMOLOGY_DEGREE = 3
+HOMOLOGY_DEGREE = 5
 M2_DEGREES = (4, 5, 6, 7, 8)
 CHERN_SEEDS, PAYLOAD_SEEDS = 4, 3
 LADDER_LIMIT = 60

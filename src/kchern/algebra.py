@@ -38,15 +38,17 @@ class Algebra:
     pairs decoded from those entries, `_cylmul` the product of each pair
     of cylinder keys (mask, word) that `transgression.CylForm._key_product`
     was asked for (`transgression._CylProducts`, made on first use), `_ab`
-    the abelianization projection of each degree, with the residual of each
-    word it has reduced, `_dbar` the dbar into each degree once built
-    (`uforms.dbar`), `_ab_spectrum` the (eigenvalue, multiplicity) pairs of
-    the bimodule matrix D that certify dim Omega_ab,n
+    the abelianization projection of each degree n, and of each weight
+    block (n, weight) that `uforms._projection` built, with the residual of
+    each word it has reduced, `_dbar` the dbar into each degree (or block)
+    once built (`uforms.dbar`), `_ab_spectrum` the (eigenvalue,
+    multiplicity) pairs of the bimodule matrix D that certify dim
+    Omega_ab,n
     (`uforms._certified_dim`; empty where no certificate applies),
     `_generators` the basis indices of the generating set that the
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
-    the pair of the dz table of M_k (`uforms._dz`) and the E11-lift ranks
-    (`uforms._lift_rank`).
+    the pair of the dz table of M_k (`uforms._dz`) and the weight-0 counts
+    and ranks of the E11 lift (`uforms._lift`).
     The caches belong to one instance: a rule replaced at run time (a
     monkeypatched `word_product`, `grading_sign` or sign table) is seen
     only by an algebra that has not yet cached what it feeds, so a test
@@ -56,6 +58,17 @@ class Algebra:
     M_k(Q) it builds, and None on every other algebra, one built from an
     equal table included.  Only the E11 lift of `uforms.de_rham_homology`
     reads it; the outputs are the same either way.
+
+    `weights` is the torus grading that the constructors stating their table
+    in closed form record (`_graded`): one integer per basis index, the
+    eigenvalues of a diagonal derivation D(e_i) = w_i e_i, so w_0 = 0 and
+    w_k = w_i + w_j wherever e_i e_j has an e_k term.  `make_truncated_poly`
+    gives x^a the weight a, `make_matrix_algebra` gives E_pq the weight p - q
+    (h_p - h_q with h = (0, 1, ..., k - 1)), and `make_product` keeps its
+    factors' weights.  It is None on every other algebra (JSON tables, group
+    algebras, a copy built from an equal table) and where every weight is 0.
+    Only `uforms.de_rham_homology` reads it, to skip the nonzero weights;
+    the outputs are the same either way.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.
@@ -93,6 +106,7 @@ class Algebra:
             raise AlgebraError("wrong number of basis names")
         self.degree_cap = degree_cap
         self.matrix_size = None
+        self.weights = None
         if self.mul not in _ACCEPTED:
             self._validate()
             if len(_ACCEPTED) >= _ACCEPTED_MAX:
@@ -239,10 +253,24 @@ def _table(m: int, product) -> list:
     return table
 
 
+def _graded(alg: Algebra, weights) -> Algebra:
+    """alg with `weights` recorded as its `Algebra.weights`, None where all
+    are 0; AlgebraError unless they are the eigenvalues of a diagonal
+    derivation: w_0 = 0, and w_k = w_i + w_j wherever c_ij^k != 0."""
+    weights = tuple(weights)
+    if weights[0] or any(weights[k] != wi + wj
+                         for i, wi in enumerate(weights)
+                         for j, wj in enumerate(weights)
+                         for k, _ in alg.sparse_mul[i][j]):
+        raise AlgebraError("weights %r are not a derivation" % (weights,))
+    alg.weights = weights if any(weights) else None
+    return alg
+
+
 def make_matrix_algebra(k: int, degree_cap: int = 8) -> Algebra:
     """M_k(Q) with basis {1} followed by the matrix units E_ij except E_kk,
     row by row: E_ij sits at slot 1 + (i - 1) k + (j - 1).  The algebra
-    records k as its `matrix_size`."""
+    records k as its `matrix_size`, and E_ij has the weight i - j."""
     if k < 1:
         raise AlgebraError("k must be >= 1")
     units = [(i, j) for i in range(k) for j in range(k)][:-1]
@@ -260,16 +288,17 @@ def make_matrix_algebra(k: int, degree_cap: int = 8) -> Algebra:
     names = ["1"] + ["E%d%d" % (i + 1, j + 1) for i, j in units]
     alg = Algebra(_table(k * k, product), names=names, degree_cap=degree_cap)
     alg.matrix_size = k
-    return alg
+    return _graded(alg, [0] + [i - j for i, j in units])
 
 
 def make_truncated_poly(k: int, degree_cap: int = 8) -> Algebra:
-    """Q[x]/(x^k) with basis {1, x, ..., x^(k-1)}."""
+    """Q[x]/(x^k) with basis {1, x, ..., x^(k-1)}; x^a has the weight a."""
     if k < 1:
         raise AlgebraError("k must be >= 1")
     names = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, k)]
-    return Algebra(_table(k, lambda i, j: ((i + j, Q1),) if i + j < k
-                          else ()), names=names, degree_cap=degree_cap)
+    return _graded(Algebra(_table(k, lambda i, j: ((i + j, Q1),) if i + j < k
+                                  else ()), names=names,
+                           degree_cap=degree_cap), range(k))
 
 
 def make_product(a: Algebra, b: Algebra, degree_cap: int = 8) -> Algebra:
@@ -278,6 +307,8 @@ def make_product(a: Algebra, b: Algebra, degree_cap: int = 8) -> Algebra:
     Basis: (1,1), (1,0), then (e_i, 0) for i >= 1, then (0, f_j) for j >= 1:
     (e_i, 0) sits at slot 1 + i, (0, f_j) at slot dim(a) + j, and (0, 1) is
     the unit minus eL = (1, 0).  Elements of different factors multiply to 0.
+    A basis element keeps its weight in its factor (0 for a factor with no
+    grading), and the unit and eL have the weight 0.
     """
     da = a.dim
 
@@ -296,8 +327,10 @@ def make_product(a: Algebra, b: Algebra, degree_cap: int = 8) -> Algebra:
 
     names = (["1", "eL"] + ["L:" + n for n in a.names[1:]]
              + ["R:" + n for n in b.names[1:]])
-    return Algebra(_table(da + b.dim, product), names=names,
-                   degree_cap=degree_cap)
+    wa, wb = (f.weights or (0,) * f.dim for f in (a, b))
+    return _graded(Algebra(_table(da + b.dim, product), names=names,
+                           degree_cap=degree_cap),
+                   (0, 0) + wa[1:] + wb[1:])
 
 
 def make_group_algebra(cayley_table, names=None, degree_cap: int = 8) -> Algebra:

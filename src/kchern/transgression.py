@@ -402,7 +402,8 @@ def _fibre_chern(family, k_max: int):
     only with the keys of its partner mask in _TOP_PAIRS (`Mat.diagonal`).
 
     ch_1 and the lower powers are traced, integrated by `CylForm.integrate`
-    (K_0 taken R times keeps only the dx_top part) and scaled by 1/k!.
+    (K_0 taken R times keeps only the dx_top part, so on a bigon the trace
+    is cut to its dx_top terms first) and scaled by 1/k!.
     The last power is integrated while it is multiplied:
     by Fubini, int_{[0,1]^R} x^e = prod_i 1/(e_i + 1), so each pair of
     scalars a, b adds s * sum a_e1 b_e2 W(e1 + e2) into one rational per
@@ -412,8 +413,13 @@ def _fibre_chern(family, k_max: int):
     check_k_max(k_max)
     partner = dict(CylForm.TYPES[family.R]._TOP_PAIRS)
 
+    top = (1 << family.R) - 1
+
     def fibre(m: Mat) -> UForm:
         part = m.trace()
+        if family.R > 1:
+            part = part._like({key: c for key, c in part.terms.items()
+                               if key[0] == top})
         for _ in range(family.R):
             part = part.integrate(0)
         return part

@@ -15,13 +15,17 @@ DGA maps, and exactness certificates live here as well.  Every algebra
 projects onto the quotient through one commutator echelon per degree
 (`abelianization`), whose reductions give canonical residuals, kept per
 word.  The descended differential dbar into each degree is built once per
-algebra (`dbar`) in those residuals (`AbProjection.coords`); exactness
-solves and homology both read that one copy.  Homology on M_k, whose k
-`make_matrix_algebra` records as `Algebra.matrix_size`, in a degree n >= 1
-first reads dim H_n off the ranks of dbar taken directly on necklaces,
-through the E11 lift of each (`_lift_rank`, with one closed-form dz table,
-`_dz`): where H_n = 0, no word of any degree is touched; otherwise the
-representatives are read off `dbar` in quotient words.
+algebra (`dbar`) in those residuals; exactness solves read that copy.
+Homology lives in weight 0 (the Cartan homotopy; see `de_rham_homology`):
+on an algebra whose constructor records a torus grading
+(`Algebra.weights`) it reads only the weight-0 blocks of the projections
+and of dbar (`_projection`), whose words come by index arithmetic.  On
+M_k, whose k `make_matrix_algebra` records as `Algebra.matrix_size`, in a
+degree n >= 1 it first reads dim H_n off the ranks of dbar taken directly
+on the weight-0 necklaces, through the E11 lift of each (`_lift`, with one
+closed-form dz table, `_dz`): where H_n = 0, no word of any degree is
+touched; otherwise the representatives are read off `dbar` in quotient
+words.
 """
 
 from __future__ import annotations
@@ -304,9 +308,10 @@ class AbProjection:
 
     The quotient words are the non-pivot words of the echelonized
     graded-commutator span at degree n (`_commutator_projection`), in the
-    degree's word indices (`words`, and `index` its inverse);
-    `reduce_terms` gives the canonical residual of a dict word -> scalar,
-    supported on them.
+    degree's word indices (`words`, idx -> word, and `index` its inverse, in
+    increasing index order: every word of the degree, or those of one torus
+    weight for a block); `reduce_terms` gives the canonical residual of a
+    dict word -> scalar over those words, supported on them.
 
     `reduce_terms` sums c * residual(w) over the terms, with the residual of
     each word, the echelon's reduction of its index, kept in `_residuals`
@@ -327,7 +332,7 @@ class AbProjection:
         self.words = words
         self.index = index
         self.echelon = echelon
-        self.quotient_words = [w for i, w in enumerate(words)
+        self.quotient_words = [w for w, i in index.items()
                                if i not in echelon.pivots]
         self._residuals = {q: {q: Q1} for q in self.quotient_words}
 
@@ -368,39 +373,78 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     _check_degree(algebra, n)
     hit = algebra._ab.get(n)
     if hit is None:
-        hit = algebra._ab[n] = _commutator_projection(algebra, n)
+        hit = algebra._ab[n] = _commutator_projection(algebra, n, None)
     return hit
 
 
-def dbar(algebra: Algebra, n: int):
+def _projection(algebra: Algebra, n: int, weight) -> AbProjection:
+    """`abelianization` of degree n for weight None, and otherwise the block
+    of that torus weight of a graded algebra (`Algebra.weights`), memoized
+    in `Algebra._ab` under (n, weight)."""
+    if weight is None:
+        return abelianization(algebra, n)
+    hit = algebra._ab.get((n, weight))
+    if hit is None:
+        hit = algebra._ab[n, weight] = _commutator_projection(algebra, n,
+                                                              weight)
+    return hit
+
+
+def dbar(algebra: Algebra, n: int, weight=None):
     """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel), built
     once per algebra and kept in `Algebra._dbar`; DegreeCapError past the
-    cap.
+    cap.  With a weight, the dbar of that weight's blocks (`_projection`),
+    kept under (n, weight): dbar maps each weight to itself.
 
     `solver` is a TrackedEchelon whose columns are d of the degree n-1
     quotient words q of the commutator echelon, tagged by the word, in the
-    coordinates of degree n (`AbProjection.coords`): the canonical residual
-    of the word (0,) + q by word index.  d(q) is zero when q0 = 0.
-    `kernel` lists the dependencies met while adding the columns, as dicts
-    quotient word -> scalar; they are a basis of ker(dbar: Omega_ab,n-1 ->
-    Omega_ab,n).
+    coordinates of degree n: the echelon's canonical residual of the word
+    (0,) + q by word index (as `AbProjection.coords` gives it).  d(q) is
+    zero when q0 = 0.  `kernel` lists the dependencies met while adding the
+    columns, as dicts quotient word -> scalar; they are a basis of
+    ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
     """
     _check_degree(algebra, n)
-    hit = algebra._dbar.get(n)
+    key = n if weight is None else (n, weight)
+    hit = algebra._dbar.get(key)
     if hit is not None:
         return hit
-    proj = abelianization(algebra, n)
+    echelon = _projection(algebra, n, weight).echelon
     solver, kernel = TrackedEchelon(dimension(algebra, n)), []
-    for q in abelianization(algebra, n - 1).quotient_words if n else ():
-        dep = solver.add(proj.coords({(0,) + q: Q1}) if q[0] else {}, q)
-        if dep is not None:
-            kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
-    hit = algebra._dbar[n] = (solver, kernel)
+    if n:
+        prev = _projection(algebra, n - 1, weight)
+        low = (algebra.dim - 1) ** (n - 1)
+        for q in prev.quotient_words:
+            # idx((0,) + q) = idx(q) - B**(n-1) for q0 > 0
+            dep = solver.add(echelon.reduce({prev.index[q] - low: Q1})
+                             if q[0] else {}, q)
+            if dep is not None:
+                kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
+    hit = algebra._dbar[key] = (solver, kernel)
     return hit
 
 
-def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
-    """The projection of degree n read off the echelonized commutators.
+def _weighted_codes(start: dict, digits, n: int, targets) -> dict:
+    """code -> weight of the codes that extend those of `start` (a dict code
+    -> weight) by n digits in base len(digits), digit i of weight digits[i],
+    whose total weight lies in `targets`, in increasing code order: a code c
+    of `start` followed by d_1...d_n is c B^n + sum d_k B^(n-k).  Grown a
+    digit at a time, keeping only the prefixes whose weight the digits left
+    can still bring into the range of `targets`."""
+    lo, hi = min(digits, default=0), max(digits, default=0)
+    tmin, tmax = min(targets), max(targets)
+    level = start
+    for left in range(n - 1, -1, -1):
+        floor, ceil = tmin - left * hi, tmax - left * lo
+        level = {code * len(digits) + d: v for code, s in level.items()
+                 for d, w in enumerate(digits)
+                 if floor <= (v := s + w) <= ceil}
+    return {code: s for code, s in level.items() if s in targets}
+
+
+def _commutator_projection(algebra: Algebra, n: int, weight) -> AbProjection:
+    """The projection of degree n read off the echelonized commutators, or
+    for a weight that is not None its block of that torus weight.
 
     Rather than every word-pair commutator, the echelon is fed a spanning
     set of [Omega, Omega]_n = [A, Omega_n] + d([Omega, Omega]_{n-1}).  The
@@ -429,26 +473,54 @@ def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
     one every row is fed, and the words go in increasing order, which
     keeps the stored rows sparser (x3 at degree 5: 191 entries against 236
     from the last word down), so later reductions cost less.
+
+    A block of weight `weight` needs a grading w (`Algebra.weights`): e_i
+    has the weight w_i, a word the sum over its letters, and since w is a
+    derivation, e_g * w, w * e_g and d(w) keep the weight of e_g and w
+    together.  So every vector fed is homogeneous, [Omega, Omega]_n is the
+    sum of its weight blocks, and the block is fed d of its own pivot rows
+    one degree down and the [e_g, w] of total weight `weight`, the words w
+    found by index arithmetic (`_weighted_codes`, with no word list built
+    when the block has no word).  Its pivots and residuals are those of the
+    whole degree on its words.  It has no certificate, so every row is fed
+    in increasing order.
     """
-    words, index, right = _degree(algebra, n)
     b = algebra.dim - 1
     top = b ** n
-    sparse, gens = algebra.sparse_mul, _generating_set(algebra)
-    certified = _certified_dim(algebra, n)
+    sparse, gens, grading = (algebra.sparse_mul, _generating_set(algebra),
+                             algebra.weights)
+    certified = None
+    if weight is None:
+        words, index, right = _degree(algebra, n)
+        certified = _certified_dim(algebra, n)
+        order = range(len(words))
+        if certified is not None:
+            order = reversed(order)
+        order = ((idx, gens) for idx in order)
+    else:
+        found = _weighted_codes(
+            {i: grading[i] for i in range(b + 1)}, grading[1:], n,
+            {weight, *(weight - grading[g] for g in gens)})
+        block = [idx for idx, s in found.items() if s == weight]
+        if not block:
+            return AbProjection(algebra, n, {}, {}, Echelon())
+        every, _, right = _degree(algebra, n)
+        words = {idx: every[idx] for idx in block}
+        index = {w: idx for idx, w in words.items()}
+        order = ((idx, [g for g in gens if grading[g] + s == weight])
+                 for idx, s in found.items())
     target = len(words) - (certified or 0)
-    order = range(len(words))
-    if certified is not None:
-        order = reversed(order)
 
     def spanning_vectors():
         # in index coordinates; idx((0,) + w) = idx(w) - B**(n-1) for w0 > 0
         if n > 0:
             low = b ** (n - 1)
-            for row in abelianization(algebra, n - 1).echelon.pivots.values():
+            for row in _projection(algebra, n - 1,
+                                   weight).echelon.pivots.values():
                 yield {j - low: c for j, c in row.items() if j >= low}
-        for idx in order:
+        for idx, pairing in order:
             w0, rest = divmod(idx, top)
-            for g in gens:
+            for g in pairing:
                 vec = {k * top + rest: c for k, c in sparse[g][w0]}
                 for k, c in right[g][idx]:
                     vec[k] = vec.get(k, Q0) - c
@@ -559,12 +631,6 @@ def _necklace(code: int, n: int, size: int) -> tuple:
     return best, sign
 
 
-def _necklace_count(alg: Algebra, n: int) -> int:
-    """dim Omega_ab,n of M_k: the nonzero necklace classes of n letters,
-    `_walk_count` with D = [k^2 - 1], and 1 at n = 0."""
-    return _walk_count(((alg.dim - 1, 1),), n) if n else 1
-
-
 # The E11 lift.  A necklace t = z1...zn of the basis `_necklace` keeps
 # lifts to E11 z1...zn: the letters commute with A and tr E11 = 1, so its
 # pi is t.  Then
@@ -577,9 +643,9 @@ def _necklace_count(alg: Algebra, n: int) -> int:
 
 def _dz(alg: Algebra) -> tuple:
     """The dz table of M_k, built on first use and kept in
-    `Algebra._necklace` beside the ranks of `_lift_rank`: for each letter
-    z, the (code of z'z'', c) pairs of dz = sum M z'z'' with c = tr(E11 M)
-    nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
+    `Algebra._necklace` beside the counts and ranks of `_lift`: for each
+    letter z, the (code of z'z'', c) pairs of dz = sum M z'z'' with c =
+    tr(E11 M) nonzero, the code z' (k^2 - 1) + z'' as in `_necklace`.
 
     z_pq = c_pq = sum_a E_ap dE_qa, so dc_pq = sum_a dE_ap dE_qa, and z_pp =
     c_pp - c_kk.  With dE_xy = sum_z phi_z(E_xy) z read at x k + y of
@@ -609,17 +675,23 @@ def _dz(alg: Algebra) -> tuple:
 
 
 def _lift_rows(alg: Algebra, n: int):
-    """(t, dbar of the class t) for each necklace t of n letters of M_k, n >=
-    0, by decreasing code, dbar of t as necklace -> nonzero int: the sum
-    over the positions i of (-1)^(i-1) times the `_dz` pairs of the i-th
-    letter spliced in its place, reduced into necklaces with their signs.
-    The classes of the n + 1 letter codes met are kept for one call."""
-    size = alg.dim - 1
+    """(t, dbar of the class t) for each necklace t of weight 0 of n letters
+    of M_k, n >= 0, by decreasing code, dbar of t as necklace -> nonzero
+    int: the sum over the positions i of (-1)^(i-1) times the `_dz` pairs
+    of the i-th letter spliced in its place, reduced into necklaces with
+    their signs.  Letter z_pq has the torus weight h_q - h_p = q - p (h =
+    (0, 1, ..., k - 1), as in `Algebra.weights`), a letter tuple the sum,
+    which rotations keep; the weight-0 codes come from `_weighted_codes`.
+    dz_pq = sum M z'z'' has the weight of z_pq, so every code met has weight
+    0; their classes are kept for one call."""
+    k, size = alg.matrix_size, alg.dim - 1
     dz = _dz(alg) if n else ()
     steps = [(size ** (n - i), size ** (n - 1 - i), -1 if i % 2 else 1)
              for i in range(n)]
     classes = {}
-    for t in range(size ** n - 1, -1, -1):
+    codes = _weighted_codes({0: 0}, [u % k - u // k for u in range(size)],
+                            n, (0,))
+    for t in reversed(codes):
         if _necklace(t, n, size) != (t, 1):
             continue
         row = {}
@@ -638,20 +710,23 @@ def _lift_rows(alg: Algebra, n: int):
         yield t, {key: v for key, v in row.items() if v}
 
 
-def _lift_rank(alg: Algebra, n: int) -> int:
-    """The rank of dbar: Omega_ab,n -> Omega_ab,n+1 of M_k, n >= 0: that of
-    the rows of `_lift_rows`, kept per degree in `Algebra._necklace`, which
-    `_dz` makes.  Pivots are least necklaces, so the rows go in by
-    decreasing code, which keeps the echelon's fill-in low."""
+def _lift(alg: Algebra, n: int) -> tuple:
+    """(count_0(n), rank_0(n)) of M_k, n >= 0: the number of weight-0
+    necklaces of n letters, dim of the weight-0 part of Omega_ab,n, and the
+    rank of dbar out of it, that of the rows of `_lift_rows`; kept per
+    degree in `Algebra._necklace`, which `_dz` makes.  Pivots are least
+    necklaces, so the rows go in by decreasing code, which keeps the
+    echelon's fill-in low."""
     _dz(alg)
-    ranks = alg._necklace[1]
-    if n not in ranks:
-        ech = Echelon()
+    kept = alg._necklace[1]
+    if n not in kept:
+        ech, count = Echelon(), 0
         for _, row in _lift_rows(alg, n):
+            count += 1
             if row:
                 ech.add(row)
-        ranks[n] = ech.rank
-    return ranks[n]
+        kept[n] = (count, ech.rank)
+    return kept[n]
 
 
 def _certified_dim(algebra: Algebra, n: int):
@@ -799,13 +874,31 @@ def de_rham_homology(algebra: Algebra, n: int):
     needs degree n + 1, which exceeds cap c", the message the CLI prints)
     and n >= 0 (FormError), both refused before anything is built.
 
+    Homology lives in weight 0.  Let D be the diagonal derivation of a
+    grading (`Algebra.weights`), D(e_i) = w_i e_i, and iota_D the graded
+    derivation of degree -1 with iota_D(a) = 0 and iota_D(da) = D(a).  Then
+    d iota_D + iota_D d = L_D, the degree-0 derivation with L_D(a) = D(a)
+    and L_D(da) = dD(a): both sides are derivations (a graded commutator of
+    odd derivations) and agree on the generators a and da.  All three maps
+    send graded commutators to graded commutators, so on Omega_ab
+    dbar iota_D + iota_D dbar = L_D, which acts on a word by its weight.
+    A closed class c of weight j != 0 is then exact, c = dbar(iota_D c / j),
+    and every nonzero weight is acyclic (the Cartan homotopy formula: Cuntz
+    and Quillen, J. AMS 8, 1995; Goodwillie, Topology 24, 1985).  dbar keeps
+    weights, so H_n is the homology of the weight-0 blocks (`dbar` with
+    weight 0), with the same representatives: a kernel vector of dbar is
+    homogeneous, since the columns of different weights have disjoint
+    supports, one of weight j != 0 is exact and never a representative,
+    and whether a weight-0 vector is exact is decided by the weight-0 image
+    alone.  Without a grading, weight 0 is the whole degree.
+
     On M_k (`Algebra.matrix_size`, which only this lift reads) with n >=
-    1, dim H_n = dim Omega_ab,n - rank(dbar out of n) - rank(dbar out of
-    n - 1) is read off the E11 lift (`_necklace_count`, `_lift_rank`);
-    where it is zero the answer is (0, []), with no word enumerated and no
-    projection or dbar built.  H_0 is never zero: it holds the class of 1,
-    which d kills and [A, A] cannot contain (the trace of 1 on A is dim
-    A).  Otherwise, and on every other algebra, the
+    1, dim H_n = count_0(n) - rank_0(n) - rank_0(n - 1), the weight-0
+    necklaces and the ranks of dbar out of them, is read off the E11 lift
+    (`_lift`); where it is zero the answer is (0, []), with no word
+    enumerated and no projection or dbar built.  H_0 is never zero: it
+    holds the class of 1, which d kills and [A, A] cannot contain (the
+    trace of 1 on A is dim A).  Otherwise, and on every other algebra, the
     representatives are the quotient words' kernel vectors of `dbar`, read
     in canonical residuals (`AbProjection.coords`); on M_k their number
     must equal the lift's (RuntimeError).
@@ -816,14 +909,15 @@ def de_rham_homology(algebra: Algebra, n: int):
     _check_degree(algebra, n)
     lift = None
     if n and algebra.matrix_size is not None:
-        lift = (_necklace_count(algebra, n) - _lift_rank(algebra, n)
-                - _lift_rank(algebra, n - 1))
+        count, rank = _lift(algebra, n)
+        lift = count - rank - _lift(algebra, n - 1)[1]
         if not lift:
             return 0, []
-    _, kernel = dbar(algebra, n + 1)
-    coords = abelianization(algebra, n).coords
+    weight = None if algebra.weights is None else 0
+    _, kernel = dbar(algebra, n + 1, weight)
+    coords = _projection(algebra, n, weight).coords
     # a copy, so the memoized solver of dbar never learns the kernel
-    image = dbar(algebra, n)[0].copy()
+    image = dbar(algebra, n, weight)[0].copy()
     reps = []
     for vec in kernel:
         if image.add(coords(vec), None) is None:

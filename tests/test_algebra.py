@@ -124,6 +124,30 @@ class TestConstructors:
         assert list(algebra._ACCEPTED) == [make_truncated_poly(k).mul
                                            for k in (4, 2)]
 
+    def test_recorded_gradings(self):
+        # x^a has the weight a, E_pq the weight p - q, a product keeps its
+        # factors' weights; an all-zero grading, a JSON table and a group
+        # algebra record none
+        want = {"Q": None, "dual": (0, 1), "x3": (0, 1, 2), "QxQ": None,
+                "M2": (0, 0, -1, 1), "C2": None}
+        assert {name: make_fixture(name).weights
+                for name in FIXTURE_NAMES} == want
+        assert make_matrix_algebra(3).weights == \
+            (0, 0, -1, -2, 1, 0, -1, 2, 1)
+        assert make_product(make_fixture("x3"), make_fixture("M2")).weights \
+            == (0, 0, 1, 2, 0, -1, 1)
+        assert make_product(make_fixture("C2"), make_fixture("dual")) \
+            .weights == (0, 0, 0, 1)
+        assert algebra_from_json(algebra_to_json(make_fixture("x3"))) \
+            .weights is None
+
+    def test_rejects_non_derivation_weights(self):
+        from kchern.algebra import Algebra, _graded
+        x3 = make_fixture("x3")
+        for weights in ((0, 1, 1), (0, 0, 1), (1, 1, 2)):
+            with pytest.raises(AlgebraError, match="not a derivation"):
+                _graded(Algebra(x3.mul), weights)
+
 
 def _matmul(x, y):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]

@@ -998,6 +998,28 @@ class TestIntegratedLastPower:
         for name in ("coeff_product", "Poly", "integrate01"):
             assert calls[name, False] > 0 and not calls[name, True], name
 
+    def test_bigon_integrates_only_the_top_mask(self, monkeypatch):
+        # on a bigon each traced lower power reaches K_0 cut to its ds dt
+        # terms, and the fibre integrals still match the whole Chern forms;
+        # a path's traces are integrated whole
+        seen = collections.Counter()
+        integrate = CylForm.integrate
+
+        def spy(self, i):
+            seen[self.R, all(m == (1 << self.R) - 1 for m, _ in self.terms)]\
+                += 1
+            return integrate(self, i)
+
+        for name, k_max in (("x3", 3), ("M2", 2)):
+            lin, _, bigon = _fibre_families(name, "top-mask")
+            monkeypatch.setattr(CylForm, "integrate", spy)
+            got = [_fibre(family, k_max) for family in (lin, bigon)]
+            monkeypatch.undo()
+            assert got == [_whole_fibre(family, k_max)
+                           for family in (lin, bigon)], name
+        assert seen[2, True] and not seen[2, False]
+        assert seen[1, False]
+
 
 # ---------------------------------------------------------------------------
 # Reference cylinder calculus: the one- and two-parameter rules expanded by

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import kchern
 from kchern import uforms
 from kchern.algebra import (Algebra, AlgebraHom, make_group_algebra,
-                            make_matrix_algebra, make_product)
+                            make_matrix_algebra, make_product,
+                            make_truncated_poly)
 from kchern.connections import chern, random_connection, random_idempotent
 from kchern.exactmath import (Echelon, Poly1, Q0, Q1, TrackedEchelon,
                               accumulate, rat)
@@ -983,6 +984,47 @@ class TestHomologyOracle:
         assert dims != self.want(1, 8)
 
 
+class TestWeightZeroHomology:
+    """F16: every nonzero torus weight is acyclic, so on an algebra whose
+    constructor records a grading `de_rham_homology` reads the weight-0
+    blocks alone.  The oracle is the homology over every weight of a copy
+    built from its table, which records no grading: dimensions and
+    representatives byte for byte."""
+
+    @staticmethod
+    def cases():
+        """(algebra, dim H_n for n = 0..top); x3 x dual has two blocks, so
+        H_0 = 2 and H_2 = 1 (F12)."""
+        x3, dual = make_fixture("x3"), make_fixture("dual")
+        return ((dual, [1] + [0] * 5), (x3, [1] + [0] * 5),
+                (make_truncated_poly(4), [1] + [0] * 4),
+                (make_product(x3, dual), [2, 0, 1, 0]),
+                (make_fixture("M2"), [1]), (make_matrix_algebra(3), [1]))
+
+    @staticmethod
+    def reports(alg, top):
+        return [(dim, [form_to_json(r) for r in reps]) for dim, reps in
+                (de_rham_homology(alg, n) for n in range(top + 1))]
+
+    def test_matches_ungraded_copy(self):
+        for alg, dims in self.cases():
+            copy = Algebra(alg.mul, names=alg.names)
+            assert alg.weights is not None and copy.weights is None
+            got = self.reports(alg, len(dims) - 1)
+            assert got == self.reports(copy, len(dims) - 1), alg
+            assert [dim for dim, _ in got] == dims, alg
+
+    def test_planted_non_derivation_fails(self):
+        # weights that `_graded` refuses, forced past it: (0, 0, 1) puts
+        # x^2, but not x, in weight 0.  (0, 1, 1), refused too, would pass:
+        # its weight-0 blocks hold the unit word alone, as the true ones do
+        x3 = make_fixture("x3")
+        alg = Algebra(x3.mul, names=x3.names)
+        alg.weights = (0, 0, 1)
+        assert self.reports(alg, 5) != \
+            self.reports(Algebra(x3.mul, names=x3.names), 5)
+
+
 def _quotient_dbar(alg, n):
     """dbar into degree n in quotient coordinates, the k-th coordinate the
     k-th quotient word of degree n: each degree n-1 quotient word q is
@@ -1170,7 +1212,7 @@ def _right_entries(alg):
 
 class TestNecklaceProjection:
     """The necklace model of M_k that the E11 lift reads (`_phi`,
-    `_necklace`, `_necklace_count`), and `make_matrix_algebra(k)` against
+    `_necklace`, `_lift`), and `make_matrix_algebra(k)` against
     its table copy: the matrix size it records changes no output."""
 
     def test_phi_matches_solve(self):
@@ -1228,17 +1270,18 @@ class TestNecklaceProjection:
     def test_cold_homology_builds_no_right_table(self):
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
         # projection, no dbar, no right-table entry and no certificate;
-        # at n = 0 dbar into degree 1 reads the commutator projections of
-        # degrees 0 and 1
+        # at n = 0 dbar into degree 1 reads the weight-0 blocks of the
+        # commutator projections of degrees 0 and 1, which need none
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
             if n:
                 assert alg._ab == {} and alg._dbar == {}, n
                 assert alg._right == [] and _right_entries(alg) == 0, n
-                assert alg._ab_spectrum is None, n
             else:
-                assert sorted(alg._ab) == [0, 1] and 1 in alg._dbar
+                assert sorted(alg._ab) == [(0, 0), (1, 0)]
+                assert sorted(alg._dbar) == [(0, 0), (1, 0)]
+            assert alg._ab_spectrum is None, n
 
     def test_one_word_product_builds_one_entry_per_degree(self):
         # a right-table entry of degree n reads one entry of degree n - 1,
@@ -1286,12 +1329,16 @@ class TestNecklaceProjection:
 
     @pytest.mark.parametrize("shift", (-1, 1))
     def test_planted_necklace_count_fails(self, monkeypatch, shift):
-        # one class short or one too many gives the E11 lift a nonzero
-        # H_n that dbar's representatives do not match: homology raises
-        true = uforms._necklace_count
-        self.assert_planted_fails(
-            monkeypatch, "_necklace_count",
-            lambda alg, n: true(alg, n) + (shift if n else 0))
+        # one weight-0 class short or one too many gives the E11 lift a
+        # nonzero H_n that dbar's representatives do not match: homology
+        # raises
+        true = uforms._lift
+
+        def planted(alg, n):
+            count, rank = true(alg, n)
+            return count + (shift if n else 0), rank
+
+        self.assert_planted_fails(monkeypatch, "_lift", planted)
 
 
 def _paths(alg, rest, memo):
@@ -1353,28 +1400,111 @@ def _letter_product(alg, letters, head, t, n):
     return head
 
 
-class TestNecklaceLift:
-    """On M_k, homology reads the ranks of dbar off the E11 lift of each
-    necklace (`uforms._lift_rank`); dbar of the commutator echelon is the
-    oracle."""
+def _letter_weight(k, t, n):
+    """The torus weight of the letter code t of n letters of M_k: letter
+    z_pq, at p k + q, has the weight q - p."""
+    size, out = k * k - 1, 0
+    for _ in range(n):
+        t, u = divmod(t, size)
+        out += u % k - u // k
+    return out
 
-    TOPS = ((2, 6), (3, 3))
+
+def _all_lift_rows(alg, n):
+    """(t, row) for every necklace t of n letters of M_k, of every weight, by
+    decreasing code: the E11 lift rows of `uforms._lift_rows` read off the
+    filter of all L^n letter codes, an oracle apart from the weight-0 codes
+    of `uforms._weighted_codes`."""
+    size = alg.dim - 1
+    dz = uforms._dz(alg) if n else ()
+    for t in range(size ** n - 1, -1, -1):
+        if _necklace(t, n, size) != (t, 1):
+            continue
+        row = {}
+        for i in range(n):
+            high, low = size ** (n - i), size ** (n - 1 - i)
+            head, rest = divmod(t, high)
+            z, tail = divmod(rest, low)
+            for pair, c in dz[z]:
+                key, sign = _necklace((head * size * size + pair) * low
+                                      + tail, n + 1, size)
+                if sign:
+                    row[key] = row.get(key, 0) + (-1) ** i * sign * c
+        yield t, {key: v for key, v in row.items() if v}
+
+
+@functools.cache
+def _lift_blocks(k, n):
+    """{weight: (count, rank)} of the E11 lift of M_k at degree n over every
+    weight, one echelon per weight, built before any plant; the ranks sum
+    to the all-weights rank of dbar out of degree n."""
+    alg, blocks = make_matrix_algebra(k), {}
+    for t, row in _all_lift_rows(alg, n):
+        block = blocks.setdefault(_letter_weight(k, t, n), [0, Echelon()])
+        block[0] += 1
+        if row:
+            block[1].add(row)
+    return {w: (count, ech.rank) for w, (count, ech) in blocks.items()}
+
+
+class TestNecklaceLift:
+    """On M_k, homology reads the weight-0 ranks of dbar off the E11 lift of
+    each weight-0 necklace (`uforms._lift`); the weight-0 blocks of dbar on
+    the commutator echelon, and the lift over every weight, are the
+    oracles."""
+
+    # (k, top) for the weight-0 blocks (0) and for every weight (None)
+    TOPS = {0: ((2, 6), (3, 2)), None: ((2, 6), (3, 3))}
 
     @staticmethod
     @functools.cache
-    def word_ranks(k, top):
-        # built once per (k, top), always before any plant
+    def word_ranks(k, top, weight):
+        # built once per (k, top, weight), always before any plant: the
+        # ranks of dbar's blocks of that weight, or over every weight
         alg = make_matrix_algebra(k)
-        return tuple(len(dbar(alg, n + 1)[0].tags) for n in range(top + 1))
+        return tuple(len(dbar(alg, n + 1, weight)[0].tags)
+                     for n in range(top + 1))
 
     @staticmethod
     def lift_ranks(k, top):
         alg = make_matrix_algebra(k)
-        return tuple(uforms._lift_rank(alg, n) for n in range(top + 1))
+        return tuple(uforms._lift(alg, n)[1] for n in range(top + 1))
 
     def test_ranks_match_word_path(self):
-        for k, top in self.TOPS:
-            assert self.lift_ranks(k, top) == self.word_ranks(k, top), k
+        # the weight-0 lift against dbar's weight-0 blocks, and the lift
+        # over every weight against dbar over every weight
+        for k, top in self.TOPS[0]:
+            assert self.lift_ranks(k, top) == self.word_ranks(k, top, 0), k
+        for k, top in self.TOPS[None]:
+            assert tuple(sum(r for _, r in _lift_blocks(k, n).values())
+                         for n in range(top + 1)) == \
+                self.word_ranks(k, top, None), k
+
+    def test_weight_zero_homology_matches_all_weights(self):
+        # F16 on the lift: count_0(n) - rank_0(n) - rank_0(n - 1) is the
+        # dimension that the lift over every weight gives
+        for k, top in ((2, 10), (3, 4)):
+            alg = make_matrix_algebra(k)
+
+            def every(n):
+                return [sum(x[i] for x in _lift_blocks(k, n).values())
+                        for i in (0, 1)]
+
+            for n in range(1, top + 1):
+                count, rank = uforms._lift(alg, n)
+                assert _lift_blocks(k, n)[0] == (count, rank), (k, n)
+                assert count - rank - uforms._lift(alg, n - 1)[1] == \
+                    every(n)[0] - every(n)[1] - every(n - 1)[1], (k, n)
+
+    def test_nonzero_weights_are_acyclic(self):
+        # rank_w(n) + rank_w(n - 1) = count_w(n) for every weight w != 0
+        for k, top in ((2, 8), (3, 3)):
+            for n in range(1, top + 1):
+                blocks, lower = _lift_blocks(k, n), _lift_blocks(k, n - 1)
+                for w, (count, rank) in blocks.items():
+                    if w:
+                        assert rank + lower.get(w, (0, 0))[1] == count, \
+                            (k, n, w)
 
     def test_dz_matches_letter_forms(self):
         # the e_a z'z'' are a basis of Omega^2, so d of each letter form
@@ -1415,7 +1545,9 @@ class TestNecklaceLift:
             e11 = UForm.from_element(_matrix_unit(alg, k, 0, 0))
             for n in range(top + 1):
                 rows = list(uforms._lift_rows(alg, n))
-                assert len(rows) == uforms._necklace_count(alg, n)
+                assert [t for t, _ in rows] == \
+                    [t for t, _ in _all_lift_rows(alg, n)
+                     if not _letter_weight(k, t, n)], (k, n)
                 for t, row in rows:
                     lift = _letter_product(alg, letters, e11, t, n)
                     assert _form_pi(alg, lift, memo) == {t: 1}
@@ -1435,9 +1567,12 @@ class TestNecklaceLift:
                     assert _form_pi(alg, form, memo) == {}
 
     def assert_planted_fails(self, monkeypatch, name, value):
-        want = [self.word_ranks(k, top) for k, top in self.TOPS]
+        # against the weight-0 blocks of the lift over every weight, built
+        # before the plant
+        want = [tuple(_lift_blocks(k, n)[0][1] for n in range(top + 1))
+                for k, top in self.TOPS[None]]
         monkeypatch.setattr(uforms, name, value)
-        for (k, top), ranks in zip(self.TOPS, want):
+        for (k, top), ranks in zip(self.TOPS[None], want):
             assert self.lift_ranks(k, top) != ranks, k
 
     def test_planted_dz_coefficient_fails(self, monkeypatch):
