@@ -21,8 +21,9 @@ the six fixtures at n = 0..HOMOLOGY_DEGREE and of M2 at n = M2_DEGREES,
 and of the L3/L4 reports: ``kchern chern --seed s --kmax 3`` (``--kmax 2``
 on M2) for s = 0..CHERN_SEEDS - 1 and ``kchern kcs --path P``, forward
 and ``--reverse``, on the six fixtures, each with every ``time_ms``
-removed (the digest criterion 9 pins); and ``outputs_identical``, whether
-every run of both sides gave the same three digests.  The kcs payloads P
+removed (the digest criterion 9 pins), and of the K-hat verdicts of
+KHAT_FIXTURES (``KHAT_REPORTS``); and ``outputs_identical``, whether
+every run of both sides gave the same four digests.  The kcs payloads P
 are two-connection paths that the parent tree writes once under
 ``.bench_build/payloads/`` and both sides read: the connections
 ``random_connection(random_idempotent(A, 2, s), 10 + s)`` and
@@ -78,6 +79,7 @@ FIXTURES = ("Q", "dual", "x3", "QxQ", "M2", "C2")
 HOMOLOGY_DEGREE = 5
 M2_DEGREES = (4, 5, 6, 7, 8)
 CHERN_SEEDS, PAYLOAD_SEEDS = 4, 3
+KHAT_FIXTURES = ("dual", "x3", "M2", "QxQ")
 LADDER_LIMIT = 60
 
 
@@ -250,6 +252,80 @@ def transgression_digest(tree: str, payloads) -> str:
     return cli_digest(tree, requests)
 
 
+# Run in each tree: per fixture, the seeded generators and witnesses of
+# tests/test_suites.py's `_khat_round`, verified as verify, planted (the
+# unit 0-form added to omega1), verify again on the same witness, then the
+# chain; prints the list of verdicts, each with accepted and, per degree,
+# exact and the primitive's terms, as JSON.
+KHAT_REPORTS = """
+import json, random, sys
+from kchern.connections import (ModuleIso, direct_sum, grassmann, pullback,
+                                random_automorphism, random_connection,
+                                random_idempotent)
+from kchern.fixtures import make_fixture
+from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
+                         verify_kcs_equivalence)
+from kchern.serialize import form_to_json
+from kchern.transgression import kcs_between
+from kchern.uforms import AbClass, UForm
+
+
+def total(classes, alg):
+    out = AbClass(alg)
+    for cls in classes:
+        out = out + cls
+    return out
+
+
+def trivial(g, rng):
+    stab_p = random_idempotent(g.algebra, 1, rng)
+    stab = grassmann(stab_p)
+    return KCSWitness(stab_p, stab,
+                      ModuleIso.identity(direct_sum(g.conn, stab).p))
+
+
+verdicts = []
+for name in sys.argv[1:]:
+    alg = make_fixture(name)
+    rng = random.Random("khat-round/" + name)
+    p = random_idempotent(alg, 2, rng)
+    d0, d1, d2 = (random_connection(p, rng) for _ in range(3))
+    stab_p = random_idempotent(alg, 1, rng)
+    stab = random_connection(stab_p, rng)
+    phi = random_automorphism(direct_sum(d1, stab).p, rng)
+    twisted = total(kcs_between(
+        direct_sum(d0, stab), pullback(direct_sum(d1, stab), phi), 2), alg)
+    om01 = total(kcs_between(d0, d1, 2), alg)
+    om12 = total(kcs_between(d1, d2, 2), alg)
+    g0 = KHatGen(p, d0, UForm.zero(alg))
+    g1 = KHatGen(p, d1, (-twisted).lift())
+    g1_bad = KHatGen(p, d1, g1.omega + UForm.unit(alg))
+    h1 = KHatGen(p, d1, (-om01).lift())
+    h2 = KHatGen(p, d2, (-om01 - om12).lift())
+    w = KCSWitness(stab_p, stab, phi)
+    chain = chain_witnesses(h1, trivial(g0, rng), trivial(h1, rng))
+    for g, wit in ((g1, w), (g1_bad, w), (g1, w), (h2, chain)):
+        rep = verify_kcs_equivalence(g0, g, wit, 2)
+        verdicts.append({"fixture": name, "accepted": rep["accepted"],
+                         "degrees": {str(n): {
+                             "exact": e["exact"],
+                             "primitive": form_to_json(e["primitive"])
+                             if "primitive" in e else None}
+                             for n, e in rep["degrees"].items()}})
+print(json.dumps(verdicts))
+"""
+
+
+def khat_digest(tree: str) -> str:
+    """The digest of the K-hat verdicts that KHAT_REPORTS prints in tree
+    on KHAT_FIXTURES."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", KHAT_REPORTS,
+                           *KHAT_FIXTURES], cwd=tree, env=env, check=True,
+                          capture_output=True, text=True)
+    return digest(json.loads(proc.stdout))
+
+
 def tier1(tree: str, flags=()) -> dict:
     """Wall time and exit status of the Tier-1 pytest run in tree, with the
     interpreter flags `flags`."""
@@ -416,7 +492,8 @@ def main(argv=None) -> int:
     verify = {"parent": [], "change": []}
     digests = {"verify": {"parent": [], "change": []},
                "homology": {"parent": [], "change": []},
-               "transgression": {"parent": [], "change": []}}
+               "transgression": {"parent": [], "change": []},
+               "khat": {"parent": [], "change": []}}
     payloads = write_payloads(trees["parent"])
     for k in range(VERIFY_RUNS):
         for who in alternating(k):
@@ -426,6 +503,7 @@ def main(argv=None) -> int:
             digests["homology"][who].append(homology_digest(trees[who]))
             digests["transgression"][who].append(
                 transgression_digest(trees[who], payloads))
+            digests["khat"][who].append(khat_digest(trees[who]))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
     ladder_run = ladders(trees)
@@ -471,7 +549,10 @@ def main(argv=None) -> int:
                              "payloads of seeds 0..%d and the 3/7-scaled "
                              "one, F in %s"
                              % (CHERN_SEEDS - 1, PAYLOAD_SEEDS - 1,
-                                ", ".join(FIXTURES))},
+                                ", ".join(FIXTURES)),
+            "khat": "verify, planted, verify again and verify_chain on the "
+                    "seeded data of tests/test_suites.py::_khat_round, on "
+                    "%s" % ", ".join(KHAT_FIXTURES)},
             **digests},
         "outputs_identical": all(len({d for xs in runs.values() for d in xs})
                                  == 1 for runs in digests.values()),

@@ -473,7 +473,9 @@ def direct_sum(c1: Connection, c2: Connection) -> Connection:
 class ModuleIso:
     """Isomorphism Im(p0) -> Im(p1) given by u with explicit inverse v;
     p1*u*p0 = u, p0*v*p1 = v, v*u = p0, u*v = p1, all checked by the
-    constructor; `_new` trusts a closure operation that guarantees them."""
+    constructor; `_new` trusts a closure operation that guarantees them.
+    An iso is not mutated after construction, so that
+    `khat.verify_kcs_equivalence` may key its memo by identity."""
 
     __slots__ = ("p0", "p1", "u", "v")
 

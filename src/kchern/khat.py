@@ -3,6 +3,10 @@ KCS-equivalence, the maps R, I, a, odd Chern character on automorphism
 pairs, and the hexagon identity suite.
 
 Everything here is a verifier: witnesses are supplied, never searched for.
+A `KCSWitness` keeps, in its slot `_kcs`, the KCS side of the last pair of
+generators it verified, so that a second omega against the same witness and
+connections skips the pullback and the transgression; the omega comparison
+and the exactness solves run on every call.
 """
 
 from __future__ import annotations
@@ -45,9 +49,15 @@ class KHatGen:
 
 
 class KCSWitness:
-    """Stabilizer (N, D_N) plus iso Im(p0 + N) -> Im(p1 + N)."""
+    """Stabilizer (N, D_N) plus iso Im(p0 + N) -> Im(p1 + N).
 
-    __slots__ = ("stab_p", "stab_conn", "iso")
+    The slot `_kcs` holds one memo entry of `verify_kcs_equivalence`, the
+    KCS side of the last pair it verified with this witness, keyed by the
+    objects it was computed from; it stays unset until the first
+    verification, and a witness made without `__init__` has none.
+    """
+
+    __slots__ = ("stab_p", "stab_conn", "iso", "_kcs")
 
     def __init__(self, stab_p: Idempotent, stab_conn: Connection,
                  iso: ModuleIso):
@@ -105,19 +115,35 @@ def verify_kcs_equivalence(g0: KHatGen, g1: KHatGen, w: KCSWitness,
                            k_max: int) -> dict:
     """Check KCS(D0 + D, phi*(D1 + D)) = (omega0 - omega1) mod Im(d).
 
-    Compares per degree in every degree where either side is nonzero (the
-    KCS side vanishes in even degrees, so a nonexact even omega perturbation
-    is rejected here).  Returns a verdict dict with primitives as the
-    certificate on acceptance.
+    Compares per degree in every odd degree 1..2k_max-1, where the KCS side
+    lives, and in every degree of omega0 - omega1 (the KCS side vanishes in
+    even degrees, so a nonexact even omega perturbation is rejected here).
+    Returns a verdict dict with primitives as the certificate on acceptance;
+    k_max >= 1.
+
+    The KCS side is a function of (D0, D1, D_N, phi, k_max) alone, and
+    neither a `Connection` nor a `ModuleIso` is mutated after construction,
+    so it is kept on the witness (`w._kcs`, one entry) and read back while
+    g0.conn, g1.conn, w.stab_conn and w.iso are the very objects it was
+    computed from and k_max is equal; a reassigned field fails that
+    identity test.  Both witness checks, the omega comparison and every
+    exactness solve run on every call, so each report is built fresh.
     """
+    check_k_max(k_max)
     d0 = direct_sum(g0.conn, w.stab_conn)
     d1 = direct_sum(g1.conn, w.stab_conn)
     if w.iso.p0 != d0.p:
         raise ConnectionError_("witness iso source does not match g0 + stab")
     if w.iso.p1 != d1.p:
         raise ConnectionError_("witness iso target does not match g1 + stab")
-    d1p = pullback(d1, w.iso)
-    kcs_list = kcs_between(d0, d1p, k_max)
+    key = (g0.conn, g1.conn, w.stab_conn, w.iso)
+    memo = getattr(w, "_kcs", None)
+    if (memo is not None and memo[1] == k_max
+            and all(a is b for a, b in zip(memo[0], key))):
+        kcs_list = memo[2]
+    else:
+        kcs_list = kcs_between(d0, pullback(d1, w.iso), k_max)
+        w._kcs = (key, k_max, kcs_list)
     omega_diff = project_ab(g0.omega) - project_ab(g1.omega)
     degrees = sorted(set(range(1, 2 * k_max, 2)) | set(omega_diff.degrees()))
     result = {"accepted": True, "degrees": {}, "k_max": k_max}

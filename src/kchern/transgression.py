@@ -83,13 +83,15 @@ class _CylProducts(dict):
     reads SHUFFLE, and sigma's sign `grading_sign(w1)` when the right mask
     has an odd number of bits.  Both depend only on the masks and the
     word, so one memo serves every R; like `word_product`, it is bounded
-    by the degree cap."""
+    by the degree cap.  Products share their output keys: `shared_keys`
+    holds one tuple per (mask, word) met, read on misses only."""
 
-    __slots__ = ("alg",)
+    __slots__ = ("alg", "shared_keys")
 
     def __init__(self, alg):
         super().__init__()
         self.alg = alg
+        self.shared_keys = {}
 
     def __missing__(self, pair):
         (m1, w1), (m2, w2) = pair
@@ -98,7 +100,8 @@ class _CylProducts(dict):
             s = SHUFFLE[m1, m2]
             if bin(m2).count("1") % 2:
                 s *= grading_sign(w1)
-            out = tuple(((m1 | m2, w), s * c)
+            m, keys = m1 | m2, self.shared_keys
+            out = tuple((keys.setdefault((m, w), (m, w)), s * c)
                         for w, c in word_product(self.alg, w1, w2))
         self[pair] = out
         return out

@@ -1,5 +1,6 @@
 """Differential K-theory layer: maps, equivalence verifier, hexagon."""
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 random_iso, sum_iso)
 from kchern import khat
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
+from kchern.serialize import form_to_json
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
                          hexagon_suite, map_I, map_R, map_a,
                          odd_chern, verify_kcs_equivalence, zero_generator)
@@ -44,6 +46,38 @@ def trivial_witness(g, rng):
     stab = grassmann(stab_p)
     sum_p = direct_sum(g.conn, stab).p
     return KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
+
+
+def twisted_case(alg, rng):
+    """g0, g1, g1_bad, g2 on one module p and a stabilized witness w whose
+    iso is an automorphism of p + N.  omega1 and omega2 are matched to the
+    twisted KCS of D1 and D2 on w, so (g0, g1) and (g0, g2) both hold;
+    g1_bad adds the unit 0-form, which is not exact, to omega1."""
+    p = random_idempotent(alg, 2, rng)
+    d0, d1, d2 = (random_connection(p, rng) for _ in range(3))
+    stab = random_connection(random_idempotent(alg, 1, rng), rng)
+    phi = random_automorphism(direct_sum(d1, stab).p, rng)
+
+    def matched(d):
+        omega = sum_classes(kcs_between(
+            direct_sum(d0, stab), pullback(direct_sum(d, stab), phi), 2), alg)
+        return KHatGen(p, d, (-omega).lift())
+
+    g1 = matched(d1)
+    g1_bad = KHatGen(p, d1, g1.omega + UForm.unit(alg))
+    return (KHatGen(p, d0, UForm.zero(alg)), g1, g1_bad, matched(d2),
+            KCSWitness(stab.p, stab, phi))
+
+
+def report_json(rep):
+    """A verdict as text: accepted, k_max, and per degree exact and the
+    primitive's terms."""
+    return json.dumps({
+        "accepted": rep["accepted"], "k_max": rep["k_max"],
+        "degrees": {n: {"exact": e["exact"],
+                        "primitive": (form_to_json(e["primitive"])
+                                      if "primitive" in e else None)}
+                    for n, e in rep["degrees"].items()}}, sort_keys=True)
 
 
 class TestMaps:
@@ -257,6 +291,77 @@ class TestVerifier:
         with pytest.raises(ConnectionError_):
             verify_kcs_equivalence(g0, g1, wrong, 2)
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        real = khat.kcs_between
+
+        def counted(c0, c1, k_max):
+            count.append(k_max)
+            return real(c0, c1, k_max)
+        monkeypatch.setattr(khat, "kcs_between", counted)
+        return count
+
+    @staticmethod
+    def fresh(g0, g1, w, k_max=2):
+        # the report for a fresh witness, whose memo is empty
+        return report_json(verify_kcs_equivalence(
+            g0, g1, KCSWitness(w.stab_p, w.stab_conn, w.iso), k_max))
+
+    def test_second_omega_reuses_the_kcs_side(self, calls):
+        g0, g1, g1_bad, _, w = twisted_case(make_fixture("x3"),
+                                            random.Random(60))
+        reps = [verify_kcs_equivalence(g0, g, w, 2)
+                for g in (g1, g1_bad, g1)]
+        assert len(calls) == 1
+        assert [r["accepted"] for r in reps] == [True, False, True]
+        del calls[:]
+        for rep, g in zip(reps, (g1, g1_bad, g1)):
+            assert report_json(rep) == self.fresh(g0, g, w)
+
+    def test_other_connection_recomputes(self, calls):
+        # a memo keyed too coarsely would hand g2 the KCS side of D1
+        g0, g1, _, g2, w = twisted_case(make_fixture("x3"), random.Random(61))
+        assert verify_kcs_equivalence(g0, g1, w, 2)["accepted"]
+        rep = verify_kcs_equivalence(g0, g2, w, 2)
+        assert rep["accepted"]
+        assert len(calls) == 2
+        assert report_json(rep) == self.fresh(g0, g2, w)
+
+    def test_swapped_roles_and_k_max_recompute(self, calls):
+        g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(62))
+        verify_kcs_equivalence(g0, g1, w, 2)
+        swapped = verify_kcs_equivalence(g1, g0, w, 2)
+        assert len(calls) == 2
+        verify_kcs_equivalence(g0, g1, w, 2)
+        lower = verify_kcs_equivalence(g0, g1, w, 1)
+        assert calls == [2, 2, 2, 1]
+        del calls[:]
+        assert report_json(swapped) == self.fresh(g1, g0, w)
+        assert report_json(lower) == self.fresh(g0, g1, w, 1)
+
+    def test_reassigned_witness_fields_recompute(self, calls):
+        g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(63))
+        verify_kcs_equivalence(g0, g1, w, 2)
+        iso = w.iso
+        w.iso = ModuleIso(iso.p0, iso.p1, iso.u, iso.v)
+        by_iso = verify_kcs_equivalence(g0, g1, w, 2)
+        stab = w.stab_conn
+        w.stab_conn = Connection(stab.p, stab.theta)
+        by_stab = verify_kcs_equivalence(g0, g1, w, 2)
+        assert len(calls) == 3
+        del calls[:]
+        assert report_json(by_iso) == report_json(by_stab) == self.fresh(
+            g0, g1, w)
+
+    def test_witness_without_init_recomputes(self, calls):
+        g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(64))
+        want = report_json(verify_kcs_equivalence(g0, g1, w, 2))
+        bare = object.__new__(KCSWitness)
+        bare.stab_p, bare.stab_conn, bare.iso = w.stab_p, w.stab_conn, w.iso
+        assert report_json(verify_kcs_equivalence(g0, g1, bare, 2)) == want
+        assert len(calls) == 2
+
     def test_forged_uncompressed_witness_is_refused(self):
         # the verifier pulls back the caller's iso through the checked
         # Connection constructor: a v that bypasses v = p0 v p1 is refused
@@ -343,6 +448,14 @@ class TestHexagon:
             c0, c1 = random_connection(p, 2), random_connection(p, 3)
             with pytest.raises(ValueError):
                 kcs(straight_line(c0, c1), k_max)
+            # refused before the witness is read: a witness of the wrong
+            # shape would raise ConnectionError_ from its checks
+            g = KHatGen(p, c0, UForm.zero(alg))
+            stab = grassmann(Idempotent.identity(alg, 1))
+            wrong = KCSWitness(stab.p, stab, ModuleIso.identity(
+                direct_sum(stab, stab).p))
+            with pytest.raises(ValueError, match="k_max must be at least"):
+                verify_kcs_equivalence(g, g, wrong, k_max)
 
     def test_report_shape(self):
         alg = make_fixture("Q")

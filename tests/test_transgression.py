@@ -1327,6 +1327,15 @@ class TestKeyMemos:
         assert not _transgresses(families, k_max)
 
     @pytest.mark.parametrize("name", ["x3", "M2"])
+    def test_products_share_one_key_per_mask_and_word(self, name):
+        families = _fibre_families(name, "memo")
+        assert _transgresses(families, 2)
+        memo = families[0].algebra._cylmul
+        keys = [key for terms in memo.values() for key, _ in terms]
+        assert len({id(key) for key in keys}) == len(set(keys)) < len(keys)
+        assert all(memo.shared_keys[key] is key for key in keys)
+
+    @pytest.mark.parametrize("name", ["x3", "M2"])
     def test_mask_blind_memo_fails(self, monkeypatch, name):
         # a memo keyed by the two words alone answers for the first pair of
         # masks it met.  On a path a word's degree fixes its mask, so only
