@@ -21,10 +21,11 @@ the six fixtures at n = 0..HOMOLOGY_DEGREE and of M2 at n = M2_DEGREES,
 and of the L3/L4 reports: ``kchern chern --seed s --kmax 3`` (``--kmax 2``
 on M2) for s = 0..CHERN_SEEDS - 1 and ``kchern kcs --path P``, forward
 and ``--reverse``, on the six fixtures, each with every ``time_ms``
-removed (the digest criterion 9 pins), and of the K-hat verdicts of
-KHAT_FIXTURES (``KHAT_REPORTS``); and ``outputs_identical``, whether
-every run of both sides gave the same four digests.  The kcs payloads P
-are two-connection paths that the parent tree writes once under
+removed (the digest criterion 9 pins), of the K-hat verdicts of
+KHAT_FIXTURES (``KHAT_REPORTS``), and of the homology of graded algebras
+that no fixture is (``GRADED_REPORTS``); and ``outputs_identical``,
+whether every run of both sides gave the same five digests.  The kcs
+payloads P are two-connection paths that the parent tree writes once under
 ``.bench_build/payloads/`` and both sides read: the connections
 ``random_connection(random_idempotent(A, 2, s), 10 + s)`` and
 ``20 + s`` for s = 0..PAYLOAD_SEEDS - 1, and one more path per fixture,
@@ -326,6 +327,42 @@ def khat_digest(tree: str) -> str:
     return digest(json.loads(proc.stdout))
 
 
+# Run in each tree: `de_rham_homology` on graded algebras that no fixture
+# is, x3 x dual and dual x dual for n <= 4, M3 for n <= 2 and Q[x]/(x^4)
+# for n <= 4; prints per algebra and degree the dimension and the
+# representatives' terms, as JSON.
+GRADED_REPORTS = """
+import json
+from kchern.algebra import (make_matrix_algebra, make_product,
+                            make_truncated_poly)
+from kchern.fixtures import make_fixture
+from kchern.serialize import form_to_json
+from kchern.uforms import de_rham_homology
+
+x3, dual = make_fixture("x3"), make_fixture("dual")
+cases = (("x3xdual", make_product(x3, dual), 4),
+         ("dualxdual", make_product(dual, dual), 4),
+         ("M3", make_matrix_algebra(3), 2),
+         ("Q[x]/(x^4)", make_truncated_poly(4), 4))
+reports = []
+for name, alg, top in cases:
+    for n in range(top + 1):
+        dim, reps = de_rham_homology(alg, n)
+        reports.append({"algebra": name, "degree": n, "dimension": dim,
+                        "representatives": [form_to_json(r) for r in reps]})
+print(json.dumps(reports))
+"""
+
+
+def graded_digest(tree: str) -> str:
+    """The digest of the homology reports that GRADED_REPORTS prints in
+    tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", GRADED_REPORTS], cwd=tree,
+                          env=env, check=True, capture_output=True, text=True)
+    return digest(json.loads(proc.stdout))
+
+
 def tier1(tree: str, flags=()) -> dict:
     """Wall time and exit status of the Tier-1 pytest run in tree, with the
     interpreter flags `flags`."""
@@ -493,7 +530,8 @@ def main(argv=None) -> int:
     digests = {"verify": {"parent": [], "change": []},
                "homology": {"parent": [], "change": []},
                "transgression": {"parent": [], "change": []},
-               "khat": {"parent": [], "change": []}}
+               "khat": {"parent": [], "change": []},
+               "graded": {"parent": [], "change": []}}
     payloads = write_payloads(trees["parent"])
     for k in range(VERIFY_RUNS):
         for who in alternating(k):
@@ -504,6 +542,7 @@ def main(argv=None) -> int:
             digests["transgression"][who].append(
                 transgression_digest(trees[who], payloads))
             digests["khat"][who].append(khat_digest(trees[who]))
+            digests["graded"][who].append(graded_digest(trees[who]))
     tier1_run = {who: tier1(trees[who]) for who in alternating(0)}
     tier1_opt = {who: tier1(trees[who], ["-O"]) for who in alternating(0)}
     ladder_run = ladders(trees)
@@ -552,7 +591,9 @@ def main(argv=None) -> int:
                                 ", ".join(FIXTURES)),
             "khat": "verify, planted, verify again and verify_chain on the "
                     "seeded data of tests/test_suites.py::_khat_round, on "
-                    "%s" % ", ".join(KHAT_FIXTURES)},
+                    "%s" % ", ".join(KHAT_FIXTURES),
+            "graded": "de_rham_homology on x3 x dual and dual x dual, n "
+                      "<= 4, M3, n <= 2, and Q[x]/(x^4), n <= 4"},
             **digests},
         "outputs_identical": all(len({d for xs in runs.values() for d in xs})
                                  == 1 for runs in digests.values()),

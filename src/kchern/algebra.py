@@ -38,12 +38,10 @@ class Algebra:
     pairs decoded from those entries, `_cylmul` the product of each pair
     of cylinder keys (mask, word) that `transgression.CylForm._key_product`
     was asked for (`transgression._CylProducts`, made on first use), `_ab`
-    the abelianization projection of each degree n, and of each weight
-    block (n, weight) that `uforms._projection` built, with the residual of
-    each word it has reduced, `_dbar` the dbar into each degree (or block)
-    once built (`uforms.dbar`), `_ab_spectrum` the (eigenvalue,
-    multiplicity) pairs of the bimodule matrix D that certify dim
-    Omega_ab,n
+    the abelianization projection of each degree n, with the residual of
+    each word it has reduced, `_dbar` the dbar into each degree n once
+    built (`uforms.dbar`), `_ab_spectrum` the (eigenvalue, multiplicity)
+    pairs of the bimodule matrix D that certify dim Omega_ab,n
     (`uforms._certified_dim`; empty where no certificate applies),
     `_generators` the basis indices of the generating set that the
     commutator echelon reads (`uforms._generating_set`), and `_necklace`
@@ -67,8 +65,9 @@ class Algebra:
     (h_p - h_q with h = (0, 1, ..., k - 1)), and `make_product` keeps its
     factors' weights.  It is None on every other algebra (JSON tables, group
     algebras, a copy built from an equal table) and where every weight is 0.
-    Only `uforms.de_rham_homology` reads it, to skip the nonzero weights;
-    the outputs are the same either way.
+    Only the early exit of `uforms.de_rham_homology` reads it, to answer
+    H_n = 0 in a degree with no weight-0 word; the outputs are the same
+    either way.
 
     Products go through one sparse kernel built from `mul` at construction:
     sparse_mul[i][j] lists the (k, c) with c != 0, so e_i * e_j = sum c e_k.

@@ -5,8 +5,9 @@ pairs, and the hexagon identity suite.
 Everything here is a verifier: witnesses are supplied, never searched for.
 A `KCSWitness` keeps, in its slot `_kcs`, the KCS side of the last pair of
 generators it verified, so that a second omega against the same witness and
-connections skips the pullback and the transgression; the omega comparison
-and the exactness solves run on every call.
+connections skips the direct sums, the pullback and the transgression; the
+witness checks, the omega comparison and the exactness solves run on every
+call.
 """
 
 from __future__ import annotations
@@ -127,21 +128,29 @@ def verify_kcs_equivalence(g0: KHatGen, g1: KHatGen, w: KCSWitness,
     g0.conn, g1.conn, w.stab_conn and w.iso are the very objects it was
     computed from and k_max is equal; a reassigned field fails that
     identity test.  Both witness checks, the omega comparison and every
-    exactness solve run on every call, so each report is built fresh.
+    exactness solve run on every call, so each report is built fresh; the
+    witness checks read only the block sums of the idempotents, so the
+    direct sums, thetas included, are built on a miss alone.
     """
     check_k_max(k_max)
-    d0 = direct_sum(g0.conn, w.stab_conn)
-    d1 = direct_sum(g1.conn, w.stab_conn)
-    if w.iso.p0 != d0.p:
+    stab = w.stab_conn
+    # direct_sum's refusals of both pairs come before the witness checks
+    for g in (g0, g1):
+        if g.conn.algebra != stab.algebra:
+            raise ConnectionError_("algebra mismatch")
+        if g.conn.R != stab.R:
+            raise ConnectionError_("families with different parameters")
+    if w.iso.p0.mat != block_diag(g0.conn.p.mat, stab.p.mat):
         raise ConnectionError_("witness iso source does not match g0 + stab")
-    if w.iso.p1 != d1.p:
+    if w.iso.p1.mat != block_diag(g1.conn.p.mat, stab.p.mat):
         raise ConnectionError_("witness iso target does not match g1 + stab")
-    key = (g0.conn, g1.conn, w.stab_conn, w.iso)
+    key = (g0.conn, g1.conn, stab, w.iso)
     memo = getattr(w, "_kcs", None)
     if (memo is not None and memo[1] == k_max
             and all(a is b for a, b in zip(memo[0], key))):
         kcs_list = memo[2]
     else:
+        d0, d1 = (direct_sum(g.conn, stab) for g in (g0, g1))
         kcs_list = kcs_between(d0, pullback(d1, w.iso), k_max)
         w._kcs = (key, k_max, kcs_list)
     omega_diff = project_ab(g0.omega) - project_ab(g1.omega)

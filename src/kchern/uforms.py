@@ -15,17 +15,17 @@ DGA maps, and exactness certificates live here as well.  Every algebra
 projects onto the quotient through one commutator echelon per degree
 (`abelianization`), whose reductions give canonical residuals, kept per
 word.  The descended differential dbar into each degree is built once per
-algebra (`dbar`) in those residuals; exactness solves read that copy.
-Homology lives in weight 0 (the Cartan homotopy; see `de_rham_homology`):
-on an algebra whose constructor records a torus grading
-(`Algebra.weights`) it reads only the weight-0 blocks of the projections
-and of dbar (`_projection`), whose words come by index arithmetic.  On
-M_k, whose k `make_matrix_algebra` records as `Algebra.matrix_size`, in a
-degree n >= 1 it first reads dim H_n off the ranks of dbar taken directly
-on the weight-0 necklaces, through the E11 lift of each (`_lift`, with one
-closed-form dz table, `_dz`): where H_n = 0, no word of any degree is
-touched; otherwise the representatives are read off `dbar` in quotient
-words.
+algebra (`dbar`) in those residuals; exactness solves and homology read
+that copy.  Homology lives in weight 0 (the Cartan homotopy; see
+`de_rham_homology`).  On M_k, whose k `make_matrix_algebra` records as
+`Algebra.matrix_size`, in a degree n >= 1 it first reads dim H_n off the
+ranks of dbar taken directly on the weight-0 necklaces, through the E11
+lift of each (`_lift`, with one closed-form dz table, `_dz`): where H_n =
+0, no word of any degree is touched.  On an algebra whose constructor
+records a torus grading (`Algebra.weights`), a degree with no weight-0
+word has H_n = 0, found by index arithmetic (`_weighted_codes`) with
+nothing built.  Otherwise the representatives are read off `dbar` in
+quotient words.
 """
 
 from __future__ import annotations
@@ -308,10 +308,9 @@ class AbProjection:
 
     The quotient words are the non-pivot words of the echelonized
     graded-commutator span at degree n (`_commutator_projection`), in the
-    degree's word indices (`words`, idx -> word, and `index` its inverse, in
-    increasing index order: every word of the degree, or those of one torus
-    weight for a block); `reduce_terms` gives the canonical residual of a
-    dict word -> scalar over those words, supported on them.
+    degree's word indices (`words`, the list idx -> word, and `index` its
+    inverse); `reduce_terms` gives the canonical residual of a dict word ->
+    scalar, supported on them.
 
     `reduce_terms` sums c * residual(w) over the terms, with the residual of
     each word, the echelon's reduction of its index, kept in `_residuals`
@@ -332,7 +331,7 @@ class AbProjection:
         self.words = words
         self.index = index
         self.echelon = echelon
-        self.quotient_words = [w for w, i in index.items()
+        self.quotient_words = [w for i, w in enumerate(words)
                                if i not in echelon.pivots]
         self._residuals = {q: {q: Q1} for q in self.quotient_words}
 
@@ -373,28 +372,14 @@ def abelianization(algebra: Algebra, n: int) -> AbProjection:
     _check_degree(algebra, n)
     hit = algebra._ab.get(n)
     if hit is None:
-        hit = algebra._ab[n] = _commutator_projection(algebra, n, None)
+        hit = algebra._ab[n] = _commutator_projection(algebra, n)
     return hit
 
 
-def _projection(algebra: Algebra, n: int, weight) -> AbProjection:
-    """`abelianization` of degree n for weight None, and otherwise the block
-    of that torus weight of a graded algebra (`Algebra.weights`), memoized
-    in `Algebra._ab` under (n, weight)."""
-    if weight is None:
-        return abelianization(algebra, n)
-    hit = algebra._ab.get((n, weight))
-    if hit is None:
-        hit = algebra._ab[n, weight] = _commutator_projection(algebra, n,
-                                                              weight)
-    return hit
-
-
-def dbar(algebra: Algebra, n: int, weight=None):
+def dbar(algebra: Algebra, n: int):
     """dbar: Omega_ab,n-1 -> Omega_ab,n as a pair (solver, kernel), built
     once per algebra and kept in `Algebra._dbar`; DegreeCapError past the
-    cap.  With a weight, the dbar of that weight's blocks (`_projection`),
-    kept under (n, weight): dbar maps each weight to itself.
+    cap.
 
     `solver` is a TrackedEchelon whose columns are d of the degree n-1
     quotient words q of the commutator echelon, tagged by the word, in the
@@ -405,14 +390,13 @@ def dbar(algebra: Algebra, n: int, weight=None):
     ker(dbar: Omega_ab,n-1 -> Omega_ab,n).
     """
     _check_degree(algebra, n)
-    key = n if weight is None else (n, weight)
-    hit = algebra._dbar.get(key)
+    hit = algebra._dbar.get(n)
     if hit is not None:
         return hit
-    echelon = _projection(algebra, n, weight).echelon
+    echelon = abelianization(algebra, n).echelon
     solver, kernel = TrackedEchelon(dimension(algebra, n)), []
     if n:
-        prev = _projection(algebra, n - 1, weight)
+        prev = abelianization(algebra, n - 1)
         low = (algebra.dim - 1) ** (n - 1)
         for q in prev.quotient_words:
             # idx((0,) + q) = idx(q) - B**(n-1) for q0 > 0
@@ -420,31 +404,27 @@ def dbar(algebra: Algebra, n: int, weight=None):
                              if q[0] else {}, q)
             if dep is not None:
                 kernel.append({q: Q1, **{p: -c for p, c in dep.items()}})
-    hit = algebra._dbar[key] = (solver, kernel)
+    hit = algebra._dbar[n] = (solver, kernel)
     return hit
 
 
-def _weighted_codes(start: dict, digits, n: int, targets) -> dict:
-    """code -> weight of the codes that extend those of `start` (a dict code
-    -> weight) by n digits in base len(digits), digit i of weight digits[i],
-    whose total weight lies in `targets`, in increasing code order: a code c
-    of `start` followed by d_1...d_n is c B^n + sum d_k B^(n-k).  Grown a
-    digit at a time, keeping only the prefixes whose weight the digits left
-    can still bring into the range of `targets`."""
+def _weighted_codes(start: dict, digits, n: int) -> list:
+    """The codes of total weight 0 that extend those of `start` (a dict
+    code -> weight) by n digits in base len(digits), digit i of weight
+    digits[i], in increasing order: a code c of `start` followed by
+    d_1...d_n is c B^n + sum d_k B^(n-k).  Grown a digit at a time, keeping
+    only the prefixes whose weight the digits left can still bring to 0."""
     lo, hi = min(digits, default=0), max(digits, default=0)
-    tmin, tmax = min(targets), max(targets)
     level = start
     for left in range(n - 1, -1, -1):
-        floor, ceil = tmin - left * hi, tmax - left * lo
         level = {code * len(digits) + d: v for code, s in level.items()
                  for d, w in enumerate(digits)
-                 if floor <= (v := s + w) <= ceil}
-    return {code: s for code, s in level.items() if s in targets}
+                 if -left * hi <= (v := s + w) <= -left * lo}
+    return [code for code, s in level.items() if not s]
 
 
-def _commutator_projection(algebra: Algebra, n: int, weight) -> AbProjection:
-    """The projection of degree n read off the echelonized commutators, or
-    for a weight that is not None its block of that torus weight.
+def _commutator_projection(algebra: Algebra, n: int) -> AbProjection:
+    """The projection of degree n read off the echelonized commutators.
 
     Rather than every word-pair commutator, the echelon is fed a spanning
     set of [Omega, Omega]_n = [A, Omega_n] + d([Omega, Omega]_{n-1}).  The
@@ -473,54 +453,26 @@ def _commutator_projection(algebra: Algebra, n: int, weight) -> AbProjection:
     one every row is fed, and the words go in increasing order, which
     keeps the stored rows sparser (x3 at degree 5: 191 entries against 236
     from the last word down), so later reductions cost less.
-
-    A block of weight `weight` needs a grading w (`Algebra.weights`): e_i
-    has the weight w_i, a word the sum over its letters, and since w is a
-    derivation, e_g * w, w * e_g and d(w) keep the weight of e_g and w
-    together.  So every vector fed is homogeneous, [Omega, Omega]_n is the
-    sum of its weight blocks, and the block is fed d of its own pivot rows
-    one degree down and the [e_g, w] of total weight `weight`, the words w
-    found by index arithmetic (`_weighted_codes`, with no word list built
-    when the block has no word).  Its pivots and residuals are those of the
-    whole degree on its words.  It has no certificate, so every row is fed
-    in increasing order.
     """
+    words, index, right = _degree(algebra, n)
     b = algebra.dim - 1
     top = b ** n
-    sparse, gens, grading = (algebra.sparse_mul, _generating_set(algebra),
-                             algebra.weights)
-    certified = None
-    if weight is None:
-        words, index, right = _degree(algebra, n)
-        certified = _certified_dim(algebra, n)
-        order = range(len(words))
-        if certified is not None:
-            order = reversed(order)
-        order = ((idx, gens) for idx in order)
-    else:
-        found = _weighted_codes(
-            {i: grading[i] for i in range(b + 1)}, grading[1:], n,
-            {weight, *(weight - grading[g] for g in gens)})
-        block = [idx for idx, s in found.items() if s == weight]
-        if not block:
-            return AbProjection(algebra, n, {}, {}, Echelon())
-        every, _, right = _degree(algebra, n)
-        words = {idx: every[idx] for idx in block}
-        index = {w: idx for idx, w in words.items()}
-        order = ((idx, [g for g in gens if grading[g] + s == weight])
-                 for idx, s in found.items())
+    sparse, gens = algebra.sparse_mul, _generating_set(algebra)
+    certified = _certified_dim(algebra, n)
     target = len(words) - (certified or 0)
+    order = range(len(words))
+    if certified is not None:
+        order = reversed(order)
 
     def spanning_vectors():
         # in index coordinates; idx((0,) + w) = idx(w) - B**(n-1) for w0 > 0
         if n > 0:
             low = b ** (n - 1)
-            for row in _projection(algebra, n - 1,
-                                   weight).echelon.pivots.values():
+            for row in abelianization(algebra, n - 1).echelon.pivots.values():
                 yield {j - low: c for j, c in row.items() if j >= low}
-        for idx, pairing in order:
+        for idx in order:
             w0, rest = divmod(idx, top)
-            for g in pairing:
+            for g in gens:
                 vec = {k * top + rest: c for k, c in sparse[g][w0]}
                 for k, c in right[g][idx]:
                     vec[k] = vec.get(k, Q0) - c
@@ -689,9 +641,8 @@ def _lift_rows(alg: Algebra, n: int):
     steps = [(size ** (n - i), size ** (n - 1 - i), -1 if i % 2 else 1)
              for i in range(n)]
     classes = {}
-    codes = _weighted_codes({0: 0}, [u % k - u // k for u in range(size)],
-                            n, (0,))
-    for t in reversed(codes):
+    for t in reversed(_weighted_codes(
+            {0: 0}, [u % k - u // k for u in range(size)], n)):
         if _necklace(t, n, size) != (t, 1):
             continue
         row = {}
@@ -885,12 +836,8 @@ def de_rham_homology(algebra: Algebra, n: int):
     A closed class c of weight j != 0 is then exact, c = dbar(iota_D c / j),
     and every nonzero weight is acyclic (the Cartan homotopy formula: Cuntz
     and Quillen, J. AMS 8, 1995; Goodwillie, Topology 24, 1985).  dbar keeps
-    weights, so H_n is the homology of the weight-0 blocks (`dbar` with
-    weight 0), with the same representatives: a kernel vector of dbar is
-    homogeneous, since the columns of different weights have disjoint
-    supports, one of weight j != 0 is exact and never a representative,
-    and whether a weight-0 vector is exact is decided by the weight-0 image
-    alone.  Without a grading, weight 0 is the whole degree.
+    weights, so H_n is the homology of the weight-0 part of Omega_ab, and a
+    degree n with no word of weight 0 has H_n = 0.
 
     On M_k (`Algebra.matrix_size`, which only this lift reads) with n >=
     1, dim H_n = count_0(n) - rank_0(n) - rank_0(n - 1), the weight-0
@@ -898,10 +845,12 @@ def de_rham_homology(algebra: Algebra, n: int):
     (`_lift`); where it is zero the answer is (0, []), with no word
     enumerated and no projection or dbar built.  H_0 is never zero: it
     holds the class of 1, which d kills and [A, A] cannot contain (the
-    trace of 1 on A is dim A).  Otherwise, and on every other algebra, the
-    representatives are the quotient words' kernel vectors of `dbar`, read
-    in canonical residuals (`AbProjection.coords`); on M_k their number
-    must equal the lift's (RuntimeError).
+    trace of 1 on A is dim A).  On a graded algebra whose degree n has no
+    word of weight 0 (`_weighted_codes`; dual and x3 at every n >= 1), the
+    answer is (0, []) with nothing built.  Otherwise the representatives
+    are the quotient words' kernel vectors of `dbar` over the whole degree,
+    read in canonical residuals (`AbProjection.coords`); on M_k their
+    number must equal the lift's (RuntimeError).
     """
     if n + 1 > algebra.degree_cap:
         raise DegreeCapError("H_%d needs degree %d, which exceeds cap %d"
@@ -913,11 +862,14 @@ def de_rham_homology(algebra: Algebra, n: int):
         lift = count - rank - _lift(algebra, n - 1)[1]
         if not lift:
             return 0, []
-    weight = None if algebra.weights is None else 0
-    _, kernel = dbar(algebra, n + 1, weight)
-    coords = _projection(algebra, n, weight).coords
+    grading = algebra.weights
+    if grading is not None and not _weighted_codes(dict(enumerate(grading)),
+                                                   grading[1:], n):
+        return 0, []
+    _, kernel = dbar(algebra, n + 1)
+    coords = abelianization(algebra, n).coords
     # a copy, so the memoized solver of dbar never learns the kernel
-    image = dbar(algebra, n, weight)[0].copy()
+    image = dbar(algebra, n)[0].copy()
     reps = []
     for vec in kernel:
         if image.add(coords(vec), None) is None:

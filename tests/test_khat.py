@@ -362,6 +362,25 @@ class TestVerifier:
         assert report_json(verify_kcs_equivalence(g0, g1, bare, 2)) == want
         assert len(calls) == 2
 
+    def test_generator_over_another_algebra_is_refused(self):
+        # refused as `direct_sum` refuses the pair, with or without a memo
+        g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(65))
+        other = constructed_pair(make_fixture("dual"), random.Random(66))[0]
+        for pair in ((g0, other), (other, g1), (g0, other)):
+            with pytest.raises(ConnectionError_, match="^algebra mismatch$"):
+                verify_kcs_equivalence(*pair, w, 2)
+            assert verify_kcs_equivalence(g0, g1, w, 2)["accepted"]
+
+    def test_path_generator_is_refused(self):
+        # an R = 1 connection does not sum with the R = 0 stabilizer
+        g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(67))
+        path = KHatGen(g1.p, straight_line(g0.conn, g1.conn), g1.omega)
+        for pair in ((g0, path), (path, g1), (g0, path)):
+            with pytest.raises(ConnectionError_, match="^families with "
+                               "different parameters$"):
+                verify_kcs_equivalence(*pair, w, 2)
+            assert verify_kcs_equivalence(g0, g1, w, 2)["accepted"]
+
     def test_forged_uncompressed_witness_is_refused(self):
         # the verifier pulls back the caller's iso through the checked
         # Connection constructor: a v that bypasses v = p0 v p1 is refused

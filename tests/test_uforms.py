@@ -986,19 +986,21 @@ class TestHomologyOracle:
 
 class TestWeightZeroHomology:
     """F16: every nonzero torus weight is acyclic, so on an algebra whose
-    constructor records a grading `de_rham_homology` reads the weight-0
-    blocks alone.  The oracle is the homology over every weight of a copy
-    built from its table, which records no grading: dimensions and
-    representatives byte for byte."""
+    constructor records a grading `de_rham_homology` answers H_n = 0 with
+    nothing built in a degree that has no weight-0 word, and otherwise
+    reads the whole degree.  The oracle is a copy built from its table,
+    which records no grading: dimensions and representatives byte for
+    byte."""
 
     @staticmethod
     def cases():
-        """(algebra, dim H_n for n = 0..top); x3 x dual has two blocks, so
-        H_0 = 2 and H_2 = 1 (F12)."""
+        """(algebra, dim H_n for n = 0..top); x3 x dual and dual x dual
+        have two blocks, so H_0 = 2 and H_2 = 1 (F12)."""
         x3, dual = make_fixture("x3"), make_fixture("dual")
         return ((dual, [1] + [0] * 5), (x3, [1] + [0] * 5),
                 (make_truncated_poly(4), [1] + [0] * 4),
                 (make_product(x3, dual), [2, 0, 1, 0]),
+                (make_product(dual, dual), [2, 0, 1, 0, 1]),
                 (make_fixture("M2"), [1]), (make_matrix_algebra(3), [1]))
 
     @staticmethod
@@ -1015,14 +1017,24 @@ class TestWeightZeroHomology:
             assert [dim for dim, _ in got] == dims, alg
 
     def test_planted_non_derivation_fails(self):
-        # weights that `_graded` refuses, forced past it: (0, 0, 1) puts
-        # x^2, but not x, in weight 0.  (0, 1, 1), refused too, would pass:
-        # its weight-0 blocks hold the unit word alone, as the true ones do
-        x3 = make_fixture("x3")
-        alg = Algebra(x3.mul, names=x3.names)
-        alg.weights = (0, 0, 1)
-        assert self.reports(alg, 5) != \
-            self.reports(Algebra(x3.mul, names=x3.names), 5)
+        # weights that `_graded` refuses, forced past it: (0, 1, 1, 2, 1)
+        # moves eL of x3 x dual out of weight 0, so no degree n >= 1 has a
+        # weight-0 word and the early exit loses H_2
+        alg = make_product(make_fixture("x3"), make_fixture("dual"))
+        copy = Algebra(alg.mul, names=alg.names)
+        alg.weights = (0, 1, 1, 2, 1)
+        assert [dim for dim, _ in self.reports(alg, 3)] == [2, 0, 0, 0]
+        assert [dim for dim, _ in self.reports(copy, 3)] == [2, 0, 1, 0]
+
+    def test_no_weight_zero_word_builds_nothing(self):
+        # dual and x3 have no weight-0 word in any degree n >= 1: no
+        # projection, no dbar and no right table
+        for name in ("dual", "x3"):
+            for n in range(1, 6):
+                alg = make_fixture(name)
+                assert de_rham_homology(alg, n) == (0, []), (name, n)
+                assert alg._ab == {} and alg._dbar == {}, (name, n)
+                assert alg._right == [], (name, n)
 
 
 def _quotient_dbar(alg, n):
@@ -1270,18 +1282,19 @@ class TestNecklaceProjection:
     def test_cold_homology_builds_no_right_table(self):
         # where H_n = 0 (n >= 1 on M2) the E11 lift answers with no
         # projection, no dbar, no right-table entry and no certificate;
-        # at n = 0 dbar into degree 1 reads the weight-0 blocks of the
-        # commutator projections of degrees 0 and 1, which need none
+        # at n = 0 dbar into degree 1 reads the commutator projections of
+        # degrees 0 and 1, the second with its certificate
         for n in range(4):
             alg = make_fixture("M2")
             de_rham_homology(alg, n)
             if n:
                 assert alg._ab == {} and alg._dbar == {}, n
                 assert alg._right == [] and _right_entries(alg) == 0, n
+                assert alg._ab_spectrum is None, n
             else:
-                assert sorted(alg._ab) == [(0, 0), (1, 0)]
-                assert sorted(alg._dbar) == [(0, 0), (1, 0)]
-            assert alg._ab_spectrum is None, n
+                assert sorted(alg._ab) == [0, 1]
+                assert sorted(alg._dbar) == [0, 1]
+                assert alg._ab_spectrum
 
     def test_one_word_product_builds_one_entry_per_degree(self):
         # a right-table entry of degree n reads one entry of degree n - 1,
@@ -1449,20 +1462,24 @@ def _lift_blocks(k, n):
 
 class TestNecklaceLift:
     """On M_k, homology reads the weight-0 ranks of dbar off the E11 lift of
-    each weight-0 necklace (`uforms._lift`); the weight-0 blocks of dbar on
-    the commutator echelon, and the lift over every weight, are the
-    oracles."""
+    each weight-0 necklace (`uforms._lift`); dbar on the commutator
+    echelon, in weight 0 and over every weight, and the lift over every
+    weight, are the oracles."""
 
-    # (k, top) for the weight-0 blocks (0) and for every weight (None)
+    # (k, top) for weight 0 (0) and for every weight (None)
     TOPS = {0: ((2, 6), (3, 2)), None: ((2, 6), (3, 3))}
 
     @staticmethod
     @functools.cache
     def word_ranks(k, top, weight):
         # built once per (k, top, weight), always before any plant: the
-        # ranks of dbar's blocks of that weight, or over every weight
+        # ranks of dbar over every weight, or the number of its independent
+        # columns whose quotient word has that weight; columns are
+        # homogeneous, so that is the rank of the weight's block
         alg = make_matrix_algebra(k)
-        return tuple(len(dbar(alg, n + 1, weight)[0].tags)
+        return tuple(sum(1 for q in dbar(alg, n + 1)[0].tags
+                         if weight is None
+                         or sum(alg.weights[i] for i in q) == weight)
                      for n in range(top + 1))
 
     @staticmethod
@@ -1471,7 +1488,7 @@ class TestNecklaceLift:
         return tuple(uforms._lift(alg, n)[1] for n in range(top + 1))
 
     def test_ranks_match_word_path(self):
-        # the weight-0 lift against dbar's weight-0 blocks, and the lift
+        # the weight-0 lift against dbar's weight-0 rank, and the lift
         # over every weight against dbar over every weight
         for k, top in self.TOPS[0]:
             assert self.lift_ranks(k, top) == self.word_ranks(k, top, 0), k
