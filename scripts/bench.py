@@ -22,8 +22,11 @@ and of the L3/L4 reports: ``kchern chern --seed s --kmax 3`` (``--kmax 2``
 on M2) for s = 0..CHERN_SEEDS - 1 and ``kchern kcs --path P``, forward
 and ``--reverse``, on the six fixtures, each with every ``time_ms``
 removed (the digest criterion 9 pins), of the K-hat verdicts of
-KHAT_FIXTURES (``KHAT_REPORTS``), and of the homology of graded algebras
-that no fixture is (``GRADED_REPORTS``); and ``outputs_identical``,
+KHAT_FIXTURES (``KHAT_REPORTS``: a twisted witness with a matched and a
+planted omega, a chain of links never verified, a chain of links verified
+first and a chain of chains, so that a chain's KCS side, however it is
+reached, is compared between the trees), and of the homology of graded
+algebras that no fixture is (``GRADED_REPORTS``); and ``outputs_identical``,
 whether every run of both sides gave the same five digests.  The kcs
 payloads P are two-connection paths that the parent tree writes once under
 ``.bench_build/payloads/`` and both sides read: the connections
@@ -256,8 +259,12 @@ def transgression_digest(tree: str, payloads) -> str:
 # Run in each tree: per fixture, the seeded generators and witnesses of
 # tests/test_suites.py's `_khat_round`, verified as verify, planted (the
 # unit 0-form added to omega1), verify again on the same witness, then the
-# chain; prints the list of verdicts, each with accepted and, per degree,
-# exact and the primitive's terms, as JSON.
+# chain; then two more trivially witnessed links g0 ~ h1 ~ h2, verified,
+# the chain of those verified links, and a chain of a new chain of them and
+# a third link h2 ~ h3 (so a chain's KCS side is digested however it is
+# reached: from links never verified, verified, or a chain); prints the
+# list of verdicts, each with accepted and, per degree, exact and the
+# primitive's terms, as JSON.
 KHAT_REPORTS = """
 import json, random, sys
 from kchern.connections import (ModuleIso, direct_sum, grassmann, pullback,
@@ -305,8 +312,16 @@ for name in sys.argv[1:]:
     h2 = KHatGen(p, d2, (-om01 - om12).lift())
     w = KCSWitness(stab_p, stab, phi)
     chain = chain_witnesses(h1, trivial(g0, rng), trivial(h1, rng))
-    for g, wit in ((g1, w), (g1_bad, w), (g1, w), (h2, chain)):
-        rep = verify_kcs_equivalence(g0, g, wit, 2)
+    d3 = random_connection(p, rng)
+    om23 = total(kcs_between(d2, d3, 2), alg)
+    h3 = KHatGen(p, d3, (-om01 - om12 - om23).lift())
+    w01, w12, w23 = trivial(g0, rng), trivial(h1, rng), trivial(h2, rng)
+    after = chain_witnesses(h1, w01, w12)
+    of_chains = chain_witnesses(h2, chain_witnesses(h1, w01, w12), w23)
+    for a, b, wit in ((g0, g1, w), (g0, g1_bad, w), (g0, g1, w),
+                      (g0, h2, chain), (g0, h1, w01), (h1, h2, w12),
+                      (g0, h2, after), (g0, h3, of_chains)):
+        rep = verify_kcs_equivalence(a, b, wit, 2)
         verdicts.append({"fixture": name, "accepted": rep["accepted"],
                          "degrees": {str(n): {
                              "exact": e["exact"],
@@ -590,8 +605,10 @@ def main(argv=None) -> int:
                              % (CHERN_SEEDS - 1, PAYLOAD_SEEDS - 1,
                                 ", ".join(FIXTURES)),
             "khat": "verify, planted, verify again and verify_chain on the "
-                    "seeded data of tests/test_suites.py::_khat_round, on "
-                    "%s" % ", ".join(KHAT_FIXTURES),
+                    "seeded data of tests/test_suites.py::_khat_round, then "
+                    "two verified links, their chain and a chain of that "
+                    "chain and a third link, on %s"
+                    % ", ".join(KHAT_FIXTURES),
             "graded": "de_rham_homology on x3 x dual and dual x dual, n "
                       "<= 4, M3, n <= 2, and Q[x]/(x^4), n <= 4"},
             **digests},

@@ -69,6 +69,72 @@ def twisted_case(alg, rng):
             KCSWitness(stab.p, stab, phi))
 
 
+def shear(p, k, rng):
+    """u = p + x, v = p - x with x = p E p for E one seeded +-e_i in the
+    corner block (rows < k, columns >= k) of p = M + N, M of size k: x
+    lies in that block, so x x = 0, p x = x p = x and v u = u v = p."""
+    alg = p.algebra
+    while True:
+        i, j = rng.randrange(k), rng.randrange(k, p.size)
+        a = alg.basis(rng.randrange(alg.dim)).scale(rng.choice((1, -1)))
+        e = Mat([[a if (r, c) == (i, j) else alg.zero()
+                  for c in range(p.size)] for r in range(p.size)])
+        x = p.mat * e * p.mat
+        if x.data:
+            return ModuleIso(p, p, p.mat + x, p.mat - x)
+
+
+def unit_twist(p, k, rng):
+    """u = p + a E_kk, v = p + b E_kk for p whose row and column k are the
+    identity's, where 1 + a is a unit with inverse 1 + b: a a seeded
+    multiple of a nilpotent basis element, b = sum_(j >= 1) (-a)^j.  The
+    identity where no basis element is nilpotent."""
+    alg = p.algebra
+    for i in rng.sample(range(1, alg.dim), alg.dim - 1):
+        a = alg.basis(i).scale(rng.choice((1, 2, -1)))
+        b, power = alg.zero(), alg.unit()
+        for _ in range(alg.dim):
+            power = power * (-a)
+            b = b + power
+        if power:
+            continue
+
+        def at_k(c):
+            return p.mat + Mat([[c if (r, s) == (k, k) else alg.zero()
+                                 for s in range(p.size)]
+                                for r in range(p.size)])
+        return ModuleIso(p, p, at_k(a), at_k(b))
+    return ModuleIso.identity(p)
+
+
+def twisted_links(alg, rng, links):
+    """Generators g_0, ..., g_links on one module p and links w_i from g_i
+    to g_(i+1), each with a non-Grassmann stabilizer on the 1 x 1 identity
+    and a shear of p + N after a unit on N; every omega is matched, so each
+    link holds.  p is drawn again while it is zero, where no shear moves
+    anything.  Neither iso is a scalar multiple of p + N.  A shear alone
+    leaves the KCS side as the identity's: it is block unitriangular, so
+    the pulled-back line's curvature is too, with the untwisted diagonal
+    blocks, and no trace moves.  The unit moves it on dual and x3."""
+    p = random_idempotent(alg, 2, rng)
+    while not p.mat.data:
+        p = random_idempotent(alg, 2, rng)
+    conns = [random_connection(p, rng) for _ in range(links + 1)]
+    ws = []
+    for _ in range(links):
+        stab = random_connection(Idempotent.identity(alg, 1), rng)
+        pn = direct_sum(conns[0], stab).p
+        ws.append(KCSWitness(stab.p, stab, compose_iso(
+            unit_twist(pn, 2, rng), shear(pn, 2, rng))))
+    gens = [KHatGen(p, conns[0], UForm.zero(alg))]
+    for w, c1 in zip(ws, conns[1:]):
+        side = sum_classes(kcs_between(
+            direct_sum(gens[-1].conn, w.stab_conn),
+            pullback(direct_sum(c1, w.stab_conn), w.iso), 2), alg)
+        gens.append(KHatGen(p, c1, gens[-1].omega - side.lift()))
+    return gens, ws
+
+
 def report_json(rep):
     """A verdict as text: accepted, k_max, and per degree exact and the
     primitive's terms."""
@@ -118,6 +184,19 @@ class TestMaps:
         g1 = KHatGen(p, d, eps)
         if not ab_d(project_ab(eps)).is_zero():
             assert map_R(g0, 2) != map_R(g1, 2)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The k_max of every transgression the verifier runs."""
+    count = []
+    real = khat.kcs_between
+
+    def counted(c0, c1, k_max):
+        count.append(k_max)
+        return real(c0, c1, k_max)
+    monkeypatch.setattr(khat, "kcs_between", counted)
+    return count
 
 
 class TestVerifier:
@@ -178,7 +257,7 @@ class TestVerifier:
                             for n in (1, 3))
         assert rep["accepted"] == (not expect_reject)
 
-    def test_chained_transitivity(self):
+    def test_chained_transitivity(self, calls):
         alg = make_fixture("QxQ")
         rng = random.Random(47)
         p = random_idempotent(alg, 2, rng)
@@ -194,6 +273,8 @@ class TestVerifier:
         assert verify_kcs_equivalence(g1, g2, w12, 2)["accepted"]
         w02 = chain_witnesses(g1, w01, w12)
         assert verify_kcs_equivalence(g0, g2, w02, 2)["accepted"]
+        # the chain's side is read from its verified links
+        assert len(calls) == 2
 
     def test_chain_of_automorphism_witnesses(self):
         # phi01 and phi12 are automorphisms of M+N01 and M+N12 (M0 = M1 =
@@ -291,17 +372,6 @@ class TestVerifier:
         with pytest.raises(ConnectionError_):
             verify_kcs_equivalence(g0, g1, wrong, 2)
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        count = []
-        real = khat.kcs_between
-
-        def counted(c0, c1, k_max):
-            count.append(k_max)
-            return real(c0, c1, k_max)
-        monkeypatch.setattr(khat, "kcs_between", counted)
-        return count
-
     @staticmethod
     def fresh(g0, g1, w, k_max=2):
         # the report for a fresh witness, whose memo is empty
@@ -372,9 +442,21 @@ class TestVerifier:
             assert verify_kcs_equivalence(g0, g1, w, 2)["accepted"]
 
     def test_path_generator_is_refused(self):
-        # an R = 1 connection does not sum with the R = 0 stabilizer
+        # K-hat objects carry single connections: a family is refused at
+        # construction, as a generator's connection or a stabilizer's
         g0, g1, _, _, w = twisted_case(make_fixture("x3"), random.Random(67))
-        path = KHatGen(g1.p, straight_line(g0.conn, g1.conn), g1.omega)
+        line = straight_line(g0.conn, g1.conn)
+        with pytest.raises(ConnectionError_, match="^expected a single "
+                           "connection .R = 0., not a family with R = 1$"):
+            KHatGen(g1.p, line, g1.omega)
+        with pytest.raises(ConnectionError_, match="R = 1$"):
+            KCSWitness(w.stab_p, straight_line(w.stab_conn, w.stab_conn),
+                       w.iso)
+        # the verifier's own refusal, of a generator made without
+        # `__init__`: an R = 1 connection does not sum with the R = 0
+        # stabilizer
+        path = object.__new__(KHatGen)
+        path.p, path.conn, path.omega = g1.p, line, g1.omega
         for pair in ((g0, path), (path, g1), (g0, path)):
             with pytest.raises(ConnectionError_, match="^families with "
                                "different parameters$"):
@@ -402,6 +484,139 @@ class TestVerifier:
             verify_kcs_equivalence(g, g, w, 2)
         honest = KCSWitness(stab.p, stab, ModuleIso.identity(sum_p))
         assert verify_kcs_equivalence(g, g, honest, 2)["accepted"]
+
+
+def add_sides(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+# Planted defects in how a chain combines its links' sides, given the
+# side function, the links, the chain's ends c0, c1 and its middle mid.
+CHAIN_PLANTS = {
+    "one link's side dropped":
+        lambda side, w01, w12, c0, mid, c1: side(w01, c0, mid),
+    "the links' arguments swapped":
+        lambda side, w01, w12, c0, mid, c1: add_sides(side(w01, mid, c0),
+                                                      side(w12, c1, mid)),
+    "g0.conn as the middle":
+        lambda side, w01, w12, c0, mid, c1: add_sides(side(w01, c0, c0),
+                                                      side(w12, c0, c1)),
+}
+
+
+class TestChainFromLinks:
+    """A chained witness's KCS side is its two links' sides added, exactly
+    the direct transgression of the chain's block sums."""
+
+    CASES = [(name, seed) for name in ("dual", "x3", "M2", "QxQ")
+             for seed in (1, 2)]
+
+    @staticmethod
+    def direct(c0, c1, w, k_max=2):
+        stab = w.stab_conn
+        return kcs_between(direct_sum(c0, stab),
+                           pullback(direct_sum(c1, stab), w.iso), k_max)
+
+    def oracle_holds(self, name, seed):
+        """The side of a chain of twisted links, and of a chain of that
+        chain and a third link, against the direct transgression."""
+        (g0, g1, g2, g3), (w01, w12, w23) = twisted_links(
+            make_fixture(name), random.Random(seed), 3)
+        w02 = chain_witnesses(g1, w01, w12)
+        w03 = chain_witnesses(g2, w02, w23)
+        return all(khat._kcs_side(w, g0.conn, g.conn, 2)
+                   == self.direct(g0.conn, g.conn, w)
+                   for g, w in ((g2, w02), (g3, w03)))
+
+    @pytest.mark.parametrize("name,seed", CASES)
+    def test_side_is_the_direct_transgression(self, name, seed):
+        assert self.oracle_holds(name, seed)
+
+    @pytest.mark.parametrize("plant", sorted(CHAIN_PLANTS))
+    def test_planted_defect_fails_the_oracle(self, plant, monkeypatch):
+        real = khat._kcs_side
+
+        def planted(w, c0, c1, k_max):
+            if getattr(w, "_links", None) is None:
+                return real(w, c0, c1, k_max)
+            mid, w01, w12, _ = w._links
+            return CHAIN_PLANTS[plant](
+                lambda *args: planted(*args, k_max), w01, w12, c0, mid, c1)
+        monkeypatch.setattr(khat, "_kcs_side", planted)
+        # x3 tells every plant apart at each seed.  QxQ has no odd classes
+        # in the abelianization, so every side is 0 there, and some seeds
+        # on dual and M2 cannot see some plants: the degree-1 side is
+        # tr(theta1 - theta0) of its ends, so a wrong middle cancels there,
+        # and on M2 it cancelled in degree 3 too at every seed tried.
+        for seed in (1, 2):
+            assert not self.oracle_holds("x3", seed), seed
+
+    def test_chains_of_chains_are_accepted(self):
+        for name, seed in self.CASES:
+            (g0, g1, g2, g3), (w01, w12, w23) = twisted_links(
+                make_fixture(name), random.Random(seed), 3)
+            w02 = chain_witnesses(g1, w01, w12)
+            w13 = chain_witnesses(g2, w12, w23)
+            for g, w in ((g2, w02), (g3, chain_witnesses(g2, w02, w23)),
+                         (g3, chain_witnesses(g1, w01, w13))):
+                rep = verify_kcs_equivalence(g0, g, w, 2)
+                assert rep["accepted"], (name, seed)
+                assert report_json(rep) == TestVerifier.fresh(g0, g, w)
+
+    def test_verified_links_run_no_transgression(self, calls):
+        (g0, g1, g2), (w01, w12) = twisted_links(make_fixture("x3"),
+                                                 random.Random(3), 2)
+        assert verify_kcs_equivalence(g0, g1, w01, 2)["accepted"]
+        assert verify_kcs_equivalence(g1, g2, w12, 2)["accepted"]
+        assert len(calls) == 2
+        for _ in range(2):
+            chain = chain_witnesses(g1, w01, w12)
+            assert verify_kcs_equivalence(g0, g2, chain, 2)["accepted"]
+            assert len(calls) == 2
+
+    def test_unverified_links_run_one_transgression_each(self, calls):
+        (g0, g1, g2), (w01, w12) = twisted_links(make_fixture("x3"),
+                                                 random.Random(4), 2)
+        chain = chain_witnesses(g1, w01, w12)
+        rep = verify_kcs_equivalence(g0, g2, chain, 2)
+        assert rep["accepted"]
+        assert len(calls) == 2
+        # the links keep their sides: verifying them, or the same links
+        # chained again, runs no transgression
+        assert verify_kcs_equivalence(g0, g1, w01, 2)["accepted"]
+        assert verify_kcs_equivalence(g1, g2, w12, 2)["accepted"]
+        again = verify_kcs_equivalence(g0, g2,
+                                       chain_witnesses(g1, w01, w12), 2)
+        assert len(calls) == 2
+        del calls[:]
+        assert report_json(again) == report_json(rep) == TestVerifier.fresh(
+            g0, g2, chain)
+
+    @pytest.mark.parametrize("field", ["link iso", "chain iso",
+                                       "chain stab_conn"])
+    def test_reassigned_fields_read_the_direct_side(self, field):
+        # each link's side is kept against (D0, D1) and (D1, D2) first, so
+        # a chain that read its links past a reassigned field would differ
+        for name, seed in self.CASES:
+            rng = random.Random(seed)
+            (g0, g1, g2), (w01, w12) = twisted_links(make_fixture(name),
+                                                     rng, 2)
+            verify_kcs_equivalence(g0, g1, w01, 2)
+            verify_kcs_equivalence(g1, g2, w12, 2)
+            chain = chain_witnesses(g1, w01, w12)
+            if field == "link iso":
+                w01.iso = compose_iso(w01.iso, unit_twist(w01.iso.p1, 2, rng))
+            elif field == "chain iso":
+                # a unit on N12, the last block of M2 + N01 + M1 + N12
+                p1 = chain.iso.p1
+                chain.iso = compose_iso(chain.iso,
+                                        unit_twist(p1, p1.size - 1, rng))
+            else:
+                chain.stab_conn = random_connection(chain.stab_conn.p, rng)
+            side = khat._kcs_side(chain, g0.conn, g2.conn, 2)
+            assert side == self.direct(g0.conn, g2.conn, chain), (name, seed)
+            rep = verify_kcs_equivalence(g0, g2, chain, 2)
+            assert report_json(rep) == TestVerifier.fresh(g0, g2, chain)
 
 
 class TestOddChern:
