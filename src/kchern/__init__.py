@@ -20,15 +20,15 @@ from .connections import (Connection, ConnectionError_, Idempotent, Mat,
                           permute_blocks, pullback, random_automorphism,
                           random_connection, random_idempotent, random_iso,
                           sum_iso, trace_ab)
-from .transgression import (BiForm, CylForm, EPSILON_K, TForm, bigon_straight,
+from .transgression import (BiForm, CylForm, TForm, bigon_straight,
                             chern_tform, constant_path, homotopy_K, kcs,
                             kcs_between, kcs_closed_form, reverse_path,
                             secondary_transgression, straight_line,
                             three_point_path, tilde_curvature)
-from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
-                   hexagon_suite, map_I, map_R, map_a,
-                   odd_chern, verify_kcs_equivalence, zero_generator)
+from .khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses, map_I,
+                   map_R, map_a, odd_chern, verify_kcs_equivalence,
+                   zero_generator)
 from .fixtures import FIXTURE_NAMES, make_fixture
-from .suites import run_suite
+from .suites import hexagon_suite, run_suite
 
 __version__ = "0.1.0"

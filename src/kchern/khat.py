@@ -1,8 +1,10 @@
 """Differential K-theory layer: generators (p, D, omega), witness-checked
-KCS-equivalence, the maps R, I, a, odd Chern character on automorphism
-pairs, and the hexagon identity suite.
+KCS-equivalence and chained witnesses, the maps R, I, a, and the odd Chern
+character on automorphism pairs.
 
-Everything here is a verifier: witnesses are supplied, never searched for.
+Everything here is a verifier: witnesses are supplied, never searched for,
+and nothing is drawn at random (the seeded hexagon identities live in
+`suites`).
 A `KCSWitness` keeps, in its slot `_kcs`, the KCS side of the last pair of
 generators it verified, so that a second omega against the same witness and
 connections skips the direct sums, the pullback and the transgression; the
@@ -12,16 +14,12 @@ call.  A chained witness reads its KCS side from its links (`_kcs_side`).
 
 from __future__ import annotations
 
-import random
-
 from .algebra import Algebra
 from .connections import (Connection, ConnectionError_, Idempotent,
                           ModuleIso, block_diag, check_k_max, chern,
                           compose_iso, direct_sum, grassmann, permute_blocks,
-                          pullback, random_automorphism, random_connection,
-                          random_idempotent, sum_iso)
-from .uforms import (AbClass, UForm, ab_d, is_exact_in_ab, project_ab,
-                     random_form)
+                          pullback, sum_iso)
+from .uforms import AbClass, UForm, ab_d, is_exact_in_ab, project_ab
 from .transgression import (kcs, kcs_between, straight_line)
 
 
@@ -98,11 +96,8 @@ class K1Pair:
 
 def map_R(g: KHatGen, k_max: int) -> AbClass:
     """R(p, D, omega) = ch(D) + dbar(omega), a closed even graded class."""
-    total = AbClass(g.algebra)
-    for cls in chern(g.conn, k_max):
-        total = total + cls
-    total = total + ab_d(project_ab(g.omega))
-    return total
+    return (sum(chern(g.conn, k_max), AbClass(g.algebra))
+            + ab_d(project_ab(g.omega)))
 
 
 def map_I(g: KHatGen) -> Idempotent:
@@ -263,71 +258,3 @@ def odd_chern(k1: K1Pair, k_max: int):
     dphi = pullback(d, k1.aut)
     return kcs(straight_line(d, dphi), k_max)
 
-
-# ---------------------------------------------------------------------------
-# Hexagon suite
-# ---------------------------------------------------------------------------
-
-def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
-    """Check the hexagon-diagram identities on random data.
-
-    Identities: R o a = d (exact equality); Pr o R = ch o I (difference
-    exact per degree); R o a o ch1 = 0 on the lifted odd Chern classes of a
-    random automorphism (exact equality).  Returns a JSON-ready report;
-    k_max >= 1.
-    """
-    check_k_max(k_max)
-    rng = random.Random(seed)
-    odd = range(1, 2 * k_max, 2)
-    report = {"algebra": list(alg.names), "seed": seed, "k_max": k_max,
-              "identities": []}
-
-    def record(name, status, detail=None):
-        entry = {"name": name, "status": "pass" if status else "fail"}
-        if detail is not None:
-            entry["detail"] = detail
-        report["identities"].append(entry)
-        return status
-
-    # R o a = d, exactly
-    ok_all = True
-    for _ in range(3):
-        omega = random_form(alg, rng, odd, (0, 2), 2)
-        gplus, gminus = map_a(omega)
-        lhs = map_R(gplus, k_max) - map_R(gminus, k_max)
-        rhs = ab_d(project_ab(omega))
-        if lhs != rhs:
-            ok_all = False
-    record("R o a = d", ok_all,
-           {"degrees": list(range(2, 2 * k_max + 1, 2))})
-
-    # Pr o R = ch o I: difference of R(g) and ch(grassmann(I(g))) is exact
-    ok_all = True
-    degs = list(range(2, 2 * k_max + 1, 2))
-    for i in range(2):
-        p = random_idempotent(alg, 2, rng)
-        conn = random_connection(p, rng)
-        g = KHatGen(p, conn, random_form(alg, rng, odd, (0, 2), 2))
-        diff = map_R(g, k_max) - sum(chern(grassmann(map_I(g)), k_max),
-                                     AbClass(alg))
-        for n in degs:
-            ok, _ = is_exact_in_ab(diff.component(n), n)
-            if not ok:
-                ok_all = False
-    record("Pr o R = ch o I", ok_all, {"degrees": degs})
-
-    # R o a o ch1 = 0: odd Chern classes are closed, so a of their lift
-    # has R = dbar(omega_rep) = 0
-    p = random_idempotent(alg, 2, rng)
-    aut = random_automorphism(p, rng)
-    omega_rep = UForm(alg)
-    for cls in odd_chern(K1Pair(p, aut), k_max):
-        omega_rep = omega_rep + cls.lift()
-    gplus, gminus = map_a(omega_rep)
-    record("R o a o ch1 = 0",
-           (map_R(gplus, k_max) - map_R(gminus, k_max)).is_zero())
-
-    report["status"] = ("pass" if all(e["status"] == "pass"
-                                      for e in report["identities"])
-                        else "fail")
-    return report

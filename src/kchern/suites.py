@@ -1,10 +1,14 @@
-"""Property-verification suites over the builtin fixtures.
+"""Property-verification suites over the builtin fixtures: every check that
+draws seeded random data lives here.
 
 Each suite runs a family of identity checks with seeded randomness and
 returns a JSON-ready report; the CLI `verify` command and the acceptance
 tests drive the same code.  All comparisons are exact rational equalities.
 `CHECKS` lists each suite's checks, and `run_suite` is the one loop that
-runs them.
+runs them; `hexagon_suite` checks the hexagon diagram on one algebra.  The
+checks share one draw of an idempotent and its connections (`_draw`), one
+exactness requirement (`_require_exact`) and one pass/fail rule
+(`_status`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .connections import (Mat, ModuleIso, apply_operator, check_k_max, chern,
                           sum_iso, trace_ab)
 from .exactmath import Poly, Q0, Q1
 from .fixtures import FIXTURE_NAMES, make_fixture
-from .khat import (K1Pair, KCSWitness, KHatGen, hexagon_suite, odd_chern,
-                   verify_kcs_equivalence)
+from .khat import (K1Pair, KCSWitness, KHatGen, map_I, map_R, map_a,
+                   odd_chern, verify_kcs_equivalence)
 from .transgression import (BiForm, TForm, bigon_straight, chern_tform,
                             constant_path, homotopy_K, kcs, kcs_between,
                             kcs_closed_form, reverse_path,
@@ -70,6 +74,26 @@ def require(cond, msg):
         raise PropertyFailure(msg)
 
 
+def _require_exact(pairs, msg):
+    """Fail the running check unless each class of the (degree, class)
+    pairs is exact in its degree."""
+    for n, cls in pairs:
+        require(is_exact_in_ab(cls, n)[0], msg)
+
+
+def _draw(alg, rng, count, size=2):
+    """A random size x size idempotent p and `count` random connections on
+    it, drawn from rng in that order: (p, c1, ..., c_count)."""
+    p = random_idempotent(alg, size, rng)
+    return (p, *(random_connection(p, rng) for _ in range(count)))
+
+
+def _status(entries):
+    """"pass" if every entry's status is "pass", else "fail"."""
+    return ("pass" if all(e["status"] == "pass" for e in entries)
+            else "fail")
+
+
 class _Check:
     """Collects named results with timings: "pass", "fail" (a check's
     `require` failed) or "error" (a check raised anything else); `run`
@@ -97,9 +121,7 @@ class _Check:
         self.items.append(entry)
 
     def report(self, suite, seed):
-        status = ("pass" if all(i["status"] == "pass" for i in self.items)
-                  else "fail")
-        return {"suite": suite, "seed": seed, "status": status,
+        return {"suite": suite, "seed": seed, "status": _status(self.items),
                 "checks": self.items}
 
 
@@ -172,8 +194,7 @@ def _cyclicity(alg, rng, seed, k_max):
 def _chern_identities(alg, rng, seed, k_max):
     ops = 0
     for _ in range(N_CONN):
-        p = random_idempotent(alg, 2, rng)
-        c = random_connection(p, rng)
+        p, c, c2 = _draw(alg, rng, 2)
         # operator oracle for the curvature formula
         r = curvature(c)
         pf = p.to_form()
@@ -187,17 +208,15 @@ def _chern_identities(alg, rng, seed, k_max):
         for k, cls in enumerate(chs):
             require(ab_d(cls).is_zero(), "d(ch_%d) != 0 in ab" % k)
         # additivity under direct sum
-        c2 = random_connection(p, rng)
         both = direct_sum(c, c2)
         chs2 = chern(c2, k_max)
         chsb = chern(both, k_max)
         for k in range(k_max + 1):
             require(chsb[k] == chs[k] + chs2[k], "ch not additive")
         # connection independence in homology
-        for k in range(1, k_max + 1):
-            diff = chs[k] - chs2[k]
-            ok, _prim = is_exact_in_ab(diff, 2 * k)
-            require(ok, "ch difference not exact")
+        _require_exact(((2 * k, chs[k] - chs2[k])
+                        for k in range(1, k_max + 1)),
+                       "ch difference not exact")
         ops += 1
     return {"count": ops}
 
@@ -222,13 +241,8 @@ def _naturality_homs(degree_cap):
 
 
 def _random_path(alg, rng, quadratic=False):
-    p = random_idempotent(alg, 2, rng)
-    c0 = random_connection(p, rng)
-    c1 = random_connection(p, rng)
-    if quadratic:
-        cm = random_connection(p, rng)
-        return three_point_path(c0, cm, c1)
-    return straight_line(c0, c1)
+    _, c0, c1, *cm = _draw(alg, rng, 3 if quadratic else 2)
+    return three_point_path(c0, *cm, c1) if cm else straight_line(c0, c1)
 
 
 def _homotopy(alg, rng, seed, k_max):
@@ -251,9 +265,7 @@ def _tform_associativity(alg, rng, seed, k_max):
 
 def _path_identities(alg, rng, seed, k_max):
     for _ in range(N_PATHS):
-        p = random_idempotent(alg, 2, rng)
-        c0 = random_connection(p, rng)
-        c1 = random_connection(p, rng)
+        p, c0, c1 = _draw(alg, rng, 2)
         path = straight_line(c0, c1)
         # curvature family certified by the operator oracle
         r, s = tilde_curvature(path)
@@ -287,9 +299,7 @@ def _path_identities(alg, rng, seed, k_max):
         require(all(x.is_zero() for x in const),
                 "constant KCS != 0")
         # direct sum additivity
-        p2 = random_idempotent(alg, 1, rng)
-        d0 = random_connection(p2, rng)
-        d1 = random_connection(p2, rng)
+        _, d0, d1 = _draw(alg, rng, 2, size=1)
         path2 = straight_line(d0, d1)
         kcs2 = kcs(path2, k_max)
         kcsb = kcs(direct_sum(path, path2), k_max)
@@ -308,10 +318,7 @@ def _path_identities(alg, rng, seed, k_max):
 
 def _secondary(alg, rng, seed, k_max):
     for _ in range(N_PAIRS):
-        p = random_idempotent(alg, 2, rng)
-        c0 = random_connection(p, rng)
-        c1 = random_connection(p, rng)
-        cm = random_connection(p, rng)
+        _, c0, c1, cm = _draw(alg, rng, 3)
         path1 = straight_line(c0, c1)
         path2 = three_point_path(c0, cm, c1)
         bigon = bigon_straight(path1, path2)
@@ -336,10 +343,7 @@ def _kk(alg, rng, seed, k_max):
 def _triangle(alg, rng, seed, k_max):
     count = 0
     for _ in range(N_TRIPLES):
-        p = random_idempotent(alg, 2, rng)
-        c1 = random_connection(p, rng)
-        c2 = random_connection(p, rng)
-        c3 = random_connection(p, rng)
+        _, c1, c2, c3 = _draw(alg, rng, 3)
         k13 = kcs_between(c1, c3, k_max)
         k12 = kcs_between(c1, c2, k_max)
         k23 = kcs_between(c2, c3, k_max)
@@ -382,6 +386,56 @@ def _naturality(rng, degree_cap):
 # Hexagon checks
 # ---------------------------------------------------------------------------
 
+def hexagon_suite(alg: Algebra, seed, k_max: int = 2) -> dict:
+    """Check the hexagon-diagram identities on random data from an rng
+    seeded by `seed` alone.
+
+    Identities: R o a = d (exact equality, on 3 random odd forms);
+    Pr o R = ch o I (the difference of R(g) and ch(grassmann(I(g))) exact
+    per even degree, on 2 random generators); R o a o ch1 = 0 on the lifted
+    odd Chern classes of one random automorphism (exact equality).  The
+    last one compares zero forms: every automorphism `random_automorphism`
+    draws is a scalar multiple of p, so its odd Chern forms vanish
+    (ROADMAP F1), and this identity cannot fail until a generator of
+    non-scalar automorphisms is drawn here (ROADMAP item 1).  Returns a
+    JSON-ready report; k_max >= 1.
+    """
+    check_k_max(k_max)
+    rng = random.Random(seed)
+    odd = range(1, 2 * k_max, 2)
+    degs = list(range(2, 2 * k_max + 1, 2))
+
+    def r_of_a(omega):
+        gplus, gminus = map_a(omega)
+        return map_R(gplus, k_max) - map_R(gminus, k_max)
+
+    def ch_of_i_exact():
+        p, conn = _draw(alg, rng, 1)
+        g = KHatGen(p, conn, random_form(alg, rng, odd, (0, 2), 2))
+        diff = map_R(g, k_max) - sum(chern(grassmann(map_I(g)), k_max),
+                                     AbClass(alg))
+        return all(is_exact_in_ab(diff.component(n), n)[0] for n in degs)
+
+    # every draw is made, in order, whatever an earlier identity gave
+    omegas = [random_form(alg, rng, odd, (0, 2), 2) for _ in range(3)]
+    r_a_d = all([r_of_a(om) == ab_d(project_ab(om)) for om in omegas])
+    pr_r = all([ch_of_i_exact() for _ in range(2)])
+    # odd Chern classes are closed, so a of their lift has R = dbar = 0
+    p = random_idempotent(alg, 2, rng)
+    aut = random_automorphism(p, rng)
+    lift = sum((cls.lift() for cls in odd_chern(K1Pair(p, aut), k_max)),
+               UForm(alg))
+
+    def entry(name, ok, **detail):
+        return {"name": name, "status": "pass" if ok else "fail", **detail}
+
+    identities = [entry("R o a = d", r_a_d, detail={"degrees": degs}),
+                  entry("Pr o R = ch o I", pr_r, detail={"degrees": degs}),
+                  entry("R o a o ch1 = 0", r_of_a(lift).is_zero())]
+    return {"algebra": list(alg.names), "seed": seed, "k_max": k_max,
+            "identities": identities, "status": _status(identities)}
+
+
 def _hexagon(alg, rng, seed, k_max):
     rep = hexagon_suite(alg, seed, k_max)
     require(rep["status"] == "pass", "hexagon identities fail")
@@ -389,8 +443,7 @@ def _hexagon(alg, rng, seed, k_max):
 
 
 def _witnesses(alg, rng, seed, k_max):
-    p = random_idempotent(alg, 2, rng)
-    d = random_connection(p, rng)
+    p, d = _draw(alg, rng, 1)
     g0 = KHatGen(p, d, UForm.zero(alg))
     # reflexivity with a trivial stabilizer
     stab_p = random_idempotent(alg, 1, rng)
@@ -401,9 +454,7 @@ def _witnesses(alg, rng, seed, k_max):
             "reflexive witness rejected")
     # constructed omega
     d2 = random_connection(p, rng)
-    omega1 = AbClass(alg)
-    for cls in kcs_between(d, d2, k_max):
-        omega1 = omega1 + cls
+    omega1 = sum(kcs_between(d, d2, k_max), AbClass(alg))
     g1 = KHatGen(p, d2, (-omega1).lift())
     wit2 = KCSWitness(stab_p, stab, ModuleIso.identity(sum_p))
     require(verify_kcs_equivalence(g0, g1, wit2, k_max)["accepted"],
@@ -422,10 +473,10 @@ def _odd_chern_laws(alg, rng, seed, k_max):
     ch_comp = odd_chern(K1Pair(p, comp), k_max)
     ch1 = odd_chern(K1Pair(p, u1), k_max)
     ch2 = odd_chern(K1Pair(p, u2), k_max)
-    for k in range(1, k_max + 1):
-        diff = ch_comp[k - 1] - ch1[k - 1] - ch2[k - 1]
-        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-        require(ok, "odd chern composition law fails")
+    odd = range(1, 2 * k_max, 2)
+    _require_exact(zip(odd, (a - b - c for a, b, c
+                             in zip(ch_comp, ch1, ch2))),
+                   "odd chern composition law fails")
     # block sum law
     p2 = random_idempotent(alg, 2, rng)
     v = random_automorphism(p2, rng)
@@ -433,17 +484,13 @@ def _odd_chern_laws(alg, rng, seed, k_max):
                                       grassmann(p2)).p,
                            sum_iso(u1, v)), k_max)
     chv = odd_chern(K1Pair(p2, v), k_max)
-    for k in range(1, k_max + 1):
-        diff = chb[k - 1] - ch1[k - 1] - chv[k - 1]
-        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-        require(ok, "odd chern block-sum law fails")
+    _require_exact(zip(odd, (a - b - c for a, b, c in zip(chb, ch1, chv))),
+                   "odd chern block-sum law fails")
     # connection independence mod Im(d)
     dth = random_connection(p, rng)
     alt = kcs(straight_line(dth, pullback(dth, u1)), k_max)
-    for k in range(1, k_max + 1):
-        diff = alt[k - 1] - ch1[k - 1]
-        ok, _ = is_exact_in_ab(diff, 2 * k - 1)
-        require(ok, "odd chern depends on connection")
+    _require_exact(zip(odd, (a - b for a, b in zip(alt, ch1))),
+                   "odd chern depends on connection")
     return {"count": 3}
 
 
@@ -478,19 +525,22 @@ def run_suite(suite: str, seed: int, fixtures=None, degree_cap: int = 8,
     fixture of `fixtures` (default `FIXTURE_NAMES`), in the order given,
     the suite's `CHECKS` run on one algebra with one rng seeded by (seed,
     suite, fixture); the transgression suite then checks hom naturality
-    on its own (seed, "naturality") rng."""
+    on its own (seed, "naturality") rng.  An empty `fixtures` raises
+    ValueError: a verify of nothing neither passes nor runs all six."""
     check_k_max(k_max)
+    if fixtures is None:
+        fixtures = FIXTURE_NAMES
+    elif not fixtures:
+        raise ValueError("no fixtures to verify")
     if suite == "all":
         reports = [run_suite(s, seed, fixtures, degree_cap, k_max)
                    for s in SUITES]
-        status = ("pass" if all(r["status"] == "pass" for r in reports)
-                  else "fail")
-        return {"suite": "all", "seed": seed, "status": status,
+        return {"suite": "all", "seed": seed, "status": _status(reports),
                 "reports": reports}
     if suite not in CHECKS:
         raise ValueError("unknown suite %r" % suite)
     checks = _Check()
-    for name in fixtures or FIXTURE_NAMES:
+    for name in fixtures:
         alg = make_fixture(name, degree_cap)
         rng = random.Random((seed, suite, name).__repr__())
         for check, fn in CHECKS[suite]:

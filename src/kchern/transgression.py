@@ -457,13 +457,8 @@ def kcs_between(c0: Connection, c1: Connection, k_max: int):
     return kcs(straight_line(c0, c1), k_max)
 
 
-# Sign of the closed-form transgression integrand, calibrated once against
-# the structural kcs() on the dual-numbers seed fixture (a test pins it).
-EPSILON_K = 1
-
-
 def kcs_closed_form(path: Connection, k_max: int):
-    """Independent oracle: epsilon_k/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
+    """Independent oracle: 1/(k-1)! * int_0^1 tr_ab(S R^(k-1)) dt;
     k_max >= 1.  Its own power loop, apart from `chern_series`; the last
     S R^(kmax-1) is built only on its diagonal, all its trace reads."""
     check_k_max(k_max)
@@ -475,7 +470,7 @@ def kcs_closed_form(path: Connection, k_max: int):
             fact *= (k - 1)
             sr = sr.diagonal(r) if k == k_max else sr * r
         val = project_ab(sr.trace()).map_scalars(lambda q: q.integrate01(0))
-        out.append(val.scale(Fraction(EPSILON_K, fact)))
+        out.append(val.scale(Fraction(1, fact)))
     return out
 
 

@@ -16,9 +16,9 @@ from kchern.connections import (ModuleIso, direct_sum, pullback,
                                 random_automorphism, random_connection,
                                 random_idempotent)
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
-from kchern.khat import (KCSWitness, KHatGen, chain_witnesses, hexagon_suite,
+from kchern.khat import (KCSWitness, KHatGen, chain_witnesses,
                          verify_kcs_equivalence)
-from kchern.suites import run_suite
+from kchern.suites import hexagon_suite, run_suite
 from kchern.transgression import kcs_between
 from kchern.uforms import (AbClass, UForm, de_rham_homology, dimension,
                            enumerate_words, is_exact_in_ab, project_ab)

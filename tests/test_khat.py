@@ -10,12 +10,13 @@ from kchern.connections import (Connection, ConnectionError_, Idempotent, Mat,
                                 grassmann, pullback, random_automorphism,
                                 random_connection, random_idempotent,
                                 random_iso, sum_iso)
-from kchern import khat
+from kchern import khat, suites
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import form_to_json
 from kchern.khat import (K1Pair, KCSWitness, KHatGen, chain_witnesses,
-                         hexagon_suite, map_I, map_R, map_a,
-                         odd_chern, verify_kcs_equivalence, zero_generator)
+                         map_I, map_R, map_a, odd_chern,
+                         verify_kcs_equivalence, zero_generator)
+from kchern.suites import hexagon_suite, run_suite
 from kchern.transgression import kcs, kcs_between, straight_line
 from kchern.uforms import (AbClass, UForm, ab_d, abelianization,
                            is_exact_in_ab, project_ab)
@@ -670,7 +671,6 @@ class TestHexagon:
 
     def test_kmax_below_one_is_refused(self):
         # k_max = 0 would compare empty class lists and report "pass"
-        from kchern.suites import run_suite
         alg = make_fixture("dual")
         for k_max in (0, -1):
             with pytest.raises(ValueError):
@@ -701,7 +701,7 @@ class TestHexagon:
         # R o a = d holds because R adds dbar(omega) to ch(D): an R that
         # drops that term must break it
         monkeypatch.setattr(
-            khat, "map_R",
+            suites, "map_R",
             lambda g, k_max: sum_classes(chern(g.conn, k_max), g.algebra))
         rep = hexagon_suite(make_fixture("M2"), 7, 2)
         status = {e["name"]: e["status"] for e in rep["identities"]}
@@ -715,9 +715,9 @@ class TestHexagon:
                        (project_ab(UForm.word(alg, w))
                         for w in abelianization(alg, 1).quotient_words)
                        if not ab_d(cls).is_zero())
-        real = khat.odd_chern
+        real = suites.odd_chern
         monkeypatch.setattr(
-            khat, "odd_chern",
+            suites, "odd_chern",
             lambda k1, k_max: [c + planted if i == 0 else c
                                for i, c in enumerate(real(k1, k_max))])
         rep = hexagon_suite(alg, 7, 2)

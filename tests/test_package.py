@@ -95,6 +95,21 @@ def test_no_unused_imports():
     assert not found
 
 
+def test_khat_imports_no_seeded_draw():
+    # seeded checks belong to `suites`; the K-hat layer only verifies the
+    # data it is given, so it imports neither `random` nor a generator
+    # named random_*
+    path = ROOT / "src" / "kchern" / "khat.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            found += ["khat.py:%d %s" % (node.lineno, name)
+                      for name in names + [a.name for a in node.names]
+                      if name.startswith("random")]
+    assert not found
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__")
                                          and name.endswith("__"))

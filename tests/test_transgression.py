@@ -21,8 +21,8 @@ from kchern.exactmath import Poly, Q0, Q1
 from kchern.fixtures import FIXTURE_NAMES, make_fixture
 from kchern.serialize import abclass_to_json, form_to_json
 from kchern.suites import _random_cylform, run_suite
-from kchern.transgression import (BiForm, CylForm, EPSILON_K, KOSZUL, SHUFFLE,
-                                  TForm, _CylProducts, bigon_curvature,
+from kchern.transgression import (BiForm, CylForm, KOSZUL, SHUFFLE, TForm,
+                                  _CylProducts, bigon_curvature,
                                   bigon_straight, chern_biform, chern_tform,
                                   constant_path, homotopy_K, kcs, kcs_between,
                                   kcs_closed_form, reverse_path,
@@ -169,8 +169,7 @@ class TestKCS:
         assert not classes[0].is_zero()
 
     def test_sign_calibration(self):
-        # pins the closed-form sign epsilon_k = +1 against the golden value
-        assert EPSILON_K == 1
+        # pins the closed-form sign against the golden value
         dual = make_fixture("dual")
         eps = UForm.from_element(dual.basis(1))
         _, _, path = unit_line_path(dual, eps.d())
@@ -1138,7 +1137,10 @@ def _drop_d_sign(monkeypatch):
 
 
 def _flip_epsilon(monkeypatch):
-    monkeypatch.setattr(transgression, "EPSILON_K", -EPSILON_K)
+    # the closed form's sign 1/(k-1)! flipped, where the suite calls it
+    real = transgression.kcs_closed_form
+    monkeypatch.setattr(suites, "kcs_closed_form",
+                        lambda path, k_max: [-c for c in real(path, k_max)])
 
 
 class TestReferenceCalculus:
